@@ -13,9 +13,16 @@
 //! sweep's wholesale side stops plus the per-candidate coordinate-gap
 //! and norm filters.
 //!
+//! The `kernel_warm` row is the warm sweep of every Lloyd pass after the
+//! first: hinted with the cold pass's labels (a converged pass, where
+//! every hint is the point's own center), so most points finish on the
+//! half-separation certificate after one evaluation.
+//!
 //! `KMEANS_BENCH_QUICK=1` shrinks the grid and measurement windows for
-//! the CI smoke, which relies on the always-on assertion that the norm
-//! bound actually prunes on the Gaussian-mixture workload.
+//! the CI smoke, which relies on the always-on, deterministic
+//! assertions: the norm bound actually prunes on the Gaussian-mixture
+//! workload, the warm sweep's output equals the scalar path's bit for
+//! bit, and it evaluates no more distances than the cold sweep.
 
 use criterion::Criterion;
 use kmeans_bench::bench_json::{write_merged, KernelRecord};
@@ -111,6 +118,20 @@ fn main() {
             cfg.d,
             cfg.k
         );
+        // The warm sweep, hinted with the cold pass's labels: same bits,
+        // and never more distance evaluations than the cold sweep.
+        let hints = labels.clone();
+        let warm_stats = kernel.assign_warm(&points, 0..cfg.n, Some(&hints), &mut labels, &mut d2);
+        assert_eq!(labels, ref_labels, "warm kernel diverged");
+        let bits: Vec<u64> = d2.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, ref_bits, "warm kernel d2 diverged");
+        assert!(
+            warm_stats.distance_computations <= stats.distance_computations,
+            "warm sweep evaluated more than cold on n={} d={} k={}: {warm_stats:?} vs {stats:?}",
+            cfg.n,
+            cfg.d,
+            cfg.k
+        );
 
         // Time scalar vs kernel, annotating each record with its work
         // counters through the shim's BenchRecord plumbing.
@@ -140,6 +161,18 @@ fn main() {
                 .annotate_last("distance_computations", stats.distance_computations as f64)
                 .annotate_last("pruned", stats.pruned_by_norm_bound as f64)
                 .annotate_last("tile", feature_bytes as f64);
+            group
+                .bench_function("kernel_warm", |b| {
+                    b.iter(|| {
+                        kernel.assign_warm(&points, 0..cfg.n, Some(&hints), &mut labels, &mut d2)
+                    })
+                })
+                .annotate_last(
+                    "distance_computations",
+                    warm_stats.distance_computations as f64,
+                )
+                .annotate_last("pruned", warm_stats.pruned_by_norm_bound as f64)
+                .annotate_last("tile", feature_bytes as f64);
             group.finish();
         }
 
@@ -154,6 +187,8 @@ fn main() {
                 id: record.id.clone(),
                 kernel: if scalar {
                     "scalar_per_point"
+                } else if record.id.ends_with("kernel_warm") {
+                    "assign_kernel_warm"
                 } else {
                     "assign_kernel"
                 }

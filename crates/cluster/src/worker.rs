@@ -412,10 +412,18 @@ impl Worker {
             } => {
                 // Kernel counters ride along as the trailing stats field,
                 // so the coordinator's fold reports the same measured
-                // work a single-node pass would.
-                let (labels, shards, stats) =
-                    assign_partials_chunked(source, &centers, &s.exec, s.start_row, s.global_n)
-                        .map_err(offset_err)?;
+                // work a single-node pass would: the previous pass's
+                // labels seed the warm sweep here exactly as they do in
+                // the single-node backends.
+                let (labels, shards, stats) = assign_partials_chunked(
+                    source,
+                    &centers,
+                    &s.exec,
+                    s.start_row,
+                    s.global_n,
+                    s.labels.as_deref(),
+                )
+                .map_err(offset_err)?;
                 let reassigned = match &s.labels {
                     None => source.len() as u64,
                     Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
@@ -440,10 +448,18 @@ impl Worker {
             Message::RestoreLabels { centers } => {
                 // Recovery catch-up: rebuild the labels the lost worker's
                 // last assignment pass stored, discarding partials — the
-                // coordinator already folded them before the failure.
-                let (labels, _shards, _stats) =
-                    assign_partials_chunked(source, &centers, &s.exec, s.start_row, s.global_n)
-                        .map_err(offset_err)?;
+                // coordinator already folded them before the failure. A
+                // cold pass yields the same labels, so the next pass sees
+                // the same hints as on a worker that never failed.
+                let (labels, _shards, _stats) = assign_partials_chunked(
+                    source,
+                    &centers,
+                    &s.exec,
+                    s.start_row,
+                    s.global_n,
+                    None,
+                )
+                .map_err(offset_err)?;
                 s.labels = Some(labels);
                 Ok(Message::RestoreOk)
             }

@@ -252,7 +252,7 @@ pub fn hamerly_lloyd(
 
     // One exact closing pass for the final (labels, cost): bounds certify
     // assignments, but the reported potential must be exact.
-    let (labels, sums) = crate::assign::assign_and_sum(points, &centers, &exec);
+    let (labels, sums) = crate::assign::assign_and_sum(points, &centers, &exec, None);
     Ok(HamerlyResult {
         centers,
         labels,

@@ -94,6 +94,11 @@ fn sum_executor(exec: &Executor, n: usize) -> Executor {
 /// Assigns every point to its nearest center, returning labels and
 /// per-cluster sums in one parallel pass.
 ///
+/// `hints` are the labels of a previous pass (one per point): they seed
+/// the kernel's warm sweep ([`AssignKernel::assign_warm`]), which changes
+/// only the work counters and the time, never the result. Hints of the
+/// wrong length are ignored.
+///
 /// # Panics
 ///
 /// Panics if `centers` is empty or dimensionalities differ.
@@ -101,11 +106,13 @@ pub fn assign_and_sum(
     points: &PointMatrix,
     centers: &PointMatrix,
     exec: &Executor,
+    hints: Option<&[u32]>,
 ) -> (Vec<u32>, ClusterSums) {
     assert!(!centers.is_empty(), "assign_and_sum: no centers");
     assert_eq!(points.dim(), centers.dim(), "assign_and_sum: dim mismatch");
     let k = centers.len();
     let d = points.dim();
+    let hints = hints.filter(|h| h.len() == points.len());
     let exec = sum_executor(exec, points.len());
     let kernel = AssignKernel::new(centers);
 
@@ -124,7 +131,8 @@ pub fn assign_and_sum(
         // the still-warm rows.
         let mut labels = vec![0u32; range.len()];
         let mut d2 = vec![0.0f64; range.len()];
-        let stats = kernel.assign(points, range.clone(), &mut labels, &mut d2);
+        let shard_hints = hints.map(|h| &h[range.clone()]);
+        let stats = kernel.assign_warm(points, range.clone(), shard_hints, &mut labels, &mut d2);
         let mut sums = vec![0.0f64; k * d];
         let mut counts = vec![0u64; k];
         let mut cost = 0.0;
@@ -227,7 +235,7 @@ mod tests {
     fn labels_and_counts_are_correct() {
         let points = two_blob_points();
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 100.0, 0.0], 2).unwrap();
-        let (labels, sums) = assign_and_sum(&points, &centers, &Executor::sequential());
+        let (labels, sums) = assign_and_sum(&points, &centers, &Executor::sequential(), None);
         assert_eq!(labels.len(), 20);
         assert!(labels[..10].iter().all(|&l| l == 0));
         assert!(labels[10..].iter().all(|&l| l == 1));
@@ -244,7 +252,7 @@ mod tests {
         let points = two_blob_points();
         // Third center attracts nothing.
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 100.0, 0.0, 1e9, 1e9], 2).unwrap();
-        let (_, sums) = assign_and_sum(&points, &centers, &Executor::sequential());
+        let (_, sums) = assign_and_sum(&points, &centers, &Executor::sequential(), None);
         assert_eq!(sums.counts[2], 0);
         assert!(sums.centroid(2, 2).is_none());
     }
@@ -255,7 +263,7 @@ mod tests {
         let points = two_blob_points();
         let centers = PointMatrix::from_flat(vec![0.45, 0.0, 100.45, 0.0], 2).unwrap();
         let exec = Executor::sequential();
-        let (_, sums) = assign_and_sum(&points, &centers, &exec);
+        let (_, sums) = assign_and_sum(&points, &centers, &exec, None);
         let phi = potential(&points, &centers, &exec);
         assert!((sums.cost - phi).abs() < 1e-9);
     }
@@ -264,7 +272,8 @@ mod tests {
     fn identical_across_thread_counts() {
         let points = two_blob_points();
         let centers = PointMatrix::from_flat(vec![1.0, 0.0, 99.0, 0.0], 2).unwrap();
-        let run = |exec: Executor| assign_and_sum(&points, &centers, &exec.with_shard_size(4));
+        let run =
+            |exec: Executor| assign_and_sum(&points, &centers, &exec.with_shard_size(4), None);
         let (ref_labels, ref_sums) = run(Executor::sequential());
         for threads in [2, 3] {
             let (labels, sums) = run(Executor::new(Parallelism::Threads(threads)));
@@ -282,7 +291,7 @@ mod tests {
         let mut points = two_blob_points();
         points.push(&[500.0, 0.0]).unwrap();
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 100.0, 0.0], 2).unwrap();
-        let (_, sums) = assign_and_sum(&points, &centers, &Executor::sequential());
+        let (_, sums) = assign_and_sum(&points, &centers, &Executor::sequential(), None);
         let best = sums
             .farthest
             .iter()
@@ -314,7 +323,7 @@ mod tests {
         let points = PointMatrix::from_flat((0..n).map(|i| i as f64).collect(), 1).unwrap();
         let centers = PointMatrix::from_flat(vec![0.0], 1).unwrap();
         let exec = Executor::sequential().with_shard_size(16);
-        let (_, sums) = assign_and_sum(&points, &centers, &exec);
+        let (_, sums) = assign_and_sum(&points, &centers, &exec, None);
         assert!(sums.farthest.len() <= MAX_SUM_SHARDS);
         assert_eq!(sums.counts[0], n as u64);
     }

@@ -438,7 +438,7 @@ pub fn assign_and_sum_chunked(
     // assign_partials_chunked with offset 0 / global_n = len performs
     // exactly the validate_refine_inputs_chunked checks.
     let (labels, partials, stats) =
-        assign_partials_chunked(source, centers, exec, 0, source.len())?;
+        assign_partials_chunked(source, centers, exec, 0, source.len(), None)?;
     let mut sums = fold_accum_shards(centers.len(), source.dim(), &partials);
     sums.stats = stats;
     Ok((labels, sums))
@@ -487,12 +487,18 @@ impl AccumShard {
 /// (distance evaluations performed / norm-bound prunes). Distributed
 /// workers ship them as the trailing stats field of their partials frame
 /// (the [`AccumShard`] wire format itself does not carry them).
+///
+/// `hints` are the labels of a previous pass over the same rows: they
+/// seed the kernel's warm sweep ([`AssignKernel::assign_warm`]), which
+/// changes only the counters and the time. Hints of the wrong length are
+/// ignored.
 pub fn assign_partials_chunked(
     source: &dyn ChunkedSource,
     centers: &PointMatrix,
     exec: &Executor,
     row_offset: usize,
     global_n: usize,
+    hints: Option<&[u32]>,
 ) -> Result<(Vec<u32>, Vec<AccumShard>, KernelStats), KMeansError> {
     if source.is_empty() {
         return Err(KMeansError::EmptyInput);
@@ -513,6 +519,7 @@ pub fn assign_partials_chunked(
     let k = centers.len();
     let d = source.dim();
     let sum_size = sum_shard_size(exec, global_n);
+    let hints = hints.filter(|h| h.len() == n);
 
     let mut labels = vec![0u32; n];
     let mut d2 = vec![0.0f64; source.block_rows()];
@@ -527,9 +534,12 @@ pub fn assign_partials_chunked(
     for_each_block(source, &mut buf, |_b, start, block| {
         let end = start + block.len();
         let chunk = &mut d2[..block.len()];
+        let block_hints = hints.map(|h| &h[start..end]);
         let shard_stats =
             exec.update_map_shards2(&mut labels[start..end], chunk, |_, local, cl, cd| {
-                kernel.assign(block, local..local + cl.len(), cl, cd)
+                let rows = local..local + cl.len();
+                let shard_hints = block_hints.map(|h| &h[rows.clone()]);
+                kernel.assign_warm(block, rows, shard_hints, cl, cd)
             });
         for s in shard_stats {
             stats.absorb(s);
@@ -707,7 +717,7 @@ mod tests {
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 40.0, 20.0, 80.0, 40.0], 2).unwrap();
         for threads in [Parallelism::Sequential, Parallelism::Threads(4)] {
             let exec = Executor::new(threads).with_shard_size(16);
-            let (ref_labels, ref_sums) = assign_and_sum(&m, &centers, &exec);
+            let (ref_labels, ref_sums) = assign_and_sum(&m, &centers, &exec, None);
             for block_rows in [1, 9, 64, 350, 700, 4096] {
                 let (labels, sums) =
                     assign_and_sum_chunked(&source(&m, block_rows), &centers, &exec).unwrap();

@@ -947,7 +947,9 @@ impl RoundBackend for InMemoryBackend<'_> {
     }
 
     fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError> {
-        let (labels, sums) = assign_and_sum(self.points, centers, self.exec);
+        // The previous pass's labels seed the kernel's warm sweep.
+        let (labels, sums) =
+            assign_and_sum(self.points, centers, self.exec, self.labels.as_deref());
         let reassigned = match &self.labels {
             None => self.points.len() as u64,
             Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
@@ -1100,8 +1102,14 @@ impl RoundBackend for ChunkedBackend<'_> {
     }
 
     fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError> {
-        let (labels, partials, stats) =
-            assign_partials_chunked(self.source, centers, self.exec, 0, self.source.len())?;
+        let (labels, partials, stats) = assign_partials_chunked(
+            self.source,
+            centers,
+            self.exec,
+            0,
+            self.source.len(),
+            self.labels.as_deref(),
+        )?;
         let reassigned = match &self.labels {
             None => self.source.len() as u64,
             Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
@@ -1274,7 +1282,7 @@ mod tests {
         let m = blobs(300);
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 40.0, 20.0, 80.0, 40.0], 2).unwrap();
         let exec = Executor::new(Parallelism::Threads(2)).with_shard_size(16);
-        let (ref_labels, ref_sums) = assign_and_sum(&m, &centers, &exec);
+        let (ref_labels, ref_sums) = assign_and_sum(&m, &centers, &exec, None);
         let src = source(&m, 29);
         let mut backend = ChunkedBackend::new(&src, &exec);
         let (labels, sums) = drive_label_pass(&mut backend, &centers).unwrap();

@@ -20,8 +20,10 @@
 //!  │ key c[j*] │ c[j₂] │ ‖c‖ │ orig. index  │  │ row, row, …   │
 //!  └────────────────────────────────────────┘  └───────────────┘
 //!
-//!  per point x:  binary-search x[j*] → proxy-pick a seed nearby →
-//!                one canonical evaluation pins `best` → walk outward
+//!  per point x:  seed = (cold) binary-search x[j*], proxy-pick nearby
+//!                     | (warm) the previous pass's center →
+//!                one canonical evaluation pins `best` → (warm) done if
+//!                the certificate holds → walk outward
 //!                (alternating sides in chunks of 8):
 //!
 //!     ◄── stop side once (x[j*]−c[j*])² > best (monotone) ──►
@@ -43,10 +45,22 @@
 //!   reverse-triangle bound `(‖x‖−‖c‖)² ≤ ‖x−c‖²` (applied with the
 //!   conservative margin below) and a second coordinate gap `(x[j₂]−c[j₂])²`
 //!   dispose of most remaining candidates without loading their rows.
-//! * **Seeded best** — each point binary-searches its key into the
-//!   sorted order and evaluates one proxy-picked nearby candidate first,
-//!   so `best` is tight before the walk starts and the bounds bite from
-//!   the first candidate onward.
+//! * **Seeded best** — each point evaluates one candidate first, so
+//!   `best` is tight before the walk starts and the bounds bite from the
+//!   first candidate onward. A *cold* sweep ([`AssignKernel::assign`])
+//!   binary-searches the point's key into the sorted order and picks a
+//!   nearby candidate by a cheap proxy. A *warm* sweep
+//!   ([`AssignKernel::assign_warm`], every Lloyd pass after the first)
+//!   seeds at the point's *hint* — the center it held in the previous
+//!   pass, located through the inverse sort order with no search at all
+//!   — and then tries the *half-separation certificate*: with `D_a` the
+//!   seed's canonical distance and `S_a` the smallest canonical squared
+//!   distance from center `a` to any other center (one `O(m²·d)` table
+//!   per prepared kernel, built on the first warm call), `4·D_a < S_a`
+//!   proves `a` the unique nearest center, so the point is done after one
+//!   evaluation (counted as 1 evaluation and `m−1` pruned pairs) and never
+//!   even computes its norm. Otherwise the walk runs from the seed. Hints
+//!   are untrusted: one `≥ k` takes the cold seed search.
 //! * **Register-blocked compute** — the per-point norm runs on four
 //!   independent accumulation lanes (the layout LLVM turns into packed
 //!   SIMD), the `O(1)` filters stream the compact feature arrays, and
@@ -77,17 +91,20 @@
 //!    result.
 //! 3. **Skips are strict.** A candidate is skipped only on proof that
 //!    its canonical distance is *strictly greater* than the current best
-//!    (every filter — the coordinate gaps, the norm bound, and the
-//!    canonical abandon, which uses `best.next_up()` as its bound —
-//!    guarantees the strict inequality). A skipped candidate can
-//!    therefore never be the minimizer, nor a lower-index holder of an
-//!    exact tie.
+//!    (every filter — the coordinate gaps, the norm bound, the canonical
+//!    abandon, which uses `best.next_up()` as its bound, and the warm
+//!    sweep's half-separation certificate, which skips *all* other
+//!    candidates at once — guarantees the strict inequality). A skipped
+//!    candidate can therefore never be the minimizer, nor a lower-index
+//!    holder of an exact tie.
 //!
 //! The per-point decision sequence is a pure function of the point, the
-//! sorted candidate set, and the carried best — how points are grouped
-//! into shards, chunked-source blocks, or batches cannot change any
-//! outcome, which also makes [`KernelStats`] deterministic across thread
-//! counts and block sizes.
+//! sorted candidate set, the carried best and the point's hint — how
+//! points are grouped into shards, chunked-source blocks, or batches
+//! cannot change any outcome, which also makes [`KernelStats`]
+//! deterministic across thread counts and block sizes (and, since every
+//! backend passes the labels of its previous pass as hints, across
+//! backends).
 //!
 //! # Why the ε-slack cannot change results
 //!
@@ -117,15 +134,45 @@
 //! such candidates fall through to the canonical path, which handles
 //! them exactly like the scalar loop. The slack is a few parts in 10¹³ —
 //! it costs essentially no pruning power.
+//!
+//! **The certificate.** With the same `g = (2d+16)·ε`, the warm sweep
+//! finishes a point at its seed `a` only when
+//!
+//! ```text
+//! 4·D_a·(1+g) < S_a·(1−g)        (precomputed per candidate as
+//!                                  D_a < S_a·(1−g)/(4·(1+g)))
+//! ```
+//!
+//! Write `T` for true squared distances. Every canonical value is within
+//! a relative `δ ≤ (d+2)·ε` of its `T` in either direction (the bound
+//! above), so `g > 1.5·δ`. To first order in `ε`, the test gives
+//! `T_ab > 4·T_a·(1+2g−2δ)` for every other center `b` (as
+//! `S_a ≤ S_ab`); the triangle inequality `√T_b ≥ √T_ab − √T_a` then
+//! gives `T_b > T_a·(1+4g−4δ)`, and `D_b ≥ T_b·(1−δ) > D_a·(1+4g−6δ) >
+//! D_a`: every other center's canonical distance is *strictly* larger, so
+//! `(a, D_a)` is exactly what the scalar scan returns. The few roundings
+//! in the precomputed limit cost another few `ε`, far inside the margin.
+//! Separations below `2⁻⁹⁷⁰` never certify, which keeps underflowed
+//! squares irrelevant; NaN, ±∞ and zero separations never certify (a
+//! NaN separation is sticky across the table), nor does a NaN or ∞
+//! `D_a` (it fails the strict `<`). Duplicate centers have `S_a = 0`.
 
 use crate::distance::sq_dist_bounded;
 use kmeans_data::PointMatrix;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Minimum candidate count for the pruned sweep to pay for the `O(d)`
 /// point-norm precomputation and the seed search; below it the kernel
 /// scans every candidate canonically (still bit-identical).
 const PRUNE_MIN_CANDIDATES: usize = 8;
+
+/// Smallest center separation `S_a` the half-separation certificate
+/// accepts: `2⁻⁹⁷⁰`, far above the subnormal range, so the absolute
+/// error of squares that underflow (at most `d·2⁻¹⁰⁷⁵`) stays below
+/// `d·2⁻¹⁰²` relative to every distance the certificate reasons about —
+/// negligible next to the guard (module docs).
+const CERT_FLOOR: f64 = f64::MIN_POSITIVE / f64::EPSILON;
 
 /// Work accounting for one kernel call. Both counters are exact and —
 /// because every skip decision is a pure function of per-point state —
@@ -137,7 +184,8 @@ pub struct KernelStats {
     /// the canonical (possibly bound-abandoned) computation.
     pub distance_computations: u64,
     /// Point–center pairs skipped in `O(1)` by the norm or
-    /// coordinate-gap lower bounds (wholesale side stops included).
+    /// coordinate-gap lower bounds (wholesale side stops included) or,
+    /// in a warm sweep, by the half-separation certificate.
     pub pruned_by_norm_bound: u64,
 }
 
@@ -213,6 +261,22 @@ pub struct AssignKernel {
     /// `(1+4ε)/(1−guard)` rounded conservatively up — turns the
     /// per-candidate threshold into one multiply.
     inv_slack: f64,
+    /// The warm-sweep tables, built by the first
+    /// [`AssignKernel::assign_warm`] call that carries hints (`O(m²·d)`);
+    /// cold callers never pay for them.
+    warm: OnceLock<WarmTable>,
+}
+
+/// What a warm seed needs per candidate (module docs, "Seeded best").
+#[derive(Debug)]
+struct WarmTable {
+    /// Sorted position of each center index — the inverse of `order`.
+    pos: Vec<u32>,
+    /// Per sorted position: the certificate limit `S_a·(1−g)/(4·(1+g))`,
+    /// where `S_a` is the smallest canonical squared distance from that
+    /// candidate to any other. `0.0` (which no distance undercuts) when
+    /// `S_a` is NaN, infinite, zero or below [`CERT_FLOOR`].
+    cert: Vec<f64>,
 }
 
 impl AssignKernel {
@@ -303,7 +367,48 @@ impl AssignKernel {
             rows,
             guard,
             inv_slack: (1.0 / (1.0 - guard)) * (1.0 + 4.0 * f64::EPSILON),
+            warm: OnceLock::new(),
         }
+    }
+
+    /// The warm-sweep tables of a full kernel (`from == 0`), built once on
+    /// first use: the inverse sort order and, per candidate, the
+    /// certificate limit derived from its separation `S_a` (module docs).
+    /// `O(m²·d)` — canonical distances are symmetric bit for bit
+    /// (`fl(a−b) = −fl(b−a)`), so each pair is evaluated once. A NaN
+    /// separation is sticky, so a candidate set with NaN rows never
+    /// certifies its neighbors.
+    fn warm_table(&self) -> &WarmTable {
+        self.warm.get_or_init(|| {
+            let m = self.order.len();
+            let mut pos = vec![0u32; m];
+            for (p, &c) in self.order.iter().enumerate() {
+                pos[c as usize] = p as u32;
+            }
+            let mut sep = vec![f64::INFINITY; m];
+            for p in 0..m {
+                for q in p + 1..m {
+                    let s = sq_dist_bounded(self.rows.row(p), self.rows.row(q), f64::INFINITY);
+                    for slot in [p, q] {
+                        if s < sep[slot] || s.is_nan() {
+                            sep[slot] = s;
+                        }
+                    }
+                }
+            }
+            let scale = (1.0 - self.guard) / (4.0 * (1.0 + self.guard));
+            let cert = sep
+                .into_iter()
+                .map(|s| {
+                    if (CERT_FLOOR..f64::INFINITY).contains(&s) {
+                        s * scale
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            WarmTable { pos, cert }
+        })
     }
 
     /// Full assignment of `points[rows]`: for each row, writes the index
@@ -325,13 +430,42 @@ impl AssignKernel {
         labels: &mut [u32],
         d2: &mut [f64],
     ) -> KernelStats {
+        self.assign_warm(points, rows, None, labels, d2)
+    }
+
+    /// [`AssignKernel::assign`] with a *warm seed* per row: `hints[i]` is
+    /// the center row `i` was assigned to by a previous pass. The sweep
+    /// evaluates that center first — no key search, no proxy window — and
+    /// finishes the row outright when the half-separation certificate
+    /// proves it the unique nearest center (module docs); otherwise the
+    /// usual outward walk runs from it. Results are bit-identical to
+    /// [`AssignKernel::assign`] for *any* hints: a hint `≥ k` (e.g.
+    /// `u32::MAX`) simply takes the cold seed search, and `None` is
+    /// exactly `assign`, counters included. The work counters are a pure
+    /// function of each row and its hint.
+    ///
+    /// # Panics
+    ///
+    /// As [`AssignKernel::assign`]; also if `hints` is given with a length
+    /// other than `rows.len()`.
+    pub fn assign_warm(
+        &self,
+        points: &PointMatrix,
+        rows: Range<usize>,
+        hints: Option<&[u32]>,
+        labels: &mut [u32],
+        d2: &mut [f64],
+    ) -> KernelStats {
         assert_eq!(self.from, 0, "AssignKernel::assign on a suffix kernel");
         assert!(self.k > 0, "AssignKernel::assign: no centers");
+        if let Some(h) = hints {
+            assert_eq!(h.len(), rows.len(), "AssignKernel: hints length");
+        }
         for (l, d) in labels.iter_mut().zip(d2.iter_mut()) {
             *l = 0;
             *d = f64::INFINITY;
         }
-        self.sweep(points, rows, labels, d2)
+        self.sweep(points, rows, hints, labels, d2)
     }
 
     /// Incremental update against the suffix candidates: each row's
@@ -351,14 +485,16 @@ impl AssignKernel {
         labels: &mut [u32],
         d2: &mut [f64],
     ) -> KernelStats {
-        self.sweep(points, rows, labels, d2)
+        self.sweep(points, rows, None, labels, d2)
     }
 
-    /// The shared batch sweep.
+    /// The shared batch sweep; `hints` (full kernels only) pick each
+    /// row's warm seed.
     fn sweep(
         &self,
         points: &PointMatrix,
         rows: Range<usize>,
+        hints: Option<&[u32]>,
         labels: &mut [u32],
         d2: &mut [f64],
     ) -> KernelStats {
@@ -371,6 +507,7 @@ impl AssignKernel {
             return stats;
         }
         let prune = m >= PRUNE_MIN_CANDIDATES;
+        let warm = hints.filter(|_| prune).map(|h| (h, self.warm_table()));
         for (slot, i) in rows.enumerate() {
             let row = points.row(i);
             let mut state = State {
@@ -378,7 +515,11 @@ impl AssignKernel {
                 new_label: u32::MAX,
             };
             if prune && row[self.key_dim].is_finite() {
-                self.scan_pruned(row, &mut state, &mut stats);
+                let seed = warm.and_then(|(h, w)| {
+                    let pos = *w.pos.get(h[slot] as usize)? as usize;
+                    Some((pos, w.cert[pos]))
+                });
+                self.scan_pruned(row, seed, &mut state, &mut stats);
             } else {
                 // Tiny candidate sets and non-finite points: plain sorted
                 // scan, every candidate canonically checked (the exact
@@ -397,49 +538,45 @@ impl AssignKernel {
     }
 
     /// The annulus sweep for one point (finite sort key, pruning
-    /// enabled): seed at the key-nearest candidate, then walk each side
+    /// enabled): seed at the warm hint `(sorted position, certificate
+    /// limit)` when given — finishing outright if the certificate holds —
+    /// or else near the key-nearest candidate, then walk each side
     /// outward until the monotone key-gap bound certifies the rest of
     /// that side out wholesale.
-    fn scan_pruned(&self, row: &[f64], state: &mut State, stats: &mut KernelStats) {
+    fn scan_pruned(
+        &self,
+        row: &[f64],
+        warm: Option<(usize, f64)>,
+        state: &mut State,
+        stats: &mut KernelStats,
+    ) {
         let m = self.order.len();
         let fin = self.finite_keys;
         let xk = row[self.key_dim];
-        let guard = self.guard;
-        let xn = norm(row);
-        let gx = guard * xn; // NaN-safe: a NaN margin just never prunes
         let xs = if self.dim > 1 { row[self.sec_dim] } else { 0.0 };
-
-        // Seed selection: among a small neighborhood of the key-nearest
-        // position, pick the candidate with the smallest two-feature
-        // proxy — one cheap pass that usually lands on the true cluster,
-        // so the first canonical evaluation already pins `best` tight.
-        // (Any deterministic choice is correct; this only affects how
-        // fast the bounds start to bite.)
-        let pos0 = self.nearest_key_pos(xk);
-        let seed = if pos0 < fin {
-            // Window radius grows with the candidate density so the true
-            // cluster is almost always inside it.
-            let w = (3 + m / 16).min(64);
-            let lo = pos0.saturating_sub(w);
-            let hi = (pos0 + w + 1).min(fin);
-            let mut best_pos = lo;
-            let mut best_proxy = f64::INFINITY;
-            for p in lo..hi {
-                let gk = xk - self.keys[p];
-                let gs = xs - self.sec[p];
-                let gn = xn - self.norms[p];
-                let proxy = gk * gk + gs * gs + gn * gn;
-                if proxy < best_proxy {
-                    best_proxy = proxy;
-                    best_pos = p;
+        let (seed, xn) = match warm {
+            Some((pos, cert)) => {
+                stats.distance_computations += 1;
+                self.evaluate(row, pos, state);
+                // Half-separation certificate: 4·D_a < S_a (with the
+                // slack folded into `cert`) proves every other candidate
+                // strictly farther. NaN/∞ distances fail the strict `<`.
+                if state.best < cert {
+                    stats.pruned_by_norm_bound += m as u64 - 1;
+                    return;
                 }
+                (pos, norm(row))
             }
-            best_pos
-        } else {
-            pos0
+            None => {
+                let xn = norm(row);
+                let seed = self.proxy_seed(xk, xs, xn);
+                stats.distance_computations += 1;
+                self.evaluate(row, seed, state);
+                (seed, xn)
+            }
         };
-        stats.distance_computations += 1;
-        self.evaluate(row, seed, state);
+        let guard = self.guard;
+        let gx = guard * xn; // NaN-safe: a NaN margin just never prunes
         let mut binv = self.threshold(state.best);
 
         // Outward walks over the finite-key region, alternating sides in
@@ -552,6 +689,37 @@ impl AssignKernel {
         } else {
             binv
         }
+    }
+
+    /// Cold seed selection: among a small neighborhood of the key-nearest
+    /// position, the candidate with the smallest two-feature proxy — one
+    /// cheap pass that usually lands on the true cluster, so the first
+    /// canonical evaluation already pins `best` tight. (Any deterministic
+    /// choice is correct; this only affects how fast the bounds start to
+    /// bite.)
+    fn proxy_seed(&self, xk: f64, xs: f64, xn: f64) -> usize {
+        let pos0 = self.nearest_key_pos(xk);
+        if pos0 >= self.finite_keys {
+            return pos0;
+        }
+        // Window radius grows with the candidate density so the true
+        // cluster is almost always inside it.
+        let w = (3 + self.order.len() / 16).min(64);
+        let lo = pos0.saturating_sub(w);
+        let hi = (pos0 + w + 1).min(self.finite_keys);
+        let mut best_pos = lo;
+        let mut best_proxy = f64::INFINITY;
+        for p in lo..hi {
+            let gk = xk - self.keys[p];
+            let gs = xs - self.sec[p];
+            let gn = xn - self.norms[p];
+            let proxy = gk * gk + gs * gs + gn * gn;
+            if proxy < best_proxy {
+                best_proxy = proxy;
+                best_pos = p;
+            }
+        }
+        best_pos
     }
 
     /// The pre-inflated threshold `binv` (module docs): any exact lower

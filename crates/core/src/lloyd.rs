@@ -92,11 +92,12 @@ pub struct LloydResult {
     pub assign_passes: usize,
     /// Point–center pairs the assignment kernel skipped via its `O(1)`
     /// lower bounds — the norm bound `(‖x‖−‖c‖)²` and the coordinate
-    /// gaps, wholesale sorted-sweep stops included — summed over every
-    /// pass (the closing relabel included). Deterministic across thread
-    /// counts, block sizes, *and* worker counts: distributed workers
-    /// ship their kernel counters in the partials frames, so the fold
-    /// equals the single-node value.
+    /// gaps, wholesale sorted-sweep stops included, plus the pairs the
+    /// warm sweep's half-separation certificate settles wholesale —
+    /// summed over every pass (the closing relabel included).
+    /// Deterministic across thread counts, block sizes, *and* worker
+    /// counts: distributed workers ship their kernel counters in the
+    /// partials frames, so the fold equals the single-node value.
     pub pruned_by_norm_bound: u64,
 }
 
@@ -272,8 +273,12 @@ mod tests {
         assert!((xs[1] - 10.15).abs() < 1e-9);
         // Labels and cost are self-consistent.
         let expected_cost: f64 = {
-            let (_, sums) =
-                crate::assign::assign_and_sum(&points, &result.centers, &Executor::sequential());
+            let (_, sums) = crate::assign::assign_and_sum(
+                &points,
+                &result.centers,
+                &Executor::sequential(),
+                None,
+            );
             sums.cost
         };
         assert!((result.cost - expected_cost).abs() < 1e-9);
@@ -344,7 +349,7 @@ mod tests {
         let result = lloyd(&points, &init, &config, &exec).unwrap();
         assert!(result.converged);
         let (expected_labels, sums) =
-            crate::assign::assign_and_sum(&points, &result.centers, &exec);
+            crate::assign::assign_and_sum(&points, &result.centers, &exec, None);
         assert_eq!(result.labels, expected_labels);
         assert!(
             (result.cost - sums.cost).abs() <= 1e-12 * (1.0 + sums.cost),

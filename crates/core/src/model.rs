@@ -541,8 +541,13 @@ impl KMeansModel {
     /// `O(1)` lower bounds during refinement — the norm bound
     /// `(‖x‖−‖c‖)²` plus the coordinate-gap bounds of the sorted sweep —
     /// the second pruning observable next to
-    /// [`KMeansModel::distance_computations`]. Exactly reproducible:
-    /// thread counts, block sizes, and worker counts never change it.
+    /// [`KMeansModel::distance_computations`]; from the second Lloyd pass
+    /// on it also counts the `k−1` candidates each point settled by the
+    /// warm sweep's half-separation certificate skips. Exactly
+    /// reproducible: thread counts, block sizes, worker counts, worker
+    /// recovery and resuming from a checkpoint journal never change it —
+    /// every backend seeds its warm passes with the labels of its previous
+    /// pass, and recovery and resume rebuild those labels exactly.
     pub fn pruned_by_norm_bound(&self) -> u64 {
         self.pruned_by_norm_bound
     }

@@ -706,7 +706,7 @@ impl Refiner for MiniBatch {
         reject_weights("minibatch", weights)?;
         let k = centers.len() as u64;
         let (refined, batch_stats) = minibatch_kmeans_traced(points, centers, &self.0, seed)?;
-        let (labels, sums) = assign_and_sum(points, &refined, exec);
+        let (labels, sums) = assign_and_sum(points, &refined, exec, None);
         Ok(RefineResult {
             centers: refined,
             labels,
@@ -771,7 +771,7 @@ impl Refiner for NoRefine {
         validate_refine_inputs(points, centers)?;
         let (labels, cost, pruned) = match weights {
             None => {
-                let (labels, sums) = assign_and_sum(points, centers, exec);
+                let (labels, sums) = assign_and_sum(points, centers, exec, None);
                 (labels, sums.cost, sums.stats.pruned_by_norm_bound)
             }
             Some(w) => {

@@ -20,7 +20,8 @@ pub enum Parallelism {
     Sequential,
     /// Use exactly this many worker threads (values are clamped to ≥ 1).
     Threads(usize),
-    /// Use `std::thread::available_parallelism()`.
+    /// Use `std::thread::available_parallelism()`, resolved once per
+    /// [`Executor`].
     Auto,
 }
 
@@ -53,14 +54,19 @@ impl Parallelism {
 #[derive(Clone, Debug)]
 pub struct Executor {
     parallelism: Parallelism,
+    /// `parallelism` resolved once, at construction: `Auto` asks the OS
+    /// (which reads cgroup files) here rather than on every call.
+    workers: usize,
     spec: ShardSpec,
 }
 
 impl Executor {
-    /// Creates an executor with the default shard size.
+    /// Creates an executor with the default shard size, resolving the
+    /// worker count once.
     pub fn new(parallelism: Parallelism) -> Self {
         Executor {
             parallelism,
+            workers: parallelism.workers(),
             spec: ShardSpec::default(),
         }
     }
@@ -90,9 +96,9 @@ impl Executor {
         self.parallelism
     }
 
-    /// Resolved worker count.
+    /// Worker count, as resolved by [`Executor::new`].
     pub fn workers(&self) -> usize {
-        self.parallelism.workers()
+        self.workers
     }
 
     /// Maps every shard of `[0, n)` through `f`, returning results in shard
@@ -411,6 +417,18 @@ mod tests {
         assert_eq!(Parallelism::Threads(0).workers(), 1);
         assert_eq!(Parallelism::Threads(3).workers(), 3);
         assert!(Parallelism::Auto.workers() >= 1);
+    }
+
+    #[test]
+    fn auto_resolves_once_and_copies_keep_it() {
+        let want = Parallelism::Auto.workers();
+        let exec = Executor::new(Parallelism::Auto);
+        let resized = exec.clone().with_shard_size(7);
+        for e in [&exec, &exec.clone(), &resized, &resized.clone()] {
+            assert_eq!(e.workers(), want);
+            assert_eq!(e.parallelism(), Parallelism::Auto);
+        }
+        assert_eq!(resized.shard_spec().shard_size(), 7);
     }
 
     #[test]

@@ -130,7 +130,10 @@ proptest! {
 // --- resume parity --------------------------------------------------------
 
 const N: usize = 192;
-const K: usize = 6;
+/// At least `PRUNE_MIN_CANDIDATES` (8), so the recovered and resumed
+/// fits run the pruned kernel — cold and warm sweeps — and the kernel
+/// counters below are pinned through every failure point.
+const K: usize = 12;
 const SHARD: usize = 16;
 
 fn gauss() -> PointMatrix {
@@ -192,6 +195,11 @@ fn assert_same_fit(a: &KMeansModel, b: &KMeansModel, what: &str) {
         a.init_stats().seed_cost.to_bits(),
         b.init_stats().seed_cost.to_bits(),
         "{what}: seed cost"
+    );
+    assert_eq!(
+        a.pruned_by_norm_bound(),
+        b.pruned_by_norm_bound(),
+        "{what}: kernel prune counter"
     );
 }
 

@@ -24,7 +24,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const N: usize = 192;
-const K: usize = 6;
+/// At least `PRUNE_MIN_CANDIDATES` (8), so the recovered and resumed
+/// fits run the pruned kernel — cold and warm sweeps — and the kernel
+/// counters below are pinned through every failure point.
+const K: usize = 12;
 const SHARD: usize = 16;
 
 type WorkerHandle = std::thread::JoinHandle<Result<(), ClusterError>>;
@@ -99,6 +102,11 @@ fn assert_bit_identical(reference: &KMeansModel, got: &KMeansModel, what: &str) 
         reference.distance_computations(),
         got.distance_computations(),
         "{what}: distance accounting"
+    );
+    assert_eq!(
+        reference.pruned_by_norm_bound(),
+        got.pruned_by_norm_bound(),
+        "{what}: kernel prune counter"
     );
 }
 

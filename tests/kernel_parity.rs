@@ -1,6 +1,7 @@
 //! Bit-parity of the batch assignment kernel (`kmeans_core::kernel`)
 //! against the scalar per-point path, across random shapes, duplicate
-//! centers, non-finite inputs, and ulp-adversarial near-ties.
+//! centers, non-finite inputs, and ulp-adversarial near-ties — for the
+//! cold sweep and for the warm sweep under any hints.
 //!
 //! These tests are meaningful in **both** build profiles: release-mode
 //! FP contraction or vectorization differences are exactly what they
@@ -8,7 +9,7 @@
 #![recursion_limit = "256"]
 
 use kmeans_core::assign::assign_and_sum;
-use kmeans_core::chunked::assign_and_sum_chunked;
+use kmeans_core::chunked::{assign_and_sum_chunked, assign_partials_chunked, fold_accum_shards};
 use kmeans_core::distance::{nearest, sq_dist_bounded};
 use kmeans_core::kernel::{AssignKernel, KernelStats};
 use kmeans_data::{InMemorySource, PointMatrix};
@@ -67,6 +68,47 @@ fn assert_assign_matches(points: &PointMatrix, centers: &PointMatrix) -> KernelS
         "every pair must be computed or pruned exactly once"
     );
     stats
+}
+
+/// The warm sweep over all rows with the given hints: same labels and
+/// `d²` bits as the scalar path, every pair computed or pruned once.
+fn assert_warm_matches(points: &PointMatrix, centers: &PointMatrix, hints: &[u32]) -> KernelStats {
+    let (ref_labels, ref_d2) = scalar_assign(points, centers);
+    let kernel = AssignKernel::new(centers);
+    let n = points.len();
+    let mut labels = vec![u32::MAX; n];
+    let mut d2 = vec![-1.0f64; n];
+    let stats = kernel.assign_warm(points, 0..n, Some(hints), &mut labels, &mut d2);
+    assert_eq!(labels, ref_labels, "warm labels diverged (hints {hints:?})");
+    let bits: Vec<u64> = d2.iter().map(|v| v.to_bits()).collect();
+    let ref_bits: Vec<u64> = ref_d2.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, ref_bits, "warm d2 bits diverged (hints {hints:?})");
+    assert_eq!(
+        stats.distance_computations + stats.pruned_by_norm_bound,
+        (n * centers.len()) as u64,
+        "every pair must be computed or pruned exactly once"
+    );
+    stats
+}
+
+/// Hints drawn four ways — `kind` 0: the true labels, 1: random labels,
+/// 2: out-of-range values, 3: `u32::MAX`; 4 mixes all four per row.
+fn draw_hints(points: &PointMatrix, centers: &PointMatrix, kind: usize, salt: u64) -> Vec<u32> {
+    let (truth, _) = scalar_assign(points, centers);
+    let k = centers.len();
+    let mut rng = kmeans_util::Rng::new(salt);
+    truth
+        .iter()
+        .map(|&t| {
+            let kind = if kind == 4 { rng.range_usize(4) } else { kind };
+            match kind {
+                0 => t,
+                1 => rng.range_usize(k) as u32,
+                2 => (k + rng.range_usize(1000)) as u32,
+                _ => u32::MAX,
+            }
+        })
+        .collect()
 }
 
 /// A dataset plus center set of arbitrary small shape; centers include
@@ -157,6 +199,272 @@ proptest! {
         centers.row_mut(slot / cd)[slot % cd] = specials[(poison as usize / 7) % 3];
         assert_assign_matches(&points, &centers);
     }
+
+    #[test]
+    fn warm_sweep_is_bit_identical_for_any_hints(
+        (points, centers) in workloads(),
+        kind in 0usize..5,
+        salt in 0u64..1 << 20,
+    ) {
+        let hints = draw_hints(&points, &centers, kind, salt);
+        assert_warm_matches(&points, &centers, &hints);
+    }
+
+    #[test]
+    fn warm_sweep_keeps_parity_on_non_finite_coordinates(
+        (mut points, mut centers) in workloads(),
+        poison in 0u64..1 << 16,
+        kind in 0usize..5,
+    ) {
+        // Hints come from the clean data, so they point wherever the
+        // poisoned rows used to belong.
+        let hints = draw_hints(&points, &centers, kind, poison);
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let pd = points.dim();
+        let slot = (poison as usize) % (points.len() * pd);
+        points.row_mut(slot / pd)[slot % pd] = specials[(poison as usize) % 3];
+        let cd = centers.dim();
+        let slot = (poison as usize / 3) % (centers.len() * cd);
+        centers.row_mut(slot / cd)[slot % cd] = specials[(poison as usize / 7) % 3];
+        assert_warm_matches(&points, &centers, &hints);
+    }
+}
+
+/// The certificate's boundary, `4·D_a = S_a`: the point sits at distance
+/// `r` from its hinted center `a`, and `a`'s nearest other center `b`
+/// sits at `2r` scaled by a ladder of factors — a few ulps either side of
+/// the exact midpoint tie (where the certificate must refuse) out to
+/// `1 ± 1e-12` (where it may fire). `a` and `b` trade index order so an
+/// exact tie must go to the lower index, and far centers keep the pruned
+/// sweep on.
+#[test]
+fn warm_certificate_is_exact_around_half_separation() {
+    let mut factors = vec![1.0f64];
+    let (mut up, mut down) = (1.0f64, 1.0f64);
+    for _ in 0..6 {
+        up = up.next_up();
+        down = down.next_down();
+        factors.push(up);
+        factors.push(down);
+    }
+    for rel in [1e-15, 1e-14, 1e-13, 1e-12, 1e-9] {
+        factors.push(1.0 + rel);
+        factors.push(1.0 - rel);
+    }
+    let mut certified = 0u64;
+    let mut refused = 0u64;
+    for d in [1usize, 2, 5] {
+        for (case, &r) in [0.75f64, 1.0, 3.1, 1e-3, 4.5e7].iter().enumerate() {
+            for &f in &factors {
+                for a_first in [true, false] {
+                    // Coordinates past the first are shared by all three:
+                    // the geometry stays on one line but the distances
+                    // run through more coordinates.
+                    let shared: Vec<f64> = (0..d).map(|j| 0.25 * j as f64).collect();
+                    let (mut a, mut b, mut x) = (shared.clone(), shared.clone(), shared);
+                    a[0] = 10.0 * case as f64;
+                    b[0] = a[0] + 2.0 * r * f;
+                    x[0] = a[0] + r;
+                    let mut centers = PointMatrix::new(d);
+                    let (ia, ib) = if a_first { (0u32, 1u32) } else { (1, 0) };
+                    for c in 0..2 {
+                        centers
+                            .push(if c == ia as usize { &a } else { &b })
+                            .unwrap();
+                    }
+                    for i in 0..8 {
+                        let mut far = vec![0.0; d];
+                        far[0] = a[0] - 100.0 * r * (i + 1) as f64;
+                        centers.push(&far).unwrap();
+                    }
+                    let query = PointMatrix::from_flat(x, d).unwrap();
+                    for hint in [ia, ib] {
+                        let stats = assert_warm_matches(&query, &centers, &[hint]);
+                        if stats.distance_computations == 1 {
+                            certified += 1;
+                        } else {
+                            refused += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        certified > 0 && refused > 0,
+        "the ladder must straddle the certificate: {certified} certified, {refused} refused"
+    );
+}
+
+/// The same boundary in general position, where every coordinate adds
+/// rounding: points on the segment from `a` to its nearest other center
+/// `b`, at and a hair either side of the midpoint (where `D_a` and `D_b`
+/// tie up to rounding and `4·D_a ≈ S_a`), hinted at either end. Without
+/// the certificate's slack, rounding alone certifies `a` for about half
+/// of the midpoints whose canonical `D_b` is the smaller one.
+#[test]
+fn warm_certificate_is_exact_at_midpoints_in_general_position() {
+    let mut rng = kmeans_util::Rng::new(29);
+    let mut certified = 0u64;
+    let mut refused = 0u64;
+    for d in [3usize, 16, 42] {
+        for _ in 0..40 {
+            let a: Vec<f64> = (0..d).map(|_| rng.normal() * 10.0).collect();
+            let b: Vec<f64> = a.iter().map(|v| v + rng.normal()).collect();
+            let mut centers = PointMatrix::new(d);
+            let a_first = rng.range_usize(2) == 0;
+            let (ia, ib) = if a_first { (0u32, 1u32) } else { (1, 0) };
+            for c in 0..2 {
+                centers
+                    .push(if c == ia as usize { &a } else { &b })
+                    .unwrap();
+            }
+            for i in 0..8 {
+                let far: Vec<f64> = a.iter().map(|v| v + 1e3 * (i + 1) as f64).collect();
+                centers.push(&far).unwrap();
+            }
+            let mut points = PointMatrix::new(d);
+            for t in [0.5, 0.5 + 1e-15, 0.5 - 1e-15, 0.5 - 1e-12, 0.45] {
+                let row: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + t * (y - x)).collect();
+                points.push(&row).unwrap();
+            }
+            for hint in [ia, ib] {
+                let hints = vec![hint; points.len()];
+                for i in 0..points.len() {
+                    let one = PointMatrix::from_flat(points.row(i).to_vec(), d).unwrap();
+                    let stats = assert_warm_matches(&one, &centers, &hints[i..i + 1]);
+                    if stats.distance_computations == 1 {
+                        certified += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        certified > 0 && refused > 0,
+        "midpoints must straddle the certificate: {certified} certified, {refused} refused"
+    );
+}
+
+/// Duplicate centers have zero separation and must never certify: a
+/// point hinted at a higher-index copy still ends at the lowest-index
+/// copy, whatever the hint.
+#[test]
+fn warm_sweep_never_certifies_duplicate_centers() {
+    let mut rng = kmeans_util::Rng::new(3);
+    let d = 3;
+    let mut centers = PointMatrix::new(d);
+    let mut base = Vec::new();
+    for _ in 0..5 {
+        let row: Vec<f64> = (0..d).map(|_| rng.normal() * 50.0).collect();
+        base.push(row);
+    }
+    // Every base center three times, interleaved so copies sit at
+    // scattered indices.
+    for _ in 0..3 {
+        for row in &base {
+            centers.push(row).unwrap();
+        }
+    }
+    let mut points = PointMatrix::new(d);
+    for row in &base {
+        points.push(row).unwrap(); // exactly on the copies (d² = 0)
+        let near: Vec<f64> = row.iter().map(|v| v + 0.01).collect();
+        points.push(&near).unwrap();
+    }
+    let k = centers.len() as u32;
+    for copy in 0..3u32 {
+        let hints: Vec<u32> = (0..points.len() as u32)
+            .map(|i| (i / 2) + copy * (k / 3))
+            .collect();
+        let stats = assert_warm_matches(&points, &centers, &hints);
+        assert!(
+            stats.distance_computations > points.len() as u64,
+            "a duplicate center certified: {stats:?}"
+        );
+    }
+}
+
+/// Warm counters are a pure function of each row and its hint: the same
+/// whole-range and split-range, and the same in-memory and chunked for
+/// every block size and thread count. The hints are a real previous
+/// pass's labels (against perturbed centers), so some rows move.
+#[test]
+fn warm_stats_match_across_groupings_and_backends() {
+    let mut rng = kmeans_util::Rng::new(17);
+    let d = 6;
+    let mut points = PointMatrix::new(d);
+    let mut centers = PointMatrix::new(d);
+    let mut previous = PointMatrix::new(d);
+    for _ in 0..20 {
+        let c: Vec<f64> = (0..d).map(|_| rng.normal() * 30.0).collect();
+        let p: Vec<f64> = c.iter().map(|v| v + rng.normal() * 8.0).collect();
+        centers.push(&c).unwrap();
+        previous.push(&p).unwrap();
+    }
+    for i in 0..400 {
+        let c = centers.row(i % 20).to_vec();
+        let row: Vec<f64> = c.iter().map(|v| v + rng.normal() * 15.0).collect();
+        points.push(&row).unwrap();
+    }
+    let (hints, _) = scalar_assign(&points, &previous);
+    let (now, _) = scalar_assign(&points, &centers);
+    assert!(hints != now, "some rows must change cluster");
+    assert_warm_matches(&points, &centers, &hints);
+
+    let kernel = AssignKernel::new(&centers);
+    let n = points.len();
+    let mut labels = vec![0u32; n];
+    let mut d2 = vec![0.0f64; n];
+    let whole = kernel.assign_warm(&points, 0..n, Some(&hints), &mut labels, &mut d2);
+    let mut pieced = KernelStats::default();
+    for (start, end) in [(0usize, 1usize), (1, 77), (77, 260), (260, n)] {
+        pieced.absorb(kernel.assign_warm(
+            &points,
+            start..end,
+            Some(&hints[start..end]),
+            &mut labels[start..end],
+            &mut d2[start..end],
+        ));
+    }
+    assert_eq!(whole, pieced, "row grouping changed the warm counters");
+    let cold = kernel.assign(&points, 0..n, &mut labels, &mut d2);
+    assert!(
+        whole.distance_computations < cold.distance_computations,
+        "warm {whole:?} vs cold {cold:?}"
+    );
+
+    let exec = Executor::sequential().with_shard_size(32);
+    let (ref_labels, ref_sums) = assign_and_sum(&points, &centers, &exec, Some(&hints));
+    assert_eq!(ref_labels, now);
+    assert_eq!(ref_sums.stats, whole);
+    for block_rows in [1usize, 7, 64, 400] {
+        for threads in [1usize, 3] {
+            let exec = if threads == 1 {
+                Executor::sequential().with_shard_size(32)
+            } else {
+                Executor::new(kmeans_par::Parallelism::Threads(threads)).with_shard_size(32)
+            };
+            let (labels, sums) = assign_and_sum(&points, &centers, &exec, Some(&hints));
+            assert_eq!(labels, ref_labels, "threads {threads}");
+            assert_eq!(sums.stats, ref_sums.stats, "in-memory threads {threads}");
+            let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+            let (labels, partials, stats) =
+                assign_partials_chunked(&source, &centers, &exec, 0, n, Some(&hints)).unwrap();
+            assert_eq!(
+                labels, ref_labels,
+                "block_rows {block_rows} threads {threads}"
+            );
+            assert_eq!(
+                stats, ref_sums.stats,
+                "warm kernel stats diverged: block_rows {block_rows} threads {threads}"
+            );
+            let sums = fold_accum_shards(centers.len(), d, &partials);
+            assert_eq!(sums.cost.to_bits(), ref_sums.cost.to_bits());
+        }
+    }
 }
 
 /// Adversarial pruning safety: centers placed within a few ulps of the
@@ -225,7 +533,7 @@ fn stats_match_across_in_memory_and_chunked_paths() {
         centers.push(&row).unwrap();
     }
     let exec = Executor::sequential().with_shard_size(32);
-    let (ref_labels, ref_sums) = assign_and_sum(&points, &centers, &exec);
+    let (ref_labels, ref_sums) = assign_and_sum(&points, &centers, &exec, None);
     assert!(
         ref_sums.stats.pruned_by_norm_bound > 0,
         "workload must exercise pruning: {:?}",
