@@ -16,17 +16,25 @@
 //! The `kernel_warm` row is the warm sweep of every Lloyd pass after the
 //! first: hinted with the cold pass's labels (a converged pass, where
 //! every hint is the point's own center), so most points finish on the
-//! half-separation certificate after one evaluation.
+//! zero-length prefix of their center's separation list after one
+//! evaluation. The `kernel_update` row is a k-means||-shaped tracker
+//! update: the carried state is the assignment to the first half of the
+//! centers, and the second half is the new suffix, so points tracked at
+//! a nearby earlier center finish from its separation list into the
+//! suffix.
 //!
 //! `KMEANS_BENCH_QUICK=1` shrinks the grid and measurement windows for
 //! the CI smoke, which relies on the always-on, deterministic
 //! assertions: the norm bound actually prunes on the Gaussian-mixture
-//! workload, the warm sweep's output equals the scalar path's bit for
-//! bit, and it evaluates no more distances than the cold sweep.
+//! workload; the warm sweep's and the update's outputs equal the scalar
+//! paths' bit for bit; the warm sweep evaluates no more distances than
+//! the cold one; and the update with its carried labels evaluates no
+//! more than the same update with every label untracked (`u32::MAX`),
+//! which must return the same `d²` bits.
 
 use criterion::Criterion;
 use kmeans_bench::bench_json::{write_merged, KernelRecord};
-use kmeans_core::distance::nearest;
+use kmeans_core::distance::{nearest, sq_dist_bounded};
 use kmeans_core::kernel::AssignKernel;
 use kmeans_data::synth::GaussMixture;
 use kmeans_data::PointMatrix;
@@ -38,6 +46,26 @@ fn scalar_assign(points: &PointMatrix, centers: &PointMatrix, labels: &mut [u32]
         let (c, dist) = nearest(row, centers);
         labels[i] = c as u32;
         d2[i] = dist;
+    }
+}
+
+/// The cost trackers' scalar suffix scan: a new center replaces the
+/// carried state only when strictly closer.
+fn scalar_update(
+    points: &PointMatrix,
+    centers: &PointMatrix,
+    from: usize,
+    labels: &mut [u32],
+    d2: &mut [f64],
+) {
+    for (i, row) in points.rows().enumerate() {
+        for c in from..centers.len() {
+            let dist = sq_dist_bounded(row, centers.row(c), d2[i]);
+            if dist < d2[i] {
+                d2[i] = dist;
+                labels[i] = c as u32;
+            }
+        }
     }
 }
 
@@ -133,6 +161,38 @@ fn main() {
             cfg.k
         );
 
+        // The k-means||-shaped update: carried state from the first half
+        // of the centers, the second half as the suffix. Same bits as the
+        // scalar suffix scan, and the carried labels never cost more
+        // evaluations than untracked ones.
+        let from = cfg.k / 2;
+        let head =
+            PointMatrix::from_flat(centers.as_slice()[..from * cfg.d].to_vec(), cfg.d).unwrap();
+        let mut carried_labels = vec![0u32; cfg.n];
+        let mut carried_d2 = vec![0.0f64; cfg.n];
+        scalar_assign(&points, &head, &mut carried_labels, &mut carried_d2);
+        let (mut ref_up_labels, mut ref_up_d2) = (carried_labels.clone(), carried_d2.clone());
+        scalar_update(&points, &centers, from, &mut ref_up_labels, &mut ref_up_d2);
+        let suffix = AssignKernel::suffix(&centers, from);
+        let (mut up_labels, mut up_d2) = (carried_labels.clone(), carried_d2.clone());
+        let update_stats = suffix.update(&points, 0..cfg.n, &mut up_labels, &mut up_d2);
+        assert_eq!(up_labels, ref_up_labels, "kernel update diverged");
+        let up_bits: Vec<u64> = up_d2.iter().map(|v| v.to_bits()).collect();
+        let ref_up_bits: Vec<u64> = ref_up_d2.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(up_bits, ref_up_bits, "kernel update d2 diverged");
+        let (mut blind_labels, mut blind_d2) = (vec![u32::MAX; cfg.n], carried_d2.clone());
+        let blind_stats = suffix.update(&points, 0..cfg.n, &mut blind_labels, &mut blind_d2);
+        let blind_bits: Vec<u64> = blind_d2.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(blind_bits, ref_up_bits, "untracked update d2 diverged");
+        assert!(
+            update_stats.distance_computations <= blind_stats.distance_computations,
+            "tracked update evaluated more than untracked on n={} d={} k={}: \
+             {update_stats:?} vs {blind_stats:?}",
+            cfg.n,
+            cfg.d,
+            cfg.k
+        );
+
         // Time scalar vs kernel, annotating each record with its work
         // counters through the shim's BenchRecord plumbing.
         let pairs = (cfg.n * cfg.k) as u64;
@@ -173,6 +233,20 @@ fn main() {
                 )
                 .annotate_last("pruned", warm_stats.pruned_by_norm_bound as f64)
                 .annotate_last("tile", feature_bytes as f64);
+            group
+                .bench_function("kernel_update", |b| {
+                    b.iter(|| {
+                        up_labels.copy_from_slice(&carried_labels);
+                        up_d2.copy_from_slice(&carried_d2);
+                        suffix.update(&points, 0..cfg.n, &mut up_labels, &mut up_d2)
+                    })
+                })
+                .annotate_last(
+                    "distance_computations",
+                    update_stats.distance_computations as f64,
+                )
+                .annotate_last("pruned", update_stats.pruned_by_norm_bound as f64)
+                .annotate_last("tile", feature_bytes as f64);
             group.finish();
         }
 
@@ -189,6 +263,8 @@ fn main() {
                     "scalar_per_point"
                 } else if record.id.ends_with("kernel_warm") {
                     "assign_kernel_warm"
+                } else if record.id.ends_with("kernel_update") {
+                    "assign_kernel_update"
                 } else {
                     "assign_kernel"
                 }
@@ -205,12 +281,18 @@ fn main() {
             });
             if !scalar && scalar_ns > 0 {
                 // Speedup summary for the scrollback (the acceptance
-                // observable).
+                // observable); an update only pairs points with the
+                // suffix.
+                let live = if record.id.ends_with("kernel_update") {
+                    (cfg.n * (cfg.k - from)) as f64
+                } else {
+                    pairs as f64
+                };
                 println!(
                     "{}: speedup {:.2}x over scalar ({:.1}% of pairs bound-pruned)",
                     record.id,
                     scalar_ns as f64 / record.median.as_nanos() as f64,
-                    100.0 * record.metric("pruned").unwrap_or(0.0) / pairs as f64,
+                    100.0 * record.metric("pruned").unwrap_or(0.0) / live,
                 );
             }
         }

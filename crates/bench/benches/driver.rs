@@ -11,6 +11,10 @@
 //! backend overhead: block streaming for `chunked`, coordination + wire
 //! for `distributed-wN`.
 //!
+//! One extra row, `kmeans-par+lloyd/in-memory-auto`, runs the in-memory
+//! fit with `Parallelism::Auto` instead of `Sequential`: the executor
+//! resolves its thread count once, from the machine, when it is built.
+//!
 //! `KMEANS_BENCH_QUICK=1` shrinks the grid and measurement windows for
 //! the CI smoke, and additionally asserts two gates: the round-count
 //! budget (wire round trips are exactly reproducible on any machine —
@@ -97,6 +101,11 @@ fn kmeans_par_lloyd() -> KMeans {
         .parallelism(Parallelism::Sequential)
 }
 
+/// [`kmeans_par_lloyd`] on as many threads as the machine offers.
+fn kmeans_par_lloyd_auto() -> KMeans {
+    kmeans_par_lloyd().parallelism(Parallelism::Auto)
+}
+
 fn kmeans_par_minibatch() -> KMeans {
     KMeans::params(K)
         .refine(MiniBatch(MiniBatchConfig {
@@ -159,6 +168,12 @@ fn main() {
         shutdown(cluster, handles);
         assert_bits_equal(&reference, &dist, method.name);
     }
+    let auto = kmeans_par_lloyd_auto().fit(&points).unwrap();
+    assert_bits_equal(
+        &kmeans_par_lloyd().fit(&points).unwrap(),
+        &auto,
+        "kmeans-par+lloyd on Parallelism::Auto",
+    );
 
     let mut c = Criterion::default();
     {
@@ -194,6 +209,9 @@ fn main() {
                 shutdown(cluster, handles);
             }
         }
+        group.bench_function("kmeans-par+lloyd/in-memory-auto", |b| {
+            b.iter(|| kmeans_par_lloyd_auto().fit(&points).unwrap())
+        });
         group.finish();
     }
 

@@ -8,10 +8,15 @@
 //! `KMeansModel::predict` up front — throughput numbers for a diverging
 //! server would be meaningless. `KMEANS_BENCH_QUICK=1` shrinks the grid
 //! and the request budget for CI smoke runs.
+//!
+//! The grid's engine sweeps on `Parallelism::Threads(2)`; one more row,
+//! `auto_b256_c4`, serves the same load from an engine on
+//! `Parallelism::Auto`, which resolves its thread count from the machine
+//! once, when the executor is built.
 
 use kmeans_bench::bench_json::{write_merged_serve, ServeRecord};
 use kmeans_cluster::ClusterError;
-use kmeans_core::model::KMeans;
+use kmeans_core::model::{KMeans, KMeansModel};
 use kmeans_core::KMeansError;
 use kmeans_data::synth::GaussMixture;
 use kmeans_data::PointMatrix;
@@ -23,6 +28,8 @@ use std::time::{Duration, Instant};
 
 const N: usize = 4_096;
 const K: usize = 8;
+
+type ServerHandle = std::thread::JoinHandle<Result<(), ClusterError>>;
 
 fn slice_rows(points: &PointMatrix, start: usize, rows: usize) -> PointMatrix {
     let dim = points.dim();
@@ -88,6 +95,70 @@ fn run_load(
     (all, shed_total, started.elapsed())
 }
 
+/// Sorts the accepted latencies and folds one load run into its record.
+fn serve_record(
+    id: String,
+    batch: usize,
+    clients: usize,
+    dim: usize,
+    mut latencies: Vec<u128>,
+    shed: u64,
+    wall: Duration,
+) -> ServeRecord {
+    latencies.sort_unstable();
+    let answered = latencies.len() as u64;
+    let secs = wall.as_secs_f64().max(1e-9);
+    ServeRecord {
+        id,
+        transport: "tcp".into(),
+        batch,
+        clients,
+        requests: answered,
+        d: dim,
+        k: K,
+        p50_ns: percentile_nearest_rank(&latencies, 0.50),
+        p99_ns: percentile_nearest_rank(&latencies, 0.99),
+        qps: (answered as f64 / secs) as u64,
+        points_per_sec: (answered as f64 * batch as f64 / secs) as u64,
+        shed_requests: shed,
+        shed_rate: shed as f64 / (answered + shed).max(1) as f64,
+    }
+}
+
+/// Serves `model` from an engine on `parallelism`, checks one answer
+/// against the local model bit for bit, and returns the address and the
+/// server thread.
+fn serve(
+    model: &KMeansModel,
+    points: &PointMatrix,
+    parallelism: Parallelism,
+    config: EngineConfig,
+) -> (String, ServerHandle) {
+    let engine = ServeEngine::with_config(model.to_record(), Executor::new(parallelism), config)
+        .expect("engine from a fitted model");
+    let (addr, handle) = spawn_tcp_serve(engine, Some(Duration::from_secs(60))).unwrap();
+    let addr = addr.to_string();
+    let mut client = ServeClient::connect(&addr, Some(Duration::from_secs(60))).unwrap();
+    let probe = slice_rows(points, 11, 64);
+    let served = client.predict(&probe).unwrap();
+    assert_eq!(served.labels, model.predict(&probe).unwrap());
+    assert_eq!(
+        served.cost.to_bits(),
+        model.cost_of(&probe).unwrap().to_bits(),
+        "served cost diverged from the local model"
+    );
+    (addr, handle)
+}
+
+/// Stops a server started by [`serve`].
+fn stop(addr: &str, handle: ServerHandle) {
+    ServeClient::connect(addr, Some(Duration::from_secs(60)))
+        .unwrap()
+        .shutdown()
+        .unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 fn main() {
     let quick = std::env::var("KMEANS_BENCH_QUICK").is_ok_and(|v| v == "1");
     let synth = GaussMixture::new(K)
@@ -103,24 +174,12 @@ fn main() {
         .fit(&points)
         .unwrap();
 
-    let engine = ServeEngine::new(model.to_record(), Executor::new(Parallelism::Threads(2)))
-        .expect("engine from a fitted model");
-    let (addr, handle) = spawn_tcp_serve(engine, Some(Duration::from_secs(60))).unwrap();
-    let addr = addr.to_string();
-
-    // Sanity: served answers match the local model bitwise, or the
-    // throughput numbers mean nothing.
-    {
-        let mut client = ServeClient::connect(&addr, Some(Duration::from_secs(60))).unwrap();
-        let probe = slice_rows(&points, 11, 64);
-        let served = client.predict(&probe).unwrap();
-        assert_eq!(served.labels, model.predict(&probe).unwrap());
-        assert_eq!(
-            served.cost.to_bits(),
-            model.cost_of(&probe).unwrap().to_bits(),
-            "served cost diverged from the local model"
-        );
-    }
+    let (addr, handle) = serve(
+        &model,
+        &points,
+        Parallelism::Threads(2),
+        EngineConfig::default(),
+    );
 
     // batch size × client count grid (at least two configs even in quick
     // mode — the committed artifact must cover the plane).
@@ -135,56 +194,43 @@ fn main() {
     for &(batch, clients) in grid {
         // Warm up connections/kernel, then measure.
         let _ = run_load(&addr, &points, batch, clients, requests_per_client / 10 + 1);
-        let (mut latencies, shed, wall) =
-            run_load(&addr, &points, batch, clients, requests_per_client);
+        let (latencies, shed, wall) = run_load(&addr, &points, batch, clients, requests_per_client);
         assert_eq!(shed, 0, "default queue cap shed under the bench grid");
-        latencies.sort_unstable();
-        let requests = latencies.len() as u64;
-        let secs = wall.as_secs_f64().max(1e-9);
-        let record = ServeRecord {
-            id: format!("serve/tcp/b{batch}_c{clients}"),
-            transport: "tcp".into(),
-            batch,
-            clients,
-            requests,
-            d: dim,
-            k: K,
-            p50_ns: percentile_nearest_rank(&latencies, 0.50),
-            p99_ns: percentile_nearest_rank(&latencies, 0.99),
-            qps: (requests as f64 / secs) as u64,
-            points_per_sec: (requests as f64 * batch as f64 / secs) as u64,
-            shed_requests: 0,
-            shed_rate: 0.0,
-        };
+        let id = format!("serve/tcp/b{batch}_c{clients}");
+        let record = serve_record(id, batch, clients, dim, latencies, shed, wall);
         println!(
             "{}: p50 {} ns, p99 {} ns, {} req/s, {} points/s",
             record.id, record.p50_ns, record.p99_ns, record.qps, record.points_per_sec
         );
         records.push(record);
     }
+    stop(&addr, handle);
 
-    ServeClient::connect(&addr, Some(Duration::from_secs(60)))
-        .unwrap()
-        .shutdown()
-        .unwrap();
-    handle.join().unwrap().unwrap();
+    // The same load shape from an engine on `Parallelism::Auto`.
+    let (batch, clients) = (256, 4);
+    let (addr, handle) = serve(&model, &points, Parallelism::Auto, EngineConfig::default());
+    let _ = run_load(&addr, &points, batch, clients, requests_per_client / 10 + 1);
+    let (latencies, shed, wall) = run_load(&addr, &points, batch, clients, requests_per_client);
+    assert_eq!(shed, 0, "default queue cap shed under the Auto row");
+    let id = format!("serve/tcp/auto_b{batch}_c{clients}");
+    let record = serve_record(id, batch, clients, dim, latencies, shed, wall);
+    println!(
+        "{}: p50 {} ns, p99 {} ns, {} req/s, {} points/s",
+        record.id, record.p50_ns, record.p99_ns, record.qps, record.points_per_sec
+    );
+    records.push(record);
+    stop(&addr, handle);
 
     // Overload row: a queue cap of one request's worth of points under
     // many hammering clients — admission control must shed the excess
     // *typed* while the accepted requests keep bounded tails (this is
     // the row that shows overload degrades throughput, not latency).
     let (over_batch, over_clients) = if quick { (256, 4) } else { (256, 8) };
-    let engine = ServeEngine::with_config(
-        model.to_record(),
-        Executor::new(Parallelism::Threads(2)),
-        EngineConfig {
-            queue_cap: over_batch,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("engine from a fitted model");
-    let (addr, handle) = spawn_tcp_serve(engine, Some(Duration::from_secs(60))).unwrap();
-    let addr = addr.to_string();
+    let config = EngineConfig {
+        queue_cap: over_batch,
+        ..EngineConfig::default()
+    };
+    let (addr, handle) = serve(&model, &points, Parallelism::Threads(2), config);
     let _ = run_load(
         &addr,
         &points,
@@ -192,32 +238,15 @@ fn main() {
         over_clients,
         requests_per_client / 10 + 1,
     );
-    let (mut latencies, shed, wall) = run_load(
+    let (latencies, shed, wall) = run_load(
         &addr,
         &points,
         over_batch,
         over_clients,
         requests_per_client,
     );
-    latencies.sort_unstable();
-    let answered = latencies.len() as u64;
-    let offered = answered + shed;
-    let secs = wall.as_secs_f64().max(1e-9);
-    let record = ServeRecord {
-        id: format!("serve/tcp/overload_b{over_batch}_c{over_clients}"),
-        transport: "tcp".into(),
-        batch: over_batch,
-        clients: over_clients,
-        requests: answered,
-        d: dim,
-        k: K,
-        p50_ns: percentile_nearest_rank(&latencies, 0.50),
-        p99_ns: percentile_nearest_rank(&latencies, 0.99),
-        qps: (answered as f64 / secs) as u64,
-        points_per_sec: (answered as f64 * over_batch as f64 / secs) as u64,
-        shed_requests: shed,
-        shed_rate: shed as f64 / offered.max(1) as f64,
-    };
+    let id = format!("serve/tcp/overload_b{over_batch}_c{over_clients}");
+    let record = serve_record(id, over_batch, over_clients, dim, latencies, shed, wall);
     println!(
         "{}: p50 {} ns, p99 {} ns, {} req/s, shed {}/{} ({:.1}%)",
         record.id,
@@ -225,16 +254,11 @@ fn main() {
         record.p99_ns,
         record.qps,
         shed,
-        offered,
+        record.requests + shed,
         100.0 * record.shed_rate,
     );
     records.push(record);
-
-    ServeClient::connect(&addr, Some(Duration::from_secs(60)))
-        .unwrap()
-        .shutdown()
-        .unwrap();
-    handle.join().unwrap().unwrap();
+    stop(&addr, handle);
 
     let path = Path::new(concat!(
         env!("CARGO_MANIFEST_DIR"),

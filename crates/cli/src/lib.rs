@@ -1845,7 +1845,12 @@ mod tests {
         );
         let events =
             kmeans_obs::parse_chrome_trace(&std::fs::read_to_string(&trace_file).unwrap()).unwrap();
-        for name in ["stage:init", "stage:refine", "assign", "tracker_update+sample"] {
+        for name in [
+            "stage:init",
+            "stage:refine",
+            "assign",
+            "tracker_update+sample",
+        ] {
             assert!(
                 events.iter().any(|e| e.name == name),
                 "trace missing span '{name}'"

@@ -750,7 +750,9 @@ impl RoundBackend for CheckpointingBackend<'_, '_> {
             return Ok(result);
         }
         self.catch_up()?;
-        let (psi, out) = self.inner.tracker_init_sampled(centers, round, seed, spec)?;
+        let (psi, out) = self
+            .inner
+            .tracker_init_sampled(centers, round, seed, spec)?;
         self.append(
             K_INIT_SAMPLED,
             fingerprint,
@@ -809,11 +811,7 @@ impl RoundBackend for CheckpointingBackend<'_, '_> {
         }
         self.catch_up()?;
         let weights = self.inner.tracker_update_weighted(from, new_rows, m)?;
-        self.append(
-            K_UPDATE_WEIGHTED,
-            fingerprint,
-            encode_f64s_result(&weights),
-        )?;
+        self.append(K_UPDATE_WEIGHTED, fingerprint, encode_f64s_result(&weights))?;
         Ok(weights)
     }
 

@@ -677,7 +677,8 @@ impl Cluster {
     ) -> Result<Vec<Message>, ClusterError> {
         match reply {
             Message::Compound(items) => {
-                if let Some(Message::Error(e)) = items.iter().find(|m| matches!(m, Message::Error(_)))
+                if let Some(Message::Error(e)) =
+                    items.iter().find(|m| matches!(m, Message::Error(_)))
                 {
                     return Err(ClusterError::Remote {
                         worker,
@@ -765,8 +766,8 @@ impl Cluster {
                         Message::Prescreened { entries, rows } => (entries, rows),
                         other => {
                             return Err(ClusterError::Protocol(format!(
-                                "worker {i} answered sample step with {other:?} instead of Prescreened"
-                            )))
+                            "worker {i} answered sample step with {other:?} instead of Prescreened"
+                        )))
                         }
                     };
                     if entries.len() != picked.len() {
@@ -799,8 +800,8 @@ impl Cluster {
                         }
                         other => {
                             return Err(ClusterError::Protocol(format!(
-                                "worker {i} answered sample step with {other:?} instead of ExactKeys"
-                            )))
+                            "worker {i} answered sample step with {other:?} instead of ExactKeys"
+                        )))
                         }
                     }
                 }

@@ -103,10 +103,7 @@ impl Worker {
             | Message::SampleExact { .. }
             | Message::GatherD2
             | Message::FetchLabels => local_rows as u64,
-            Message::Compound(items) => items
-                .iter()
-                .map(|m| Self::frame_rows(m, local_rows))
-                .sum(),
+            Message::Compound(items) => items.iter().map(|m| Self::frame_rows(m, local_rows)).sum(),
             _ => 0,
         }
     }

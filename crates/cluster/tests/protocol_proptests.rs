@@ -219,8 +219,8 @@ fn checksummed_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
 #[test]
 fn empty_compound_is_a_typed_error() {
     let payload = 0u64.to_le_bytes().to_vec();
-    let err = Message::decode_frame(&checksummed_frame(29, &payload), MAX_FRAME_PAYLOAD)
-        .unwrap_err();
+    let err =
+        Message::decode_frame(&checksummed_frame(29, &payload), MAX_FRAME_PAYLOAD).unwrap_err();
     assert_eq!(err, FrameError::Malformed("empty compound"));
 }
 
@@ -239,8 +239,8 @@ fn nested_compound_is_rejected() {
     payload.push(29);
     payload.extend_from_slice(&(inner.len() as u64).to_le_bytes());
     payload.extend_from_slice(&inner);
-    let err = Message::decode_frame(&checksummed_frame(29, &payload), MAX_FRAME_PAYLOAD)
-        .unwrap_err();
+    let err =
+        Message::decode_frame(&checksummed_frame(29, &payload), MAX_FRAME_PAYLOAD).unwrap_err();
     assert_eq!(err, FrameError::Malformed("nested compound"));
 }
 

@@ -288,8 +288,9 @@ impl ChunkedCostTracker {
         let mut buf = source.block_buffer();
         let d2 = &mut self.d2;
         let nearest_id = &mut self.nearest_id;
-        // Suffix scan pruned by the carried best — the exact arithmetic of
-        // the in-memory tracker, via the same kernel.
+        // Suffix scan pruned by the carried best, seeded by the carried
+        // nearest ids — the exact arithmetic of the in-memory tracker, via
+        // the same kernel and its carried-state contract.
         let kernel = AssignKernel::suffix(centers, from);
         for_each_block(source, &mut buf, |_b, start, block| {
             let end = start + block.len();
@@ -327,6 +328,11 @@ impl ChunkedCostTracker {
     /// Per-point squared distances to the nearest candidate.
     pub fn d2(&self) -> &[f64] {
         &self.d2
+    }
+
+    /// Per-point index of the nearest candidate.
+    pub fn nearest_ids(&self) -> &[u32] {
+        &self.nearest_id
     }
 
     /// Step 7 of Algorithm 2: candidate weights as an `O(n)` histogram

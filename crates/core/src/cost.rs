@@ -110,8 +110,12 @@ impl<'a> CostTracker<'a> {
             return;
         }
         let points = self.points;
-        // Scan only the new suffix, pruned by the carried best (norm bound
-        // first, partial-distance abandon inside) — same bits as before.
+        // Scan only the new suffix, pruned by the carried best — same bits
+        // as the scalar suffix scan. The nearest ids ride along as the
+        // kernel's carried labels: `d2[i]` is always the canonical
+        // distance to `nearest_id[i]` (the kernel's carried-state
+        // contract), so most points finish from that center's separation
+        // list into the suffix.
         let kernel = AssignKernel::suffix(centers, from);
         exec.update_shards2(&mut self.d2, &mut self.nearest_id, |_, start, cd, cn| {
             kernel.update(points, start..start + cd.len(), cn, cd);

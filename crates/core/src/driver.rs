@@ -780,9 +780,10 @@ pub fn drive_minibatch(
         // Assign against frozen centers, then apply the gradient steps in
         // batch order — Sculley's two-phase step avoids order dependence
         // within a batch. The batch is candidate-set sized, so the kernel
-        // pass runs on the driver side for every backend.
+        // pass runs on the driver side for every backend, on a kernel
+        // without separation lists: one batch cannot repay their build.
         {
-            let kernel = AssignKernel::new(&centers);
+            let kernel = AssignKernel::without_lists(&centers);
             stats.absorb(kernel.assign(&rows, 0..rows.len(), &mut labels, &mut d2));
         }
         for (j, &c) in labels.iter().enumerate() {

@@ -20,10 +20,13 @@
 //!  │ key c[j*] │ c[j₂] │ ‖c‖ │ orig. index  │  │ row, row, …   │
 //!  └────────────────────────────────────────┘  └───────────────┘
 //!
-//!  per point x:  seed = (cold) binary-search x[j*], proxy-pick nearby
-//!                     | (warm) the previous pass's center →
-//!                one canonical evaluation pins `best` → (warm) done if
-//!                the certificate holds → walk outward
+//!  per point x:  seed s = (update) the tracked center, D_s carried
+//!                       | (warm) the previous pass's center
+//!                       | (cold) binary-search x[j*], proxy-pick nearby
+//!                (warm/cold: one canonical evaluation gives D_s) →
+//!                D_s below s's overflow limit: evaluate the listed
+//!                candidates whose limit D_s reaches, done →
+//!                otherwise walk outward
 //!                (alternating sides in chunks of 8):
 //!
 //!     ◄── stop side once (x[j*]−c[j*])² > best (monotone) ──►
@@ -45,22 +48,38 @@
 //!   reverse-triangle bound `(‖x‖−‖c‖)² ≤ ‖x−c‖²` (applied with the
 //!   conservative margin below) and a second coordinate gap `(x[j₂]−c[j₂])²`
 //!   dispose of most remaining candidates without loading their rows.
-//! * **Seeded best** — each point evaluates one candidate first, so
-//!   `best` is tight before the walk starts and the bounds bite from the
-//!   first candidate onward. A *cold* sweep ([`AssignKernel::assign`])
-//!   binary-searches the point's key into the sorted order and picks a
-//!   nearby candidate by a cheap proxy. A *warm* sweep
-//!   ([`AssignKernel::assign_warm`], every Lloyd pass after the first)
-//!   seeds at the point's *hint* — the center it held in the previous
-//!   pass, located through the inverse sort order with no search at all
-//!   — and then tries the *half-separation certificate*: with `D_a` the
-//!   seed's canonical distance and `S_a` the smallest canonical squared
-//!   distance from center `a` to any other center (one `O(m²·d)` table
-//!   per prepared kernel, built on the first warm call), `4·D_a < S_a`
-//!   proves `a` the unique nearest center, so the point is done after one
-//!   evaluation (counted as 1 evaluation and `m−1` pruned pairs) and never
-//!   even computes its norm. Otherwise the walk runs from the seed. Hints
-//!   are untrusted: one `≥ k` takes the cold seed search.
+//! * **Seeded best** — each point starts from one candidate, so `best`
+//!   is tight before anything else runs. A *cold* sweep
+//!   ([`AssignKernel::assign`]) binary-searches the point's key into the
+//!   sorted order and picks a nearby candidate by a cheap proxy. A *warm*
+//!   sweep ([`AssignKernel::assign_warm`], every Lloyd pass after the
+//!   first) seeds at the point's *hint* — the center it held in the
+//!   previous pass, located through the inverse sort order with no search
+//!   at all. Hints are untrusted: one `≥ k` takes the cold seed search.
+//!   An *update* ([`AssignKernel::update`], every k-means|| and k-means++
+//!   round) seeds at the earlier center the tracker already holds for the
+//!   point, whose distance is the carried `d²` — no evaluation at all.
+//! * **The separation-list step** — every sweep runs it after the seed,
+//!   and it finishes most points. Each kernel keeps, per candidate, a
+//!   list of its `L = 16` nearest other candidates by canonical squared
+//!   separation `S`, stored as *certificate limits* `S·(1−g)/(4·(1+g))`
+//!   in ascending order, plus an *overflow limit* no larger than the
+//!   limit of any candidate the list leaves out (the last entry's limit
+//!   when it leaves none out). A suffix kernel also keeps such a list
+//!   from every earlier center `a < from` into its candidates. With
+//!   `D_s` the seed's complete canonical distance, a point whose `D_s` is
+//!   below the seed's overflow limit evaluates only the listed candidates
+//!   whose limit is `≤ D_s` and is done: every other candidate `c` has
+//!   `D_s < limit(S_sc)`, which proves it strictly farther than `D_s`
+//!   (below). Otherwise the outward walk runs from the seed, exactly as
+//!   without lists. The seeds that qualify are the update's tracked
+//!   center (its row is never even read when nothing on the list needs
+//!   evaluating), the warm hint, and the cold proxy seed once its
+//!   evaluation has strictly improved on the carried best (an abandoned
+//!   evaluation is not a complete distance). The old *half-separation
+//!   certificate* — `4·D_a < S_a` with `S_a` the smallest separation of
+//!   `a`, finishing the point after one evaluation — is the zero-length
+//!   prefix of `a`'s list: its first entry's limit.
 //! * **Register-blocked compute** — the per-point norm runs on four
 //!   independent accumulation lanes (the layout LLVM turns into packed
 //!   SIMD), the `O(1)` filters stream the compact feature arrays, and
@@ -92,19 +111,33 @@
 //! 3. **Skips are strict.** A candidate is skipped only on proof that
 //!    its canonical distance is *strictly greater* than the current best
 //!    (every filter — the coordinate gaps, the norm bound, the canonical
-//!    abandon, which uses `best.next_up()` as its bound, and the warm
-//!    sweep's half-separation certificate, which skips *all* other
-//!    candidates at once — guarantees the strict inequality). A skipped
-//!    candidate can therefore never be the minimizer, nor a lower-index
-//!    holder of an exact tie.
+//!    abandon, which uses `best.next_up()` as its bound, and the
+//!    separation-list certificate, which skips every candidate whose
+//!    limit the seed's distance stays below — guarantees the strict
+//!    inequality). A skipped candidate can therefore never be the
+//!    minimizer, nor a lower-index holder of an exact tie — which is also
+//!    why the list's own evaluation order needs no care.
 //!
 //! The per-point decision sequence is a pure function of the point, the
-//! sorted candidate set, the carried best and the point's hint — how
+//! sorted candidate set, the carried state and the point's hint — how
 //! points are grouped into shards, chunked-source blocks, or batches
 //! cannot change any outcome, which also makes [`KernelStats`]
 //! deterministic across thread counts and block sizes (and, since every
-//! backend passes the labels of its previous pass as hints, across
-//! backends).
+//! backend passes the labels of its previous pass as hints and its
+//! tracker's nearest ids as carried labels, across backends). Whether a
+//! seed has a usable list depends on the candidates alone, never on the
+//! rows of a call.
+//!
+//! # The carried-state contract of an update
+//!
+//! [`AssignKernel::update`] trusts one thing about its input: a carried
+//! label `a < from` *tracks* its row, meaning the carried `d²` is the
+//! canonical squared distance from the row to center `a`. Every cost
+//! tracker keeps this by construction (its `d²` and nearest ids only
+//! ever come from this kernel). Labels `≥ from` — including `u32::MAX`
+//! and every label of a kernel with `from = 0` — and non-finite carried
+//! values make no promise and take the seed search and walk. Debug
+//! builds check the contract on every tracked row.
 //!
 //! # Why the ε-slack cannot change results
 //!
@@ -135,44 +168,77 @@
 //! them exactly like the scalar loop. The slack is a few parts in 10¹³ —
 //! it costs essentially no pruning power.
 //!
-//! **The certificate.** With the same `g = (2d+16)·ε`, the warm sweep
-//! finishes a point at its seed `a` only when
+//! **The separation certificate.** With the same `g = (2d+16)·ε`, a
+//! point with seed `s` skips candidate `c` only when
 //!
 //! ```text
-//! 4·D_a·(1+g) < S_a·(1−g)        (precomputed per candidate as
-//!                                  D_a < S_a·(1−g)/(4·(1+g)))
+//! 4·D_s·(1+g) < S_sc·(1−g)       (precomputed per list entry as
+//!                                 D_s < limit(S_sc) = S_sc·(1−g)/(4·(1+g)))
 //! ```
 //!
 //! Write `T` for true squared distances. Every canonical value is within
 //! a relative `δ ≤ (d+2)·ε` of its `T` in either direction (the bound
 //! above), so `g > 1.5·δ`. To first order in `ε`, the test gives
-//! `T_ab > 4·T_a·(1+2g−2δ)` for every other center `b` (as
-//! `S_a ≤ S_ab`); the triangle inequality `√T_b ≥ √T_ab − √T_a` then
-//! gives `T_b > T_a·(1+4g−4δ)`, and `D_b ≥ T_b·(1−δ) > D_a·(1+4g−6δ) >
-//! D_a`: every other center's canonical distance is *strictly* larger, so
-//! `(a, D_a)` is exactly what the scalar scan returns. The few roundings
-//! in the precomputed limit cost another few `ε`, far inside the margin.
-//! Separations below `2⁻⁹⁷⁰` never certify, which keeps underflowed
-//! squares irrelevant; NaN, ±∞ and zero separations never certify (a
-//! NaN separation is sticky across the table), nor does a NaN or ∞
-//! `D_a` (it fails the strict `<`). Duplicate centers have `S_a = 0`.
+//! `T_sc > 4·T_s·(1+2g−2δ)`; the triangle inequality
+//! `√T_c ≥ √T_sc − √T_s` then gives `T_c > T_s·(1+4g−4δ)`, and
+//! `D_c ≥ T_c·(1−δ) > D_s·(1+4g−6δ) > D_s`: `c`'s canonical distance is
+//! *strictly* larger than `D_s`, hence than the best, which is `≤ D_s`.
+//! The few roundings in the precomputed limit cost another few `ε`, far
+//! inside the margin. The proof needs `D_s` to be the complete canonical
+//! distance from the point to `s` — an evaluation that improved on the
+//! best, or, in an update, the carried value the contract above vouches
+//! for.
+//!
+//! The list step applies the test to each listed pair, and to every
+//! unlisted pair at once through the overflow limit: a list holds its
+//! owner's `L` nearest candidates, every candidate left out has
+//! `S ≥ S_{L+1}` (the nearest left-out separation), and the limit is
+//! monotone in `S`, so `limit(S_{L+1})` bounds every left-out limit from
+//! below. The `L + 1` nearest are found by the kernel's own walk run over
+//! the candidates with the `(L+1)`-th nearest separation as its `best`:
+//! the key gaps, the second coordinate and the norm bound are certified
+//! lower bounds, so each candidate they drop is farther still, and the
+//! build evaluates close to `L + 1` separations per owner instead of all
+//! `m`. A listed candidate the certificate cannot rule out still meets
+//! the key and second-coordinate gap filters before it is evaluated.
+//!
+//! Separations below `2⁻⁹⁷⁰` get limit `0.0`, which keeps underflowed
+//! squares irrelevant; so do NaN, ±∞ and zero separations — such entries
+//! are always evaluated and never certify. Duplicate centers have
+//! `S = 0`. Lists are only built over candidate sets whose coordinates
+//! are all finite and below `1e120` in magnitude (an earlier center
+//! outside that range gets overflow limit `0.0` and no usable list), so
+//! every separation is finite and the walk sees every candidate. A NaN or
+//! ∞ `D_s` fails the strict `<` against the overflow limit and takes the
+//! walk.
 
 use crate::distance::sq_dist_bounded;
 use kmeans_data::PointMatrix;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Minimum candidate count for the pruned sweep to pay for the `O(d)`
 /// point-norm precomputation and the seed search; below it the kernel
 /// scans every candidate canonically (still bit-identical).
 const PRUNE_MIN_CANDIDATES: usize = 8;
 
-/// Smallest center separation `S_a` the half-separation certificate
-/// accepts: `2⁻⁹⁷⁰`, far above the subnormal range, so the absolute
-/// error of squares that underflow (at most `d·2⁻¹⁰⁷⁵`) stays below
-/// `d·2⁻¹⁰²` relative to every distance the certificate reasons about —
-/// negligible next to the guard (module docs).
+/// Entries per separation list: each seed keeps its `LIST_LEN` nearest
+/// candidates (fewer when the kernel has fewer), and the overflow limit
+/// stands for all the others.
+const LIST_LEN: usize = 16;
+
+/// Smallest center separation `S` a certificate limit accepts: `2⁻⁹⁷⁰`,
+/// far above the subnormal range, so the absolute error of squares that
+/// underflow (at most `d·2⁻¹⁰⁷⁵`) stays below `d·2⁻¹⁰²` relative to
+/// every distance the certificate reasons about — negligible next to the
+/// guard (module docs).
 const CERT_FLOOR: f64 = f64::MIN_POSITIVE / f64::EPSILON;
+
+/// Largest coordinate magnitude a row may have to take part in the
+/// separation lists: `1e120`, so no squared separation can overflow
+/// (`d·4e240` stays finite for any realistic `d`). Lists are built only
+/// over candidate sets whose every coordinate is within it, which also
+/// keeps NaN and ±∞ out of them.
+const LIST_MAX_COORD: f64 = 1e120;
 
 /// Work accounting for one kernel call. Both counters are exact and —
 /// because every skip decision is a pure function of per-point state —
@@ -184,8 +250,8 @@ pub struct KernelStats {
     /// the canonical (possibly bound-abandoned) computation.
     pub distance_computations: u64,
     /// Point–center pairs skipped in `O(1)` by the norm or
-    /// coordinate-gap lower bounds (wholesale side stops included) or,
-    /// in a warm sweep, by the half-separation certificate.
+    /// coordinate-gap lower bounds (wholesale side stops included) or
+    /// by a seed's separation list.
     pub pruned_by_norm_bound: u64,
 }
 
@@ -197,14 +263,23 @@ impl KernelStats {
     }
 }
 
-/// A candidate set prepared for batch assignment: a norm-sorted copy of
+/// A candidate set prepared for batch assignment: a key-sorted copy of
 /// the centers (or of the suffix `from..` for incremental updates), the
-/// compact per-candidate feature table, and the slack constants.
+/// compact per-candidate feature table, the separation lists, and the
+/// slack constants.
 ///
-/// Construction costs `O(k·d + k log k)`; every subsequent
-/// [`AssignKernel::assign`] / [`AssignKernel::update`] call reuses it.
-/// The kernel is `Sync`, so one instance is shared across the executor's
-/// worker threads.
+/// Construction costs `O(k·d + m log m)` for the sorted copy (`m = k −
+/// from` candidates) plus one pruned nearest-neighbor walk per list
+/// owner: each of the `m` candidates (when `m ≥ 8`) and, for a suffix
+/// kernel, each of the `from` earlier centers. A walk evaluates at least
+/// `min(17, m)` canonical separations and at most `m`, so the list build
+/// is `O((from + m)·m·d)` in the worst case and close to
+/// `O((from + m)·17·d)` when the candidates spread along their sort key;
+/// [`AssignKernel::without_lists`] skips it for sweeps too short to repay
+/// it. Every subsequent [`AssignKernel::assign`] /
+/// [`AssignKernel::update`] call reuses the prepared kernel. The kernel
+/// is `Sync`, so one instance is shared across the executor's worker
+/// threads.
 ///
 /// ```
 /// use kmeans_core::distance::nearest;
@@ -261,22 +336,50 @@ pub struct AssignKernel {
     /// `(1+4ε)/(1−guard)` rounded conservatively up — turns the
     /// per-candidate threshold into one multiply.
     inv_slack: f64,
-    /// The warm-sweep tables, built by the first
-    /// [`AssignKernel::assign_warm`] call that carries hints (`O(m²·d)`);
-    /// cold callers never pay for them.
-    warm: OnceLock<WarmTable>,
+    /// Sorted position of each candidate `from + i` at index `i` — the
+    /// inverse of `order`, which places a warm hint.
+    pos: Vec<u32>,
+    /// Separation lists of the candidates themselves, one per sorted
+    /// position (none when `m < PRUNE_MIN_CANDIDATES`).
+    own: SepLists,
+    /// Separation lists from each earlier center `a < from` into the
+    /// candidates, one per `a` (none for a full kernel).
+    cross: SepLists,
+    /// The earlier centers, kept in debug builds only to check the
+    /// carried-state contract of [`AssignKernel::update`].
+    #[cfg(debug_assertions)]
+    earlier: PointMatrix,
 }
 
-/// What a warm seed needs per candidate (module docs, "Seeded best").
-#[derive(Debug)]
-struct WarmTable {
-    /// Sorted position of each center index — the inverse of `order`.
-    pos: Vec<u32>,
-    /// Per sorted position: the certificate limit `S_a·(1−g)/(4·(1+g))`,
-    /// where `S_a` is the smallest canonical squared distance from that
-    /// candidate to any other. `0.0` (which no distance undercuts) when
-    /// `S_a` is NaN, infinite, zero or below [`CERT_FLOOR`].
-    cert: Vec<f64>,
+/// One separation-list entry: a candidate (by sorted position) and its
+/// certificate limit `S·(1−g)/(4·(1+g))` for the list's owner (module
+/// docs, "The separation-list step").
+#[derive(Clone, Copy, Debug)]
+struct Near {
+    limit: f64,
+    pos: u32,
+}
+
+/// Separation lists for a set of owners, `stride` entries each, ascending
+/// by limit, plus each owner's overflow limit: a certified lower bound on
+/// the limit of every candidate its list leaves out (the last entry's
+/// limit when the list leaves none out, so the step still certifies at
+/// least one candidate; `0.0` when the owner has no usable list). Empty
+/// when the kernel keeps no lists of this kind.
+#[derive(Debug, Default)]
+struct SepLists {
+    stride: usize,
+    near: Vec<Near>,
+    over: Vec<f64>,
+}
+
+impl SepLists {
+    /// Owner `s`'s entries and overflow limit, if the kernel keeps lists.
+    #[inline(always)]
+    fn get(&self, s: usize) -> Option<(&[Near], f64)> {
+        let over = *self.over.get(s)?;
+        Some((&self.near[s * self.stride..(s + 1) * self.stride], over))
+    }
 }
 
 impl AssignKernel {
@@ -285,11 +388,24 @@ impl AssignKernel {
         Self::suffix(centers, 0)
     }
 
+    /// [`AssignKernel::new`] without separation lists, for one sweep over
+    /// about as many rows as there are centers — a mini-batch step — where
+    /// building them (a nearest-neighbor walk per center) costs more than
+    /// they save. Same results; every sweep walks from its seed, as it
+    /// would from a seed whose list does not apply.
+    pub fn without_lists(centers: &PointMatrix) -> Self {
+        Self::prepare(centers, 0, false)
+    }
+
     /// Prepares an incremental-update kernel over the candidate suffix
     /// `centers[from..]` (the shape of every tracker update: earlier
     /// centers are already incorporated in the carried `d²`). `from ≥ k`
     /// yields an empty kernel whose update is a no-op.
     pub fn suffix(centers: &PointMatrix, from: usize) -> Self {
+        Self::prepare(centers, from, true)
+    }
+
+    fn prepare(centers: &PointMatrix, from: usize, lists: bool) -> Self {
         let k = centers.len();
         let dim = centers.dim();
         let from = from.min(k);
@@ -352,8 +468,12 @@ impl AssignKernel {
             sec.push(if dim > 1 { row[sec_dim] } else { 0.0 });
         }
         let finite_keys = keys.iter().take_while(|v| !v.is_nan()).count();
+        let mut pos = vec![0u32; order.len()];
+        for (p, &c) in order.iter().enumerate() {
+            pos[c as usize - from] = p as u32;
+        }
         let guard = (2.0 * dim as f64 + 16.0) * f64::EPSILON;
-        AssignKernel {
+        let mut kernel = AssignKernel {
             from,
             k,
             dim,
@@ -367,48 +487,150 @@ impl AssignKernel {
             rows,
             guard,
             inv_slack: (1.0 / (1.0 - guard)) * (1.0 + 4.0 * f64::EPSILON),
-            warm: OnceLock::new(),
+            pos,
+            own: SepLists::default(),
+            cross: SepLists::default(),
+            #[cfg(debug_assertions)]
+            earlier: PointMatrix::from_flat(centers.as_slice()[..from * dim].to_vec(), dim)
+                .expect("a prefix of a center matrix is a center matrix"),
+        };
+        // Lists exist only over tame candidates (every separation finite,
+        // and the sorted-key walk sees every candidate), and depend on
+        // nothing but the candidates — so whether a point may use one is
+        // never a property of the rows of a call.
+        if lists && m > 0 && (0..m).all(|p| tame(kernel.rows.row(p))) {
+            if m >= PRUNE_MIN_CANDIDATES {
+                let own = (0..m).map(|p| (kernel.rows.row(p), p));
+                kernel.own = kernel.sep_lists(own, m - 1);
+            }
+            if from > 0 {
+                let cross = (0..from).map(|a| (centers.row(a), usize::MAX));
+                kernel.cross = kernel.sep_lists(cross, m);
+            }
         }
+        kernel
     }
 
-    /// The warm-sweep tables of a full kernel (`from == 0`), built once on
-    /// first use: the inverse sort order and, per candidate, the
-    /// certificate limit derived from its separation `S_a` (module docs).
-    /// `O(m²·d)` — canonical distances are symmetric bit for bit
-    /// (`fl(a−b) = −fl(b−a)`), so each pair is evaluated once. A NaN
-    /// separation is sticky, so a candidate set with NaN rows never
-    /// certifies its neighbors.
-    fn warm_table(&self) -> &WarmTable {
-        self.warm.get_or_init(|| {
-            let m = self.order.len();
-            let mut pos = vec![0u32; m];
-            for (p, &c) in self.order.iter().enumerate() {
-                pos[c as usize] = p as u32;
+    /// One separation list per `(owner row, own sorted position)`, over
+    /// `others` candidates each (every candidate but the owner's own
+    /// position). Owners that are not [`tame`] get overflow limit `0.0`,
+    /// so they never use their list.
+    fn sep_lists<'c>(
+        &self,
+        owners: impl ExactSizeIterator<Item = (&'c [f64], usize)>,
+        others: usize,
+    ) -> SepLists {
+        let stride = LIST_LEN.min(others);
+        let mut lists = SepLists {
+            stride,
+            near: Vec::with_capacity(owners.len() * stride),
+            over: Vec::with_capacity(owners.len()),
+        };
+        // One more than the list holds when some candidates stay out: the
+        // nearest of those sets the overflow limit.
+        let want = stride + usize::from(others > stride);
+        let mut top = Vec::with_capacity(want + 1);
+        for (row, skip) in owners {
+            if !tame(row) {
+                let filler = Near { limit: 0.0, pos: 0 };
+                lists.near.extend(std::iter::repeat_n(filler, stride));
+                lists.over.push(0.0);
+                continue;
             }
-            let mut sep = vec![f64::INFINITY; m];
-            for p in 0..m {
-                for q in p + 1..m {
-                    let s = sq_dist_bounded(self.rows.row(p), self.rows.row(q), f64::INFINITY);
-                    for slot in [p, q] {
-                        if s < sep[slot] || s.is_nan() {
-                            sep[slot] = s;
-                        }
+            self.nearest_separations(row, skip, want, &mut top);
+            lists
+                .near
+                .extend(top[..stride].iter().map(|&(s, pos)| Near {
+                    limit: self.cert_limit(s),
+                    pos,
+                }));
+            // A list that holds every candidate is only worth running
+            // while it certifies at least one of them.
+            let bound = top.get(stride).unwrap_or(&top[stride - 1]);
+            lists.over.push(self.cert_limit(bound.0));
+        }
+        lists
+    }
+
+    /// The `want` candidates nearest to `row` by canonical separation
+    /// (skipping sorted position `skip`), into `top` ascending. The
+    /// kernel's own pruned walk: start at the row's key position and step
+    /// outward on both sides, stopping a side once its key gap certifies
+    /// everything beyond it farther than the current `want`-th nearest,
+    /// and dropping candidates on the second-coordinate and norm bounds
+    /// (module docs: all are certified lower bounds). Every candidate left
+    /// out is therefore at least as far as the last one kept. Requires
+    /// tame rows throughout, and at least `want` candidates besides
+    /// `skip`.
+    fn nearest_separations(
+        &self,
+        row: &[f64],
+        skip: usize,
+        want: usize,
+        top: &mut Vec<(f64, u32)>,
+    ) {
+        top.clear();
+        let m = self.order.len();
+        let xk = row[self.key_dim];
+        let xs = if self.dim > 1 { row[self.sec_dim] } else { 0.0 };
+        let xn = norm(row);
+        let gx = self.guard * xn;
+        let mut thr = f64::INFINITY;
+        let mut binv = f64::INFINITY;
+        let mut offer = |pos: usize, thr: &mut f64, binv: &mut f64| {
+            if self.secondary_prune(pos, xs, xn, gx, *binv) {
+                return;
+            }
+            let s = sq_dist_bounded(row, self.rows.row(pos), *thr);
+            if s < *thr {
+                let at = top.partition_point(|&(t, _)| t <= s);
+                top.insert(at, (s, pos as u32));
+                top.truncate(want);
+                if top.len() == want {
+                    *thr = top[want - 1].0;
+                    *binv = self.threshold(*thr);
+                }
+            }
+        };
+        // Keys below `split` are strictly smaller than the row's, the rest
+        // at least as large: the gaps grow monotonically on both sides.
+        let split = self.keys.partition_point(|&v| v < xk);
+        let (mut left, mut right) = (split, split);
+        while left > 0 || right < m {
+            if left > 0 {
+                let gk = xk - self.keys[left - 1];
+                if gk * gk > binv {
+                    left = 0;
+                } else {
+                    left -= 1;
+                    if left != skip {
+                        offer(left, &mut thr, &mut binv);
                     }
                 }
             }
-            let scale = (1.0 - self.guard) / (4.0 * (1.0 + self.guard));
-            let cert = sep
-                .into_iter()
-                .map(|s| {
-                    if (CERT_FLOOR..f64::INFINITY).contains(&s) {
-                        s * scale
-                    } else {
-                        0.0
+            if right < m {
+                let gk = self.keys[right] - xk;
+                if gk * gk > binv {
+                    right = m;
+                } else {
+                    if right != skip {
+                        offer(right, &mut thr, &mut binv);
                     }
-                })
-                .collect();
-            WarmTable { pos, cert }
-        })
+                    right += 1;
+                }
+            }
+        }
+    }
+
+    /// The certificate limit of separation `s`: `s·(1−g)/(4·(1+g))`,
+    /// monotone in `s`, and `0.0` — which no distance undercuts — for
+    /// NaN, infinite, zero and sub-[`CERT_FLOOR`] separations.
+    fn cert_limit(&self, s: f64) -> f64 {
+        if (CERT_FLOOR..f64::INFINITY).contains(&s) {
+            s * ((1.0 - self.guard) / (4.0 * (1.0 + self.guard)))
+        } else {
+            0.0
+        }
     }
 
     /// Full assignment of `points[rows]`: for each row, writes the index
@@ -436,13 +658,13 @@ impl AssignKernel {
     /// [`AssignKernel::assign`] with a *warm seed* per row: `hints[i]` is
     /// the center row `i` was assigned to by a previous pass. The sweep
     /// evaluates that center first — no key search, no proxy window — and
-    /// finishes the row outright when the half-separation certificate
-    /// proves it the unique nearest center (module docs); otherwise the
-    /// usual outward walk runs from it. Results are bit-identical to
-    /// [`AssignKernel::assign`] for *any* hints: a hint `≥ k` (e.g.
-    /// `u32::MAX`) simply takes the cold seed search, and `None` is
-    /// exactly `assign`, counters included. The work counters are a pure
-    /// function of each row and its hint.
+    /// then runs its separation-list step, which finishes the row after
+    /// evaluating only the listed centers the certificate cannot rule out
+    /// (module docs); otherwise the usual outward walk runs from it.
+    /// Results are bit-identical to [`AssignKernel::assign`] for *any*
+    /// hints: a hint `≥ k` (e.g. `u32::MAX`) simply takes the cold seed
+    /// search, and `None` is exactly `assign`, counters included. The work
+    /// counters are a pure function of each row and its hint.
     ///
     /// # Panics
     ///
@@ -465,7 +687,7 @@ impl AssignKernel {
             *l = 0;
             *d = f64::INFINITY;
         }
-        self.sweep(points, rows, hints, labels, d2)
+        self.sweep(points, rows, hints, false, labels, d2)
     }
 
     /// Incremental update against the suffix candidates: each row's
@@ -475,9 +697,21 @@ impl AssignKernel {
     /// best, strict improvement, lowest new index on ties among equally
     /// improving candidates).
     ///
+    /// # Carried-state contract
+    ///
+    /// A carried label `a < from` *tracks* its row: `d2[i]` must then be
+    /// the canonical squared distance from row `i` to center `a` (the
+    /// value [`nearest`](crate::distance::nearest) reports), which every
+    /// cost tracker keeps by construction. A tracked row with a finite
+    /// `d2[i]` starts from `a`'s separation list into the suffix and is
+    /// often finished without its coordinates being read. Labels
+    /// `≥ from` (e.g. `u32::MAX`) and non-finite `d2[i]` carry no such
+    /// promise and take the seed search. Debug builds assert the contract.
+    ///
     /// # Panics
     ///
-    /// Same shape contract as [`AssignKernel::assign`].
+    /// Same shape contract as [`AssignKernel::assign`]; in debug builds,
+    /// also if a tracked row's `d2[i]` is not its canonical distance.
     pub fn update(
         &self,
         points: &PointMatrix,
@@ -485,16 +719,18 @@ impl AssignKernel {
         labels: &mut [u32],
         d2: &mut [f64],
     ) -> KernelStats {
-        self.sweep(points, rows, None, labels, d2)
+        self.sweep(points, rows, None, true, labels, d2)
     }
 
     /// The shared batch sweep; `hints` (full kernels only) pick each
-    /// row's warm seed.
+    /// row's warm seed, and `tracked` (updates) lets a carried label seed
+    /// its row.
     fn sweep(
         &self,
         points: &PointMatrix,
         rows: Range<usize>,
         hints: Option<&[u32]>,
+        tracked: bool,
         labels: &mut [u32],
         d2: &mut [f64],
     ) -> KernelStats {
@@ -507,19 +743,25 @@ impl AssignKernel {
             return stats;
         }
         let prune = m >= PRUNE_MIN_CANDIDATES;
-        let warm = hints.filter(|_| prune).map(|h| (h, self.warm_table()));
-        for (slot, i) in rows.enumerate() {
-            let row = points.row(i);
+        let hints = hints.filter(|_| prune);
+        #[cfg(debug_assertions)]
+        if tracked {
+            for (slot, i) in rows.clone().enumerate() {
+                self.check_carried(points.row(i), labels[slot], d2[slot]);
+            }
+        }
+        let pending = tracked.then(|| self.settle_tracked(labels, d2, &mut stats));
+        let mut visit = |slot: usize| {
+            let row = points.row(rows.start + slot);
             let mut state = State {
                 best: d2[slot],
                 new_label: u32::MAX,
             };
-            if prune && row[self.key_dim].is_finite() {
-                let seed = warm.and_then(|(h, w)| {
-                    let pos = *w.pos.get(h[slot] as usize)? as usize;
-                    Some((pos, w.cert[pos]))
-                });
-                self.scan_pruned(row, seed, &mut state, &mut stats);
+            if tracked && self.tracked_step(row, labels[slot], &mut state, &mut stats) {
+                // Finished from the carried label's separation list.
+            } else if prune && row[self.key_dim].is_finite() {
+                let hint = hints.and_then(|h| Some(*self.pos.get(h[slot] as usize)? as usize));
+                self.scan_pruned(row, hint, &mut state, &mut stats);
             } else {
                 // Tiny candidate sets and non-finite points: plain sorted
                 // scan, every candidate canonically checked (the exact
@@ -533,20 +775,170 @@ impl AssignKernel {
             if state.new_label != u32::MAX {
                 labels[slot] = state.new_label;
             }
+        };
+        match pending {
+            Some(slots) => slots.into_iter().for_each(|slot| visit(slot as usize)),
+            None => (0..rows.len()).for_each(visit),
         }
         stats
     }
 
+    /// Settles, in one scan, the update rows that the zero-length prefix
+    /// of their tracked center's list finishes — carried `0 ≤ d²` below
+    /// both the list's first limit and its overflow limit: nothing to
+    /// evaluate, and the row is never read — and returns the
+    /// slots of the rest for the per-row path. Whether a row qualifies is
+    /// as unpredictable as the data, so the scan stays branch-free: a
+    /// mispredicted branch per row costs about what the skipped
+    /// evaluation does (k-means++ on `GaussMixture`, d = 15, n = 200k,
+    /// single-threaded on a 2-vCPU x86-64 VM: a per-row branch made the
+    /// whole seeding ~12% slower than no lists at all).
+    fn settle_tracked(&self, labels: &[u32], d2: &[f64], stats: &mut KernelStats) -> Vec<u32> {
+        let SepLists { stride, near, over } = &self.cross;
+        if near.is_empty() {
+            return (0..labels.len() as u32).collect();
+        }
+        let mut pending = vec![0u32; labels.len()];
+        let mut kept = 0;
+        for (slot, (&label, &dist)) in labels.iter().zip(d2).enumerate() {
+            let a = label as usize;
+            let settle_below = if a < self.from {
+                near[a * stride].limit.min(over[a])
+            } else {
+                0.0
+            };
+            pending[kept] = slot as u32;
+            kept += usize::from(!(0.0..settle_below).contains(&dist));
+        }
+        pending.truncate(kept);
+        stats.pruned_by_norm_bound += ((labels.len() - kept) * self.order.len()) as u64;
+        pending
+    }
+
+    /// Debug builds: asserts the carried-state contract of
+    /// [`AssignKernel::update`] for one row — a carried label `a < from`
+    /// with a finite carried `d²` must carry the canonical distance.
+    #[cfg(debug_assertions)]
+    fn check_carried(&self, row: &[f64], label: u32, dist: f64) {
+        let a = label as usize;
+        if a < self.from && dist.is_finite() {
+            assert_eq!(
+                dist.to_bits(),
+                sq_dist_bounded(row, self.earlier.row(a), f64::INFINITY).to_bits(),
+                "AssignKernel::update: carried d² {dist} is not the canonical distance \
+                 to carried label {a}"
+            );
+        }
+    }
+
+    /// The separation-list step of an update row whose carried label
+    /// tracks it (`a < from`, finite carried `d²` — the carried-state
+    /// contract): evaluates the listed suffix candidates whose limit the
+    /// carried distance reaches, then finishes the row. Returns `false`,
+    /// having evaluated nothing, when the row is untracked or its distance
+    /// reaches the overflow limit.
+    #[inline]
+    fn tracked_step(
+        &self,
+        row: &[f64],
+        label: u32,
+        state: &mut State,
+        stats: &mut KernelStats,
+    ) -> bool {
+        let a = label as usize;
+        let dist = state.best;
+        if a >= self.from || !dist.is_finite() {
+            return false;
+        }
+        match self.cross.get(a) {
+            Some((near, over)) if dist < over => {
+                self.list_step(row, near, dist, self.order.len(), state, stats);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The separation-list step proper: `dist` is the complete canonical
+    /// distance to the list's owner and no larger than the current best.
+    /// The certificate proves every candidate whose limit `dist` stays
+    /// below strictly farther than `dist`; each listed candidate it cannot
+    /// rule out still meets the margin-free key and second-coordinate gap
+    /// filters before it is evaluated. Everything not evaluated out of the
+    /// `rest` candidates counts as pruned.
+    #[inline(always)]
+    fn list_step(
+        &self,
+        row: &[f64],
+        near: &[Near],
+        dist: f64,
+        rest: usize,
+        state: &mut State,
+        stats: &mut KernelStats,
+    ) {
+        let mut evaluated = 0;
+        let mut binv = self.threshold(state.best);
+        for e in near {
+            if e.limit > dist {
+                break;
+            }
+            let pos = e.pos as usize;
+            let gk = row[self.key_dim] - self.keys[pos];
+            let gs = if self.dim > 1 {
+                row[self.sec_dim] - self.sec[pos]
+            } else {
+                0.0
+            };
+            if gk * gk > binv || gs * gs > binv {
+                continue;
+            }
+            evaluated += 1;
+            let before = state.best;
+            self.evaluate(row, pos, state);
+            if state.best < before {
+                binv = self.threshold(state.best);
+            }
+        }
+        stats.distance_computations += evaluated as u64;
+        stats.pruned_by_norm_bound += (rest - evaluated) as u64;
+    }
+
+    /// The separation-list step of a seed at sorted position `seed` that
+    /// was just evaluated: when that evaluation strictly improved the
+    /// best (so `state.best` is its complete canonical distance) and the
+    /// distance is below the seed's overflow limit, runs the list step
+    /// over the other `m − 1` candidates and returns `true`.
+    #[inline]
+    fn own_step(
+        &self,
+        row: &[f64],
+        seed: usize,
+        state: &mut State,
+        stats: &mut KernelStats,
+    ) -> bool {
+        if state.new_label == u32::MAX {
+            return false;
+        }
+        let dist = state.best;
+        match self.own.get(seed) {
+            Some((near, over)) if dist < over => {
+                self.list_step(row, near, dist, self.order.len() - 1, state, stats);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// The annulus sweep for one point (finite sort key, pruning
-    /// enabled): seed at the warm hint `(sorted position, certificate
-    /// limit)` when given — finishing outright if the certificate holds —
-    /// or else near the key-nearest candidate, then walk each side
-    /// outward until the monotone key-gap bound certifies the rest of
-    /// that side out wholesale.
+    /// enabled): seed at the warm hint's sorted position when given, or
+    /// else near the key-nearest candidate; run the seed's
+    /// separation-list step, which finishes most points; otherwise walk
+    /// each side outward until the monotone key-gap bound certifies the
+    /// rest of that side out wholesale.
     fn scan_pruned(
         &self,
         row: &[f64],
-        warm: Option<(usize, f64)>,
+        hint: Option<usize>,
         state: &mut State,
         stats: &mut KernelStats,
     ) {
@@ -554,15 +946,11 @@ impl AssignKernel {
         let fin = self.finite_keys;
         let xk = row[self.key_dim];
         let xs = if self.dim > 1 { row[self.sec_dim] } else { 0.0 };
-        let (seed, xn) = match warm {
-            Some((pos, cert)) => {
+        let (seed, xn) = match hint {
+            Some(pos) => {
                 stats.distance_computations += 1;
                 self.evaluate(row, pos, state);
-                // Half-separation certificate: 4·D_a < S_a (with the
-                // slack folded into `cert`) proves every other candidate
-                // strictly farther. NaN/∞ distances fail the strict `<`.
-                if state.best < cert {
-                    stats.pruned_by_norm_bound += m as u64 - 1;
+                if self.own_step(row, pos, state, stats) {
                     return;
                 }
                 (pos, norm(row))
@@ -572,6 +960,9 @@ impl AssignKernel {
                 let seed = self.proxy_seed(xk, xs, xn);
                 stats.distance_computations += 1;
                 self.evaluate(row, seed, state);
+                if self.own_step(row, seed, state, stats) {
+                    return;
+                }
                 (seed, xn)
             }
         };
@@ -668,16 +1059,7 @@ impl AssignKernel {
         state: &mut State,
         stats: &mut KernelStats,
     ) -> f64 {
-        // Cheapest first: the margin-free second-coordinate gap, then
-        // the norm bound with its conservative margin.
-        let gs = xs - self.sec[pos];
-        if gs * gs > binv {
-            stats.pruned_by_norm_bound += 1;
-            return binv;
-        }
-        let nc = self.norms[pos];
-        let base = (xn - nc).abs() - (gx + self.guard * nc);
-        if base > 0.0 && base * base > binv {
+        if self.secondary_prune(pos, xs, xn, gx, binv) {
             stats.pruned_by_norm_bound += 1;
             return binv;
         }
@@ -689,6 +1071,22 @@ impl AssignKernel {
         } else {
             binv
         }
+    }
+
+    /// The secondary `O(1)` filters of the walk for sorted candidate
+    /// `pos`, cheapest first: the margin-free second-coordinate gap, then
+    /// the norm bound with its conservative margin. `true` certifies the
+    /// candidate's canonical distance strictly above the best behind
+    /// `binv` (module docs).
+    #[inline(always)]
+    fn secondary_prune(&self, pos: usize, xs: f64, xn: f64, gx: f64, binv: f64) -> bool {
+        let gs = xs - self.sec[pos];
+        if gs * gs > binv {
+            return true;
+        }
+        let nc = self.norms[pos];
+        let base = (xn - nc).abs() - (gx + self.guard * nc);
+        base > 0.0 && base * base > binv
     }
 
     /// Cold seed selection: among a small neighborhood of the key-nearest
@@ -782,6 +1180,12 @@ impl AssignKernel {
 struct State {
     best: f64,
     new_label: u32,
+}
+
+/// Whether a row may take part in the separation lists: every coordinate
+/// within [`LIST_MAX_COORD`] in magnitude (so finite, too).
+fn tame(row: &[f64]) -> bool {
+    row.iter().all(|v| v.abs() <= LIST_MAX_COORD)
 }
 
 /// Euclidean norm of one row, on four independent accumulation lanes

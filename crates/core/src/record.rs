@@ -292,7 +292,10 @@ impl RoundBackend for RecordingBackend<'_> {
         let out = self.inner.tracker_update_weighted(from, new_rows, m);
         let new_n = new_rows.len() as u64;
         self.finish(start, wire, "tracker_update+weights", || {
-            vec![arg_u64("new_candidates", new_n), arg_u64("candidates", m as u64)]
+            vec![
+                arg_u64("new_candidates", new_n),
+                arg_u64("candidates", m as u64),
+            ]
         });
         out
     }

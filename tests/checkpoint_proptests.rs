@@ -227,7 +227,11 @@ fn resume_from_every_truncation_point_is_bit_identical() {
     // is lower than the old one-record-per-primitive journal (first
     // gather + init+sample + 4 update+sample + update+weights + potential
     // = 8 before any Lloyd assignment).
-    assert!(full.len() > 8, "expected a multi-round journal, got {}", full.len());
+    assert!(
+        full.len() > 8,
+        "expected a multi-round journal, got {}",
+        full.len()
+    );
 
     for r in 0..=full.len() {
         let mut partial = full.clone();

@@ -1,7 +1,8 @@
 //! Bit-parity of the batch assignment kernel (`kmeans_core::kernel`)
 //! against the scalar per-point path, across random shapes, duplicate
 //! centers, non-finite inputs, and ulp-adversarial near-ties — for the
-//! cold sweep and for the warm sweep under any hints.
+//! cold sweep, for the warm sweep under any hints, and for tracker
+//! updates over successive rounds under any carried state.
 //!
 //! These tests are meaningful in **both** build profiles: release-mode
 //! FP contraction or vectorization differences are exactly what they
@@ -162,26 +163,12 @@ proptest! {
         // Carried state from a full assignment over the prefix (or a
         // fresh state when from == 0).
         let n = points.len();
-        let mut labels = vec![0u32; n];
-        let mut d2 = vec![f64::INFINITY; n];
-        if from > 0 {
-            let prefix = PointMatrix::from_flat(
-                centers.as_slice()[..from * centers.dim()].to_vec(),
-                centers.dim(),
-            )
-            .unwrap();
-            let (l, dd) = scalar_assign(&points, &prefix);
-            labels = l;
-            d2 = dd;
-        }
-        let (mut ref_labels, mut ref_d2) = (labels.clone(), d2.clone());
-        scalar_update(&points, &centers, from, &mut ref_labels, &mut ref_d2);
-        let kernel = AssignKernel::suffix(&centers, from);
-        kernel.update(&points, 0..n, &mut labels, &mut d2);
-        prop_assert_eq!(labels, ref_labels);
-        let bits: Vec<u64> = d2.iter().map(|v| v.to_bits()).collect();
-        let ref_bits: Vec<u64> = ref_d2.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(bits, ref_bits);
+        let (mut labels, mut d2) = if from > 0 {
+            scalar_assign(&points, &prefix(&centers, from))
+        } else {
+            (vec![0u32; n], vec![f64::INFINITY; n])
+        };
+        assert_update_matches(&points, &centers, from, &mut labels, &mut d2);
     }
 
     #[test]
@@ -581,4 +568,452 @@ fn tiny_dimensions_and_counts() {
             assert_assign_matches(&points, &centers);
         }
     }
+}
+
+/// The update under test against the scalar suffix scan: same labels and
+/// `d²` bits, every pair computed or pruned exactly once.
+fn assert_update_matches(
+    points: &PointMatrix,
+    centers: &PointMatrix,
+    from: usize,
+    labels: &mut [u32],
+    d2: &mut [f64],
+) -> KernelStats {
+    let (mut ref_labels, mut ref_d2) = (labels.to_vec(), d2.to_vec());
+    scalar_update(points, centers, from, &mut ref_labels, &mut ref_d2);
+    let n = points.len();
+    let stats = AssignKernel::suffix(centers, from).update(points, 0..n, labels, d2);
+    assert_eq!(
+        labels,
+        &ref_labels[..],
+        "update labels diverged (from {from})"
+    );
+    let bits: Vec<u64> = d2.iter().map(|v| v.to_bits()).collect();
+    let ref_bits: Vec<u64> = ref_d2.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, ref_bits, "update d2 bits diverged (from {from})");
+    assert_eq!(
+        stats.distance_computations + stats.pruned_by_norm_bound,
+        (n * (centers.len() - from.min(centers.len()))) as u64,
+        "every pair must be computed or pruned exactly once"
+    );
+    stats
+}
+
+/// The first `len` centers as a matrix of their own.
+fn prefix(centers: &PointMatrix, len: usize) -> PointMatrix {
+    PointMatrix::from_flat(
+        centers.as_slice()[..len * centers.dim()].to_vec(),
+        centers.dim(),
+    )
+    .unwrap()
+}
+
+/// A k-means||-shaped tracker run: points, the first center set, and 2–5
+/// later rounds of new centers. New centers are fresh draws, copies of
+/// data rows, copies of earlier centers (a point tracked at the copied
+/// center sees an exact tie with its carried best, which must not
+/// replace it) and copies within the round (zero separation).
+fn tracker_workloads() -> impl Strategy<Value = (PointMatrix, PointMatrix, Vec<usize>)> {
+    (1usize..40, 1usize..8, 1usize..12, 0u64..1 << 20).prop_map(|(n, d, first, salt)| {
+        let mut rng = kmeans_util::Rng::new(salt);
+        let rounds: Vec<usize> = (0..2 + rng.range_usize(4))
+            .map(|_| 1 + rng.range_usize(19))
+            .collect();
+        let draw = |rng: &mut kmeans_util::Rng| -> Vec<f64> {
+            (0..d).map(|_| (rng.normal() * 8.0).round() / 4.0).collect()
+        };
+        let mut points = PointMatrix::new(d);
+        for _ in 0..n {
+            let row = draw(&mut rng);
+            points.push(&row).unwrap();
+        }
+        let mut centers = PointMatrix::new(d);
+        let mut splits = Vec::new();
+        for (r, &size) in std::iter::once(&first).chain(&rounds).enumerate() {
+            let start = centers.len();
+            for _ in 0..size {
+                let row = match rng.range_usize(5) {
+                    0 if r > 0 => centers.row(rng.range_usize(start)).to_vec(),
+                    1 => points.row(rng.range_usize(n)).to_vec(),
+                    2 if centers.len() > start => centers
+                        .row(start + rng.range_usize(centers.len() - start))
+                        .to_vec(),
+                    _ => draw(&mut rng),
+                };
+                centers.push(&row).unwrap();
+            }
+            splits.push(centers.len());
+        }
+        (points, centers, splits)
+    })
+}
+
+/// Runs a tracker over `splits` (prefix assign, then one update per
+/// later split) with every update checked against the scalar scan.
+fn check_tracker_rounds(points: &PointMatrix, centers: &PointMatrix, splits: &[usize]) {
+    let (mut labels, mut d2) = scalar_assign(points, &prefix(centers, splits[0]));
+    for w in splits.windows(2) {
+        let sub = prefix(centers, w[1]);
+        assert_update_matches(points, &sub, w[0], &mut labels, &mut d2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn multi_round_updates_are_bit_identical(
+        (points, centers, splits) in tracker_workloads(),
+    ) {
+        check_tracker_rounds(&points, &centers, &splits);
+    }
+
+    #[test]
+    fn multi_round_updates_keep_parity_on_non_finite_coordinates(
+        (mut points, mut centers, splits) in tracker_workloads(),
+        poison in 0u64..1 << 16,
+    ) {
+        // NaN/±∞ in one point and one center — the center in the first
+        // set, a later round, or the last one, depending on the case.
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let pd = points.dim();
+        let slot = (poison as usize) % (points.len() * pd);
+        points.row_mut(slot / pd)[slot % pd] = specials[(poison as usize) % 3];
+        let cd = centers.dim();
+        let slot = (poison as usize / 3) % (centers.len() * cd);
+        centers.row_mut(slot / cd)[slot % cd] = specials[(poison as usize / 7) % 3];
+        check_tracker_rounds(&points, &centers, &splits);
+    }
+}
+
+/// The cross-list certificate's boundary, `4·D_a = S_ac`: a point at
+/// distance `r` from its tracked earlier center `a`, with a new center `c`
+/// at `2r` scaled by a ladder of factors — a few ulps either side of the
+/// exact midpoint tie (where the certificate must refuse) out to
+/// `1 ± 1e-12` (where it may fire). `c` sits on either side of `a` along
+/// the sort key, and `a` is either earlier center, so both index orders
+/// of the sorted walk and of the earlier set are covered; far new centers
+/// keep the pruned sweep on.
+#[test]
+fn cross_certificate_is_exact_around_half_separation() {
+    let mut factors = vec![1.0f64];
+    let (mut up, mut down) = (1.0f64, 1.0f64);
+    for _ in 0..6 {
+        up = up.next_up();
+        down = down.next_down();
+        factors.push(up);
+        factors.push(down);
+    }
+    for rel in [1e-15, 1e-14, 1e-13, 1e-12, 1e-9] {
+        factors.push(1.0 + rel);
+        factors.push(1.0 - rel);
+    }
+    let mut certified = 0u64;
+    let mut refused = 0u64;
+    for d in [1usize, 2, 5] {
+        for (case, &r) in [0.75f64, 1.0, 3.1, 1e-3, 4.5e7].iter().enumerate() {
+            for &f in &factors {
+                for side in [1.0f64, -1.0] {
+                    for a_first in [true, false] {
+                        let shared: Vec<f64> = (0..d).map(|j| 0.25 * j as f64).collect();
+                        let (mut a, mut c, mut x) = (shared.clone(), shared.clone(), shared);
+                        a[0] = 10.0 * case as f64;
+                        c[0] = a[0] + side * 2.0 * r * f;
+                        x[0] = a[0] + side * r;
+                        let mut far_earlier = vec![0.0; d];
+                        far_earlier[0] = a[0] + 1e4 * r;
+                        let mut centers = PointMatrix::new(d);
+                        if a_first {
+                            centers.push(&a).unwrap();
+                            centers.push(&far_earlier).unwrap();
+                        } else {
+                            centers.push(&far_earlier).unwrap();
+                            centers.push(&a).unwrap();
+                        }
+                        centers.push(&c).unwrap();
+                        for i in 0..8 {
+                            let mut far = vec![0.0; d];
+                            far[0] = a[0] - side * 100.0 * r * (i + 1) as f64;
+                            centers.push(&far).unwrap();
+                        }
+                        let query = PointMatrix::from_flat(x, d).unwrap();
+                        let (mut labels, mut d2) = scalar_assign(&query, &prefix(&centers, 2));
+                        assert_eq!(labels[0], u32::from(!a_first), "tracked at a");
+                        let stats =
+                            assert_update_matches(&query, &centers, 2, &mut labels, &mut d2);
+                        if stats.distance_computations == 0 {
+                            certified += 1;
+                        } else {
+                            refused += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        certified > 0 && refused > 0,
+        "the ladder must straddle the certificate: {certified} certified, {refused} refused"
+    );
+}
+
+/// The same boundary in general position, where every coordinate adds
+/// rounding: points on the segment from a tracked earlier center `a` to a
+/// new center `c`, at and a hair either side of the midpoint (where
+/// `D_a` and `D_c` tie up to rounding and `4·D_a ≈ S_ac`). Without the
+/// certificate's slack, rounding alone certifies `a` for some of the
+/// midpoints whose canonical `D_c` is the smaller one.
+#[test]
+fn cross_certificate_is_exact_at_midpoints_in_general_position() {
+    let mut rng = kmeans_util::Rng::new(31);
+    let mut certified = 0u64;
+    let mut refused = 0u64;
+    for d in [3usize, 16, 42] {
+        for _ in 0..60 {
+            let a: Vec<f64> = (0..d).map(|_| rng.normal() * 10.0).collect();
+            let c: Vec<f64> = a.iter().map(|v| v + rng.normal()).collect();
+            let mut centers = PointMatrix::new(d);
+            centers.push(&a).unwrap();
+            centers.push(&c).unwrap();
+            for i in 0..8 {
+                let far: Vec<f64> = a.iter().map(|v| v + 1e3 * (i + 1) as f64).collect();
+                centers.push(&far).unwrap();
+            }
+            for t in [0.5, 0.5 + 1e-15, 0.5 - 1e-15, 0.5 - 1e-12, 0.45] {
+                let row: Vec<f64> = a.iter().zip(&c).map(|(x, y)| x + t * (y - x)).collect();
+                let query = PointMatrix::from_flat(row, d).unwrap();
+                let (mut labels, mut d2) = scalar_assign(&query, &prefix(&centers, 1));
+                let stats = assert_update_matches(&query, &centers, 1, &mut labels, &mut d2);
+                if stats.distance_computations == 0 {
+                    certified += 1;
+                } else {
+                    refused += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        certified > 0 && refused > 0,
+        "midpoints must straddle the certificate: {certified} certified, {refused} refused"
+    );
+}
+
+/// Carried state that makes no promise — labels `≥ from` (suffix indices
+/// and `u32::MAX`) and non-finite carried `d²` — takes the seed search
+/// and walk: results match the scalar scan, and an untracked row costs
+/// exactly what it costs with a `u32::MAX` label.
+#[test]
+fn untracked_carried_state_takes_the_walk() {
+    // A k-means||-shaped round: the earlier centers already cover every
+    // blob, and the new ones are data rows.
+    let mut rng = kmeans_util::Rng::new(13);
+    let d = 4;
+    let mut points = PointMatrix::new(d);
+    let mut centers = PointMatrix::new(d);
+    for _ in 0..24 {
+        let c: Vec<f64> = (0..d).map(|_| rng.normal() * 20.0).collect();
+        centers.push(&c).unwrap();
+    }
+    for i in 0..300 {
+        let c = centers.row(i % 24).to_vec();
+        let row: Vec<f64> = c.iter().map(|v| v + rng.normal() * 3.0).collect();
+        points.push(&row).unwrap();
+    }
+    for _ in 0..20 {
+        centers.push(points.row(rng.range_usize(300))).unwrap();
+    }
+    let (from, k, n) = (24usize, centers.len(), points.len());
+    let (tracked_labels, tracked_d2) = scalar_assign(&points, &prefix(&centers, from));
+
+    let mut labels = tracked_labels.clone();
+    let mut d2 = tracked_d2.clone();
+    let tracked = assert_update_matches(&points, &centers, from, &mut labels, &mut d2);
+
+    let mut d2 = tracked_d2.clone();
+    let mut labels = vec![u32::MAX; n];
+    let untracked = assert_update_matches(&points, &centers, from, &mut labels, &mut d2);
+    assert!(
+        tracked.distance_computations < untracked.distance_computations,
+        "tracked {tracked:?} vs untracked {untracked:?}"
+    );
+    for label in [from as u32, (k - 1) as u32, k as u32, u32::MAX - 1] {
+        let mut labels = vec![label; n];
+        let mut d2 = tracked_d2.clone();
+        let stats = assert_update_matches(&points, &centers, from, &mut labels, &mut d2);
+        assert_eq!(stats, untracked, "label {label} must take the walk");
+    }
+    for carried in [f64::INFINITY, f64::NAN] {
+        let fresh = |labels: Vec<u32>| {
+            let mut labels = labels;
+            let mut d2 = vec![carried; n];
+            assert_update_matches(&points, &centers, from, &mut labels, &mut d2)
+        };
+        assert_eq!(
+            fresh(tracked_labels.clone()),
+            fresh(vec![u32::MAX; n]),
+            "carried d² {carried} must take the walk"
+        );
+    }
+}
+
+/// Update counters are a pure function of each row and its carried
+/// state: the same whole-range and split-range; and the in-memory and
+/// chunked trackers agree bit for bit on `d²` and nearest ids after
+/// every round, for every block size and thread count.
+#[test]
+fn update_stats_and_trackers_match_across_groupings_and_backends() {
+    use kmeans_core::chunked::ChunkedCostTracker;
+    use kmeans_core::cost::CostTracker;
+    let mut rng = kmeans_util::Rng::new(23);
+    let d = 5;
+    let mut points = PointMatrix::new(d);
+    let mut blobs = Vec::new();
+    for _ in 0..30 {
+        blobs.push((0..d).map(|_| rng.normal() * 25.0).collect::<Vec<f64>>());
+    }
+    for i in 0..500 {
+        let row: Vec<f64> = blobs[i % 30]
+            .iter()
+            .map(|v| v + rng.normal() * 4.0)
+            .collect();
+        points.push(&row).unwrap();
+    }
+    // Rounds of candidates drawn from the data, like k-means||.
+    let mut centers = PointMatrix::new(d);
+    let mut splits = vec![1usize];
+    centers.push(points.row(0)).unwrap();
+    for size in [20usize, 25, 3, 30] {
+        for _ in 0..size {
+            centers
+                .push(points.row(rng.range_usize(points.len())))
+                .unwrap();
+        }
+        splits.push(centers.len());
+    }
+    let n = points.len();
+
+    let (mut labels, mut d2) = scalar_assign(&points, &prefix(&centers, 1));
+    for w in splits.windows(2) {
+        let sub = prefix(&centers, w[1]);
+        let kernel = AssignKernel::suffix(&sub, w[0]);
+        let (mut l2, mut dd2) = (labels.clone(), d2.clone());
+        let whole = assert_update_matches(&points, &sub, w[0], &mut labels, &mut d2);
+        let mut pieced = KernelStats::default();
+        for (start, end) in [(0usize, 1usize), (1, 77), (77, 260), (260, n)] {
+            pieced.absorb(kernel.update(
+                &points,
+                start..end,
+                &mut l2[start..end],
+                &mut dd2[start..end],
+            ));
+        }
+        assert_eq!(whole, pieced, "row grouping changed the update counters");
+        assert_eq!(l2, labels);
+    }
+
+    let seq = Executor::sequential().with_shard_size(32);
+    let mut reference = CostTracker::new(&points, &prefix(&centers, 1), &seq);
+    for w in splits.windows(2) {
+        reference.update(&prefix(&centers, w[1]), w[0], &seq);
+    }
+    assert_eq!(reference.nearest_ids(), &labels[..]);
+    let ref_bits: Vec<u64> = reference.d2().iter().map(|v| v.to_bits()).collect();
+    for block_rows in [1usize, 7, 64] {
+        for threads in [1usize, 3] {
+            let exec = if threads == 1 {
+                Executor::sequential().with_shard_size(32)
+            } else {
+                Executor::new(kmeans_par::Parallelism::Threads(threads)).with_shard_size(32)
+            };
+            let what = format!("block_rows {block_rows} threads {threads}");
+            let mut mem = CostTracker::new(&points, &prefix(&centers, 1), &exec);
+            let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+            let mut chunked =
+                ChunkedCostTracker::new(&source, &prefix(&centers, 1), &exec).unwrap();
+            for w in splits.windows(2) {
+                let sub = prefix(&centers, w[1]);
+                mem.update(&sub, w[0], &exec);
+                chunked.update(&source, &sub, w[0], &exec).unwrap();
+                let mem_bits: Vec<u64> = mem.d2().iter().map(|v| v.to_bits()).collect();
+                let chunked_bits: Vec<u64> = chunked.d2().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(mem_bits, chunked_bits, "{what}");
+                assert_eq!(mem.nearest_ids(), chunked.nearest_ids(), "{what}");
+            }
+            let bits: Vec<u64> = mem.d2().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, ref_bits, "{what}");
+            assert_eq!(mem.nearest_ids(), reference.nearest_ids(), "{what}");
+        }
+    }
+}
+
+/// Hundreds of candidates in enough dimensions that the sort key spreads
+/// them poorly, so list-building walks reach far: cold, warm and
+/// multi-round update sweeps all stay exact, and a kernel without lists
+/// (the mini-batch step's) returns the same bits.
+#[test]
+fn large_candidate_sets_stay_exact() {
+    let mut rng = kmeans_util::Rng::new(41);
+    let d = 12;
+    let draw = |rng: &mut kmeans_util::Rng, scale: f64| -> Vec<f64> {
+        (0..d).map(|_| rng.normal() * scale).collect()
+    };
+    let mut centers = PointMatrix::new(d);
+    for _ in 0..300 {
+        let row = draw(&mut rng, 1.0);
+        centers.push(&row).unwrap();
+    }
+    let mut points = PointMatrix::new(d);
+    for i in 0..600 {
+        let base = centers.row(i % 300).to_vec();
+        let row: Vec<f64> = base.iter().map(|v| v + rng.normal() * 0.3).collect();
+        points.push(&row).unwrap();
+    }
+    let cold = assert_assign_matches(&points, &centers);
+    let n = points.len();
+    let (mut labels, mut d2) = (vec![0u32; n], vec![0.0f64; n]);
+    AssignKernel::without_lists(&centers).assign(&points, 0..n, &mut labels, &mut d2);
+    let (ref_labels, ref_d2) = scalar_assign(&points, &centers);
+    assert_eq!(labels, ref_labels, "list-free kernel diverged");
+    let bits: Vec<u64> = d2.iter().map(|v| v.to_bits()).collect();
+    let ref_bits: Vec<u64> = ref_d2.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, ref_bits, "list-free kernel d2 diverged");
+    let mut previous = PointMatrix::new(d);
+    for c in centers.rows() {
+        let row: Vec<f64> = c.iter().map(|v| v + rng.normal() * 0.05).collect();
+        previous.push(&row).unwrap();
+    }
+    let (hints, _) = scalar_assign(&points, &previous);
+    let warm = assert_warm_matches(&points, &centers, &hints);
+    assert!(warm.distance_computations < cold.distance_computations);
+    check_tracker_rounds(&points, &centers, &[1, 100, 180, 300]);
+}
+
+/// A run of candidates with near-equal keys that are all far away, and
+/// the one close candidate behind them along the key: the list-building
+/// walk must pass the whole run to list it, and a tracked point between
+/// its center and that candidate must move to it.
+#[test]
+fn close_candidate_behind_a_run_of_far_ones_wins() {
+    let mut centers = PointMatrix::new(2);
+    centers.push(&[0.0, 0.0]).unwrap(); // the tracked earlier center
+    for i in 0..5 {
+        centers.push(&[-1000.0 - i as f64, 100.0]).unwrap();
+        centers.push(&[1000.0 + i as f64, 100.0]).unwrap();
+    }
+    for i in 0..70 {
+        centers.push(&[0.01 * i as f64, 100.0]).unwrap(); // far decoys, tiny key gaps
+    }
+    centers.push(&[1.0, 0.0]).unwrap(); // close, behind the run
+    let mut points = PointMatrix::new(2);
+    for x in [0.1, 0.4, 0.6, 0.9, 1.2] {
+        points.push(&[x, 0.0]).unwrap();
+        points.push(&[x, 0.05]).unwrap();
+    }
+    let (mut labels, mut d2) = scalar_assign(&points, &prefix(&centers, 1));
+    assert_update_matches(&points, &centers, 1, &mut labels, &mut d2);
+    assert!(
+        labels.iter().any(|&l| l as usize == centers.len() - 1),
+        "the close candidate must win some points"
+    );
+    assert_assign_matches(&points, &centers);
 }

@@ -205,7 +205,11 @@ fn traced_distributed_fit_is_bit_identical_and_counts_wire_bytes() {
     // The fused compound rounds are themselves spanned, and each carries
     // a non-zero share of the wire (a compound request and its compound
     // reply both cross the socket inside the span).
-    for name in ["tracker_init+sample", "tracker_update+sample", "tracker_update+weights"] {
+    for name in [
+        "tracker_init+sample",
+        "tracker_update+sample",
+        "tracker_update+weights",
+    ] {
         let fused_bytes: u64 = events
             .iter()
             .filter(|e| e.cat == "round" && e.name == name)
