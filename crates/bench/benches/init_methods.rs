@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kmeans_core::init::{InitMethod, KMeansParallelConfig};
 use kmeans_core::minibatch::MiniBatchConfig;
 use kmeans_core::model::KMeans;
-use kmeans_core::pipeline::{HamerlyLloyd, Initializer, Lloyd, MiniBatch, NoRefine, Refiner};
+use kmeans_core::pipeline::{Initializer, Lloyd, MiniBatch, NoRefine, Refiner};
 use kmeans_data::synth::GaussMixture;
 use kmeans_par::{Executor, Parallelism};
 use kmeans_streaming::{Coreset, Partition};
@@ -86,7 +86,6 @@ fn bench_init_refine_grid(c: &mut Criterion) {
     ];
     let refiners: Vec<(&str, Arc<dyn Refiner>)> = vec![
         ("lloyd", Arc::new(Lloyd::default())),
-        ("hamerly", Arc::new(HamerlyLloyd::default())),
         (
             "minibatch",
             Arc::new(MiniBatch(MiniBatchConfig {
@@ -137,12 +136,12 @@ fn bench_init_refine_grid(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    group.bench_function("coreset+hamerly", |b| {
+    group.bench_function("coreset+lloyd", |b| {
         b.iter(|| {
             seed += 1;
             KMeans::params(k)
                 .init(Coreset { coreset_size: 128 })
-                .refine(HamerlyLloyd::default())
+                .refine(Lloyd::default())
                 .seed(seed)
                 .parallelism(Parallelism::Sequential)
                 .fit(points)

@@ -2,7 +2,6 @@
 //! sequential vs parallel shards — ablation A4's speedup curve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kmeans_core::accel::hamerly_lloyd;
 use kmeans_core::lloyd::{lloyd, LloydConfig};
 use kmeans_data::synth::GaussMixture;
 use kmeans_par::{Executor, Parallelism};
@@ -47,11 +46,11 @@ fn bench_lloyd_iteration(c: &mut Criterion) {
     }
     group.finish();
 
-    // Hamerly pays off over full runs (bounds amortize across
-    // iterations), so compare convergence runs rather than single steps.
-    // The refiner-trait entries measure the same algorithms through the
-    // pipeline API (labels + cost + accounting included), alongside the
-    // mini-batch and seed-only refiners for the full refinement axis.
+    // Full convergence runs: plain Lloyd's warm passes amortize across
+    // iterations. The refiner-trait entries measure the same algorithm
+    // through the pipeline API (labels + cost + accounting included),
+    // alongside the mini-batch and seed-only refiners for the full
+    // refinement axis.
     let mut group = c.benchmark_group("refine_to_convergence_n16384_k50");
     group
         .sample_size(10)
@@ -62,15 +61,10 @@ fn bench_lloyd_iteration(c: &mut Criterion) {
         let exec = Executor::sequential();
         b.iter(|| lloyd(points, &init, &full, &exec).unwrap())
     });
-    group.bench_function("hamerly", |b| {
-        let exec = Executor::sequential();
-        b.iter(|| hamerly_lloyd(points, &init, &full, &exec).unwrap())
-    });
     use kmeans_core::minibatch::MiniBatchConfig;
-    use kmeans_core::pipeline::{HamerlyLloyd, Lloyd, MiniBatch, NoRefine, Refiner};
+    use kmeans_core::pipeline::{Lloyd, MiniBatch, NoRefine, Refiner};
     let refiners: Vec<(&str, Box<dyn Refiner>)> = vec![
         ("refiner_lloyd", Box::new(Lloyd(full))),
-        ("refiner_hamerly", Box::new(HamerlyLloyd(full))),
         (
             "refiner_minibatch",
             Box::new(MiniBatch(MiniBatchConfig {

@@ -9,7 +9,7 @@
 //! skm fit      --input data.csv --k K --centers-out centers.csv
 //!              [--labels]
 //!              [--init random|kmeans++|kmeans-par|afk-mc2|partition|coreset]
-//!              [--refine lloyd|hamerly|minibatch|none]
+//!              [--refine lloyd|minibatch|none]
 //!              [--factor F] [--rounds R] [--chain M] [--groups G]
 //!              [--coreset-size C] [--batch-size B] [--batch-iters I]
 //!              [--max-iters I] [--tol T] [--seed S] [--threads T]
@@ -135,13 +135,13 @@ USAGE:
                [--variance R] [--seed S] [--no-labels]
   skm fit      --input FILE --k K --centers-out FILE [--labels]
                [--init random|kmeans++|kmeans-par|afk-mc2|partition|coreset]
-               [--refine lloyd|hamerly|minibatch|none]
+               [--refine lloyd|minibatch|none]
                [--factor F] [--rounds R]        (kmeans-par: l = F*k, R rounds)
                [--chain M]                      (afk-mc2: Markov chain length)
                [--groups G]                     (partition: group count, default sqrt(n/k))
                [--coreset-size C]               (coreset: bucket size, default 200)
                [--batch-size B] [--batch-iters I]  (minibatch refinement)
-               [--max-iters I]                  (lloyd/hamerly refinement)
+               [--max-iters I]                  (lloyd refinement)
                [--tol T]                        (lloyd only: relative-improvement stop)
                [--seed S] [--threads T] [--shard-size N] [--assignments-out FILE]
                [--chunked]                      (out-of-core: stream FILE block by block)
@@ -178,8 +178,8 @@ keeps the seed centers (seed-cost studies). Runs are deterministic per
 Out of core: `skm convert` rewrites a CSV as a binary block file (one
 streaming pass), and `skm fit --chunked` streams either format without
 materializing the dataset — results are bit-identical to the in-memory
-fit for every --init/--refine except afk-mc2, hamerly (no chunked
-formulation) and partition (true streaming variant). --chunked drops
+fit for every --init/--refine except afk-mc2 (no chunked formulation)
+and partition (true streaming variant). --chunked drops
 ground-truth label metrics; block size never changes results.
 
 Distributed: `skm shard` splits a block file into per-worker shard files
@@ -303,9 +303,7 @@ const INIT_FLAGS: FlagOwners = &[
 
 /// `--refine` flags.
 const REFINE_FLAGS: FlagOwners = &[
-    ("max-iters", &["lloyd", "hamerly"], "lloyd|hamerly"),
-    // hamerly stops on assignment stability only (no exact per-iteration
-    // potential), so a tolerance belongs to lloyd alone.
+    ("max-iters", &["lloyd"], "lloyd"),
     ("tol", &["lloyd"], "lloyd"),
     ("batch-size", &["minibatch"], "minibatch"),
     ("batch-iters", &["minibatch"], "minibatch"),
@@ -387,7 +385,6 @@ fn apply_refine(builder: KMeans, args: &Args) -> Result<KMeans, CliError> {
     reject_foreign_flags(args, "--refine", &refine, REFINE_FLAGS)?;
     Ok(match refine.as_str() {
         "lloyd" => builder.refine(pipeline::Lloyd(lloyd_config)),
-        "hamerly" => builder.refine(pipeline::HamerlyLloyd(lloyd_config)),
         "minibatch" => builder.refine(pipeline::MiniBatch(MiniBatchConfig {
             batch_size: args.usize_or("batch-size", 1_024),
             iterations: args.usize_or("batch-iters", 100),
@@ -395,7 +392,7 @@ fn apply_refine(builder: KMeans, args: &Args) -> Result<KMeans, CliError> {
         "none" => builder.refine(pipeline::NoRefine),
         other => {
             return Err(CliError::Usage(format!(
-                "unknown --refine '{other}' (expected lloyd|hamerly|minibatch|none)"
+                "unknown --refine '{other}' (expected lloyd|minibatch|none)"
             )))
         }
     })
@@ -741,7 +738,7 @@ fn fit_distributed(
     let trips = cluster.round_trips();
     let worker_stats = cluster.fetch_stats()?;
     let summaries = cluster.worker_summaries();
-    let job = cluster.job_stats();
+    let blocked = cluster.blocked_wall();
     let passes = cluster.data_passes();
     let (sent, received) = (cluster.bytes_sent(), cluster.bytes_received());
     cluster.shutdown();
@@ -756,10 +753,9 @@ fn fit_distributed(
     writeln!(
         out,
         "distributed: {} workers, {passes} data passes, {trips} wire round trips, \
-         {} B on the wire ({sent} B sent, {received} B received), coordinator blocked {:?}",
+         {} B on the wire ({sent} B sent, {received} B received), coordinator blocked {blocked:?}",
         summaries.len(),
-        job.bytes_shuffled,
-        job.map_wall,
+        sent + received,
     )?;
     for (i, (summary, stats)) in summaries.iter().zip(&worker_stats).enumerate() {
         writeln!(
@@ -1490,7 +1486,7 @@ mod tests {
             )),
         )
         .unwrap();
-        for refine in ["lloyd", "hamerly", "minibatch", "none"] {
+        for refine in ["lloyd", "minibatch", "none"] {
             let centers = tmp(&format!("grid_r_{refine}.csv"));
             let extra = if refine == "minibatch" {
                 "--batch-size 64 --batch-iters 50"
@@ -1749,6 +1745,25 @@ mod tests {
     }
 
     #[test]
+    fn removed_hamerly_refiner_is_a_usage_error() {
+        let data = tmp("hamerly.csv");
+        std::fs::write(&data, "1.0,2.0\n3.0,4.0\n5.0,6.0\n").unwrap();
+        let err = run(
+            "fit",
+            &args(&format!(
+                "--input {data} --k 2 --refine hamerly --centers-out /tmp/x"
+            )),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains("unknown --refine 'hamerly' (expected lloyd|minibatch|none)"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn usage_lists_every_init_and_refine_value() {
         let out = run("help", &args("")).unwrap();
         for value in [
@@ -1759,7 +1774,6 @@ mod tests {
             "partition",
             "coreset",
             "lloyd",
-            "hamerly",
             "minibatch",
             "none",
         ] {

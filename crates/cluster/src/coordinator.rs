@@ -36,7 +36,6 @@ use kmeans_core::init::bernoulli_accept;
 use kmeans_core::kernel::KernelStats;
 use kmeans_data::PointMatrix;
 use kmeans_obs::{arg_u64, Recorder};
-use kmeans_par::mapreduce::JobStats;
 use std::time::{Duration, Instant};
 
 /// Span category for coordinator-side worker conversations and
@@ -109,7 +108,6 @@ pub struct Cluster {
     dim: usize,
     shard_size: usize,
     data_passes: u64,
-    pairs: u64,
     /// Data-round request/reply cycles driven over the fleet — one per
     /// scatter/gather broadcast ([`Cluster::request_all`]) or row gather.
     /// Session control (`Hello`/`Plan`/`Shutdown`) is excluded: it is
@@ -181,7 +179,6 @@ impl Cluster {
             dim: dim.expect("at least one worker"),
             shard_size: 0,
             data_passes: 0,
-            pairs: 0,
             round_trips: 0,
             blocked_wall: Duration::ZERO,
             recovery: None,
@@ -301,7 +298,6 @@ impl Cluster {
         }
         self.shard_size = shard_size;
         self.data_passes = 0;
-        self.pairs = 0;
         self.round_trips = 0;
         self.blocked_wall = Duration::ZERO;
         self.tracker_segments.clear();
@@ -608,11 +604,6 @@ impl Cluster {
         });
     }
 
-    fn note_pass(&mut self, items: u64) {
-        self.data_passes += 1;
-        self.pairs += items;
-    }
-
     /// Collects `ShardSums` replies into one global per-shard list (worker
     /// order = shard order) — the input to the potential fold.
     fn request_shard_sums(&mut self, msg: &Message) -> Result<Vec<f64>, ClusterError> {
@@ -628,7 +619,7 @@ impl Cluster {
                 }
             }
         }
-        self.note_pass(all.len() as u64);
+        self.data_passes += 1;
         Ok(all)
     }
 
@@ -753,7 +744,7 @@ impl Cluster {
                 sample_parts.push((i, part));
             }
         }
-        self.note_pass(sums.len() as u64);
+        self.data_passes += 1;
         self.tracker_segments.push(segment.clone());
         let phi = Self::fold(sums);
         let out = match spec {
@@ -788,7 +779,6 @@ impl Cluster {
                         }
                     }
                 }
-                self.pairs += indices.len() as u64;
                 Some(SampleOut::Picked { indices, rows })
             }
             Some(SampleSpec::ExactKeys { .. }) => {
@@ -805,7 +795,6 @@ impl Cluster {
                         }
                     }
                 }
-                self.pairs += entries.len() as u64;
                 Some(SampleOut::Keys(entries))
             }
         };
@@ -871,12 +860,11 @@ impl Cluster {
             Message::CandidateWeights { m: m as u64 },
         ];
         let replies = self.request_all(&Message::Compound(items))?;
-        let mut sums_len = 0u64;
         let mut total = vec![0.0f64; m];
         for (i, r) in replies.into_iter().enumerate() {
             let mut parts = Self::unpack_compound(i, r, 2)?.into_iter();
             match parts.next() {
-                Some(Message::ShardSums { sums }) => sums_len += sums.len() as u64,
+                Some(Message::ShardSums { .. }) => {}
                 other => {
                     return Err(ClusterError::Protocol(format!(
                         "worker {i} answered tracker step with {other:?} instead of ShardSums"
@@ -903,9 +891,8 @@ impl Cluster {
                 }
             }
         }
-        self.note_pass(sums_len);
+        self.data_passes += 1;
         self.tracker_segments.push(new_rows.clone());
-        self.pairs += m as u64;
         Ok(total)
     }
 
@@ -944,7 +931,6 @@ impl Cluster {
                 }
             }
         }
-        self.pairs += indices.len() as u64;
         Ok((indices, rows))
     }
 
@@ -974,7 +960,6 @@ impl Cluster {
                 }
             }
         }
-        self.pairs += entries.len() as u64;
         Ok(entries)
     }
 
@@ -1003,7 +988,6 @@ impl Cluster {
                 }
             }
         }
-        self.pairs += m as u64;
         Ok(total)
     }
 
@@ -1094,7 +1078,6 @@ impl Cluster {
             })?;
             cursors[w] += 1;
         }
-        self.pairs += indices.len() as u64;
         Ok(out)
     }
 
@@ -1113,7 +1096,6 @@ impl Cluster {
                 }
             }
         }
-        self.pairs += d2.len() as u64;
         Ok(d2)
     }
 
@@ -1200,7 +1182,7 @@ impl Cluster {
         } else {
             None
         };
-        self.note_pass(all_shards.len() as u64);
+        self.data_passes += 1;
         let mut sums = fold_accum_shards(k, d, &all_shards);
         sums.stats = stats;
         self.last_assign = Some(centers.clone());
@@ -1306,27 +1288,9 @@ impl Cluster {
         self.round_trips
     }
 
-    /// The run's accounting in the same [`JobStats`] shape the in-process
-    /// MapReduce model reports: map tasks are executor shards per pass,
-    /// `bytes_shuffled` is real bytes on the wire, and `map_wall` is the
-    /// time the coordinator spent blocked on workers.
-    pub fn job_stats(&self) -> JobStats {
-        let shards_per_pass = if self.shard_size == 0 {
-            0
-        } else {
-            self.global_n.div_ceil(self.shard_size)
-        };
-        JobStats {
-            map_tasks: shards_per_pass * self.data_passes as usize,
-            records_in: self.global_n as u64 * self.data_passes,
-            pairs_shuffled: self.pairs,
-            bytes_shuffled: self.bytes_sent() + self.bytes_received(),
-            distinct_keys: self.num_workers(),
-            round_trips: self.round_trips,
-            map_wall: self.blocked_wall,
-            shuffle_wall: Duration::ZERO,
-            reduce_wall: Duration::ZERO,
-        }
+    /// Wall time the coordinator has spent blocked on worker replies.
+    pub fn blocked_wall(&self) -> Duration {
+        self.blocked_wall
     }
 
     fn owner_of(&self, global_row: usize) -> Result<usize, ClusterError> {

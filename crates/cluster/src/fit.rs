@@ -1,225 +1,30 @@
 //! Pipeline integration: the [`FitDistributed`] extension that gives the
 //! standard [`KMeans`] builder a `fit_distributed` entry point next to
-//! `fit` and `fit_chunked`, plus the [`DistInit`] / [`DistRefine`]
-//! convenience stages.
+//! `fit` and `fit_chunked`.
 //!
-//! With the backend-generic driver layer, a distributed fit is the same
-//! pipeline as a local one: the builder's configured stages run their
-//! `init_backend` / `refine_backend` entry points on a
-//! [`ClusterBackend`], and stages without a distributed formulation
-//! (AFK-MC², Hamerly, k-means++, the streaming seeders) reject with the
-//! shared typed error — the same fail-loudly contract the chunked path
-//! established. No stage resolution or downcasting is involved anymore:
-//! `random`/`kmeans-par` seeds and `lloyd`/`minibatch`/`none` refiners
-//! work because their round drivers are backend-generic.
+//! A distributed fit is the same pipeline as a local one: the builder's
+//! configured stages run their `init_backend` / `refine_backend` entry
+//! points on a [`ClusterBackend`] through the one fit engine,
+//! [`KMeans::fit_round_backend`], and stages without a distributed
+//! formulation (AFK-MC², k-means++, the streaming seeders) reject with
+//! the shared typed error — the same fail-loudly contract as the chunked
+//! path. `random`/`kmeans-par` seeds and `lloyd`/`minibatch`/`none`
+//! refiners work because their round drivers are backend-generic.
+//!
+//! The engine performs the capability checks before any wire traffic
+//! (the plan, with its worker-alignment validation, is deferred to the
+//! first wire primitive — so an unsupported stage always rejects with
+//! its own typed error before any stage touches the cluster), and wraps
+//! the backend in the flight recorder's span decorator when a recorder
+//! is configured.
 
 use crate::backend::ClusterBackend;
 use crate::checkpoint::{CheckpointingBackend, RoundCheckpoint};
 use crate::coordinator::Cluster;
-use kmeans_core::driver::{BackendKind, RoundBackend};
-use kmeans_core::init::{InitResult, KMeansParallelConfig};
-use kmeans_core::lloyd::LloydConfig;
-use kmeans_core::minibatch::MiniBatchConfig;
 use kmeans_core::model::{KMeans, KMeansModel};
-use kmeans_core::pipeline::{self, Initializer, RefineResult, Refiner};
 use kmeans_core::KMeansError;
 use kmeans_data::checkpoint::CheckpointMeta;
-use kmeans_data::PointMatrix;
-use kmeans_par::Executor;
 use std::path::Path;
-
-fn reject_local(name: &str) -> KMeansError {
-    KMeansError::InvalidConfig(format!(
-        "{name} is a distributed stage: it runs on a worker cluster via fit_distributed, \
-         not on local data"
-    ))
-}
-
-#[derive(Clone, Copy, Debug)]
-enum DistInitMethod {
-    Random,
-    KMeansParallel(KMeansParallelConfig),
-}
-
-/// A distributed seeding stage. Implements [`Initializer`] so it slots
-/// into the standard builder (`KMeans::params(k).init(DistInit::...)`),
-/// but it is a thin adapter: it delegates to the corresponding core
-/// stage's backend-generic driver, restricted to cluster backends — the
-/// in-memory/chunked entry points reject with a typed error. (Passing
-/// the core stage itself to the builder works identically; `DistInit`
-/// exists for callers that want "distributed-only" to fail loudly.)
-#[derive(Clone, Copy, Debug)]
-pub struct DistInit(DistInitMethod);
-
-impl DistInit {
-    /// Distributed uniform seeding.
-    pub fn random() -> Self {
-        DistInit(DistInitMethod::Random)
-    }
-
-    /// Distributed k-means|| (Algorithm 2) with the given configuration.
-    pub fn kmeans_parallel(config: KMeansParallelConfig) -> Self {
-        DistInit(DistInitMethod::KMeansParallel(config))
-    }
-
-    fn delegate(
-        &self,
-        backend: &mut dyn RoundBackend,
-        k: usize,
-        seed: u64,
-    ) -> Result<InitResult, KMeansError> {
-        match self.0 {
-            DistInitMethod::Random => pipeline::Random.init_backend(backend, k, seed),
-            DistInitMethod::KMeansParallel(config) => {
-                pipeline::KMeansParallel(config).init_backend(backend, k, seed)
-            }
-        }
-    }
-
-    /// Runs the seeding over the cluster, stamping duration and seed
-    /// cost with the same conventions as every other backend-generic
-    /// initializer (duration excludes the seed-cost pass).
-    pub fn run(
-        &self,
-        cluster: &mut Cluster,
-        k: usize,
-        seed: u64,
-    ) -> Result<InitResult, KMeansError> {
-        self.delegate(&mut ClusterBackend::new(cluster), k, seed)
-    }
-}
-
-impl Initializer for DistInit {
-    fn name(&self) -> &'static str {
-        match self.0 {
-            DistInitMethod::Random => "random",
-            DistInitMethod::KMeansParallel(_) => "kmeans-par",
-        }
-    }
-
-    fn init(
-        &self,
-        _points: &PointMatrix,
-        _weights: Option<&[f64]>,
-        _k: usize,
-        _seed: u64,
-        _exec: &Executor,
-    ) -> Result<InitResult, KMeansError> {
-        Err(reject_local(self.name()))
-    }
-
-    fn init_backend(
-        &self,
-        backend: &mut dyn RoundBackend,
-        k: usize,
-        seed: u64,
-    ) -> Result<InitResult, KMeansError> {
-        if backend.kind() != BackendKind::Distributed {
-            return Err(reject_local(self.name()));
-        }
-        self.delegate(backend, k, seed)
-    }
-
-    fn supports_backend(&self, kind: BackendKind) -> bool {
-        kind == BackendKind::Distributed
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum DistRefineMethod {
-    Lloyd(LloydConfig),
-    MiniBatch(MiniBatchConfig),
-    None,
-}
-
-/// A distributed refinement stage; see [`DistInit`] for the pattern.
-#[derive(Clone, Copy, Debug)]
-pub struct DistRefine(DistRefineMethod);
-
-impl DistRefine {
-    /// Distributed Lloyd refinement.
-    pub fn lloyd(config: LloydConfig) -> Self {
-        DistRefine(DistRefineMethod::Lloyd(config))
-    }
-
-    /// Distributed mini-batch refinement: batches are gathered from the
-    /// owning workers, the gradient steps run on the coordinator.
-    pub fn minibatch(config: MiniBatchConfig) -> Self {
-        DistRefine(DistRefineMethod::MiniBatch(config))
-    }
-
-    /// Keep the seed centers; one distributed labeling pass.
-    pub fn none() -> Self {
-        DistRefine(DistRefineMethod::None)
-    }
-
-    fn delegate(
-        &self,
-        backend: &mut dyn RoundBackend,
-        centers: &PointMatrix,
-        seed: u64,
-    ) -> Result<RefineResult, KMeansError> {
-        match self.0 {
-            DistRefineMethod::Lloyd(config) => {
-                pipeline::Lloyd(config).refine_backend(backend, centers, seed)
-            }
-            DistRefineMethod::MiniBatch(config) => {
-                pipeline::MiniBatch(config).refine_backend(backend, centers, seed)
-            }
-            DistRefineMethod::None => pipeline::NoRefine.refine_backend(backend, centers, seed),
-        }
-    }
-
-    /// Runs the refinement over the cluster, with the same result
-    /// conventions as the other backend-generic refiners (analytic
-    /// `n·k` distance accounting per assignment pass; measured kernel
-    /// counters folded from the workers' partials frames).
-    pub fn run(
-        &self,
-        cluster: &mut Cluster,
-        centers: &PointMatrix,
-        seed: u64,
-    ) -> Result<RefineResult, KMeansError> {
-        self.delegate(&mut ClusterBackend::new(cluster), centers, seed)
-    }
-}
-
-impl Refiner for DistRefine {
-    fn name(&self) -> &'static str {
-        match self.0 {
-            DistRefineMethod::Lloyd(_) => "lloyd",
-            DistRefineMethod::MiniBatch(_) => "minibatch",
-            DistRefineMethod::None => "none",
-        }
-    }
-
-    fn refine(
-        &self,
-        _points: &PointMatrix,
-        _weights: Option<&[f64]>,
-        _centers: &PointMatrix,
-        _seed: u64,
-        _exec: &Executor,
-    ) -> Result<RefineResult, KMeansError> {
-        Err(reject_local(self.name()))
-    }
-
-    fn refine_backend(
-        &self,
-        backend: &mut dyn RoundBackend,
-        centers: &PointMatrix,
-        seed: u64,
-    ) -> Result<RefineResult, KMeansError> {
-        if backend.kind() != BackendKind::Distributed {
-            return Err(reject_local(self.name()));
-        }
-        self.delegate(backend, centers, seed)
-    }
-
-    fn supports_backend(&self, kind: BackendKind) -> bool {
-        kind == BackendKind::Distributed
-    }
-}
 
 /// Extension trait putting `fit_distributed` on the standard
 /// [`KMeans`] builder.
@@ -283,27 +88,11 @@ fn checkpoint_meta(kmeans: &KMeans, cluster: &Cluster) -> CheckpointMeta {
     }
 }
 
-/// The shared fit body: delegates to the core builder's
-/// backend-generic engine ([`KMeans::fit_round_backend`]), which
-/// performs the capability checks (the plan, with its worker-alignment
-/// validation, is deferred to the first wire primitive — so an
-/// unsupported stage always rejects with its own typed error before
-/// any stage touches the cluster), wraps the backend in the flight
-/// recorder's span decorator when a recorder is configured, and runs
-/// init + refine over whichever [`RoundBackend`] the entry point built
-/// (plain cluster or checkpoint-journaling wrapper).
-fn fit_over_backend(
-    kmeans: &KMeans,
-    backend: &mut dyn RoundBackend,
-) -> Result<KMeansModel, KMeansError> {
-    kmeans.fit_round_backend(backend)
-}
-
 impl FitDistributed for KMeans {
     fn fit_distributed(&self, cluster: &mut Cluster) -> Result<KMeansModel, KMeansError> {
         let shard_size = self.executor().shard_spec().shard_size();
         let mut backend = ClusterBackend::deferred(cluster, shard_size);
-        fit_over_backend(self, &mut backend)
+        self.fit_round_backend(&mut backend)
     }
 
     fn fit_distributed_resumable(
@@ -332,7 +121,7 @@ impl FitDistributed for KMeans {
         let shard_size = self.executor().shard_spec().shard_size();
         let inner = ClusterBackend::deferred(cluster, shard_size);
         let mut backend = CheckpointingBackend::new(inner, ckpt);
-        fit_over_backend(self, &mut backend)
+        self.fit_round_backend(&mut backend)
     }
 
     fn fit_distributed_checkpointed(

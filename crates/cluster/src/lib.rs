@@ -4,8 +4,7 @@
 //! The paper's §3.5 observes that every step of Algorithm 2 "is very
 //! simple in MapReduce": each mapper samples its partition independently
 //! and ships `φ_X′(C)` partials that "the reducer can simply add". This
-//! crate makes that realization a real multi-process system instead of
-//! the in-process model in `kmeans_par::mapreduce`:
+//! crate makes that realization a real multi-process system:
 //!
 //! * [`protocol`] — a length-prefixed, checksummed wire protocol
 //!   (`std`-only binary frames) carrying centers broadcasts, per-round
@@ -25,11 +24,9 @@
 //!   drivers (the *single* implementation of k-means||, Lloyd,
 //!   mini-batch, and random seeding shared with the in-memory and
 //!   chunked modes) execute distributed.
-//! * [`dist`] — thin per-algorithm entry points binding those drivers to
-//!   a [`Cluster`].
 //! * [`fit`] — [`FitDistributed`] puts `fit_distributed` on the standard
 //!   [`KMeans`](kmeans_core::model::KMeans) builder, next to `fit` and
-//!   `fit_chunked`, plus the [`DistInit`]/[`DistRefine`] pipeline stages.
+//!   `fit_chunked`.
 //! * [`fault`] — deterministic fault injection ([`FaultTransport`]):
 //!   scripted kills, mid-frame truncations, and delays at exact
 //!   `(message tag, occurrence)` triggers, for reproducible chaos tests.
@@ -55,7 +52,6 @@
 pub mod backend;
 pub mod checkpoint;
 pub mod coordinator;
-pub mod dist;
 pub mod error;
 pub mod fault;
 pub mod fit;
@@ -73,7 +69,7 @@ pub use fault::{
     spawn_loopback_worker_with_faults, spawn_tcp_worker_with_faults, FaultAction, FaultTransport,
     Faultable,
 };
-pub use fit::{DistInit, DistRefine, FitDistributed};
+pub use fit::FitDistributed;
 pub use protocol::{FrameError, Message, WorkerStats};
 pub use retry::RetryPolicy;
 pub use transport::{loopback_pair, LoopbackTransport, TcpTransport, Transport};

@@ -21,13 +21,12 @@
 //!
 //! Backends:
 //!
-//! * [`InMemoryBackend`] — a resident [`PointMatrix`]; the in-memory
-//!   entry points (`kmeans_parallel`, `lloyd`, `minibatch_kmeans`) are
-//!   thin wrappers over it.
-//! * [`ChunkedBackend`] — a block-resident
-//!   [`ChunkedSource`]; behind
-//!   [`Initializer::init_chunked`](crate::pipeline::Initializer::init_chunked)
-//!   / [`Refiner::refine_chunked`](crate::pipeline::Refiner::refine_chunked).
+//! * [`InMemoryBackend`] — a resident [`PointMatrix`], optionally with
+//!   per-point weights; behind [`KMeans::fit`](crate::model::KMeans::fit)
+//!   and the in-memory entry points (`kmeans_parallel`, `lloyd`,
+//!   `minibatch_kmeans`).
+//! * [`ChunkedBackend`] — a block-resident [`ChunkedSource`]; behind
+//!   [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked).
 //! * `ClusterBackend` (in `kmeans-cluster`) — a coordinator's worker
 //!   cluster speaking the SKW1 wire protocol.
 //!
@@ -55,7 +54,7 @@ use crate::chunked::{
     assign_partials_chunked, fold_accum_shards, gather_rows, validate_refine_inputs_chunked,
     validate_source, ChunkedCostTracker,
 };
-use crate::cost::{potential, CostTracker};
+use crate::cost::{potential, weighted_potential, CostTracker};
 use crate::error::KMeansError;
 use crate::init::{
     exact_sample_keys, exact_sample_merge, sample_bernoulli, InitResult, InitStats,
@@ -144,16 +143,31 @@ pub enum LabelFetch {
     Always,
 }
 
+/// The data a local backend holds, for stages that read it directly
+/// instead of through round primitives (see [`RoundBackend::local`]).
+pub enum LocalData<'a> {
+    /// A resident matrix plus the per-point weights of a weighted fit.
+    Resident {
+        /// The rows.
+        points: &'a PointMatrix,
+        /// Per-point weights, when the fit is weighted.
+        weights: Option<&'a [f64]>,
+    },
+    /// A block-resident source.
+    Blocks(&'a dyn ChunkedSource),
+}
+
 /// The per-round primitives shared by the in-memory, chunked, and
 /// distributed execution modes. Everything a backend returns is either
 /// order-insensitive per-point data or per-shard partials of the
 /// *global* shard grid; every order-sensitive fold and every scalar RNG
 /// decision lives in the drivers.
 ///
-/// State carried between calls (and between a seeding driver and the
-/// refinement driver that follows it on the same backend): the D²/nearest
-/// tracker slices built by [`RoundBackend::tracker_init`], and the labels
-/// of the last [`RoundBackend::assign`] pass.
+/// State carried between calls: the D²/nearest tracker built by
+/// [`RoundBackend::tracker_init`] lives until the next
+/// [`RoundBackend::assign`] pass frees it (a fit's seeding and refinement
+/// share one backend, and refinement never reads the tracker), and the
+/// labels of the last `assign` pass seed the next one.
 pub trait RoundBackend {
     /// Which execution mode this backend is (for typed rejections).
     fn kind(&self) -> BackendKind;
@@ -169,13 +183,13 @@ pub trait RoundBackend {
     /// Row dimensionality.
     fn dim(&self) -> usize;
 
-    /// The local block-resident source (and the executor its passes run
-    /// on) behind this backend, when it has one — `None` for remote
-    /// backends. Stages with a block-streaming but not fully
-    /// round-generic formulation (k-means++'s sequential D² draws, the
-    /// streaming Partition/coreset seeders) use this to run on local
-    /// backends and reject remote ones with a typed error.
-    fn local_source(&self) -> Option<(&dyn ChunkedSource, &Executor)> {
+    /// The local data (and the executor its passes run on) behind this
+    /// backend, when it has any — `None` for remote backends. Stages
+    /// without a round formulation (k-means++'s sequential D² draws,
+    /// AFK-MC², the streaming Partition/coreset seeders) and the weighted
+    /// arms of the stages that honor weights read the data through this
+    /// and reject the backends it does not serve with a typed error.
+    fn local(&self) -> Option<(LocalData<'_>, &Executor)> {
         None
     }
 
@@ -262,7 +276,8 @@ pub trait RoundBackend {
     fn fetch_labels(&mut self) -> Result<Vec<u32>, KMeansError>;
 
     /// The potential `φ_X(C)` of `centers` (with the finiteness check on
-    /// block-backed backends) — the seed-cost pass.
+    /// block-backed backends; weighted on a weighted in-memory backend) —
+    /// the seed-cost pass.
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError>;
 
     /// Cumulative wire traffic (sent + received bytes) this backend has
@@ -379,10 +394,9 @@ pub trait RoundBackend {
     }
 }
 
-/// Seeding epilogue shared by every backend-generic initializer: stamps
-/// the duration and the seed cost (one [`RoundBackend::potential`] pass)
-/// — the backend-generic form of [`crate::pipeline::finish_init`], on
-/// the same convention (duration excludes the seed-cost pass).
+/// Seeding epilogue shared by every initializer: stamps the duration and
+/// the (weighted, on a weighted backend) seed cost — one
+/// [`RoundBackend::potential`] pass, excluded from the duration.
 pub fn finish_init_backend(
     backend: &mut dyn RoundBackend,
     centers: PointMatrix,
@@ -827,6 +841,7 @@ pub fn drive_label_pass(
 /// legacy in-memory entry points bit for bit.
 pub struct InMemoryBackend<'a> {
     points: &'a PointMatrix,
+    weights: Option<&'a [f64]>,
     exec: &'a Executor,
     tracker: Option<CostTracker<'a>>,
     candidates: PointMatrix,
@@ -838,11 +853,22 @@ impl<'a> InMemoryBackend<'a> {
     pub fn new(points: &'a PointMatrix, exec: &'a Executor) -> Self {
         InMemoryBackend {
             points,
+            weights: None,
             exec,
             tracker: None,
             candidates: PointMatrix::new(points.dim().max(1)),
             labels: None,
         }
+    }
+
+    /// Attaches per-point weights. Only [`RoundBackend::potential`]
+    /// honors them; the round primitives stay unweighted, and stages read
+    /// the weights through [`RoundBackend::local`] — validating them and
+    /// running their weighted arm, or rejecting weighted input with a
+    /// typed error.
+    pub fn with_weights(mut self, weights: Option<&'a [f64]>) -> Self {
+        self.weights = weights;
+        self
     }
 
     fn tracker(&self) -> Result<&CostTracker<'a>, KMeansError> {
@@ -863,6 +889,14 @@ impl RoundBackend for InMemoryBackend<'_> {
 
     fn dim(&self) -> usize {
         self.points.dim()
+    }
+
+    fn local(&self) -> Option<(LocalData<'_>, &Executor)> {
+        let data = LocalData::Resident {
+            points: self.points,
+            weights: self.weights,
+        };
+        Some((data, self.exec))
     }
 
     fn validate(&self, k: usize) -> Result<(), KMeansError> {
@@ -948,6 +982,9 @@ impl RoundBackend for InMemoryBackend<'_> {
     }
 
     fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError> {
+        // Refinement never reads the seeding tracker: free its d² and
+        // nearest-id arrays (12 B per row) before the pass allocates.
+        self.tracker = None;
         // The previous pass's labels seed the kernel's warm sweep.
         let (labels, sums) =
             assign_and_sum(self.points, centers, self.exec, self.labels.as_deref());
@@ -966,7 +1003,10 @@ impl RoundBackend for InMemoryBackend<'_> {
     }
 
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
-        Ok(potential(self.points, centers, self.exec))
+        Ok(match self.weights {
+            None => potential(self.points, centers, self.exec),
+            Some(w) => weighted_potential(self.points, w, centers),
+        })
     }
 }
 
@@ -1021,8 +1061,8 @@ impl RoundBackend for ChunkedBackend<'_> {
         self.source.dim()
     }
 
-    fn local_source(&self) -> Option<(&dyn ChunkedSource, &Executor)> {
-        Some((self.source, self.exec))
+    fn local(&self) -> Option<(LocalData<'_>, &Executor)> {
+        Some((LocalData::Blocks(self.source), self.exec))
     }
 
     fn validate(&self, k: usize) -> Result<(), KMeansError> {
@@ -1103,6 +1143,7 @@ impl RoundBackend for ChunkedBackend<'_> {
     }
 
     fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError> {
+        self.tracker = None; // as in InMemoryBackend::assign
         let (labels, partials, stats) = assign_partials_chunked(
             self.source,
             centers,

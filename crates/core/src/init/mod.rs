@@ -104,25 +104,6 @@ impl crate::pipeline::Initializer for InitMethod {
         }
     }
 
-    fn init(
-        &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
-        k: usize,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<InitResult, KMeansError> {
-        match self {
-            InitMethod::Random => crate::pipeline::Random.init(points, weights, k, seed, exec),
-            InitMethod::KMeansPlusPlus => {
-                crate::pipeline::KMeansPlusPlus.init(points, weights, k, seed, exec)
-            }
-            InitMethod::KMeansParallel(config) => {
-                crate::pipeline::KMeansParallel(*config).init(points, weights, k, seed, exec)
-            }
-        }
-    }
-
     fn init_backend(
         &self,
         backend: &mut dyn crate::driver::RoundBackend,

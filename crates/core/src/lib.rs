@@ -33,22 +33,24 @@
 //!   [`pipeline::Refiner`] traits, the unified [`pipeline::RefineResult`]
 //!   (with distance-evaluation accounting), and the core implementations:
 //!   `Random`, `KMeansPlusPlus`, `KMeansParallel`, `AfkMc2` seeders and
-//!   `Lloyd`, `HamerlyLloyd`, `MiniBatch`, `NoRefine` refiners. The
-//!   streaming seeders (Partition, coreset tree) implement the same
-//!   traits from `kmeans-streaming`.
+//!   `Lloyd`, `MiniBatch`, `NoRefine` refiners. Each stage implements one
+//!   method over a [`driver::RoundBackend`]. The streaming seeders
+//!   (Partition, coreset tree) implement the same traits from
+//!   `kmeans-streaming`.
 //! * [`init`] — the seeding algorithms themselves: `Random`, `k-means++`
 //!   (Algorithm 1), **`k-means||`** (Algorithm 2) with every knob the
 //!   paper's §5 sweeps, plus AFK-MC². [`init::InitMethod`] survives as a
 //!   thin enum that converts `Into<Box<dyn pipeline::Initializer>>`.
 //! * [`lloyd`] — Lloyd's iteration (parallel, with iteration accounting
 //!   and empty-cluster repair) and the weighted variant used by Step 8.
-//! * [`accel`] — Hamerly's bounds-accelerated Lloyd (exact, fewer
-//!   distance computations; extension).
 //! * [`minibatch`] — Sculley's mini-batch k-means (extension; paper
 //!   reference \[31]).
 //! * [`metrics`] — purity / NMI against ground-truth labels.
 //! * [`model`] — the [`model::KMeans`] builder tying it all together:
-//!   `.init(…)`, `.refine(…)`, `.weights(…)`, `.parallelism(…)`.
+//!   `.init(…)`, `.refine(…)`, `.weights(…)`, `.parallelism(…)`; every
+//!   fit runs through its one engine, [`model::KMeans::fit_round_backend`].
+//! * [`record`] — the flight recorder's span decorator over any
+//!   [`driver::RoundBackend`].
 //!
 //! Determinism: every algorithm is a pure function of its inputs, a 64-bit
 //! seed, and the executor's shard size. Worker counts never change results
@@ -65,7 +67,6 @@
 //! | [`init`] (`parallel`) | **Algorithm 2 — k-means\|\|**, §3.3–§3.5, §5 knobs |
 //! | [`init`] (`afkmc2`) | extension (Bachem et al. 2016) |
 //! | [`lloyd`] | §3.1 Lloyd iteration; Step 8's weighted variant |
-//! | [`accel`] | extension (Hamerly 2010): exact pruned Lloyd |
 //! | [`minibatch`] | §7's question about Sculley \[31] |
 //! | [`assign`] | the §3.5 MapReduce assignment round |
 //! | [`kernel`] | the batch nearest-center engine behind all of the above |
@@ -77,7 +78,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod accel;
 pub mod assign;
 pub mod chunked;
 pub mod cost;

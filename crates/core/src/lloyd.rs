@@ -102,7 +102,7 @@ pub struct LloydResult {
 }
 
 /// Input contract shared by every refinement entry point (plain and
-/// weighted Lloyd, Hamerly, mini-batch, the pipeline refiners): non-empty
+/// weighted Lloyd, mini-batch, the pipeline refiners): non-empty
 /// data, `1 ≤ |centers| ≤ n`, matching dimensionality.
 pub(crate) fn validate_refine_inputs(
     points: &PointMatrix,

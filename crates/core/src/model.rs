@@ -18,13 +18,13 @@
 //!
 //! ```
 //! use kmeans_core::model::KMeans;
-//! use kmeans_core::pipeline::{AfkMc2, HamerlyLloyd};
+//! use kmeans_core::pipeline::{AfkMc2, Lloyd};
 //! use kmeans_data::synth::GaussMixture;
 //!
 //! let synth = GaussMixture::new(5).points(500).generate(2).unwrap();
 //! let model = KMeans::params(5)
 //!     .init(AfkMc2::default())
-//!     .refine(HamerlyLloyd::default())
+//!     .refine(Lloyd::default())
 //!     .seed(7)
 //!     .fit(synth.dataset.points())
 //!     .unwrap();
@@ -32,12 +32,14 @@
 //! assert!(model.distance_computations() > 0);
 //! ```
 
-use crate::driver::{BackendKind, ChunkedBackend, InMemoryBackend, RoundBackend};
+use crate::driver::{ChunkedBackend, InMemoryBackend, RoundBackend};
 use crate::error::KMeansError;
 use crate::init::{InitMethod, InitStats};
 use crate::kernel::{AssignKernel, KernelStats};
 use crate::lloyd::{IterationStats, LloydConfig};
-use crate::pipeline::{reject_backend, validate_weights, Initializer, Lloyd, Refiner};
+use crate::pipeline::{
+    backend_weights, reject_backend, validate_weights, Initializer, Lloyd, Refiner,
+};
 use crate::record::RecordingBackend;
 use kmeans_data::{ChunkedSource, ModelRecord, PointMatrix};
 use kmeans_obs::{arg_str, Recorder};
@@ -181,12 +183,13 @@ impl KMeans {
     }
 
     /// Attaches a flight recorder. With an enabled recorder every fit —
-    /// in-memory, chunked, or distributed — records one span per round
-    /// primitive (round kind, wall time, wire bytes, kernel counters);
-    /// with the default disabled recorder the instrumentation costs one
-    /// branch per call. Recording never changes results: an instrumented
-    /// fit is bit-identical to an uninstrumented one (pinned by
-    /// `tests/obs_parity.rs`).
+    /// in-memory, chunked, or distributed — records one span per stage
+    /// and per round primitive (round kind, wall time, wire bytes, kernel
+    /// counters); with the default disabled recorder the instrumentation
+    /// costs one branch per call. The recorder only decides whether the
+    /// backend is wrapped in a [`RecordingBackend`], so an instrumented
+    /// fit runs the same code and is bit-identical to an uninstrumented
+    /// one (pinned by `tests/obs_parity.rs`).
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -249,59 +252,24 @@ impl KMeans {
         }
     }
 
-    /// Runs initialization + refinement on `points`.
+    /// Runs initialization + refinement on `points` (weighted when
+    /// [`KMeans::weights`] is set): [`KMeans::fit_round_backend`] on an
+    /// [`InMemoryBackend`] that carries the weights.
     pub fn fit(&self, points: &PointMatrix) -> Result<KMeansModel, KMeansError> {
-        let exec = self.executor();
         let weights = self.weights.as_deref();
         validate_weights(points, weights)?;
-        let refiner = self.resolve_refiner()?;
-        // An enabled recorder routes through the backend-generic round
-        // drivers — bit-identical to the direct path (the driver layer's
-        // pinned parity contract) — so every round primitive gets its
-        // own span. Stages without an in-memory round realization
-        // (AFK-MC², Hamerly, k-means++) and weighted fits stay on the
-        // direct path and record coarse per-stage spans instead.
-        if self.recorder.is_enabled()
-            && weights.is_none()
-            && self.init.supports_backend(BackendKind::InMemory)
-            && refiner.supports_backend(BackendKind::InMemory)
-        {
-            let mut backend = InMemoryBackend::new(points, &exec);
-            return self.fit_round_backend(&mut backend);
-        }
-        let start = self.recorder.start();
-        let init = self.init.init(points, weights, self.k, self.seed, &exec)?;
-        self.recorder.span(start, "stage:init", "fit", || {
-            vec![arg_str("stage", self.init.name())]
-        });
-        let start = self.recorder.start();
-        let result = refiner.refine(points, weights, &init.centers, self.seed, &exec)?;
-        self.recorder.span(start, "stage:refine", "fit", || {
-            vec![arg_str("stage", refiner.name())]
-        });
-        Ok(KMeansModel {
-            centers: result.centers,
-            labels: result.labels,
-            cost: result.cost,
-            init_stats: init.stats,
-            iterations: result.iterations,
-            converged: result.converged,
-            history: result.history,
-            distance_computations: result.distance_computations,
-            pruned_by_norm_bound: result.pruned_by_norm_bound,
-            init_name: self.init.name(),
-            refiner_name: refiner.name(),
-            executor: exec,
-        })
+        let exec = self.executor();
+        self.fit_round_backend(&mut InMemoryBackend::new(points, &exec).with_weights(weights))
     }
 
     /// Runs initialization + refinement **out of core** on the configured
-    /// [`KMeans::data_source`]: every stage streams the source block by
-    /// block (one scan per k-means|| round / Lloyd iteration), so the
+    /// [`KMeans::data_source`]: [`KMeans::fit_round_backend`] on a
+    /// [`ChunkedBackend`], so every stage streams the source block by
+    /// block (one scan per k-means|| round / Lloyd iteration) and the
     /// feature payload never has to fit in memory. Results are
     /// bit-identical to [`KMeans::fit`] on the same data, seed, and
-    /// executor for every stage with a chunked formulation; stages without
-    /// one (AFK-MC², Hamerly) and weighted fits are rejected with a typed
+    /// executor for every stage with a chunked formulation; stages
+    /// without one (AFK-MC²) and weighted fits are rejected with a typed
     /// error.
     pub fn fit_chunked(&self) -> Result<KMeansModel, KMeansError> {
         let source = self.source.clone().ok_or_else(|| {
@@ -309,60 +277,20 @@ impl KMeans {
                 "no data source configured; call .data_source(...) before .fit_chunked()".into(),
             )
         })?;
-        if self.weights.is_some() {
-            return Err(KMeansError::InvalidConfig(
-                "chunked fits do not support weighted input".into(),
-            ));
-        }
         let exec = self.executor();
-        let refiner = self.resolve_refiner()?;
-        // Same routing rule as `fit`: an enabled recorder runs the fit
-        // through the backend-generic drivers (bit-identical) so every
-        // block scan records a per-primitive span.
-        if self.recorder.is_enabled()
-            && self.init.supports_backend(BackendKind::Chunked)
-            && refiner.supports_backend(BackendKind::Chunked)
-        {
-            let mut backend = ChunkedBackend::new(source.as_ref(), &exec);
-            return self.fit_round_backend(&mut backend);
-        }
-        let start = self.recorder.start();
-        let init = self
-            .init
-            .init_chunked(source.as_ref(), self.k, self.seed, &exec)?;
-        self.recorder.span(start, "stage:init", "fit", || {
-            vec![arg_str("stage", self.init.name())]
-        });
-        let start = self.recorder.start();
-        let result = refiner.refine_chunked(source.as_ref(), &init.centers, self.seed, &exec)?;
-        self.recorder.span(start, "stage:refine", "fit", || {
-            vec![arg_str("stage", refiner.name())]
-        });
-        Ok(KMeansModel {
-            centers: result.centers,
-            labels: result.labels,
-            cost: result.cost,
-            init_stats: init.stats,
-            iterations: result.iterations,
-            converged: result.converged,
-            history: result.history,
-            distance_computations: result.distance_computations,
-            pruned_by_norm_bound: result.pruned_by_norm_bound,
-            init_name: self.init.name(),
-            refiner_name: refiner.name(),
-            executor: exec,
-        })
+        self.fit_round_backend(&mut ChunkedBackend::new(source.as_ref(), &exec))
     }
 
     /// Runs the standard init → refine pipeline over an explicit
-    /// [`RoundBackend`] — the shared fit engine behind [`KMeans::fit`] /
-    /// [`KMeans::fit_chunked`] when instrumented, and behind
-    /// `kmeans-cluster`'s distributed fit entry points.
+    /// [`RoundBackend`] — the one fit engine behind [`KMeans::fit`],
+    /// [`KMeans::fit_chunked`], and `kmeans-cluster`'s distributed fit
+    /// entry points.
     ///
     /// Both stages are capability-checked against the backend's
-    /// [`BackendKind`] up front and rejected with the mode's typed error
-    /// when they have no round formulation; weighted input is rejected
-    /// (weights exist only on the in-memory direct path). When the
+    /// [`BackendKind`](crate::driver::BackendKind) up front and rejected
+    /// with the mode's typed error when they have no formulation there;
+    /// configured weights are rejected unless the backend carries them
+    /// (only [`KMeans::fit`]'s in-memory backend does). When the
     /// configured [`Recorder`] is enabled the backend is wrapped in a
     /// [`RecordingBackend`] so every round primitive records a span; the
     /// wrapper only observes, so results are bit-identical either way.
@@ -371,7 +299,7 @@ impl KMeans {
         backend: &mut dyn RoundBackend,
     ) -> Result<KMeansModel, KMeansError> {
         let kind = backend.kind();
-        if self.weights.is_some() {
+        if self.weights.is_some() && backend_weights(backend).is_none() {
             return Err(KMeansError::InvalidConfig(format!(
                 "{} fits do not support weighted input",
                 kind.name()
@@ -531,8 +459,8 @@ impl KMeansModel {
         &self.history
     }
 
-    /// Point-to-center distance evaluations the refiner spent (measured
-    /// for Hamerly, analytic for the rest) — the pruning observable.
+    /// Point-to-center distance evaluations the refiner spent (analytic:
+    /// `n·k` per assignment pass).
     pub fn distance_computations(&self) -> u64 {
         self.distance_computations
     }
@@ -689,7 +617,9 @@ impl KMeansModel {
     }
 }
 
-/// Stage names a persisted record can map back to `&'static str`.
+/// Stage names a persisted record can map back to `&'static str`
+/// (`hamerly` names a refiner that no longer exists, so records saved
+/// with it still load under their name).
 const INIT_NAMES: &[&str] = &[
     "kmeans-par",
     "kmeans++",
@@ -870,7 +800,7 @@ mod tests {
     use super::*;
     use crate::init::KMeansParallelConfig;
     use crate::minibatch::MiniBatchConfig;
-    use crate::pipeline::{AfkMc2, HamerlyLloyd, MiniBatch, NoRefine};
+    use crate::pipeline::{AfkMc2, MiniBatch, NoRefine};
 
     fn blobs() -> PointMatrix {
         let mut m = PointMatrix::new(2);
@@ -948,19 +878,6 @@ mod tests {
             .init(InitMethod::KMeansPlusPlus)
             .seed(8)
             .parallelism(Parallelism::Sequential);
-        let lloyd = base.clone().fit(&points).unwrap();
-        let hamerly = base
-            .clone()
-            .refine(HamerlyLloyd::default())
-            .fit(&points)
-            .unwrap();
-        // Exact algorithm: same assignment. (Real pruning ratios are
-        // asserted on larger data in `pipeline` and `accel` tests; on a
-        // 180-point toy set the k² bound overhead can dominate.)
-        assert_eq!(lloyd.labels(), hamerly.labels());
-        assert!(hamerly.distance_computations() > 0);
-        assert_eq!(hamerly.refiner_name(), "hamerly");
-
         let seed_only = base.clone().refine(NoRefine).fit(&points).unwrap();
         assert_eq!(seed_only.iterations(), 0);
         assert!(
@@ -1167,6 +1084,21 @@ mod tests {
     }
 
     #[test]
+    fn records_saved_by_the_removed_hamerly_refiner_keep_its_name() {
+        let points = blobs();
+        let model = KMeans::params(3)
+            .seed(5)
+            .parallelism(Parallelism::Sequential)
+            .fit(&points)
+            .unwrap();
+        let mut record = model.to_record();
+        record.refiner_name = "hamerly".into();
+        let revived = KMeansModel::from_record(record, Executor::new(Parallelism::Sequential));
+        assert_eq!(revived.refiner_name(), "hamerly");
+        assert_eq!(revived.centers(), model.centers());
+    }
+
+    #[test]
     fn predict_rejects_wrong_dim() {
         let points = blobs();
         let model = KMeans::params(2)
@@ -1197,7 +1129,7 @@ mod tests {
         let points = blobs();
         let err = KMeans::params(3)
             .max_iterations(5)
-            .refine(HamerlyLloyd::default())
+            .refine(MiniBatch::default())
             .fit(&points)
             .unwrap_err();
         assert!(matches!(err, KMeansError::InvalidConfig(_)), "{err:?}");

@@ -9,37 +9,39 @@
 //! API: any `Initializer` can feed any `Refiner` through the
 //! [`KMeans`](crate::model::KMeans) builder.
 //!
+//! Each stage implements **one** stage method over a [`RoundBackend`]
+//! ([`Initializer::init_backend`] / [`Refiner::refine_backend`]); every
+//! fit — in-memory, chunked, or distributed — calls exactly that method,
+//! and the per-mode entry points (`init`, `init_chunked`, `refine`,
+//! `refine_chunked`) are provided adapters that build the backend.
+//!
 //! Core initializers: [`Random`], [`KMeansPlusPlus`], [`KMeansParallel`],
 //! [`AfkMc2`]. The streaming seeders (Partition, coreset tree) implement
 //! the same trait from the `kmeans-streaming` crate.
 //!
-//! Refiners: [`Lloyd`], [`HamerlyLloyd`], [`MiniBatch`], and [`NoRefine`]
-//! (seed-only — the Table 1/2 "seed cost" studies are `NoRefine` runs).
-//! Every refiner returns a unified [`RefineResult`] including a
-//! distance-evaluation count, so Hamerly's pruning stays observable next
-//! to plain Lloyd's `n·k` per iteration.
+//! Refiners: [`Lloyd`], [`MiniBatch`], and [`NoRefine`] (seed-only — the
+//! Table 1/2 "seed cost" studies are `NoRefine` runs). Every refiner
+//! returns a unified [`RefineResult`] including a distance-evaluation
+//! count.
 //!
-//! Weighted data flows through both stages via the `weights` parameter
-//! (`KMeans::weights` plumbs it): `Random`, `KMeansPlusPlus`, `Lloyd` and
-//! `NoRefine` honor per-point weights; the remaining algorithms reject
-//! weighted input with a typed error rather than silently ignoring it.
+//! Weighted data rides on the in-memory backend
+//! ([`InMemoryBackend::with_weights`]; `KMeans::weights` plumbs it):
+//! `Random`, `KMeansPlusPlus`, `Lloyd` and `NoRefine` honor per-point
+//! weights; the remaining algorithms reject weighted input with a typed
+//! error rather than silently ignoring it.
 
-use crate::accel::hamerly_lloyd;
-use crate::assign::{assign_and_sum, assign_weighted};
-use crate::cost::{potential, weighted_potential};
+use crate::assign::assign_weighted;
 use crate::driver::{
     drive_kmeans_parallel, drive_label_pass, drive_lloyd, drive_minibatch, drive_random_init,
-    finish_init_backend, BackendKind, ChunkedBackend, RoundBackend,
+    finish_init_backend, BackendKind, ChunkedBackend, InMemoryBackend, LocalData, RoundBackend,
 };
 use crate::error::KMeansError;
 use crate::init::{
-    afk_mc2, kmeans_parallel, kmeanspp, kmeanspp_chunked, random_init, validate, weighted_kmeanspp,
-    InitResult, InitStats, KMeansParallelConfig,
+    afk_mc2, kmeanspp, kmeanspp_chunked, validate, weighted_kmeanspp, InitResult, InitStats,
+    KMeansParallelConfig,
 };
-use crate::lloyd::{
-    lloyd, validate_refine_inputs, weighted_lloyd_traced, IterationStats, LloydConfig,
-};
-use crate::minibatch::{minibatch_kmeans_traced, MiniBatchConfig};
+use crate::lloyd::{validate_refine_inputs, weighted_lloyd_traced, IterationStats, LloydConfig};
+use crate::minibatch::MiniBatchConfig;
 use kmeans_data::{ChunkedSource, PointMatrix};
 use kmeans_par::Executor;
 use kmeans_util::sampling::{uniform_distinct, weighted_distinct};
@@ -47,8 +49,8 @@ use kmeans_util::timing::Stopwatch;
 use kmeans_util::Rng;
 use std::fmt;
 
-/// A seeding stage: produces exactly `k` centers (plus accounting) from a
-/// dataset, an optional per-point weight vector, a seed, and an executor.
+/// A seeding stage: produces exactly `k` centers (plus accounting) from
+/// the data behind a [`RoundBackend`] and a seed.
 ///
 /// Object-safe: the [`KMeans`](crate::model::KMeans) builder stores
 /// `Arc<dyn Initializer>`, so implementations can live in other crates
@@ -72,8 +74,37 @@ pub trait Initializer: fmt::Debug + Send + Sync {
     /// Stable lower-case name used in reports and CLI output.
     fn name(&self) -> &'static str;
 
-    /// Runs the seeding. The seed fully determines the outcome given the
-    /// executor's shard size (worker count never matters).
+    /// Runs the seeding over any [`RoundBackend`] — the stage's one
+    /// entry point, behind [`KMeans::fit`](crate::model::KMeans::fit),
+    /// `fit_chunked` and `fit_distributed` alike. The seed fully
+    /// determines the outcome given the executor's shard size (worker
+    /// count, block size and backend never matter).
+    ///
+    /// Stages whose round structure is expressible in the backend
+    /// primitives (k-means||, random) run on every execution mode; stages
+    /// without one read the data through [`RoundBackend::local`] and
+    /// reject the backends it does not serve with the mode-specific
+    /// typed error ([`reject_backend`]).
+    fn init_backend(
+        &self,
+        backend: &mut dyn RoundBackend,
+        k: usize,
+        seed: u64,
+    ) -> Result<InitResult, KMeansError>;
+
+    /// Whether [`Initializer::init_backend`] has a realization on the
+    /// given backend kind (default: in-memory only). Declarative twin of
+    /// `init_backend`'s own rejection behavior (must agree with it) —
+    /// frontends use it to fail fast with the stage's typed rejection
+    /// *before* any stage touches the backend (so an unsupported refiner
+    /// is reported before the seeding runs).
+    fn supports_backend(&self, kind: BackendKind) -> bool {
+        kind == BackendKind::InMemory
+    }
+
+    /// Runs the seeding on a resident matrix with optional per-point
+    /// weights. Provided: [`Initializer::init_backend`] on an
+    /// [`InMemoryBackend`].
     fn init(
         &self,
         points: &PointMatrix,
@@ -81,52 +112,13 @@ pub trait Initializer: fmt::Debug + Send + Sync {
         k: usize,
         seed: u64,
         exec: &Executor,
-    ) -> Result<InitResult, KMeansError>;
-
-    /// Runs the seeding over any [`RoundBackend`] — the **one**
-    /// backend-taking entry point behind both
-    /// [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked) (via
-    /// [`ChunkedBackend`]) and `fit_distributed` (via `kmeans-cluster`'s
-    /// `ClusterBackend`).
-    ///
-    /// Stages whose round structure is expressible in the backend
-    /// primitives (k-means||, random) override this once and run on
-    /// every execution mode, staying **bit-identical** to
-    /// [`Initializer::init`] on the same data, seed, and executor shard
-    /// size. Stages with a block-streaming but not fully round-generic
-    /// formulation (k-means++, the streaming seeders) restrict
-    /// themselves via [`RoundBackend::local_source`]; stages with
-    /// neither inherit this default, which rejects with the
-    /// mode-specific typed error ([`reject_backend`]). Weighted input is
-    /// not supported on backend paths.
-    fn init_backend(
-        &self,
-        backend: &mut dyn RoundBackend,
-        k: usize,
-        seed: u64,
     ) -> Result<InitResult, KMeansError> {
-        let _ = (k, seed);
-        Err(reject_backend(self.name(), backend.kind()))
+        let mut backend = InMemoryBackend::new(points, exec).with_weights(weights);
+        self.init_backend(&mut backend, k, seed)
     }
 
-    /// Whether [`Initializer::init_backend`] has a realization on the
-    /// given backend kind. Declarative twin of `init_backend`'s own
-    /// rejection behavior (must agree with it) — frontends use it to
-    /// fail fast with the stage's typed rejection *before* any stage
-    /// touches the backend (`fit_distributed` checks both pipeline
-    /// stages up front, so an unsupported refiner is reported before
-    /// the seeding runs).
-    fn supports_backend(&self, kind: BackendKind) -> bool {
-        let _ = kind;
-        false
-    }
-
-    /// Runs the seeding over a block-resident [`ChunkedSource`] — the
-    /// out-of-core entry point behind
-    /// [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked).
-    ///
-    /// Provided: routes through [`Initializer::init_backend`] on a
-    /// [`ChunkedBackend`]. Implement `init_backend`, not this.
+    /// Runs the seeding over a block-resident [`ChunkedSource`].
+    /// Provided: [`Initializer::init_backend`] on a [`ChunkedBackend`].
     fn init_chunked(
         &self,
         source: &dyn ChunkedSource,
@@ -143,7 +135,26 @@ pub trait Refiner: fmt::Debug + Send + Sync {
     /// Stable lower-case name used in reports and CLI output.
     fn name(&self) -> &'static str;
 
-    /// Runs the refinement from `centers`.
+    /// Runs the refinement from `centers` over any [`RoundBackend`] —
+    /// the stage's one entry point (see [`Initializer::init_backend`]
+    /// for the contract).
+    fn refine_backend(
+        &self,
+        backend: &mut dyn RoundBackend,
+        centers: &PointMatrix,
+        seed: u64,
+    ) -> Result<RefineResult, KMeansError>;
+
+    /// Whether [`Refiner::refine_backend`] has a realization on the
+    /// given backend kind — see [`Initializer::supports_backend`] for
+    /// the contract.
+    fn supports_backend(&self, kind: BackendKind) -> bool {
+        kind == BackendKind::InMemory
+    }
+
+    /// Runs the refinement on a resident matrix with optional per-point
+    /// weights. Provided: [`Refiner::refine_backend`] on an
+    /// [`InMemoryBackend`].
     fn refine(
         &self,
         points: &PointMatrix,
@@ -151,37 +162,14 @@ pub trait Refiner: fmt::Debug + Send + Sync {
         centers: &PointMatrix,
         seed: u64,
         exec: &Executor,
-    ) -> Result<RefineResult, KMeansError>;
-
-    /// Runs the refinement over any [`RoundBackend`] — the **one**
-    /// backend-taking entry point behind `fit_chunked` and
-    /// `fit_distributed` (see [`Initializer::init_backend`] for the
-    /// contract). Overriding stages stay bit-identical to
-    /// [`Refiner::refine`]; the default rejects with the mode-specific
-    /// typed error.
-    fn refine_backend(
-        &self,
-        backend: &mut dyn RoundBackend,
-        centers: &PointMatrix,
-        seed: u64,
     ) -> Result<RefineResult, KMeansError> {
-        let _ = (centers, seed);
-        Err(reject_backend(self.name(), backend.kind()))
-    }
-
-    /// Whether [`Refiner::refine_backend`] has a realization on the
-    /// given backend kind — see
-    /// [`Initializer::supports_backend`] for the contract.
-    fn supports_backend(&self, kind: BackendKind) -> bool {
-        let _ = kind;
-        false
+        let mut backend = InMemoryBackend::new(points, exec).with_weights(weights);
+        self.refine_backend(&mut backend, centers, seed)
     }
 
     /// Runs the refinement over a block-resident [`ChunkedSource`] (one
     /// scan per Lloyd iteration, gathered batches for mini-batch).
-    ///
-    /// Provided: routes through [`Refiner::refine_backend`] on a
-    /// [`ChunkedBackend`]. Implement `refine_backend`, not this.
+    /// Provided: [`Refiner::refine_backend`] on a [`ChunkedBackend`].
     fn refine_chunked(
         &self,
         source: &dyn ChunkedSource,
@@ -194,8 +182,8 @@ pub trait Refiner: fmt::Debug + Send + Sync {
 }
 
 /// Typed rejection for stages without an out-of-core formulation (AFK-MC²'s
-/// Markov chain and Hamerly's bound arrays want resident random access) —
-/// shared so the error text stays uniform across crates.
+/// Markov chain wants resident random access) — shared so the error text
+/// stays uniform across crates.
 pub fn reject_chunked(name: &str) -> KMeansError {
     KMeansError::InvalidConfig(format!("{name} does not support chunked data sources"))
 }
@@ -209,14 +197,12 @@ pub fn reject_distributed(name: &str) -> KMeansError {
 
 /// Typed rejection for a stage without a formulation on the given
 /// execution mode — dispatches to that mode's established error text
-/// ([`reject_chunked`] / [`reject_distributed`]), so the default
-/// [`Initializer::init_backend`] / [`Refiner::refine_backend`] fail with
-/// the exact message the per-mode entry points always produced.
+/// ([`reject_chunked`] / [`reject_distributed`]).
 pub fn reject_backend(name: &str, kind: BackendKind) -> KMeansError {
     match kind {
-        BackendKind::InMemory => KMeansError::InvalidConfig(format!(
-            "{name} has no backend-generic round driver; use the in-memory entry point"
-        )),
+        BackendKind::InMemory => {
+            KMeansError::InvalidConfig(format!("{name} does not support in-memory data"))
+        }
         BackendKind::Chunked => reject_chunked(name),
         BackendKind::Distributed => reject_distributed(name),
     }
@@ -240,21 +226,18 @@ pub struct RefineResult {
     /// Per-iteration history where the refiner tracks one (plain Lloyd);
     /// empty otherwise.
     pub history: Vec<IterationStats>,
-    /// Point-to-center distance evaluations spent, including the closing
-    /// labeling pass. Exact for [`HamerlyLloyd`] (counted inside the
-    /// pruned loop); analytic `n·k`-per-pass for the others. The ratio
-    /// Lloyd/Hamerly at equal iterations is the pruning factor.
+    /// Point-to-center distance evaluations, analytic: `n·k` per
+    /// assignment pass (the closing labeling pass included) plus
+    /// `batch·k` per mini-batch step.
     pub distance_computations: u64,
     /// Point–center pairs the batch assignment kernel skipped via its
     /// exact `O(1)` lower bounds (the norm bound `(‖x‖−‖c‖)²` and the
     /// coordinate gaps, wholesale sorted-sweep stops included) — the
-    /// second pruning observable, next to `distance_computations`.
-    /// Measured wherever the refiner runs on the kernel ([`Lloyd`],
-    /// [`MiniBatch`], [`NoRefine`] — on every backend, the distributed
-    /// one included, whose workers ship their counters in the partials
-    /// frames); 0 for [`HamerlyLloyd`] (its pruning is bound-based and
-    /// already reflected in `distance_computations`) and the sequential
-    /// weighted paths.
+    /// pruning observable, next to `distance_computations`. Measured
+    /// wherever the refiner runs on the kernel ([`Lloyd`], [`MiniBatch`],
+    /// [`NoRefine`] — on every backend, the distributed one included,
+    /// whose workers ship their counters in the partials frames); 0 on
+    /// the sequential weighted paths.
     pub pruned_by_norm_bound: u64,
 }
 
@@ -279,24 +262,13 @@ pub(crate) fn validate_weights(
     Ok(())
 }
 
-/// Shared epilogue for initializers: stamps duration and the (possibly
-/// weighted) seed cost, exactly as the legacy `InitMethod::run` did.
-/// Public so out-of-crate [`Initializer`] implementations (the streaming
-/// adapters) stay on the same seed-cost convention.
-pub fn finish_init(
-    points: &PointMatrix,
-    weights: Option<&[f64]>,
-    centers: PointMatrix,
-    mut stats: InitStats,
-    sw: Stopwatch,
-    exec: &Executor,
-) -> InitResult {
-    stats.duration = sw.elapsed();
-    stats.seed_cost = match weights {
-        None => potential(points, &centers, exec),
-        Some(w) => weighted_potential(points, w, &centers),
-    };
-    InitResult { centers, stats }
+/// The per-point weights a backend carries — `Some` only on a weighted
+/// [`InMemoryBackend`].
+pub(crate) fn backend_weights(backend: &dyn RoundBackend) -> Option<&[f64]> {
+    match backend.local() {
+        Some((LocalData::Resident { weights, .. }, _)) => weights,
+        _ => None,
+    }
 }
 
 /// Typed rejection for algorithms without a weighted formulation —
@@ -329,21 +301,24 @@ impl Initializer for Random {
         true
     }
 
-    fn init(
+    fn init_backend(
         &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
+        backend: &mut dyn RoundBackend,
         k: usize,
         seed: u64,
-        exec: &Executor,
     ) -> Result<InitResult, KMeansError> {
-        validate(points, k)?;
-        validate_weights(points, weights)?;
         let sw = Stopwatch::start();
-        let mut rng = Rng::derive(seed, &[20]);
-        let centers = match weights {
-            None => random_init(points, k, &mut rng)?,
-            Some(w) => {
+        let (centers, stats) = match backend.local() {
+            Some((
+                LocalData::Resident {
+                    points,
+                    weights: Some(w),
+                },
+                _,
+            )) => {
+                validate(points, k)?;
+                validate_weights(points, Some(w))?;
+                let mut rng = Rng::derive(seed, &[20]);
                 // Weight-proportional sampling without replacement; if
                 // fewer than k points carry positive weight, top up
                 // uniformly from the zero-weight remainder.
@@ -356,26 +331,16 @@ impl Initializer for Random {
                         sel.push(rest[j]);
                     }
                 }
-                points.select(&sel)
+                let stats = InitStats {
+                    rounds: 0,
+                    passes: 1,
+                    candidates: k,
+                    ..InitStats::default()
+                };
+                (points.select(&sel), stats)
             }
+            _ => drive_random_init(backend, k, seed)?,
         };
-        let stats = InitStats {
-            rounds: 0,
-            passes: 1,
-            candidates: k,
-            ..InitStats::default()
-        };
-        Ok(finish_init(points, weights, centers, stats, sw, exec))
-    }
-
-    fn init_backend(
-        &self,
-        backend: &mut dyn RoundBackend,
-        k: usize,
-        seed: u64,
-    ) -> Result<InitResult, KMeansError> {
-        let sw = Stopwatch::start();
-        let (centers, stats) = drive_random_init(backend, k, seed)?;
         finish_init_backend(backend, centers, stats, sw)
     }
 }
@@ -391,32 +356,7 @@ impl Initializer for KMeansPlusPlus {
     }
 
     fn supports_backend(&self, kind: BackendKind) -> bool {
-        kind == BackendKind::Chunked
-    }
-
-    fn init(
-        &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
-        k: usize,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<InitResult, KMeansError> {
-        validate(points, k)?;
-        validate_weights(points, weights)?;
-        let sw = Stopwatch::start();
-        let mut rng = Rng::derive(seed, &[21]);
-        let centers = match weights {
-            None => kmeanspp(points, k, &mut rng, exec)?,
-            Some(w) => weighted_kmeanspp(points, w, k, &mut rng)?,
-        };
-        let stats = InitStats {
-            rounds: k.saturating_sub(1),
-            passes: k,
-            candidates: k,
-            ..InitStats::default()
-        };
-        Ok(finish_init(points, weights, centers, stats, sw, exec))
+        kind != BackendKind::Distributed
     }
 
     fn init_backend(
@@ -429,13 +369,21 @@ impl Initializer for KMeansPlusPlus {
         // distribution — k dependent rounds over the resident d² array.
         // That streams fine block by block, but has no per-round
         // decomposition a remote backend could serve cheaply (the
-        // paper's point), so it runs on local sources only.
-        let Some((source, exec)) = backend.local_source() else {
-            return Err(reject_backend(self.name(), backend.kind()));
-        };
+        // paper's point), so it runs on local data only.
         let sw = Stopwatch::start();
         let mut rng = Rng::derive(seed, &[21]);
-        let centers = kmeanspp_chunked(source, k, &mut rng, exec)?;
+        let centers = match backend.local() {
+            Some((LocalData::Resident { points, weights }, exec)) => {
+                validate(points, k)?;
+                validate_weights(points, weights)?;
+                match weights {
+                    None => kmeanspp(points, k, &mut rng, exec)?,
+                    Some(w) => weighted_kmeanspp(points, w, k, &mut rng)?,
+                }
+            }
+            Some((LocalData::Blocks(source), exec)) => kmeanspp_chunked(source, k, &mut rng, exec)?,
+            None => return Err(reject_backend(self.name(), backend.kind())),
+        };
         let stats = InitStats {
             rounds: k.saturating_sub(1),
             passes: k,
@@ -459,27 +407,17 @@ impl Initializer for KMeansParallel {
         true
     }
 
-    fn init(
-        &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
-        k: usize,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<InitResult, KMeansError> {
-        validate(points, k)?;
-        reject_weights("k-means||", weights)?;
-        let sw = Stopwatch::start();
-        let (centers, stats) = kmeans_parallel(points, k, &self.0, seed, exec)?;
-        Ok(finish_init(points, weights, centers, stats, sw, exec))
-    }
-
     fn init_backend(
         &self,
         backend: &mut dyn RoundBackend,
         k: usize,
         seed: u64,
     ) -> Result<InitResult, KMeansError> {
+        if let Some(w) = backend_weights(backend) {
+            // k is checked first, as every seeder reports it.
+            backend.validate(k)?;
+            reject_weights("k-means||", Some(w))?;
+        }
         let sw = Stopwatch::start();
         let (centers, stats) = drive_kmeans_parallel(backend, k, &self.0, seed)?;
         finish_init_backend(backend, centers, stats, sw)
@@ -506,14 +444,16 @@ impl Initializer for AfkMc2 {
         "afk-mc2"
     }
 
-    fn init(
+    fn init_backend(
         &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
+        backend: &mut dyn RoundBackend,
         k: usize,
         seed: u64,
-        exec: &Executor,
     ) -> Result<InitResult, KMeansError> {
+        // The chain wants resident random access to every row.
+        let Some((LocalData::Resident { points, weights }, exec)) = backend.local() else {
+            return Err(reject_backend(self.name(), backend.kind()));
+        };
         validate(points, k)?;
         reject_weights("afk-mc2", weights)?;
         let sw = Stopwatch::start();
@@ -525,7 +465,7 @@ impl Initializer for AfkMc2 {
             candidates: k,
             ..InitStats::default()
         };
-        Ok(finish_init(points, weights, centers, stats, sw, exec))
+        finish_init_backend(backend, centers, stats, sw)
     }
 }
 
@@ -554,73 +494,6 @@ impl Refiner for Lloyd {
         true
     }
 
-    fn refine(
-        &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
-        centers: &PointMatrix,
-        _seed: u64,
-        exec: &Executor,
-    ) -> Result<RefineResult, KMeansError> {
-        validate_weights(points, weights)?;
-        let n = points.len() as u64;
-        let k = centers.len() as u64;
-        match weights {
-            None => {
-                let r = lloyd(points, centers, &self.0, exec)?;
-                // assign_and_sum spends n·k per assignment pass; lloyd()
-                // counts the closing relabel pass itself.
-                Ok(RefineResult {
-                    distance_computations: n * k * r.assign_passes as u64,
-                    pruned_by_norm_bound: r.pruned_by_norm_bound,
-                    centers: r.centers,
-                    labels: r.labels,
-                    cost: r.cost,
-                    iterations: r.iterations,
-                    converged: r.converged,
-                    history: r.history,
-                })
-            }
-            Some(w) => {
-                self.0.validate()?;
-                validate_refine_inputs(points, centers)?;
-                let trace = weighted_lloyd_traced(
-                    points,
-                    w,
-                    centers.clone(),
-                    self.0.max_iterations,
-                    self.0.tol,
-                );
-                // On a stable exit the trace's last pass already produced
-                // (labels, cost) for the final centers; otherwise one
-                // closing relabel pass is needed (and counted).
-                let (labels, cost, closing) = match trace.stable {
-                    Some((labels, cost)) => (labels, cost, 0),
-                    None => {
-                        let (labels, _sums, _wsum, cost) =
-                            assign_weighted(points, w, &trace.centers);
-                        (labels, cost, 1)
-                    }
-                };
-                Ok(RefineResult {
-                    centers: trace.centers,
-                    labels,
-                    cost,
-                    // Match unweighted lloyd()'s convention (history.len()):
-                    // every in-loop assignment pass counts as an iteration,
-                    // the stability-detecting no-op pass included.
-                    iterations: trace.assign_passes,
-                    converged: trace.converged,
-                    history: Vec::new(),
-                    distance_computations: n * k * (trace.assign_passes as u64 + closing),
-                    // The weighted kernels are sequential scalar code on
-                    // candidate-set-sized data; no norm pruning there.
-                    pruned_by_norm_bound: 0,
-                })
-            }
-        }
-    }
-
     fn refine_backend(
         &self,
         backend: &mut dyn RoundBackend,
@@ -629,6 +502,50 @@ impl Refiner for Lloyd {
     ) -> Result<RefineResult, KMeansError> {
         let n = backend.len() as u64;
         let k = centers.len() as u64;
+        if let Some((
+            LocalData::Resident {
+                points,
+                weights: Some(w),
+            },
+            _,
+        )) = backend.local()
+        {
+            validate_weights(points, Some(w))?;
+            self.0.validate()?;
+            validate_refine_inputs(points, centers)?;
+            let trace = weighted_lloyd_traced(
+                points,
+                w,
+                centers.clone(),
+                self.0.max_iterations,
+                self.0.tol,
+            );
+            // On a stable exit the trace's last pass already produced
+            // (labels, cost) for the final centers; otherwise one
+            // closing relabel pass is needed (and counted).
+            let (labels, cost, closing) = match trace.stable {
+                Some((labels, cost)) => (labels, cost, 0),
+                None => {
+                    let (labels, _sums, _wsum, cost) = assign_weighted(points, w, &trace.centers);
+                    (labels, cost, 1)
+                }
+            };
+            return Ok(RefineResult {
+                centers: trace.centers,
+                labels,
+                cost,
+                // Match unweighted lloyd()'s convention (history.len()):
+                // every in-loop assignment pass counts as an iteration,
+                // the stability-detecting no-op pass included.
+                iterations: trace.assign_passes,
+                converged: trace.converged,
+                history: Vec::new(),
+                distance_computations: n * k * (trace.assign_passes as u64 + closing),
+                // The weighted kernels are sequential scalar code on
+                // candidate-set-sized data; no norm pruning there.
+                pruned_by_norm_bound: 0,
+            });
+        }
         let r = drive_lloyd(backend, centers, &self.0)?;
         Ok(RefineResult {
             distance_computations: n * k * r.assign_passes as u64,
@@ -639,44 +556,6 @@ impl Refiner for Lloyd {
             iterations: r.iterations,
             converged: r.converged,
             history: r.history,
-        })
-    }
-}
-
-/// Hamerly's bounds-accelerated Lloyd — exact results, far fewer distance
-/// evaluations; the count in [`RefineResult::distance_computations`] is
-/// measured, not analytic. Stops on assignment stability only: a nonzero
-/// `tol` in the config is rejected (see [`hamerly_lloyd`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct HamerlyLloyd(pub LloydConfig);
-
-impl Refiner for HamerlyLloyd {
-    fn name(&self) -> &'static str {
-        "hamerly"
-    }
-
-    fn refine(
-        &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
-        centers: &PointMatrix,
-        _seed: u64,
-        exec: &Executor,
-    ) -> Result<RefineResult, KMeansError> {
-        reject_weights("hamerly", weights)?;
-        let r = hamerly_lloyd(points, centers, &self.0, exec)?;
-        Ok(RefineResult {
-            // The closing exact pass inside hamerly_lloyd is not part of
-            // its own counter; add it so refiners are comparable.
-            distance_computations: r.distance_computations
-                + points.len() as u64 * centers.len() as u64,
-            pruned_by_norm_bound: 0, // Hamerly prunes via bounds, counted above
-            centers: r.centers,
-            labels: r.labels,
-            cost: r.cost,
-            iterations: r.iterations,
-            converged: r.converged,
-            history: Vec::new(),
         })
     }
 }
@@ -695,38 +574,13 @@ impl Refiner for MiniBatch {
         true
     }
 
-    fn refine(
-        &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
-        centers: &PointMatrix,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<RefineResult, KMeansError> {
-        reject_weights("minibatch", weights)?;
-        let k = centers.len() as u64;
-        let (refined, batch_stats) = minibatch_kmeans_traced(points, centers, &self.0, seed)?;
-        let (labels, sums) = assign_and_sum(points, &refined, exec, None);
-        Ok(RefineResult {
-            centers: refined,
-            labels,
-            cost: sums.cost,
-            iterations: self.0.iterations,
-            converged: false, // fixed budget; no convergence test
-            history: Vec::new(),
-            distance_computations: (self.0.batch_size * self.0.iterations) as u64 * k
-                + points.len() as u64 * k,
-            pruned_by_norm_bound: batch_stats.pruned_by_norm_bound
-                + sums.stats.pruned_by_norm_bound,
-        })
-    }
-
     fn refine_backend(
         &self,
         backend: &mut dyn RoundBackend,
         centers: &PointMatrix,
         seed: u64,
     ) -> Result<RefineResult, KMeansError> {
+        reject_weights("minibatch", backend_weights(backend))?;
         let n = backend.len() as u64;
         let k = centers.len() as u64;
         let (refined, batch_stats) = drive_minibatch(backend, centers, &self.0, seed)?;
@@ -759,24 +613,29 @@ impl Refiner for NoRefine {
         true
     }
 
-    fn refine(
+    fn refine_backend(
         &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
+        backend: &mut dyn RoundBackend,
         centers: &PointMatrix,
         _seed: u64,
-        exec: &Executor,
     ) -> Result<RefineResult, KMeansError> {
-        validate_weights(points, weights)?;
-        validate_refine_inputs(points, centers)?;
-        let (labels, cost, pruned) = match weights {
-            None => {
-                let (labels, sums) = assign_and_sum(points, centers, exec, None);
-                (labels, sums.cost, sums.stats.pruned_by_norm_bound)
-            }
-            Some(w) => {
+        let n = backend.len() as u64;
+        let (labels, cost, pruned) = match backend.local() {
+            Some((
+                LocalData::Resident {
+                    points,
+                    weights: Some(w),
+                },
+                _,
+            )) => {
+                validate_weights(points, Some(w))?;
+                validate_refine_inputs(points, centers)?;
                 let (labels, _sums, _wsum, cost) = assign_weighted(points, w, centers);
                 (labels, cost, 0)
+            }
+            _ => {
+                let (labels, sums) = drive_label_pass(backend, centers)?;
+                (labels, sums.cost, sums.stats.pruned_by_norm_bound)
             }
         };
         Ok(RefineResult {
@@ -786,28 +645,8 @@ impl Refiner for NoRefine {
             iterations: 0,
             converged: true,
             history: Vec::new(),
-            distance_computations: points.len() as u64 * centers.len() as u64,
-            pruned_by_norm_bound: pruned,
-        })
-    }
-
-    fn refine_backend(
-        &self,
-        backend: &mut dyn RoundBackend,
-        centers: &PointMatrix,
-        _seed: u64,
-    ) -> Result<RefineResult, KMeansError> {
-        let n = backend.len() as u64;
-        let (labels, sums) = drive_label_pass(backend, centers)?;
-        Ok(RefineResult {
-            centers: centers.clone(),
-            labels,
-            cost: sums.cost,
-            iterations: 0,
-            converged: true,
-            history: Vec::new(),
             distance_computations: n * centers.len() as u64,
-            pruned_by_norm_bound: sums.stats.pruned_by_norm_bound,
+            pruned_by_norm_bound: pruned,
         })
     }
 }
@@ -815,6 +654,7 @@ impl Refiner for NoRefine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::potential;
     use kmeans_par::Parallelism;
 
     fn blobs() -> PointMatrix {
@@ -840,7 +680,6 @@ mod tests {
     fn refiners() -> Vec<Box<dyn Refiner>> {
         vec![
             Box::new(Lloyd::default()),
-            Box::new(HamerlyLloyd::default()),
             Box::new(MiniBatch(MiniBatchConfig {
                 batch_size: 32,
                 iterations: 40,
@@ -900,21 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn hamerly_prunes_relative_to_lloyd() {
-        let points = blobs();
-        let exec = Executor::sequential();
-        let seed = Random.init(&points, None, 3, 2, &exec).unwrap();
-        let plain = Lloyd::default()
-            .refine(&points, None, &seed.centers, 2, &exec)
-            .unwrap();
-        let fast = HamerlyLloyd::default()
-            .refine(&points, None, &seed.centers, 2, &exec)
-            .unwrap();
-        assert_eq!(plain.labels, fast.labels);
-        assert!(fast.distance_computations < plain.distance_computations);
-    }
-
-    #[test]
     fn weighted_support_matrix_is_honest() {
         let points = blobs();
         let w = vec![1.0; points.len()];
@@ -935,9 +759,6 @@ mod tests {
                 .init(&points, Some(&w), 3, 1, &exec)
                 .err(),
             AfkMc2::default().init(&points, Some(&w), 3, 1, &exec).err(),
-            HamerlyLloyd::default()
-                .refine(&points, Some(&w), &seed.centers, 1, &exec)
-                .err(),
             MiniBatch::default()
                 .refine(&points, Some(&w), &seed.centers, 1, &exec)
                 .err(),
@@ -1000,19 +821,6 @@ mod tests {
         assert!(bad_tol
             .refine(&points, Some(&w), &seed.centers, 1, &exec)
             .is_err());
-        // Hamerly has no tolerance-based stop: a nonzero (or invalid) tol
-        // is rejected rather than silently ignored.
-        for tol in [0.1, -1.0] {
-            let r = HamerlyLloyd(LloydConfig {
-                max_iterations: 10,
-                tol,
-            })
-            .refine(&points, None, &seed.centers, 1, &exec);
-            assert!(
-                matches!(r, Err(KMeansError::InvalidConfig(_))),
-                "tol {tol}: {r:?}"
-            );
-        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! reports coordinator-side send+receive totals.
 
 use crate::assign::ClusterSums;
-use crate::driver::{BackendKind, LabelFetch, RoundBackend, SampleOut, SampleSpec};
+use crate::driver::{BackendKind, LabelFetch, LocalData, RoundBackend, SampleOut, SampleSpec};
 use crate::error::KMeansError;
-use kmeans_data::{ChunkedSource, PointMatrix};
+use kmeans_data::PointMatrix;
 use kmeans_obs::{arg_str, arg_u64, ArgValue, Recorder, SpanStart};
 use kmeans_par::Executor;
 
@@ -87,8 +87,8 @@ impl RoundBackend for RecordingBackend<'_> {
         self.inner.dim()
     }
 
-    fn local_source(&self) -> Option<(&dyn ChunkedSource, &Executor)> {
-        self.inner.local_source()
+    fn local(&self) -> Option<(LocalData<'_>, &Executor)> {
+        self.inner.local()
     }
 
     fn validate(&self, k: usize) -> Result<(), KMeansError> {

@@ -20,15 +20,12 @@
 //! identical results for every `t` — an invariant the integration test
 //! `tests/parallel_consistency.rs` checks end-to-end.
 //!
-//! The [`mapreduce`] module is a small single-machine *model* of the
-//! MapReduce realization sketched in §3.5 of the paper, with record/pair
-//! accounting used by the Table 4 experiment.
+//! The distributed realization of §3.5 lives in `kmeans-cluster`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod executor;
-pub mod mapreduce;
 pub mod shards;
 
 pub use executor::{Executor, Parallelism};

@@ -76,8 +76,8 @@ impl Bencher {
 
 /// One completed benchmark's summary, collected on the [`Criterion`]
 /// driver so harnesses can post-process results (e.g. the machine-
-/// readable `BENCH_cluster.json` / `BENCH_kernels.json` artifacts
-/// emitted by `benches/cluster.rs` and `benches/assign_kernel.rs`).
+/// readable `BENCH_driver.json` / `BENCH_kernels.json` artifacts
+/// emitted by `benches/driver.rs` and `benches/assign_kernel.rs`).
 #[derive(Clone, Debug)]
 pub struct BenchRecord {
     /// `group/id` of the benchmark.

@@ -11,17 +11,17 @@
 //! Both adapters recluster their intermediate weighted set down to `k`
 //! centers internally (Partition's final weighted k-means++ pass,
 //! [`CoresetTree::cluster`]), so like every other `Initializer` they
-//! return exactly `k` centers.
+//! return exactly `k` centers. Both read the data through
+//! [`RoundBackend::local`], so they run in memory and on chunked
+//! sources, and reject the distributed backend with a typed error.
 
 use crate::coreset::CoresetTree;
 use crate::partition::{partition_init, partition_init_chunked, PartitionConfig};
-use kmeans_core::chunked::{check_block_finite, validate_source};
-use kmeans_core::driver::{finish_init_backend, RoundBackend};
+use kmeans_core::chunked::{check_block_finite, for_each_block, validate_source};
+use kmeans_core::driver::{finish_init_backend, BackendKind, LocalData, RoundBackend};
 use kmeans_core::init::{validate, InitResult, InitStats};
-use kmeans_core::pipeline::{finish_init, reject_backend, reject_weights, Initializer};
+use kmeans_core::pipeline::{reject_backend, reject_weights, Initializer};
 use kmeans_core::KMeansError;
-use kmeans_data::PointMatrix;
-use kmeans_par::Executor;
 use kmeans_util::timing::Stopwatch;
 
 /// The Partition streaming baseline (§4.2.1; Ailon et al., NIPS 2009) as
@@ -34,38 +34,8 @@ impl Initializer for Partition {
         "partition"
     }
 
-    fn supports_backend(&self, kind: kmeans_core::driver::BackendKind) -> bool {
-        kind == kmeans_core::driver::BackendKind::Chunked
-    }
-
-    fn init(
-        &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
-        k: usize,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<InitResult, KMeansError> {
-        validate(points, k)?;
-        reject_weights("partition", weights)?;
-        let sw = Stopwatch::start();
-        let result = partition_init(points, k, &self.0, seed, exec)?;
-        let stats = InitStats {
-            rounds: 1,
-            // One streaming pass over the groups plus the local weighting
-            // pass; the sequential recluster touches only the coreset.
-            passes: 2,
-            candidates: result.intermediate_centers,
-            ..InitStats::default()
-        };
-        Ok(finish_init(
-            points,
-            weights,
-            result.centers,
-            stats,
-            sw,
-            exec,
-        ))
+    fn supports_backend(&self, kind: BackendKind) -> bool {
+        kind != BackendKind::Distributed
     }
 
     fn init_backend(
@@ -74,16 +44,25 @@ impl Initializer for Partition {
         k: usize,
         seed: u64,
     ) -> Result<InitResult, KMeansError> {
-        // Partition consumes the stream's blocks directly (contiguous
-        // stream groups — the documented non-parity case), so it runs on
-        // local block-backed backends only.
-        let Some((source, exec)) = backend.local_source() else {
-            return Err(reject_backend(self.name(), backend.kind()));
-        };
         let sw = Stopwatch::start();
-        let result = partition_init_chunked(source, k, &self.0, seed, exec)?;
+        // Resident data is split into shuffled groups; a chunked source
+        // streams its blocks as contiguous groups (the documented
+        // non-parity case).
+        let result = match backend.local() {
+            Some((LocalData::Resident { points, weights }, exec)) => {
+                validate(points, k)?;
+                reject_weights("partition", weights)?;
+                partition_init(points, k, &self.0, seed, exec)?
+            }
+            Some((LocalData::Blocks(source), exec)) => {
+                partition_init_chunked(source, k, &self.0, seed, exec)?
+            }
+            None => return Err(reject_backend(self.name(), backend.kind())),
+        };
         let stats = InitStats {
             rounds: 1,
+            // One streaming pass over the groups plus the local weighting
+            // pass; the sequential recluster touches only the coreset.
             passes: 2,
             candidates: result.intermediate_centers,
             ..InitStats::default()
@@ -112,36 +91,8 @@ impl Initializer for Coreset {
         "coreset"
     }
 
-    fn supports_backend(&self, kind: kmeans_core::driver::BackendKind) -> bool {
-        kind == kmeans_core::driver::BackendKind::Chunked
-    }
-
-    fn init(
-        &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
-        k: usize,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<InitResult, KMeansError> {
-        validate(points, k)?;
-        reject_weights("coreset", weights)?;
-        let sw = Stopwatch::start();
-        let mut tree = CoresetTree::new(points.dim(), self.coreset_size, seed)?;
-        for row in points.rows() {
-            tree.insert(row).expect("dims match by construction");
-        }
-        // The set the final recluster runs on: representatives at every
-        // level plus the still-open leaf buffer (the Table 5 quantity).
-        let candidates = tree.representatives() + tree.buffered();
-        let centers = tree.cluster(k)?;
-        let stats = InitStats {
-            rounds: 0,
-            passes: 1, // single streaming pass
-            candidates,
-            ..InitStats::default()
-        };
-        Ok(finish_init(points, weights, centers, stats, sw, exec))
+    fn supports_backend(&self, kind: BackendKind) -> bool {
+        kind != BackendKind::Distributed
     }
 
     fn init_backend(
@@ -150,25 +101,37 @@ impl Initializer for Coreset {
         k: usize,
         seed: u64,
     ) -> Result<InitResult, KMeansError> {
-        // The tree wants every row streamed through it in order — a
-        // block-local pass, so local backends only.
-        let Some((source, _exec)) = backend.local_source() else {
-            return Err(reject_backend(self.name(), backend.kind()));
-        };
-        validate_source(source, k)?;
-        let sw = Stopwatch::start();
-        let mut tree = CoresetTree::new(source.dim(), self.coreset_size, seed)?;
-        // The tree consumes rows one at a time, so streaming blocks through
-        // it inserts in the exact order the in-memory adapter does — the
+        // The tree consumes rows one at a time, so streaming blocks
+        // through it inserts in the exact order resident rows do — the
         // resulting centers are bit-identical (`tests/chunked_parity.rs`).
-        let mut buf = source.block_buffer();
-        kmeans_core::chunked::for_each_block(source, &mut buf, |_b, start, block| {
-            check_block_finite(block, start)?;
-            for row in block.rows() {
-                tree.insert(row).expect("dims match by construction");
+        let sw = Stopwatch::start();
+        let tree = match backend.local() {
+            Some((LocalData::Resident { points, weights }, _)) => {
+                validate(points, k)?;
+                reject_weights("coreset", weights)?;
+                let mut tree = CoresetTree::new(points.dim(), self.coreset_size, seed)?;
+                for row in points.rows() {
+                    tree.insert(row).expect("dims match by construction");
+                }
+                tree
             }
-            Ok(())
-        })?;
+            Some((LocalData::Blocks(source), _)) => {
+                validate_source(source, k)?;
+                let mut tree = CoresetTree::new(source.dim(), self.coreset_size, seed)?;
+                let mut buf = source.block_buffer();
+                for_each_block(source, &mut buf, |_b, start, block| {
+                    check_block_finite(block, start)?;
+                    for row in block.rows() {
+                        tree.insert(row).expect("dims match by construction");
+                    }
+                    Ok(())
+                })?;
+                tree
+            }
+            None => return Err(reject_backend(self.name(), backend.kind())),
+        };
+        // The set the final recluster runs on: representatives at every
+        // level plus the still-open leaf buffer (the Table 5 quantity).
         let candidates = tree.representatives() + tree.buffered();
         let centers = tree.cluster(k)?;
         let stats = InitStats {
@@ -184,6 +147,8 @@ impl Initializer for Coreset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kmeans_data::PointMatrix;
+    use kmeans_par::Executor;
 
     fn blobs(n_per: usize, centers: &[f64]) -> PointMatrix {
         let mut m = PointMatrix::new(1);

@@ -13,7 +13,7 @@
 //! | [`core`] (`kmeans-core`) | k-means\|\|, k-means++, Random seeding, Lloyd's iteration, mini-batch k-means, the backend-generic round drivers, metrics, the [`KMeans`] pipeline |
 //! | [`data`] (`kmeans-data`) | `PointMatrix` storage, the GaussMixture / SpamLike / KddLike generators, CSV I/O, the `SKMMDL01` model file |
 //! | [`obs`] (`kmeans-obs`) | flight recorder: structured spans + counters behind a `Clock`, log2 latency histograms with exact quantiles, Chrome trace JSON, Prometheus text rendering |
-//! | [`par`] (`kmeans-par`) | deterministic shard executor + MapReduce-model simulator |
+//! | [`par`] (`kmeans-par`) | deterministic shard executor |
 //! | [`serve`] (`kmeans-serve`) | online assignment service: micro-batching engine, `SKS1` protocol, TCP/loopback server + client, atomic model hot-swap |
 //! | [`streaming`] (`kmeans-streaming`) | the Partition baseline (Ailon et al.), k-means#, a coreset tree |
 //! | [`util`] (`kmeans-util`) | portable RNG, weighted sampling, statistics |
@@ -85,10 +85,7 @@ pub use kmeans_core::{
 
 /// Convenient glob-import surface for applications.
 pub mod prelude {
-    pub use kmeans_cluster::{
-        Cluster, ClusterBackend, DistInit, DistRefine, FitDistributed, Worker as ClusterWorker,
-    };
-    pub use kmeans_core::accel::{hamerly_lloyd, HamerlyResult};
+    pub use kmeans_cluster::{Cluster, ClusterBackend, FitDistributed, Worker as ClusterWorker};
     pub use kmeans_core::driver::{BackendKind, ChunkedBackend, InMemoryBackend, RoundBackend};
     pub use kmeans_core::init::{
         InitMethod, KMeansParallelConfig, Oversampling, Recluster, Rounds, SamplingMode, TopUp,
@@ -98,7 +95,7 @@ pub mod prelude {
     pub use kmeans_core::minibatch::MiniBatchConfig;
     pub use kmeans_core::model::{KMeans, KMeansModel};
     pub use kmeans_core::pipeline::{
-        AfkMc2, HamerlyLloyd, Initializer, Lloyd, MiniBatch, NoRefine, RefineResult, Refiner,
+        AfkMc2, Initializer, Lloyd, MiniBatch, NoRefine, RefineResult, Refiner,
     };
     pub use kmeans_core::KMeansError;
     pub use kmeans_data::synth::{GaussMixture, KddLike, SpamLike};

@@ -260,11 +260,6 @@ fn unsupported_chunked_paths_fail_loudly() {
         .init_chunked(&source, 3, 0, &exec)
         .unwrap_err();
     assert!(err.to_string().contains("afk-mc2 does not support chunked"));
-    let seed = Random.init_chunked(&source, 3, 0, &exec).unwrap();
-    let err = kmeans_core::pipeline::HamerlyLloyd::default()
-        .refine_chunked(&source, &seed.centers, 0, &exec)
-        .unwrap_err();
-    assert!(err.to_string().contains("hamerly does not support chunked"));
 
     let err = KMeans::params(3).fit_chunked().unwrap_err();
     assert!(matches!(err, KMeansError::InvalidConfig(_)), "{err}");

@@ -6,14 +6,17 @@
 //! `shard_block_file`) passes the same assertion; and a worker vanishing
 //! mid-round surfaces as a typed error, never a hang.
 
-use scalable_kmeans::cluster::dist::dist_lloyd;
 use scalable_kmeans::cluster::{
-    spawn_loopback_worker, spawn_tcp_worker, Cluster, FitDistributed, Message, Transport,
+    spawn_loopback_worker, spawn_tcp_worker, Cluster, ClusterBackend, FitDistributed, Message,
+    Transport,
 };
+use scalable_kmeans::core::driver::{drive_lloyd, RoundBackend};
 use scalable_kmeans::core::init::{KMeansParallelConfig, SamplingMode};
 use scalable_kmeans::core::lloyd::{lloyd, LloydConfig};
 use scalable_kmeans::core::model::{KMeans, KMeansModel};
-use scalable_kmeans::core::pipeline::{KMeansParallel, NoRefine, Random};
+use scalable_kmeans::core::pipeline::{
+    reject_distributed, KMeansParallel, NoRefine, Random, RefineResult, Refiner,
+};
 use scalable_kmeans::core::KMeansError;
 use scalable_kmeans::data::synth::GaussMixture;
 use scalable_kmeans::data::{
@@ -253,7 +256,12 @@ fn dist_lloyd_reseeds_empty_clusters_like_single_node() {
 
     let (mut cluster, handles) = loopback_cluster(&points, 4, 7, Parallelism::Threads(3));
     cluster.plan(SHARD).unwrap();
-    let got = dist_lloyd(&mut cluster, &init, &LloydConfig::default()).unwrap();
+    let got = drive_lloyd(
+        &mut ClusterBackend::new(&mut cluster),
+        &init,
+        &LloydConfig::default(),
+    )
+    .unwrap();
     cluster.shutdown();
     for h in handles {
         h.join().unwrap().unwrap();
@@ -301,6 +309,26 @@ fn worker_disconnect_mid_round_is_a_typed_error() {
     assert!(err.to_string().contains("disconnected"), "{err}");
 }
 
+/// A refiner with no distributed formulation: `supports_backend` keeps
+/// the in-memory-only default.
+#[derive(Debug)]
+struct InMemoryOnly;
+
+impl Refiner for InMemoryOnly {
+    fn name(&self) -> &'static str {
+        "in-memory-only"
+    }
+
+    fn refine_backend(
+        &self,
+        backend: &mut dyn RoundBackend,
+        centers: &PointMatrix,
+        seed: u64,
+    ) -> Result<RefineResult, KMeansError> {
+        NoRefine.refine_backend(backend, centers, seed)
+    }
+}
+
 /// Misaligned worker boundaries are rejected with the remedy in the
 /// message, and unsupported stages reject with the shared typed error.
 #[test]
@@ -339,14 +367,13 @@ fn misalignment_and_unsupported_stages_fail_loudly() {
         err.to_string().contains("does not support distributed"),
         "{err}"
     );
+    // A refiner without one is rejected before the seeding runs.
     let err = KMeans::params(K)
-        .refine(scalable_kmeans::core::pipeline::HamerlyLloyd::default())
+        .refine(InMemoryOnly)
         .fit_distributed(&mut cluster)
         .unwrap_err();
-    assert!(
-        err.to_string().contains("does not support distributed"),
-        "{err}"
-    );
+    assert_eq!(err, reject_distributed("in-memory-only"));
+    assert_eq!(cluster.round_trips(), 0);
     let err = KMeans::params(K)
         .weights(&vec![1.0; N])
         .fit_distributed(&mut cluster)

@@ -155,22 +155,6 @@ fn predict_and_cost_of_enforce_dimensions() {
 }
 
 #[test]
-fn hamerly_rejects_what_lloyd_rejects() {
-    use scalable_kmeans::core::accel::hamerly_lloyd;
-    use scalable_kmeans::core::lloyd::lloyd;
-    let exec = Executor::new(Parallelism::Sequential);
-    let points = valid_points();
-    let init = PointMatrix::from_flat(vec![0.0], 1).unwrap(); // wrong dim
-    let config = LloydConfig::default();
-    assert!(lloyd(&points, &init, &config, &exec).is_err());
-    assert!(hamerly_lloyd(&points, &init, &config, &exec).is_err());
-    let empty = PointMatrix::new(2);
-    let seed = points.select(&[0]);
-    assert!(lloyd(&empty, &seed, &config, &exec).is_err());
-    assert!(hamerly_lloyd(&empty, &seed, &config, &exec).is_err());
-}
-
-#[test]
 fn generator_parameter_validation() {
     assert!(GaussMixture::new(0).generate(0).is_err());
     assert!(GaussMixture::new(2).points(0).generate(0).is_err());

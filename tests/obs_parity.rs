@@ -7,10 +7,13 @@
 //! wire-byte deltas).
 
 use scalable_kmeans::cluster::{spawn_loopback_worker, Cluster, FitDistributed, Transport};
+use scalable_kmeans::core::minibatch::MiniBatchConfig;
+use scalable_kmeans::core::pipeline::{AfkMc2, KMeansPlusPlus, Lloyd, MiniBatch, NoRefine, Random};
 use scalable_kmeans::data::synth::GaussMixture;
 use scalable_kmeans::data::{InMemorySource, PointMatrix};
-use scalable_kmeans::obs::{Recorder, SpanEvent};
+use scalable_kmeans::obs::{ArgValue, Recorder, SpanEvent};
 use scalable_kmeans::par::Parallelism;
+use scalable_kmeans::streaming::{Coreset, Partition};
 use scalable_kmeans::KMeans;
 
 const N: usize = 192;
@@ -133,6 +136,76 @@ fn traced_in_memory_fit_is_bit_identical_and_fully_spanned() {
         .iter()
         .any(|(n, v)| n == "backend"
             && matches!(v, scalable_kmeans::obs::ArgValue::Str(s) if s == "in-memory"))));
+}
+
+/// Every stage runs through the one fit engine, so the stages without a
+/// round form and the weighted fits are traced like any other: the
+/// instrumented fit is bit-identical and records in-memory round spans.
+#[test]
+fn traced_local_stage_and_weighted_fits_run_the_one_engine() {
+    let points = gauss();
+    let weights: Vec<f64> = (0..N).map(|i| 1.0 + (i % 3) as f64).collect();
+    let minibatch = MiniBatch(MiniBatchConfig {
+        batch_size: 32,
+        iterations: 20,
+    });
+    let cases = [
+        (
+            "kmeans++ + lloyd",
+            builder().init(KMeansPlusPlus).refine(Lloyd::default()),
+        ),
+        (
+            "afk-mc2 + minibatch",
+            builder()
+                .init(AfkMc2 { chain_length: 20 })
+                .refine(minibatch),
+        ),
+        (
+            "partition + none",
+            builder().init(Partition::default()).refine(NoRefine),
+        ),
+        (
+            "coreset + lloyd",
+            builder()
+                .init(Coreset { coreset_size: 32 })
+                .refine(Lloyd::default()),
+        ),
+        (
+            "weighted random + lloyd",
+            builder()
+                .init(Random)
+                .refine(Lloyd::default())
+                .weights(&weights),
+        ),
+        (
+            "weighted kmeans++ + none",
+            builder()
+                .init(KMeansPlusPlus)
+                .refine(NoRefine)
+                .weights(&weights),
+        ),
+    ];
+    for (what, fit) in cases {
+        let plain = fit.fit(&points).unwrap();
+        let recorder = Recorder::monotonic();
+        let traced = fit.recorder(recorder.clone()).fit(&points).unwrap();
+        assert_identical(&plain, &traced, what);
+        assert_eq!(
+            plain.init_stats().seed_cost.to_bits(),
+            traced.init_stats().seed_cost.to_bits(),
+            "{what}: seed cost"
+        );
+        let events = recorder.events();
+        assert_timeline_covers_the_fit(&events, what);
+        assert!(
+            events.iter().any(|e| e.cat == "round"
+                && e.args
+                    .iter()
+                    .any(|(n, v)| n == "backend"
+                        && matches!(v, ArgValue::Str(s) if s == "in-memory"))),
+            "{what}: no in-memory round span"
+        );
+    }
 }
 
 #[test]

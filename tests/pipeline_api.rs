@@ -154,31 +154,6 @@ fn lloyd_refiner_parity() {
 }
 
 #[test]
-fn hamerly_refiner_parity() {
-    use scalable_kmeans::core::accel::hamerly_lloyd;
-    let points = mixture(6, 1_000, 8);
-    let exec = Executor::new(Parallelism::Sequential);
-    for seed in 0..3u64 {
-        let init = InitMethod::KMeansPlusPlus
-            .run(&points, 6, seed, &exec)
-            .unwrap();
-        let config = LloydConfig::default();
-        let via_trait = HamerlyLloyd(config)
-            .refine(&points, None, &init.centers, seed, &exec)
-            .unwrap();
-        let direct = hamerly_lloyd(&points, &init.centers, &config, &exec).unwrap();
-        assert_eq!(via_trait.centers, direct.centers, "seed {seed}");
-        assert_eq!(via_trait.labels, direct.labels);
-        assert_eq!(via_trait.cost.to_bits(), direct.cost.to_bits());
-        // The trait adds the closing pass to the measured counter.
-        assert_eq!(
-            via_trait.distance_computations,
-            direct.distance_computations + (points.len() * 6) as u64
-        );
-    }
-}
-
-#[test]
 fn minibatch_refiner_parity() {
     use scalable_kmeans::core::minibatch::minibatch_kmeans;
     let points = mixture(5, 900, 9);
@@ -259,7 +234,6 @@ fn fit_grid_cell(
     };
     let builder = match refine_name {
         "lloyd" => builder.refine(Lloyd(LloydConfig::default())),
-        "hamerly" => builder.refine(HamerlyLloyd(LloydConfig::default())),
         "minibatch" => builder.refine(MiniBatch(MiniBatchConfig {
             batch_size: 128,
             iterations: 50,
@@ -273,7 +247,7 @@ fn fit_grid_cell(
 #[test]
 fn every_initializer_composes_with_every_refiner() {
     let points = mixture(6, 1_200, 11);
-    let refiners = ["lloyd", "hamerly", "minibatch", "none"];
+    let refiners = ["lloyd", "minibatch", "none"];
     for (init_name, _) in all_initializers() {
         for refine_name in refiners {
             let model = fit_grid_cell(&points, 6, init_name, refine_name, Parallelism::Sequential);
@@ -301,7 +275,7 @@ fn every_initializer_composes_with_every_refiner() {
 fn grid_is_thread_count_invariant() {
     let points = mixture(5, 900, 12);
     for (init_name, _) in all_initializers() {
-        for refine_name in ["lloyd", "hamerly", "none"] {
+        for refine_name in ["lloyd", "none"] {
             let seq = fit_grid_cell(&points, 5, init_name, refine_name, Parallelism::Sequential);
             let par = fit_grid_cell(&points, 5, init_name, refine_name, Parallelism::Threads(4));
             assert_eq!(seq.labels(), par.labels(), "{init_name}+{refine_name}");
@@ -370,35 +344,6 @@ fn seed_only_refiner_reports_seed_cost() {
             model.cost(),
             model.init_stats().seed_cost
         );
-    }
-}
-
-#[test]
-fn hamerly_equals_lloyd_across_all_seeders() {
-    let points = mixture(6, 1_000, 15);
-    for (init_name, _) in all_initializers() {
-        let plain = fit_grid_cell(&points, 6, init_name, "lloyd", Parallelism::Sequential);
-        let fast = fit_grid_cell(&points, 6, init_name, "hamerly", Parallelism::Sequential);
-        assert_eq!(plain.labels(), fast.labels(), "{init_name}");
-        assert!(
-            (plain.cost() - fast.cost()).abs() <= 1e-6 * (1.0 + plain.cost()),
-            "{init_name}: {} vs {}",
-            plain.cost(),
-            fast.cost()
-        );
-        // Pruning is real once bounds amortize over several iterations;
-        // from a near-converged seed (1–2 Lloyd steps) the first full
-        // pass plus the k² center distances dominate, so only assert the
-        // ratio when there was work to prune.
-        if plain.iterations() >= 4 {
-            assert!(
-                fast.distance_computations() < plain.distance_computations(),
-                "{init_name}: hamerly {} vs lloyd {} over {} iterations",
-                fast.distance_computations(),
-                plain.distance_computations(),
-                plain.iterations()
-            );
-        }
     }
 }
 

@@ -132,36 +132,3 @@ proptest! {
         prop_assert_eq!(read.points(), synth.dataset.points());
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Hamerly's accelerated Lloyd is an *exact* algorithm: on arbitrary
-    /// data it must converge to the same assignment as plain Lloyd when
-    /// both start from the same seeds (up to floating-point coincidences,
-    /// which the generator's continuous values make measure-zero).
-    #[test]
-    fn hamerly_is_equivalent_to_lloyd(points in datasets(), seed in 0u64..100) {
-        use scalable_kmeans::core::accel::hamerly_lloyd;
-        use scalable_kmeans::core::lloyd::lloyd;
-        let k = 1 + (seed as usize % points.len().min(5));
-        let exec = Executor::new(Parallelism::Sequential);
-        let init = InitMethod::KMeansPlusPlus.run(&points, k, seed, &exec).unwrap();
-        let config = LloydConfig { max_iterations: 60, tol: 0.0 };
-        let plain = lloyd(&points, &init.centers, &config, &exec).unwrap();
-        let fast = hamerly_lloyd(&points, &init.centers, &config, &exec).unwrap();
-        prop_assert_eq!(fast.converged, plain.converged);
-        if plain.converged {
-            prop_assert_eq!(&fast.labels, &plain.labels);
-            prop_assert!(
-                (fast.cost - plain.cost).abs() <= 1e-6 * (1.0 + plain.cost),
-                "cost {} vs {}", fast.cost, plain.cost
-            );
-        }
-        // Pruning never exceeds the plain-Lloyd distance budget.
-        let budget = (points.len() * k) as u64 * fast.iterations as u64
-            + (k * k) as u64 * fast.iterations as u64
-            + (points.len() * k) as u64; // final exact pass
-        prop_assert!(fast.distance_computations <= budget + k as u64 * fast.iterations as u64);
-    }
-}

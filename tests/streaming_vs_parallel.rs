@@ -69,34 +69,3 @@ fn coreset_tree_single_pass_is_competitive() {
     // Memory held stayed sublinear.
     assert!(tree.representatives() < 2_000);
 }
-
-#[test]
-fn mapreduce_model_expresses_the_phi_aggregation() {
-    // §3.5: "each mapper working on an input partition X′ can compute
-    // φ_X′(C) and the reducer can simply add these values". Express exactly
-    // that with the MapReduce model and check it equals the direct pass.
-    use scalable_kmeans::par::mapreduce::run as mr_run;
-    let synth = GaussMixture::new(5).points(2_000).generate(9).unwrap();
-    let points = synth.dataset.points();
-    let centers = synth.true_centers.clone();
-    let exec = Executor::new(Parallelism::Auto).with_shard_size(256);
-
-    let records: Vec<usize> = (0..points.len()).collect();
-    let out = mr_run(
-        &exec,
-        &records,
-        |_, &i, emit| {
-            let d2 = scalable_kmeans::core::distance::nearest(points.row(i), &centers).1;
-            emit.emit((), d2);
-        },
-        |_, values| values.iter().sum::<f64>(),
-    );
-    let phi_mr = out.results[0].1;
-    let phi_direct = scalable_kmeans::core::cost::potential(points, &centers, &exec);
-    assert!(
-        (phi_mr - phi_direct).abs() < 1e-6 * phi_direct,
-        "MapReduce φ {phi_mr} vs direct {phi_direct}"
-    );
-    assert_eq!(out.stats.records_in, 2_000);
-    assert!(out.stats.map_tasks >= 2);
-}
