@@ -4,13 +4,13 @@
 //! mini-batch, random seeding) execute on a distributed cluster exactly
 //! as they do in memory or out of core.
 //!
-//! Every primitive maps onto one coordinator conversation
-//! ([`Cluster`]'s broadcast/collect methods): the backend holds no
-//! algorithm state of its own — tracker slices and labels live on the
-//! workers, every order-sensitive fold happens in [`Cluster`] over
-//! worker-ordered (= global-shard-ordered) partials, and every scalar
-//! RNG decision stays in the driver. That split is the whole bit-parity
-//! argument (see `docs/ARCHITECTURE.md`, "Driver layer").
+//! Every round-level call maps onto one coordinator conversation
+//! ([`Cluster`]'s broadcast/collect methods), one frame per worker. The
+//! backend holds no algorithm state of its own — tracker slices and
+//! labels live on the workers, every order-sensitive fold happens in
+//! [`Cluster`] over worker-ordered (= global-shard-ordered) partials, and
+//! every scalar RNG decision stays in the driver. That split is the whole
+//! bit-parity argument (see `docs/ARCHITECTURE.md`, "Driver layer").
 //!
 //! Errors: typed clustering failures relayed from workers pass through
 //! unchanged (a distributed fit reports the *same*
@@ -22,7 +22,9 @@ use crate::coordinator::Cluster;
 use crate::error::ClusterError;
 use crate::protocol::LabelsWanted;
 use kmeans_core::assign::ClusterSums;
-use kmeans_core::driver::{BackendKind, LabelFetch, RoundBackend, SampleOut, SampleSpec};
+use kmeans_core::driver::{
+    BackendKind, Broadcast, LabelFetch, RoundBackend, TrackerOut, TrackerRead,
+};
 use kmeans_core::KMeansError;
 use kmeans_data::PointMatrix;
 use std::collections::HashMap;
@@ -33,7 +35,7 @@ use std::collections::HashMap;
 /// the plan establishes the global shard layout the per-shard RNG
 /// streams and fold grids derive from — or with
 /// [`ClusterBackend::deferred`] to plan lazily on the first wire
-/// primitive. Deferral is what lets a stage without a distributed
+/// round. Deferral is what lets a stage without a distributed
 /// realization reject with its typed error *before* any planning (so an
 /// unsupported stage is reported as unsupported even on a misaligned
 /// cluster, matching the pre-driver behavior).
@@ -58,7 +60,7 @@ impl<'a> ClusterBackend<'a> {
     }
 
     /// Wraps a cluster, planning it with `shard_size` on the first wire
-    /// primitive (validation and shape queries stay plan-free).
+    /// round (validation and shape queries stay plan-free).
     pub fn deferred(cluster: &'a mut Cluster, shard_size: usize) -> Self {
         ClusterBackend {
             cluster,
@@ -72,6 +74,19 @@ impl<'a> ClusterBackend<'a> {
             self.cluster.plan(shard_size).map_err(flatten)?;
         }
         Ok(())
+    }
+
+    /// Brings the workers to the state a resumed fit's journal replayed
+    /// (see [`Cluster::catch_up`]), planning first if deferred.
+    pub fn catch_up(
+        &mut self,
+        segments: Vec<PointMatrix>,
+        last_assign: Option<PointMatrix>,
+    ) -> Result<(), KMeansError> {
+        self.ensure_planned()?;
+        self.cluster
+            .catch_up(segments, last_assign)
+            .map_err(flatten)
     }
 
     /// Serves a gather from the preload cache when every requested row
@@ -148,20 +163,14 @@ impl RoundBackend for ClusterBackend<'_> {
         Some(self.cluster.bytes_sent() + self.cluster.bytes_received())
     }
 
-    fn gather_rows(&mut self, indices: &[usize]) -> Result<PointMatrix, KMeansError> {
-        if let Some(cached) = self.cached_rows(indices) {
-            return cached;
-        }
-        self.ensure_planned()?;
-        self.cluster.gather_rows(indices).map_err(flatten)
-    }
-
-    fn gather_rows_into(
-        &mut self,
-        indices: &[usize],
-        out: &mut PointMatrix,
-    ) -> Result<(), KMeansError> {
-        *out = self.gather_rows(indices)?;
+    fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError> {
+        *out = match self.cached_rows(indices) {
+            Some(cached) => cached?,
+            None => {
+                self.ensure_planned()?;
+                self.cluster.gather_rows(indices).map_err(flatten)?
+            }
+        };
         Ok(())
     }
 
@@ -176,61 +185,16 @@ impl RoundBackend for ClusterBackend<'_> {
         Ok(())
     }
 
-    fn tracker_init(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
-        self.ensure_planned()?;
-        self.cluster.tracker_init(centers).map_err(flatten)
-    }
-
-    fn tracker_update(&mut self, from: usize, new_rows: &PointMatrix) -> Result<f64, KMeansError> {
-        self.ensure_planned()?;
-        self.cluster.tracker_update(from, new_rows).map_err(flatten)
-    }
-
-    fn sample_bernoulli(
+    fn tracker_round(
         &mut self,
-        round: usize,
-        seed: u64,
-        l: f64,
-        phi: f64,
-    ) -> Result<(Vec<usize>, PointMatrix), KMeansError> {
+        broadcast: Broadcast<'_>,
+        read: TrackerRead,
+    ) -> Result<(f64, TrackerOut), KMeansError> {
         self.ensure_planned()?;
-        self.cluster
-            .sample_bernoulli_round(round, seed, l, phi)
-            .map_err(flatten)
+        self.cluster.tracker_round(broadcast, read).map_err(flatten)
     }
 
-    fn sample_exact_keys(
-        &mut self,
-        round: usize,
-        seed: u64,
-        m: usize,
-    ) -> Result<Vec<(f64, usize)>, KMeansError> {
-        self.ensure_planned()?;
-        self.cluster
-            .sample_exact_round(round, seed, m)
-            .map_err(flatten)
-    }
-
-    fn gather_d2(&mut self) -> Result<Vec<f64>, KMeansError> {
-        self.ensure_planned()?;
-        self.cluster.gather_d2().map_err(flatten)
-    }
-
-    fn candidate_weights(&mut self, m: usize) -> Result<Vec<f64>, KMeansError> {
-        self.ensure_planned()?;
-        self.cluster.candidate_weights(m).map_err(flatten)
-    }
-
-    fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError> {
-        self.ensure_planned()?;
-        let (reassigned, sums, _) = self
-            .cluster
-            .assign(centers, LabelsWanted::Skip)
-            .map_err(flatten)?;
-        Ok((reassigned, sums))
-    }
-
-    fn assign_fused(
+    fn assign(
         &mut self,
         centers: &PointMatrix,
         fetch: LabelFetch,
@@ -242,50 +206,6 @@ impl RoundBackend for ClusterBackend<'_> {
             LabelFetch::Always => LabelsWanted::Always,
         };
         self.cluster.assign(centers, want).map_err(flatten)
-    }
-
-    fn tracker_init_sampled(
-        &mut self,
-        centers: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), KMeansError> {
-        self.ensure_planned()?;
-        self.cluster
-            .tracker_init_sampled(centers, round, seed, spec)
-            .map_err(flatten)
-    }
-
-    fn tracker_update_sampled(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), KMeansError> {
-        self.ensure_planned()?;
-        self.cluster
-            .tracker_update_sampled(from, new_rows, round, seed, spec)
-            .map_err(flatten)
-    }
-
-    fn tracker_update_weighted(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        m: usize,
-    ) -> Result<Vec<f64>, KMeansError> {
-        self.ensure_planned()?;
-        self.cluster
-            .tracker_update_weighted(from, new_rows, m)
-            .map_err(flatten)
-    }
-
-    fn fetch_labels(&mut self) -> Result<Vec<u32>, KMeansError> {
-        self.ensure_planned()?;
-        self.cluster.fetch_labels().map_err(flatten)
     }
 
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {

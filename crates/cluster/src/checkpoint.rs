@@ -13,9 +13,17 @@
 //! [`CheckpointingBackend`] feeds it the journaled result for each
 //! already-completed round instead of going to the wire. The driver's
 //! RNG re-advances through the exact same sequence, and at the first
-//! un-journaled round the backend *catches the cluster up* (replays the
-//! tracker broadcast sequence and the last assignment's centers —
-//! mirrored from the replayed arguments) and goes live.
+//! un-journaled round the backend *catches the cluster up* — one
+//! [`Cluster::catch_up`](crate::Cluster::catch_up) round trip replaying
+//! the tracker broadcast sequence and the last assignment's centers,
+//! mirrored from the replayed arguments, in the same catch-up frame
+//! worker recovery sends — and goes live.
+//!
+//! One record per round-level call, so a job killed mid-round resumes at
+//! the whole round's boundary. Four record kinds: `gather_rows` (1),
+//! `potential` (10), `assign` (14) and `tracker_round` (15). Kinds 2–9
+//! and 11–13 belonged to retired round primitives; a journal holding one
+//! is refused with the typed mismatch error, never misread.
 //!
 //! Every journal record carries a fingerprint of the round's *arguments*
 //! (FNV-1a over the round kind and encoded inputs). On replay the
@@ -25,9 +33,11 @@
 //! additionally pins seed/k/n/dim/shard-size, checked at load.
 
 use crate::backend::ClusterBackend;
-use crate::wire::{fnv1a, Dec, Enc};
+use crate::wire::{fnv1a, Dec, Enc, FrameError};
 use kmeans_core::assign::ClusterSums;
-use kmeans_core::driver::{BackendKind, LabelFetch, RoundBackend, SampleOut, SampleSpec};
+use kmeans_core::driver::{
+    BackendKind, Broadcast, LabelFetch, RoundBackend, SampleSpec, TrackerOut, TrackerRead,
+};
 use kmeans_core::kernel::KernelStats;
 use kmeans_core::KMeansError;
 use kmeans_data::checkpoint::{load_checkpoint_file, save_checkpoint_file, CheckpointMeta};
@@ -35,24 +45,12 @@ use kmeans_data::{CheckpointRecord, PointMatrix};
 use std::path::{Path, PathBuf};
 
 // Round-kind discriminants for journal records (the `kind` byte of
-// `CheckpointRecord`). Distinct per primitive so a resume with a
+// `CheckpointRecord`). Distinct per round-level call so a resume with a
 // diverging round *sequence* — not just diverging arguments — is caught.
 const K_GATHER_ROWS: u8 = 1;
-const K_TRACKER_INIT: u8 = 2;
-const K_TRACKER_UPDATE: u8 = 3;
-const K_SAMPLE_BERNOULLI: u8 = 4;
-const K_SAMPLE_EXACT: u8 = 5;
-const K_GATHER_D2: u8 = 6;
-const K_CANDIDATE_WEIGHTS: u8 = 7;
-const K_ASSIGN: u8 = 8;
-const K_FETCH_LABELS: u8 = 9;
 const K_POTENTIAL: u8 = 10;
-// Fused rounds: one compound wire round = one committed journal unit, so
-// a job killed mid-compound resumes at the whole round's boundary.
-const K_INIT_SAMPLED: u8 = 11;
-const K_UPDATE_SAMPLED: u8 = 12;
-const K_UPDATE_WEIGHTED: u8 = 13;
-const K_ASSIGN_FUSED: u8 = 14;
+const K_ASSIGN: u8 = 14;
+const K_TRACKER_ROUND: u8 = 15;
 
 fn corrupt(what: &str) -> KMeansError {
     KMeansError::Data(format!("checkpoint journal: {what}"))
@@ -186,10 +184,83 @@ fn fp(kind: u8, args: Enc) -> u64 {
     fnv1a(kind, &args.into_bytes())
 }
 
-fn fp_matrix(kind: u8, m: &PointMatrix) -> u64 {
-    let mut e = Enc::new();
-    e.matrix(m);
-    fp(kind, e)
+/// Maps a payload decode failure to the journal's corruption error.
+fn ok<T>(r: Result<T, FrameError>) -> Result<T, KMeansError> {
+    r.map_err(|e| corrupt(&e.to_string()))
+}
+
+/// Decodes a whole record payload with `body`, rejecting trailing bytes.
+fn decode_with<T>(
+    payload: &[u8],
+    body: impl FnOnce(&mut Dec<'_>) -> Result<T, KMeansError>,
+) -> Result<T, KMeansError> {
+    let mut d = Dec::new(payload);
+    let value = body(&mut d)?;
+    ok(d.finish())?;
+    Ok(value)
+}
+
+fn gather_rows_fingerprint(indices: &[usize]) -> u64 {
+    let mut args = Enc::new();
+    let idx: Vec<u64> = indices.iter().map(|&i| i as u64).collect();
+    args.u64s(&idx);
+    fp(K_GATHER_ROWS, args)
+}
+
+fn potential_fingerprint(centers: &PointMatrix) -> u64 {
+    let mut args = Enc::new();
+    args.matrix(centers);
+    fp(K_POTENTIAL, args)
+}
+
+fn assign_fingerprint(centers: &PointMatrix, fetch: LabelFetch) -> u64 {
+    let mut args = Enc::new();
+    args.matrix(centers);
+    args.u8(match fetch {
+        LabelFetch::Skip => 0,
+        LabelFetch::IfStable => 1,
+        LabelFetch::Always => 2,
+    });
+    fp(K_ASSIGN, args)
+}
+
+fn tracker_round_fingerprint(broadcast: Broadcast<'_>, read: TrackerRead) -> u64 {
+    let mut args = Enc::new();
+    match broadcast {
+        Broadcast::Init(centers) => {
+            args.u8(0);
+            args.matrix(centers);
+        }
+        Broadcast::Update { from, rows } => {
+            args.u8(1);
+            args.u64(from as u64);
+            args.matrix(rows);
+        }
+    }
+    match read {
+        TrackerRead::Nothing => args.u8(0),
+        TrackerRead::Sample { round, seed, spec } => {
+            args.u8(1);
+            args.u64(round as u64);
+            args.u64(seed);
+            match spec {
+                SampleSpec::Bernoulli { l } => {
+                    args.u8(1);
+                    args.f64(l);
+                }
+                SampleSpec::ExactKeys { m } => {
+                    args.u8(2);
+                    args.u64(m as u64);
+                }
+            }
+        }
+        TrackerRead::Weights { m } => {
+            args.u8(2);
+            args.u64(m as u64);
+        }
+        TrackerRead::D2 => args.u8(3),
+    }
+    fp(K_TRACKER_ROUND, args)
 }
 
 fn encode_rows_result(rows: &PointMatrix) -> Vec<u8> {
@@ -199,10 +270,7 @@ fn encode_rows_result(rows: &PointMatrix) -> Vec<u8> {
 }
 
 fn decode_rows_result(payload: &[u8]) -> Result<PointMatrix, KMeansError> {
-    let mut d = Dec::new(payload);
-    let rows = d.matrix().map_err(|e| corrupt(&e.to_string()))?;
-    d.finish().map_err(|e| corrupt(&e.to_string()))?;
-    Ok(rows)
+    decode_with(payload, |d| ok(d.matrix()))
 }
 
 fn encode_f64_result(v: f64) -> Vec<u8> {
@@ -212,78 +280,11 @@ fn encode_f64_result(v: f64) -> Vec<u8> {
 }
 
 fn decode_f64_result(payload: &[u8]) -> Result<f64, KMeansError> {
-    let mut d = Dec::new(payload);
-    let v = d.f64().map_err(|e| corrupt(&e.to_string()))?;
-    d.finish().map_err(|e| corrupt(&e.to_string()))?;
-    Ok(v)
+    decode_with(payload, |d| ok(d.f64()))
 }
 
-fn encode_f64s_result(vs: &[f64]) -> Vec<u8> {
+fn encode_assign_result(reassigned: u64, sums: &ClusterSums, labels: &Option<Vec<u32>>) -> Vec<u8> {
     let mut e = Enc::new();
-    e.f64s(vs);
-    e.into_bytes()
-}
-
-fn decode_f64s_result(payload: &[u8]) -> Result<Vec<f64>, KMeansError> {
-    let mut d = Dec::new(payload);
-    let vs = d.f64s().map_err(|e| corrupt(&e.to_string()))?;
-    d.finish().map_err(|e| corrupt(&e.to_string()))?;
-    Ok(vs)
-}
-
-fn encode_sampled_result(indices: &[usize], rows: &PointMatrix) -> Vec<u8> {
-    let mut e = Enc::new();
-    let idx: Vec<u64> = indices.iter().map(|&i| i as u64).collect();
-    e.u64s(&idx);
-    e.matrix(rows);
-    e.into_bytes()
-}
-
-fn decode_sampled_result(payload: &[u8]) -> Result<(Vec<usize>, PointMatrix), KMeansError> {
-    let mut d = Dec::new(payload);
-    let idx = d.u64s().map_err(|e| corrupt(&e.to_string()))?;
-    let rows = d.matrix().map_err(|e| corrupt(&e.to_string()))?;
-    d.finish().map_err(|e| corrupt(&e.to_string()))?;
-    Ok((idx.into_iter().map(|i| i as usize).collect(), rows))
-}
-
-fn encode_keys_result(entries: &[(f64, usize)]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(entries.len() as u64);
-    for &(key, idx) in entries {
-        e.f64(key);
-        e.u64(idx as u64);
-    }
-    e.into_bytes()
-}
-
-fn decode_keys_result(payload: &[u8]) -> Result<Vec<(f64, usize)>, KMeansError> {
-    let mut d = Dec::new(payload);
-    let n = d.count(16).map_err(|e| corrupt(&e.to_string()))?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = d.f64().map_err(|e| corrupt(&e.to_string()))?;
-        let idx = d.u64().map_err(|e| corrupt(&e.to_string()))?;
-        entries.push((key, idx as usize));
-    }
-    d.finish().map_err(|e| corrupt(&e.to_string()))?;
-    Ok(entries)
-}
-
-fn encode_u32s_result(vs: &[u32]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32s(vs);
-    e.into_bytes()
-}
-
-fn decode_u32s_result(payload: &[u8]) -> Result<Vec<u32>, KMeansError> {
-    let mut d = Dec::new(payload);
-    let vs = d.u32s().map_err(|e| corrupt(&e.to_string()))?;
-    d.finish().map_err(|e| corrupt(&e.to_string()))?;
-    Ok(vs)
-}
-
-fn enc_assign_into(e: &mut Enc, reassigned: u64, sums: &ClusterSums) {
     e.u64(reassigned);
     e.f64(sums.cost);
     e.f64s(&sums.sums);
@@ -299,65 +300,6 @@ fn enc_assign_into(e: &mut Enc, reassigned: u64, sums: &ClusterSums) {
     }
     e.u64(sums.stats.distance_computations);
     e.u64(sums.stats.pruned_by_norm_bound);
-}
-
-fn encode_assign_result(reassigned: u64, sums: &ClusterSums) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_assign_into(&mut e, reassigned, sums);
-    e.into_bytes()
-}
-
-fn dec_assign_from(d: &mut Dec) -> Result<(u64, ClusterSums), KMeansError> {
-    let step = |r: Result<_, crate::protocol::FrameError>| r.map_err(|e| corrupt(&e.to_string()));
-    let reassigned = d.u64().map_err(|e| corrupt(&e.to_string()))?;
-    let cost = d.f64().map_err(|e| corrupt(&e.to_string()))?;
-    let sums = d.f64s().map_err(|e| corrupt(&e.to_string()))?;
-    let counts = d.u64s().map_err(|e| corrupt(&e.to_string()))?;
-    let n_far = step(d.count(16))?;
-    let mut farthest = Vec::with_capacity(n_far);
-    for _ in 0..n_far {
-        let idx = d.u64().map_err(|e| corrupt(&e.to_string()))?;
-        let d2 = d.f64().map_err(|e| corrupt(&e.to_string()))?;
-        farthest.push((
-            if idx == u64::MAX {
-                usize::MAX
-            } else {
-                idx as usize
-            },
-            d2,
-        ));
-    }
-    let distance_computations = d.u64().map_err(|e| corrupt(&e.to_string()))?;
-    let pruned_by_norm_bound = d.u64().map_err(|e| corrupt(&e.to_string()))?;
-    Ok((
-        reassigned,
-        ClusterSums {
-            sums,
-            counts,
-            cost,
-            farthest,
-            stats: KernelStats {
-                distance_computations,
-                pruned_by_norm_bound,
-            },
-        },
-    ))
-}
-
-fn decode_assign_result(payload: &[u8]) -> Result<(u64, ClusterSums), KMeansError> {
-    let mut d = Dec::new(payload);
-    let result = dec_assign_from(&mut d)?;
-    d.finish().map_err(|e| corrupt(&e.to_string()))?;
-    Ok(result)
-}
-
-fn encode_assign_fused_result(
-    reassigned: u64,
-    sums: &ClusterSums,
-    labels: &Option<Vec<u32>>,
-) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_assign_into(&mut e, reassigned, sums);
     match labels {
         None => e.u8(0),
         Some(l) => {
@@ -368,47 +310,58 @@ fn encode_assign_fused_result(
     e.into_bytes()
 }
 
-fn decode_assign_fused_result(
-    payload: &[u8],
-) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
-    let mut d = Dec::new(payload);
-    let (reassigned, sums) = dec_assign_from(&mut d)?;
-    let labels = match d.u8().map_err(|e| corrupt(&e.to_string()))? {
-        0 => None,
-        1 => Some(d.u32s().map_err(|e| corrupt(&e.to_string()))?),
-        other => return Err(corrupt(&format!("unknown labels flag {other}"))),
-    };
-    d.finish().map_err(|e| corrupt(&e.to_string()))?;
-    Ok((reassigned, sums, labels))
+type AssignResult = (u64, ClusterSums, Option<Vec<u32>>);
+
+fn decode_assign_result(payload: &[u8]) -> Result<AssignResult, KMeansError> {
+    decode_with(payload, |d| {
+        let reassigned = ok(d.u64())?;
+        let cost = ok(d.f64())?;
+        let sums = ok(d.f64s())?;
+        let counts = ok(d.u64s())?;
+        let n_far = ok(d.count(16))?;
+        let mut farthest = Vec::with_capacity(n_far);
+        for _ in 0..n_far {
+            let idx = ok(d.u64())?;
+            let d2 = ok(d.f64())?;
+            let idx = if idx == u64::MAX {
+                usize::MAX
+            } else {
+                idx as usize
+            };
+            farthest.push((idx, d2));
+        }
+        let stats = KernelStats {
+            distance_computations: ok(d.u64())?,
+            pruned_by_norm_bound: ok(d.u64())?,
+        };
+        let labels = match ok(d.u8())? {
+            0 => None,
+            1 => Some(ok(d.u32s())?),
+            other => return Err(corrupt(&format!("unknown labels flag {other}"))),
+        };
+        let sums = ClusterSums {
+            sums,
+            counts,
+            cost,
+            farthest,
+            stats,
+        };
+        Ok((reassigned, sums, labels))
+    })
 }
 
-/// Fingerprint contribution of a fused round's sampling spec.
-fn enc_spec_into(e: &mut Enc, spec: Option<SampleSpec>) {
-    match spec {
-        None => e.u8(0),
-        Some(SampleSpec::Bernoulli { l }) => {
-            e.u8(1);
-            e.f64(l);
-        }
-        Some(SampleSpec::ExactKeys { m }) => {
-            e.u8(2);
-            e.u64(m as u64);
-        }
-    }
-}
-
-fn encode_phi_sample_result(phi: f64, out: &Option<SampleOut>) -> Vec<u8> {
+fn encode_tracker_result(phi: f64, out: &TrackerOut) -> Vec<u8> {
     let mut e = Enc::new();
     e.f64(phi);
     match out {
-        None => e.u8(0),
-        Some(SampleOut::Picked { indices, rows }) => {
+        TrackerOut::Nothing => e.u8(0),
+        TrackerOut::Picked { indices, rows } => {
             e.u8(1);
             let idx: Vec<u64> = indices.iter().map(|&i| i as u64).collect();
             e.u64s(&idx);
             e.matrix(rows);
         }
-        Some(SampleOut::Keys(entries)) => {
+        TrackerOut::Keys(entries) => {
             e.u8(2);
             e.u64(entries.len() as u64);
             for &(key, idx) in entries {
@@ -416,38 +369,45 @@ fn encode_phi_sample_result(phi: f64, out: &Option<SampleOut>) -> Vec<u8> {
                 e.u64(idx as u64);
             }
         }
+        TrackerOut::Weights(weights) => {
+            e.u8(3);
+            e.f64s(weights);
+        }
+        TrackerOut::D2(d2) => {
+            e.u8(4);
+            e.f64s(d2);
+        }
     }
     e.into_bytes()
 }
 
-fn decode_phi_sample_result(payload: &[u8]) -> Result<(f64, Option<SampleOut>), KMeansError> {
-    let mut d = Dec::new(payload);
-    let step = |r: Result<_, crate::protocol::FrameError>| r.map_err(|e| corrupt(&e.to_string()));
-    let phi = d.f64().map_err(|e| corrupt(&e.to_string()))?;
-    let out = match d.u8().map_err(|e| corrupt(&e.to_string()))? {
-        0 => None,
-        1 => {
-            let idx = d.u64s().map_err(|e| corrupt(&e.to_string()))?;
-            let rows = d.matrix().map_err(|e| corrupt(&e.to_string()))?;
-            Some(SampleOut::Picked {
-                indices: idx.into_iter().map(|i| i as usize).collect(),
-                rows,
-            })
-        }
-        2 => {
-            let n = step(d.count(16))?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = d.f64().map_err(|e| corrupt(&e.to_string()))?;
-                let idx = d.u64().map_err(|e| corrupt(&e.to_string()))?;
-                entries.push((key, idx as usize));
+fn decode_tracker_result(payload: &[u8]) -> Result<(f64, TrackerOut), KMeansError> {
+    decode_with(payload, |d| {
+        let phi = ok(d.f64())?;
+        let out = match ok(d.u8())? {
+            0 => TrackerOut::Nothing,
+            1 => {
+                let idx = ok(d.u64s())?;
+                TrackerOut::Picked {
+                    indices: idx.into_iter().map(|i| i as usize).collect(),
+                    rows: ok(d.matrix())?,
+                }
             }
-            Some(SampleOut::Keys(entries))
-        }
-        other => return Err(corrupt(&format!("unknown sample flag {other}"))),
-    };
-    d.finish().map_err(|e| corrupt(&e.to_string()))?;
-    Ok((phi, out))
+            2 => {
+                let n = ok(d.count(16))?;
+                let mut entries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let key = ok(d.f64())?;
+                    entries.push((key, ok(d.u64())? as usize));
+                }
+                TrackerOut::Keys(entries)
+            }
+            3 => TrackerOut::Weights(ok(d.f64s())?),
+            4 => TrackerOut::D2(ok(d.f64s())?),
+            other => return Err(corrupt(&format!("unknown tracker read {other}"))),
+        };
+        Ok((phi, out))
+    })
 }
 
 /// A [`RoundBackend`] that journals every round result into a
@@ -458,10 +418,10 @@ pub struct CheckpointingBackend<'a, 'c> {
     inner: ClusterBackend<'a>,
     ckpt: &'c mut RoundCheckpoint,
     /// Whether the cluster has been materialized to the journal's
-    /// frontier (true once live; trivially true for an empty journal).
+    /// frontier (true once live).
     caught_up: bool,
-    /// Mirrors of the replayed broadcast arguments, used once at the
-    /// replay→live transition to catch the cluster up.
+    /// Mirrors of the replayed broadcast arguments, handed to the
+    /// cluster once at the replay→live transition.
     segments: Vec<PointMatrix>,
     last_assign: Option<PointMatrix>,
 }
@@ -481,10 +441,16 @@ impl<'a, 'c> CheckpointingBackend<'a, 'c> {
     }
 
     /// If the next journal entry matches (kind, fingerprint), consume it
-    /// and return its index for payload decoding; `None` once the
-    /// journal is exhausted. A mismatched entry is a typed error.
-    fn next_replay(&mut self, kind: u8, fingerprint: u64) -> Result<Option<usize>, KMeansError> {
+    /// and return its payload; `None` once the journal is exhausted — at
+    /// which point the cluster is caught up, once, before the caller
+    /// goes live. A mismatched entry is a typed error.
+    fn replay(&mut self, kind: u8, fingerprint: u64) -> Result<Option<&[u8]>, KMeansError> {
         if self.ckpt.cursor >= self.ckpt.records.len() {
+            if !self.caught_up {
+                self.caught_up = true;
+                let segments = std::mem::take(&mut self.segments);
+                self.inner.catch_up(segments, self.last_assign.take())?;
+            }
             return Ok(None);
         }
         let round = self.ckpt.cursor;
@@ -502,33 +468,7 @@ impl<'a, 'c> CheckpointingBackend<'a, 'c> {
             return Err(mismatch(round, "round arguments differ"));
         }
         self.ckpt.cursor += 1;
-        Ok(Some(round))
-    }
-
-    /// Replay → live transition: push the mirrored broadcast state to
-    /// the workers so the cluster is in the exact state the journal's
-    /// frontier implies. Runs at most once per fit.
-    fn catch_up(&mut self) -> Result<(), KMeansError> {
-        if self.caught_up {
-            return Ok(());
-        }
-        self.caught_up = true;
-        let mut from = 0usize;
-        for (i, seg) in std::mem::take(&mut self.segments).into_iter().enumerate() {
-            if i == 0 {
-                self.inner.tracker_init(&seg)?;
-            } else {
-                self.inner.tracker_update(from, &seg)?;
-            }
-            from += seg.len();
-        }
-        if let Some(centers) = self.last_assign.take() {
-            // Re-running the assignment materializes worker labels (and
-            // the coordinator's own recovery mirror); the partials are
-            // discarded — the journal already holds the folded result.
-            self.inner.assign(&centers)?;
-        }
-        Ok(())
+        Ok(Some(&self.ckpt.records[round].payload))
     }
 
     fn append(&mut self, kind: u8, fingerprint: u64, payload: Vec<u8>) -> Result<(), KMeansError> {
@@ -570,282 +510,75 @@ impl RoundBackend for CheckpointingBackend<'_, '_> {
         self.inner.wire_bytes()
     }
 
-    fn gather_rows(&mut self, indices: &[usize]) -> Result<PointMatrix, KMeansError> {
-        let mut args = Enc::new();
-        let idx: Vec<u64> = indices.iter().map(|&i| i as u64).collect();
-        args.u64s(&idx);
-        let fingerprint = fp(K_GATHER_ROWS, args);
-        if let Some(i) = self.next_replay(K_GATHER_ROWS, fingerprint)? {
-            return decode_rows_result(&self.ckpt.records[i].payload);
+    fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError> {
+        let fingerprint = gather_rows_fingerprint(indices);
+        if let Some(payload) = self.replay(K_GATHER_ROWS, fingerprint)? {
+            *out = decode_rows_result(payload)?;
+            return Ok(());
         }
-        self.catch_up()?;
-        let rows = self.inner.gather_rows(indices)?;
-        self.append(K_GATHER_ROWS, fingerprint, encode_rows_result(&rows))?;
-        Ok(rows)
-    }
-
-    fn tracker_init(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
-        let fingerprint = fp_matrix(K_TRACKER_INIT, centers);
-        if let Some(i) = self.next_replay(K_TRACKER_INIT, fingerprint)? {
-            let psi = decode_f64_result(&self.ckpt.records[i].payload)?;
-            self.segments = vec![centers.clone()];
-            return Ok(psi);
-        }
-        self.catch_up()?;
-        let psi = self.inner.tracker_init(centers)?;
-        self.append(K_TRACKER_INIT, fingerprint, encode_f64_result(psi))?;
-        Ok(psi)
-    }
-
-    fn tracker_update(&mut self, from: usize, new_rows: &PointMatrix) -> Result<f64, KMeansError> {
-        let mut args = Enc::new();
-        args.u64(from as u64);
-        args.matrix(new_rows);
-        let fingerprint = fp(K_TRACKER_UPDATE, args);
-        if let Some(i) = self.next_replay(K_TRACKER_UPDATE, fingerprint)? {
-            let phi = decode_f64_result(&self.ckpt.records[i].payload)?;
-            self.segments.push(new_rows.clone());
-            return Ok(phi);
-        }
-        self.catch_up()?;
-        let phi = self.inner.tracker_update(from, new_rows)?;
-        self.append(K_TRACKER_UPDATE, fingerprint, encode_f64_result(phi))?;
-        Ok(phi)
-    }
-
-    fn sample_bernoulli(
-        &mut self,
-        round: usize,
-        seed: u64,
-        l: f64,
-        phi: f64,
-    ) -> Result<(Vec<usize>, PointMatrix), KMeansError> {
-        let mut args = Enc::new();
-        args.u64(round as u64);
-        args.u64(seed);
-        args.f64(l);
-        args.f64(phi);
-        let fingerprint = fp(K_SAMPLE_BERNOULLI, args);
-        if let Some(i) = self.next_replay(K_SAMPLE_BERNOULLI, fingerprint)? {
-            return decode_sampled_result(&self.ckpt.records[i].payload);
-        }
-        self.catch_up()?;
-        let (indices, rows) = self.inner.sample_bernoulli(round, seed, l, phi)?;
-        self.append(
-            K_SAMPLE_BERNOULLI,
-            fingerprint,
-            encode_sampled_result(&indices, &rows),
-        )?;
-        Ok((indices, rows))
-    }
-
-    fn sample_exact_keys(
-        &mut self,
-        round: usize,
-        seed: u64,
-        m: usize,
-    ) -> Result<Vec<(f64, usize)>, KMeansError> {
-        let mut args = Enc::new();
-        args.u64(round as u64);
-        args.u64(seed);
-        args.u64(m as u64);
-        let fingerprint = fp(K_SAMPLE_EXACT, args);
-        if let Some(i) = self.next_replay(K_SAMPLE_EXACT, fingerprint)? {
-            return decode_keys_result(&self.ckpt.records[i].payload);
-        }
-        self.catch_up()?;
-        let entries = self.inner.sample_exact_keys(round, seed, m)?;
-        self.append(K_SAMPLE_EXACT, fingerprint, encode_keys_result(&entries))?;
-        Ok(entries)
-    }
-
-    fn gather_d2(&mut self) -> Result<Vec<f64>, KMeansError> {
-        let fingerprint = fp(K_GATHER_D2, Enc::new());
-        if let Some(i) = self.next_replay(K_GATHER_D2, fingerprint)? {
-            return decode_f64s_result(&self.ckpt.records[i].payload);
-        }
-        self.catch_up()?;
-        let d2 = self.inner.gather_d2()?;
-        self.append(K_GATHER_D2, fingerprint, encode_f64s_result(&d2))?;
-        Ok(d2)
-    }
-
-    fn candidate_weights(&mut self, m: usize) -> Result<Vec<f64>, KMeansError> {
-        let mut args = Enc::new();
-        args.u64(m as u64);
-        let fingerprint = fp(K_CANDIDATE_WEIGHTS, args);
-        if let Some(i) = self.next_replay(K_CANDIDATE_WEIGHTS, fingerprint)? {
-            return decode_f64s_result(&self.ckpt.records[i].payload);
-        }
-        self.catch_up()?;
-        let weights = self.inner.candidate_weights(m)?;
-        self.append(
-            K_CANDIDATE_WEIGHTS,
-            fingerprint,
-            encode_f64s_result(&weights),
-        )?;
-        Ok(weights)
-    }
-
-    fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError> {
-        let fingerprint = fp_matrix(K_ASSIGN, centers);
-        if let Some(i) = self.next_replay(K_ASSIGN, fingerprint)? {
-            let result = decode_assign_result(&self.ckpt.records[i].payload)?;
-            self.last_assign = Some(centers.clone());
-            return Ok(result);
-        }
-        self.catch_up()?;
-        let (reassigned, sums) = self.inner.assign(centers)?;
-        self.append(
-            K_ASSIGN,
-            fingerprint,
-            encode_assign_result(reassigned, &sums),
-        )?;
-        Ok((reassigned, sums))
-    }
-
-    fn fetch_labels(&mut self) -> Result<Vec<u32>, KMeansError> {
-        let fingerprint = fp(K_FETCH_LABELS, Enc::new());
-        if let Some(i) = self.next_replay(K_FETCH_LABELS, fingerprint)? {
-            return decode_u32s_result(&self.ckpt.records[i].payload);
-        }
-        self.catch_up()?;
-        let labels = self.inner.fetch_labels()?;
-        self.append(K_FETCH_LABELS, fingerprint, encode_u32s_result(&labels))?;
-        Ok(labels)
-    }
-
-    fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
-        let fingerprint = fp_matrix(K_POTENTIAL, centers);
-        if let Some(i) = self.next_replay(K_POTENTIAL, fingerprint)? {
-            return decode_f64_result(&self.ckpt.records[i].payload);
-        }
-        self.catch_up()?;
-        let cost = self.inner.potential(centers)?;
-        self.append(K_POTENTIAL, fingerprint, encode_f64_result(cost))?;
-        Ok(cost)
-    }
-
-    // Fused rounds: each override journals the *whole* compound round as
-    // one record, so a job killed mid-compound resumes at the round
-    // boundary — and the replay mirrors (tracker segments, last assign)
-    // track exactly what the fused conversation broadcast.
-
-    fn tracker_init_sampled(
-        &mut self,
-        centers: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), KMeansError> {
-        let mut args = Enc::new();
-        args.matrix(centers);
-        args.u64(round as u64);
-        args.u64(seed);
-        enc_spec_into(&mut args, spec);
-        let fingerprint = fp(K_INIT_SAMPLED, args);
-        if let Some(i) = self.next_replay(K_INIT_SAMPLED, fingerprint)? {
-            let result = decode_phi_sample_result(&self.ckpt.records[i].payload)?;
-            self.segments = vec![centers.clone()];
-            return Ok(result);
-        }
-        self.catch_up()?;
-        let (psi, out) = self
-            .inner
-            .tracker_init_sampled(centers, round, seed, spec)?;
-        self.append(
-            K_INIT_SAMPLED,
-            fingerprint,
-            encode_phi_sample_result(psi, &out),
-        )?;
-        Ok((psi, out))
-    }
-
-    fn tracker_update_sampled(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), KMeansError> {
-        let mut args = Enc::new();
-        args.u64(from as u64);
-        args.matrix(new_rows);
-        args.u64(round as u64);
-        args.u64(seed);
-        enc_spec_into(&mut args, spec);
-        let fingerprint = fp(K_UPDATE_SAMPLED, args);
-        if let Some(i) = self.next_replay(K_UPDATE_SAMPLED, fingerprint)? {
-            let result = decode_phi_sample_result(&self.ckpt.records[i].payload)?;
-            self.segments.push(new_rows.clone());
-            return Ok(result);
-        }
-        self.catch_up()?;
-        let (phi, out) = self
-            .inner
-            .tracker_update_sampled(from, new_rows, round, seed, spec)?;
-        self.append(
-            K_UPDATE_SAMPLED,
-            fingerprint,
-            encode_phi_sample_result(phi, &out),
-        )?;
-        Ok((phi, out))
-    }
-
-    fn tracker_update_weighted(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        m: usize,
-    ) -> Result<Vec<f64>, KMeansError> {
-        let mut args = Enc::new();
-        args.u64(from as u64);
-        args.matrix(new_rows);
-        args.u64(m as u64);
-        let fingerprint = fp(K_UPDATE_WEIGHTED, args);
-        if let Some(i) = self.next_replay(K_UPDATE_WEIGHTED, fingerprint)? {
-            let weights = decode_f64s_result(&self.ckpt.records[i].payload)?;
-            self.segments.push(new_rows.clone());
-            return Ok(weights);
-        }
-        self.catch_up()?;
-        let weights = self.inner.tracker_update_weighted(from, new_rows, m)?;
-        self.append(K_UPDATE_WEIGHTED, fingerprint, encode_f64s_result(&weights))?;
-        Ok(weights)
-    }
-
-    fn assign_fused(
-        &mut self,
-        centers: &PointMatrix,
-        fetch: LabelFetch,
-    ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
-        let mut args = Enc::new();
-        args.matrix(centers);
-        args.u8(match fetch {
-            LabelFetch::Skip => 0,
-            LabelFetch::IfStable => 1,
-            LabelFetch::Always => 2,
-        });
-        let fingerprint = fp(K_ASSIGN_FUSED, args);
-        if let Some(i) = self.next_replay(K_ASSIGN_FUSED, fingerprint)? {
-            let result = decode_assign_fused_result(&self.ckpt.records[i].payload)?;
-            self.last_assign = Some(centers.clone());
-            return Ok(result);
-        }
-        self.catch_up()?;
-        let (reassigned, sums, labels) = self.inner.assign_fused(centers, fetch)?;
-        self.append(
-            K_ASSIGN_FUSED,
-            fingerprint,
-            encode_assign_fused_result(reassigned, &sums, &labels),
-        )?;
-        Ok((reassigned, sums, labels))
+        self.inner.gather_rows(indices, out)?;
+        self.append(K_GATHER_ROWS, fingerprint, encode_rows_result(out))
     }
 
     // `preload_rows` deliberately stays the trait's no-op default:
     // checkpointed mini-batch keeps its per-batch journaled gathers —
     // durability at round granularity over collapsing the gathers.
+
+    fn tracker_round(
+        &mut self,
+        broadcast: Broadcast<'_>,
+        read: TrackerRead,
+    ) -> Result<(f64, TrackerOut), KMeansError> {
+        let fingerprint = tracker_round_fingerprint(broadcast, read);
+        if let Some(payload) = self.replay(K_TRACKER_ROUND, fingerprint)? {
+            let result = decode_tracker_result(payload)?;
+            match broadcast {
+                Broadcast::Init(centers) => self.segments = vec![centers.clone()],
+                Broadcast::Update { rows, .. } if !rows.is_empty() => {
+                    self.segments.push(rows.clone())
+                }
+                Broadcast::Update { .. } => {}
+            }
+            return Ok(result);
+        }
+        let (phi, out) = self.inner.tracker_round(broadcast, read)?;
+        self.append(
+            K_TRACKER_ROUND,
+            fingerprint,
+            encode_tracker_result(phi, &out),
+        )?;
+        Ok((phi, out))
+    }
+
+    fn assign(
+        &mut self,
+        centers: &PointMatrix,
+        fetch: LabelFetch,
+    ) -> Result<AssignResult, KMeansError> {
+        let fingerprint = assign_fingerprint(centers, fetch);
+        if let Some(payload) = self.replay(K_ASSIGN, fingerprint)? {
+            let result = decode_assign_result(payload)?;
+            self.last_assign = Some(centers.clone());
+            return Ok(result);
+        }
+        let (reassigned, sums, labels) = self.inner.assign(centers, fetch)?;
+        self.append(
+            K_ASSIGN,
+            fingerprint,
+            encode_assign_result(reassigned, &sums, &labels),
+        )?;
+        Ok((reassigned, sums, labels))
+    }
+
+    fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
+        let fingerprint = potential_fingerprint(centers);
+        if let Some(payload) = self.replay(K_POTENTIAL, fingerprint)? {
+            return decode_f64_result(payload);
+        }
+        let cost = self.inner.potential(centers)?;
+        self.append(K_POTENTIAL, fingerprint, encode_f64_result(cost))?;
+        Ok(cost)
+    }
 }
 
 #[cfg(test)]
@@ -864,17 +597,20 @@ mod tests {
                 pruned_by_norm_bound: 9,
             },
         };
-        let bytes = encode_assign_result(11, &sums);
-        let (reassigned, got) = decode_assign_result(&bytes).unwrap();
-        assert_eq!(reassigned, 11);
-        assert_eq!(got.sums, sums.sums);
-        assert_eq!(got.counts, sums.counts);
-        assert_eq!(got.cost.to_bits(), sums.cost.to_bits());
-        assert_eq!(got.farthest.len(), sums.farthest.len());
-        assert_eq!(got.farthest[0], sums.farthest[0]);
-        assert_eq!(got.farthest[1].0, usize::MAX);
-        assert_eq!(got.stats.distance_computations, 42);
-        assert_eq!(got.stats.pruned_by_norm_bound, 9);
+        for labels in [None, Some(vec![1, 0, 1])] {
+            let bytes = encode_assign_result(11, &sums, &labels);
+            let (reassigned, got, got_labels) = decode_assign_result(&bytes).unwrap();
+            assert_eq!(reassigned, 11);
+            assert_eq!(got.sums, sums.sums);
+            assert_eq!(got.counts, sums.counts);
+            assert_eq!(got.cost.to_bits(), sums.cost.to_bits());
+            assert_eq!(got.farthest.len(), sums.farthest.len());
+            assert_eq!(got.farthest[0], sums.farthest[0]);
+            assert_eq!(got.farthest[1].0, usize::MAX);
+            assert_eq!(got.stats.distance_computations, 42);
+            assert_eq!(got.stats.pruned_by_norm_bound, 9);
+            assert_eq!(got_labels, labels);
+        }
     }
 
     #[test]
@@ -886,23 +622,78 @@ mod tests {
             farthest: vec![(0, 0.0)],
             stats: KernelStats::default(),
         };
-        let bytes = encode_assign_result(1, &sums);
+        let bytes = encode_assign_result(1, &sums, &Some(vec![0]));
         for cut in 0..bytes.len() {
             assert!(decode_assign_result(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
+    /// A journal written before the round-level calls holds retired kinds
+    /// (e.g. 11, the fused init+sample record). Resume refuses it with the
+    /// typed mismatch error instead of decoding its payload as a tracker
+    /// round.
     #[test]
-    fn sampled_and_keys_results_round_trip() {
+    fn retired_record_kinds_are_refused() {
+        use crate::fit::FitDistributed;
+        use crate::transport::Transport;
+        use crate::worker::spawn_loopback_worker;
+        use kmeans_core::model::KMeans;
+        use kmeans_data::InMemorySource;
+        use kmeans_par::Parallelism;
+
+        let points =
+            PointMatrix::from_flat((0..64).map(|i| ((i * 37) % 64) as f64).collect(), 1).unwrap();
+        let builder = KMeans::params(3).seed(5).shard_size(16);
+        let meta = CheckpointMeta {
+            seed: 5,
+            k: 3,
+            global_n: 64,
+            shard_size: 16,
+            dim: 1,
+        };
+        let fit = |ckpt: &mut RoundCheckpoint| {
+            let source = InMemorySource::new(points.clone(), 8).unwrap();
+            let (t, h) = spawn_loopback_worker(source, Parallelism::Sequential);
+            let transports: Vec<Box<dyn Transport>> = vec![Box::new(t)];
+            let mut cluster = crate::Cluster::new(transports).unwrap();
+            let result = builder.fit_distributed_resumable(&mut cluster, ckpt);
+            cluster.shutdown();
+            h.join().unwrap().unwrap();
+            result
+        };
+        let mut ckpt = RoundCheckpoint::new(meta);
+        fit(&mut ckpt).unwrap();
+        assert_eq!(ckpt.records[1].kind, K_TRACKER_ROUND);
+        ckpt.records[1].kind = 11;
+        let err = fit(&mut ckpt).unwrap_err();
+        assert!(
+            err.to_string().contains("journal has round kind 11"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn tracker_results_round_trip() {
         let mut rows = PointMatrix::new(2);
         rows.push(&[1.0, -2.0]).unwrap();
-        let bytes = encode_sampled_result(&[5, 9], &rows);
-        let (idx, got) = decode_sampled_result(&bytes).unwrap();
-        assert_eq!(idx, vec![5, 9]);
-        assert_eq!(got.as_slice(), rows.as_slice());
-
-        let entries = vec![(-0.5, 3usize), (-1.25, 77)];
-        let bytes = encode_keys_result(&entries);
-        assert_eq!(decode_keys_result(&bytes).unwrap(), entries);
+        let outs = [
+            TrackerOut::Nothing,
+            TrackerOut::Picked {
+                indices: vec![5],
+                rows,
+            },
+            TrackerOut::Keys(vec![(-0.5, 3), (-1.25, 77)]),
+            TrackerOut::Weights(vec![2.0, 0.0, 1.0]),
+            TrackerOut::D2(vec![0.25, 4.0]),
+        ];
+        for out in outs {
+            let bytes = encode_tracker_result(12.5, &out);
+            let (phi, got) = decode_tracker_result(&bytes).unwrap();
+            assert_eq!(phi.to_bits(), 12.5f64.to_bits());
+            assert_eq!(format!("{got:?}"), format!("{out:?}"));
+            for cut in 0..bytes.len() {
+                assert!(decode_tracker_result(&bytes[..cut]).is_err(), "cut {cut}");
+            }
+        }
     }
 }

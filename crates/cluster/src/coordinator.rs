@@ -17,13 +17,15 @@
 //! redials the worker's address), a transport-level failure mid-round —
 //! disconnect, I/O error, malformed frame — triggers a bounded
 //! re-ask: the coordinator obtains a replacement transport for the dead
-//! worker's slot, re-handshakes, replays the session state the lost
-//! worker held (the plan, the exact tracker segment sequence, the last
-//! assignment's centers via `RestoreLabels`), and re-sends the in-flight
-//! round request. Because workers hold no order-sensitive fold state —
-//! only deterministic functions of (shard data, replayed broadcasts) —
-//! the recovered fit is bit-identical to the zero-failure run. Attempts
-//! are bounded by [`RetryPolicy`]; exhaustion is the typed
+//! worker's slot, re-handshakes, re-sends the plan, replays the session
+//! state the lost worker held as one catch-up `Compound` (the exact
+//! tracker segment sequence, then an `Assign` against the last
+//! assignment's centers), and re-sends the in-flight round request. A
+//! resumed checkpoint catches the whole fleet up with the same frame
+//! ([`Cluster::catch_up`]). Because workers hold no order-sensitive fold
+//! state — only deterministic functions of (shard data, replayed
+//! broadcasts) — the recovered fit is bit-identical to the zero-failure
+//! run. Attempts are bounded by [`RetryPolicy`]; exhaustion is the typed
 //! [`ClusterError::RecoveryFailed`], never a hang.
 
 use crate::error::ClusterError;
@@ -31,7 +33,7 @@ use crate::protocol::{LabelsWanted, Message, WorkerStats};
 use crate::transport::Transport;
 use kmeans_core::assign::{sum_shard_size_for, ClusterSums};
 use kmeans_core::chunked::fold_accum_shards;
-use kmeans_core::driver::{SampleOut, SampleSpec};
+use kmeans_core::driver::{Broadcast, SampleSpec, TrackerOut, TrackerRead};
 use kmeans_core::init::bernoulli_accept;
 use kmeans_core::kernel::KernelStats;
 use kmeans_data::PointMatrix;
@@ -69,6 +71,41 @@ impl WorkerConn {
 fn roundtrip(w: &mut WorkerConn, msg: &Message) -> Result<Message, ClusterError> {
     w.transport.send(msg)?;
     w.transport.recv()
+}
+
+/// The catch-up frame that brings a fresh worker session to the state a
+/// committed conversation left: the tracker `segments` as
+/// `InitTracker`/`UpdateTracker`, then `Assign { last_assign, Skip }` —
+/// a cold pass on the fresh session, which rebuilds the labels the next
+/// warm pass reads (its `Partials` were folded long ago and are
+/// discarded). Returns the frame and its arity, or `None` when there is
+/// nothing to catch up. The frame holds the whole candidate set plus one
+/// center set.
+fn catch_up_frame(
+    segments: &[PointMatrix],
+    last_assign: Option<&PointMatrix>,
+) -> Option<(Message, usize)> {
+    let mut items = Vec::with_capacity(segments.len() + 1);
+    let mut from = 0u64;
+    for (i, seg) in segments.iter().enumerate() {
+        items.push(if i == 0 {
+            Message::InitTracker {
+                centers: seg.clone(),
+            }
+        } else {
+            Message::UpdateTracker {
+                from,
+                centers: seg.clone(),
+            }
+        });
+        from += seg.len() as u64;
+    }
+    items.extend(last_assign.map(|centers| Message::Assign {
+        centers: centers.clone(),
+        labels: LabelsWanted::Skip,
+    }));
+    let arity = items.len();
+    (arity > 0).then_some((Message::Compound(items), arity))
 }
 
 pub use crate::retry::RetryPolicy;
@@ -122,9 +159,9 @@ pub struct Cluster {
     /// the segment boundaries — is bit-identical to the lost worker's.
     tracker_segments: Vec<PointMatrix>,
     /// Replay mirror: centers of the last completed assignment pass, so
-    /// a replacement can rebuild its labels (`RestoreLabels`) and the
-    /// next `Assign` counts reassignments exactly as the lost worker
-    /// would have.
+    /// a replacement can rebuild its labels (the catch-up `Assign`, a
+    /// cold pass on its fresh session) and the next `Assign` counts
+    /// reassignments exactly as the lost worker would have.
     last_assign: Option<PointMatrix>,
     /// Flight recorder for the conversation tier: one span per worker
     /// broadcast, instant events for recovery (re-dial, replay, adopt).
@@ -407,8 +444,8 @@ impl Cluster {
     }
 
     /// One recovery attempt: replacement transport → `Hello` validation
-    /// → adopt into the slot → replay plan + tracker segments + last
-    /// assignment labels → re-send the in-flight request.
+    /// → adopt into the slot → `Plan` → one catch-up `Compound` (tracker
+    /// segments + last assignment) → re-send the in-flight request.
     fn try_adopt(&mut self, slot: usize, request: &Message) -> Result<Message, ClusterError> {
         let adopt_span = self.recorder.start();
         let recovery = self.recovery.as_mut().expect("recovery configured");
@@ -446,60 +483,19 @@ impl Cluster {
                     )))
                 }
             }
-            // Replay the exact broadcast sequence the lost worker saw;
-            // the per-segment ShardSums replies were already folded
-            // before the failure and are discarded here.
-            let mut from = 0u64;
-            for (i, seg) in self.tracker_segments.iter().enumerate() {
-                let msg = if i == 0 {
-                    Message::InitTracker {
-                        centers: seg.clone(),
-                    }
-                } else {
-                    Message::UpdateTracker {
-                        from,
-                        centers: seg.clone(),
-                    }
-                };
-                match roundtrip(&mut self.workers[slot], &msg)? {
-                    Message::ShardSums { .. } => {}
-                    Message::Error(e) => {
-                        return Err(ClusterError::Remote {
-                            worker: slot,
-                            error: e.into(),
-                        })
-                    }
-                    other => {
-                        return Err(ClusterError::Protocol(format!(
-                            "replacement worker {slot} answered tracker replay with {other:?}"
-                        )))
-                    }
-                }
-                from += seg.len() as u64;
-            }
-            if let Some(centers) = &self.last_assign {
-                let msg = Message::RestoreLabels {
-                    centers: centers.clone(),
-                };
-                match roundtrip(&mut self.workers[slot], &msg)? {
-                    Message::RestoreOk => {}
-                    Message::Error(e) => {
-                        return Err(ClusterError::Remote {
-                            worker: slot,
-                            error: e.into(),
-                        })
-                    }
-                    other => {
-                        return Err(ClusterError::Protocol(format!(
-                            "replacement worker {slot} answered RestoreLabels with {other:?}"
-                        )))
-                    }
-                }
+            // Replay the exact broadcast sequence the lost worker saw,
+            // then its labels, as one frame; the replies were already
+            // folded before the failure and are discarded here.
+            if let Some((frame, arity)) =
+                catch_up_frame(&self.tracker_segments, self.last_assign.as_ref())
+            {
+                let reply = roundtrip(&mut self.workers[slot], &frame)?;
+                Self::unpack_compound(slot, reply, arity)?;
             }
         }
         let reply = roundtrip(&mut self.workers[slot], request)?;
-        // The adoption span covers handshake + plan + tracker/label
-        // replay + the re-asked request, so a recovered round's extra
+        // The adoption span covers handshake + plan + catch-up + the
+        // re-asked request, so a recovered round's extra
         // wall time is visible in the trace next to the recover:redial
         // instants.
         let segments = self.tracker_segments.len() as u64;
@@ -629,34 +625,29 @@ impl Cluster {
         sums.into_iter().reduce(|a, b| a + b).unwrap_or(0.0)
     }
 
-    /// Broadcast an initial candidate set; workers build their tracker
-    /// slices. Returns the global potential ψ.
-    pub fn tracker_init(&mut self, centers: &PointMatrix) -> Result<f64, ClusterError> {
-        let sums = self.request_shard_sums(&Message::InitTracker {
-            centers: centers.clone(),
-        })?;
-        // Round succeeded on every worker: this segment is now part of
-        // the replay mirror for any later recovery.
-        self.tracker_segments = vec![centers.clone()];
-        Ok(Self::fold(sums))
-    }
-
-    /// Broadcast newly appended candidates (`from` = index of the first
-    /// new row). Returns the updated global potential φ.
-    pub fn tracker_update(
+    /// Brings every worker to the session state a resumed fit's journal
+    /// replayed — the tracker `segments` and the `last_assign` centers —
+    /// with the same catch-up `Compound` recovery sends a replacement
+    /// worker: one fleet round trip, none when there is nothing to catch
+    /// up. The mirrors are installed once every worker has committed it.
+    pub fn catch_up(
         &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-    ) -> Result<f64, ClusterError> {
-        let sums = self.request_shard_sums(&Message::UpdateTracker {
-            from: from as u64,
-            centers: new_rows.clone(),
-        })?;
-        self.tracker_segments.push(new_rows.clone());
-        Ok(Self::fold(sums))
+        segments: Vec<PointMatrix>,
+        last_assign: Option<PointMatrix>,
+    ) -> Result<(), ClusterError> {
+        if let Some((frame, arity)) = catch_up_frame(&segments, last_assign.as_ref()) {
+            let replies = self.request_all(&frame)?;
+            for (i, r) in replies.into_iter().enumerate() {
+                Self::unpack_compound(i, r, arity)?;
+            }
+            self.data_passes += arity as u64;
+        }
+        self.tracker_segments = segments;
+        self.last_assign = last_assign;
+        Ok(())
     }
 
-    /// Unpacks one worker's fused-round reply: a `Compound` of exactly
+    /// Unpacks one worker's compound reply: a `Compound` of exactly
     /// `arity` items. A worker stops a compound at its first failing
     /// sub-message and ships the (shorter) batch ending in `Error`, so a
     /// trailing error item is surfaced as the typed remote error before
@@ -690,10 +681,12 @@ impl Cluster {
         }
     }
 
-    /// The shared body of the fused tracker rounds: broadcasts one
-    /// `Compound([tracker_msg, sample_msg?])`, folds the global potential
-    /// from the `ShardSums` parts (worker order = shard order), and
-    /// resolves the piggybacked sample against that *folded* potential.
+    /// One k-means|| tracker round as one `Compound` frame per worker:
+    /// the broadcast (`InitTracker` or `UpdateTracker`, possibly with no
+    /// rows) fused with its read (`SampleBernoulliLocal`, `SampleExact`,
+    /// `CandidateWeights`, `GatherD2`, or none). Folds the global
+    /// potential from the `ShardSums` parts (worker order = shard order)
+    /// and resolves the read against that *folded* potential.
     ///
     /// Bernoulli parity argument: workers prescreen with their local
     /// left-folded `φ_lo` — a guaranteed lower bound on the global folded
@@ -702,37 +695,63 @@ impl Cluster {
     /// `u < ℓ·d²/φ` is monotone non-increasing in φ — so the true accept
     /// set is a subset of the prescreen set. The coordinator re-applies
     /// the exact test with the exact per-point draw `u` the worker
-    /// consumed, making the fused round bit-identical to the two-round
-    /// conversation it replaces.
-    fn tracker_round_sampled(
+    /// consumed, so the sample is bit-identical to drawing against the
+    /// folded φ directly — after an empty update too, where φ is the
+    /// same fold of unchanged d².
+    pub fn tracker_round(
         &mut self,
-        tracker_msg: Message,
-        segment: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), ClusterError> {
-        let sample_msg = spec.map(|s| match s {
-            SampleSpec::Bernoulli { l } => Message::SampleBernoulliLocal {
+        broadcast: Broadcast<'_>,
+        read: TrackerRead,
+    ) -> Result<(f64, TrackerOut), ClusterError> {
+        let (tracker_msg, segment) = match broadcast {
+            Broadcast::Init(centers) => {
+                // A new tracker: the old segments describe nothing the
+                // workers will hold once this round commits.
+                self.tracker_segments.clear();
+                let msg = Message::InitTracker {
+                    centers: centers.clone(),
+                };
+                (msg, centers)
+            }
+            Broadcast::Update { from, rows } => {
+                let msg = Message::UpdateTracker {
+                    from: from as u64,
+                    centers: rows.clone(),
+                };
+                (msg, rows)
+            }
+        };
+        let mut items = vec![tracker_msg];
+        items.extend(match read {
+            TrackerRead::Nothing => None,
+            TrackerRead::Sample {
+                round,
+                seed,
+                spec: SampleSpec::Bernoulli { l },
+            } => Some(Message::SampleBernoulliLocal {
                 round: round as u64,
                 seed,
                 l,
-            },
-            SampleSpec::ExactKeys { m } => Message::SampleExact {
+            }),
+            TrackerRead::Sample {
+                round,
+                seed,
+                spec: SampleSpec::ExactKeys { m },
+            } => Some(Message::SampleExact {
                 round: round as u64,
                 seed,
                 m: m as u64,
-            },
+            }),
+            TrackerRead::Weights { m } => Some(Message::CandidateWeights { m: m as u64 }),
+            TrackerRead::D2 => Some(Message::GatherD2),
         });
-        let arity = 1 + sample_msg.iter().count();
-        let mut items = vec![tracker_msg];
-        items.extend(sample_msg);
+        let arity = items.len();
         let replies = self.request_all(&Message::Compound(items))?;
         let mut sums = Vec::new();
-        let mut sample_parts = Vec::with_capacity(replies.len());
+        let mut parts = Vec::with_capacity(replies.len());
         for (i, r) in replies.into_iter().enumerate() {
-            let mut parts = Self::unpack_compound(i, r, arity)?.into_iter();
-            match parts.next() {
+            let mut items = Self::unpack_compound(i, r, arity)?.into_iter();
+            match items.next() {
                 Some(Message::ShardSums { sums: s }) => sums.extend(s),
                 other => {
                     return Err(ClusterError::Protocol(format!(
@@ -740,26 +759,47 @@ impl Cluster {
                     )))
                 }
             }
-            if let Some(part) = parts.next() {
-                sample_parts.push((i, part));
-            }
+            parts.extend(items.next().map(|part| (i, part)));
         }
         self.data_passes += 1;
-        self.tracker_segments.push(segment.clone());
+        // The round committed on every worker: its segment joins the
+        // replay mirror (an empty update leaves nothing to replay).
+        if !segment.is_empty() {
+            self.tracker_segments.push(segment.clone());
+        }
         let phi = Self::fold(sums);
-        let out = match spec {
-            None => None,
-            Some(SampleSpec::Bernoulli { l }) => {
+        let out = self.resolve_read(read, phi, parts)?;
+        Ok((phi, out))
+    }
+
+    /// Merges the per-worker read parts of a tracker round (worker order
+    /// = global row order) into what the driver asked for.
+    fn resolve_read(
+        &self,
+        read: TrackerRead,
+        phi: f64,
+        parts: Vec<(usize, Message)>,
+    ) -> Result<TrackerOut, ClusterError> {
+        let unexpected = |i: usize, other: Message, want: &str| {
+            ClusterError::Protocol(format!(
+                "worker {i} answered read step with {other:?} instead of {want}"
+            ))
+        };
+        Ok(match read {
+            TrackerRead::Nothing => TrackerOut::Nothing,
+            TrackerRead::Sample {
+                spec: SampleSpec::Bernoulli { l },
+                ..
+            } => {
                 let mut indices = Vec::new();
                 let mut rows = PointMatrix::new(self.dim);
-                for (i, part) in sample_parts {
-                    let (entries, picked) = match part {
-                        Message::Prescreened { entries, rows } => (entries, rows),
-                        other => {
-                            return Err(ClusterError::Protocol(format!(
-                            "worker {i} answered sample step with {other:?} instead of Prescreened"
-                        )))
-                        }
+                for (i, part) in parts {
+                    let Message::Prescreened {
+                        entries,
+                        rows: picked,
+                    } = part
+                    else {
+                        return Err(unexpected(i, part, "Prescreened"));
                     };
                     if entries.len() != picked.len() {
                         return Err(ClusterError::Protocol(format!(
@@ -779,100 +819,27 @@ impl Cluster {
                         }
                     }
                 }
-                Some(SampleOut::Picked { indices, rows })
+                TrackerOut::Picked { indices, rows }
             }
-            Some(SampleSpec::ExactKeys { .. }) => {
-                let mut entries = Vec::new();
-                for (i, part) in sample_parts {
-                    match part {
-                        Message::ExactKeys { entries: e } => {
-                            entries.extend(e.into_iter().map(|(key, g)| (key, g as usize)));
-                        }
-                        other => {
-                            return Err(ClusterError::Protocol(format!(
-                            "worker {i} answered sample step with {other:?} instead of ExactKeys"
-                        )))
-                        }
-                    }
+            TrackerRead::Sample {
+                spec: SampleSpec::ExactKeys { .. },
+                ..
+            } => {
+                let mut keys = Vec::new();
+                for (i, part) in parts {
+                    let Message::ExactKeys { entries } = part else {
+                        return Err(unexpected(i, part, "ExactKeys"));
+                    };
+                    keys.extend(entries.into_iter().map(|(key, g)| (key, g as usize)));
                 }
-                Some(SampleOut::Keys(entries))
+                TrackerOut::Keys(keys)
             }
-        };
-        Ok((phi, out))
-    }
-
-    /// Fused round 0: `InitTracker` + the round's sampling step in one
-    /// wire round trip. Returns the global ψ and the resolved sample.
-    pub fn tracker_init_sampled(
-        &mut self,
-        centers: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), ClusterError> {
-        self.tracker_segments.clear();
-        self.tracker_round_sampled(
-            Message::InitTracker {
-                centers: centers.clone(),
-            },
-            centers,
-            round,
-            seed,
-            spec,
-        )
-    }
-
-    /// Fused mid round: `UpdateTracker` + the next round's sampling step
-    /// in one wire round trip. Returns the global φ and the sample.
-    pub fn tracker_update_sampled(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), ClusterError> {
-        self.tracker_round_sampled(
-            Message::UpdateTracker {
-                from: from as u64,
-                centers: new_rows.clone(),
-            },
-            new_rows,
-            round,
-            seed,
-            spec,
-        )
-    }
-
-    /// Fused closing round: the last `UpdateTracker` + Step 7's
-    /// `CandidateWeights` in one wire round trip.
-    pub fn tracker_update_weighted(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        m: usize,
-    ) -> Result<Vec<f64>, ClusterError> {
-        let items = vec![
-            Message::UpdateTracker {
-                from: from as u64,
-                centers: new_rows.clone(),
-            },
-            Message::CandidateWeights { m: m as u64 },
-        ];
-        let replies = self.request_all(&Message::Compound(items))?;
-        let mut total = vec![0.0f64; m];
-        for (i, r) in replies.into_iter().enumerate() {
-            let mut parts = Self::unpack_compound(i, r, 2)?.into_iter();
-            match parts.next() {
-                Some(Message::ShardSums { .. }) => {}
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered tracker step with {other:?} instead of ShardSums"
-                    )))
-                }
-            }
-            match parts.next() {
-                Some(Message::Weights { weights }) => {
+            TrackerRead::Weights { m } => {
+                let mut total = vec![0.0f64; m];
+                for (i, part) in parts {
+                    let Message::Weights { weights } = part else {
+                        return Err(unexpected(i, part, "Weights"));
+                    };
                     if weights.len() != m {
                         return Err(ClusterError::Protocol(format!(
                             "worker {i} sent {} weights for {m} candidates",
@@ -884,111 +851,26 @@ impl Cluster {
                         *acc += w;
                     }
                 }
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered weights step with {other:?} instead of Weights"
-                    )))
-                }
+                TrackerOut::Weights(total)
             }
-        }
-        self.data_passes += 1;
-        self.tracker_segments.push(new_rows.clone());
-        Ok(total)
-    }
-
-    /// One Bernoulli sampling round (Step 4). Returns the picked global
-    /// indices (ascending) and their rows, in the same order.
-    pub fn sample_bernoulli_round(
-        &mut self,
-        round: usize,
-        seed: u64,
-        l: f64,
-        phi: f64,
-    ) -> Result<(Vec<usize>, PointMatrix), ClusterError> {
-        let replies = self.request_all(&Message::SampleBernoulli {
-            round: round as u64,
-            seed,
-            l,
-            phi,
-        })?;
-        let mut indices = Vec::new();
-        let mut rows = PointMatrix::new(self.dim);
-        for (i, r) in replies.into_iter().enumerate() {
-            match r {
-                Message::Sampled {
-                    indices: idx,
-                    rows: picked,
-                } => {
-                    indices.extend(idx.into_iter().map(|g| g as usize));
-                    rows.extend_from(&picked).map_err(|e| {
-                        ClusterError::Protocol(format!("worker {i} sampled ragged rows: {e}"))
-                    })?;
+            TrackerRead::D2 => {
+                let mut d2 = Vec::with_capacity(self.global_n);
+                for (i, part) in parts {
+                    let Message::D2 { values } = part else {
+                        return Err(unexpected(i, part, "D2"));
+                    };
+                    d2.extend(values);
                 }
-                other => {
+                if d2.len() != self.global_n {
                     return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered with {other:?} instead of Sampled"
-                    )))
+                        "workers returned {} d² values for {} rows",
+                        d2.len(),
+                        self.global_n
+                    )));
                 }
+                TrackerOut::D2(d2)
             }
-        }
-        Ok((indices, rows))
-    }
-
-    /// One exact-ℓ sampling round: collects every worker's keyed
-    /// candidates for the coordinator-side global merge.
-    pub fn sample_exact_round(
-        &mut self,
-        round: usize,
-        seed: u64,
-        m: usize,
-    ) -> Result<Vec<(f64, usize)>, ClusterError> {
-        let replies = self.request_all(&Message::SampleExact {
-            round: round as u64,
-            seed,
-            m: m as u64,
-        })?;
-        let mut entries = Vec::new();
-        for (i, r) in replies.into_iter().enumerate() {
-            match r {
-                Message::ExactKeys { entries: e } => {
-                    entries.extend(e.into_iter().map(|(key, g)| (key, g as usize)));
-                }
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered with {other:?} instead of ExactKeys"
-                    )))
-                }
-            }
-        }
-        Ok(entries)
-    }
-
-    /// Step 7: elementwise-exact sum of per-worker candidate counts.
-    pub fn candidate_weights(&mut self, m: usize) -> Result<Vec<f64>, ClusterError> {
-        let replies = self.request_all(&Message::CandidateWeights { m: m as u64 })?;
-        let mut total = vec![0.0f64; m];
-        for (i, r) in replies.into_iter().enumerate() {
-            match r {
-                Message::Weights { weights } => {
-                    if weights.len() != m {
-                        return Err(ClusterError::Protocol(format!(
-                            "worker {i} sent {} weights for {m} candidates",
-                            weights.len()
-                        )));
-                    }
-                    for (acc, w) in total.iter_mut().zip(weights) {
-                        // Integer-valued counts: float addition is exact.
-                        *acc += w;
-                    }
-                }
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered with {other:?} instead of Weights"
-                    )))
-                }
-            }
-        }
-        Ok(total)
+        })
     }
 
     /// Fetches rows by global index from their owning workers, preserving
@@ -1081,24 +963,6 @@ impl Cluster {
         Ok(out)
     }
 
-    /// Gathers the full resident `d²` array (worker order = global row
-    /// order). Only the rare top-up path needs this O(n) transfer.
-    pub fn gather_d2(&mut self) -> Result<Vec<f64>, ClusterError> {
-        let replies = self.request_all(&Message::GatherD2)?;
-        let mut d2 = Vec::with_capacity(self.global_n);
-        for (i, r) in replies.into_iter().enumerate() {
-            match r {
-                Message::D2 { values } => d2.extend(values),
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered with {other:?} instead of D2"
-                    )))
-                }
-            }
-        }
-        Ok(d2)
-    }
-
     /// One distributed assignment pass: returns the global reassignment
     /// count and the folded [`ClusterSums`] — bit-identical to the
     /// single-node `assign_and_sum` on the same centers, the kernel work
@@ -1111,7 +975,7 @@ impl Cluster {
     /// frame; `IfStable` makes each *locally* stable worker ship
     /// speculatively — when the global count is 0 every worker was
     /// locally stable, so the full label vector arrived for free and is
-    /// returned, eliminating the follow-up `FetchLabels` cycle.
+    /// returned.
     pub fn assign(
         &mut self,
         centers: &PointMatrix,
@@ -1196,31 +1060,6 @@ impl Cluster {
             centers: centers.clone(),
         })?;
         Ok(Self::fold(sums))
-    }
-
-    /// Fetches the labels of the last assignment pass, concatenated in
-    /// worker (= global row) order.
-    pub fn fetch_labels(&mut self) -> Result<Vec<u32>, ClusterError> {
-        let replies = self.request_all(&Message::FetchLabels)?;
-        let mut labels = Vec::with_capacity(self.global_n);
-        for (i, r) in replies.into_iter().enumerate() {
-            match r {
-                Message::Labels { labels: l } => labels.extend(l),
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered with {other:?} instead of Labels"
-                    )))
-                }
-            }
-        }
-        if labels.len() != self.global_n {
-            return Err(ClusterError::Protocol(format!(
-                "workers returned {} labels for {} rows",
-                labels.len(),
-                self.global_n
-            )));
-        }
-        Ok(labels)
     }
 
     /// Fetches every worker's residency accounting.

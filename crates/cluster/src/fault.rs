@@ -34,40 +34,25 @@ use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
 /// Message-tag constants for scripting faults against the distributed
-/// `SKW1` vocabulary without constructing throwaway messages. Mirrors
-/// [`crate::protocol::Message`]'s tag map (round-trip pinned by a test).
+/// `SKW1` vocabulary without constructing throwaway messages. Only tags
+/// that cross the wire as top-level frames are listed — a script matches
+/// top-level tags, and tracker rounds and recovery catch-up travel inside
+/// `Compound` frames. Mirrors [`crate::protocol::Message`]'s tag map
+/// (round-trip pinned by a test).
 pub mod tag {
-    /// `InitTracker` — the seeding tracker-initialization round.
-    pub const INIT_TRACKER: u8 = 4;
-    /// `UpdateTracker` — the per-round tracker update.
-    pub const UPDATE_TRACKER: u8 = 5;
-    /// `SampleBernoulli` — the k-means|| oversampling round.
-    pub const SAMPLE_BERNOULLI: u8 = 7;
-    /// `SampleExact` — the exact-`ℓ` sampling round.
-    pub const SAMPLE_EXACT: u8 = 9;
-    /// `CandidateWeights` — the weight-gathering round.
-    pub const CANDIDATE_WEIGHTS: u8 = 11;
+    /// `ShardSums` — the seed-cost pass's reply.
+    pub const SHARD_SUMS: u8 = 6;
     /// `GatherRows` — point gathers (seeding + reseeding).
     pub const GATHER_ROWS: u8 = 13;
-    /// `GatherD2` — the distance-snapshot gather (top-up path).
-    pub const GATHER_D2: u8 = 15;
     /// `Assign` — a Lloyd assignment pass.
     pub const ASSIGN: u8 = 17;
-    /// `Cost` — a potential evaluation pass.
-    pub const COST: u8 = 19;
-    /// `FetchLabels` — the closing label fetch.
-    pub const FETCH_LABELS: u8 = 20;
-    /// `ShardSums` — the tracker rounds' reply.
-    pub const SHARD_SUMS: u8 = 6;
     /// `Partials` — the assignment rounds' reply.
     pub const PARTIALS: u8 = 18;
-    /// `Compound` — a fused round's batched request (and its batched
-    /// reply): the default conversation shape of a distributed fit.
+    /// `Cost` — a potential evaluation pass.
+    pub const COST: u8 = 19;
+    /// `Compound` — a tracker round's fused request (and its fused
+    /// reply), and a replacement worker's catch-up frame.
     pub const COMPOUND: u8 = 29;
-    /// `SampleBernoulliLocal` — the fused Bernoulli prescreen step.
-    pub const SAMPLE_BERNOULLI_LOCAL: u8 = 30;
-    /// `Prescreened` — the fused Bernoulli prescreen reply.
-    pub const PRESCREENED: u8 = 31;
 }
 
 /// One scripted fault, armed for the `occurrence`-th frame (1-based)
@@ -293,46 +278,11 @@ mod tests {
     fn tag_constants_match_the_protocol() {
         use crate::wire::WireMessage as _;
         let m = kmeans_data::PointMatrix::new(1);
-        assert_eq!(
-            Message::InitTracker { centers: m.clone() }.tag(),
-            tag::INIT_TRACKER
-        );
-        assert_eq!(
-            Message::UpdateTracker {
-                from: 0,
-                centers: m.clone()
-            }
-            .tag(),
-            tag::UPDATE_TRACKER
-        );
-        assert_eq!(
-            Message::SampleBernoulli {
-                round: 0,
-                seed: 0,
-                l: 0.0,
-                phi: 0.0
-            }
-            .tag(),
-            tag::SAMPLE_BERNOULLI
-        );
-        assert_eq!(
-            Message::SampleExact {
-                round: 0,
-                seed: 0,
-                m: 0
-            }
-            .tag(),
-            tag::SAMPLE_EXACT
-        );
-        assert_eq!(
-            Message::CandidateWeights { m: 0 }.tag(),
-            tag::CANDIDATE_WEIGHTS
-        );
+        assert_eq!(Message::ShardSums { sums: vec![] }.tag(), tag::SHARD_SUMS);
         assert_eq!(
             Message::GatherRows { indices: vec![] }.tag(),
             tag::GATHER_ROWS
         );
-        assert_eq!(Message::GatherD2.tag(), tag::GATHER_D2);
         assert_eq!(
             Message::Assign {
                 centers: m.clone(),
@@ -341,9 +291,6 @@ mod tests {
             .tag(),
             tag::ASSIGN
         );
-        assert_eq!(Message::Cost { centers: m.clone() }.tag(), tag::COST);
-        assert_eq!(Message::FetchLabels.tag(), tag::FETCH_LABELS);
-        assert_eq!(Message::ShardSums { sums: vec![] }.tag(), tag::SHARD_SUMS);
         assert_eq!(
             Message::Partials {
                 reassigned: 0,
@@ -354,25 +301,8 @@ mod tests {
             .tag(),
             tag::PARTIALS
         );
+        assert_eq!(Message::Cost { centers: m }.tag(), tag::COST);
         assert_eq!(Message::Compound(vec![]).tag(), tag::COMPOUND);
-        assert_eq!(
-            Message::SampleBernoulliLocal {
-                round: 0,
-                seed: 0,
-                l: 0.0
-            }
-            .tag(),
-            tag::SAMPLE_BERNOULLI_LOCAL
-        );
-        assert_eq!(
-            Message::Prescreened {
-                entries: vec![],
-                rows: m.clone()
-            }
-            .tag(),
-            tag::PRESCREENED
-        );
-        drop(m);
     }
 
     #[test]
@@ -387,13 +317,14 @@ mod tests {
 
     #[test]
     fn kill_on_nth_recv_consumes_the_frame_and_stays_dead() {
+        let gather = Message::GatherRows { indices: vec![3] };
         let (mut peer, mut faulty) = pair_with_script(vec![FaultAction::KillOnRecv {
-            tag: tag::GATHER_D2,
+            tag: tag::GATHER_ROWS,
             occurrence: 2,
         }]);
-        peer.send(&Message::GatherD2).unwrap();
-        peer.send(&Message::GatherD2).unwrap();
-        assert_eq!(faulty.recv().unwrap(), Message::GatherD2);
+        peer.send(&gather).unwrap();
+        peer.send(&gather).unwrap();
+        assert_eq!(faulty.recv().unwrap(), gather);
         assert!(matches!(faulty.recv(), Err(ClusterError::Disconnected)));
         assert!(faulty.is_dead());
         // Dead means dead — both directions, forever.

@@ -13,7 +13,7 @@
 //!
 //! The engine performs the capability checks before any wire traffic
 //! (the plan, with its worker-alignment validation, is deferred to the
-//! first wire primitive — so an unsupported stage always rejects with
+//! first wire round — so an unsupported stage always rejects with
 //! its own typed error before any stage touches the cluster), and wraps
 //! the backend in the flight recorder's span decorator when a recorder
 //! is configured.

@@ -153,8 +153,8 @@ impl From<WireError> for KMeansError {
 
 /// Whether an [`Message::Assign`] pass should ship the labels it stored
 /// back in its [`Message::Partials`] reply — the wire form of the
-/// driver's `LabelFetch`, eliminating the separate `FetchLabels` cycle
-/// on the paths that need labels.
+/// driver's `LabelFetch`: labels always ride the assignment reply that
+/// produced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LabelsWanted {
     /// Labels stay worker-resident (mid-loop Lloyd iterations). Also the
@@ -187,10 +187,15 @@ pub struct WorkerStats {
 /// One message of the coordinator/worker conversation. The round
 /// structure of Algorithm 2 maps onto these directly: `InitTracker` /
 /// `UpdateTracker` are the centers broadcasts (Steps 2 and 5–6),
-/// `SampleBernoulli` / `SampleExact` are Step 4, `ShardSums` carries the
-/// `φ_X′(C)` cost partials of §3.5, `CandidateWeights` is Step 7, and
-/// `Assign`/`Partials` carry the accumulation-shard partials of the
-/// distributed Lloyd iteration.
+/// `SampleBernoulliLocal` / `SampleExact` are Step 4, `ShardSums`
+/// carries the `φ_X′(C)` cost partials of §3.5, `CandidateWeights` is
+/// Step 7, and `Assign`/`Partials` carry the accumulation-shard partials
+/// of the distributed Lloyd iteration. A tracker broadcast and its read
+/// travel together as one [`Message::Compound`] frame per worker.
+///
+/// Retired tags, never reused: 7/8 (`SampleBernoulli`/`Sampled`), 20/21
+/// (`FetchLabels`/`Labels`), 27/28 (`RestoreLabels`/`RestoreOk`). They
+/// decode as [`FrameError::UnknownTag`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Worker → coordinator on connect: local shard shape.
@@ -232,24 +237,6 @@ pub enum Message {
     ShardSums {
         /// One partial per executor shard of the worker's range.
         sums: Vec<f64>,
-    },
-    /// Step 4, Bernoulli form: sample this round. Replies `Sampled`.
-    SampleBernoulli {
-        /// Round index (part of the RNG stream derivation).
-        round: u64,
-        /// Base seed.
-        seed: u64,
-        /// Oversampling ℓ.
-        l: f64,
-        /// Current global potential φ.
-        phi: f64,
-    },
-    /// The worker's picks: ascending global indices plus their rows.
-    Sampled {
-        /// Global row indices.
-        indices: Vec<u64>,
-        /// The corresponding rows, in the same order.
-        rows: PointMatrix,
     },
     /// Step 4, exact-ℓ form: per-shard Efraimidis–Spirakis keys. Replies
     /// `ExactKeys`; the coordinator merges globally and gathers rows.
@@ -296,7 +283,10 @@ pub enum Message {
         values: Vec<f64>,
     },
     /// One distributed assignment pass against these centers. Replies
-    /// `Partials`; the worker stores the labels for `FetchLabels`.
+    /// `Partials`; the worker stores the labels, which seed the next
+    /// pass's warm sweep. On a fresh session (no stored labels) the pass
+    /// runs cold — which is how recovery catch-up rebuilds a lost
+    /// worker's labels.
     Assign {
         /// The centers.
         centers: PointMatrix,
@@ -330,13 +320,6 @@ pub enum Message {
         /// The centers.
         centers: PointMatrix,
     },
-    /// Fetch the labels stored by the last `Assign`. Replies `Labels`.
-    FetchLabels,
-    /// Reply to `FetchLabels`.
-    Labels {
-        /// Labels in local row order.
-        labels: Vec<u32>,
-    },
     /// Fetch the worker's residency accounting. Replies `Stats`.
     FetchStats,
     /// Reply to `FetchStats`.
@@ -347,21 +330,11 @@ pub enum Message {
     Shutdown,
     /// Worker → coordinator: session ended.
     ShutdownOk,
-    /// Coordinator → worker (recovery catch-up): rebuild the labels the
-    /// last completed `Assign` round left behind by re-running assignment
-    /// against the same centers, discarding the partials. Sent to a
-    /// replacement worker after the tracker replay so the next real
-    /// `Assign` counts reassignments — and `FetchLabels` answers —
-    /// exactly as the lost worker would have. Replies `RestoreOk`.
-    RestoreLabels {
-        /// Centers of the last completed assignment round.
-        centers: PointMatrix,
-    },
-    /// Worker → coordinator: labels restored.
-    RestoreOk,
     /// Several messages traveling as **one** frame — the round-fusion
     /// mechanism. A coordinator sends one `Compound` of requests per
-    /// worker per fused round (e.g. `[UpdateTracker, SampleBernoulliLocal]`);
+    /// worker per tracker round (e.g. `[UpdateTracker, SampleBernoulliLocal]`)
+    /// and one per recovery catch-up (`[InitTracker, UpdateTracker…,
+    /// Assign]`);
     /// the worker executes the sub-messages in order against its session
     /// state and replies with one `Compound` of the per-item replies,
     /// stopping after the first item that produces an `Error` (which
@@ -375,10 +348,9 @@ pub enum Message {
     /// per-shard `d²` sums — an FP-guaranteed lower bound on the global
     /// folded φ, so the true accept set is always a subset). Replies
     /// [`Message::Prescreened`]; the coordinator replays the exact
-    /// accept predicate with the folded global φ. Unlike
-    /// [`Message::SampleBernoulli`] this request does not need φ, which
-    /// is what lets it ride the same compound frame as the tracker
-    /// update that changes φ.
+    /// accept predicate with the folded global φ. The request does not
+    /// need φ, which is what lets it ride the same compound frame as the
+    /// tracker update that changes φ.
     SampleBernoulliLocal {
         /// Round index (part of the RNG stream derivation).
         round: u64,
@@ -446,8 +418,6 @@ impl WireMessage for Message {
             Message::InitTracker { .. } => 4,
             Message::UpdateTracker { .. } => 5,
             Message::ShardSums { .. } => 6,
-            Message::SampleBernoulli { .. } => 7,
-            Message::Sampled { .. } => 8,
             Message::SampleExact { .. } => 9,
             Message::ExactKeys { .. } => 10,
             Message::CandidateWeights { .. } => 11,
@@ -459,15 +429,11 @@ impl WireMessage for Message {
             Message::Assign { .. } => 17,
             Message::Partials { .. } => 18,
             Message::Cost { .. } => 19,
-            Message::FetchLabels => 20,
-            Message::Labels { .. } => 21,
             Message::FetchStats => 22,
             Message::Stats(_) => 23,
             Message::Error(_) => 24,
             Message::Shutdown => 25,
             Message::ShutdownOk => 26,
-            Message::RestoreLabels { .. } => 27,
-            Message::RestoreOk => 28,
             Message::Compound(_) => 29,
             Message::SampleBernoulliLocal { .. } => 30,
             Message::Prescreened { .. } => 31,
@@ -492,11 +458,9 @@ impl WireMessage for Message {
                 e.u64(*shard_size);
                 e.u32(*dim);
             }
-            Message::PlanOk | Message::GatherD2 | Message::FetchLabels | Message::FetchStats => {}
-            Message::Shutdown | Message::ShutdownOk | Message::RestoreOk => {}
-            Message::InitTracker { centers }
-            | Message::Cost { centers }
-            | Message::RestoreLabels { centers } => {
+            Message::PlanOk | Message::GatherD2 | Message::FetchStats => {}
+            Message::Shutdown | Message::ShutdownOk => {}
+            Message::InitTracker { centers } | Message::Cost { centers } => {
                 e.matrix(centers);
             }
             Message::Assign { centers, labels } => {
@@ -514,21 +478,6 @@ impl WireMessage for Message {
                 e.matrix(centers);
             }
             Message::ShardSums { sums } => e.f64s(sums),
-            Message::SampleBernoulli {
-                round,
-                seed,
-                l,
-                phi,
-            } => {
-                e.u64(*round);
-                e.u64(*seed);
-                e.f64(*l);
-                e.f64(*phi);
-            }
-            Message::Sampled { indices, rows } => {
-                e.u64s(indices);
-                e.matrix(rows);
-            }
             Message::SampleExact { round, seed, m } => {
                 e.u64(*round);
                 e.u64(*seed);
@@ -568,7 +517,6 @@ impl WireMessage for Message {
                     e.u32s(l);
                 }
             }
-            Message::Labels { labels } => e.u32s(labels),
             Message::Stats(s) => {
                 e.u64(s.peak_bytes);
                 e.u64(s.loads);
@@ -658,16 +606,6 @@ impl WireMessage for Message {
                 centers: d.matrix()?,
             },
             6 => Message::ShardSums { sums: d.f64s()? },
-            7 => Message::SampleBernoulli {
-                round: d.u64()?,
-                seed: d.u64()?,
-                l: d.f64()?,
-                phi: d.f64()?,
-            },
-            8 => Message::Sampled {
-                indices: d.u64s()?,
-                rows: d.matrix()?,
-            },
             9 => Message::SampleExact {
                 round: d.u64()?,
                 seed: d.u64()?,
@@ -739,8 +677,6 @@ impl WireMessage for Message {
             19 => Message::Cost {
                 centers: d.matrix()?,
             },
-            20 => Message::FetchLabels,
-            21 => Message::Labels { labels: d.u32s()? },
             22 => Message::FetchStats,
             23 => Message::Stats(WorkerStats {
                 peak_bytes: d.u64()?,
@@ -780,10 +716,6 @@ impl WireMessage for Message {
             }
             25 => Message::Shutdown,
             26 => Message::ShutdownOk,
-            27 => Message::RestoreLabels {
-                centers: d.matrix()?,
-            },
-            28 => Message::RestoreOk,
             29 => {
                 // Each item costs at least a tag byte plus a length
                 // prefix; validating the count against that floor bounds
@@ -837,8 +769,6 @@ impl Message {
             Message::InitTracker { .. } => "init_tracker",
             Message::UpdateTracker { .. } => "update_tracker",
             Message::ShardSums { .. } => "shard_sums",
-            Message::SampleBernoulli { .. } => "sample_bernoulli",
-            Message::Sampled { .. } => "sampled",
             Message::SampleExact { .. } => "sample_exact",
             Message::ExactKeys { .. } => "exact_keys",
             Message::CandidateWeights { .. } => "candidate_weights",
@@ -850,15 +780,11 @@ impl Message {
             Message::Assign { .. } => "assign",
             Message::Partials { .. } => "partials",
             Message::Cost { .. } => "cost",
-            Message::FetchLabels => "fetch_labels",
-            Message::Labels { .. } => "labels",
             Message::FetchStats => "fetch_stats",
             Message::Stats(_) => "stats",
             Message::Error(_) => "error",
             Message::Shutdown => "shutdown",
             Message::ShutdownOk => "shutdown_ok",
-            Message::RestoreLabels { .. } => "restore_labels",
-            Message::RestoreOk => "restore_ok",
             Message::Compound(_) => "compound",
             Message::SampleBernoulliLocal { .. } => "sample_bernoulli_local",
             Message::Prescreened { .. } => "prescreened",
@@ -918,16 +844,6 @@ mod tests {
             },
             Message::ShardSums {
                 sums: vec![1.5, -2.5, 0.0],
-            },
-            Message::SampleBernoulli {
-                round: 2,
-                seed: 42,
-                l: 8.0,
-                phi: 123.456,
-            },
-            Message::Sampled {
-                indices: vec![3, 9],
-                rows: m.clone(),
             },
             Message::SampleExact {
                 round: 1,
@@ -1003,13 +919,18 @@ mod tests {
                 },
                 Message::Error(WireError::EmptyInput),
             ]),
-            Message::Cost { centers: m.clone() },
-            Message::RestoreLabels { centers: m },
-            Message::RestoreOk,
-            Message::FetchLabels,
-            Message::Labels {
-                labels: vec![0, 1, 1, 0],
-            },
+            Message::Compound(vec![
+                Message::InitTracker { centers: m.clone() },
+                Message::UpdateTracker {
+                    from: 2,
+                    centers: m.clone(),
+                },
+                Message::Assign {
+                    centers: m.clone(),
+                    labels: LabelsWanted::Skip,
+                },
+            ]),
+            Message::Cost { centers: m },
             Message::FetchStats,
             Message::Stats(WorkerStats {
                 peak_bytes: 1,
@@ -1084,6 +1005,25 @@ mod tests {
             Message::decode_frame(&f, MAX_FRAME_PAYLOAD).unwrap_err(),
             FrameError::UnknownTag(200)
         );
+    }
+
+    #[test]
+    fn retired_tags_decode_as_unknown() {
+        // SampleBernoulli/Sampled, FetchLabels/Labels and
+        // RestoreLabels/RestoreOk left the vocabulary; their numbers are
+        // never reused, so an old peer's frame is a typed error.
+        for tag in [7u8, 8, 20, 21, 27, 28] {
+            let mut frame = Vec::new();
+            frame.extend_from_slice(&FRAME_MAGIC);
+            frame.push(tag);
+            frame.extend_from_slice(&0u32.to_le_bytes());
+            frame.extend_from_slice(&fnv1a(tag, &[]).to_le_bytes());
+            assert_eq!(
+                Message::decode_frame(&frame, MAX_FRAME_PAYLOAD).unwrap_err(),
+                FrameError::UnknownTag(tag),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

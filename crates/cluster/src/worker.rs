@@ -16,7 +16,7 @@ use crate::transport::{TcpTransport, Transport};
 use kmeans_core::chunked::{
     assign_partials_chunked, gather_rows, potential_shard_sums, ChunkedCostTracker,
 };
-use kmeans_core::init::{exact_sample_keys, sample_bernoulli, sample_bernoulli_prescreen};
+use kmeans_core::init::{exact_sample_keys, sample_bernoulli_prescreen};
 use kmeans_core::KMeansError;
 use kmeans_data::{ChunkedSource, PointMatrix};
 use kmeans_obs::{arg_u64, Recorder, SpanEvent};
@@ -97,12 +97,9 @@ impl Worker {
             | Message::UpdateTracker { .. }
             | Message::Assign { .. }
             | Message::Cost { .. }
-            | Message::RestoreLabels { .. }
-            | Message::SampleBernoulli { .. }
             | Message::SampleBernoulliLocal { .. }
             | Message::SampleExact { .. }
-            | Message::GatherD2
-            | Message::FetchLabels => local_rows as u64,
+            | Message::GatherD2 => local_rows as u64,
             Message::Compound(items) => items.iter().map(|m| Self::frame_rows(m, local_rows)).sum(),
             _ => 0,
         }
@@ -274,33 +271,6 @@ impl Worker {
                     sums: per_shard_sums(tracker.d2(), &s.exec),
                 })
             }
-            Message::SampleBernoulli {
-                round,
-                seed,
-                l,
-                phi,
-            } => {
-                let tracker = s
-                    .tracker
-                    .as_ref()
-                    .ok_or_else(|| KMeansError::InvalidConfig("no tracker initialized".into()))?;
-                let first_shard = s.start_row / s.shard_size;
-                let local = sample_bernoulli(
-                    tracker.d2(),
-                    l,
-                    phi,
-                    seed,
-                    round as usize,
-                    &s.exec,
-                    first_shard,
-                );
-                let mut buf = source.block_buffer();
-                let rows = gather_rows(source, &local, &mut buf)?;
-                Ok(Message::Sampled {
-                    indices: local.iter().map(|&i| (i + s.start_row) as u64).collect(),
-                    rows,
-                })
-            }
             Message::SampleBernoulliLocal { round, seed, l } => {
                 let tracker = s
                     .tracker
@@ -411,7 +381,10 @@ impl Worker {
                 // so the coordinator's fold reports the same measured
                 // work a single-node pass would: the previous pass's
                 // labels seed the warm sweep here exactly as they do in
-                // the single-node backends.
+                // the single-node backends. A fresh session has none and
+                // runs cold — the labels a recovery catch-up rebuilds are
+                // the ones the lost worker held, so the next warm pass
+                // sees the same hints.
                 let (labels, shards, stats) = assign_partials_chunked(
                     source,
                     &centers,
@@ -442,30 +415,6 @@ impl Worker {
             Message::Cost { centers } => Ok(Message::ShardSums {
                 sums: potential_shard_sums(source, &centers, &s.exec).map_err(offset_err)?,
             }),
-            Message::RestoreLabels { centers } => {
-                // Recovery catch-up: rebuild the labels the lost worker's
-                // last assignment pass stored, discarding partials — the
-                // coordinator already folded them before the failure. A
-                // cold pass yields the same labels, so the next pass sees
-                // the same hints as on a worker that never failed.
-                let (labels, _shards, _stats) = assign_partials_chunked(
-                    source,
-                    &centers,
-                    &s.exec,
-                    s.start_row,
-                    s.global_n,
-                    None,
-                )
-                .map_err(offset_err)?;
-                s.labels = Some(labels);
-                Ok(Message::RestoreOk)
-            }
-            Message::FetchLabels => {
-                let labels = s.labels.clone().ok_or_else(|| {
-                    KMeansError::InvalidConfig("no assignment pass has run".into())
-                })?;
-                Ok(Message::Labels { labels })
-            }
             Message::FetchStats => {
                 let r = source.residency();
                 Ok(Message::Stats(WorkerStats {

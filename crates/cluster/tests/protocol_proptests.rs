@@ -16,10 +16,20 @@ fn build_message(shape: usize, floats: Vec<f64>, ints: Vec<u64>) -> Message {
     match shape % 9 {
         0 => Message::ShardSums { sums: floats },
         1 => Message::GatherRows { indices: ints },
-        2 => Message::Sampled {
-            indices: ints,
-            rows: matrix(&floats, 3),
-        },
+        // The recovery catch-up frame.
+        2 => Message::Compound(vec![
+            Message::InitTracker {
+                centers: matrix(&floats, 3),
+            },
+            Message::UpdateTracker {
+                from: ints.first().copied().unwrap_or(0),
+                centers: matrix(&floats, 3),
+            },
+            Message::Assign {
+                centers: matrix(&floats, 3),
+                labels: LabelsWanted::Skip,
+            },
+        ]),
         3 => Message::Partials {
             reassigned: ints.first().copied().unwrap_or(0),
             shards: vec![AccumShard {
@@ -46,9 +56,13 @@ fn build_message(shape: usize, floats: Vec<f64>, ints: Vec<u64>) -> Message {
                 _ => LabelsWanted::Always,
             },
         },
-        5 => Message::Labels {
-            labels: ints.iter().map(|&i| i as u32).collect(),
-        },
+        // The D² top-up's reply.
+        5 => Message::Compound(vec![
+            Message::ShardSums {
+                sums: floats.clone(),
+            },
+            Message::D2 { values: floats },
+        ]),
         6 => Message::ExactKeys {
             entries: floats.iter().zip(&ints).map(|(&f, &i)| (f, i)).collect(),
         },

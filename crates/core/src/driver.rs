@@ -8,8 +8,9 @@
 //! hand-synchronized copies of each: the in-memory originals, their
 //! `_chunked` twins, and the coordinator loops in `kmeans-cluster`
 //! (which PR 3 documented as mirroring the chunked twins "line for
-//! line"). [`RoundBackend`] captures exactly the per-round primitives
-//! those three execution modes already shared, in the spirit of the MPC
+//! line"). [`RoundBackend`] captures the rounds those three execution
+//! modes share as five round-level calls (`gather_rows`, `preload_rows`,
+//! `tracker_round`, `assign`, `potential`), in the spirit of the MPC
 //! round-primitive formulation of k-means (Jiang et al.), so each
 //! algorithm's round logic now exists in exactly one function:
 //!
@@ -51,8 +52,8 @@
 
 use crate::assign::{assign_and_sum, ClusterSums};
 use crate::chunked::{
-    assign_partials_chunked, fold_accum_shards, gather_rows, validate_refine_inputs_chunked,
-    validate_source, ChunkedCostTracker,
+    assign_partials_chunked, fold_accum_shards, gather_rows, gather_rows_into,
+    validate_refine_inputs_chunked, validate_source, ChunkedCostTracker,
 };
 use crate::cost::{potential, weighted_potential, CostTracker};
 use crate::error::KMeansError;
@@ -94,9 +95,7 @@ impl BackendKind {
     }
 }
 
-/// Which Step 4 sample a fused tracker round should speculate on behalf
-/// of the *next* driver round (see
-/// [`RoundBackend::tracker_update_sampled`]).
+/// Which Step 4 sample a tracker round reads (see [`TrackerRead::Sample`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SampleSpec {
     /// Line 4 verbatim: independent Bernoulli draws with
@@ -113,10 +112,58 @@ pub enum SampleSpec {
     },
 }
 
-/// The sample produced by a fused tracker round.
+/// What a tracker round broadcasts (see [`RoundBackend::tracker_round`]).
+#[derive(Clone, Copy, Debug)]
+pub enum Broadcast<'a> {
+    /// An initial candidate set: (re)builds the backend's `d²`/nearest
+    /// tracker state.
+    Init(&'a PointMatrix),
+    /// Newly appended candidates only. May be empty (a dry round, or a
+    /// read with nothing new to broadcast): the tracker and φ stay as
+    /// they are.
+    Update {
+        /// Index of the first new candidate.
+        from: usize,
+        /// The new candidate rows.
+        rows: &'a PointMatrix,
+    },
+}
+
+/// What a tracker round reads from the tracker its broadcast left behind.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TrackerRead {
+    /// Nothing but φ.
+    Nothing,
+    /// The Step 4 sample for `round`, drawn against the updated tracker.
+    /// Per-shard streams (tags 31/32) are derived per `(seed, round,
+    /// shard)` with **global** shard indices, never carried across
+    /// rounds, so the driver may discard a sample it speculated on.
+    Sample {
+        /// Round index (part of the RNG stream derivation).
+        round: usize,
+        /// Base seed.
+        seed: u64,
+        /// Bernoulli or exact-ℓ.
+        spec: SampleSpec,
+    },
+    /// Step 7: candidate weights, a histogram over the tracked nearest
+    /// ids (`m` = candidate count, cross-checked by remote backends).
+    Weights {
+        /// Candidate count after the broadcast.
+        m: usize,
+    },
+    /// The full `d²` array in global row order — the one-shot O(n)
+    /// transfer behind the D² top-up (taken only when `r·ℓ < k`
+    /// under-sampled).
+    D2,
+}
+
+/// What a tracker round read, matching its [`TrackerRead`].
 #[derive(Clone, Debug)]
-pub enum SampleOut {
-    /// Bernoulli picks: ascending global indices plus their rows.
+pub enum TrackerOut {
+    /// [`TrackerRead::Nothing`].
+    Nothing,
+    /// A Bernoulli sample: ascending global indices plus their rows.
     Picked {
         /// Global row indices, ascending.
         indices: Vec<usize>,
@@ -126,10 +173,14 @@ pub enum SampleOut {
     /// Exact-ℓ keys `(key, global index)` — the driver merges them with
     /// [`exact_sample_merge`] and gathers the winners' rows.
     Keys(Vec<(f64, usize)>),
+    /// Step 7's candidate weights.
+    Weights(Vec<f64>),
+    /// The `d²` array.
+    D2(Vec<f64>),
 }
 
-/// Whether a fused assignment pass ([`RoundBackend::assign_fused`])
-/// should also return the labels it stored.
+/// Whether an assignment pass ([`RoundBackend::assign`]) also returns
+/// the labels it stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LabelFetch {
     /// Labels stay backend-resident (mid-loop Lloyd iterations).
@@ -157,14 +208,15 @@ pub enum LocalData<'a> {
     Blocks(&'a dyn ChunkedSource),
 }
 
-/// The per-round primitives shared by the in-memory, chunked, and
-/// distributed execution modes. Everything a backend returns is either
-/// order-insensitive per-point data or per-shard partials of the
-/// *global* shard grid; every order-sensitive fold and every scalar RNG
-/// decision lives in the drivers.
+/// The round-level calls shared by the in-memory, chunked, and
+/// distributed execution modes: one call is one data-parallel round (one
+/// request/reply cycle per worker on a cluster). Everything a backend
+/// returns is either order-insensitive per-point data or per-shard
+/// partials of the *global* shard grid; every order-sensitive fold and
+/// every scalar RNG decision lives in the drivers.
 ///
-/// State carried between calls: the D²/nearest tracker built by
-/// [`RoundBackend::tracker_init`] lives until the next
+/// State carried between calls: the D²/nearest tracker built by a
+/// [`Broadcast::Init`] round lives until the next
 /// [`RoundBackend::assign`] pass frees it (a fit's seeding and refinement
 /// share one backend, and refinement never reads the tracker), and the
 /// labels of the last `assign` pass seed the next one.
@@ -204,82 +256,6 @@ pub trait RoundBackend {
     /// `1 ≤ |centers| ≤ n`, matching dimensionality).
     fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError>;
 
-    /// Fetches the rows at `indices` (any order, duplicates allowed),
-    /// preserving the request order.
-    fn gather_rows(&mut self, indices: &[usize]) -> Result<PointMatrix, KMeansError>;
-
-    /// [`RoundBackend::gather_rows`] into a caller-provided matrix
-    /// (cleared first), so steady-state gather loops — mini-batch draws
-    /// one batch per step — can reuse a single buffer. The default
-    /// delegates to `gather_rows`; local backends override it to be
-    /// allocation-free per call in steady state.
-    fn gather_rows_into(
-        &mut self,
-        indices: &[usize],
-        out: &mut PointMatrix,
-    ) -> Result<(), KMeansError> {
-        *out = self.gather_rows(indices)?;
-        Ok(())
-    }
-
-    /// Broadcast of an initial candidate set: (re)builds the backend's
-    /// resident `d²`/nearest tracker state and returns the global
-    /// potential ψ (the shard-ordered fold of per-shard partials).
-    fn tracker_init(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError>;
-
-    /// Broadcast of newly appended candidates only (`from` = index of
-    /// the first new candidate). Returns the updated global potential φ.
-    fn tracker_update(&mut self, from: usize, new_rows: &PointMatrix) -> Result<f64, KMeansError>;
-
-    /// Step 4, Bernoulli form: every point independently with
-    /// probability `min(1, ℓ·d²/φ)` against the tracked `d²`, with the
-    /// per-shard RNG streams of tag 31 derived from **global** shard
-    /// indices. Returns ascending global indices plus their rows.
-    fn sample_bernoulli(
-        &mut self,
-        round: usize,
-        seed: u64,
-        l: f64,
-        phi: f64,
-    ) -> Result<(Vec<usize>, PointMatrix), KMeansError>;
-
-    /// Step 4, exact-ℓ form: per-shard Efraimidis–Spirakis top-`m` keys
-    /// (tag 32, global shard indices), `(key, global index)` — the
-    /// driver merges them globally with
-    /// [`exact_sample_merge`].
-    fn sample_exact_keys(
-        &mut self,
-        round: usize,
-        seed: u64,
-        m: usize,
-    ) -> Result<Vec<(f64, usize)>, KMeansError>;
-
-    /// The full resident `d²` array in global row order — the one-shot
-    /// O(n) transfer behind the D² top-up (taken only when `r·ℓ < k`
-    /// under-sampled).
-    fn gather_d2(&mut self) -> Result<Vec<f64>, KMeansError>;
-
-    /// Step 7: candidate weights as a histogram over the tracked nearest
-    /// ids (`m` = candidate count, cross-checked by remote backends).
-    fn candidate_weights(&mut self, m: usize) -> Result<Vec<f64>, KMeansError>;
-
-    /// One assignment pass against `centers`: stores the labels, and
-    /// returns the number of rows whose label changed relative to the
-    /// previous pass (first pass: all rows) plus the accumulation-shard
-    /// fold of the pass — bit-identical to the in-memory
-    /// [`assign_and_sum`] on the same data and
-    /// executor, [`KernelStats`] included.
-    fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError>;
-
-    /// The labels stored by the last [`RoundBackend::assign`] pass, in
-    /// global row order.
-    fn fetch_labels(&mut self) -> Result<Vec<u32>, KMeansError>;
-
-    /// The potential `φ_X(C)` of `centers` (with the finiteness check on
-    /// block-backed backends; weighted on a weighted in-memory backend) —
-    /// the seed-cost pass.
-    fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError>;
-
     /// Cumulative wire traffic (sent + received bytes) this backend has
     /// moved, when it moves any — `None` for local backends. The
     /// recording wrapper ([`crate::record::RecordingBackend`]) diffs
@@ -290,108 +266,122 @@ pub trait RoundBackend {
         None
     }
 
-    // --- Fused rounds -----------------------------------------------------
-    //
-    // Each fused primitive is semantically the sequence of single
-    // primitives its default implementation runs — local backends keep
-    // these defaults, a distributed backend overrides them to ship the
-    // whole conversation as one compound frame per worker (one request/
-    // reply cycle instead of two or three). The drivers call only the
-    // fused forms, so the round count of a distributed fit is set here.
-
-    /// [`RoundBackend::tracker_init`] fused with the Step 4 sample for
-    /// `round` (drawn against the freshly built tracker). Returns ψ and,
-    /// when `spec` is given, the sample. The sample is *speculative*: the
-    /// driver discards it when ψ ≤ 0 ends the round loop, which is safe
-    /// because the per-shard sampling streams (tags 31/32) are derived
-    /// per `(seed, round, shard)`, never carried across rounds.
-    fn tracker_init_sampled(
-        &mut self,
-        centers: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), KMeansError> {
-        let psi = self.tracker_init(centers)?;
-        let out = match spec {
-            None => None,
-            Some(SampleSpec::Bernoulli { l }) => {
-                let (indices, rows) = self.sample_bernoulli(round, seed, l, psi)?;
-                Some(SampleOut::Picked { indices, rows })
-            }
-            Some(SampleSpec::ExactKeys { m }) => {
-                Some(SampleOut::Keys(self.sample_exact_keys(round, seed, m)?))
-            }
-        };
-        Ok((psi, out))
-    }
-
-    /// [`RoundBackend::tracker_update`] fused with the Step 4 sample for
-    /// `round` (drawn against the *updated* tracker — exactly what the
-    /// next driver round needs). Same speculation contract as
-    /// [`RoundBackend::tracker_init_sampled`].
-    fn tracker_update_sampled(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), KMeansError> {
-        let phi = self.tracker_update(from, new_rows)?;
-        let out = match spec {
-            None => None,
-            Some(SampleSpec::Bernoulli { l }) => {
-                let (indices, rows) = self.sample_bernoulli(round, seed, l, phi)?;
-                Some(SampleOut::Picked { indices, rows })
-            }
-            Some(SampleSpec::ExactKeys { m }) => {
-                Some(SampleOut::Keys(self.sample_exact_keys(round, seed, m)?))
-            }
-        };
-        Ok((phi, out))
-    }
-
-    /// The closing tracker update fused with Step 7's candidate weights
-    /// (`m` = candidate count *after* this update) — the last k-means||
-    /// round, when the driver already knows no top-up will follow.
-    fn tracker_update_weighted(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        m: usize,
-    ) -> Result<Vec<f64>, KMeansError> {
-        self.tracker_update(from, new_rows)?;
-        self.candidate_weights(m)
-    }
-
-    /// [`RoundBackend::assign`] fused with the label fetch, per `fetch` —
-    /// the closing relabel and the stable-exit pass come back with their
-    /// labels instead of paying a separate [`RoundBackend::fetch_labels`]
-    /// cycle.
-    fn assign_fused(
-        &mut self,
-        centers: &PointMatrix,
-        fetch: LabelFetch,
-    ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
-        let (reassigned, sums) = self.assign(centers)?;
-        let labels = match fetch {
-            LabelFetch::Skip => None,
-            LabelFetch::IfStable if reassigned != 0 => None,
-            LabelFetch::IfStable | LabelFetch::Always => Some(self.fetch_labels()?),
-        };
-        Ok((reassigned, sums, labels))
-    }
+    /// Fetches the rows at `indices` (any order, duplicates allowed) into
+    /// `out` (cleared first; its dimensionality must match), preserving
+    /// the request order. Steady-state gather loops — mini-batch draws
+    /// one batch per step — reuse one `out` across calls.
+    fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError>;
 
     /// Hint that the rows at `indices` will be gathered (possibly
     /// repeatedly, in arbitrary sub-batches) by upcoming
-    /// [`RoundBackend::gather_rows_into`] calls. Local backends ignore
-    /// it; a distributed backend gathers the unique rows once and serves
-    /// the sub-batches from that cache, collapsing mini-batch's per-step
+    /// [`RoundBackend::gather_rows`] calls. Local backends ignore it; a
+    /// distributed backend gathers the unique rows once and serves the
+    /// sub-batches from that cache, collapsing mini-batch's per-step
     /// gathers into a single wire cycle.
     fn preload_rows(&mut self, _indices: &[usize]) -> Result<(), KMeansError> {
         Ok(())
     }
+
+    /// One k-means|| tracker round: applies `broadcast` to the backend's
+    /// resident `d²`/nearest tracker (one scan; none for an empty
+    /// update), then serves `read` against the result. Returns the global
+    /// potential φ — the shard-ordered fold of per-shard partials — and
+    /// what was read.
+    fn tracker_round(
+        &mut self,
+        broadcast: Broadcast<'_>,
+        read: TrackerRead,
+    ) -> Result<(f64, TrackerOut), KMeansError>;
+
+    /// One assignment pass against `centers`: stores the labels, and
+    /// returns the number of rows whose label changed relative to the
+    /// previous pass (first pass: all rows), the accumulation-shard fold
+    /// of the pass — bit-identical to the in-memory [`assign_and_sum`]
+    /// on the same data and executor, [`KernelStats`] included — and the
+    /// labels in global row order when `fetch` asks for them. Every
+    /// backend returns labels for [`LabelFetch::Always`] and for a stable
+    /// [`LabelFetch::IfStable`] pass.
+    fn assign(
+        &mut self,
+        centers: &PointMatrix,
+        fetch: LabelFetch,
+    ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError>;
+
+    /// The potential `φ_X(C)` of `centers` (with the finiteness check on
+    /// block-backed backends; weighted on a weighted in-memory backend) —
+    /// the seed-cost pass.
+    fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError>;
+}
+
+/// [`RoundBackend::gather_rows`] into a fresh matrix.
+fn gather(backend: &mut dyn RoundBackend, indices: &[usize]) -> Result<PointMatrix, KMeansError> {
+    let mut rows = PointMatrix::with_capacity(backend.dim(), indices.len());
+    backend.gather_rows(indices, &mut rows)?;
+    Ok(rows)
+}
+
+/// A backend broke its round contract: a tracker round returned
+/// something other than what it was asked to read, or an assignment
+/// pass withheld labels it owed.
+fn broken_round(what: &str) -> KMeansError {
+    KMeansError::Data(format!("backend round contract broken: {what}"))
+}
+
+/// Serves a tracker round's read from a local tracker's `d²` array and
+/// nearest-id histogram (`weights`); `rows` gathers a Bernoulli pick's
+/// rows.
+fn read_local_tracker(
+    read: TrackerRead,
+    phi: f64,
+    d2: &[f64],
+    weights: impl FnOnce(usize) -> Vec<f64>,
+    exec: &Executor,
+    rows: impl FnOnce(&[usize]) -> Result<PointMatrix, KMeansError>,
+) -> Result<TrackerOut, KMeansError> {
+    Ok(match read {
+        TrackerRead::Nothing => TrackerOut::Nothing,
+        TrackerRead::Sample {
+            round,
+            seed,
+            spec: SampleSpec::Bernoulli { l },
+        } => {
+            let indices = sample_bernoulli(d2, l, phi, seed, round, exec, 0);
+            let rows = rows(&indices)?;
+            TrackerOut::Picked { indices, rows }
+        }
+        TrackerRead::Sample {
+            round,
+            seed,
+            spec: SampleSpec::ExactKeys { m },
+        } => TrackerOut::Keys(exact_sample_keys(d2, m, seed, round, exec, 0)),
+        TrackerRead::Weights { m } => TrackerOut::Weights(weights(m)),
+        TrackerRead::D2 => TrackerOut::D2(d2.to_vec()),
+    })
+}
+
+/// The labels of a local assignment pass: counts the rows that moved
+/// since `prev`, stores `labels` there, and returns the owed copy.
+fn store_labels(
+    prev: &mut Option<Vec<u32>>,
+    labels: Vec<u32>,
+    fetch: LabelFetch,
+) -> (u64, Option<Vec<u32>>) {
+    let reassigned = match prev {
+        None => labels.len() as u64,
+        Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
+    };
+    let owed = match fetch {
+        LabelFetch::Skip => false,
+        LabelFetch::IfStable => reassigned == 0,
+        LabelFetch::Always => true,
+    };
+    let owed = owed.then(|| labels.clone());
+    *prev = Some(labels);
+    (reassigned, owed)
+}
+
+fn no_tracker() -> KMeansError {
+    KMeansError::InvalidConfig("no tracker initialized".into())
 }
 
 /// Seeding epilogue shared by every initializer: stamps the duration and
@@ -423,7 +413,7 @@ pub fn drive_random_init(
     backend.validate(k)?;
     let mut rng = Rng::derive(seed, &[20]);
     let indices = uniform_distinct(backend.len(), k, &mut rng);
-    let centers = backend.gather_rows(&indices)?;
+    let centers = gather(backend, &indices)?;
     let stats = InitStats {
         rounds: 0,
         passes: 1,
@@ -437,10 +427,13 @@ pub fn drive_random_init(
 /// implementation of the paper's round structure.
 ///
 /// Pass structure per round: the driver broadcasts only the *new*
-/// candidates ([`RoundBackend::tracker_update`]); the backend folds them
-/// into its resident `d²` state (one scan) and serves the Step 4 samples
-/// against it — exactly the §3.5 sketch ("each mapper can sample
-/// independently", "the reducer can simply add these values"). All
+/// candidates ([`Broadcast::Update`]); the backend folds them into its
+/// resident `d²` state (one scan) and serves the next read against it —
+/// exactly the §3.5 sketch ("each mapper can sample independently", "the
+/// reducer can simply add these values"). Every round broadcasts what it
+/// sampled, fused with the next round's sample, or on the last round
+/// with the closing read (Step 7's weights, or the `d²` a D² top-up
+/// draws from), so a full run pays one backend round per data pass. All
 /// O(1)-size decisions (first center, top-up, Step 8 recluster) run here
 /// on the sequential tag-30 stream.
 pub fn drive_kmeans_parallel(
@@ -458,19 +451,33 @@ pub fn drive_kmeans_parallel(
     // Step 1: one uniform center, fetched from its owner.
     let first = rng.range_usize(n);
     let mut cand_idx: Vec<usize> = vec![first];
-    let mut candidates = backend.gather_rows(&cand_idx)?;
+    let mut candidates = gather(backend, &cand_idx)?;
     let spec = match config.sampling {
         SamplingMode::Bernoulli => SampleSpec::Bernoulli { l },
         SamplingMode::ExactL => SampleSpec::ExactKeys {
             m: (l.round() as usize).max(1),
         },
     };
+    let sample = |round| TrackerRead::Sample { round, seed, spec };
+    // The read that closes the round loop: Step 7's weights once `k`
+    // candidates are in hand; otherwise the top-up's `d²` (or nothing
+    // for a uniform top-up, whose own update reads the weights).
+    let closing = |m: usize| {
+        if m >= k {
+            TrackerRead::Weights { m }
+        } else {
+            match config.topup {
+                TopUp::D2Continue => TrackerRead::D2,
+                TopUp::Uniform => TrackerRead::Nothing,
+            }
+        }
+    };
 
     // Step 2: ψ = φ_X(C) — the backend builds its tracker state (this is
     // pass 1 over the data, doubling as the finiteness check on
     // block-backed backends), fused with the round-0 sample. The sample
     // is speculative: it is discarded if ψ ≤ 0 skips the round loop.
-    let (psi, mut pending) = backend.tracker_init_sampled(&candidates, 0, seed, Some(spec))?;
+    let (psi, mut out) = backend.tracker_round(Broadcast::Init(&candidates), sample(0))?;
     let mut phi = psi;
     let max_rounds = match config.rounds {
         Rounds::Fixed(r) => r,
@@ -483,76 +490,66 @@ pub fn drive_kmeans_parallel(
         }
     };
 
-    // Steps 3–6: one fused tracker-update + next-round-sample scan per
-    // round; sampling reads only the resident d². The final round fuses
-    // the update with Step 7's weights instead (when no top-up can
-    // follow), so a full run pays one backend cycle per round.
+    // Steps 3–6: each round takes the sample the previous tracker round
+    // read, and broadcasts it (empty after a dry Bernoulli round) fused
+    // with the next read; sampling reads only the resident d².
     let mut rounds_executed = 0usize;
-    let mut weights: Option<Vec<f64>> = None;
     for round in 0..max_rounds {
         if phi <= 0.0 {
             break; // every point coincides with a candidate
         }
         rounds_executed += 1;
-        let out = match pending.take() {
-            Some(out) => out, // speculated by the previous fused round
-            None => match spec {
-                SampleSpec::Bernoulli { l } => {
-                    let (indices, rows) = backend.sample_bernoulli(round, seed, l, phi)?;
-                    SampleOut::Picked { indices, rows }
-                }
-                SampleSpec::ExactKeys { m } => {
-                    SampleOut::Keys(backend.sample_exact_keys(round, seed, m)?)
-                }
-            },
-        };
-        let (new_indices, rows) = match out {
-            SampleOut::Picked { indices, rows } => (indices, rows),
-            SampleOut::Keys(keys) => {
-                let m = match spec {
-                    SampleSpec::ExactKeys { m } => m,
-                    SampleSpec::Bernoulli { .. } => unreachable!("keys from a Bernoulli spec"),
+        let (new_indices, rows) = match std::mem::replace(&mut out, TrackerOut::Nothing) {
+            TrackerOut::Picked { indices, rows } => (indices, rows),
+            TrackerOut::Keys(keys) => {
+                let SampleSpec::ExactKeys { m } = spec else {
+                    return Err(broken_round("exact-ℓ keys from a Bernoulli read"));
                 };
                 let indices = exact_sample_merge(keys, m);
-                let rows = backend.gather_rows(&indices)?;
+                let rows = gather(backend, &indices)?;
                 (indices, rows)
             }
+            _ => return Err(broken_round("a sample read returned no sample")),
         };
-        if new_indices.is_empty() {
-            continue; // a dry Bernoulli round: possible, simply proceed
-        }
         let from = candidates.len();
         candidates
             .extend_from(&rows)
             .expect("candidate dim matches");
         cand_idx.extend_from_slice(&new_indices);
-        let next = round + 1;
-        if next < max_rounds {
-            let (p, out) = backend.tracker_update_sampled(from, &rows, next, seed, Some(spec))?;
-            phi = p;
-            pending = out;
-        } else if candidates.len() >= k {
-            // Last round and no top-up possible: fuse the update with
-            // Step 7. φ is not needed past this point.
-            weights = Some(backend.tracker_update_weighted(from, &rows, candidates.len())?);
+        let read = if round + 1 < max_rounds {
+            sample(round + 1)
         } else {
-            phi = backend.tracker_update(from, &rows)?;
-        }
+            closing(candidates.len())
+        };
+        (phi, out) = backend.tracker_round(Broadcast::Update { from, rows: &rows }, read)?;
+    }
+    // The φ = 0 exit leaves a speculated sample unread; the closing read
+    // then rides an empty update.
+    if matches!(out, TrackerOut::Picked { .. } | TrackerOut::Keys(_)) {
+        out = match closing(candidates.len()) {
+            TrackerRead::Nothing => TrackerOut::Nothing,
+            read => {
+                let none = PointMatrix::new(candidates.dim());
+                let update = Broadcast::Update {
+                    from: candidates.len(),
+                    rows: &none,
+                };
+                backend.tracker_round(update, read)?.1
+            }
+        };
     }
 
     // Top-up: the paper notes that with r·ℓ < k "we run the risk of
     // having fewer than k centers" — guarantee k by continuing to draw
     // D²-weighted distinct points (uniform among unchosen once everything
-    // is covered). The D² draw needs the full resident d² array; this is
-    // the one O(n)-transfer path, taken only when r·ℓ under-sampled.
+    // is covered). The D² draw needs the full resident d² array, read by
+    // the closing round; this is the one O(n)-transfer path, taken only
+    // when r·ℓ under-sampled.
     if candidates.len() < k {
         let needed = k - candidates.len();
-        let mut extra = match config.topup {
-            TopUp::D2Continue => {
-                let d2 = backend.gather_d2()?;
-                kmeans_util::sampling::weighted_distinct(&d2, needed, &mut rng)
-            }
-            TopUp::Uniform => Vec::new(),
+        let mut extra = match &out {
+            TrackerOut::D2(d2) => kmeans_util::sampling::weighted_distinct(d2, needed, &mut rng),
+            _ => Vec::new(), // TopUp::Uniform
         };
         if extra.len() < needed {
             let mut taken: Vec<usize> = cand_idx.iter().chain(extra.iter()).copied().collect();
@@ -567,23 +564,25 @@ pub fn drive_kmeans_parallel(
             }
         }
         let from = candidates.len();
-        let rows = backend.gather_rows(&extra)?;
+        let rows = gather(backend, &extra)?;
         candidates
             .extend_from(&rows)
             .expect("candidate dim matches");
         cand_idx.extend_from_slice(&extra);
         // The update keeps the tracker current for Step 7's weights; the
         // potential itself is no longer needed.
-        backend.tracker_update(from, &rows)?;
+        let read = TrackerRead::Weights {
+            m: candidates.len(),
+        };
+        out = backend
+            .tracker_round(Broadcast::Update { from, rows: &rows }, read)?
+            .1;
     }
 
     // Step 7: candidate weights from the tracked nearest ids — an O(|C|)
-    // exchange, no data pass. Usually already fetched by the final fused
-    // round; the standalone call covers the early-φ-break, dry-last-round,
-    // and top-up paths.
-    let weights = match weights {
-        Some(w) => w,
-        None => backend.candidate_weights(candidates.len())?,
+    // exchange riding the last tracker round, no extra data pass.
+    let TrackerOut::Weights(weights) = out else {
+        return Err(broken_round("the closing read returned no weights"));
     };
     let stats = InitStats {
         rounds: rounds_executed,
@@ -639,11 +638,11 @@ pub fn drive_lloyd(
     let mut stable_exit = false;
     // Labels ride the assignment reply that produced them: a stable pass
     // ships them opportunistically (IfStable), the closing relabel always
-    // does — no separate fetch_labels cycle on the common paths.
+    // does.
     let mut final_labels: Option<Vec<u32>> = None;
 
     for _ in 0..config.max_iterations {
-        let (reassigned, sums, labels) = backend.assign_fused(&centers, LabelFetch::IfStable)?;
+        let (reassigned, sums, labels) = backend.assign(&centers, LabelFetch::IfStable)?;
         pruned += sums.stats.pruned_by_norm_bound;
 
         // Stability: nothing moved → the centroid update is a no-op.
@@ -675,7 +674,7 @@ pub fn drive_lloyd(
             } else if let Some((idx, _)) = next_far.next() {
                 // Empty cluster: land on the farthest available point,
                 // fetched back from its owner.
-                let row = backend.gather_rows(&[idx])?;
+                let row = gather(backend, &[idx])?;
                 centers.row_mut(c).copy_from_slice(row.row(0));
                 reseeded += 1;
             }
@@ -708,17 +707,14 @@ pub fn drive_lloyd(
     let (cost, closing_pass) = if stable_exit {
         (prev_cost, 0)
     } else {
-        let (_, sums, labels) = backend.assign_fused(&centers, LabelFetch::Always)?;
+        let (_, sums, labels) = backend.assign(&centers, LabelFetch::Always)?;
         pruned += sums.stats.pruned_by_norm_bound;
         final_labels = labels;
         (sums.cost, 1)
     };
-    let labels = match final_labels {
-        Some(l) => l,
-        // Safety net (e.g. max_iterations = 0 configs): the labels of the
-        // last stored pass.
-        None => backend.fetch_labels()?,
-    };
+    // `config.validate` rejects `max_iterations = 0`, so a pass that owed
+    // labels always ran.
+    let labels = final_labels.ok_or_else(|| broken_round("an assignment withheld its labels"))?;
 
     Ok(LloydResult {
         labels,
@@ -790,7 +786,7 @@ pub fn drive_minibatch(
     let mut rows = PointMatrix::with_capacity(backend.dim(), config.batch_size);
     let mut stats = KernelStats::default();
     for batch in &batches {
-        backend.gather_rows_into(batch, &mut rows)?;
+        backend.gather_rows(batch, &mut rows)?;
         // Assign against frozen centers, then apply the gradient steps in
         // batch order — Sculley's two-phase step avoids order dependence
         // within a batch. The batch is candidate-set sized, so the kernel
@@ -823,11 +819,8 @@ pub fn drive_label_pass(
     centers: &PointMatrix,
 ) -> Result<(Vec<u32>, ClusterSums), KMeansError> {
     backend.validate_refine(centers)?;
-    let (_, sums, labels) = backend.assign_fused(centers, LabelFetch::Always)?;
-    let labels = match labels {
-        Some(l) => l,
-        None => backend.fetch_labels()?,
-    };
+    let (_, sums, labels) = backend.assign(centers, LabelFetch::Always)?;
+    let labels = labels.ok_or_else(|| broken_round("an assignment withheld its labels"))?;
     Ok((labels, sums))
 }
 
@@ -835,7 +828,7 @@ pub fn drive_label_pass(
 // InMemoryBackend
 // ---------------------------------------------------------------------------
 
-/// [`RoundBackend`] over a resident [`PointMatrix`]: every primitive is
+/// [`RoundBackend`] over a resident [`PointMatrix`]: every round is
 /// the in-memory kernel it always was ([`CostTracker`],
 /// [`assign_and_sum`], [`potential`]), so the drivers reproduce the
 /// legacy in-memory entry points bit for bit.
@@ -862,19 +855,13 @@ impl<'a> InMemoryBackend<'a> {
     }
 
     /// Attaches per-point weights. Only [`RoundBackend::potential`]
-    /// honors them; the round primitives stay unweighted, and stages read
+    /// honors them; the other rounds stay unweighted, and stages read
     /// the weights through [`RoundBackend::local`] — validating them and
     /// running their weighted arm, or rejecting weighted input with a
     /// typed error.
     pub fn with_weights(mut self, weights: Option<&'a [f64]>) -> Self {
         self.weights = weights;
         self
-    }
-
-    fn tracker(&self) -> Result<&CostTracker<'a>, KMeansError> {
-        self.tracker
-            .as_ref()
-            .ok_or_else(|| KMeansError::InvalidConfig("no tracker initialized".into()))
     }
 }
 
@@ -907,15 +894,7 @@ impl RoundBackend for InMemoryBackend<'_> {
         validate_refine_inputs(self.points, centers)
     }
 
-    fn gather_rows(&mut self, indices: &[usize]) -> Result<PointMatrix, KMeansError> {
-        Ok(self.points.select(indices))
-    }
-
-    fn gather_rows_into(
-        &mut self,
-        indices: &[usize],
-        out: &mut PointMatrix,
-    ) -> Result<(), KMeansError> {
+    fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError> {
         out.clear();
         for &i in indices {
             out.push(self.points.row(i))
@@ -924,82 +903,53 @@ impl RoundBackend for InMemoryBackend<'_> {
         Ok(())
     }
 
-    fn tracker_init(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
-        self.candidates = centers.clone();
-        let tracker = CostTracker::new(self.points, &self.candidates, self.exec);
-        let psi = tracker.potential();
-        self.tracker = Some(tracker);
-        Ok(psi)
-    }
-
-    fn tracker_update(&mut self, from: usize, new_rows: &PointMatrix) -> Result<f64, KMeansError> {
-        debug_assert_eq!(from, self.candidates.len(), "tracker update out of order");
-        self.candidates
-            .extend_from(new_rows)
-            .map_err(|e| KMeansError::Data(e.to_string()))?;
-        let tracker = self
-            .tracker
-            .as_mut()
-            .ok_or_else(|| KMeansError::InvalidConfig("no tracker initialized".into()))?;
-        tracker.update(&self.candidates, from, self.exec);
-        Ok(tracker.potential())
-    }
-
-    fn sample_bernoulli(
+    fn tracker_round(
         &mut self,
-        round: usize,
-        seed: u64,
-        l: f64,
-        phi: f64,
-    ) -> Result<(Vec<usize>, PointMatrix), KMeansError> {
-        let picked = sample_bernoulli(self.tracker()?.d2(), l, phi, seed, round, self.exec, 0);
-        let rows = self.points.select(&picked);
-        Ok((picked, rows))
-    }
-
-    fn sample_exact_keys(
-        &mut self,
-        round: usize,
-        seed: u64,
-        m: usize,
-    ) -> Result<Vec<(f64, usize)>, KMeansError> {
-        Ok(exact_sample_keys(
-            self.tracker()?.d2(),
-            m,
-            seed,
-            round,
+        broadcast: Broadcast<'_>,
+        read: TrackerRead,
+    ) -> Result<(f64, TrackerOut), KMeansError> {
+        let tracker = match broadcast {
+            Broadcast::Init(centers) => {
+                self.candidates = centers.clone();
+                let tracker = CostTracker::new(self.points, &self.candidates, self.exec);
+                self.tracker.insert(tracker)
+            }
+            Broadcast::Update { from, rows } => {
+                debug_assert_eq!(from, self.candidates.len(), "tracker update out of order");
+                let tracker = self.tracker.as_mut().ok_or_else(no_tracker)?;
+                self.candidates
+                    .extend_from(rows)
+                    .map_err(|e| KMeansError::Data(e.to_string()))?;
+                tracker.update(&self.candidates, from, self.exec);
+                tracker
+            }
+        };
+        let phi = tracker.potential();
+        let points = self.points;
+        let out = read_local_tracker(
+            read,
+            phi,
+            tracker.d2(),
+            |m| tracker.weights(m),
             self.exec,
-            0,
-        ))
+            |picked| Ok(points.select(picked)),
+        )?;
+        Ok((phi, out))
     }
 
-    fn gather_d2(&mut self) -> Result<Vec<f64>, KMeansError> {
-        Ok(self.tracker()?.d2().to_vec())
-    }
-
-    fn candidate_weights(&mut self, m: usize) -> Result<Vec<f64>, KMeansError> {
-        Ok(self.tracker()?.weights(m))
-    }
-
-    fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError> {
+    fn assign(
+        &mut self,
+        centers: &PointMatrix,
+        fetch: LabelFetch,
+    ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
         // Refinement never reads the seeding tracker: free its d² and
         // nearest-id arrays (12 B per row) before the pass allocates.
         self.tracker = None;
         // The previous pass's labels seed the kernel's warm sweep.
         let (labels, sums) =
             assign_and_sum(self.points, centers, self.exec, self.labels.as_deref());
-        let reassigned = match &self.labels {
-            None => self.points.len() as u64,
-            Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
-        };
-        self.labels = Some(labels);
-        Ok((reassigned, sums))
-    }
-
-    fn fetch_labels(&mut self) -> Result<Vec<u32>, KMeansError> {
-        self.labels
-            .clone()
-            .ok_or_else(|| KMeansError::InvalidConfig("no assignment pass has run".into()))
+        let (reassigned, owed) = store_labels(&mut self.labels, labels, fetch);
+        Ok((reassigned, sums, owed))
     }
 
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
@@ -1015,9 +965,9 @@ impl RoundBackend for InMemoryBackend<'_> {
 // ---------------------------------------------------------------------------
 
 /// [`RoundBackend`] over a block-resident [`ChunkedSource`]: every
-/// primitive is the out-of-core kernel from [`crate::chunked`]
+/// round is the out-of-core kernel from [`crate::chunked`]
 /// ([`ChunkedCostTracker`], [`assign_partials_chunked`] + the
-/// shard-ordered fold, [`gather_rows`]), so the drivers stay
+/// shard-ordered fold, [`gather_rows_into`]), so the drivers stay
 /// bit-identical to the in-memory path for **any** block size.
 pub struct ChunkedBackend<'a> {
     source: &'a dyn ChunkedSource,
@@ -1039,12 +989,6 @@ impl<'a> ChunkedBackend<'a> {
             buf: source.block_buffer(),
             labels: None,
         }
-    }
-
-    fn tracker(&self) -> Result<&ChunkedCostTracker, KMeansError> {
-        self.tracker
-            .as_ref()
-            .ok_or_else(|| KMeansError::InvalidConfig("no tracker initialized".into()))
     }
 }
 
@@ -1073,76 +1017,49 @@ impl RoundBackend for ChunkedBackend<'_> {
         validate_refine_inputs_chunked(self.source, centers)
     }
 
-    fn gather_rows(&mut self, indices: &[usize]) -> Result<PointMatrix, KMeansError> {
-        gather_rows(self.source, indices, &mut self.buf)
+    fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError> {
+        gather_rows_into(self.source, indices, &mut self.buf, out)
     }
 
-    fn gather_rows_into(
+    fn tracker_round(
         &mut self,
-        indices: &[usize],
-        out: &mut PointMatrix,
-    ) -> Result<(), KMeansError> {
-        crate::chunked::gather_rows_into(self.source, indices, &mut self.buf, out)
-    }
-
-    fn tracker_init(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
-        self.candidates = centers.clone();
-        let tracker = ChunkedCostTracker::new(self.source, &self.candidates, self.exec)?;
-        let psi = tracker.potential();
-        self.tracker = Some(tracker);
-        Ok(psi)
-    }
-
-    fn tracker_update(&mut self, from: usize, new_rows: &PointMatrix) -> Result<f64, KMeansError> {
-        debug_assert_eq!(from, self.candidates.len(), "tracker update out of order");
-        self.candidates
-            .extend_from(new_rows)
-            .map_err(|e| KMeansError::Data(e.to_string()))?;
-        let tracker = self
-            .tracker
-            .as_mut()
-            .ok_or_else(|| KMeansError::InvalidConfig("no tracker initialized".into()))?;
-        tracker.update(self.source, &self.candidates, from, self.exec)?;
-        Ok(tracker.potential())
-    }
-
-    fn sample_bernoulli(
-        &mut self,
-        round: usize,
-        seed: u64,
-        l: f64,
-        phi: f64,
-    ) -> Result<(Vec<usize>, PointMatrix), KMeansError> {
-        let picked = sample_bernoulli(self.tracker()?.d2(), l, phi, seed, round, self.exec, 0);
-        let rows = gather_rows(self.source, &picked, &mut self.buf)?;
-        Ok((picked, rows))
-    }
-
-    fn sample_exact_keys(
-        &mut self,
-        round: usize,
-        seed: u64,
-        m: usize,
-    ) -> Result<Vec<(f64, usize)>, KMeansError> {
-        Ok(exact_sample_keys(
-            self.tracker()?.d2(),
-            m,
-            seed,
-            round,
+        broadcast: Broadcast<'_>,
+        read: TrackerRead,
+    ) -> Result<(f64, TrackerOut), KMeansError> {
+        let tracker = match broadcast {
+            Broadcast::Init(centers) => {
+                self.candidates = centers.clone();
+                let tracker = ChunkedCostTracker::new(self.source, &self.candidates, self.exec)?;
+                self.tracker.insert(tracker)
+            }
+            Broadcast::Update { from, rows } => {
+                debug_assert_eq!(from, self.candidates.len(), "tracker update out of order");
+                let tracker = self.tracker.as_mut().ok_or_else(no_tracker)?;
+                self.candidates
+                    .extend_from(rows)
+                    .map_err(|e| KMeansError::Data(e.to_string()))?;
+                tracker.update(self.source, &self.candidates, from, self.exec)?;
+                tracker
+            }
+        };
+        let phi = tracker.potential();
+        let (source, buf) = (self.source, &mut self.buf);
+        let out = read_local_tracker(
+            read,
+            phi,
+            tracker.d2(),
+            |m| tracker.weights(m),
             self.exec,
-            0,
-        ))
+            |picked| gather_rows(source, picked, buf),
+        )?;
+        Ok((phi, out))
     }
 
-    fn gather_d2(&mut self) -> Result<Vec<f64>, KMeansError> {
-        Ok(self.tracker()?.d2().to_vec())
-    }
-
-    fn candidate_weights(&mut self, m: usize) -> Result<Vec<f64>, KMeansError> {
-        Ok(self.tracker()?.weights(m))
-    }
-
-    fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError> {
+    fn assign(
+        &mut self,
+        centers: &PointMatrix,
+        fetch: LabelFetch,
+    ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
         self.tracker = None; // as in InMemoryBackend::assign
         let (labels, partials, stats) = assign_partials_chunked(
             self.source,
@@ -1152,20 +1069,10 @@ impl RoundBackend for ChunkedBackend<'_> {
             self.source.len(),
             self.labels.as_deref(),
         )?;
-        let reassigned = match &self.labels {
-            None => self.source.len() as u64,
-            Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
-        };
-        self.labels = Some(labels);
+        let (reassigned, owed) = store_labels(&mut self.labels, labels, fetch);
         let mut sums = fold_accum_shards(centers.len(), self.source.dim(), &partials);
         sums.stats = stats;
-        Ok((reassigned, sums))
-    }
-
-    fn fetch_labels(&mut self) -> Result<Vec<u32>, KMeansError> {
-        self.labels
-            .clone()
-            .ok_or_else(|| KMeansError::InvalidConfig("no assignment pass has run".into()))
+        Ok((reassigned, sums, owed))
     }
 
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
@@ -1313,10 +1220,14 @@ mod tests {
             drive_lloyd(&mut chunked, &wrong, &LloydConfig::default()),
             Err(KMeansError::DimensionMismatch { .. })
         ));
-        // Sampling primitives before tracker_init are a typed error.
-        assert!(chunked.sample_bernoulli(0, 0, 1.0, 1.0).is_err());
-        assert!(chunked.gather_d2().is_err());
-        assert!(mem.fetch_labels().is_err());
+        // Tracker rounds before an Init broadcast are a typed error.
+        let none = PointMatrix::new(2);
+        let update = Broadcast::Update {
+            from: 0,
+            rows: &none,
+        };
+        assert!(chunked.tracker_round(update, TrackerRead::D2).is_err());
+        assert!(mem.tracker_round(update, TrackerRead::Nothing).is_err());
     }
 
     #[test]

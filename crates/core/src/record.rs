@@ -1,6 +1,7 @@
-//! The recording decorator over any [`RoundBackend`]: every round
-//! primitive wrapped in a span — round kind, wall time, wire bytes,
-//! kernel counters — without touching a single result.
+//! The recording decorator over any [`RoundBackend`]: every round-level
+//! call wrapped in one span — round kind, wall time, wire bytes, kernel
+//! counters — without touching a single result. One span is one round:
+//! one wire round trip on a cluster.
 //!
 //! [`RecordingBackend`] is how the flight recorder threads through all
 //! three execution modes with one implementation: the backend-generic
@@ -14,18 +15,20 @@
 //! reports coordinator-side send+receive totals.
 
 use crate::assign::ClusterSums;
-use crate::driver::{BackendKind, LabelFetch, LocalData, RoundBackend, SampleOut, SampleSpec};
+use crate::driver::{
+    BackendKind, Broadcast, LabelFetch, LocalData, RoundBackend, TrackerOut, TrackerRead,
+};
 use crate::error::KMeansError;
 use kmeans_data::PointMatrix;
 use kmeans_obs::{arg_str, arg_u64, ArgValue, Recorder, SpanStart};
 use kmeans_par::Executor;
 
-/// Span category used for round-primitive spans.
+/// Span category used for round spans.
 pub const ROUND_CAT: &str = "round";
 
-/// A [`RoundBackend`] decorator that records one span per round
-/// primitive into a [`Recorder`]. With a disabled recorder every call
-/// is a plain delegation plus one branch.
+/// A [`RoundBackend`] decorator that records one span per round-level
+/// call into a [`Recorder`]. With a disabled recorder every call is a
+/// plain delegation plus one branch.
 pub struct RecordingBackend<'a> {
     inner: &'a mut dyn RoundBackend,
     recorder: Recorder,
@@ -103,210 +106,81 @@ impl RoundBackend for RecordingBackend<'_> {
         self.inner.wire_bytes()
     }
 
-    fn gather_rows(&mut self, indices: &[usize]) -> Result<PointMatrix, KMeansError> {
+    fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError> {
         let (start, wire) = self.begin();
-        let out = self.inner.gather_rows(indices);
-        let rows = indices.len() as u64;
-        self.finish(start, wire, "gather_rows", || vec![arg_u64("rows", rows)]);
-        out
-    }
-
-    fn gather_rows_into(
-        &mut self,
-        indices: &[usize],
-        out: &mut PointMatrix,
-    ) -> Result<(), KMeansError> {
-        let (start, wire) = self.begin();
-        let result = self.inner.gather_rows_into(indices, out);
+        let result = self.inner.gather_rows(indices, out);
         let rows = indices.len() as u64;
         self.finish(start, wire, "gather_rows", || vec![arg_u64("rows", rows)]);
         result
     }
 
-    fn tracker_init(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
+    fn preload_rows(&mut self, indices: &[usize]) -> Result<(), KMeansError> {
         let (start, wire) = self.begin();
-        let out = self.inner.tracker_init(centers);
-        let centers_n = centers.len() as u64;
-        self.finish(start, wire, "tracker_init", || {
-            vec![arg_u64("centers", centers_n)]
-        });
+        let out = self.inner.preload_rows(indices);
+        let rows = indices.len() as u64;
+        self.finish(start, wire, "preload_rows", || vec![arg_u64("rows", rows)]);
         out
     }
 
-    fn tracker_update(&mut self, from: usize, new_rows: &PointMatrix) -> Result<f64, KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self.inner.tracker_update(from, new_rows);
-        let new_n = new_rows.len() as u64;
-        self.finish(start, wire, "tracker_update", || {
-            vec![arg_u64("new_candidates", new_n)]
-        });
-        out
-    }
-
-    fn sample_bernoulli(
+    /// One span per tracker round, named from its broadcast and read:
+    /// `tracker_init+sample`, `tracker_update+sample`,
+    /// `tracker_update+weights`, `tracker_update+d2`, `tracker_update`.
+    fn tracker_round(
         &mut self,
-        round: usize,
-        seed: u64,
-        l: f64,
-        phi: f64,
-    ) -> Result<(Vec<usize>, PointMatrix), KMeansError> {
+        broadcast: Broadcast<'_>,
+        read: TrackerRead,
+    ) -> Result<(f64, TrackerOut), KMeansError> {
         let (start, wire) = self.begin();
-        let out = self.inner.sample_bernoulli(round, seed, l, phi);
-        let sampled = out.as_ref().map(|(idx, _)| idx.len() as u64).unwrap_or(0);
-        self.finish(start, wire, "sample_bernoulli", || {
-            vec![arg_u64("round", round as u64), arg_u64("sampled", sampled)]
-        });
-        out
-    }
-
-    fn sample_exact_keys(
-        &mut self,
-        round: usize,
-        seed: u64,
-        m: usize,
-    ) -> Result<Vec<(f64, usize)>, KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self.inner.sample_exact_keys(round, seed, m);
-        let keys = out.as_ref().map(|k| k.len() as u64).unwrap_or(0);
-        self.finish(start, wire, "sample_exact", || {
-            vec![arg_u64("round", round as u64), arg_u64("keys", keys)]
-        });
-        out
-    }
-
-    fn gather_d2(&mut self) -> Result<Vec<f64>, KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self.inner.gather_d2();
-        let rows = out.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-        self.finish(start, wire, "gather_d2", || vec![arg_u64("rows", rows)]);
-        out
-    }
-
-    fn candidate_weights(&mut self, m: usize) -> Result<Vec<f64>, KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self.inner.candidate_weights(m);
-        self.finish(start, wire, "candidate_weights", || {
-            vec![arg_u64("candidates", m as u64)]
-        });
-        out
-    }
-
-    fn assign(&mut self, centers: &PointMatrix) -> Result<(u64, ClusterSums), KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self.inner.assign(centers);
-        let (changed, distance, pruned) = match &out {
-            Ok((changed, sums)) => (
-                *changed,
-                sums.stats.distance_computations,
-                sums.stats.pruned_by_norm_bound,
+        let out = self.inner.tracker_round(broadcast, read);
+        if !self.recorder.is_enabled() {
+            return out;
+        }
+        let (base, mut args) = match broadcast {
+            Broadcast::Init(centers) => (
+                "tracker_init",
+                vec![arg_u64("centers", centers.len() as u64)],
             ),
-            Err(_) => (0, 0, 0),
+            Broadcast::Update { rows, .. } => (
+                "tracker_update",
+                vec![arg_u64("new_candidates", rows.len() as u64)],
+            ),
         };
-        let centers_n = centers.len() as u64;
-        self.finish(start, wire, "assign", || {
-            vec![
-                arg_u64("centers", centers_n),
-                arg_u64("changed", changed),
-                arg_u64("distance_computations", distance),
-                arg_u64("pruned_by_norm_bound", pruned),
-            ]
-        });
+        let suffix = match read {
+            TrackerRead::Nothing => "",
+            TrackerRead::Sample { round, .. } => {
+                let sampled = match &out {
+                    Ok((_, TrackerOut::Picked { indices, .. })) => indices.len(),
+                    Ok((_, TrackerOut::Keys(keys))) => keys.len(),
+                    _ => 0,
+                };
+                args.push(arg_u64("round", round as u64));
+                args.push(arg_u64("sampled", sampled as u64));
+                "+sample"
+            }
+            TrackerRead::Weights { m } => {
+                args.push(arg_u64("candidates", m as u64));
+                "+weights"
+            }
+            TrackerRead::D2 => {
+                let rows = match &out {
+                    Ok((_, TrackerOut::D2(d2))) => d2.len(),
+                    _ => 0,
+                };
+                args.push(arg_u64("rows", rows as u64));
+                "+d2"
+            }
+        };
+        self.finish(start, wire, &format!("{base}{suffix}"), || args);
         out
     }
 
-    fn fetch_labels(&mut self) -> Result<Vec<u32>, KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self.inner.fetch_labels();
-        let rows = out.as_ref().map(|l| l.len() as u64).unwrap_or(0);
-        self.finish(start, wire, "fetch_labels", || vec![arg_u64("rows", rows)]);
-        out
-    }
-
-    fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self.inner.potential(centers);
-        let centers_n = centers.len() as u64;
-        self.finish(start, wire, "potential", || {
-            vec![arg_u64("centers", centers_n)]
-        });
-        out
-    }
-
-    // Fused rounds must delegate to the inner *fused* methods — falling
-    // back to the trait defaults would silently decompose a traced
-    // distributed fit back into un-fused wire conversations. Each fused
-    // call records one span, matching its one wire round trip.
-
-    fn tracker_init_sampled(
-        &mut self,
-        centers: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self.inner.tracker_init_sampled(centers, round, seed, spec);
-        let centers_n = centers.len() as u64;
-        let sampled = sample_size(&out);
-        self.finish(start, wire, "tracker_init+sample", || {
-            vec![
-                arg_u64("centers", centers_n),
-                arg_u64("round", round as u64),
-                arg_u64("sampled", sampled),
-            ]
-        });
-        out
-    }
-
-    fn tracker_update_sampled(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        round: usize,
-        seed: u64,
-        spec: Option<SampleSpec>,
-    ) -> Result<(f64, Option<SampleOut>), KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self
-            .inner
-            .tracker_update_sampled(from, new_rows, round, seed, spec);
-        let new_n = new_rows.len() as u64;
-        let sampled = sample_size(&out);
-        self.finish(start, wire, "tracker_update+sample", || {
-            vec![
-                arg_u64("new_candidates", new_n),
-                arg_u64("round", round as u64),
-                arg_u64("sampled", sampled),
-            ]
-        });
-        out
-    }
-
-    fn tracker_update_weighted(
-        &mut self,
-        from: usize,
-        new_rows: &PointMatrix,
-        m: usize,
-    ) -> Result<Vec<f64>, KMeansError> {
-        let (start, wire) = self.begin();
-        let out = self.inner.tracker_update_weighted(from, new_rows, m);
-        let new_n = new_rows.len() as u64;
-        self.finish(start, wire, "tracker_update+weights", || {
-            vec![
-                arg_u64("new_candidates", new_n),
-                arg_u64("candidates", m as u64),
-            ]
-        });
-        out
-    }
-
-    fn assign_fused(
+    fn assign(
         &mut self,
         centers: &PointMatrix,
         fetch: LabelFetch,
     ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
         let (start, wire) = self.begin();
-        let out = self.inner.assign_fused(centers, fetch);
+        let out = self.inner.assign(centers, fetch);
         let (changed, distance, pruned, labels) = match &out {
             Ok((changed, sums, labels)) => (
                 *changed,
@@ -329,21 +203,14 @@ impl RoundBackend for RecordingBackend<'_> {
         out
     }
 
-    fn preload_rows(&mut self, indices: &[usize]) -> Result<(), KMeansError> {
+    fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
         let (start, wire) = self.begin();
-        let out = self.inner.preload_rows(indices);
-        let rows = indices.len() as u64;
-        self.finish(start, wire, "preload_rows", || vec![arg_u64("rows", rows)]);
+        let out = self.inner.potential(centers);
+        let centers_n = centers.len() as u64;
+        self.finish(start, wire, "potential", || {
+            vec![arg_u64("centers", centers_n)]
+        });
         out
-    }
-}
-
-/// Sample size carried by a fused tracker round's result (for spans).
-fn sample_size(out: &Result<(f64, Option<SampleOut>), KMeansError>) -> u64 {
-    match out {
-        Ok((_, Some(SampleOut::Picked { indices, .. }))) => indices.len() as u64,
-        Ok((_, Some(SampleOut::Keys(keys)))) => keys.len() as u64,
-        _ => 0,
     }
 }
 
@@ -371,9 +238,10 @@ mod tests {
         let exec = Executor::new(Parallelism::Sequential);
         let centers = points.select(&[0, 35]);
 
+        let init = Broadcast::Init(&centers);
         let mut plain = InMemoryBackend::new(&points, &exec);
-        let plain_phi = plain.tracker_init(&centers).unwrap();
-        let (plain_changed, plain_sums) = plain.assign(&centers).unwrap();
+        let (plain_phi, _) = plain.tracker_round(init, TrackerRead::Nothing).unwrap();
+        let (plain_changed, plain_sums, _) = plain.assign(&centers, LabelFetch::Skip).unwrap();
 
         let clock = FakeClock::new(0);
         let recorder = Recorder::with_clock(clock.clone());
@@ -382,9 +250,9 @@ mod tests {
         assert_eq!(recorded.kind(), BackendKind::InMemory);
         assert_eq!(recorded.len(), points.len());
         assert_eq!(recorded.wire_bytes(), None);
-        let phi = recorded.tracker_init(&centers).unwrap();
+        let (phi, _) = recorded.tracker_round(init, TrackerRead::Nothing).unwrap();
         clock.advance(10);
-        let (changed, sums) = recorded.assign(&centers).unwrap();
+        let (changed, sums, _) = recorded.assign(&centers, LabelFetch::Skip).unwrap();
 
         assert_eq!(phi.to_bits(), plain_phi.to_bits());
         assert_eq!(changed, plain_changed);
@@ -413,8 +281,10 @@ mod tests {
         let recorder = Recorder::disabled();
         let mut inner = InMemoryBackend::new(&points, &exec);
         let mut recorded = RecordingBackend::new(&mut inner, recorder.clone());
-        recorded.tracker_init(&centers).unwrap();
-        recorded.assign(&centers).unwrap();
+        recorded
+            .tracker_round(Broadcast::Init(&centers), TrackerRead::Nothing)
+            .unwrap();
+        recorded.assign(&centers, LabelFetch::Skip).unwrap();
         assert!(recorder.events().is_empty());
     }
 }

@@ -312,6 +312,10 @@ impl ServeEngine {
         if s.draining.load(Ordering::SeqCst) {
             return Err(self.reject_draining());
         }
+        // Admission time is read before the reservation: once the points
+        // show in `queued_points` the request is admitted, and its
+        // deadline must already be running.
+        let t0 = s.clock.now_ns();
         // Reserve queue space, or shed. The reservation is released when
         // the reply is handed back (admitted-but-unanswered accounting).
         // `queued == 0` always admits, so one request larger than the cap
@@ -351,7 +355,6 @@ impl ServeEngine {
             s.queued_points.fetch_sub(n, Ordering::SeqCst);
             return Err(self.reject_draining());
         }
-        let t0 = s.clock.now_ns();
         let deadline = deadline_ms.map(|ms| (t0.saturating_add(ms.saturating_mul(1_000_000)), ms));
         let (tx, rx) = channel();
         if self

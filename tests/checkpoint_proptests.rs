@@ -241,6 +241,18 @@ fn resume_from_every_truncation_point_is_bit_identical() {
             .clone()
             .fit_distributed_resumable(&mut cluster, &mut partial)
             .unwrap_or_else(|e| panic!("resume at round {r}: {e}"));
+        // Every live record is one round trip, and going live costs one
+        // more: the catch-up compound (tracker segments + last assign),
+        // whenever the replayed prefix holds a tracker round (record 0
+        // is the first-center gather) — also when the resume goes live
+        // during Lloyd, with six tracker segments to replay.
+        let live = (full.len() - r) as u64;
+        let catch_up = u64::from(r >= 2 && live > 0);
+        assert_eq!(
+            cluster.round_trips(),
+            live + catch_up,
+            "resume at round {r}: round trips"
+        );
         cluster.shutdown();
         for h in handles {
             h.join().unwrap().unwrap();

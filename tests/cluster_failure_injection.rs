@@ -10,7 +10,7 @@
 
 use scalable_kmeans::cluster::fault::tag;
 use scalable_kmeans::cluster::{
-    spawn_loopback_worker, spawn_loopback_worker_with_faults, spawn_tcp_worker,
+    loopback_pair, spawn_loopback_worker, spawn_loopback_worker_with_faults, spawn_tcp_worker,
     spawn_tcp_worker_with_faults, Cluster, ClusterError, FaultAction, FitDistributed, RetryPolicy,
     TcpTransport, TcpWorkerServer, Transport, Worker,
 };
@@ -19,6 +19,7 @@ use scalable_kmeans::core::model::{KMeans, KMeansModel};
 use scalable_kmeans::core::pipeline::{KMeansParallel, NoRefine};
 use scalable_kmeans::data::synth::GaussMixture;
 use scalable_kmeans::data::{InMemorySource, PointMatrix};
+use scalable_kmeans::obs::{ArgValue, Recorder};
 use scalable_kmeans::par::Parallelism;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -376,6 +377,8 @@ fn all_but_one_worker_dying_at_once_recovers() {
 
 /// The O(n) D² top-up gather (ℓ < k forces it) recovers like every other
 /// round, and a slow worker (delayed reply) is *not* treated as dead.
+/// The d² read rides the closing round's `Compound` — the second one,
+/// after init+sample — so that is where the worker dies.
 #[test]
 fn topup_gather_death_and_delayed_replies() {
     let points = gauss();
@@ -398,8 +401,8 @@ fn topup_gather_death_and_delayed_replies() {
         &[(
             1,
             vec![FaultAction::KillOnRecv {
-                tag: tag::GATHER_D2,
-                occurrence: 1,
+                tag: tag::COMPOUND,
+                occurrence: 2,
             }],
         )],
     );
@@ -418,6 +421,7 @@ fn topup_gather_death_and_delayed_replies() {
 
     // A delayed reply stalls the round but kills nothing: no recovery
     // runs, the original workers retire cleanly, results are identical.
+    // The first top-level ShardSums is the seed-cost `Cost` reply.
     let (mut cluster, originals, replacements) = recovering_loopback_cluster(
         &points,
         2,
@@ -440,6 +444,100 @@ fn topup_gather_death_and_delayed_replies() {
         "no recovery expected"
     );
     assert_bit_identical(&reference, &got, "delayed reply");
+}
+
+/// Adoption during Lloyd is three frames on the replacement: `Plan`, one
+/// catch-up `Compound` carrying the six tracker segments plus an `Assign`
+/// against the last completed pass's centers, and the re-asked `Assign`.
+/// Counted with the replacement worker's own frame recorder.
+#[test]
+fn worker_adopted_during_lloyd_receives_plan_catch_up_and_reask() {
+    let points = gauss();
+    let reference = KMeans::params(K)
+        .seed(42)
+        .shard_size(SHARD)
+        .fit(&points)
+        .unwrap();
+    assert!(reference.iterations() >= 2, "the death must land mid-Lloyd");
+    let slices = even_slices(points.len(), 2);
+    let local_rows = slices[1].1 as u64;
+    let mut transports: Vec<Box<dyn Transport>> = Vec::new();
+    let mut originals = Vec::new();
+    for (w, &(start, rows)) in slices.iter().enumerate() {
+        let source = InMemorySource::new(slice_rows(&points, start, rows), 3).unwrap();
+        let script = if w == 1 {
+            vec![FaultAction::KillOnRecv {
+                tag: tag::ASSIGN,
+                occurrence: 2,
+            }]
+        } else {
+            vec![]
+        };
+        let (t, h) = spawn_loopback_worker_with_faults(source, Parallelism::Sequential, script);
+        transports.push(Box::new(t));
+        originals.push(h);
+    }
+    let mut cluster = Cluster::new(transports).unwrap();
+    let recorder = Recorder::monotonic();
+    let replacements: SharedHandles = Arc::new(Mutex::new(Vec::new()));
+    let supplier_handles = Arc::clone(&replacements);
+    let supplier_recorder = recorder.clone();
+    let supplier_points = points.clone();
+    cluster.set_recovery(
+        Box::new(move |slot| {
+            let (start, rows) = slices[slot];
+            let source = InMemorySource::new(slice_rows(&supplier_points, start, rows), 3).unwrap();
+            let mut worker = Worker::new(source, Parallelism::Sequential);
+            worker.set_recorder(supplier_recorder.clone());
+            let (coordinator_side, mut worker_side) = loopback_pair();
+            let h = std::thread::spawn(move || worker.serve(&mut worker_side));
+            supplier_handles.lock().unwrap().push(h);
+            Ok(Box::new(coordinator_side))
+        }),
+        RetryPolicy::fixed(3, Duration::from_millis(1)),
+    );
+    let got = KMeans::params(K)
+        .seed(42)
+        .shard_size(SHARD)
+        .fit_distributed(&mut cluster)
+        .unwrap();
+    cluster.shutdown();
+    for h in originals {
+        let _ = h.join().unwrap();
+    }
+    assert_eq!(replacements.lock().unwrap().len(), 1, "one adoption");
+    drain(&replacements);
+    assert_bit_identical(&reference, &got, "adoption during Lloyd");
+
+    let frames: Vec<_> = recorder
+        .events()
+        .into_iter()
+        .filter(|e| e.cat == "worker")
+        .collect();
+    let names: Vec<&str> = frames.iter().map(|e| e.name.as_str()).collect();
+    assert_eq!(
+        names[..3],
+        ["frame:plan", "frame:compound", "frame:assign"],
+        "adoption frames: {names:?}"
+    );
+    // The rest of the fit is Lloyd passes; the catch-up is the only
+    // compound the replacement ever sees.
+    assert!(
+        names[3..]
+            .iter()
+            .all(|n| *n == "frame:assign" || *n == "frame:shutdown"),
+        "{names:?}"
+    );
+    // Frame rows count one local pass per item: six tracker segments
+    // plus the label-rebuilding assignment.
+    assert!(
+        frames[1]
+            .args
+            .iter()
+            .any(|(n, v)| n == "rows" && *v == ArgValue::U64(7 * local_rows)),
+        "catch-up compound: {:?}",
+        frames[1].args
+    );
 }
 
 /// A worker dying *during* recovery (every replacement the supplier

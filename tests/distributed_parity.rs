@@ -193,6 +193,39 @@ fn other_stages_match_single_node() {
     }
 }
 
+/// The D² top-up conversation (k = 12, ℓ = 0.1k, one round, no
+/// refinement, two workers) is bit-identical to `fit` and takes 7 round
+/// trips: first-center gather, init+sample, the round's update fused with
+/// the d² read, the top-up gather, the top-up update fused with Step 7's
+/// weights, the seed cost, and the labeling pass. Seed 2's one round
+/// samples; seed 3's is dry and broadcasts an empty update — same count.
+#[test]
+fn topup_fit_takes_seven_round_trips() {
+    let k = 12;
+    let points = gauss();
+    for seed in [2u64, 3] {
+        let base = KMeans::params(k)
+            .init(KMeansParallel(
+                KMeansParallelConfig::default()
+                    .oversampling_factor(0.1)
+                    .rounds(1),
+            ))
+            .refine(NoRefine)
+            .seed(seed)
+            .shard_size(SHARD);
+        let mem = base.clone().fit(&points).unwrap();
+        let (mut cluster, handles) = loopback_cluster(&points, 2, 5, Parallelism::Sequential);
+        let dist = base.fit_distributed(&mut cluster).unwrap();
+        let round_trips = cluster.round_trips();
+        cluster.shutdown();
+        for h in handles {
+            h.join().unwrap().unwrap();
+        }
+        assert_models_bit_identical(&mem, &dist, &format!("D² top-up, seed {seed}"));
+        assert_eq!(round_trips, 7, "seed {seed}");
+    }
+}
+
 /// Real sockets, real shard files: `skm shard`-style block-file shards
 /// served by TCP workers over 127.0.0.1 reproduce the in-memory fit bit
 /// for bit (one grid point of the loopback matrix).
