@@ -26,11 +26,12 @@
 //! is refused with the typed mismatch error, never misread.
 //!
 //! Every journal record carries a fingerprint of the round's *arguments*
-//! (FNV-1a over the round kind and encoded inputs). On replay the
-//! fingerprint of the round the driver is about to run must match the
-//! record; a mismatch — wrong seed, changed config, different data
-//! layout — is a typed error, never silent corruption. The file header
-//! additionally pins seed/k/n/dim/shard-size, checked at load.
+//! (FNV-1a over the round kind and encoded inputs — the workspace's one
+//! FNV-1a, `kmeans_util::checksum::fnv1a`, through [`fnv1a`]). On
+//! replay the fingerprint of the round the driver is about to run must
+//! match the record; a mismatch — wrong seed, changed config, different
+//! data layout — is a typed error, never silent corruption. The file
+//! header additionally pins seed/k/n/dim/shard-size, checked at load.
 
 use crate::backend::ClusterBackend;
 use crate::wire::{fnv1a, Dec, Enc, FrameError};

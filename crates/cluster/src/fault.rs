@@ -34,7 +34,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
 /// Message-tag constants for scripting faults against the distributed
-/// `SKW1` vocabulary without constructing throwaway messages. Only tags
+/// `SKW` vocabulary without constructing throwaway messages. Only tags
 /// that cross the wire as top-level frames are listed — a script matches
 /// top-level tags, and tracker rounds and recovery catch-up travel inside
 /// `Compound` frames. Mirrors [`crate::protocol::Message`]'s tag map

@@ -5,11 +5,12 @@
 //!
 //! ```text
 //! offset        size  field
-//! 0             4     magic  b"SKW1"
+//! 0             4     magic  b"SKW2" (form 2) or b"SKW1" (form 1)
 //! 4             1     message tag
 //! 5             4     payload length `len` (u32)
 //! 9             len   payload (tag-specific encoding)
-//! 9 + len       8     FNV-1a 64 checksum over tag byte + payload
+//! 9 + len       8     checksum: form 2, lanes64 over bytes [0, 9 + len);
+//!                     form 1, FNV-1a 64 over tag byte + payload
 //! ```
 //!
 //! Everything is hand-rolled `std` binary encoding — no external
@@ -20,12 +21,12 @@
 //! malformed input maps to a typed [`FrameError`] — never a panic
 //! (`tests/protocol_proptests.rs` fuzzes this contract).
 //!
-//! The frame assembly, checksum, and decoder primitives are the shared
-//! machinery of [`crate::wire`]; this module supplies the `SKW1`
-//! vocabulary — the distributed-runtime [`Message`] enum and its per-tag
-//! payload codecs — via the [`WireMessage`] impl. The serving tier's
-//! `SKS1` vocabulary (`kmeans-serve`) is a second instance of the same
-//! machinery.
+//! The frame assembly, both frame forms, the checksums, and the decoder
+//! primitives are the shared machinery of [`crate::wire`]; this module
+//! supplies the `SKW` vocabulary — the distributed-runtime [`Message`]
+//! enum and its per-tag payload codecs — via the [`WireMessage`] impl.
+//! The serving tier's `SKS` vocabulary (`kmeans-serve`) is a second
+//! instance of the same machinery.
 
 pub use crate::wire::{fnv1a, FrameError, ReadFrameError, MAX_FRAME_PAYLOAD};
 
@@ -36,7 +37,8 @@ use kmeans_core::KMeansError;
 use kmeans_data::PointMatrix;
 use std::io::{Read, Write};
 
-/// Frame magic (see module docs).
+/// Frame magic in form 1 (see module docs); form 2's is `b"SKW2"`
+/// ([`FrameForm::magic`](crate::wire::FrameForm::magic)).
 pub const FRAME_MAGIC: [u8; 4] = *b"SKW1";
 
 /// A typed clustering error crossing the wire (worker → coordinator).
@@ -440,8 +442,7 @@ impl WireMessage for Message {
         }
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+    fn encode_payload_into(&self, e: &mut Enc) {
         match self {
             Message::Hello { rows, dim } => {
                 e.u64(*rows);
@@ -504,7 +505,7 @@ impl WireMessage for Message {
                 e.u64(*reassigned);
                 e.u64(shards.len() as u64);
                 for s in shards {
-                    encode_accum_shard(&mut e, s);
+                    encode_accum_shard(e, s);
                 }
                 // Trailing stats field (added in frame revision 2; absent
                 // in frames from older peers — see the decoder).
@@ -581,7 +582,6 @@ impl WireMessage for Message {
                 e.matrix(rows);
             }
         }
-        e.into_bytes()
     }
 
     fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, FrameError> {
@@ -791,29 +791,29 @@ impl Message {
         }
     }
 
-    /// Encodes the message as one complete frame (magic, tag, length,
-    /// payload, checksum). Returns the frame bytes. Inherent forwarder
-    /// to [`WireMessage::encode_frame`] so call sites need no trait
-    /// import.
+    /// Encodes the message as one complete form-2 frame (magic, tag,
+    /// length, payload, checksum). Returns the frame bytes. Inherent
+    /// forwarder to [`WireMessage::encode_frame`] so call sites need no
+    /// trait import.
     pub fn encode_frame(&self) -> Vec<u8> {
         WireMessage::encode_frame(self)
     }
 
-    /// Decodes one frame from a byte buffer, returning the message and the
-    /// number of bytes consumed. `max_payload` caps the declared payload
-    /// length *before* any allocation.
+    /// Decodes one frame of either form from a byte buffer, returning the
+    /// message and the number of bytes consumed. `max_payload` caps the
+    /// declared payload length *before* any allocation.
     pub fn decode_frame(bytes: &[u8], max_payload: usize) -> Result<(Message, usize), FrameError> {
         <Message as WireMessage>::decode_frame(bytes, max_payload)
     }
 
-    /// Writes the message as one frame. Returns the bytes written.
+    /// Writes the message as one form-2 frame. Returns the bytes written.
     pub fn write_frame(&self, w: &mut impl Write) -> std::io::Result<usize> {
         WireMessage::write_frame(self, w)
     }
 
-    /// Reads one frame from a byte stream, returning the message and the
-    /// bytes consumed. I/O failures (peer gone, timeout) and invalid
-    /// frames are distinguished by [`ReadFrameError`].
+    /// Reads one frame of either form from a byte stream, returning the
+    /// message and the bytes consumed. I/O failures (peer gone, timeout)
+    /// and invalid frames are distinguished by [`ReadFrameError`].
     pub fn read_frame(
         r: &mut impl Read,
         max_payload: usize,
@@ -825,6 +825,7 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::FrameForm;
 
     fn sample_messages() -> Vec<Message> {
         let m = PointMatrix::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2).unwrap();
@@ -949,6 +950,7 @@ mod tests {
     fn every_message_round_trips() {
         for msg in sample_messages() {
             let frame = msg.encode_frame();
+            assert_eq!(frame[..4], *b"SKW2");
             let (decoded, used) = Message::decode_frame(&frame, MAX_FRAME_PAYLOAD).unwrap();
             assert_eq!(decoded, msg);
             assert_eq!(used, frame.len());
@@ -957,6 +959,19 @@ mod tests {
             let (decoded, used) = Message::read_frame(&mut cursor, MAX_FRAME_PAYLOAD).unwrap();
             assert_eq!(decoded, msg);
             assert_eq!(used, frame.len());
+            // Both frame forms round-trip, report their form, and differ
+            // only in the version byte and the checksum.
+            for form in [FrameForm::V1, FrameForm::V2] {
+                let framed = msg.encode_frame_as(form);
+                assert_eq!(framed.len(), frame.len());
+                assert_eq!(framed[..3], frame[..3]);
+                assert_eq!(framed[4..framed.len() - 8], frame[4..frame.len() - 8]);
+                let got = Message::decode_frame_form(&framed, MAX_FRAME_PAYLOAD).unwrap();
+                assert_eq!(got, (msg.clone(), framed.len(), form));
+                let mut cursor = std::io::Cursor::new(&framed);
+                let got = Message::read_frame_form(&mut cursor, MAX_FRAME_PAYLOAD).unwrap();
+                assert_eq!(got, (msg.clone(), framed.len(), form));
+            }
         }
     }
 
@@ -993,18 +1008,22 @@ mod tests {
             Message::decode_frame(&huge, 1024).unwrap_err(),
             FrameError::Oversized { .. }
         ));
-        // Unknown tag.
-        let unknown = Message::ShutdownOk;
-        let mut f = unknown.encode_frame();
-        f[4] = 200;
-        // Checksum covers the tag, so retag + fix checksum to isolate the case.
-        let csum = fnv1a(200, &[]);
-        let n = f.len();
-        f[n - 8..].copy_from_slice(&csum.to_le_bytes());
-        assert_eq!(
-            Message::decode_frame(&f, MAX_FRAME_PAYLOAD).unwrap_err(),
-            FrameError::UnknownTag(200)
-        );
+        // Unknown tag, in both forms. The checksum covers the tag, so
+        // retag + fix the checksum to isolate the case.
+        for form in [FrameForm::V1, FrameForm::V2] {
+            let mut f = Message::ShutdownOk.encode_frame_as(form);
+            f[4] = 200;
+            let n = f.len();
+            let csum = match form {
+                FrameForm::V1 => fnv1a(200, &[]),
+                FrameForm::V2 => kmeans_util::checksum::lanes64(&f[..n - 8]),
+            };
+            f[n - 8..].copy_from_slice(&csum.to_le_bytes());
+            assert_eq!(
+                Message::decode_frame(&f, MAX_FRAME_PAYLOAD).unwrap_err(),
+                FrameError::UnknownTag(200)
+            );
+        }
     }
 
     #[test]

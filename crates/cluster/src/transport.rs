@@ -7,13 +7,18 @@
 //!
 //! The transports are generic over the frame vocabulary: the message
 //! type parameter defaults to the distributed runtime's
-//! [`Message`] (`SKW1`), and the serving tier
-//! instantiates the same types with its `SKS1` vocabulary — one socket
+//! [`Message`] (`SKW` frames), and the serving tier
+//! instantiates the same types with its `SKS` vocabulary — one socket
 //! layer, two protocols.
+//!
+//! Both read either frame form and send in the form of the last frame
+//! they received — form 2 until they have received one — so a peer that
+//! only speaks form 1 and opens the conversation keeps a working session
+//! (see [`crate::wire`]).
 
 use crate::error::ClusterError;
 use crate::protocol::{FrameError, Message, MAX_FRAME_PAYLOAD};
-use crate::wire::{WireMessage, FRAME_OVERHEAD};
+use crate::wire::{FrameForm, WireMessage, FRAME_OVERHEAD};
 use std::io::{BufReader, BufWriter, Write};
 use std::marker::PhantomData;
 use std::net::TcpStream;
@@ -42,6 +47,8 @@ pub struct TcpTransport<M: WireMessage = Message> {
     writer: BufWriter<TcpStream>,
     sent: u64,
     received: u64,
+    /// The form `send` writes: that of the last frame received.
+    form: FrameForm,
     _vocabulary: PhantomData<fn() -> M>,
 }
 
@@ -60,6 +67,7 @@ impl<M: WireMessage> TcpTransport<M> {
             writer,
             sent: 0,
             received: 0,
+            form: FrameForm::default(),
             _vocabulary: PhantomData,
         })
     }
@@ -92,7 +100,7 @@ fn check_outgoing(frame: &[u8]) -> Result<(), ClusterError> {
 
 impl<M: WireMessage> Transport<M> for TcpTransport<M> {
     fn send(&mut self, msg: &M) -> Result<(), ClusterError> {
-        let frame = msg.encode_frame();
+        let frame = msg.encode_frame_as(self.form);
         check_outgoing(&frame)?;
         self.writer.write_all(&frame)?;
         self.writer.flush()?;
@@ -101,8 +109,9 @@ impl<M: WireMessage> Transport<M> for TcpTransport<M> {
     }
 
     fn recv(&mut self) -> Result<M, ClusterError> {
-        let (msg, used) = M::read_frame(&mut self.reader, MAX_FRAME_PAYLOAD)?;
+        let (msg, used, form) = M::read_frame_form(&mut self.reader, MAX_FRAME_PAYLOAD)?;
         self.received += used as u64;
+        self.form = form;
         Ok(msg)
     }
 
@@ -122,7 +131,22 @@ pub struct LoopbackTransport<M: WireMessage = Message> {
     rx: Receiver<Vec<u8>>,
     sent: u64,
     received: u64,
+    /// The form `send` writes: that of the last frame received.
+    form: FrameForm,
     _vocabulary: PhantomData<fn() -> M>,
+}
+
+impl<M: WireMessage> LoopbackTransport<M> {
+    fn new(tx: Sender<Vec<u8>>, rx: Receiver<Vec<u8>>) -> Self {
+        LoopbackTransport {
+            tx,
+            rx,
+            sent: 0,
+            received: 0,
+            form: FrameForm::default(),
+            _vocabulary: PhantomData,
+        }
+    }
 }
 
 /// Creates a connected pair of loopback transports (coordinator side,
@@ -131,20 +155,8 @@ pub fn loopback_pair<M: WireMessage>() -> (LoopbackTransport<M>, LoopbackTranspo
     let (a_tx, b_rx) = std::sync::mpsc::channel();
     let (b_tx, a_rx) = std::sync::mpsc::channel();
     (
-        LoopbackTransport {
-            tx: a_tx,
-            rx: a_rx,
-            sent: 0,
-            received: 0,
-            _vocabulary: PhantomData,
-        },
-        LoopbackTransport {
-            tx: b_tx,
-            rx: b_rx,
-            sent: 0,
-            received: 0,
-            _vocabulary: PhantomData,
-        },
+        LoopbackTransport::new(a_tx, a_rx),
+        LoopbackTransport::new(b_tx, b_rx),
     )
 }
 
@@ -162,7 +174,7 @@ impl<M: WireMessage> LoopbackTransport<M> {
 
 impl<M: WireMessage> Transport<M> for LoopbackTransport<M> {
     fn send(&mut self, msg: &M) -> Result<(), ClusterError> {
-        let frame = msg.encode_frame();
+        let frame = msg.encode_frame_as(self.form);
         check_outgoing(&frame)?;
         let len = frame.len() as u64;
         self.tx
@@ -174,13 +186,14 @@ impl<M: WireMessage> Transport<M> for LoopbackTransport<M> {
 
     fn recv(&mut self) -> Result<M, ClusterError> {
         let frame = self.rx.recv().map_err(|_| ClusterError::Disconnected)?;
-        let (msg, used) = M::decode_frame(&frame, MAX_FRAME_PAYLOAD)?;
+        let (msg, used, form) = M::decode_frame_form(&frame, MAX_FRAME_PAYLOAD)?;
         if used != frame.len() {
             return Err(ClusterError::Protocol(
                 "loopback frame carried trailing bytes".into(),
             ));
         }
         self.received += used as u64;
+        self.form = form;
         Ok(msg)
     }
 
@@ -206,6 +219,22 @@ mod tests {
         assert_eq!(got, msg);
         assert_eq!(a.bytes_sent(), b.bytes_received());
         assert!(a.bytes_sent() > 0);
+    }
+
+    #[test]
+    fn loopback_answers_in_the_form_it_last_received() {
+        let (mut a, mut b) = loopback_pair::<Message>();
+        let msg = Message::CandidateWeights { m: 3 };
+        for form in [FrameForm::V1, FrameForm::V2, FrameForm::V1] {
+            a.send_raw_frame(&msg.encode_frame_as(form)).unwrap();
+            assert_eq!(b.recv().unwrap(), msg);
+            b.send(&msg).unwrap();
+            let answer = a.rx.recv().unwrap();
+            assert_eq!(answer, msg.encode_frame_as(form));
+        }
+        // A fresh transport speaks form 2.
+        a.send(&msg).unwrap();
+        assert_eq!(b.rx.recv().unwrap(), msg.encode_frame());
     }
 
     #[test]

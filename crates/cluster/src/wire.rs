@@ -1,11 +1,11 @@
 //! Frame machinery shared by every wire vocabulary in the workspace:
-//! the length-prefixed, checksummed frame layout, the defensive binary
-//! encoder/decoder primitives, and the [`WireMessage`] trait that turns
-//! a message enum into a complete frame codec.
+//! the length-prefixed, checksummed frame layout in its two forms, the
+//! defensive binary encoder/decoder primitives, and the [`WireMessage`]
+//! trait that turns a message enum into a complete frame codec.
 //!
 //! The distributed runtime's [`Message`](crate::protocol::Message)
-//! (`SKW1` frames) and the serving tier's request/response vocabulary
-//! (`SKS1` frames, `kmeans-serve`) are both instances: each supplies a
+//! (`SKW` frames) and the serving tier's request/response vocabulary
+//! (`SKS` frames, `kmeans-serve`) are both instances: each supplies a
 //! magic, a tag map, and per-tag payload codecs; the frame assembly,
 //! checksum, cap enforcement, and stream I/O live here once.
 //!
@@ -13,12 +13,50 @@
 //!
 //! ```text
 //! offset        size  field
-//! 0             4     magic  (per vocabulary, e.g. b"SKW1")
+//! 0             4     magic: the vocabulary's three letters + form version
+//!                     (b"SKW1"/b"SKW2", b"SKS1"/b"SKS2")
 //! 4             1     message tag
 //! 5             4     payload length `len` (u32)
 //! 9             len   payload (tag-specific encoding)
-//! 9 + len       8     FNV-1a 64 checksum over tag byte + payload
+//! 9 + len       8     checksum (u64), by form:
+//!                       1: FNV-1a 64 over tag byte + payload
+//!                       2: lanes64 over bytes [0, 9 + len) — magic, tag,
+//!                          length and payload
 //! ```
+//!
+//! ## The two frame forms
+//!
+//! Both forms have the same layout and size ([`FRAME_OVERHEAD`] bytes
+//! around the payload) and carry the same payloads; only the last magic
+//! byte and the checksum differ ([`FrameForm`]).
+//!
+//! * **Form 1** (`…1`) checksums with byte-at-a-time FNV-1a
+//!   ([`fnv1a`]) — one multiply per byte, which made the checksum most of
+//!   the codec's cost. It does not cover the magic or the length.
+//! * **Form 2** (`…2`) checksums with
+//!   [`lanes64`], four lanes over 8-byte
+//!   words, about 16× faster. Every step of it is a bijection of its
+//!   state for a fixed word and of the word for a fixed state, so any
+//!   change confined to one 8-byte word of the frame — every single-bit
+//!   and single-byte flip among them — is always detected (the argument
+//!   is spelled out on `lanes64`). Because the magic, tag and length are
+//!   hashed too, a flipped vocabulary letter (`S` ↔ `W` is one bit) or
+//!   length byte is a checksum error, not a frame handed to the wrong
+//!   decoder.
+//!
+//! The version bytes `1` (0x31) and `2` (0x32) differ in two bits, so no
+//! single-bit flip turns one form into the other; a multi-bit flip that
+//! does leaves the other form's checksum in the trailer, which fails.
+//!
+//! Every reader accepts both forms and reports which one it read.
+//! [`WireMessage::encode_frame`] writes form 2. The transports
+//! ([`crate::transport`]) answer in the form of the last frame they
+//! received and speak form 2 until they have received one. So the side
+//! that opens a conversation — the serve client with `Hello`, the worker
+//! with its `Hello` — picks the form: a current responder mirrors a
+//! form-1 opener and keeps a working session, while a form-1-only
+//! responder refuses a form-2 opener with `BadMagic` and closes, which
+//! the opener sees as a typed error within its I/O timeout.
 //!
 //! Decoding is defensive: a frame is parsed only after its declared
 //! length passes the caller's cap (no attacker-controlled allocation),
@@ -27,6 +65,7 @@
 //! [`FrameError`] — never a panic.
 
 use kmeans_data::PointMatrix;
+use kmeans_util::checksum::{self, lanes64, FNV1A_BASIS};
 use std::io::{Read, Write};
 
 /// Default cap on a frame's payload (1 GiB — comfortably above the
@@ -102,19 +141,96 @@ pub enum ReadFrameError {
     Frame(FrameError),
 }
 
-/// 64-bit FNV-1a over the tag byte and payload — the frame checksum.
+/// The form-1 frame checksum: 64-bit FNV-1a over the tag byte and
+/// payload.
 pub fn fnv1a(tag: u8, payload: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut step = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    step(tag);
-    for &b in payload {
-        step(b);
-    }
-    h
+    checksum::fnv1a(checksum::fnv1a(FNV1A_BASIS, &[tag]), payload)
 }
+
+/// Which of the two frame forms a frame takes (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FrameForm {
+    /// Magic ending in `1`; FNV-1a over tag and payload.
+    V1,
+    /// Magic ending in `2`; `lanes64` over header and payload.
+    #[default]
+    V2,
+}
+
+impl FrameForm {
+    /// The magic of a vocabulary whose form-1 magic is `magic`, in this
+    /// form: the last byte is the form's version.
+    pub fn magic(self, mut magic: [u8; 4]) -> [u8; 4] {
+        magic[3] = match self {
+            FrameForm::V1 => b'1',
+            FrameForm::V2 => b'2',
+        };
+        magic
+    }
+
+    /// The form a received frame's first four bytes name, if they are
+    /// the magic of the vocabulary whose form-1 magic is `magic`.
+    fn of(received: &[u8], magic: [u8; 4]) -> Result<FrameForm, FrameError> {
+        [FrameForm::V1, FrameForm::V2]
+            .into_iter()
+            .find(|form| received == form.magic(magic))
+            .ok_or(FrameError::BadMagic)
+    }
+
+    /// The checksum this form's trailer carries for a frame whose header
+    /// and payload are `body` (the trailer excluded).
+    fn checksum(self, body: &[u8]) -> u64 {
+        match self {
+            FrameForm::V1 => fnv1a(body[4], &body[9..]),
+            FrameForm::V2 => lanes64(body),
+        }
+    }
+}
+
+/// Checks the frame at the front of `bytes` — magic, cap, length,
+/// checksum — and returns its form, tag, payload and total length.
+fn open_frame(
+    bytes: &[u8],
+    magic: [u8; 4],
+    max_payload: usize,
+) -> Result<(FrameForm, u8, &[u8], usize), FrameError> {
+    if bytes.len() < 9 {
+        return Err(FrameError::Truncated);
+    }
+    let form = FrameForm::of(&bytes[..4], magic)?;
+    let len = payload_len(&bytes[..9], max_payload)?;
+    let total = 9 + len + 8;
+    if bytes.len() < total {
+        return Err(FrameError::Truncated);
+    }
+    let expected = u64::from_le_bytes(bytes[9 + len..total].try_into().expect("8"));
+    let got = form.checksum(&bytes[..9 + len]);
+    if expected != got {
+        return Err(FrameError::Checksum { expected, got });
+    }
+    Ok((form, bytes[4], &bytes[9..9 + len], total))
+}
+
+/// The payload length a 9-byte frame header declares, checked against
+/// the cap.
+fn payload_len(header: &[u8], max_payload: usize) -> Result<usize, FrameError> {
+    let len = u32::from_le_bytes(header[5..9].try_into().expect("4")) as u64;
+    if len > max_payload as u64 {
+        return Err(FrameError::Oversized {
+            len,
+            max: max_payload as u64,
+        });
+    }
+    Ok(len as usize)
+}
+
+/// The most a stream reader allocates for a frame before its bytes
+/// arrive; the buffer grows as they do, so a forged length costs at most
+/// this much.
+const READ_AHEAD: usize = 64 << 10;
+
+/// Bytes an encoder reserves past each run (see `Enc::run`).
+const RUN_SLACK: usize = 64;
 
 /// Little-endian payload encoder. Append-only; [`Enc::into_bytes`]
 /// yields the finished payload.
@@ -151,26 +267,32 @@ impl Enc {
     pub fn f64(&mut self, v: f64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
+    /// Appends `vs` as one run of little-endian values: one reservation
+    /// and one pass, no per-value capacity check. The reservation runs
+    /// [`RUN_SLACK`] bytes past the run, so the short fields and the
+    /// frame checksum that follow it do not move it to a bigger buffer.
+    fn run<T: Copy, const N: usize>(&mut self, vs: &[T], le: impl Fn(T) -> [u8; N]) {
+        let start = self.0.len();
+        self.0.reserve(vs.len() * N + RUN_SLACK);
+        self.0.resize(start + vs.len() * N, 0);
+        for (out, &v) in self.0[start..].chunks_exact_mut(N).zip(vs) {
+            out.copy_from_slice(&le(v));
+        }
+    }
     /// Appends a length-prefixed `f64` vector.
     pub fn f64s(&mut self, vs: &[f64]) {
         self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f64(v);
-        }
+        self.run(vs, f64::to_le_bytes);
     }
     /// Appends a length-prefixed `u64` vector.
     pub fn u64s(&mut self, vs: &[u64]) {
         self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u64(v);
-        }
+        self.run(vs, u64::to_le_bytes);
     }
     /// Appends a length-prefixed `u32` vector.
     pub fn u32s(&mut self, vs: &[u32]) {
         self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u32(v);
-        }
+        self.run(vs, u32::to_le_bytes);
     }
     /// Appends length-prefixed UTF-8 text.
     pub fn text(&mut self, s: &str) {
@@ -181,9 +303,7 @@ impl Enc {
     pub fn matrix(&mut self, m: &PointMatrix) {
         self.u32(m.dim() as u32);
         self.u64(m.len() as u64);
-        for &v in m.as_slice() {
-            self.f64(v);
-        }
+        self.run(m.as_slice(), f64::to_le_bytes);
     }
     /// Appends raw bytes with a length prefix.
     pub fn bytes(&mut self, b: &[u8]) {
@@ -246,20 +366,34 @@ impl<'a> Dec<'a> {
         }
         Ok(declared as usize)
     }
+    /// Reads a run of `n` little-endian values in one take. Callers have
+    /// already checked `n` against the remaining bytes, so `n · N` does
+    /// not overflow and the allocation is backed by bytes present.
+    fn run<T, const N: usize>(
+        &mut self,
+        n: usize,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, FrameError> {
+        let bytes = self.take(n * N)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|c| from_le(c.try_into().expect("N")))
+            .collect())
+    }
     /// Reads a length-prefixed `f64` vector.
     pub fn f64s(&mut self) -> Result<Vec<f64>, FrameError> {
         let n = self.count(8)?;
-        (0..n).map(|_| self.f64()).collect()
+        self.run(n, f64::from_le_bytes)
     }
     /// Reads a length-prefixed `u64` vector.
     pub fn u64s(&mut self) -> Result<Vec<u64>, FrameError> {
         let n = self.count(8)?;
-        (0..n).map(|_| self.u64()).collect()
+        self.run(n, u64::from_le_bytes)
     }
     /// Reads a length-prefixed `u32` vector.
     pub fn u32s(&mut self) -> Result<Vec<u32>, FrameError> {
         let n = self.count(4)?;
-        (0..n).map(|_| self.u32()).collect()
+        self.run(n, u32::from_le_bytes)
     }
     /// Reads length-prefixed UTF-8 text.
     pub fn text(&mut self) -> Result<String, FrameError> {
@@ -285,7 +419,7 @@ impl<'a> Dec<'a> {
         {
             return Err(FrameError::Malformed("matrix larger than payload"));
         }
-        let flat: Vec<f64> = (0..values).map(|_| self.f64()).collect::<Result<_, _>>()?;
+        let flat = self.run(values as usize, f64::from_le_bytes)?;
         PointMatrix::from_flat(flat, dim).map_err(|_| FrameError::Malformed("ragged matrix"))
     }
     /// Reads length-prefixed raw bytes.
@@ -305,116 +439,128 @@ impl<'a> Dec<'a> {
 /// A message enum that travels as checksummed frames. Implementors
 /// supply the vocabulary (magic, tag map, per-tag payload codecs); the
 /// provided methods assemble, parse, and stream complete frames with the
-/// shared layout, cap enforcement, and checksum.
+/// shared layout, cap enforcement, and checksum, in either
+/// [`FrameForm`].
 pub trait WireMessage: Sized + Send {
-    /// The vocabulary's 4-byte frame magic (e.g. `b"SKW1"`).
+    /// The vocabulary's frame magic in form 1 (e.g. `b"SKW1"`); form 2's
+    /// differs in the last byte ([`FrameForm::magic`]).
     const MAGIC: [u8; 4];
 
     /// The message's tag byte.
     fn tag(&self) -> u8;
 
-    /// Encodes the tag-specific payload.
-    fn encode_payload(&self) -> Vec<u8>;
+    /// Appends the tag-specific payload to `e`.
+    fn encode_payload_into(&self, e: &mut Enc);
+
+    /// Encodes the tag-specific payload on its own.
+    fn encode_payload(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        self.encode_payload_into(&mut e);
+        e.into_bytes()
+    }
 
     /// Decodes a payload for `tag`, consuming it exactly.
     fn decode_payload(tag: u8, payload: &[u8]) -> Result<Self, FrameError>;
 
-    /// Encodes the message as one complete frame (magic, tag, length,
-    /// payload, checksum). Returns the frame bytes.
+    /// Encodes the message as one complete form-2 frame (magic, tag,
+    /// length, payload, checksum). Returns the frame bytes.
+    ///
+    /// # Panics
+    ///
+    /// As [`WireMessage::encode_frame_as`].
+    fn encode_frame(&self) -> Vec<u8> {
+        self.encode_frame_as(FrameForm::V2)
+    }
+
+    /// Encodes the message as one complete frame in `form`.
     ///
     /// # Panics
     ///
     /// Panics if the payload exceeds the u32 length field (4 GiB) — a
     /// silent wrap would corrupt the stream; transports reject anything
     /// over [`MAX_FRAME_PAYLOAD`] with a typed error long before this.
-    fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
+    fn encode_frame_as(&self, form: FrameForm) -> Vec<u8> {
+        // The payload is encoded in place behind the header, whose length
+        // field is filled in once the payload's size is known.
+        let mut e = Enc::new();
+        e.0.extend_from_slice(&form.magic(Self::MAGIC));
+        e.u8(self.tag());
+        e.u32(0);
+        self.encode_payload_into(&mut e);
+        let mut frame = e.into_bytes();
+        let len = frame.len() - 9;
         assert!(
-            payload.len() <= u32::MAX as usize,
-            "frame payload of {} bytes exceeds the u32 length field",
-            payload.len()
+            len <= u32::MAX as usize,
+            "frame payload of {len} bytes exceeds the u32 length field"
         );
-        let tag = self.tag();
-        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-        frame.extend_from_slice(&Self::MAGIC);
-        frame.push(tag);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a(tag, &payload).to_le_bytes());
+        frame[5..9].copy_from_slice(&(len as u32).to_le_bytes());
+        let checksum = form.checksum(&frame);
+        frame.extend_from_slice(&checksum.to_le_bytes());
         frame
     }
 
-    /// Decodes one frame from a byte buffer, returning the message and
-    /// the number of bytes consumed. `max_payload` caps the declared
-    /// payload length *before* any allocation.
+    /// Decodes one frame of either form from a byte buffer, returning the
+    /// message and the number of bytes consumed. `max_payload` caps the
+    /// declared payload length *before* any allocation.
     fn decode_frame(bytes: &[u8], max_payload: usize) -> Result<(Self, usize), FrameError> {
-        if bytes.len() < 9 {
-            return Err(FrameError::Truncated);
-        }
-        if bytes[..4] != Self::MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        let tag = bytes[4];
-        let len = u32::from_le_bytes(bytes[5..9].try_into().expect("4")) as u64;
-        if len > max_payload as u64 {
-            return Err(FrameError::Oversized {
-                len,
-                max: max_payload as u64,
-            });
-        }
-        let len = len as usize;
-        let total = 9 + len + 8;
-        if bytes.len() < total {
-            return Err(FrameError::Truncated);
-        }
-        let payload = &bytes[9..9 + len];
-        let expected = u64::from_le_bytes(bytes[9 + len..total].try_into().expect("8"));
-        let got = fnv1a(tag, payload);
-        if expected != got {
-            return Err(FrameError::Checksum { expected, got });
-        }
-        Ok((Self::decode_payload(tag, payload)?, total))
+        Self::decode_frame_form(bytes, max_payload).map(|(msg, used, _)| (msg, used))
     }
 
-    /// Writes the message as one frame. Returns the bytes written.
+    /// [`WireMessage::decode_frame`], also reporting the frame's form.
+    fn decode_frame_form(
+        bytes: &[u8],
+        max_payload: usize,
+    ) -> Result<(Self, usize, FrameForm), FrameError> {
+        let (form, tag, payload, used) = open_frame(bytes, Self::MAGIC, max_payload)?;
+        Ok((Self::decode_payload(tag, payload)?, used, form))
+    }
+
+    /// Writes the message as one form-2 frame. Returns the bytes written.
     fn write_frame(&self, w: &mut impl Write) -> std::io::Result<usize> {
         let frame = self.encode_frame();
         w.write_all(&frame)?;
         Ok(frame.len())
     }
 
-    /// Reads one frame from a byte stream, returning the message and the
-    /// bytes consumed. I/O failures (peer gone, timeout) and invalid
-    /// frames are distinguished by [`ReadFrameError`].
+    /// Reads one frame of either form from a byte stream, returning the
+    /// message and the bytes consumed. I/O failures (peer gone, timeout,
+    /// a stream that ends mid-frame) and invalid frames are
+    /// distinguished by [`ReadFrameError`].
     fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<(Self, usize), ReadFrameError> {
+        Self::read_frame_form(r, max_payload).map(|(msg, used, _)| (msg, used))
+    }
+
+    /// [`WireMessage::read_frame`], also reporting the frame's form.
+    ///
+    /// The frame buffer starts at no more than 64 KiB and grows as bytes
+    /// arrive, so a header that declares a large payload and then stops
+    /// costs about the bytes that came, not the bytes it declared.
+    fn read_frame_form(
+        r: &mut impl Read,
+        max_payload: usize,
+    ) -> Result<(Self, usize, FrameForm), ReadFrameError> {
         let mut header = [0u8; 9];
         r.read_exact(&mut header).map_err(ReadFrameError::Io)?;
-        if header[..4] != Self::MAGIC {
-            return Err(ReadFrameError::Frame(FrameError::BadMagic));
+        FrameForm::of(&header[..4], Self::MAGIC).map_err(ReadFrameError::Frame)?;
+        let len = payload_len(&header, max_payload).map_err(ReadFrameError::Frame)?;
+        let total = 9 + len + 8;
+        let mut frame = header.to_vec();
+        while frame.len() < total {
+            // Each step at most doubles what has arrived and never
+            // reaches past the frame.
+            let step = (total - frame.len()).min(frame.len().max(READ_AHEAD));
+            frame.reserve_exact(step);
+            let got = r
+                .take(step as u64)
+                .read_to_end(&mut frame)
+                .map_err(ReadFrameError::Io)?;
+            if got < step {
+                return Err(ReadFrameError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "stream ended mid-frame",
+                )));
+            }
         }
-        let tag = header[4];
-        let len = u32::from_le_bytes(header[5..9].try_into().expect("4")) as u64;
-        if len > max_payload as u64 {
-            return Err(ReadFrameError::Frame(FrameError::Oversized {
-                len,
-                max: max_payload as u64,
-            }));
-        }
-        let len = len as usize;
-        let mut payload = vec![0u8; len];
-        r.read_exact(&mut payload).map_err(ReadFrameError::Io)?;
-        let mut check = [0u8; 8];
-        r.read_exact(&mut check).map_err(ReadFrameError::Io)?;
-        let expected = u64::from_le_bytes(check);
-        let got = fnv1a(tag, &payload);
-        if expected != got {
-            return Err(ReadFrameError::Frame(FrameError::Checksum {
-                expected,
-                got,
-            }));
-        }
-        Self::decode_payload(tag, &payload)
-            .map(|m| (m, 9 + len + 8))
-            .map_err(ReadFrameError::Frame)
+        Self::decode_frame_form(&frame, max_payload).map_err(ReadFrameError::Frame)
     }
 }

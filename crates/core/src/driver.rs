@@ -29,7 +29,7 @@
 //! * [`ChunkedBackend`] — a block-resident [`ChunkedSource`]; behind
 //!   [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked).
 //! * `ClusterBackend` (in `kmeans-cluster`) — a coordinator's worker
-//!   cluster speaking the SKW1 wire protocol.
+//!   cluster speaking the SKW wire protocol.
 //!
 //! **Bit-parity contract.** A driver's outcome is a pure function of
 //! `(data, k, config, seed, executor shard size)` — never of the

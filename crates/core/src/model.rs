@@ -536,8 +536,9 @@ impl KMeansModel {
     /// Builds a long-lived assignment engine over this model's centers
     /// and executor. `predict`/`cost_of` on the returned engine are
     /// bit-identical to the model's own methods (they share one
-    /// implementation) while paying the `O(k·d + k log k)` kernel
-    /// preparation once instead of per call.
+    /// implementation) while paying the kernel preparation — a sorted
+    /// copy of the centers plus one separation-list walk per center, see
+    /// [`AssignKernel`] — once instead of per call.
     pub fn prepared(&self) -> PreparedPredictor {
         PreparedPredictor::new(self.centers.clone(), self.executor.clone())
     }
@@ -641,8 +642,10 @@ fn static_stage_name(name: &str, known: &[&'static str]) -> &'static str {
 /// A long-lived batch assignment engine: the centers with their
 /// [`AssignKernel`] prepared once, plus the executor that shards each
 /// query. This is the unit the serving tier holds per model revision —
-/// the `O(k·d + k log k)` preparation is paid at construction and every
-/// subsequent query reuses it, where the one-shot
+/// the preparation (`O(k·d + k log k)` for the sorted copy plus the
+/// separation lists: `O(k²·d)` at worst, close to `O(17·k·d)` when the
+/// centers spread along their sort key) is paid at construction and
+/// every subsequent query reuses it, where the one-shot
 /// [`KMeansModel::predict`] pays it per call.
 ///
 /// Determinism contract: [`PreparedPredictor::predict`] and
@@ -660,7 +663,10 @@ pub struct PreparedPredictor {
 }
 
 impl PreparedPredictor {
-    /// Prepares the assignment kernel over `centers` (`O(k·d + k log k)`).
+    /// Prepares the assignment kernel over `centers`: `O(k·d + k log k)`
+    /// for the sorted copy plus the separation lists, `O(k²·d)` at worst
+    /// and close to `O(17·k·d)` when the centers spread along their sort
+    /// key (see [`AssignKernel`]).
     ///
     /// # Panics
     ///

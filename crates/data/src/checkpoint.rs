@@ -28,6 +28,7 @@
 //!                  len         (u64)  — payload byte length
 //!                  payload     (len bytes, opaque)
 //! end−8   8      FNV-1a 64 checksum over bytes [8, end−8)
+//!                (`kmeans_util::checksum::fnv1a`)
 //! ```
 //!
 //! Decoding follows the same defensive discipline as `SKMBLK01` and
@@ -38,6 +39,7 @@
 //! never a panic and never an allocation from a forged count.
 
 use crate::error::DataError;
+use kmeans_util::checksum::{fnv1a, FNV1A_BASIS};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -80,17 +82,6 @@ pub struct CheckpointRecord {
     pub payload: Vec<u8>,
 }
 
-/// 64-bit FNV-1a over a byte slice (the same hash the `SKW1` frame
-/// checksum and the other `SKM*` file formats use).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Encodes a checkpoint as one complete `SKMCKPT1` byte image — the
 /// exact bytes [`save_checkpoint_file`] writes.
 ///
@@ -131,7 +122,7 @@ pub fn encode_checkpoint(
         out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(&rec.payload);
     }
-    let checksum = fnv1a(&out[8..]);
+    let checksum = fnv1a(FNV1A_BASIS, &out[8..]);
     out.extend_from_slice(&checksum.to_le_bytes());
     Ok(out)
 }
@@ -155,7 +146,7 @@ pub fn decode_checkpoint(
     }
     let end = bytes.len() - 8;
     let stored = u64::from_le_bytes(bytes[end..].try_into().expect("8 bytes"));
-    let computed = fnv1a(&bytes[8..end]);
+    let computed = fnv1a(FNV1A_BASIS, &bytes[8..end]);
     if stored != computed {
         return Err(fail("checksum mismatch"));
     }
@@ -330,7 +321,7 @@ mod tests {
         let off = HEADER_BYTES + 9;
         bytes[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let end = bytes.len() - 8;
-        let checksum = fnv1a(&bytes[8..end]);
+        let checksum = fnv1a(FNV1A_BASIS, &bytes[8..end]);
         bytes[end..].copy_from_slice(&checksum.to_le_bytes());
         assert!(decode_checkpoint(&bytes).is_err());
     }

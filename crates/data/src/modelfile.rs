@@ -26,6 +26,7 @@
 //! 80+li   lr       refiner_name (UTF-8)
 //! …       k·dim·8  centers, row-major f64
 //! end−8   8        FNV-1a 64 checksum over bytes [8, end−8)
+//!                  (`kmeans_util::checksum::fnv1a`)
 //! ```
 //!
 //! Deliberately **not** persisted: training labels and per-iteration
@@ -41,6 +42,7 @@
 
 use crate::error::DataError;
 use crate::matrix::PointMatrix;
+use kmeans_util::checksum::{fnv1a, FNV1A_BASIS};
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
@@ -81,17 +83,6 @@ pub struct ModelRecord {
     pub init_name: String,
     /// Stable name of the refiner (≤ 255 bytes of UTF-8).
     pub refiner_name: String,
-}
-
-/// 64-bit FNV-1a over a byte slice (the same hash the `SKW1` frame
-/// checksum uses).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Encodes a model record as one complete `SKMMDL01` byte image — the
@@ -140,7 +131,7 @@ pub fn encode_model(record: &ModelRecord) -> Result<Vec<u8>, DataError> {
     for &v in record.centers.as_slice() {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    let checksum = fnv1a(&out[8..]);
+    let checksum = fnv1a(FNV1A_BASIS, &out[8..]);
     out.extend_from_slice(&checksum.to_le_bytes());
     Ok(out)
 }
@@ -203,7 +194,7 @@ pub fn decode_model(bytes: &[u8]) -> Result<ModelRecord, DataError> {
         )));
     }
     let declared = u64_at(bytes.len() - 8);
-    let computed = fnv1a(&bytes[8..bytes.len() - 8]);
+    let computed = fnv1a(FNV1A_BASIS, &bytes[8..bytes.len() - 8]);
     if declared != computed {
         return Err(DataError::Format(format!(
             "checksum mismatch: declared {declared:#x}, computed {computed:#x}"

@@ -145,7 +145,7 @@ impl LatencyHistogram {
 }
 
 /// The fixed-size digest of a [`LatencyHistogram`] — what travels in
-/// `SKS1` `Stats` frames and renders into Prometheus exposition. All
+/// `SKS` `Stats` frames and renders into Prometheus exposition. All
 /// fields are nanoseconds except `count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HistogramSummary {

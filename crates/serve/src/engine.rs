@@ -8,9 +8,9 @@
 //! blocks on a private reply channel. A single batcher thread drains the
 //! queue, concatenates the pending requests into one matrix, and runs
 //! one [`PreparedPredictor::assign`] sweep over the whole batch — the
-//! kernel's `O(k·d + k log k)` preparation was paid once at model
-//! install, and the per-batch sweep parallelizes across the executor's
-//! threads. Per-point labels and `d²` are pure functions of (point,
+//! kernel's preparation (the sorted centers and their separation lists,
+//! `O(k²·d)` at worst) was paid once at model install, and the
+//! per-batch sweep parallelizes across the executor's threads. Per-point labels and `d²` are pure functions of (point,
 //! centers), so slicing the batch outputs at request boundaries yields
 //! exactly what each request would have gotten alone; per-request cost
 //! is re-folded on the request's own shard grid

@@ -1,5 +1,5 @@
 //! Deterministic fault injection for the serving tier — the cluster
-//! runtime's [`FaultTransport`] instantiated over the `SKS1` vocabulary.
+//! runtime's [`FaultTransport`] instantiated over the `SKS` vocabulary.
 //!
 //! The wrapper machinery (scripted kills, mid-frame truncations, and
 //! delays keyed by `(message tag, occurrence)`) is
@@ -25,7 +25,7 @@ use kmeans_cluster::ClusterError;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-/// Message-tag constants for scripting faults against the serve `SKS1`
+/// Message-tag constants for scripting faults against the serve `SKS`
 /// vocabulary. Mirrors [`ServeMessage`]'s tag map (round-trip pinned by
 /// a test).
 pub mod tag {

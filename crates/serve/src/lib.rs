@@ -10,11 +10,13 @@
 //! so servers scale horizontally behind the same frame discipline the
 //! distributed runtime already ships; what a long-lived server adds over
 //! one-shot CLI predict is **amortization**: the assignment kernel's
-//! `O(k·d + k log k)` preparation (norm-sorted candidate table, slack
-//! constants) is paid once per model revision and reused by every
-//! request, and concurrent requests coalesce into one kernel sweep.
+//! preparation (key-sorted candidate table, slack constants and the
+//! separation lists: `O(k²·d)` at worst, close to `O(17·k·d)` when the
+//! centers spread along their sort key) is paid once per model revision
+//! and reused by every request, and concurrent requests coalesce into
+//! one kernel sweep.
 //!
-//! * [`protocol`] — the `SKS1` wire vocabulary ([`ServeMessage`]):
+//! * [`protocol`] — the `SKS` wire vocabulary ([`ServeMessage`]):
 //!   Hello/ModelInfo, Predict→Labels, Cost→CostReply, FetchStats→Stats,
 //!   SwapModel→SwapOk, Shutdown→ShutdownOk, plus typed `Error` replies.
 //!   Frames share the cluster runtime's checksummed layout
@@ -35,7 +37,7 @@
 //!   backoff, transparent re-dial on disconnect/drain/overload, and
 //!   chunked streaming of large predict inputs.
 //! * [`fault`] — deterministic fault injection for the serve protocol:
-//!   the cluster runtime's `FaultTransport` instantiated over `SKS1`
+//!   the cluster runtime's `FaultTransport` instantiated over `SKS`
 //!   frames, with scripted kills/truncations/delays at exact
 //!   `(message tag, occurrence)` triggers.
 //! * [`metrics`] — the `--metrics-listen` endpoint: a hand-rolled

@@ -6,7 +6,7 @@
 //! collector.
 //!
 //! The endpoint is read-only and isolated from the serving port: it
-//! shares nothing with the `SKS1` conversation but the [`ServeEngine`]
+//! shares nothing with the `SKS` conversation but the [`ServeEngine`]
 //! handle, so a slow or misbehaving scraper can never stall a predict
 //! batch. One request per connection (`Connection: close`), bounded
 //! request reads, and a polling accept loop that exits when the engine

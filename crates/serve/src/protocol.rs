@@ -1,14 +1,17 @@
-//! The serving wire vocabulary: `SKS1` frames carrying predict/cost
+//! The serving wire vocabulary: `SKS` frames carrying predict/cost
 //! queries and their model-revision-tagged answers.
 //!
-//! The frame layout, checksum, cap enforcement, and codec primitives are
-//! the shared machinery of `kmeans_cluster::wire`; this module only
-//! supplies the vocabulary — a distinct magic (`SKS1` vs. the cluster
-//! runtime's `SKW1`, so a serve client that dials a worker port fails
-//! with `BadMagic` instead of mis-parsing), the tag map, and per-tag
-//! payload codecs. Typed failures reuse the cluster protocol's
-//! [`WireError`], so a served error surfaces as the *same*
-//! `KMeansError` a local call would produce.
+//! The frame layout and its two forms (`SKS2`, checksummed word-wide
+//! over the whole frame, and `SKS1`, checksummed with FNV-1a), cap
+//! enforcement, and codec primitives are the shared machinery of
+//! `kmeans_cluster::wire`; this module only supplies the vocabulary — a
+//! distinct magic (`SKS` vs. the cluster runtime's `SKW`, so a serve
+//! client that dials a worker port fails with `BadMagic` instead of
+//! mis-parsing), the tag map, and per-tag payload codecs. A server
+//! answers each client in the form of the client's last frame, so a
+//! client that only speaks `SKS1` keeps working. Typed failures reuse
+//! the cluster protocol's [`WireError`], so a served error surfaces as
+//! the *same* `KMeansError` a local call would produce.
 //!
 //! Conversation shape (client drives; one reply per request):
 //!
@@ -40,7 +43,8 @@ use kmeans_cluster::wire::{Dec, Enc, FrameError, WireMessage};
 use kmeans_data::PointMatrix;
 use kmeans_obs::HistogramSummary;
 
-/// Frame magic of the serving vocabulary.
+/// Frame magic of the serving vocabulary in form 1; form 2's is
+/// `b"SKS2"` (`kmeans_cluster::wire::FrameForm::magic`).
 pub const SERVE_MAGIC: [u8; 4] = *b"SKS1";
 
 /// A server's cumulative accounting, shipped as the reply to
@@ -318,8 +322,7 @@ impl WireMessage for ServeMessage {
         }
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+    fn encode_payload_into(&self, e: &mut Enc) {
         match self {
             ServeMessage::Hello
             | ServeMessage::FetchStats
@@ -387,8 +390,8 @@ impl WireMessage for ServeMessage {
                 e.u64(s.revision_points);
                 e.u64(s.revision_batches);
                 e.u64(s.revision_installed_ns);
-                encode_hist_summary(&mut e, &s.request_latency);
-                encode_hist_summary(&mut e, &s.batch_latency);
+                encode_hist_summary(e, &s.request_latency);
+                encode_hist_summary(e, &s.batch_latency);
                 // Second trailing group: overload/drain accounting.
                 e.u64(s.shed_requests);
                 e.u64(s.shed_points);
@@ -404,10 +407,9 @@ impl WireMessage for ServeMessage {
                 e.u64(*k);
                 e.u32(*dim);
             }
-            ServeMessage::Error(err) => encode_wire_error(&mut e, err),
+            ServeMessage::Error(err) => encode_wire_error(e, err),
             ServeMessage::DrainOk { queued_points } => e.u64(*queued_points),
         }
-        e.into_bytes()
     }
 
     fn decode_payload(tag: u8, payload: &[u8]) -> Result<Self, FrameError> {

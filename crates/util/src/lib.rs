@@ -30,10 +30,13 @@
 //! * [`timing`] — a small stopwatch utility.
 //! * [`cli`] — the minimal `--key value` argument parser shared by the
 //!   workspace binaries.
+//! * [`checksum`] — the 64-bit checksums of the wire frames and the
+//!   `SKM*` file formats: FNV-1a and a word-wide four-lane hash.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod cli;
 pub mod rng;
 pub mod sampling;

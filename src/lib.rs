@@ -14,7 +14,7 @@
 //! | [`data`] (`kmeans-data`) | `PointMatrix` storage, the GaussMixture / SpamLike / KddLike generators, CSV I/O, the `SKMMDL01` model file |
 //! | [`obs`] (`kmeans-obs`) | flight recorder: structured spans + counters behind a `Clock`, log2 latency histograms with exact quantiles, Chrome trace JSON, Prometheus text rendering |
 //! | [`par`] (`kmeans-par`) | deterministic shard executor |
-//! | [`serve`] (`kmeans-serve`) | online assignment service: micro-batching engine, `SKS1` protocol, TCP/loopback server + client, atomic model hot-swap |
+//! | [`serve`] (`kmeans-serve`) | online assignment service: micro-batching engine, `SKS` protocol, TCP/loopback server + client, atomic model hot-swap |
 //! | [`streaming`] (`kmeans-streaming`) | the Partition baseline (Ailon et al.), k-means#, a coreset tree |
 //! | [`util`] (`kmeans-util`) | portable RNG, weighted sampling, statistics |
 //!
