@@ -58,7 +58,7 @@ fn bench_step7(c: &mut Criterion) {
             .push(points.row(rng.range_usize(points.len())))
             .unwrap();
     }
-    let tracker = CostTracker::new(points, &candidates, &exec);
+    let tracker = CostTracker::new(points, &candidates, &exec).unwrap();
 
     let mut group = c.benchmark_group("step7_weights_n8192_c321");
     group

@@ -20,7 +20,6 @@
 
 use crate::coordinator::Cluster;
 use crate::error::ClusterError;
-use crate::protocol::LabelsWanted;
 use kmeans_core::assign::ClusterSums;
 use kmeans_core::driver::{
     BackendKind, Broadcast, LabelFetch, RoundBackend, TrackerOut, TrackerRead,
@@ -200,12 +199,7 @@ impl RoundBackend for ClusterBackend<'_> {
         fetch: LabelFetch,
     ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
         self.ensure_planned()?;
-        let want = match fetch {
-            LabelFetch::Skip => LabelsWanted::Skip,
-            LabelFetch::IfStable => LabelsWanted::IfStable,
-            LabelFetch::Always => LabelsWanted::Always,
-        };
-        self.cluster.assign(centers, want).map_err(flatten)
+        self.cluster.assign(centers, fetch).map_err(flatten)
     }
 
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {

@@ -29,11 +29,11 @@
 //! [`ClusterError::RecoveryFailed`], never a hang.
 
 use crate::error::ClusterError;
-use crate::protocol::{LabelsWanted, Message, WorkerStats};
+use crate::protocol::{Message, WorkerStats};
 use crate::transport::Transport;
 use kmeans_core::assign::{sum_shard_size_for, ClusterSums};
 use kmeans_core::chunked::fold_accum_shards;
-use kmeans_core::driver::{Broadcast, SampleSpec, TrackerOut, TrackerRead};
+use kmeans_core::driver::{Broadcast, LabelFetch, SampleSpec, TrackerOut, TrackerRead};
 use kmeans_core::init::bernoulli_accept;
 use kmeans_core::kernel::KernelStats;
 use kmeans_data::PointMatrix;
@@ -102,7 +102,7 @@ fn catch_up_frame(
     }
     items.extend(last_assign.map(|centers| Message::Assign {
         centers: centers.clone(),
-        labels: LabelsWanted::Skip,
+        labels: LabelFetch::Skip,
     }));
     let arity = items.len();
     (arity > 0).then_some((Message::Compound(items), arity))
@@ -620,7 +620,8 @@ impl Cluster {
     }
 
     /// The shard-ordered left fold — bit-identical to the single-node
-    /// `map_reduce`/`ShardSum` fold on the same per-shard values.
+    /// fold of the same per-shard values (the tracker's `map_reduce`
+    /// resum, the folded potential pass).
     fn fold(sums: Vec<f64>) -> f64 {
         sums.into_iter().reduce(|a, b| a + b).unwrap_or(0.0)
     }
@@ -965,7 +966,7 @@ impl Cluster {
 
     /// One distributed assignment pass: returns the global reassignment
     /// count and the folded [`ClusterSums`] — bit-identical to the
-    /// single-node `assign_and_sum` on the same centers, the kernel work
+    /// single-node assignment pass on the same centers, the kernel work
     /// counters included (workers ship them in the partials frames; the
     /// counters are deterministic per point, so their sum over workers
     /// equals the single-node pass's).
@@ -979,7 +980,7 @@ impl Cluster {
     pub fn assign(
         &mut self,
         centers: &PointMatrix,
-        want: LabelsWanted,
+        want: LabelFetch,
     ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), ClusterError> {
         let k = centers.len();
         let d = self.dim;
@@ -1018,12 +1019,7 @@ impl Cluster {
                 ));
             }
         }
-        let ship = match want {
-            LabelsWanted::Skip => false,
-            LabelsWanted::IfStable => reassigned == 0,
-            LabelsWanted::Always => true,
-        };
-        let labels = if ship {
+        let labels = if want.owed(reassigned) {
             let mut all = Vec::with_capacity(self.global_n);
             for (i, l) in per_worker_labels.into_iter().enumerate() {
                 match l {

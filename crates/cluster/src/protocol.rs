@@ -32,6 +32,7 @@ pub use crate::wire::{fnv1a, FrameError, ReadFrameError, MAX_FRAME_PAYLOAD};
 
 use crate::wire::{Dec, Enc, WireMessage};
 use kmeans_core::chunked::AccumShard;
+use kmeans_core::driver::LabelFetch;
 use kmeans_core::kernel::KernelStats;
 use kmeans_core::KMeansError;
 use kmeans_data::PointMatrix;
@@ -151,24 +152,6 @@ impl From<WireError> for KMeansError {
             }
         }
     }
-}
-
-/// Whether an [`Message::Assign`] pass should ship the labels it stored
-/// back in its [`Message::Partials`] reply — the wire form of the
-/// driver's `LabelFetch`: labels always ride the assignment reply that
-/// produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LabelsWanted {
-    /// Labels stay worker-resident (mid-loop Lloyd iterations). Also the
-    /// decoded meaning of a frame without the trailing mode byte.
-    #[default]
-    Skip,
-    /// Ship labels iff this worker's pass was *locally* stable
-    /// (`reassigned == 0`) — a globally stable pass then always arrives
-    /// fully labeled, and an unstable one ships next to nothing.
-    IfStable,
-    /// Always ship the labels (closing relabel, label-only passes).
-    Always,
 }
 
 /// A worker's residency/accounting snapshot (reply to
@@ -292,9 +275,13 @@ pub enum Message {
     Assign {
         /// The centers.
         centers: PointMatrix,
-        /// Whether the reply should carry the stored labels. Encoded as
-        /// a trailing byte; frames without it decode as `Skip`.
-        labels: LabelsWanted,
+        /// Whether the reply should carry the stored labels — the
+        /// driver's own [`LabelFetch`], decided by the worker with
+        /// [`LabelFetch::owed`] against its *local* reassignment count,
+        /// so a globally stable `IfStable` pass always arrives fully
+        /// labeled. Encoded as a trailing byte (0 `Skip`, 1 `IfStable`,
+        /// 2 `Always`); frames without it decode as `Skip`.
+        labels: LabelFetch,
     },
     /// Accumulation-shard partials of one assignment pass, in shard
     /// order, plus the reassignment count vs. the previous pass and the
@@ -312,7 +299,7 @@ pub enum Message {
         /// failing the round.
         stats: KernelStats,
         /// The stored labels (local row order), present when the request
-        /// asked per its [`LabelsWanted`]. Trailing field after `stats`;
+        /// asked per its [`LabelFetch`]. Trailing field after `stats`;
         /// frames without it decode as `None`.
         labels: Option<Vec<u32>>,
     },
@@ -469,9 +456,9 @@ impl WireMessage for Message {
                 // Trailing mode byte (absent in revision-1 frames, which
                 // decode as Skip).
                 e.u8(match labels {
-                    LabelsWanted::Skip => 0,
-                    LabelsWanted::IfStable => 1,
-                    LabelsWanted::Always => 2,
+                    LabelFetch::Skip => 0,
+                    LabelFetch::IfStable => 1,
+                    LabelFetch::Always => 2,
                 });
             }
             Message::UpdateTracker { from, centers } => {
@@ -628,12 +615,12 @@ impl WireMessage for Message {
                 let centers = d.matrix()?;
                 // Trailing mode byte: a revision-1 frame ends here (Skip).
                 let labels = if d.remaining() == 0 {
-                    LabelsWanted::Skip
+                    LabelFetch::Skip
                 } else {
                     match d.u8()? {
-                        0 => LabelsWanted::Skip,
-                        1 => LabelsWanted::IfStable,
-                        2 => LabelsWanted::Always,
+                        0 => LabelFetch::Skip,
+                        1 => LabelFetch::IfStable,
+                        2 => LabelFetch::Always,
                         _ => return Err(FrameError::Malformed("unknown labels mode")),
                     }
                 };
@@ -868,11 +855,11 @@ mod tests {
             },
             Message::Assign {
                 centers: m.clone(),
-                labels: LabelsWanted::Skip,
+                labels: LabelFetch::Skip,
             },
             Message::Assign {
                 centers: m.clone(),
-                labels: LabelsWanted::IfStable,
+                labels: LabelFetch::IfStable,
             },
             Message::Partials {
                 reassigned: 11,
@@ -928,7 +915,7 @@ mod tests {
                 },
                 Message::Assign {
                     centers: m.clone(),
-                    labels: LabelsWanted::Skip,
+                    labels: LabelFetch::Skip,
                 },
             ]),
             Message::Cost { centers: m },

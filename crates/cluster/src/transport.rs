@@ -82,6 +82,11 @@ impl<M: WireMessage> TcpTransport<M> {
         self.sent += bytes.len() as u64;
         Ok(())
     }
+
+    /// The form `send` writes.
+    pub(crate) fn frame_form(&self) -> FrameForm {
+        self.form
+    }
 }
 
 /// Send-side size enforcement: an over-large frame fails fast with a
@@ -169,6 +174,18 @@ impl<M: WireMessage> LoopbackTransport<M> {
             .map_err(|_| ClusterError::Disconnected)?;
         self.sent += bytes.len() as u64;
         Ok(())
+    }
+
+    /// The form `send` writes.
+    pub(crate) fn frame_form(&self) -> FrameForm {
+        self.form
+    }
+
+    /// The next raw frame, undecoded — lets tests inspect exactly the
+    /// bytes a peer put on the channel.
+    #[cfg(test)]
+    pub(crate) fn recv_raw_frame(&mut self) -> Result<Vec<u8>, ClusterError> {
+        self.rx.recv().map_err(|_| ClusterError::Disconnected)
     }
 }
 

@@ -11,11 +11,10 @@
 //! The worker-local thread count never affects any value it ships.
 
 use crate::error::ClusterError;
-use crate::protocol::{LabelsWanted, Message, WorkerStats};
+use crate::protocol::{Message, WorkerStats};
 use crate::transport::{TcpTransport, Transport};
-use kmeans_core::chunked::{
-    assign_partials_chunked, gather_rows, potential_shard_sums, ChunkedCostTracker,
-};
+use kmeans_core::chunked::{assign_partials, LocalData};
+use kmeans_core::cost::{potential_shard_sums, CostTracker};
 use kmeans_core::init::{exact_sample_keys, sample_bernoulli_prescreen};
 use kmeans_core::KMeansError;
 use kmeans_data::{ChunkedSource, PointMatrix};
@@ -37,7 +36,7 @@ struct Session {
     start_row: usize,
     shard_size: usize,
     exec: Executor,
-    tracker: Option<ChunkedCostTracker>,
+    tracker: Option<CostTracker>,
     candidates: PointMatrix,
     labels: Option<Vec<u32>>,
 }
@@ -232,6 +231,7 @@ impl Worker {
 
     fn try_handle(&self, s: &mut Session, msg: Message) -> Result<Message, KMeansError> {
         let source = self.source.as_ref();
+        let data = LocalData::Blocks(source);
         let offset_err = |e: KMeansError| match e {
             // The worker computes with local row indices; the coordinator
             // (and the user) must see global ones.
@@ -244,8 +244,7 @@ impl Worker {
         match msg {
             Message::InitTracker { centers } => {
                 s.candidates = centers;
-                let tracker =
-                    ChunkedCostTracker::new(source, &s.candidates, &s.exec).map_err(offset_err)?;
+                let tracker = CostTracker::new(data, &s.candidates, &s.exec).map_err(offset_err)?;
                 let sums = per_shard_sums(tracker.d2(), &s.exec);
                 s.tracker = Some(tracker);
                 Ok(Message::ShardSums { sums })
@@ -265,7 +264,7 @@ impl Worker {
                     .extend_from(&centers)
                     .map_err(|e| KMeansError::Data(e.to_string()))?;
                 tracker
-                    .update(source, &s.candidates, from as usize, &s.exec)
+                    .update(data, &s.candidates, from as usize, &s.exec)
                     .map_err(offset_err)?;
                 Ok(Message::ShardSums {
                     sums: per_shard_sums(tracker.d2(), &s.exec),
@@ -298,8 +297,7 @@ impl Worker {
                     first_shard,
                 );
                 let local: Vec<usize> = picked.iter().map(|&(i, _)| i).collect();
-                let mut buf = source.block_buffer();
-                let rows = gather_rows(source, &local, &mut buf)?;
+                let rows = data.gather_rows(&local, &mut data.block_buffer())?;
                 Ok(Message::Prescreened {
                     entries: picked
                         .iter()
@@ -359,9 +357,8 @@ impl Worker {
                         Ok(g - s.start_row)
                     })
                     .collect::<Result<_, _>>()?;
-                let mut buf = source.block_buffer();
                 Ok(Message::Rows {
-                    rows: gather_rows(source, &local, &mut buf)?,
+                    rows: data.gather_rows(&local, &mut data.block_buffer())?,
                 })
             }
             Message::GatherD2 => {
@@ -373,10 +370,7 @@ impl Worker {
                     values: tracker.d2().to_vec(),
                 })
             }
-            Message::Assign {
-                centers,
-                labels: want,
-            } => {
+            Message::Assign { centers, labels } => {
                 // Kernel counters ride along as the trailing stats field,
                 // so the coordinator's fold reports the same measured
                 // work a single-node pass would: the previous pass's
@@ -385,8 +379,9 @@ impl Worker {
                 // runs cold — the labels a recovery catch-up rebuilds are
                 // the ones the lost worker held, so the next warm pass
                 // sees the same hints.
-                let (labels, shards, stats) = assign_partials_chunked(
-                    source,
+                let fetch = labels;
+                let (labels, shards, stats) = assign_partials(
+                    data,
                     &centers,
                     &s.exec,
                     s.start_row,
@@ -398,12 +393,7 @@ impl Worker {
                     None => source.len() as u64,
                     Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
                 };
-                let ship = match want {
-                    LabelsWanted::Skip => false,
-                    LabelsWanted::IfStable => reassigned == 0,
-                    LabelsWanted::Always => true,
-                };
-                let shipped = ship.then(|| labels.clone());
+                let shipped = fetch.owed(reassigned).then(|| labels.clone());
                 s.labels = Some(labels);
                 Ok(Message::Partials {
                     reassigned,
@@ -413,7 +403,7 @@ impl Worker {
                 })
             }
             Message::Cost { centers } => Ok(Message::ShardSums {
-                sums: potential_shard_sums(source, &centers, &s.exec).map_err(offset_err)?,
+                sums: potential_shard_sums(data, &centers, &s.exec).map_err(offset_err)?,
             }),
             Message::FetchStats => {
                 let r = source.residency();

@@ -3,9 +3,10 @@
 //! typed [`FrameError`]s, never panic, and never allocate from a forged
 //! length. Valid frames must round-trip exactly.
 
-use kmeans_cluster::protocol::{LabelsWanted, MAX_FRAME_PAYLOAD};
+use kmeans_cluster::protocol::MAX_FRAME_PAYLOAD;
 use kmeans_cluster::{FrameError, Message, WorkerStats};
 use kmeans_core::chunked::AccumShard;
+use kmeans_core::driver::LabelFetch;
 use kmeans_data::PointMatrix;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -27,7 +28,7 @@ fn build_message(shape: usize, floats: Vec<f64>, ints: Vec<u64>) -> Message {
             },
             Message::Assign {
                 centers: matrix(&floats, 3),
-                labels: LabelsWanted::Skip,
+                labels: LabelFetch::Skip,
             },
         ]),
         3 => Message::Partials {
@@ -51,9 +52,9 @@ fn build_message(shape: usize, floats: Vec<f64>, ints: Vec<u64>) -> Message {
         4 => Message::Assign {
             centers: matrix(&floats, 2),
             labels: match ints.first().copied().unwrap_or(0) % 3 {
-                0 => LabelsWanted::Skip,
-                1 => LabelsWanted::IfStable,
-                _ => LabelsWanted::Always,
+                0 => LabelFetch::Skip,
+                1 => LabelFetch::IfStable,
+                _ => LabelFetch::Always,
             },
         },
         // The D² top-up's reply.

@@ -1,10 +1,14 @@
 //! Point-to-center assignment and per-cluster accumulation — the inner step
-//! of Lloyd's iteration, in its sequential, parallel, and weighted forms.
+//! of Lloyd's iteration: the accumulation layout, the folded
+//! [`ClusterSums`], and the sequential weighted form.
 //!
-//! The parallel form mirrors the MapReduce sketch of §3.5: each shard
-//! computes partial sums/counts/cost ("mapper"), and the partials are folded
-//! **in shard order** ("reducer") so the result is bit-identical for any
-//! worker count.
+//! The pass itself is [`crate::chunked::assign_partials`], written once
+//! over [`LocalData`](crate::chunked::LocalData) for resident rows,
+//! chunked sources and distributed workers alike. It mirrors the
+//! MapReduce sketch of §3.5: each accumulation shard computes partial
+//! sums/counts/cost ("mapper"), and the partials are folded **in shard
+//! order** ([`crate::chunked::fold_accum_shards`], the "reducer") so the
+//! result is bit-identical for any worker count and block size.
 //!
 //! Memory note: a partial holds `k·d` floats. To keep `shards × k·d` bounded
 //! on big runs (the paper's k = 1000, d = 42), accumulation uses at most
@@ -12,7 +16,7 @@
 //! a fixed number, so determinism across worker counts is preserved.
 
 use crate::distance::nearest;
-use crate::kernel::{AssignKernel, KernelStats};
+use crate::kernel::KernelStats;
 use kmeans_data::PointMatrix;
 use kmeans_par::Executor;
 
@@ -62,11 +66,10 @@ impl ClusterSums {
     }
 }
 
-/// Accumulation shard size used by [`assign_and_sum`]. Public because every
-/// pass that must stay bit-identical with the in-memory fold has to
-/// reproduce the exact same shard layout: the chunked assignment pass
-/// ([`crate::chunked::assign_and_sum_chunked`]) and the distributed
-/// workers, whose row ranges must start on these boundaries.
+/// Accumulation shard size of the assignment pass
+/// ([`crate::chunked::assign_partials`]) over `n` rows. Public because
+/// the distributed coordinator plans its workers' row ranges to start on
+/// these boundaries.
 pub fn sum_shard_size(exec: &Executor, n: usize) -> usize {
     sum_shard_size_for(exec.shard_spec().shard_size(), n)
 }
@@ -84,105 +87,6 @@ pub fn sum_shard_size(exec: &Executor, n: usize) -> usize {
 pub fn sum_shard_size_for(base_shard_size: usize, n: usize) -> usize {
     let base = base_shard_size.max(1);
     n.div_ceil(MAX_SUM_SHARDS).div_ceil(base).max(1) * base
-}
-
-/// Executor with the accumulation shard size described in the module docs.
-fn sum_executor(exec: &Executor, n: usize) -> Executor {
-    exec.clone().with_shard_size(sum_shard_size(exec, n))
-}
-
-/// Assigns every point to its nearest center, returning labels and
-/// per-cluster sums in one parallel pass.
-///
-/// `hints` are the labels of a previous pass (one per point): they seed
-/// the kernel's warm sweep ([`AssignKernel::assign_warm`]), which changes
-/// only the work counters and the time, never the result. Hints of the
-/// wrong length are ignored.
-///
-/// # Panics
-///
-/// Panics if `centers` is empty or dimensionalities differ.
-pub fn assign_and_sum(
-    points: &PointMatrix,
-    centers: &PointMatrix,
-    exec: &Executor,
-    hints: Option<&[u32]>,
-) -> (Vec<u32>, ClusterSums) {
-    assert!(!centers.is_empty(), "assign_and_sum: no centers");
-    assert_eq!(points.dim(), centers.dim(), "assign_and_sum: dim mismatch");
-    let k = centers.len();
-    let d = points.dim();
-    let hints = hints.filter(|h| h.len() == points.len());
-    let exec = sum_executor(exec, points.len());
-    let kernel = AssignKernel::new(centers);
-
-    struct Partial {
-        labels: Vec<u32>,
-        sums: Vec<f64>,
-        counts: Vec<u64>,
-        cost: f64,
-        farthest: (usize, f64),
-        stats: KernelStats,
-    }
-
-    let partials: Vec<Partial> = exec.map_shards(points.len(), |_, range| {
-        // Batched nearest-center pass (tiled + norm-pruned; bit-identical
-        // to the per-point scalar scan), then one accumulation sweep over
-        // the still-warm rows.
-        let mut labels = vec![0u32; range.len()];
-        let mut d2 = vec![0.0f64; range.len()];
-        let shard_hints = hints.map(|h| &h[range.clone()]);
-        let stats = kernel.assign_warm(points, range.clone(), shard_hints, &mut labels, &mut d2);
-        let mut sums = vec![0.0f64; k * d];
-        let mut counts = vec![0u64; k];
-        let mut cost = 0.0;
-        let mut farthest = (usize::MAX, f64::NEG_INFINITY);
-        for (off, i) in range.enumerate() {
-            let c = labels[off] as usize;
-            let dist = d2[off];
-            counts[c] += 1;
-            cost += dist;
-            if dist > farthest.1 {
-                farthest = (i, dist);
-            }
-            let dst = &mut sums[c * d..(c + 1) * d];
-            for (acc, &v) in dst.iter_mut().zip(points.row(i)) {
-                *acc += v;
-            }
-        }
-        Partial {
-            labels,
-            sums,
-            counts,
-            cost,
-            farthest,
-            stats,
-        }
-    });
-
-    let mut labels = Vec::with_capacity(points.len());
-    let mut out = ClusterSums {
-        sums: vec![0.0; k * d],
-        counts: vec![0; k],
-        cost: 0.0,
-        farthest: Vec::with_capacity(partials.len()),
-        stats: KernelStats::default(),
-    };
-    for p in partials {
-        labels.extend_from_slice(&p.labels);
-        for (acc, v) in out.sums.iter_mut().zip(p.sums) {
-            *acc += v;
-        }
-        for (acc, v) in out.counts.iter_mut().zip(p.counts) {
-            *acc += v;
-        }
-        out.cost += p.cost;
-        if p.farthest.0 != usize::MAX {
-            out.farthest.push(p.farthest);
-        }
-        out.stats.absorb(p.stats);
-    }
-    (labels, out)
 }
 
 /// Weighted assignment over a (small) weighted point set — sequential.
@@ -218,7 +122,22 @@ pub fn assign_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::{assign_partials, fold_accum_shards};
     use kmeans_par::Parallelism;
+
+    /// One assignment pass over resident rows, folded.
+    fn assign_and_fold(
+        points: &PointMatrix,
+        centers: &PointMatrix,
+        exec: &Executor,
+    ) -> (Vec<u32>, ClusterSums) {
+        let n = points.len();
+        let (labels, partials, stats) =
+            assign_partials(points.into(), centers, exec, 0, n, None).unwrap();
+        let mut sums = fold_accum_shards(centers.len(), points.dim(), &partials);
+        sums.stats = stats;
+        (labels, sums)
+    }
 
     fn two_blob_points() -> PointMatrix {
         let mut m = PointMatrix::new(2);
@@ -235,7 +154,7 @@ mod tests {
     fn labels_and_counts_are_correct() {
         let points = two_blob_points();
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 100.0, 0.0], 2).unwrap();
-        let (labels, sums) = assign_and_sum(&points, &centers, &Executor::sequential(), None);
+        let (labels, sums) = assign_and_fold(&points, &centers, &Executor::sequential());
         assert_eq!(labels.len(), 20);
         assert!(labels[..10].iter().all(|&l| l == 0));
         assert!(labels[10..].iter().all(|&l| l == 1));
@@ -252,7 +171,7 @@ mod tests {
         let points = two_blob_points();
         // Third center attracts nothing.
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 100.0, 0.0, 1e9, 1e9], 2).unwrap();
-        let (_, sums) = assign_and_sum(&points, &centers, &Executor::sequential(), None);
+        let (_, sums) = assign_and_fold(&points, &centers, &Executor::sequential());
         assert_eq!(sums.counts[2], 0);
         assert!(sums.centroid(2, 2).is_none());
     }
@@ -263,7 +182,7 @@ mod tests {
         let points = two_blob_points();
         let centers = PointMatrix::from_flat(vec![0.45, 0.0, 100.45, 0.0], 2).unwrap();
         let exec = Executor::sequential();
-        let (_, sums) = assign_and_sum(&points, &centers, &exec, None);
+        let (_, sums) = assign_and_fold(&points, &centers, &exec);
         let phi = potential(&points, &centers, &exec);
         assert!((sums.cost - phi).abs() < 1e-9);
     }
@@ -272,8 +191,7 @@ mod tests {
     fn identical_across_thread_counts() {
         let points = two_blob_points();
         let centers = PointMatrix::from_flat(vec![1.0, 0.0, 99.0, 0.0], 2).unwrap();
-        let run =
-            |exec: Executor| assign_and_sum(&points, &centers, &exec.with_shard_size(4), None);
+        let run = |exec: Executor| assign_and_fold(&points, &centers, &exec.with_shard_size(4));
         let (ref_labels, ref_sums) = run(Executor::sequential());
         for threads in [2, 3] {
             let (labels, sums) = run(Executor::new(Parallelism::Threads(threads)));
@@ -291,7 +209,7 @@ mod tests {
         let mut points = two_blob_points();
         points.push(&[500.0, 0.0]).unwrap();
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 100.0, 0.0], 2).unwrap();
-        let (_, sums) = assign_and_sum(&points, &centers, &Executor::sequential(), None);
+        let (_, sums) = assign_and_fold(&points, &centers, &Executor::sequential());
         let best = sums
             .farthest
             .iter()
@@ -323,7 +241,7 @@ mod tests {
         let points = PointMatrix::from_flat((0..n).map(|i| i as f64).collect(), 1).unwrap();
         let centers = PointMatrix::from_flat(vec![0.0], 1).unwrap();
         let exec = Executor::sequential().with_shard_size(16);
-        let (_, sums) = assign_and_sum(&points, &centers, &exec, None);
+        let (_, sums) = assign_and_fold(&points, &centers, &exec);
         assert!(sums.farthest.len() <= MAX_SUM_SHARDS);
         assert_eq!(sums.counts[0], n as u64);
     }

@@ -1,4 +1,6 @@
-//! The clustering potential `φ_X(C)` and its incremental maintenance.
+//! The clustering potential `φ_X(C)` and its incremental maintenance —
+//! both written once over [`LocalData`], so resident rows (one lent
+//! block) and chunked sources run the same passes.
 //!
 //! Both seeding algorithms repeatedly need, for every point `x`, the
 //! quantity `d²(x, C)` under a center set `C` that only ever *grows*.
@@ -13,15 +15,31 @@
 //!   nearest-center ids were tracked all along — this is the "free Step 7"
 //!   design decision in DESIGN.md §4.
 //!
-//! All passes run on the deterministic shard executor.
+//! The tracker owns only the `O(n)` scalar state and takes the data on
+//! each call, so the local backend and a distributed worker's session
+//! hold the same type. All passes run on the deterministic shard
+//! executor; the potential pass folds on the global shard grid with the
+//! piece loop of [`crate::chunked`].
+//!
+//! **Finiteness for free.** A row with a NaN or infinite coordinate has no
+//! finite distance to any center, so its `d²` is `∞` (the kernel's
+//! `(0, ∞)` convention). A finite potential therefore proves every row
+//! finite, and the first full pass — the tracker's first pass or the
+//! potential pass — needs no scan of its own: only when its sum is
+//! infinite does [`LocalData::check_finite`] run, to report the first
+//! non-finite coordinate in row order (or find none, when finite values
+//! overflowed).
 
+use crate::chunked::{fold_pieces, LocalData, Piece};
 use crate::distance::nearest;
+use crate::error::KMeansError;
 use crate::kernel::AssignKernel;
 use kmeans_data::PointMatrix;
 use kmeans_par::Executor;
 
-/// Computes the k-means potential `φ_X(C) = Σ_x d²(x, C)` in one parallel
-/// pass.
+/// Computes the k-means potential `φ_X(C) = Σ_x d²(x, C)` of resident
+/// rows in one parallel pass — [`potential_shard_sums`] folded, without
+/// the finiteness check (a non-finite row makes the potential `∞`).
 ///
 /// # Panics
 ///
@@ -29,20 +47,64 @@ use kmeans_par::Executor;
 pub fn potential(points: &PointMatrix, centers: &PointMatrix, exec: &Executor) -> f64 {
     assert!(!centers.is_empty(), "potential: no centers");
     assert_eq!(points.dim(), centers.dim(), "potential: dim mismatch");
+    potential_pass(points.into(), centers, exec)
+        .expect("resident rows read without error")
+        .into_iter()
+        .reduce(|a, b| a + b)
+        .unwrap_or(0.0)
+}
+
+/// The potential pass: one sequential `Σ d²` per shard of the executor
+/// grid, in shard order, rejecting the first non-finite coordinate in
+/// row order (see the module docs: only an infinite sum costs a check
+/// pass). The shard-ordered left fold of the returned values is the
+/// potential, bit for bit, for any block size.
+///
+/// Distributed workers call this on their local row range and ship the
+/// partials; the coordinator concatenates them in worker order (= global
+/// shard order, given shard-aligned worker boundaries) and performs the
+/// fold, which is what keeps the distributed potential bit-identical to
+/// the single-node one.
+pub fn potential_shard_sums(
+    data: LocalData<'_>,
+    centers: &PointMatrix,
+    exec: &Executor,
+) -> Result<Vec<f64>, KMeansError> {
+    let sums = potential_pass(data, centers, exec)?;
+    if sums.iter().any(|s| !s.is_finite()) {
+        data.check_finite()?;
+    }
+    Ok(sums)
+}
+
+/// [`potential_shard_sums`] without the finiteness check.
+fn potential_pass(
+    data: LocalData<'_>,
+    centers: &PointMatrix,
+    exec: &Executor,
+) -> Result<Vec<f64>, KMeansError> {
+    if centers.is_empty() {
+        return Err(KMeansError::InvalidK {
+            k: 0,
+            n: data.len(),
+        });
+    }
+    if data.dim() != centers.dim() {
+        return Err(KMeansError::DimensionMismatch {
+            expected: data.dim(),
+            got: centers.dim(),
+        });
+    }
     let kernel = AssignKernel::new(centers);
-    exec.map_reduce(
-        points.len(),
-        |_, range| {
-            // Kernel pass per shard; the d² values (and the sum order)
-            // are bit-identical to the old per-point scalar loop.
-            let mut labels = vec![0u32; range.len()];
-            let mut d2 = vec![0.0f64; range.len()];
-            kernel.assign(points, range, &mut labels, &mut d2);
-            d2.iter().sum::<f64>()
-        },
-        |a, b| a + b,
-    )
-    .unwrap_or(0.0)
+    // No per-row output: the pass keeps only its per-shard sums.
+    let mut none = vec![(); data.len()];
+    let grid = exec.shard_spec().shard_size();
+    fold_pieces(data, exec, grid, 0, &mut none, |p, _, carry| {
+        let mut labels = vec![0u32; p.rows.len()];
+        let mut d2 = vec![0.0f64; p.rows.len()];
+        kernel.assign(p.block, p.rows, &mut labels, &mut d2);
+        Ok(d2.iter().fold(carry.unwrap_or(0.0), |acc, &v| acc + v))
+    })
 }
 
 /// Weighted potential `Σ_x w_x · d²(x, C)` (sequential; used on candidate
@@ -61,55 +123,74 @@ pub fn weighted_potential(points: &PointMatrix, weights: &[f64], centers: &Point
     sum
 }
 
-/// Maintains `d²(x, C)` and `argmin_c ‖x−c‖` for a growing center set `C`.
-pub struct CostTracker<'a> {
-    points: &'a PointMatrix,
+/// Maintains `d²(x, C)` and `argmin_c ‖x−c‖` for a growing center set `C`
+/// over the rows of a [`LocalData`], which every call takes: the tracker
+/// owns only the per-point scalar state.
+pub struct CostTracker {
     d2: Vec<f64>,
     nearest_id: Vec<u32>,
     total: f64,
 }
 
-impl<'a> CostTracker<'a> {
-    /// Builds the tracker for an initial (non-empty) center set.
+impl CostTracker {
+    /// Builds the tracker for an initial (non-empty) center set — one full
+    /// pass, which doubles as the finiteness check (module docs: the first
+    /// non-finite coordinate in row order is reported).
     ///
     /// # Panics
     ///
     /// Panics if `centers` is empty or dimensionalities differ.
-    pub fn new(points: &'a PointMatrix, centers: &PointMatrix, exec: &Executor) -> Self {
+    pub fn new<'a>(
+        data: impl Into<LocalData<'a>>,
+        centers: &PointMatrix,
+        exec: &Executor,
+    ) -> Result<Self, KMeansError> {
+        let data = data.into();
         assert!(!centers.is_empty(), "CostTracker: no centers");
-        assert_eq!(points.dim(), centers.dim(), "CostTracker: dim mismatch");
-        let n = points.len();
-        let mut d2 = vec![0.0f64; n];
-        let mut nearest_id = vec![0u32; n];
-        let kernel = AssignKernel::new(centers);
-        exec.update_shards2(&mut d2, &mut nearest_id, |_, start, cd, cn| {
-            kernel.assign(points, start..start + cd.len(), cn, cd);
-        });
+        assert_eq!(data.dim(), centers.dim(), "CostTracker: dim mismatch");
+        let n = data.len();
         let mut tracker = CostTracker {
-            points,
-            d2,
-            nearest_id,
+            d2: vec![0.0f64; n],
+            nearest_id: vec![0u32; n],
             total: 0.0,
         };
-        tracker.resum(exec);
-        tracker
+        let kernel = AssignKernel::new(centers);
+        tracker.sweep(data, exec, |p, cn, cd| {
+            kernel.assign(p.block, p.rows, cn, cd);
+        })?;
+        if !tracker.total.is_finite() {
+            data.check_finite()?;
+        }
+        Ok(tracker)
     }
 
     /// Incorporates centers `centers[from..]` (those at index ≥ `from` are
-    /// treated as new; earlier ones are assumed already incorporated).
+    /// treated as new; earlier ones are assumed already incorporated) in
+    /// one pass over `data`, which must be the rows the tracker was built
+    /// on.
     ///
     /// Point `i`'s entry changes only if some new center is strictly closer,
     /// in which case `nearest_id[i]` becomes the new center's index.
-    pub fn update(&mut self, centers: &PointMatrix, from: usize, exec: &Executor) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensionalities differ.
+    pub fn update<'a>(
+        &mut self,
+        data: impl Into<LocalData<'a>>,
+        centers: &PointMatrix,
+        from: usize,
+        exec: &Executor,
+    ) -> Result<(), KMeansError> {
+        let data = data.into();
         assert_eq!(
-            self.points.dim(),
+            data.dim(),
             centers.dim(),
             "CostTracker::update: dim mismatch"
         );
         if from >= centers.len() {
-            return;
+            return Ok(());
         }
-        let points = self.points;
         // Scan only the new suffix, pruned by the carried best — same bits
         // as the scalar suffix scan. The nearest ids ride along as the
         // kernel's carried labels: `d2[i]` is always the canonical
@@ -117,10 +198,33 @@ impl<'a> CostTracker<'a> {
         // contract), so most points finish from that center's separation
         // list into the suffix.
         let kernel = AssignKernel::suffix(centers, from);
-        exec.update_shards2(&mut self.d2, &mut self.nearest_id, |_, start, cd, cn| {
-            kernel.update(points, start..start + cd.len(), cn, cd);
-        });
+        self.sweep(data, exec, |p, cn, cd| {
+            kernel.update(p.block, p.rows, cn, cd);
+        })
+    }
+
+    /// One pass over `data`: `f` runs on every executor shard of every
+    /// block with that shard's `(nearest, d²)` chunks; then the cached
+    /// potential is re-summed.
+    fn sweep<F>(&mut self, data: LocalData<'_>, exec: &Executor, f: F) -> Result<(), KMeansError>
+    where
+        F: Fn(Piece<'_>, &mut [u32], &mut [f64]) + Sync,
+    {
+        let (d2, nearest_id) = (&mut self.d2, &mut self.nearest_id);
+        data.for_each_block(|start, block| {
+            let end = start + block.len();
+            exec.update_map_shards2(
+                &mut d2[start..end],
+                &mut nearest_id[start..end],
+                |_, local, cd, cn| {
+                    let rows = local..local + cd.len();
+                    f(Piece { block, rows, start }, cn, cd)
+                },
+            );
+            Ok(())
+        })?;
         self.resum(exec);
+        Ok(())
     }
 
     /// Recomputes the cached potential (shard-ordered sum).
@@ -170,6 +274,7 @@ impl<'a> CostTracker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kmeans_data::InMemorySource;
     use kmeans_par::Parallelism;
 
     fn grid_points() -> PointMatrix {
@@ -227,7 +332,7 @@ mod tests {
         let points = grid_points();
         let exec = Executor::sequential().with_shard_size(32);
         let mut all_centers = PointMatrix::from_flat(vec![0.0], 1).unwrap();
-        let mut tracker = CostTracker::new(&points, &all_centers, &exec);
+        let mut tracker = CostTracker::new(&points, &all_centers, &exec).unwrap();
         assert!((tracker.potential() - potential(&points, &all_centers, &exec)).abs() < 1e-9);
 
         // Add centers in two batches; tracker must agree with recompute.
@@ -236,7 +341,7 @@ mod tests {
             for v in batch {
                 all_centers.push(&[v]).unwrap();
             }
-            tracker.update(&all_centers, from, &exec);
+            tracker.update(&points, &all_centers, from, &exec).unwrap();
             let expected = potential(&points, &all_centers, &exec);
             assert!(
                 (tracker.potential() - expected).abs() < 1e-9,
@@ -258,7 +363,7 @@ mod tests {
         let points = PointMatrix::from_flat(vec![0.0, 1.0, 2.0, 10.0, 11.0], 1).unwrap();
         let centers = PointMatrix::from_flat(vec![1.0, 10.5], 1).unwrap();
         let exec = Executor::sequential();
-        let tracker = CostTracker::new(&points, &centers, &exec);
+        let tracker = CostTracker::new(&points, &centers, &exec).unwrap();
         let w = tracker.weights(2);
         assert_eq!(w, vec![3.0, 2.0]);
         assert!((w.iter().sum::<f64>() - points.len() as f64).abs() < 1e-12);
@@ -268,7 +373,7 @@ mod tests {
     fn tracker_covered_counts_zero_distance() {
         let points = PointMatrix::from_flat(vec![0.0, 5.0, 5.0, 7.0], 1).unwrap();
         let centers = PointMatrix::from_flat(vec![5.0], 1).unwrap();
-        let tracker = CostTracker::new(&points, &centers, &Executor::sequential());
+        let tracker = CostTracker::new(&points, &centers, &Executor::sequential()).unwrap();
         assert_eq!(tracker.covered(), 2);
     }
 
@@ -277,10 +382,10 @@ mod tests {
         let points = grid_points();
         let centers = PointMatrix::from_flat(vec![3.0], 1).unwrap();
         let exec = Executor::sequential();
-        let mut tracker = CostTracker::new(&points, &centers, &exec);
+        let mut tracker = CostTracker::new(&points, &centers, &exec).unwrap();
         let before = tracker.potential();
-        tracker.update(&centers, 1, &exec);
-        tracker.update(&centers, 99, &exec);
+        tracker.update(&points, &centers, 1, &exec).unwrap();
+        tracker.update(&points, &centers, 99, &exec).unwrap();
         assert_eq!(tracker.potential(), before);
     }
 
@@ -290,9 +395,9 @@ mod tests {
         let mut centers = PointMatrix::from_flat(vec![0.0], 1).unwrap();
         let build = |exec: &Executor| {
             let mut c = PointMatrix::from_flat(vec![0.0], 1).unwrap();
-            let mut t = CostTracker::new(&points, &c, exec);
+            let mut t = CostTracker::new(&points, &c, exec).unwrap();
             c.push(&[42.0]).unwrap();
-            t.update(&c, 1, exec);
+            t.update(&points, &c, 1, exec).unwrap();
             (t.d2().to_vec(), t.nearest_ids().to_vec(), t.potential())
         };
         centers.push(&[42.0]).unwrap();
@@ -302,6 +407,112 @@ mod tests {
             assert_eq!(got.0, reference.0);
             assert_eq!(got.1, reference.1);
             assert_eq!(got.2.to_bits(), reference.2.to_bits());
+        }
+    }
+
+    fn blobs(n: usize) -> PointMatrix {
+        let mut m = PointMatrix::new(2);
+        let mut rng = kmeans_util::Rng::new(7);
+        for i in 0..n {
+            let c = (i % 3) as f64 * 40.0;
+            m.push(&[c + rng.normal(), c * 0.5 + rng.normal()]).unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn potential_pass_is_bit_identical_for_every_block_size() {
+        let m = blobs(500);
+        let centers = PointMatrix::from_flat(vec![0.0, 0.0, 40.0, 20.0, 80.0, 40.0], 2).unwrap();
+        for threads in [Parallelism::Sequential, Parallelism::Threads(3)] {
+            let exec = Executor::new(threads).with_shard_size(64);
+            let resident = potential_shard_sums(LocalData::from(&m), &centers, &exec).unwrap();
+            let phi = resident.iter().copied().reduce(|a, b| a + b).unwrap();
+            assert_eq!(phi.to_bits(), potential(&m, &centers, &exec).to_bits());
+            for block_rows in [1, 13, 64, 100, 500, 1000] {
+                let src = InMemorySource::new(m.clone(), block_rows).unwrap();
+                let got = potential_shard_sums(LocalData::Blocks(&src), &centers, &exec).unwrap();
+                let a: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                let b: Vec<u64> = resident.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(a, b, "block_rows {block_rows}");
+            }
+        }
+    }
+
+    #[test]
+    fn potential_pass_rejects_non_finite_and_bad_shapes() {
+        let m = PointMatrix::from_flat(vec![0.0, 1.0, f64::NAN, 3.0], 2).unwrap();
+        let centers = PointMatrix::from_flat(vec![0.0, 0.0], 2).unwrap();
+        let exec = Executor::sequential();
+        let src = InMemorySource::new(m.clone(), 1).unwrap();
+        for data in [LocalData::from(&m), LocalData::Blocks(&src)] {
+            assert_eq!(
+                potential_shard_sums(data, &centers, &exec).unwrap_err(),
+                KMeansError::NonFiniteData { point: 1, dim: 0 }
+            );
+            let wrong = PointMatrix::from_flat(vec![0.0], 1).unwrap();
+            assert!(matches!(
+                potential_shard_sums(data, &wrong, &exec),
+                Err(KMeansError::DimensionMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn first_pass_reports_non_finite_rows_but_not_overflow() {
+        let exec = Executor::new(Parallelism::Threads(2)).with_shard_size(2);
+        let centers = PointMatrix::from_flat(vec![0.0, 0.0], 2).unwrap();
+        let mut flat: Vec<f64> = (0..20).map(f64::from).collect();
+        flat[13] = f64::NEG_INFINITY;
+        flat[17] = f64::NAN;
+        let bad = PointMatrix::from_flat(flat, 2).unwrap();
+        // Finite rows whose squared distances overflow to ∞.
+        let huge = PointMatrix::from_flat(vec![1e200, 0.0, 0.0, 1e200], 2).unwrap();
+        for block_rows in [1, 3, 10] {
+            let src = InMemorySource::new(bad.clone(), block_rows).unwrap();
+            for data in [LocalData::from(&bad), LocalData::Blocks(&src)] {
+                let want = KMeansError::NonFiniteData { point: 6, dim: 1 };
+                assert_eq!(
+                    CostTracker::new(data, &centers, &exec).err(),
+                    Some(want.clone())
+                );
+                assert_eq!(
+                    potential_shard_sums(data, &centers, &exec).err(),
+                    Some(want)
+                );
+            }
+            let src = InMemorySource::new(huge.clone(), block_rows).unwrap();
+            for data in [LocalData::from(&huge), LocalData::Blocks(&src)] {
+                let tracker = CostTracker::new(data, &centers, &exec).unwrap();
+                assert_eq!(tracker.potential(), f64::INFINITY);
+                let sums = potential_shard_sums(data, &centers, &exec).unwrap();
+                assert!(sums.iter().all(|s| s.is_infinite()));
+            }
+        }
+    }
+
+    #[test]
+    fn tracker_is_bit_identical_for_every_block_size() {
+        let m = blobs(300);
+        let exec = Executor::new(Parallelism::Threads(2)).with_shard_size(32);
+        let first = PointMatrix::from_flat(vec![1.0, 1.0], 2).unwrap();
+        let mut all = first.clone();
+        all.push(&[40.0, 20.0]).unwrap();
+        all.push(&[80.0, 40.0]).unwrap();
+        let mut resident = CostTracker::new(&m, &first, &exec).unwrap();
+        let initial = (resident.potential(), resident.d2().to_vec());
+        resident.update(&m, &all, 1, &exec).unwrap();
+        for block_rows in [1, 37, 300, 512] {
+            let src = InMemorySource::new(m.clone(), block_rows).unwrap();
+            let data = LocalData::Blocks(&src);
+            let mut blocks = CostTracker::new(data, &first, &exec).unwrap();
+            assert_eq!(blocks.potential().to_bits(), initial.0.to_bits());
+            assert_eq!(blocks.d2(), &initial.1[..], "block_rows {block_rows}");
+            blocks.update(data, &all, 1, &exec).unwrap();
+            assert_eq!(blocks.potential().to_bits(), resident.potential().to_bits());
+            assert_eq!(blocks.d2(), resident.d2(), "block_rows {block_rows}");
+            assert_eq!(blocks.nearest_ids(), resident.nearest_ids());
+            assert_eq!(blocks.weights(3), resident.weights(3));
         }
     }
 }

@@ -22,14 +22,16 @@
 //!
 //! Backends:
 //!
-//! * [`InMemoryBackend`] — a resident [`PointMatrix`], optionally with
+//! * [`LocalBackend`] — local data: resident rows (optionally with
 //!   per-point weights; behind [`KMeans::fit`](crate::model::KMeans::fit)
-//!   and the in-memory entry points (`kmeans_parallel`, `lloyd`,
-//!   `minibatch_kmeans`).
-//! * [`ChunkedBackend`] — a block-resident [`ChunkedSource`]; behind
-//!   [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked).
+//!   and the in-memory entry points `kmeans_parallel`, `lloyd`,
+//!   `minibatch_kmeans`) or a block-resident [`ChunkedSource`] (behind
+//!   [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked)). Both
+//!   kinds run the same local passes ([`crate::chunked`]): resident rows
+//!   are one block, lent, so every local pass exists once.
 //! * `ClusterBackend` (in `kmeans-cluster`) — a coordinator's worker
-//!   cluster speaking the SKW wire protocol.
+//!   cluster speaking the SKW wire protocol; each worker runs the same
+//!   local passes on its shard.
 //!
 //! **Bit-parity contract.** A driver's outcome is a pure function of
 //! `(data, k, config, seed, executor shard size)` — never of the
@@ -50,26 +52,25 @@
 //!    tracker potentials, [`RoundBackend::assign`]'s
 //!    accumulation-shard fold).
 
-use crate::assign::{assign_and_sum, ClusterSums};
-use crate::chunked::{
-    assign_partials_chunked, fold_accum_shards, gather_rows, gather_rows_into,
-    validate_refine_inputs_chunked, validate_source, ChunkedCostTracker,
-};
-use crate::cost::{potential, weighted_potential, CostTracker};
+use crate::assign::ClusterSums;
+use crate::chunked::{assign_partials, fold_accum_shards};
+use crate::cost::{potential_shard_sums, weighted_potential, CostTracker};
 use crate::error::KMeansError;
+use crate::init::weighted_kmeanspp;
 use crate::init::{
     exact_sample_keys, exact_sample_merge, sample_bernoulli, InitResult, InitStats,
     KMeansParallelConfig, Recluster, Rounds, SamplingMode, TopUp,
 };
-use crate::init::{validate, weighted_kmeanspp};
 use crate::kernel::{AssignKernel, KernelStats};
-use crate::lloyd::{validate_refine_inputs, IterationStats, LloydConfig, LloydResult};
+use crate::lloyd::{IterationStats, LloydConfig, LloydResult};
 use crate::minibatch::MiniBatchConfig;
 use kmeans_data::{ChunkedSource, PointMatrix};
 use kmeans_par::Executor;
 use kmeans_util::sampling::uniform_distinct;
 use kmeans_util::timing::Stopwatch;
 use kmeans_util::Rng;
+
+pub use crate::chunked::LocalData;
 
 /// Which execution mode a [`RoundBackend`] represents — used only for
 /// typed rejections (stages without a formulation on that mode) and
@@ -180,10 +181,12 @@ pub enum TrackerOut {
 }
 
 /// Whether an assignment pass ([`RoundBackend::assign`]) also returns
-/// the labels it stored.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// the labels it stored. Distributed `Assign` requests carry it on the
+/// wire too, so a worker decides with the same [`LabelFetch::owed`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LabelFetch {
     /// Labels stay backend-resident (mid-loop Lloyd iterations).
+    #[default]
     Skip,
     /// Return labels only if the pass was stable (`reassigned == 0`) —
     /// a distributed backend has each worker ship its labels exactly
@@ -194,18 +197,15 @@ pub enum LabelFetch {
     Always,
 }
 
-/// The data a local backend holds, for stages that read it directly
-/// instead of through round primitives (see [`RoundBackend::local`]).
-pub enum LocalData<'a> {
-    /// A resident matrix plus the per-point weights of a weighted fit.
-    Resident {
-        /// The rows.
-        points: &'a PointMatrix,
-        /// Per-point weights, when the fit is weighted.
-        weights: Option<&'a [f64]>,
-    },
-    /// A block-resident source.
-    Blocks(&'a dyn ChunkedSource),
+impl LabelFetch {
+    /// Whether a pass that moved `reassigned` rows owes its labels.
+    pub fn owed(self, reassigned: u64) -> bool {
+        match self {
+            LabelFetch::Skip => false,
+            LabelFetch::IfStable => reassigned == 0,
+            LabelFetch::Always => true,
+        }
+    }
 }
 
 /// The round-level calls shared by the in-memory, chunked, and
@@ -245,11 +245,12 @@ pub trait RoundBackend {
         None
     }
 
-    /// Validates the seeding input contract for `k` clusters — the same
-    /// checks the legacy per-mode entry points performed (the in-memory
-    /// backend includes the upfront finiteness scan; block-backed
-    /// backends defer it to their first full pass, which reports the
-    /// same global `NonFiniteData` index).
+    /// Validates the shape of the seeding input for `k` clusters
+    /// (non-empty data, `1 ≤ k ≤ n`). Finiteness is not checked here:
+    /// every backend checks it in its first full pass over the data —
+    /// resident rows and blocks alike, from the pass's own sums (see
+    /// [`crate::cost`]) — and reports the first non-finite coordinate in
+    /// row order as the same global `NonFiniteData` index.
     fn validate(&self, k: usize) -> Result<(), KMeansError>;
 
     /// Validates the refinement input contract (non-empty data,
@@ -296,8 +297,8 @@ pub trait RoundBackend {
     /// One assignment pass against `centers`: stores the labels, and
     /// returns the number of rows whose label changed relative to the
     /// previous pass (first pass: all rows), the accumulation-shard fold
-    /// of the pass — bit-identical to the in-memory [`assign_and_sum`]
-    /// on the same data and executor, [`KernelStats`] included — and the
+    /// of the pass — bit-identical to [`assign_partials`] over the same
+    /// data and executor, folded, [`KernelStats`] included — and the
     /// labels in global row order when `fetch` asks for them. Every
     /// backend returns labels for [`LabelFetch::Always`] and for a stable
     /// [`LabelFetch::IfStable`] pass.
@@ -307,9 +308,9 @@ pub trait RoundBackend {
         fetch: LabelFetch,
     ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError>;
 
-    /// The potential `φ_X(C)` of `centers` (with the finiteness check on
-    /// block-backed backends; weighted on a weighted in-memory backend) —
-    /// the seed-cost pass.
+    /// The potential `φ_X(C)` of `centers` (weighted on a weighted
+    /// in-memory backend) — the seed-cost pass, with the finiteness
+    /// check.
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError>;
 }
 
@@ -370,12 +371,7 @@ fn store_labels(
         None => labels.len() as u64,
         Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
     };
-    let owed = match fetch {
-        LabelFetch::Skip => false,
-        LabelFetch::IfStable => reassigned == 0,
-        LabelFetch::Always => true,
-    };
-    let owed = owed.then(|| labels.clone());
+    let owed = fetch.owed(reassigned).then(|| labels.clone());
     *prev = Some(labels);
     (reassigned, owed)
 }
@@ -825,82 +821,87 @@ pub fn drive_label_pass(
 }
 
 // ---------------------------------------------------------------------------
-// InMemoryBackend
+// LocalBackend
 // ---------------------------------------------------------------------------
 
-/// [`RoundBackend`] over a resident [`PointMatrix`]: every round is
-/// the in-memory kernel it always was ([`CostTracker`],
-/// [`assign_and_sum`], [`potential`]), so the drivers reproduce the
-/// legacy in-memory entry points bit for bit.
-pub struct InMemoryBackend<'a> {
-    points: &'a PointMatrix,
-    weights: Option<&'a [f64]>,
+/// [`RoundBackend`] over local data — resident rows or a block-resident
+/// [`ChunkedSource`]. Every round runs the one local pass of
+/// [`crate::chunked`] and [`crate::cost`] ([`CostTracker`],
+/// [`assign_partials`] + the shard-ordered fold, the potential pass,
+/// [`LocalData::gather_rows_into`]), which visits resident rows as one
+/// lent block, so the drivers return the same bits for either data kind
+/// and **any** block size.
+pub struct LocalBackend<'a> {
+    data: LocalData<'a>,
     exec: &'a Executor,
-    tracker: Option<CostTracker<'a>>,
+    tracker: Option<CostTracker>,
     candidates: PointMatrix,
+    buf: PointMatrix,
     labels: Option<Vec<u32>>,
 }
 
-impl<'a> InMemoryBackend<'a> {
-    /// Wraps a resident matrix and the executor every pass runs on.
-    pub fn new(points: &'a PointMatrix, exec: &'a Executor) -> Self {
-        InMemoryBackend {
-            points,
-            weights: None,
+impl<'a> LocalBackend<'a> {
+    /// Wraps resident rows, with the per-point weights of a weighted fit,
+    /// and the executor every pass runs on. Only
+    /// [`RoundBackend::potential`] honors the weights; the other rounds
+    /// stay unweighted, and stages read the weights through
+    /// [`RoundBackend::local`] — validating them and running their
+    /// weighted arm, or rejecting weighted input with a typed error.
+    pub fn in_memory(
+        points: &'a PointMatrix,
+        weights: Option<&'a [f64]>,
+        exec: &'a Executor,
+    ) -> Self {
+        Self::new(LocalData::Resident { points, weights }, exec)
+    }
+
+    /// Wraps a block-resident source and the executor every pass runs on.
+    pub fn chunked(source: &'a dyn ChunkedSource, exec: &'a Executor) -> Self {
+        Self::new(LocalData::Blocks(source), exec)
+    }
+
+    fn new(data: LocalData<'a>, exec: &'a Executor) -> Self {
+        LocalBackend {
+            data,
             exec,
             tracker: None,
-            candidates: PointMatrix::new(points.dim().max(1)),
+            candidates: PointMatrix::new(data.dim().max(1)),
+            buf: data.block_buffer(),
             labels: None,
         }
     }
-
-    /// Attaches per-point weights. Only [`RoundBackend::potential`]
-    /// honors them; the other rounds stay unweighted, and stages read
-    /// the weights through [`RoundBackend::local`] — validating them and
-    /// running their weighted arm, or rejecting weighted input with a
-    /// typed error.
-    pub fn with_weights(mut self, weights: Option<&'a [f64]>) -> Self {
-        self.weights = weights;
-        self
-    }
 }
 
-impl RoundBackend for InMemoryBackend<'_> {
+impl RoundBackend for LocalBackend<'_> {
     fn kind(&self) -> BackendKind {
-        BackendKind::InMemory
+        match self.data {
+            LocalData::Resident { .. } => BackendKind::InMemory,
+            LocalData::Blocks(_) => BackendKind::Chunked,
+        }
     }
 
     fn len(&self) -> usize {
-        self.points.len()
+        self.data.len()
     }
 
     fn dim(&self) -> usize {
-        self.points.dim()
+        self.data.dim()
     }
 
     fn local(&self) -> Option<(LocalData<'_>, &Executor)> {
-        let data = LocalData::Resident {
-            points: self.points,
-            weights: self.weights,
-        };
-        Some((data, self.exec))
+        Some((self.data, self.exec))
     }
 
     fn validate(&self, k: usize) -> Result<(), KMeansError> {
-        validate(self.points, k)
+        self.data.validate(k)
     }
 
     fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError> {
-        validate_refine_inputs(self.points, centers)
+        self.data.validate_refine(centers)
     }
 
     fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError> {
-        out.clear();
-        for &i in indices {
-            out.push(self.points.row(i))
-                .map_err(|e| KMeansError::Data(e.to_string()))?;
-        }
-        Ok(())
+        self.data.gather_rows_into(indices, &mut self.buf, out)
     }
 
     fn tracker_round(
@@ -911,7 +912,7 @@ impl RoundBackend for InMemoryBackend<'_> {
         let tracker = match broadcast {
             Broadcast::Init(centers) => {
                 self.candidates = centers.clone();
-                let tracker = CostTracker::new(self.points, &self.candidates, self.exec);
+                let tracker = CostTracker::new(self.data, &self.candidates, self.exec)?;
                 self.tracker.insert(tracker)
             }
             Broadcast::Update { from, rows } => {
@@ -920,19 +921,19 @@ impl RoundBackend for InMemoryBackend<'_> {
                 self.candidates
                     .extend_from(rows)
                     .map_err(|e| KMeansError::Data(e.to_string()))?;
-                tracker.update(&self.candidates, from, self.exec);
+                tracker.update(self.data, &self.candidates, from, self.exec)?;
                 tracker
             }
         };
         let phi = tracker.potential();
-        let points = self.points;
+        let (data, buf) = (self.data, &mut self.buf);
         let out = read_local_tracker(
             read,
             phi,
             tracker.d2(),
             |m| tracker.weights(m),
             self.exec,
-            |picked| Ok(points.select(picked)),
+            |picked| data.gather_rows(picked, buf),
         )?;
         Ok((phi, out))
     }
@@ -946,137 +947,25 @@ impl RoundBackend for InMemoryBackend<'_> {
         // nearest-id arrays (12 B per row) before the pass allocates.
         self.tracker = None;
         // The previous pass's labels seed the kernel's warm sweep.
-        let (labels, sums) =
-            assign_and_sum(self.points, centers, self.exec, self.labels.as_deref());
+        let n = self.data.len();
+        let (labels, partials, stats) =
+            assign_partials(self.data, centers, self.exec, 0, n, self.labels.as_deref())?;
         let (reassigned, owed) = store_labels(&mut self.labels, labels, fetch);
-        Ok((reassigned, sums, owed))
-    }
-
-    fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
-        Ok(match self.weights {
-            None => potential(self.points, centers, self.exec),
-            Some(w) => weighted_potential(self.points, w, centers),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ChunkedBackend
-// ---------------------------------------------------------------------------
-
-/// [`RoundBackend`] over a block-resident [`ChunkedSource`]: every
-/// round is the out-of-core kernel from [`crate::chunked`]
-/// ([`ChunkedCostTracker`], [`assign_partials_chunked`] + the
-/// shard-ordered fold, [`gather_rows_into`]), so the drivers stay
-/// bit-identical to the in-memory path for **any** block size.
-pub struct ChunkedBackend<'a> {
-    source: &'a dyn ChunkedSource,
-    exec: &'a Executor,
-    tracker: Option<ChunkedCostTracker>,
-    candidates: PointMatrix,
-    buf: PointMatrix,
-    labels: Option<Vec<u32>>,
-}
-
-impl<'a> ChunkedBackend<'a> {
-    /// Wraps a chunked source and the executor every pass runs on.
-    pub fn new(source: &'a dyn ChunkedSource, exec: &'a Executor) -> Self {
-        ChunkedBackend {
-            source,
-            exec,
-            tracker: None,
-            candidates: PointMatrix::new(source.dim().max(1)),
-            buf: source.block_buffer(),
-            labels: None,
-        }
-    }
-}
-
-impl RoundBackend for ChunkedBackend<'_> {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Chunked
-    }
-
-    fn len(&self) -> usize {
-        self.source.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.source.dim()
-    }
-
-    fn local(&self) -> Option<(LocalData<'_>, &Executor)> {
-        Some((LocalData::Blocks(self.source), self.exec))
-    }
-
-    fn validate(&self, k: usize) -> Result<(), KMeansError> {
-        validate_source(self.source, k)
-    }
-
-    fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError> {
-        validate_refine_inputs_chunked(self.source, centers)
-    }
-
-    fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError> {
-        gather_rows_into(self.source, indices, &mut self.buf, out)
-    }
-
-    fn tracker_round(
-        &mut self,
-        broadcast: Broadcast<'_>,
-        read: TrackerRead,
-    ) -> Result<(f64, TrackerOut), KMeansError> {
-        let tracker = match broadcast {
-            Broadcast::Init(centers) => {
-                self.candidates = centers.clone();
-                let tracker = ChunkedCostTracker::new(self.source, &self.candidates, self.exec)?;
-                self.tracker.insert(tracker)
-            }
-            Broadcast::Update { from, rows } => {
-                debug_assert_eq!(from, self.candidates.len(), "tracker update out of order");
-                let tracker = self.tracker.as_mut().ok_or_else(no_tracker)?;
-                self.candidates
-                    .extend_from(rows)
-                    .map_err(|e| KMeansError::Data(e.to_string()))?;
-                tracker.update(self.source, &self.candidates, from, self.exec)?;
-                tracker
-            }
-        };
-        let phi = tracker.potential();
-        let (source, buf) = (self.source, &mut self.buf);
-        let out = read_local_tracker(
-            read,
-            phi,
-            tracker.d2(),
-            |m| tracker.weights(m),
-            self.exec,
-            |picked| gather_rows(source, picked, buf),
-        )?;
-        Ok((phi, out))
-    }
-
-    fn assign(
-        &mut self,
-        centers: &PointMatrix,
-        fetch: LabelFetch,
-    ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
-        self.tracker = None; // as in InMemoryBackend::assign
-        let (labels, partials, stats) = assign_partials_chunked(
-            self.source,
-            centers,
-            self.exec,
-            0,
-            self.source.len(),
-            self.labels.as_deref(),
-        )?;
-        let (reassigned, owed) = store_labels(&mut self.labels, labels, fetch);
-        let mut sums = fold_accum_shards(centers.len(), self.source.dim(), &partials);
+        let mut sums = fold_accum_shards(centers.len(), self.data.dim(), &partials);
         sums.stats = stats;
         Ok((reassigned, sums, owed))
     }
 
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
-        crate::chunked::potential_chunked(self.source, centers, self.exec)
+        if let LocalData::Resident {
+            points,
+            weights: Some(w),
+        } = self.data
+        {
+            return Ok(weighted_potential(points, w, centers));
+        }
+        let sums = potential_shard_sums(self.data, centers, self.exec)?;
+        Ok(sums.into_iter().reduce(|a, b| a + b).unwrap_or(0.0))
     }
 }
 
@@ -1103,9 +992,9 @@ mod tests {
         InMemorySource::new(m.clone(), block_rows).unwrap()
     }
 
-    /// The wrappers route through the driver, so comparing the chunked
-    /// backend against the public in-memory entry points is the full
-    /// in-memory ≡ chunked equivalence.
+    /// The wrappers route through the driver on resident rows, so
+    /// comparing blocked rows against the public in-memory entry points
+    /// is the full resident ≡ blocks equivalence.
     #[test]
     fn kmeans_parallel_is_bit_identical_across_backends() {
         let m = blobs(500);
@@ -1115,7 +1004,7 @@ mod tests {
             let (ref_centers, ref_stats) = kmeans_parallel(&m, 5, &config, 42, &exec).unwrap();
             for block_rows in [1, 13, 64, 500, 1000] {
                 let src = source(&m, block_rows);
-                let mut backend = ChunkedBackend::new(&src, &exec);
+                let mut backend = LocalBackend::chunked(&src, &exec);
                 let (centers, stats) = drive_kmeans_parallel(&mut backend, 5, &config, 42).unwrap();
                 assert_eq!(centers, ref_centers, "block_rows {block_rows}");
                 assert_eq!(stats.candidates, ref_stats.candidates);
@@ -1136,10 +1025,12 @@ mod tests {
                 .rounds(1),
         ] {
             let (ref_centers, _) = kmeans_parallel(&m, 20, &config, 9, &exec).unwrap();
-            let src = source(&m, 37);
-            let mut backend = ChunkedBackend::new(&src, &exec);
-            let (centers, _) = drive_kmeans_parallel(&mut backend, 20, &config, 9).unwrap();
-            assert_eq!(centers, ref_centers, "{config:?}");
+            for block_rows in [1, 37, 400] {
+                let src = source(&m, block_rows);
+                let mut backend = LocalBackend::chunked(&src, &exec);
+                let (centers, _) = drive_kmeans_parallel(&mut backend, 20, &config, 9).unwrap();
+                assert_eq!(centers, ref_centers, "{config:?}, block_rows {block_rows}");
+            }
         }
     }
 
@@ -1152,9 +1043,9 @@ mod tests {
         let exec = Executor::new(Parallelism::Threads(3)).with_shard_size(32);
         let reference = lloyd(&m, &init, &LloydConfig::default(), &exec).unwrap();
         assert!(reference.history[0].reseeded >= 1, "setup must reseed");
-        for block_rows in [11, 128, 400] {
+        for block_rows in [1, 11, 128, 400] {
             let src = source(&m, block_rows);
-            let mut backend = ChunkedBackend::new(&src, &exec);
+            let mut backend = LocalBackend::chunked(&src, &exec);
             let got = drive_lloyd(&mut backend, &init, &LloydConfig::default()).unwrap();
             assert_eq!(got.centers, reference.centers, "block_rows {block_rows}");
             assert_eq!(got.labels, reference.labels);
@@ -1175,9 +1066,9 @@ mod tests {
         };
         let reference = minibatch_kmeans(&m, &init, &config, 9).unwrap();
         let exec = Executor::sequential();
-        for block_rows in [23, 100, 600] {
+        for block_rows in [1, 23, 100, 600] {
             let src = source(&m, block_rows);
-            let mut backend = ChunkedBackend::new(&src, &exec);
+            let mut backend = LocalBackend::chunked(&src, &exec);
             let (got, _) = drive_minibatch(&mut backend, &init, &config, 9).unwrap();
             assert_eq!(got, reference, "block_rows {block_rows}");
         }
@@ -1187,19 +1078,21 @@ mod tests {
     fn random_is_bit_identical_across_backends() {
         let m = blobs(200);
         let exec = Executor::sequential();
-        let mut mem = InMemoryBackend::new(&m, &exec);
+        let mut mem = LocalBackend::in_memory(&m, None, &exec);
         let (ref_centers, _) = drive_random_init(&mut mem, 7, 3).unwrap();
-        let src = source(&m, 17);
-        let mut chunked = ChunkedBackend::new(&src, &exec);
-        let (centers, _) = drive_random_init(&mut chunked, 7, 3).unwrap();
-        assert_eq!(centers, ref_centers);
+        for block_rows in [1, 17, 200] {
+            let src = source(&m, block_rows);
+            let mut chunked = LocalBackend::chunked(&src, &exec);
+            let (centers, _) = drive_random_init(&mut chunked, 7, 3).unwrap();
+            assert_eq!(centers, ref_centers, "block_rows {block_rows}");
+        }
     }
 
     #[test]
     fn drivers_validate_inputs_per_backend_contract() {
         let m = blobs(10);
         let exec = Executor::sequential();
-        let mut mem = InMemoryBackend::new(&m, &exec);
+        let mut mem = LocalBackend::in_memory(&m, None, &exec);
         assert!(matches!(
             drive_random_init(&mut mem, 0, 0),
             Err(KMeansError::InvalidK { .. })
@@ -1215,7 +1108,7 @@ mod tests {
         ));
         assert!(drive_minibatch(&mut mem, &wrong, &MiniBatchConfig::default(), 0).is_err());
         let src = source(&m, 4);
-        let mut chunked = ChunkedBackend::new(&src, &exec);
+        let mut chunked = LocalBackend::chunked(&src, &exec);
         assert!(matches!(
             drive_lloyd(&mut chunked, &wrong, &LloydConfig::default()),
             Err(KMeansError::DimensionMismatch { .. })
@@ -1231,16 +1124,19 @@ mod tests {
     }
 
     #[test]
-    fn label_pass_matches_assign_and_sum() {
+    fn label_pass_is_bit_identical_across_block_sizes() {
         let m = blobs(300);
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 40.0, 20.0, 80.0, 40.0], 2).unwrap();
         let exec = Executor::new(Parallelism::Threads(2)).with_shard_size(16);
-        let (ref_labels, ref_sums) = assign_and_sum(&m, &centers, &exec, None);
-        let src = source(&m, 29);
-        let mut backend = ChunkedBackend::new(&src, &exec);
-        let (labels, sums) = drive_label_pass(&mut backend, &centers).unwrap();
-        assert_eq!(labels, ref_labels);
-        assert_eq!(sums.cost.to_bits(), ref_sums.cost.to_bits());
-        assert_eq!(sums.stats, ref_sums.stats);
+        let mut resident = LocalBackend::in_memory(&m, None, &exec);
+        let (ref_labels, ref_sums) = drive_label_pass(&mut resident, &centers).unwrap();
+        for block_rows in [1, 29, 300] {
+            let src = source(&m, block_rows);
+            let mut backend = LocalBackend::chunked(&src, &exec);
+            let (labels, sums) = drive_label_pass(&mut backend, &centers).unwrap();
+            assert_eq!(labels, ref_labels, "block_rows {block_rows}");
+            assert_eq!(sums.cost.to_bits(), ref_sums.cost.to_bits());
+            assert_eq!(sums.stats, ref_sums.stats);
+        }
     }
 }

@@ -57,7 +57,7 @@ pub fn afk_mc2(
     // One pass: d²(x, c₁) for the proposal distribution
     // q(x) = ½·d²/φ + ½/n  (the regularization makes the chain mix from
     // any start, even for adversarial data).
-    let tracker = CostTracker::new(points, &centers, exec);
+    let tracker = CostTracker::new(points, &centers, exec)?;
     let phi = tracker.potential();
     let q: Vec<f64> = if phi > 0.0 {
         tracker

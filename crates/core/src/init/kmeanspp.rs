@@ -9,6 +9,7 @@
 //! reclustering in Step 8 of k-means||", §4.2) — and is also the final
 //! stage of the `Partition` baseline.
 
+use crate::chunked::LocalData;
 use crate::cost::CostTracker;
 use crate::error::KMeansError;
 use kmeans_data::PointMatrix;
@@ -16,33 +17,41 @@ use kmeans_par::Executor;
 use kmeans_util::sampling::weighted_pick;
 use kmeans_util::Rng;
 
-/// Algorithm 1: D²-weighted sequential seeding.
+/// Algorithm 1: D²-weighted sequential seeding over resident rows or a
+/// chunked source — the same draws, bit for bit, for any block size.
 ///
 /// The first center is uniform; each subsequent center is drawn with
 /// probability `d²(x, C) / φ_X(C)`. The `d²` array is maintained
 /// incrementally (one `O(n·d)` update pass per center — the run is
-/// `O(n·k·d)` total, matching the paper's complexity discussion), with the
-/// distance passes executed on the shard executor.
+/// `O(n·k·d)` total, matching the paper's complexity discussion, and the
+/// paper's reason to replace this algorithm with k-means||), with the
+/// distance passes executed on the shard executor. Every draw reads only
+/// the resident `d²` array; each accepted center costs one row gather
+/// plus one update pass. The first pass checks finiteness (with `k = 1`,
+/// a pass of its own).
 ///
 /// If the dataset has fewer than `k` *distinct* points, the remaining
 /// centers are drawn uniformly from the not-yet-chosen indices (duplicate
 /// center values; Lloyd's empty-cluster repair resolves them downstream).
-pub fn kmeanspp(
-    points: &PointMatrix,
+pub fn kmeanspp<'a>(
+    data: impl Into<LocalData<'a>>,
     k: usize,
     rng: &mut Rng,
     exec: &Executor,
 ) -> Result<PointMatrix, KMeansError> {
-    super::validate(points, k)?;
-    let n = points.len();
+    let data = data.into();
+    data.validate(k)?;
+    let n = data.len();
     let first = rng.range_usize(n);
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
     chosen.push(first);
-    let mut centers = points.select(&chosen);
+    let mut buf = data.block_buffer();
+    let mut centers = data.gather_rows(&chosen, &mut buf)?;
     if k == 1 {
+        data.check_finite()?;
         return Ok(centers);
     }
-    let mut tracker = CostTracker::new(points, &centers, exec);
+    let mut tracker = CostTracker::new(data, &centers, exec)?;
     while centers.len() < k {
         let next = match weighted_pick(tracker.d2(), tracker.potential(), rng) {
             Some(idx) => idx,
@@ -55,10 +64,9 @@ pub fn kmeanspp(
         };
         chosen.push(next);
         let from = centers.len();
-        centers
-            .push(points.row(next))
-            .expect("center dim matches points dim");
-        tracker.update(&centers, from, exec);
+        let row = data.gather_rows(&[next], &mut buf)?;
+        centers.extend_from(&row).expect("center dim matches");
+        tracker.update(data, &centers, from, exec)?;
     }
     Ok(centers)
 }
@@ -119,58 +127,6 @@ pub fn weighted_kmeanspp(
                 scores[i] = d * weights[i];
             }
         }
-    }
-    Ok(centers)
-}
-
-/// Algorithm 1 over a [`ChunkedSource`](kmeans_data::ChunkedSource) —
-/// the out-of-core form of [`kmeanspp`], bit-identical to it on the same
-/// data, RNG state, and executor for any block size.
-///
-/// Cost structure is unchanged (`k` passes total — the paper's reason to
-/// replace this algorithm with k-means||): the `d²` array stays resident
-/// and every center draw reads only it; each accepted center costs one
-/// block fetch (gather) plus one update scan.
-pub fn kmeanspp_chunked(
-    source: &dyn kmeans_data::ChunkedSource,
-    k: usize,
-    rng: &mut Rng,
-    exec: &Executor,
-) -> Result<PointMatrix, KMeansError> {
-    use crate::chunked::{gather_rows, ChunkedCostTracker};
-
-    crate::chunked::validate_source(source, k)?;
-    let n = source.len();
-    let first = rng.range_usize(n);
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    chosen.push(first);
-    let mut buf = source.block_buffer();
-    let mut centers = gather_rows(source, &[first], &mut buf)?;
-    if k == 1 {
-        // Match the in-memory early return — including its error
-        // contract: `validate` scans the whole dataset for non-finite
-        // coordinates, so pay the same one full pass here (with k > 1 the
-        // tracker's first pass does it for free).
-        let mut check = source.block_buffer();
-        crate::chunked::for_each_block(source, &mut check, |_b, start, block| {
-            crate::chunked::check_block_finite(block, start)
-        })?;
-        return Ok(centers);
-    }
-    let mut tracker = ChunkedCostTracker::new(source, &centers, exec)?;
-    while centers.len() < k {
-        let next = match weighted_pick(tracker.d2(), tracker.potential(), rng) {
-            Some(idx) => idx,
-            None => match uniform_unchosen(n, &chosen, rng) {
-                Some(idx) => idx,
-                None => break,
-            },
-        };
-        chosen.push(next);
-        let from = centers.len();
-        let row = gather_rows(source, &[next], &mut buf)?;
-        centers.extend_from(&row).expect("center dim matches");
-        tracker.update(source, &centers, from, exec)?;
     }
     Ok(centers)
 }

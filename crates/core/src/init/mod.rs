@@ -14,7 +14,7 @@ mod parallel;
 mod random;
 
 pub use afkmc2::afk_mc2;
-pub use kmeanspp::{kmeanspp, kmeanspp_chunked, weighted_kmeanspp};
+pub use kmeanspp::{kmeanspp, weighted_kmeanspp};
 pub use parallel::{
     bernoulli_accept, exact_sample_keys, exact_sample_merge, kmeans_parallel, sample_bernoulli,
     sample_bernoulli_prescreen, KMeansParallelConfig, Oversampling, Recluster, Rounds,
@@ -146,26 +146,18 @@ impl From<InitMethod> for Box<dyn crate::pipeline::Initializer> {
     }
 }
 
-/// Common parameter validation for all initializers: shape checks plus a
-/// full finiteness scan (NaN/∞ coordinates would silently poison every
-/// distance downstream; one O(n·d) scan up front is cheap relative to any
-/// seeding pass and fails loudly instead). Public so out-of-crate
+/// Parameter validation for seeders that read resident rows directly
+/// (the weighted arms, AFK-MC², Partition): the shape checks of
+/// [`LocalData::validate`](crate::chunked::LocalData::validate) plus a
+/// full finiteness scan up front (NaN/∞ coordinates would silently poison
+/// every distance downstream). Seeding over a backend checks finiteness
+/// in its first full pass instead. Public so out-of-crate
 /// [`Initializer`](crate::pipeline::Initializer) implementations (the
 /// streaming adapters) enforce the same input contract.
 pub fn validate(points: &PointMatrix, k: usize) -> Result<(), KMeansError> {
-    if points.is_empty() {
-        return Err(KMeansError::EmptyInput);
-    }
-    if k == 0 || k > points.len() {
-        return Err(KMeansError::InvalidK { k, n: points.len() });
-    }
-    if let Some(flat_idx) = points.as_slice().iter().position(|v| !v.is_finite()) {
-        return Err(KMeansError::NonFiniteData {
-            point: flat_idx / points.dim(),
-            dim: flat_idx % points.dim(),
-        });
-    }
-    Ok(())
+    let data = crate::chunked::LocalData::from(points);
+    data.validate(k)?;
+    data.check_finite()
 }
 
 #[cfg(test)]

@@ -211,7 +211,7 @@ impl KMeansParallelConfig {
 ///
 /// Thin wrapper over the backend-generic
 /// [`drive_kmeans_parallel`](crate::driver::drive_kmeans_parallel) on an
-/// [`InMemoryBackend`](crate::driver::InMemoryBackend): the round logic
+/// [`LocalBackend`](crate::driver::LocalBackend) over resident rows: the round logic
 /// exists once, shared bit-for-bit with the chunked and distributed
 /// execution modes.
 pub fn kmeans_parallel(
@@ -221,7 +221,7 @@ pub fn kmeans_parallel(
     seed: u64,
     exec: &Executor,
 ) -> Result<(PointMatrix, InitStats), KMeansError> {
-    let mut backend = crate::driver::InMemoryBackend::new(points, exec);
+    let mut backend = crate::driver::LocalBackend::in_memory(points, None, exec);
     crate::driver::drive_kmeans_parallel(&mut backend, k, config, seed)
 }
 

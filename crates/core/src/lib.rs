@@ -15,20 +15,26 @@
 //! any refinement strategy ([`pipeline::Refiner`]) through the
 //! [`model::KMeans`] builder.
 //!
-//! * [`distance`], [`cost`], [`assign`] — the `d²`/potential kernels and
-//!   the incremental [`cost::CostTracker`] all seeding builds on.
+//! * [`distance`], [`cost`], [`assign`] — the `d²`/potential kernels, the
+//!   potential pass, and the incremental [`cost::CostTracker`] all seeding
+//!   builds on (one type for resident rows, blocks, and the distributed
+//!   workers' sessions).
 //! * [`kernel`] — the tiled, register-blocked, norm-bound-pruned batch
 //!   assignment kernel every consumer above routes through — bit-identical
 //!   to the scalar path for any tile size (the hot-path engine of the
 //!   whole workspace).
-//! * [`chunked`] — the out-of-core kernels: every pass re-expressed as one
-//!   scan over a block-resident [`kmeans_data::ChunkedSource`] (§1's
-//!   "massive data" premise), bit-identical to the in-memory paths.
+//! * [`chunked`] — the local passes: one data view,
+//!   [`chunked::LocalData`], visits resident rows as one lent block or a
+//!   block-resident [`kmeans_data::ChunkedSource`] block by block (§1's
+//!   "massive data" premise), so each pass — the assignment pass, the
+//!   potential, gathers, the finiteness check — exists once, with the
+//!   same bits for any block size.
 //! * [`driver`] — the backend-generic round drivers: **one**
 //!   implementation of each algorithm's round loop (k-means||, Lloyd,
 //!   mini-batch, random seeding), executable on any
-//!   [`driver::RoundBackend`] — in-memory, chunked, or the distributed
-//!   cluster backend in `kmeans-cluster`.
+//!   [`driver::RoundBackend`] — the local backend (resident rows or a
+//!   chunked source) or the distributed cluster backend in
+//!   `kmeans-cluster`.
 //! * [`pipeline`] — the object-safe [`pipeline::Initializer`] /
 //!   [`pipeline::Refiner`] traits, the unified [`pipeline::RefineResult`]
 //!   (with distance-evaluation accounting), and the core implementations:
@@ -70,7 +76,7 @@
 //! | [`minibatch`] | §7's question about Sculley \[31] |
 //! | [`assign`] | the §3.5 MapReduce assignment round |
 //! | [`kernel`] | the batch nearest-center engine behind all of the above |
-//! | [`chunked`] | §1's memory premise: every pass as one block scan |
+//! | [`chunked`] | §1's memory premise: every local pass as one block scan |
 //! | [`driver`] | §3.5's round structure as a backend-generic abstraction |
 //! | [`metrics`] | §5 evaluation measures |
 //! | [`pipeline`], [`model`] | the seeding/refinement split of §1 as an API |

@@ -2,7 +2,7 @@
 //! initialization (§3.1), with the iteration accounting Table 6 reports.
 //!
 //! Each iteration is one parallel assignment pass
-//! ([`crate::assign::assign_and_sum`]) followed by a
+//! ([`crate::chunked::assign_partials`]) followed by a
 //! centroid update. Convergence is declared when no point changes cluster
 //! (the paper's "stable set of centers") or when the relative cost
 //! improvement drops below `tol` (useful to emulate the paper's capped
@@ -101,36 +101,11 @@ pub struct LloydResult {
     pub pruned_by_norm_bound: u64,
 }
 
-/// Input contract shared by every refinement entry point (plain and
-/// weighted Lloyd, mini-batch, the pipeline refiners): non-empty
-/// data, `1 ≤ |centers| ≤ n`, matching dimensionality.
-pub(crate) fn validate_refine_inputs(
-    points: &PointMatrix,
-    centers: &PointMatrix,
-) -> Result<(), KMeansError> {
-    if points.is_empty() {
-        return Err(KMeansError::EmptyInput);
-    }
-    if centers.is_empty() || centers.len() > points.len() {
-        return Err(KMeansError::InvalidK {
-            k: centers.len(),
-            n: points.len(),
-        });
-    }
-    if points.dim() != centers.dim() {
-        return Err(KMeansError::DimensionMismatch {
-            expected: points.dim(),
-            got: centers.dim(),
-        });
-    }
-    Ok(())
-}
-
 /// Runs Lloyd's iteration from the given initial centers.
 ///
 /// Thin wrapper over the backend-generic
 /// [`drive_lloyd`](crate::driver::drive_lloyd) on an
-/// [`InMemoryBackend`](crate::driver::InMemoryBackend): the
+/// [`LocalBackend`](crate::driver::LocalBackend) over resident rows: the
 /// assignment/update round loop exists once, shared bit-for-bit with the
 /// chunked and distributed execution modes.
 ///
@@ -143,7 +118,7 @@ pub fn lloyd(
     config: &LloydConfig,
     exec: &Executor,
 ) -> Result<LloydResult, KMeansError> {
-    let mut backend = crate::driver::InMemoryBackend::new(points, exec);
+    let mut backend = crate::driver::LocalBackend::in_memory(points, None, exec);
     crate::driver::drive_lloyd(&mut backend, initial_centers, config)
 }
 
@@ -273,12 +248,9 @@ mod tests {
         assert!((xs[1] - 10.15).abs() < 1e-9);
         // Labels and cost are self-consistent.
         let expected_cost: f64 = {
-            let (_, sums) = crate::assign::assign_and_sum(
-                &points,
-                &result.centers,
-                &Executor::sequential(),
-                None,
-            );
+            let exec = Executor::sequential();
+            let mut backend = crate::driver::LocalBackend::in_memory(&points, None, &exec);
+            let (_, sums) = crate::driver::drive_label_pass(&mut backend, &result.centers).unwrap();
             sums.cost
         };
         assert!((result.cost - expected_cost).abs() < 1e-9);
@@ -348,8 +320,9 @@ mod tests {
         let exec = Executor::sequential();
         let result = lloyd(&points, &init, &config, &exec).unwrap();
         assert!(result.converged);
+        let mut backend = crate::driver::LocalBackend::in_memory(&points, None, &exec);
         let (expected_labels, sums) =
-            crate::assign::assign_and_sum(&points, &result.centers, &exec, None);
+            crate::driver::drive_label_pass(&mut backend, &result.centers).unwrap();
         assert_eq!(result.labels, expected_labels);
         assert!(
             (result.cost - sums.cost).abs() <= 1e-12 * (1.0 + sums.cost),

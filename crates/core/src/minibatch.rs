@@ -57,7 +57,7 @@ pub fn minibatch_kmeans(
 ///
 /// Thin wrapper over the backend-generic
 /// [`drive_minibatch`](crate::driver::drive_minibatch) on an
-/// [`InMemoryBackend`](crate::driver::InMemoryBackend): the step loop
+/// [`LocalBackend`](crate::driver::LocalBackend) over resident rows: the step loop
 /// exists once, shared bit-for-bit with the chunked and distributed
 /// execution modes. (The executor is irrelevant here — mini-batch work
 /// is batch-sized and sequential by design.)
@@ -68,7 +68,7 @@ pub fn minibatch_kmeans_traced(
     seed: u64,
 ) -> Result<(PointMatrix, KernelStats), KMeansError> {
     let exec = kmeans_par::Executor::sequential();
-    let mut backend = crate::driver::InMemoryBackend::new(points, &exec);
+    let mut backend = crate::driver::LocalBackend::in_memory(points, None, &exec);
     crate::driver::drive_minibatch(&mut backend, initial_centers, config, seed)
 }
 

@@ -32,7 +32,7 @@
 //! assert!(model.distance_computations() > 0);
 //! ```
 
-use crate::driver::{ChunkedBackend, InMemoryBackend, RoundBackend};
+use crate::driver::{LocalBackend, RoundBackend};
 use crate::error::KMeansError;
 use crate::init::{InitMethod, InitStats};
 use crate::kernel::{AssignKernel, KernelStats};
@@ -253,19 +253,19 @@ impl KMeans {
     }
 
     /// Runs initialization + refinement on `points` (weighted when
-    /// [`KMeans::weights`] is set): [`KMeans::fit_round_backend`] on an
-    /// [`InMemoryBackend`] that carries the weights.
+    /// [`KMeans::weights`] is set): [`KMeans::fit_round_backend`] on a
+    /// [`LocalBackend::in_memory`] that carries the weights.
     pub fn fit(&self, points: &PointMatrix) -> Result<KMeansModel, KMeansError> {
         let weights = self.weights.as_deref();
         validate_weights(points, weights)?;
         let exec = self.executor();
-        self.fit_round_backend(&mut InMemoryBackend::new(points, &exec).with_weights(weights))
+        self.fit_round_backend(&mut LocalBackend::in_memory(points, weights, &exec))
     }
 
     /// Runs initialization + refinement **out of core** on the configured
     /// [`KMeans::data_source`]: [`KMeans::fit_round_backend`] on a
-    /// [`ChunkedBackend`], so every stage streams the source block by
-    /// block (one scan per k-means|| round / Lloyd iteration) and the
+    /// [`LocalBackend::chunked`], so every stage streams the source block
+    /// by block (one scan per k-means|| round / Lloyd iteration) and the
     /// feature payload never has to fit in memory. Results are
     /// bit-identical to [`KMeans::fit`] on the same data, seed, and
     /// executor for every stage with a chunked formulation; stages
@@ -278,7 +278,7 @@ impl KMeans {
             )
         })?;
         let exec = self.executor();
-        self.fit_round_backend(&mut ChunkedBackend::new(source.as_ref(), &exec))
+        self.fit_round_backend(&mut LocalBackend::chunked(source.as_ref(), &exec))
     }
 
     /// Runs the standard init → refine pipeline over an explicit

@@ -24,8 +24,8 @@
 //! returns a unified [`RefineResult`] including a distance-evaluation
 //! count.
 //!
-//! Weighted data rides on the in-memory backend
-//! ([`InMemoryBackend::with_weights`]; `KMeans::weights` plumbs it):
+//! Weighted data rides on resident rows
+//! ([`LocalBackend::in_memory`]; `KMeans::weights` plumbs it):
 //! `Random`, `KMeansPlusPlus`, `Lloyd` and `NoRefine` honor per-point
 //! weights; the remaining algorithms reject weighted input with a typed
 //! error rather than silently ignoring it.
@@ -33,14 +33,13 @@
 use crate::assign::assign_weighted;
 use crate::driver::{
     drive_kmeans_parallel, drive_label_pass, drive_lloyd, drive_minibatch, drive_random_init,
-    finish_init_backend, BackendKind, ChunkedBackend, InMemoryBackend, LocalData, RoundBackend,
+    finish_init_backend, BackendKind, LocalBackend, LocalData, RoundBackend,
 };
 use crate::error::KMeansError;
 use crate::init::{
-    afk_mc2, kmeanspp, kmeanspp_chunked, validate, weighted_kmeanspp, InitResult, InitStats,
-    KMeansParallelConfig,
+    afk_mc2, kmeanspp, validate, weighted_kmeanspp, InitResult, InitStats, KMeansParallelConfig,
 };
-use crate::lloyd::{validate_refine_inputs, weighted_lloyd_traced, IterationStats, LloydConfig};
+use crate::lloyd::{weighted_lloyd_traced, IterationStats, LloydConfig};
 use crate::minibatch::MiniBatchConfig;
 use kmeans_data::{ChunkedSource, PointMatrix};
 use kmeans_par::Executor;
@@ -103,8 +102,8 @@ pub trait Initializer: fmt::Debug + Send + Sync {
     }
 
     /// Runs the seeding on a resident matrix with optional per-point
-    /// weights. Provided: [`Initializer::init_backend`] on an
-    /// [`InMemoryBackend`].
+    /// weights. Provided: [`Initializer::init_backend`] on
+    /// [`LocalBackend::in_memory`].
     fn init(
         &self,
         points: &PointMatrix,
@@ -113,12 +112,13 @@ pub trait Initializer: fmt::Debug + Send + Sync {
         seed: u64,
         exec: &Executor,
     ) -> Result<InitResult, KMeansError> {
-        let mut backend = InMemoryBackend::new(points, exec).with_weights(weights);
+        let mut backend = LocalBackend::in_memory(points, weights, exec);
         self.init_backend(&mut backend, k, seed)
     }
 
     /// Runs the seeding over a block-resident [`ChunkedSource`].
-    /// Provided: [`Initializer::init_backend`] on a [`ChunkedBackend`].
+    /// Provided: [`Initializer::init_backend`] on
+    /// [`LocalBackend::chunked`].
     fn init_chunked(
         &self,
         source: &dyn ChunkedSource,
@@ -126,7 +126,7 @@ pub trait Initializer: fmt::Debug + Send + Sync {
         seed: u64,
         exec: &Executor,
     ) -> Result<InitResult, KMeansError> {
-        self.init_backend(&mut ChunkedBackend::new(source, exec), k, seed)
+        self.init_backend(&mut LocalBackend::chunked(source, exec), k, seed)
     }
 }
 
@@ -153,8 +153,8 @@ pub trait Refiner: fmt::Debug + Send + Sync {
     }
 
     /// Runs the refinement on a resident matrix with optional per-point
-    /// weights. Provided: [`Refiner::refine_backend`] on an
-    /// [`InMemoryBackend`].
+    /// weights. Provided: [`Refiner::refine_backend`] on
+    /// [`LocalBackend::in_memory`].
     fn refine(
         &self,
         points: &PointMatrix,
@@ -163,13 +163,13 @@ pub trait Refiner: fmt::Debug + Send + Sync {
         seed: u64,
         exec: &Executor,
     ) -> Result<RefineResult, KMeansError> {
-        let mut backend = InMemoryBackend::new(points, exec).with_weights(weights);
+        let mut backend = LocalBackend::in_memory(points, weights, exec);
         self.refine_backend(&mut backend, centers, seed)
     }
 
     /// Runs the refinement over a block-resident [`ChunkedSource`] (one
     /// scan per Lloyd iteration, gathered batches for mini-batch).
-    /// Provided: [`Refiner::refine_backend`] on a [`ChunkedBackend`].
+    /// Provided: [`Refiner::refine_backend`] on [`LocalBackend::chunked`].
     fn refine_chunked(
         &self,
         source: &dyn ChunkedSource,
@@ -177,7 +177,7 @@ pub trait Refiner: fmt::Debug + Send + Sync {
         seed: u64,
         exec: &Executor,
     ) -> Result<RefineResult, KMeansError> {
-        self.refine_backend(&mut ChunkedBackend::new(source, exec), centers, seed)
+        self.refine_backend(&mut LocalBackend::chunked(source, exec), centers, seed)
     }
 }
 
@@ -263,12 +263,9 @@ pub(crate) fn validate_weights(
 }
 
 /// The per-point weights a backend carries — `Some` only on a weighted
-/// [`InMemoryBackend`].
+/// [`LocalBackend::in_memory`].
 pub(crate) fn backend_weights(backend: &dyn RoundBackend) -> Option<&[f64]> {
-    match backend.local() {
-        Some((LocalData::Resident { weights, .. }, _)) => weights,
-        _ => None,
-    }
+    backend.local().and_then(|(data, _)| data.weights())
 }
 
 /// Typed rejection for algorithms without a weighted formulation —
@@ -373,15 +370,18 @@ impl Initializer for KMeansPlusPlus {
         let sw = Stopwatch::start();
         let mut rng = Rng::derive(seed, &[21]);
         let centers = match backend.local() {
-            Some((LocalData::Resident { points, weights }, exec)) => {
+            Some((
+                LocalData::Resident {
+                    points,
+                    weights: Some(w),
+                },
+                _,
+            )) => {
                 validate(points, k)?;
-                validate_weights(points, weights)?;
-                match weights {
-                    None => kmeanspp(points, k, &mut rng, exec)?,
-                    Some(w) => weighted_kmeanspp(points, w, k, &mut rng)?,
-                }
+                validate_weights(points, Some(w))?;
+                weighted_kmeanspp(points, w, k, &mut rng)?
             }
-            Some((LocalData::Blocks(source), exec)) => kmeanspp_chunked(source, k, &mut rng, exec)?,
+            Some((data, exec)) => kmeanspp(data, k, &mut rng, exec)?,
             None => return Err(reject_backend(self.name(), backend.kind())),
         };
         let stats = InitStats {
@@ -451,10 +451,11 @@ impl Initializer for AfkMc2 {
         seed: u64,
     ) -> Result<InitResult, KMeansError> {
         // The chain wants resident random access to every row.
-        let Some((LocalData::Resident { points, weights }, exec)) = backend.local() else {
+        let Some((data @ LocalData::Resident { points, weights }, exec)) = backend.local() else {
             return Err(reject_backend(self.name(), backend.kind()));
         };
-        validate(points, k)?;
+        // Shapes only: `afk_mc2` scans for non-finite rows itself.
+        data.validate(k)?;
         reject_weights("afk-mc2", weights)?;
         let sw = Stopwatch::start();
         let mut rng = Rng::derive(seed, &[22]);
@@ -512,7 +513,7 @@ impl Refiner for Lloyd {
         {
             validate_weights(points, Some(w))?;
             self.0.validate()?;
-            validate_refine_inputs(points, centers)?;
+            LocalData::from(points).validate_refine(centers)?;
             let trace = weighted_lloyd_traced(
                 points,
                 w,
@@ -629,7 +630,7 @@ impl Refiner for NoRefine {
                 _,
             )) => {
                 validate_weights(points, Some(w))?;
-                validate_refine_inputs(points, centers)?;
+                LocalData::from(points).validate_refine(centers)?;
                 let (labels, _sums, _wsum, cost) = assign_weighted(points, w, centers);
                 (labels, cost, 0)
             }

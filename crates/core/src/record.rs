@@ -217,7 +217,7 @@ impl RoundBackend for RecordingBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::InMemoryBackend;
+    use crate::driver::LocalBackend;
     use kmeans_obs::FakeClock;
     use kmeans_par::Parallelism;
 
@@ -239,13 +239,13 @@ mod tests {
         let centers = points.select(&[0, 35]);
 
         let init = Broadcast::Init(&centers);
-        let mut plain = InMemoryBackend::new(&points, &exec);
+        let mut plain = LocalBackend::in_memory(&points, None, &exec);
         let (plain_phi, _) = plain.tracker_round(init, TrackerRead::Nothing).unwrap();
         let (plain_changed, plain_sums, _) = plain.assign(&centers, LabelFetch::Skip).unwrap();
 
         let clock = FakeClock::new(0);
         let recorder = Recorder::with_clock(clock.clone());
-        let mut inner = InMemoryBackend::new(&points, &exec);
+        let mut inner = LocalBackend::in_memory(&points, None, &exec);
         let mut recorded = RecordingBackend::new(&mut inner, recorder.clone());
         assert_eq!(recorded.kind(), BackendKind::InMemory);
         assert_eq!(recorded.len(), points.len());
@@ -279,7 +279,7 @@ mod tests {
         let exec = Executor::new(Parallelism::Sequential);
         let centers = points.select(&[0, 35]);
         let recorder = Recorder::disabled();
-        let mut inner = InMemoryBackend::new(&points, &exec);
+        let mut inner = LocalBackend::in_memory(&points, None, &exec);
         let mut recorded = RecordingBackend::new(&mut inner, recorder.clone());
         recorded
             .tracker_round(Broadcast::Init(&centers), TrackerRead::Nothing)

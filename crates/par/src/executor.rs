@@ -1,17 +1,14 @@
-//! The shard executor: parallel map / map-reduce / in-place update over
-//! logical shards, deterministic for any worker count.
+//! The shard executor: parallel map / map-reduce over logical shards and
+//! in-place updates over owned pieces, deterministic for any worker
+//! count.
 
 use crate::shards::ShardSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A claim-once slot handing a shard's mutable chunk(s) to whichever worker
-/// claims the shard index.
+/// A claim-once slot handing a work item to whichever worker claims its
+/// index.
 type Slot<T> = Mutex<Option<T>>;
-
-/// Slot payload for [`Executor::update_shards2`]: start offset plus the two
-/// shard-aligned chunks.
-type Chunk2<'s, A, B> = (usize, &'s mut [A], &'s mut [B]);
 
 /// Degree of parallelism for an [`Executor`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,83 +155,32 @@ impl Executor {
         self.map_shards(n, f).into_iter().reduce(combine)
     }
 
-    /// Runs `f` over shard-aligned mutable chunks of `out`.
+    /// Runs `f` over owned work items — typically disjoint mutable chunks
+    /// of per-row state, cut wherever the caller needs — collecting one
+    /// result per item, returned **in item order**. `f` receives
+    /// `(item_index, item)`.
     ///
-    /// `f` receives `(shard_index, start_offset, chunk)` where `chunk` is
-    /// `out[start_offset .. start_offset + chunk.len()]`.
-    pub fn update_shards<A, F>(&self, out: &mut [A], f: F)
+    /// This is the executor's claim-once loop: workers claim items by
+    /// index, so which thread runs an item never changes a result. It is
+    /// the update-and-aggregate shape of the passes that mutate per-point
+    /// state in place while per-piece partials come back for a
+    /// deterministic fold.
+    pub fn map_pieces<P, T, F>(&self, pieces: Vec<P>, f: F) -> Vec<T>
     where
-        A: Send,
-        F: Fn(usize, usize, &mut [A]) + Sync,
-    {
-        let n = out.len();
-        let count = self.spec.count(n);
-        let workers = self.workers().min(count.max(1));
-        if workers <= 1 || count <= 1 {
-            for (s, range) in self.spec.ranges(n).enumerate() {
-                let start = range.start;
-                f(s, start, &mut out[range]);
-            }
-            return;
-        }
-        let slots: Vec<Slot<(usize, &mut [A])>> = self
-            .spec
-            .ranges(n)
-            .zip(out.chunks_mut(self.spec.shard_size()))
-            .map(|(range, chunk)| Mutex::new(Some((range.start, chunk))))
-            .collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let s = next.fetch_add(1, Ordering::Relaxed);
-                    if s >= count {
-                        break;
-                    }
-                    let (start, chunk) = slots[s]
-                        .lock()
-                        .expect("shard slot poisoned")
-                        .take()
-                        .expect("shard claimed twice");
-                    f(s, start, chunk);
-                });
-            }
-        });
-    }
-
-    /// Runs `f` over shard-aligned mutable chunks of `out` while
-    /// collecting one result per shard, returned **in shard order**.
-    ///
-    /// This is the update-and-aggregate shape of bounds-based Lloyd
-    /// variants (per-point state is mutated in place, per-shard partial
-    /// sums come back for a deterministic fold). `f` receives
-    /// `(shard_index, start_offset, chunk)`.
-    pub fn update_map_shards<A, T, F>(&self, out: &mut [A], f: F) -> Vec<T>
-    where
-        A: Send,
+        P: Send,
         T: Send,
-        F: Fn(usize, usize, &mut [A]) -> T + Sync,
+        F: Fn(usize, P) -> T + Sync,
     {
-        let n = out.len();
-        let count = self.spec.count(n);
+        let count = pieces.len();
         let workers = self.workers().min(count.max(1));
         if workers <= 1 || count <= 1 {
-            return self
-                .spec
-                .ranges(n)
+            return pieces
+                .into_iter()
                 .enumerate()
-                .map(|(s, range)| {
-                    let start = range.start;
-                    f(s, start, &mut out[range])
-                })
+                .map(|(i, p)| f(i, p))
                 .collect();
         }
-        let slots: Vec<Slot<(usize, &mut [A])>> = self
-            .spec
-            .ranges(n)
-            .zip(out.chunks_mut(self.spec.shard_size()))
-            .map(|(range, chunk)| Mutex::new(Some((range.start, chunk))))
-            .collect();
+        let slots: Vec<Slot<P>> = pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
         let next = AtomicUsize::new(0);
         let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -243,39 +189,39 @@ impl Executor {
                     scope.spawn(|| {
                         let mut local: Vec<(usize, T)> = Vec::new();
                         loop {
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            if s >= count {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= count {
                                 break;
                             }
-                            let (start, chunk) = slots[s]
+                            let piece = slots[i]
                                 .lock()
-                                .expect("shard slot poisoned")
+                                .expect("piece slot poisoned")
                                 .take()
-                                .expect("shard claimed twice");
-                            local.push((s, f(s, start, chunk)));
+                                .expect("piece claimed twice");
+                            local.push((i, f(i, piece)));
                         }
                         local
                     })
                 })
                 .collect();
             for handle in handles {
-                for (s, value) in handle.join().expect("shard worker panicked") {
-                    results[s] = Some(value);
+                for (i, value) in handle.join().expect("shard worker panicked") {
+                    results[i] = Some(value);
                 }
             }
         });
         results
             .into_iter()
-            .map(|r| r.expect("shard result missing"))
+            .map(|r| r.expect("piece result missing"))
             .collect()
     }
 
     /// Runs `f` over shard-aligned mutable chunks of two equal-length
     /// slices while collecting one result per shard, returned **in shard
-    /// order** — the two-array sibling of [`Executor::update_map_shards`]
-    /// (the shape of a batched assignment pass: labels and `d²` mutated
-    /// in place, per-shard kernel statistics coming back for a
-    /// deterministic fold).
+    /// order** (the shape of a batched assignment pass: labels and `d²`
+    /// mutated in place, per-shard results coming back for a
+    /// deterministic fold) — [`Executor::map_pieces`] over the shard
+    /// grid.
     ///
     /// `f` receives `(shard_index, start_offset, chunk_a, chunk_b)`.
     ///
@@ -290,111 +236,14 @@ impl Executor {
         F: Fn(usize, usize, &mut [A], &mut [B]) -> T + Sync,
     {
         assert_eq!(a.len(), b.len(), "update_map_shards2: length mismatch");
-        let n = a.len();
-        let count = self.spec.count(n);
-        let workers = self.workers().min(count.max(1));
-        if workers <= 1 || count <= 1 {
-            return self
-                .spec
-                .ranges(n)
-                .enumerate()
-                .map(|(s, range)| {
-                    let start = range.start;
-                    f(s, start, &mut a[range.clone()], &mut b[range])
-                })
-                .collect();
-        }
         let size = self.spec.shard_size();
-        let slots: Vec<Slot<Chunk2<'_, A, B>>> = self
+        let pieces: Vec<(usize, &mut [A], &mut [B])> = self
             .spec
-            .ranges(n)
+            .ranges(a.len())
             .zip(a.chunks_mut(size).zip(b.chunks_mut(size)))
-            .map(|(range, (ca, cb))| Mutex::new(Some((range.start, ca, cb))))
+            .map(|(range, (ca, cb))| (range.start, ca, cb))
             .collect();
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            if s >= count {
-                                break;
-                            }
-                            let (start, ca, cb) = slots[s]
-                                .lock()
-                                .expect("shard slot poisoned")
-                                .take()
-                                .expect("shard claimed twice");
-                            local.push((s, f(s, start, ca, cb)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (s, value) in handle.join().expect("shard worker panicked") {
-                    results[s] = Some(value);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("shard result missing"))
-            .collect()
-    }
-
-    /// Runs `f` over shard-aligned mutable chunks of two equal-length
-    /// slices (e.g. the `d²` and nearest-center arrays of k-means||).
-    ///
-    /// `f` receives `(shard_index, start_offset, chunk_a, chunk_b)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn update_shards2<A, B, F>(&self, a: &mut [A], b: &mut [B], f: F)
-    where
-        A: Send,
-        B: Send,
-        F: Fn(usize, usize, &mut [A], &mut [B]) + Sync,
-    {
-        assert_eq!(a.len(), b.len(), "update_shards2: length mismatch");
-        let n = a.len();
-        let count = self.spec.count(n);
-        let workers = self.workers().min(count.max(1));
-        if workers <= 1 || count <= 1 {
-            for (s, range) in self.spec.ranges(n).enumerate() {
-                let start = range.start;
-                f(s, start, &mut a[range.clone()], &mut b[range]);
-            }
-            return;
-        }
-        let size = self.spec.shard_size();
-        let slots: Vec<Slot<Chunk2<'_, A, B>>> = self
-            .spec
-            .ranges(n)
-            .zip(a.chunks_mut(size).zip(b.chunks_mut(size)))
-            .map(|(range, (ca, cb))| Mutex::new(Some((range.start, ca, cb))))
-            .collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let s = next.fetch_add(1, Ordering::Relaxed);
-                    if s >= count {
-                        break;
-                    }
-                    let (start, ca, cb) = slots[s]
-                        .lock()
-                        .expect("shard slot poisoned")
-                        .take()
-                        .expect("shard claimed twice");
-                    f(s, start, ca, cb);
-                });
-            }
-        });
+        self.map_pieces(pieces, |s, (start, ca, cb)| f(s, start, ca, cb))
     }
 }
 
@@ -480,61 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn update_shards_touches_every_element_once() {
-        for exec in executors() {
-            let mut data = vec![0u32; 1000];
-            exec.update_shards(&mut data, |s, start, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v += (start + i) as u32 + s as u32 * 1_000_000;
-                }
-            });
-            for (i, &v) in data.iter().enumerate() {
-                let shard = i / 64;
-                assert_eq!(v, i as u32 + shard as u32 * 1_000_000, "index {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn update_shards2_aligned_chunks() {
-        for exec in executors() {
-            let mut a = vec![0usize; 500];
-            let mut b = vec![0usize; 500];
-            exec.update_shards2(&mut a, &mut b, |s, start, ca, cb| {
-                assert_eq!(ca.len(), cb.len());
-                for i in 0..ca.len() {
-                    ca[i] = start + i;
-                    cb[i] = s;
-                }
-            });
-            for (i, (&x, &y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(x, i);
-                assert_eq!(y, i / 64);
-            }
-        }
-    }
-
-    #[test]
-    fn update_map_shards_mutates_and_collects_in_order() {
-        for exec in executors() {
-            let mut data = vec![1u64; 1000];
-            let sums = exec.update_map_shards(&mut data, |s, start, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = (start + i) as u64;
-                }
-                (s, chunk.iter().sum::<u64>())
-            });
-            assert_eq!(sums.len(), 16); // ceil(1000/64)
-            for (i, (s, _)) in sums.iter().enumerate() {
-                assert_eq!(*s, i, "out of order");
-            }
-            let total: u64 = sums.iter().map(|(_, t)| t).sum();
-            assert_eq!(total, (0..1000u64).sum::<u64>());
-            assert_eq!(data[999], 999);
-        }
-    }
-
-    #[test]
     fn update_map_shards2_mutates_both_and_collects_in_order() {
         for exec in executors() {
             let mut a = vec![0u32; 500];
@@ -559,27 +353,31 @@ mod tests {
     }
 
     #[test]
-    fn update_map_shards_empty() {
-        let mut empty: Vec<u8> = vec![];
-        let out: Vec<u32> =
-            Executor::new(Parallelism::Threads(3)).update_map_shards(&mut empty, |_, _, _| 1);
-        assert!(out.is_empty());
+    fn map_pieces_runs_uneven_pieces_in_item_order() {
+        for exec in executors() {
+            let mut data = vec![0u32; 100];
+            let (head, tail) = data.split_at_mut(3);
+            let (mid, last) = tail.split_at_mut(90);
+            let out = exec.map_pieces(vec![head, mid, last], |i, chunk| {
+                chunk.iter_mut().for_each(|v| *v = i as u32 + 1);
+                (i, chunk.len())
+            });
+            assert_eq!(out, vec![(0, 3), (1, 90), (2, 7)]);
+            assert_eq!(data[2], 1);
+            assert_eq!(data[3], 2);
+            assert_eq!(data[99], 3);
+        }
+        let none: Vec<u32> =
+            Executor::new(Parallelism::Threads(3)).map_pieces(Vec::<u8>::new(), |_, _| 1);
+        assert!(none.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn update_shards2_length_mismatch_panics() {
+    fn update_map_shards2_length_mismatch_panics() {
         let mut a = vec![0u8; 3];
         let mut b = vec![0u8; 4];
-        Executor::sequential().update_shards2(&mut a, &mut b, |_, _, _, _| {});
-    }
-
-    #[test]
-    fn update_shards_empty_is_noop() {
-        let mut empty: Vec<u8> = vec![];
-        Executor::new(Parallelism::Threads(4)).update_shards(&mut empty, |_, _, _| {
-            panic!("should not be called");
-        });
+        Executor::sequential().update_map_shards2(&mut a, &mut b, |_, _, _, _| {});
     }
 
     #[test]

@@ -32,11 +32,12 @@ fn sequential_panic_also_propagates() {
 }
 
 #[test]
-fn update_shards_propagates_worker_panic() {
+fn update_map_shards2_propagates_worker_panic() {
     let exec = Executor::new(Parallelism::Threads(2)).with_shard_size(4);
-    let mut data = vec![0u8; 64];
+    let mut a = vec![0u8; 64];
+    let mut b = vec![0u8; 64];
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        exec.update_shards(&mut data, |s, _, _| {
+        exec.update_map_shards2(&mut a, &mut b, |s, _, _, _| {
             if s == 5 {
                 panic!("injected shard failure");
             }

@@ -158,9 +158,10 @@ pub fn partition_init_chunked(
     seed: u64,
     exec: &Executor,
 ) -> Result<PartitionResult, KMeansError> {
-    use kmeans_core::chunked::check_block_finite;
+    use kmeans_core::chunked::{check_block_finite, LocalData};
 
-    kmeans_core::chunked::validate_source(source, k)?;
+    let data = LocalData::Blocks(source);
+    data.validate(k)?;
     let n = source.len();
     let m = config.groups.unwrap_or_else(|| optimal_groups(n, k)).max(1);
     let m = m.min(n);
@@ -174,8 +175,7 @@ pub fn partition_init_chunked(
     let mut weights: Vec<f64> = Vec::new();
     let mut group = PointMatrix::with_capacity(source.dim(), bounds[0].1);
     let mut g = 0usize;
-    let mut buf = source.block_buffer();
-    kmeans_core::chunked::for_each_block(source, &mut buf, |_b, start, block| {
+    data.for_each_block(|start, block| {
         check_block_finite(block, start)?;
         for (off, row) in block.rows().enumerate() {
             group.push(row).expect("row dim matches source dim");
@@ -204,7 +204,7 @@ pub fn partition_init_chunked(
     let centers = if intermediate >= k {
         weighted_kmeanspp(&coreset, &weights, k, &mut rng)?
     } else {
-        kmeans_core::init::kmeanspp_chunked(source, k, &mut rng, exec)?
+        kmeans_core::init::kmeanspp(data, k, &mut rng, exec)?
     };
     let recluster_phase = sw.elapsed();
 

@@ -17,7 +17,7 @@
 
 use crate::coreset::CoresetTree;
 use crate::partition::{partition_init, partition_init_chunked, PartitionConfig};
-use kmeans_core::chunked::{check_block_finite, for_each_block, validate_source};
+use kmeans_core::chunked::check_block_finite;
 use kmeans_core::driver::{finish_init_backend, BackendKind, LocalData, RoundBackend};
 use kmeans_core::init::{validate, InitResult, InitStats};
 use kmeans_core::pipeline::{reject_backend, reject_weights, Initializer};
@@ -105,31 +105,19 @@ impl Initializer for Coreset {
         // through it inserts in the exact order resident rows do — the
         // resulting centers are bit-identical (`tests/chunked_parity.rs`).
         let sw = Stopwatch::start();
-        let tree = match backend.local() {
-            Some((LocalData::Resident { points, weights }, _)) => {
-                validate(points, k)?;
-                reject_weights("coreset", weights)?;
-                let mut tree = CoresetTree::new(points.dim(), self.coreset_size, seed)?;
-                for row in points.rows() {
-                    tree.insert(row).expect("dims match by construction");
-                }
-                tree
-            }
-            Some((LocalData::Blocks(source), _)) => {
-                validate_source(source, k)?;
-                let mut tree = CoresetTree::new(source.dim(), self.coreset_size, seed)?;
-                let mut buf = source.block_buffer();
-                for_each_block(source, &mut buf, |_b, start, block| {
-                    check_block_finite(block, start)?;
-                    for row in block.rows() {
-                        tree.insert(row).expect("dims match by construction");
-                    }
-                    Ok(())
-                })?;
-                tree
-            }
-            None => return Err(reject_backend(self.name(), backend.kind())),
+        let Some((data, _)) = backend.local() else {
+            return Err(reject_backend(self.name(), backend.kind()));
         };
+        data.validate(k)?;
+        reject_weights("coreset", data.weights())?;
+        let mut tree = CoresetTree::new(data.dim(), self.coreset_size, seed)?;
+        data.for_each_block(|start, block| {
+            check_block_finite(block, start)?;
+            for row in block.rows() {
+                tree.insert(row).expect("dims match by construction");
+            }
+            Ok(())
+        })?;
         // The set the final recluster runs on: representatives at every
         // level plus the still-open leaf buffer (the Table 5 quantity).
         let candidates = tree.representatives() + tree.buffered();

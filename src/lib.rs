@@ -86,7 +86,7 @@ pub use kmeans_core::{
 /// Convenient glob-import surface for applications.
 pub mod prelude {
     pub use kmeans_cluster::{Cluster, ClusterBackend, FitDistributed, Worker as ClusterWorker};
-    pub use kmeans_core::driver::{BackendKind, ChunkedBackend, InMemoryBackend, RoundBackend};
+    pub use kmeans_core::driver::{BackendKind, LocalBackend, RoundBackend};
     pub use kmeans_core::init::{
         InitMethod, KMeansParallelConfig, Oversampling, Recluster, Rounds, SamplingMode, TopUp,
     };

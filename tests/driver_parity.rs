@@ -1,6 +1,7 @@
 //! Backend-equivalence acceptance tests for the round-driver layer: the
-//! **same** driver function (`kmeans_core::driver`) executed on an
-//! `InMemoryBackend`, a `ChunkedBackend`, and a loopback `ClusterBackend`
+//! **same** driver function (`kmeans_core::driver`) executed on a
+//! `LocalBackend` over resident rows, one over blocks, and a loopback
+//! `ClusterBackend`
 //! must produce bit-identical results — over random n/d/k, block sizes,
 //! {1, 2, 4} workers, and sequential vs multi-threaded executors —
 //! including the newly unlocked distributed mini-batch path and
@@ -12,8 +13,8 @@ use scalable_kmeans::cluster::{
     spawn_loopback_worker, Cluster, ClusterBackend, FitDistributed, Transport,
 };
 use scalable_kmeans::core::driver::{
-    drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, ChunkedBackend,
-    InMemoryBackend, RoundBackend,
+    drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, LocalBackend,
+    RoundBackend,
 };
 use scalable_kmeans::core::init::{kmeans_parallel, KMeansParallelConfig, SamplingMode};
 use scalable_kmeans::core::lloyd::{lloyd, LloydConfig, LloydResult};
@@ -114,13 +115,13 @@ fn run_grid_point(
     let exec = Executor::new(parallelism).with_shard_size(SHARD);
 
     // Reference: the public in-memory entry points (thin wrappers over
-    // the drivers on InMemoryBackend).
+    // the drivers on a resident LocalBackend).
     let (ref_centers, ref_stats) = kmeans_parallel(points, k, config, seed, &exec).unwrap();
     let ref_lloyd = lloyd(points, &ref_centers, &LloydConfig::default(), &exec).unwrap();
 
     // Chunked backend, same drivers.
     let source = InMemorySource::new(points.clone(), block_rows).unwrap();
-    let mut chunked = ChunkedBackend::new(&source, &exec);
+    let mut chunked = LocalBackend::chunked(&source, &exec);
     let (c_centers, c_stats) = drive_kmeans_parallel(&mut chunked, k, config, seed).unwrap();
     assert_eq!(c_centers, ref_centers, "chunked seeds, blocks {block_rows}");
     assert_eq!(c_stats.candidates, ref_stats.candidates);
@@ -187,16 +188,16 @@ proptest! {
         let points = gauss(n, d, seed ^ 0xab);
         let exec = Executor::sequential().with_shard_size(SHARD);
 
-        let mut mem = InMemoryBackend::new(&points, &exec);
+        let mut mem = LocalBackend::in_memory(&points, None, &exec);
         let (mem_random, _) = drive_random_init(&mut mem, k, seed).unwrap();
         let exact = KMeansParallelConfig::default().sampling(SamplingMode::ExactL);
         let (mem_exact, _) = kmeans_parallel(&points, k, &exact, seed, &exec).unwrap();
 
         let source = InMemorySource::new(points.clone(), 23).unwrap();
-        let mut chunked = ChunkedBackend::new(&source, &exec);
+        let mut chunked = LocalBackend::chunked(&source, &exec);
         let (c_random, _) = drive_random_init(&mut chunked, k, seed).unwrap();
         prop_assert_eq!(&c_random, &mem_random);
-        let mut chunked = ChunkedBackend::new(&source, &exec);
+        let mut chunked = LocalBackend::chunked(&source, &exec);
         let (c_exact, _) = drive_kmeans_parallel(&mut chunked, k, &exact, seed).unwrap();
         prop_assert_eq!(&c_exact, &mem_exact);
 
@@ -230,7 +231,7 @@ proptest! {
         let points = gauss(n, d, seed ^ 0xbeef);
         let init = {
             let exec = Executor::sequential().with_shard_size(SHARD);
-            let mut mem = InMemoryBackend::new(&points, &exec);
+            let mut mem = LocalBackend::in_memory(&points, None, &exec);
             drive_random_init(&mut mem, k, seed).unwrap().0
         };
         let config = MiniBatchConfig { batch_size: 24, iterations: 15 };
@@ -239,7 +240,7 @@ proptest! {
 
         let exec = Executor::sequential().with_shard_size(SHARD);
         let source = InMemorySource::new(points.clone(), block_rows).unwrap();
-        let mut chunked = ChunkedBackend::new(&source, &exec);
+        let mut chunked = LocalBackend::chunked(&source, &exec);
         let (c_centers, c_stats) =
             drive_minibatch(&mut chunked, &init, &config, seed).unwrap();
         prop_assert_eq!(&c_centers, &reference);
@@ -340,14 +341,14 @@ fn non_finite_data_errors_identically_on_every_backend() {
     let config = KMeansParallelConfig::default();
     let exec = Executor::sequential().with_shard_size(SHARD);
 
-    let mut mem = InMemoryBackend::new(&points, &exec);
+    let mut mem = LocalBackend::in_memory(&points, None, &exec);
     assert_eq!(
         drive_kmeans_parallel(&mut mem, 4, &config, 1).unwrap_err(),
         expected
     );
 
     let source = InMemorySource::new(points.clone(), 11).unwrap();
-    let mut chunked = ChunkedBackend::new(&source, &exec);
+    let mut chunked = LocalBackend::chunked(&source, &exec);
     assert_eq!(
         drive_kmeans_parallel(&mut chunked, 4, &config, 1).unwrap_err(),
         expected

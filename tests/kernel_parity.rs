@@ -9,13 +9,28 @@
 //! would catch, so CI runs them in debug *and* release explicitly.
 #![recursion_limit = "256"]
 
-use kmeans_core::assign::assign_and_sum;
-use kmeans_core::chunked::{assign_and_sum_chunked, assign_partials_chunked, fold_accum_shards};
+use kmeans_core::assign::ClusterSums;
+use kmeans_core::chunked::{assign_partials, fold_accum_shards, LocalData};
 use kmeans_core::distance::{nearest, sq_dist_bounded};
 use kmeans_core::kernel::{AssignKernel, KernelStats};
 use kmeans_data::{InMemorySource, PointMatrix};
 use kmeans_par::Executor;
 use proptest::prelude::*;
+
+/// One assignment pass over all of `data`, folded: labels, sums and the
+/// kernel counters.
+fn assign_and_fold(
+    data: LocalData<'_>,
+    centers: &PointMatrix,
+    exec: &Executor,
+    hints: Option<&[u32]>,
+) -> (Vec<u32>, ClusterSums) {
+    let (labels, partials, stats) =
+        assign_partials(data, centers, exec, 0, data.len(), hints).unwrap();
+    let mut sums = fold_accum_shards(centers.len(), data.dim(), &partials);
+    sums.stats = stats;
+    (labels, sums)
+}
 
 fn scalar_assign(points: &PointMatrix, centers: &PointMatrix) -> (Vec<u32>, Vec<f64>) {
     points
@@ -424,7 +439,8 @@ fn warm_stats_match_across_groupings_and_backends() {
     );
 
     let exec = Executor::sequential().with_shard_size(32);
-    let (ref_labels, ref_sums) = assign_and_sum(&points, &centers, &exec, Some(&hints));
+    let (ref_labels, ref_sums) =
+        assign_and_fold(LocalData::from(&points), &centers, &exec, Some(&hints));
     assert_eq!(ref_labels, now);
     assert_eq!(ref_sums.stats, whole);
     for block_rows in [1usize, 7, 64, 400] {
@@ -434,12 +450,14 @@ fn warm_stats_match_across_groupings_and_backends() {
             } else {
                 Executor::new(kmeans_par::Parallelism::Threads(threads)).with_shard_size(32)
             };
-            let (labels, sums) = assign_and_sum(&points, &centers, &exec, Some(&hints));
+            let (labels, sums) =
+                assign_and_fold(LocalData::from(&points), &centers, &exec, Some(&hints));
             assert_eq!(labels, ref_labels, "threads {threads}");
             assert_eq!(sums.stats, ref_sums.stats, "in-memory threads {threads}");
             let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+            let data = LocalData::Blocks(&source);
             let (labels, partials, stats) =
-                assign_partials_chunked(&source, &centers, &exec, 0, n, Some(&hints)).unwrap();
+                assign_partials(data, &centers, &exec, 0, n, Some(&hints)).unwrap();
             assert_eq!(
                 labels, ref_labels,
                 "block_rows {block_rows} threads {threads}"
@@ -520,7 +538,7 @@ fn stats_match_across_in_memory_and_chunked_paths() {
         centers.push(&row).unwrap();
     }
     let exec = Executor::sequential().with_shard_size(32);
-    let (ref_labels, ref_sums) = assign_and_sum(&points, &centers, &exec, None);
+    let (ref_labels, ref_sums) = assign_and_fold(LocalData::from(&points), &centers, &exec, None);
     assert!(
         ref_sums.stats.pruned_by_norm_bound > 0,
         "workload must exercise pruning: {:?}",
@@ -534,7 +552,7 @@ fn stats_match_across_in_memory_and_chunked_paths() {
                 Executor::new(kmeans_par::Parallelism::Threads(threads)).with_shard_size(32)
             };
             let source = InMemorySource::new(points.clone(), block_rows).unwrap();
-            let (labels, sums) = assign_and_sum_chunked(&source, &centers, &exec).unwrap();
+            let (labels, sums) = assign_and_fold(LocalData::Blocks(&source), &centers, &exec, None);
             assert_eq!(
                 labels, ref_labels,
                 "block_rows {block_rows} threads {threads}"
@@ -862,7 +880,6 @@ fn untracked_carried_state_takes_the_walk() {
 /// every round, for every block size and thread count.
 #[test]
 fn update_stats_and_trackers_match_across_groupings_and_backends() {
-    use kmeans_core::chunked::ChunkedCostTracker;
     use kmeans_core::cost::CostTracker;
     let mut rng = kmeans_util::Rng::new(23);
     let d = 5;
@@ -912,9 +929,11 @@ fn update_stats_and_trackers_match_across_groupings_and_backends() {
     }
 
     let seq = Executor::sequential().with_shard_size(32);
-    let mut reference = CostTracker::new(&points, &prefix(&centers, 1), &seq);
+    let mut reference = CostTracker::new(&points, &prefix(&centers, 1), &seq).unwrap();
     for w in splits.windows(2) {
-        reference.update(&prefix(&centers, w[1]), w[0], &seq);
+        reference
+            .update(&points, &prefix(&centers, w[1]), w[0], &seq)
+            .unwrap();
     }
     assert_eq!(reference.nearest_ids(), &labels[..]);
     let ref_bits: Vec<u64> = reference.d2().iter().map(|v| v.to_bits()).collect();
@@ -926,14 +945,14 @@ fn update_stats_and_trackers_match_across_groupings_and_backends() {
                 Executor::new(kmeans_par::Parallelism::Threads(threads)).with_shard_size(32)
             };
             let what = format!("block_rows {block_rows} threads {threads}");
-            let mut mem = CostTracker::new(&points, &prefix(&centers, 1), &exec);
+            let mut mem = CostTracker::new(&points, &prefix(&centers, 1), &exec).unwrap();
             let source = InMemorySource::new(points.clone(), block_rows).unwrap();
-            let mut chunked =
-                ChunkedCostTracker::new(&source, &prefix(&centers, 1), &exec).unwrap();
+            let blocks = LocalData::Blocks(&source);
+            let mut chunked = CostTracker::new(blocks, &prefix(&centers, 1), &exec).unwrap();
             for w in splits.windows(2) {
                 let sub = prefix(&centers, w[1]);
-                mem.update(&sub, w[0], &exec);
-                chunked.update(&source, &sub, w[0], &exec).unwrap();
+                mem.update(&points, &sub, w[0], &exec).unwrap();
+                chunked.update(blocks, &sub, w[0], &exec).unwrap();
                 let mem_bits: Vec<u64> = mem.d2().iter().map(|v| v.to_bits()).collect();
                 let chunked_bits: Vec<u64> = chunked.d2().iter().map(|v| v.to_bits()).collect();
                 assert_eq!(mem_bits, chunked_bits, "{what}");

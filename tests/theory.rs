@@ -27,7 +27,7 @@ fn phi_trajectory(points: &PointMatrix, l: f64, rounds: usize, seed: u64) -> Vec
     let mut rng = Rng::derive(seed, &[90]);
     let first = rng.range_usize(points.len());
     let mut centers = points.select(&[first]);
-    let mut tracker = CostTracker::new(points, &centers, &exec);
+    let mut tracker = CostTracker::new(points, &centers, &exec).unwrap();
     let mut traj = vec![tracker.potential()];
     for _ in 0..rounds {
         let phi = tracker.potential();
@@ -45,7 +45,7 @@ fn phi_trajectory(points: &PointMatrix, l: f64, rounds: usize, seed: u64) -> Vec
         for &i in &new_rows {
             centers.push(points.row(i)).unwrap();
         }
-        tracker.update(&centers, from, &exec);
+        tracker.update(points, &centers, from, &exec).unwrap();
         traj.push(tracker.potential());
     }
     traj
@@ -156,7 +156,7 @@ fn expected_samples_per_round_is_l() {
         let mut rng = Rng::derive(s, &[90]);
         let first = rng.range_usize(points.len());
         let centers = points.select(&[first]);
-        let tracker = CostTracker::new(points, &centers, &exec);
+        let tracker = CostTracker::new(points, &centers, &exec).unwrap();
         let phi = tracker.potential();
         let count = tracker
             .d2()
