@@ -59,8 +59,8 @@ fn bench_out_of_core_grid(c: &mut Criterion) {
         });
     }
 
-    // Disk-backed: a budget of ~2 blocks (streaming) vs the whole file
-    // (everything cached after pass one).
+    // Disk-backed: a budget of 2 blocks (one pinned, the rest streamed)
+    // vs the whole file (every block pinned and lent after pass one).
     let path = std::env::temp_dir().join("kmeans_bench_oocore.skmb");
     write_block_file(&path, &points, 1_024).unwrap();
     let block_bytes = (1_024 * points.dim() * 8) as u64;

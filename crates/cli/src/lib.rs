@@ -524,7 +524,7 @@ fn fit(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 return Err(CliError::Usage(
                     "--mem-budget only applies to chunked block-file input \
                      (csv keeps exactly one block resident; `skm convert` first \
-                     to get a budgeted cache)"
+                     to keep as many blocks resident as the budget holds)"
                         .into(),
                 ));
             }

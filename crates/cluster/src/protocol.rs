@@ -162,7 +162,7 @@ pub struct WorkerStats {
     pub peak_bytes: u64,
     /// Blocks decoded from the worker's backing store.
     pub loads: u64,
-    /// Block reads served from the worker's cache.
+    /// Block reads served from blocks the worker's source held resident.
     pub hits: u64,
     /// Configured memory budget (`u64::MAX` when the source enforces
     /// none).

@@ -9,13 +9,15 @@
 //! §1 made executable: each k-means|| round (Algorithm 2), each Lloyd
 //! iteration (§3.1), and each assignment pass is **one scan** over the
 //! blocks of the data, with per-block parallelism on the existing shard
-//! [`Executor`]. A [`ChunkedSource`] is read block by block into a reused
-//! buffer; resident rows are **one block at row 0, lent by reference** —
-//! never copied — so a resident fit runs the very same passes. Only
-//! `O(n)` *scalar* working state (the `d²` array, the nearest-center ids,
-//! the labels) stays resident — never the `O(n·d)` feature payload of a
-//! chunked source, which is the part that outgrows RAM at the paper's
-//! scales (KDDCup1999: 4.8 M × 42 doubles).
+//! [`Executor`]. A [`ChunkedSource`] is visited block by block, each block
+//! lent when the source holds it resident ([`ChunkedSource::lend_block`])
+//! and otherwise read into a reused buffer; resident rows are **one block
+//! at row 0, lent by reference** — never copied — so a resident fit runs
+//! the very same passes. Besides `O(n)` *scalar* working state (the `d²`
+//! array, the nearest-center ids, the labels), a chunked fit keeps no
+//! more of the `O(n·d)` feature payload resident than its source's
+//! budget holds — the payload is the part that outgrows RAM at the
+//! paper's scales (KDDCup1999: 4.8 M × 42 doubles).
 //!
 //! The local backend ([`crate::driver::LocalBackend`]) and the
 //! distributed workers in `kmeans-cluster` both call these passes, so a
@@ -125,24 +127,23 @@ impl<'a> LocalData<'a> {
         }
     }
 
-    /// Block `b`: the resident rows themselves, or the source's block
-    /// read into `buf`.
+    /// Block `b`: the resident rows themselves, or the source's block —
+    /// lent if the source holds it resident, otherwise read into `buf`
+    /// ([`ChunkedSource::lend_block`]).
     fn block<'b>(&self, b: usize, buf: &'b mut PointMatrix) -> Result<&'b PointMatrix, KMeansError>
     where
         'a: 'b,
     {
         match *self {
             LocalData::Resident { points, .. } => Ok(points),
-            LocalData::Blocks(source) => {
-                source.read_block(b, buf).map_err(source_err)?;
-                Ok(buf)
-            }
+            LocalData::Blocks(source) => source.lend_block(b, buf).map_err(source_err),
         }
     }
 
     /// Drives one full pass: hands every block, in row order, to
-    /// `f(first_row, block)`. Resident rows are one block, lent; a source
-    /// is read into one reused buffer. Public so out-of-crate stages (the
+    /// `f(first_row, block)`. Resident rows are one block, lent; a
+    /// source's blocks are lent or read into one reused buffer
+    /// ([`ChunkedSource::lend_block`]). Public so out-of-crate stages (the
     /// streaming seeders) share the same pass loop and error mapping.
     pub fn for_each_block<F>(&self, mut f: F) -> Result<(), KMeansError>
     where
@@ -199,12 +200,13 @@ impl<'a> LocalData<'a> {
 
     /// Fetches the rows at `indices` (any order, duplicates allowed) into
     /// `out` (cleared first; its dimensionality must match), preserving
-    /// the request order. Needed blocks are read once each, in ascending
-    /// order, into `buf` (from [`LocalData::block_buffer`]) — a budgeted
-    /// source's cache absorbs repeats; resident rows are copied straight
-    /// out. Allocation-free in steady state when `buf` and `out` are
-    /// reused across calls, which keeps repeated mini-batch gathers off
-    /// the allocator.
+    /// the request order. Needed blocks are visited once each, in
+    /// ascending order — lent when the source holds them resident (a
+    /// budgeted block file's pinned prefix), otherwise read into `buf`
+    /// (from [`LocalData::block_buffer`]); resident rows are copied
+    /// straight out. Allocation-free in steady state when `buf` and `out`
+    /// are reused across calls, which keeps repeated mini-batch gathers
+    /// off the allocator.
     pub fn gather_rows_into(
         &self,
         indices: &[usize],

@@ -732,10 +732,11 @@ pub fn drive_lloyd(
 /// the distributed realization essentially free.
 ///
 /// The random gather pattern is where backends diverge in *cost*: a
-/// budgeted `BlockFileSource` serves repeated blocks from its cache,
-/// `CsvSource` re-parses every touched block per batch (convert large
-/// CSVs with `skm convert` first), and a cluster ships each batch over
-/// the wire.
+/// budgeted `BlockFileSource` lends the blocks of its pinned prefix (a
+/// uniform batch hits them at the pinned fraction of the file) and
+/// decodes the rest, `CsvSource` re-parses every touched block per batch
+/// (convert large CSVs with `skm convert` first), and a cluster ships
+/// each batch over the wire.
 ///
 /// Returns the refined centers plus the batch-assignment [`KernelStats`]
 /// accumulated across all steps.

@@ -20,16 +20,23 @@
 //! [`BlockFileSource`], which enforces a caller-configured memory budget
 //! and reports peak residency for the out-of-core assertions in
 //! `tests/chunked_parity.rs`.
+//!
+//! The reader's residency is scan-resistant: it pins the leading blocks
+//! its budget holds — decoded once, never evicted, lent to passes without
+//! a copy — and decodes every other block straight into the caller's
+//! buffer through one staging buffer. A pass over the file (every k-means||
+//! round and Lloyd iteration is one) then pays only for the blocks past
+//! the pinned prefix, where an LRU cache smaller than the file would pay
+//! for every block (see [`BlockFileSource`]).
 
 use crate::chunked::{check_block_buffer, ChunkedSource, Residency};
 use crate::error::DataError;
 use crate::matrix::PointMatrix;
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// File magic identifying the format (see module docs).
 pub const BLOCK_FILE_MAGIC: [u8; 8] = *b"SKMBLK01";
@@ -231,37 +238,82 @@ pub fn is_block_file(path: impl AsRef<Path>) -> bool {
     file.read_exact(&mut magic).is_ok() && magic == BLOCK_FILE_MAGIC
 }
 
-/// One cached decoded block; `tick` is the last-use stamp LRU eviction
-/// compares.
-struct CacheEntry {
-    data: Vec<f64>,
-    tick: u64,
-}
+/// Bytes of the staging buffer every block decode goes through, rounded
+/// down to whole rows (at least one).
+const STAGE_BYTES: usize = 64 * 1024;
 
-/// LRU cache + accounting state behind the reader's interior mutability.
-/// Lookup is O(1) (hits are the hot path — one per gather on cached
-/// blocks); the least-recently-used scan runs only when a miss must evict.
+/// The file, the staging buffer and the accounting, behind the reader's
+/// mutex.
 struct ReaderState {
     file: File,
-    cache: HashMap<usize, CacheEntry>,
-    cache_bytes: u64,
-    tick: u64,
+    /// Raw bytes of whole rows — at least one if the file has a row —
+    /// allocated once, at open.
+    stage: Vec<u8>,
+    /// Bytes of the pinned blocks loaded so far.
+    pinned_bytes: u64,
     stats: Residency,
+}
+
+impl ReaderState {
+    /// Decodes `count` rows from data row `first` into `out`, one staged
+    /// read at a time: no per-block allocation, no intermediate copy.
+    fn decode(
+        &mut self,
+        first: usize,
+        count: usize,
+        out: &mut PointMatrix,
+    ) -> Result<(), DataError> {
+        let row_bytes = out.dim() * 8;
+        let offset = HEADER_BYTES + first as u64 * row_bytes as u64;
+        self.file.seek(SeekFrom::Start(offset))?;
+        let mut remaining = count * row_bytes;
+        while remaining > 0 {
+            let take = remaining.min(self.stage.len());
+            self.file.read_exact(&mut self.stage[..take])?;
+            out.extend_from_le_bytes(&self.stage[..take])?;
+            remaining -= take;
+        }
+        self.stats.loads += 1;
+        Ok(())
+    }
+
+    /// Records one read's residency: the pinned blocks plus the `filled`
+    /// bytes it decoded or copied into the caller's buffer.
+    fn settle(&mut self, filled: u64, budget_bytes: u64) {
+        let resident = self.pinned_bytes + filled;
+        self.stats.peak_bytes = self.stats.peak_bytes.max(resident);
+        debug_assert!(self.stats.peak_bytes <= budget_bytes);
+    }
 }
 
 /// Budgeted [`ChunkedSource`] over a binary block file.
 ///
 /// The memory budget covers every decoded feature block the source
-/// materializes: the block copy handed to the caller plus an internal LRU
-/// cache (capacity `budget − block_bytes`; zero cache when the budget only
-/// fits the working block). Cache misses stream-decode through a fixed
-/// staging buffer of at most 64 KiB — the only allocation outside the
-/// budget, constant regardless of block or dataset size.
+/// materializes. One block of it is the caller's buffer; the rest holds
+/// the **pinned prefix**, blocks `0..P`: every block if the rest holds
+/// the payload, else `P = ⌊(budget − block_bytes) / block_bytes⌋`. A
+/// pinned block is decoded on first use and never evicted:
+/// [`ChunkedSource::lend_block`] lends it, `read_block` copies it out.
+/// Every other block is read with one seek and decoded straight into the
+/// caller's buffer through a staging buffer of at most 64 KiB (one row,
+/// if a row is larger), allocated at open and kept outside the budget:
+/// constant regardless of block or dataset size.
+///
+/// A prefix, not an LRU cache: every pass visits blocks in ascending
+/// order, and an LRU smaller than the file evicts each block just before
+/// the scan comes back to it, so it never hits. Pinned blocks stay, so
+/// each pass hits the pinned fraction; a scan and a uniform gather hit
+/// any fixed set at the same rate, and a prefix needs no bookkeeping.
+///
 /// [`ChunkedSource::residency`] reports the peak, and
 /// `peak_bytes ≤ budget` is an invariant — a dataset larger than the
-/// budget streams, it is never fully resident.
+/// budget streams, it is never fully resident. A budget that holds the
+/// whole file pins every block, so a pass that only borrows blocks peaks
+/// at exactly the payload.
 pub struct BlockFileSource {
     state: Mutex<ReaderState>,
+    /// Slot `b` holds block `b` of the pinned prefix once it was used.
+    pinned: Vec<OnceLock<PointMatrix>>,
     rows: usize,
     dim: usize,
     block_rows: usize,
@@ -314,8 +366,9 @@ impl BlockFileSource {
                     DataError::Format(format!("header implies an impossibly large {what} size"))
                 })
         };
+        let payload_bytes = checked_bytes(rows as u64, "payload")?;
         let expected = HEADER_BYTES
-            .checked_add(checked_bytes(rows as u64, "payload")?)
+            .checked_add(payload_bytes)
             .ok_or_else(|| DataError::Format("header implies an impossibly large file".into()))?;
         let actual = file.metadata()?.len();
         if actual < expected {
@@ -330,17 +383,30 @@ impl BlockFileSource {
                  ({block_rows} rows x {dim} dims)"
             )));
         }
+        // One block of the budget is the caller's buffer; the rest pins
+        // the leading blocks it holds — every block, if it holds the
+        // payload (the last block may be short).
+        let room = budget_bytes - block_bytes;
+        let pinned = if room >= payload_bytes {
+            rows.div_ceil(block_rows) as u64
+        } else {
+            room / block_bytes
+        };
+        // Whole rows, and no more than the file holds (a zero-row file
+        // gets an empty stage it never reads through).
+        let row_bytes = dim * 8;
+        let stage_rows = (STAGE_BYTES / row_bytes).clamp(1, block_rows).min(rows);
         Ok(BlockFileSource {
             state: Mutex::new(ReaderState {
                 file,
-                cache: HashMap::new(),
-                cache_bytes: 0,
-                tick: 0,
+                stage: vec![0; stage_rows * row_bytes],
+                pinned_bytes: 0,
                 stats: Residency {
                     budget_bytes: Some(budget_bytes),
                     ..Residency::default()
                 },
             }),
+            pinned: (0..pinned).map(|_| OnceLock::new()).collect(),
             rows,
             dim,
             block_rows,
@@ -356,6 +422,37 @@ impl BlockFileSource {
     /// Total feature payload on disk in bytes (`rows · dim · 8`).
     pub fn payload_bytes(&self) -> u64 {
         (self.rows as u64) * (self.dim as u64) * 8
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ReaderState> {
+        self.state.lock().expect("BlockFileSource state poisoned")
+    }
+
+    /// Block `block` if it is in the pinned prefix, decoded into its slot
+    /// on first use under the reader's lock, so it loads once. `copied`
+    /// says whether the caller copies it into its own buffer, which the
+    /// residency accounting counts.
+    fn pinned_block(&self, block: usize, copied: bool) -> Result<Option<&PointMatrix>, DataError> {
+        let Some(slot) = self.pinned.get(block) else {
+            return Ok(None);
+        };
+        let range = self.block_range(block);
+        let bytes = (range.len() * self.dim * 8) as u64;
+        let mut state = self.lock();
+        let pinned = match slot.get() {
+            Some(pinned) => {
+                state.stats.hits += 1;
+                pinned
+            }
+            None => {
+                let mut fresh = PointMatrix::with_capacity(self.dim, range.len());
+                state.decode(range.start, range.len(), &mut fresh)?;
+                state.pinned_bytes += bytes;
+                slot.get_or_init(|| fresh)
+            }
+        };
+        state.settle(if copied { bytes } else { 0 }, self.budget_bytes);
+        Ok(Some(pinned))
     }
 }
 
@@ -374,78 +471,31 @@ impl ChunkedSource for BlockFileSource {
 
     fn read_block(&self, block: usize, out: &mut PointMatrix) -> Result<(), DataError> {
         check_block_buffer(self.dim, out)?;
-        let range = self.block_range(block);
-        let values = range.len() * self.dim;
-        let block_bytes = (values * 8) as u64;
-        let mut state = self.state.lock().expect("BlockFileSource state poisoned");
-        let state = &mut *state;
-        state.tick += 1;
-
         out.clear();
-        if let Some(entry) = state.cache.get_mut(&block) {
-            // Hit: serve from cache and stamp most-recently-used.
-            entry.tick = state.tick;
-            out.extend_from_flat(&entry.data)?;
-            state.stats.hits += 1;
-        } else {
-            // Miss: one seek, then stream-decode straight into `out`
-            // through a small fixed staging buffer, so a miss never
-            // materializes more than the caller's block copy (plus the
-            // ≤64 KiB stage, excluded from the feature-byte accounting).
-            let offset = HEADER_BYTES + (range.start as u64) * (self.dim as u64) * 8;
-            state.file.seek(SeekFrom::Start(offset))?;
-            let row_bytes = self.dim * 8;
-            let stage_rows = (64 * 1024 / row_bytes).clamp(1, range.len());
-            let mut raw = vec![0u8; stage_rows * row_bytes];
-            let mut decoded: Vec<f64> = Vec::with_capacity(stage_rows * self.dim);
-            let mut remaining = range.len();
-            while remaining > 0 {
-                let take = remaining.min(stage_rows);
-                let chunk = &mut raw[..take * row_bytes];
-                state.file.read_exact(chunk)?;
-                decoded.clear();
-                for bytes in chunk.chunks_exact(8) {
-                    decoded.push(f64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-                }
-                out.extend_from_flat(&decoded)?;
-                remaining -= take;
-            }
-            state.stats.loads += 1;
-            // Cache within budget: capacity is what remains after the
-            // caller's working copy.
-            let capacity = self.budget_bytes - ((self.block_rows * self.dim * 8) as u64);
-            if block_bytes <= capacity {
-                while state.cache_bytes + block_bytes > capacity {
-                    let oldest = *state
-                        .cache
-                        .iter()
-                        .min_by_key(|(_, e)| e.tick)
-                        .expect("cache_bytes > 0 implies a cached entry")
-                        .0;
-                    let evicted = state.cache.remove(&oldest).expect("key just found");
-                    state.cache_bytes -= (evicted.data.len() * 8) as u64;
-                }
-                state.cache_bytes += block_bytes;
-                state.cache.insert(
-                    block,
-                    CacheEntry {
-                        data: out.as_slice().to_vec(),
-                        tick: state.tick,
-                    },
-                );
-            }
+        if let Some(pinned) = self.pinned_block(block, true)? {
+            return out.extend_from(pinned);
         }
-        let resident = state.cache_bytes + block_bytes;
-        state.stats.peak_bytes = state.stats.peak_bytes.max(resident);
-        debug_assert!(state.stats.peak_bytes <= self.budget_bytes);
+        let range = self.block_range(block);
+        let mut state = self.lock();
+        state.decode(range.start, range.len(), out)?;
+        state.settle((range.len() * self.dim * 8) as u64, self.budget_bytes);
         Ok(())
     }
 
+    fn lend_block<'s>(
+        &'s self,
+        block: usize,
+        buf: &'s mut PointMatrix,
+    ) -> Result<&'s PointMatrix, DataError> {
+        if let Some(pinned) = self.pinned_block(block, false)? {
+            return Ok(pinned);
+        }
+        self.read_block(block, buf)?;
+        Ok(buf)
+    }
+
     fn residency(&self) -> Residency {
-        self.state
-            .lock()
-            .expect("BlockFileSource state poisoned")
-            .stats
+        self.lock().stats
     }
 }
 
@@ -527,6 +577,86 @@ mod tests {
         let r = source.residency();
         assert_eq!(r.loads, 4, "each block decoded once");
         assert_eq!(r.hits, 8, "subsequent passes served from cache");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn cyclic_scan_hits_the_pinned_prefix() {
+        let path = tmp("cyclic.skmb");
+        let m = matrix(64, 2);
+        write_block_file(&path, &m, 4).unwrap(); // 16 blocks of 64 B
+        let budget = 6 * 64; // one working block + 5 pinned
+        let source = BlockFileSource::open(&path, budget).unwrap();
+        let mut buf = source.block_buffer();
+        for _ in 0..4 {
+            for b in 0..source.num_blocks() {
+                source.read_block(b, &mut buf).unwrap();
+                let first = source.block_range(b).start;
+                assert_eq!(buf.as_slice(), &m.as_slice()[first * 2..(first + 4) * 2]);
+            }
+        }
+        let r = source.residency();
+        // Pass one loads all 16 blocks; each later pass hits the 5 pinned
+        // and decodes the other 11 (an LRU of 5 blocks would hit none).
+        assert_eq!(r.loads, 5 + 4 * 11);
+        assert_eq!(r.hits, 3 * 5);
+        assert!(r.peak_bytes <= budget, "peak {}", r.peak_bytes);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn pinned_blocks_are_lent_and_the_rest_read_into_the_buffer() {
+        let path = tmp("lend.skmb");
+        write_block_file(&path, &matrix(38, 3), 4).unwrap(); // 10 blocks, 96 B full
+        let budget = 4 * 96; // one working block + 3 pinned
+        let source = BlockFileSource::open(&path, budget).unwrap();
+        let (mut a, mut b, mut copy) = (
+            PointMatrix::new(3),
+            PointMatrix::new(3),
+            source.block_buffer(),
+        );
+        let first = source.lend_block(1, &mut a).unwrap();
+        let again = source.lend_block(1, &mut b).unwrap();
+        assert!(
+            std::ptr::eq(first, again),
+            "a pinned block is lent, not copied"
+        );
+        source.read_block(1, &mut copy).unwrap();
+        assert_eq!(first, &copy);
+
+        let mut buf = source.block_buffer();
+        let buf_at: *const PointMatrix = &buf;
+        let streamed = source.lend_block(7, &mut buf).unwrap();
+        assert!(
+            std::ptr::eq(streamed, buf_at),
+            "past the prefix: the caller's buffer"
+        );
+        source.read_block(7, &mut copy).unwrap();
+        assert_eq!(streamed, &copy);
+
+        for pass in 0..2 {
+            for blk in 0..source.num_blocks() {
+                if (blk + pass) % 2 == 0 {
+                    source.lend_block(blk, &mut buf).unwrap();
+                } else {
+                    source.read_block(blk, &mut buf).unwrap();
+                }
+                let peak = source.residency().peak_bytes;
+                assert!(peak <= budget, "block {blk}: peak {peak}");
+            }
+        }
+
+        // A budget holding the file pins every block, the short last one
+        // included; a pass that only borrows peaks at the payload.
+        let whole = BlockFileSource::open(&path, source.payload_bytes() + 96).unwrap();
+        for _ in 0..2 {
+            for blk in 0..whole.num_blocks() {
+                whole.lend_block(blk, &mut buf).unwrap();
+            }
+        }
+        let r = whole.residency();
+        assert_eq!((r.loads, r.hits), (10, 10));
+        assert_eq!(r.peak_bytes, whole.payload_bytes());
         std::fs::remove_file(path).unwrap();
     }
 

@@ -19,8 +19,10 @@
 //!   at open time; exactly one block of parsed floats is resident at a
 //!   time.
 //! * [`BlockFileSource`](crate::blockfile::BlockFileSource) — binary block
-//!   file reader with a configurable memory budget and an LRU block cache
-//!   (see [`crate::blockfile`]).
+//!   file reader with a configurable memory budget: it keeps the leading
+//!   blocks its budget holds resident and lends them, and decodes every
+//!   other block straight into the caller's buffer (see
+//!   [`crate::blockfile`]).
 //!
 //! Residency accounting: every source reports a [`Residency`] snapshot —
 //! the peak number of feature bytes it ever materialized at once — which
@@ -97,6 +99,21 @@ pub trait ChunkedSource: fmt::Debug + Send + Sync {
     /// `block_range(block).len()` rows.
     fn read_block(&self, block: usize, out: &mut PointMatrix) -> Result<(), DataError>;
 
+    /// Block `block`, lent when the source holds it resident, otherwise
+    /// read into `buf` (as [`ChunkedSource::read_block`]) and returned.
+    ///
+    /// The default always reads into `buf`. A source that keeps blocks
+    /// resident overrides it so a pass visits them without a copy; the
+    /// rows are the same either way.
+    fn lend_block<'s>(
+        &'s self,
+        block: usize,
+        buf: &'s mut PointMatrix,
+    ) -> Result<&'s PointMatrix, DataError> {
+        self.read_block(block, buf)?;
+        Ok(buf)
+    }
+
     /// A correctly-dimensioned, block-sized reusable read buffer.
     fn block_buffer(&self) -> PointMatrix {
         PointMatrix::with_capacity(self.dim(), self.block_rows())
@@ -115,12 +132,14 @@ pub trait ChunkedSource: fmt::Debug + Send + Sync {
 /// dataset size may be far larger.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Residency {
-    /// Maximum feature bytes the source ever materialized at once
-    /// (internal cache plus the block being handed to the caller).
+    /// Maximum feature bytes the source ever materialized at once: the
+    /// blocks it holds resident, plus the block it is filling into the
+    /// caller's buffer, if any.
     pub peak_bytes: u64,
-    /// Blocks decoded from the backing store (cache misses included).
+    /// Blocks decoded from the backing store.
     pub loads: u64,
-    /// Block reads served from the source's internal cache.
+    /// Block reads served from blocks the source already held resident,
+    /// whether lent or copied out.
     pub hits: u64,
     /// The configured memory budget, if the source enforces one.
     pub budget_bytes: Option<u64>,

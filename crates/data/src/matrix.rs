@@ -182,6 +182,27 @@ impl PointMatrix {
         Ok(())
     }
 
+    /// Appends rows decoded from little-endian `f64` bytes (the block
+    /// file's payload form), straight into the matrix with no intermediate
+    /// buffer.
+    ///
+    /// Fails with [`DataError::RaggedBuffer`] — its `len` the byte count,
+    /// its `dim` the row width in bytes — if `bytes` does not hold whole
+    /// rows; nothing is appended then.
+    pub(crate) fn extend_from_le_bytes(&mut self, bytes: &[u8]) -> Result<(), DataError> {
+        let row_bytes = self.dim * 8;
+        if !bytes.len().is_multiple_of(row_bytes) {
+            return Err(DataError::RaggedBuffer {
+                len: bytes.len(),
+                dim: row_bytes,
+            });
+        }
+        let (values, _) = bytes.as_chunks::<8>();
+        self.data
+            .extend(values.iter().map(|&v| f64::from_le_bytes(v)));
+        Ok(())
+    }
+
     /// Appends all rows of `other`.
     pub fn extend_from(&mut self, other: &PointMatrix) -> Result<(), DataError> {
         if other.dim != self.dim {
@@ -339,6 +360,36 @@ mod tests {
             m.extend_from_flat(&[1.0]),
             Err(DataError::RaggedBuffer { len: 1, dim: 2 })
         ));
+    }
+
+    #[test]
+    fn le_bytes_decode_whole_rows_bit_for_bit() {
+        let values = [
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(0x7ff8_dead_beef_0001), // NaN with a payload
+            f64::from_bits(0xfff8_0000_0000_0001), // NaN, sign set
+            f64::INFINITY,
+        ];
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let mut m = PointMatrix::from_flat(vec![7.0, 8.0], 2).unwrap();
+        m.extend_from_le_bytes(&bytes).unwrap();
+        assert_eq!(m.len(), 4);
+        let got: Vec<u64> = m.as_slice()[2..].iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+        // Not whole 16-byte rows: 20 bytes are not even whole values.
+        for len in [20, 8, 24] {
+            assert!(
+                matches!(
+                    m.extend_from_le_bytes(&bytes[..len]),
+                    Err(DataError::RaggedBuffer { len: l, dim: 16 }) if l == len
+                ),
+                "{len} bytes"
+            );
+        }
+        assert_eq!(m.len(), 4, "a ragged decode appends nothing");
     }
 
     #[test]

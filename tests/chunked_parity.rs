@@ -145,50 +145,56 @@ fn fit_chunked_matches_fit_through_the_builder() {
 
 /// The out-of-core acceptance criterion: a dataset larger than the memory
 /// budget completes, never exceeds the budget (peak-resident accounting),
-/// and still reproduces the in-memory centers bit-for-bit.
+/// and still reproduces the in-memory centers bit-for-bit — whether the
+/// budget pins no block, a few, or the whole file.
 #[test]
 fn block_file_run_stays_within_budget_and_matches_in_memory() {
     let points = gauss(4096, 10, 5); // 4096 × 15 × 8 B = 491 520 B payload
     let path = tmp("oocore.skmb");
-    write_block_file(&path, &points, 512).unwrap(); // 61 440 B per block
-
-    let budget = 64 * 1024; // far below the 480 KiB payload
-    let source = BlockFileSource::open(&path, budget).unwrap();
-    assert!(
-        source.payload_bytes() > budget,
-        "dataset must exceed budget"
-    );
+    write_block_file(&path, &points, 512).unwrap(); // 8 blocks of 61 440 B
+    let block_bytes = 512 * 15 * 8;
+    let payload = 4096 * 15 * 8;
 
     let base = KMeans::params(10).seed(13).shard_size(256);
     let mem = base.clone().fit(&points).unwrap();
-    let chunked = base
-        .clone()
-        .data_source_shared(Arc::new(source))
-        .fit_chunked()
-        .unwrap();
-    assert_models_bit_identical(&mem, &chunked, "block file");
-
-    // Re-open to read the final accounting off a fresh run (the builder
-    // consumed the first handle's Arc clone — inspect via a shared one).
-    let source = Arc::new(BlockFileSource::open(&path, budget).unwrap());
-    let model = base
-        .data_source_shared(Arc::clone(&source) as Arc<dyn ChunkedSource>)
-        .fit_chunked()
-        .unwrap();
-    assert_eq!(model.centers(), mem.centers());
-    let r = source.residency();
-    assert!(r.loads > 0, "must actually stream blocks");
-    assert!(
-        r.peak_bytes <= budget,
-        "peak resident {} exceeds budget {budget}",
-        r.peak_bytes
-    );
-    assert!(
-        r.peak_bytes < source.payload_bytes(),
-        "peak {} not smaller than payload {}",
-        r.peak_bytes,
-        source.payload_bytes()
-    );
+    // (budget, blocks it pins): one block is the working buffer.
+    for (budget, pinned) in [
+        (64 * 1024, 0),             // far below the payload
+        (4 * block_bytes, 3),       // streams the other 5 blocks
+        (payload + block_bytes, 8), // the whole file
+    ] {
+        let source = Arc::new(BlockFileSource::open(&path, budget).unwrap());
+        assert_eq!(source.payload_bytes(), payload);
+        let chunked = base
+            .clone()
+            .data_source_shared(Arc::clone(&source) as Arc<dyn ChunkedSource>)
+            .fit_chunked()
+            .unwrap();
+        assert_models_bit_identical(&mem, &chunked, &format!("block file, budget {budget}"));
+        let r = source.residency();
+        assert!(r.loads > 0, "must actually stream blocks");
+        assert!(
+            r.peak_bytes <= budget,
+            "peak resident {} exceeds budget {budget}",
+            r.peak_bytes
+        );
+        assert_eq!(r.hits > 0, pinned > 0, "budget {budget}: hits {}", r.hits);
+        if pinned < source.num_blocks() {
+            assert!(
+                r.peak_bytes < source.payload_bytes(),
+                "peak {} not smaller than payload {}",
+                r.peak_bytes,
+                source.payload_bytes()
+            );
+            // The pinned blocks plus the one a miss decodes into.
+            assert_eq!(r.peak_bytes, (pinned as u64 + 1) * block_bytes);
+        } else {
+            // Every block decoded once and lent ever after: the fit holds
+            // exactly the payload, never a copy of a block besides.
+            assert_eq!(r.loads, source.num_blocks() as u64);
+            assert_eq!(r.peak_bytes, source.payload_bytes());
+        }
+    }
     std::fs::remove_file(path).unwrap();
 }
 
