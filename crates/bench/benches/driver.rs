@@ -16,10 +16,10 @@
 //! resolves its thread count once, from the machine, when it is built.
 //!
 //! `KMEANS_BENCH_QUICK=1` shrinks the grid and measurement windows for
-//! the CI smoke, and additionally asserts two gates: the round-count
-//! budget (wire round trips are exactly reproducible on any machine —
-//! see the quick block below) and that the in-memory kmeans-par+lloyd
-//! fit takes at most 8x the committed
+//! the CI smoke, and additionally asserts two gates: the distributed
+//! rows' exact wire counters (bytes, data passes and round trips are
+//! deterministic on any machine — see `QUICK_COUNTERS`) and that the
+//! in-memory kmeans-par+lloyd fit takes at most 8x the committed
 //! `driver_gauss_n4096_k8/kmeans-par+lloyd/in-memory` row of
 //! `BENCH_driver.json`. Wall-clock gates across machines are
 //! inherently coarse — see the quick-mode block below for what that
@@ -47,6 +47,15 @@ const BASELINE_ROW: &str = "driver_gauss_n4096_k8/kmeans-par+lloyd/in-memory";
 /// The gate's factor: 8x the committed 4.66 ms is 37.3 ms, no looser than
 /// the 38.6 ms (2x 19.3 ms) the gate allowed before it moved here.
 const RUNAWAY_FACTOR: u128 = 8;
+
+/// The quick grid's exact distributed counters — (row, bytes on the wire,
+/// data passes, wire round trips) — as two quick runs of this bench read
+/// them, identically. They are deterministic on any machine, so a drift
+/// by one byte or one round fails CI.
+const QUICK_COUNTERS: [(&str, u64, u64, u64); 2] = [
+    ("kmeans-par+lloyd/distributed-w2", 77_158, 9, 10),
+    ("kmeans-par+minibatch/distributed-w2", 327_540, 8, 10),
+];
 
 fn slice_rows(points: &PointMatrix, start: usize, rows: usize) -> PointMatrix {
     let dim = points.dim();
@@ -232,14 +241,10 @@ fn main() {
     // byte/round counters accumulate across iterations, so measure
     // outside the timing loop.
     let mut wire: Vec<(String, u64, u64, u64)> = Vec::new();
-    let mut lloyd_round_trips: Option<u64> = None;
     for method in &methods {
         for &workers in worker_grid {
             let (mut cluster, handles) = spawn_cluster(&points, workers);
             (method.builder)().fit_distributed(&mut cluster).unwrap();
-            if method.name == "kmeans-par+lloyd" {
-                lloyd_round_trips = Some(cluster.round_trips());
-            }
             wire.push((
                 format!("{}/distributed-w{workers}", method.name),
                 cluster.bytes_sent() + cluster.bytes_received(),
@@ -285,21 +290,28 @@ fn main() {
     write_merged_driver(path, &records);
 
     if quick {
-        // CI smoke, part 1: the round-count regression gate. Unlike wall
-        // clock, wire round trips are exactly reproducible on any
-        // machine: the fused k-means|| + capped-Lloyd conversation costs
-        // 1 initial gather + 5 fused tracker+sample compounds + 1 fused
-        // tracker+weights compound + 1 potential + 5 Lloyd assignments
-        // + 1 closing label-shipping assignment = 14. Any change that
-        // sneaks an extra blocking round into the conversation fails
+        // CI smoke, part 1: the wire counters, exactly. Unlike wall clock,
+        // bytes, data passes and round trips reproduce on any machine.
+        // The fused k-means|| + capped-Lloyd conversation costs 1 initial
+        // gather + 5 fused tracker+sample compounds + 1 fused
+        // tracker+weights compound + 1 potential round + the Lloyd
+        // assignments (at most 5, plus 1 closing label-shipping one): 10
+        // here, where Lloyd is stable on its second pass, and never more
+        // than 14. Any change that sneaks in a round or a byte fails
         // here deterministically.
-        let trips = lloyd_round_trips.expect("quick grid always runs kmeans-par+lloyd");
-        assert!(
-            trips <= 14,
-            "kmeans-par+lloyd distributed conversation took {trips} wire round trips \
-             (budget: 14) — a round snuck back into the fused driver"
-        );
-        println!("quick smoke: kmeans-par+lloyd round_trips {trips} (budget 14)");
+        for (row, bytes, passes, trips) in QUICK_COUNTERS {
+            let got = wire
+                .iter()
+                .find(|(id, ..)| id == row)
+                .map(|&(_, b, p, t)| (b, p, t));
+            assert_eq!(
+                got,
+                Some((bytes, passes, trips)),
+                "{row}: (bytes on the wire, data passes, round trips) drifted from \
+                 the pinned ({bytes}, {passes}, {trips})"
+            );
+            println!("quick smoke: {row} {bytes} B, {passes} passes, {trips} round trips (exact)");
+        }
 
         // CI smoke, part 2: the in-memory path must stay within a
         // runaway bound of the committed trajectory, the same capped fit

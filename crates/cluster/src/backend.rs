@@ -6,20 +6,21 @@
 //!
 //! Every round-level call maps onto one coordinator conversation
 //! ([`Cluster`]'s broadcast/collect methods), one frame per worker. The
-//! backend holds no algorithm state of its own — tracker slices and
-//! labels live on the workers, every order-sensitive fold happens in
-//! [`Cluster`] over worker-ordered (= global-shard-ordered) partials, and
-//! every scalar RNG decision stays in the driver. That split is the whole
-//! bit-parity argument (see `docs/ARCHITECTURE.md`, "Driver layer").
+//! backend holds no algorithm state of its own: each worker serves one
+//! `LocalBackend` part over its rows (tracker slice and labels
+//! included), [`Cluster`] folds the parts with the same core fold
+//! functions a local fit uses, and every scalar RNG decision stays in the
+//! driver. That split is the whole bit-parity argument (see
+//! `docs/ARCHITECTURE.md`, "Driver layer"). The input contract is the
+//! trait's shape check over the global `(n, dim)`.
 //!
 //! Errors: typed clustering failures relayed from workers pass through
 //! unchanged (a distributed fit reports the *same*
 //! `NonFiniteData { point, dim }` a single-node fit would); transport
 //! failures surface as `KMeansError::Data` via the standard
-//! [`ClusterError`] conversion — a value, never a hang.
+//! [`ClusterError`](crate::ClusterError) conversion — a value, never a hang.
 
-use crate::coordinator::Cluster;
-use crate::error::ClusterError;
+use crate::coordinator::{Cluster, SessionMirror};
 use kmeans_core::assign::ClusterSums;
 use kmeans_core::driver::{
     BackendKind, Broadcast, LabelFetch, RoundBackend, TrackerOut, TrackerRead,
@@ -70,22 +71,16 @@ impl<'a> ClusterBackend<'a> {
 
     fn ensure_planned(&mut self) -> Result<(), KMeansError> {
         if let Some(shard_size) = self.pending_plan.take() {
-            self.cluster.plan(shard_size).map_err(flatten)?;
+            self.cluster.plan(shard_size)?;
         }
         Ok(())
     }
 
     /// Brings the workers to the state a resumed fit's journal replayed
     /// (see [`Cluster::catch_up`]), planning first if deferred.
-    pub fn catch_up(
-        &mut self,
-        segments: Vec<PointMatrix>,
-        last_assign: Option<PointMatrix>,
-    ) -> Result<(), KMeansError> {
+    pub fn catch_up(&mut self, mirror: SessionMirror) -> Result<(), KMeansError> {
         self.ensure_planned()?;
-        self.cluster
-            .catch_up(segments, last_assign)
-            .map_err(flatten)
+        Ok(self.cluster.catch_up(mirror)?)
     }
 
     /// Serves a gather from the preload cache when every requested row
@@ -105,10 +100,6 @@ impl<'a> ClusterBackend<'a> {
     }
 }
 
-fn flatten(e: ClusterError) -> KMeansError {
-    KMeansError::from(e)
-}
-
 impl RoundBackend for ClusterBackend<'_> {
     fn kind(&self) -> BackendKind {
         BackendKind::Distributed
@@ -122,40 +113,6 @@ impl RoundBackend for ClusterBackend<'_> {
         self.cluster.dim()
     }
 
-    fn validate(&self, k: usize) -> Result<(), KMeansError> {
-        let n = self.cluster.global_n();
-        if n == 0 {
-            return Err(KMeansError::EmptyInput);
-        }
-        if k == 0 || k > n {
-            return Err(KMeansError::InvalidK { k, n });
-        }
-        // Finiteness is checked by the workers on their first full pass,
-        // which reports the global point index — same deferred contract
-        // as the chunked backend.
-        Ok(())
-    }
-
-    fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError> {
-        let n = self.cluster.global_n();
-        if n == 0 {
-            return Err(KMeansError::EmptyInput);
-        }
-        if centers.is_empty() || centers.len() > n {
-            return Err(KMeansError::InvalidK {
-                k: centers.len(),
-                n,
-            });
-        }
-        if self.cluster.dim() != centers.dim() {
-            return Err(KMeansError::DimensionMismatch {
-                expected: self.cluster.dim(),
-                got: centers.dim(),
-            });
-        }
-        Ok(())
-    }
-
     fn wire_bytes(&self) -> Option<u64> {
         // Monotonic across worker re-dials: retired transports fold
         // their totals into the per-worker counters on replacement.
@@ -167,7 +124,7 @@ impl RoundBackend for ClusterBackend<'_> {
             Some(cached) => cached?,
             None => {
                 self.ensure_planned()?;
-                self.cluster.gather_rows(indices).map_err(flatten)?
+                self.cluster.gather_rows(indices)?
             }
         };
         Ok(())
@@ -178,7 +135,7 @@ impl RoundBackend for ClusterBackend<'_> {
         let mut unique: Vec<usize> = indices.to_vec();
         unique.sort_unstable();
         unique.dedup();
-        let rows = self.cluster.gather_rows(&unique).map_err(flatten)?;
+        let rows = self.cluster.gather_rows(&unique)?;
         let map: HashMap<usize, usize> = unique.into_iter().zip(0..).collect();
         self.preload = Some((map, rows));
         Ok(())
@@ -190,7 +147,7 @@ impl RoundBackend for ClusterBackend<'_> {
         read: TrackerRead,
     ) -> Result<(f64, TrackerOut), KMeansError> {
         self.ensure_planned()?;
-        self.cluster.tracker_round(broadcast, read).map_err(flatten)
+        Ok(self.cluster.tracker_round(broadcast, read)?)
     }
 
     fn assign(
@@ -199,11 +156,11 @@ impl RoundBackend for ClusterBackend<'_> {
         fetch: LabelFetch,
     ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
         self.ensure_planned()?;
-        self.cluster.assign(centers, fetch).map_err(flatten)
+        Ok(self.cluster.assign(centers, fetch)?)
     }
 
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
         self.ensure_planned()?;
-        self.cluster.potential(centers).map_err(flatten)
+        Ok(self.cluster.potential(centers)?)
     }
 }

@@ -15,8 +15,9 @@
 //! RNG re-advances through the exact same sequence, and at the first
 //! un-journaled round the backend *catches the cluster up* — one
 //! [`Cluster::catch_up`](crate::Cluster::catch_up) round trip replaying
-//! the tracker broadcast sequence and the last assignment's centers,
-//! mirrored from the replayed arguments, in the same catch-up frame
+//! the [`SessionMirror`] its replayed rounds recorded (the tracker
+//! broadcast sequence and the last assignment's centers, by the same
+//! rules the cluster's own mirror follows), in the same catch-up frame
 //! worker recovery sends — and goes live.
 //!
 //! One record per round-level call, so a job killed mid-round resumes at
@@ -34,6 +35,7 @@
 //! header additionally pins seed/k/n/dim/shard-size, checked at load.
 
 use crate::backend::ClusterBackend;
+use crate::coordinator::SessionMirror;
 use crate::wire::{fnv1a, Dec, Enc, FrameError};
 use kmeans_core::assign::ClusterSums;
 use kmeans_core::driver::{
@@ -421,10 +423,9 @@ pub struct CheckpointingBackend<'a, 'c> {
     /// Whether the cluster has been materialized to the journal's
     /// frontier (true once live).
     caught_up: bool,
-    /// Mirrors of the replayed broadcast arguments, handed to the
+    /// The session state the replayed rounds built, handed to the
     /// cluster once at the replay→live transition.
-    segments: Vec<PointMatrix>,
-    last_assign: Option<PointMatrix>,
+    mirror: SessionMirror,
 }
 
 impl<'a, 'c> CheckpointingBackend<'a, 'c> {
@@ -436,8 +437,7 @@ impl<'a, 'c> CheckpointingBackend<'a, 'c> {
             inner,
             ckpt,
             caught_up: false,
-            segments: Vec::new(),
-            last_assign: None,
+            mirror: SessionMirror::default(),
         }
     }
 
@@ -449,8 +449,7 @@ impl<'a, 'c> CheckpointingBackend<'a, 'c> {
         if self.ckpt.cursor >= self.ckpt.records.len() {
             if !self.caught_up {
                 self.caught_up = true;
-                let segments = std::mem::take(&mut self.segments);
-                self.inner.catch_up(segments, self.last_assign.take())?;
+                self.inner.catch_up(std::mem::take(&mut self.mirror))?;
             }
             return Ok(None);
         }
@@ -496,14 +495,6 @@ impl RoundBackend for CheckpointingBackend<'_, '_> {
         self.inner.dim()
     }
 
-    fn validate(&self, k: usize) -> Result<(), KMeansError> {
-        self.inner.validate(k)
-    }
-
-    fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError> {
-        self.inner.validate_refine(centers)
-    }
-
     fn wire_bytes(&self) -> Option<u64> {
         // Replayed (journal-served) rounds move no wire bytes, so a
         // resumed fit's trace shows zero-byte spans for them — the
@@ -533,13 +524,7 @@ impl RoundBackend for CheckpointingBackend<'_, '_> {
         let fingerprint = tracker_round_fingerprint(broadcast, read);
         if let Some(payload) = self.replay(K_TRACKER_ROUND, fingerprint)? {
             let result = decode_tracker_result(payload)?;
-            match broadcast {
-                Broadcast::Init(centers) => self.segments = vec![centers.clone()],
-                Broadcast::Update { rows, .. } if !rows.is_empty() => {
-                    self.segments.push(rows.clone())
-                }
-                Broadcast::Update { .. } => {}
-            }
+            self.mirror.record_tracker(broadcast);
             return Ok(result);
         }
         let (phi, out) = self.inner.tracker_round(broadcast, read)?;
@@ -559,7 +544,7 @@ impl RoundBackend for CheckpointingBackend<'_, '_> {
         let fingerprint = assign_fingerprint(centers, fetch);
         if let Some(payload) = self.replay(K_ASSIGN, fingerprint)? {
             let result = decode_assign_result(payload)?;
-            self.last_assign = Some(centers.clone());
+            self.mirror.record_assign(centers);
             return Ok(result);
         }
         let (reassigned, sums, labels) = self.inner.assign(centers, fetch)?;

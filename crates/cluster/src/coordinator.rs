@@ -1,16 +1,21 @@
 //! The coordinator's view of a worker cluster: connection bookkeeping,
-//! the broadcast/collect conversation, and the order-sensitive folds.
+//! the broadcast/collect conversation, and the mapping of worker replies
+//! onto the parts the round folds merge.
 //!
-//! **Bit-parity discipline.** Workers only ever ship *per-shard* partial
-//! quantities (per-executor-shard `Σ d²` sums, per-accumulation-shard
-//! assignment partials, per-shard samples); every order-sensitive
-//! floating-point fold happens here, over the concatenation of worker
-//! payloads in worker order — which equals global shard order because
-//! worker row ranges are contiguous, in order, and validated to start on
-//! the shard grid ([`Cluster::plan`]). That is the whole argument for
-//! `fit_distributed` being bit-identical to `fit`/`fit_chunked` for any
-//! worker count: the same values are folded in the same order, just
-//! computed on more machines.
+//! **Bit-parity discipline.** Each worker serves one
+//! [`LocalBackend`](kmeans_core::driver::LocalBackend) part over its rows
+//! and ships what the part returns: per-shard partial quantities of the
+//! global grid (per-executor-shard `Σ d²` sums, per-accumulation-shard
+//! assignment partials, per-shard samples). The coordinator decodes the
+//! replies into parts, in worker order, and folds them with the very
+//! functions a local fit folds its one part with
+//! ([`fold_tracker_round`], [`fold_assign`], [`fold_shard_sums`]). Worker
+//! order equals global shard order because worker row ranges are
+//! contiguous, in order, and validated to start on the shard grid
+//! ([`Cluster::plan`]). That is the whole argument for `fit_distributed`
+//! being bit-identical to `fit`/`fit_chunked` for any worker count: the
+//! same parts' partials are folded by the same code in the same order,
+//! just computed on more machines.
 //!
 //! **Fault tolerance.** With a recovery path configured
 //! ([`Cluster::set_recovery`]; [`Cluster::connect`] installs one that
@@ -18,24 +23,26 @@
 //! disconnect, I/O error, malformed frame — triggers a bounded
 //! re-ask: the coordinator obtains a replacement transport for the dead
 //! worker's slot, re-handshakes, re-sends the plan, replays the session
-//! state the lost worker held as one catch-up `Compound` (the exact
-//! tracker segment sequence, then an `Assign` against the last
-//! assignment's centers), and re-sends the in-flight round request. A
-//! resumed checkpoint catches the whole fleet up with the same frame
-//! ([`Cluster::catch_up`]). Because workers hold no order-sensitive fold
-//! state — only deterministic functions of (shard data, replayed
-//! broadcasts) — the recovered fit is bit-identical to the zero-failure
-//! run. Attempts are bounded by [`RetryPolicy`]; exhaustion is the typed
+//! state the lost worker held as one catch-up `Compound` (its
+//! [`SessionMirror`]: the exact tracker segment sequence, then an
+//! `Assign` against the last assignment's centers), and re-sends the
+//! in-flight round request. A resumed checkpoint catches the whole fleet
+//! up with the same frame ([`Cluster::catch_up`]). Because workers hold
+//! no order-sensitive fold state — only deterministic functions of
+//! (shard data, replayed broadcasts) — the recovered fit is
+//! bit-identical to the zero-failure run. Attempts are bounded by
+//! [`RetryPolicy`]; exhaustion is the typed
 //! [`ClusterError::RecoveryFailed`], never a hang.
 
 use crate::error::ClusterError;
 use crate::protocol::{Message, WorkerStats};
 use crate::transport::Transport;
 use kmeans_core::assign::{sum_shard_size_for, ClusterSums};
-use kmeans_core::chunked::fold_accum_shards;
-use kmeans_core::driver::{Broadcast, LabelFetch, SampleSpec, TrackerOut, TrackerRead};
-use kmeans_core::init::bernoulli_accept;
-use kmeans_core::kernel::KernelStats;
+use kmeans_core::cost::fold_shard_sums;
+use kmeans_core::driver::{
+    fold_assign, fold_tracker_round, AssignPart, Broadcast, LabelFetch, ReadPart, TrackerOut,
+    TrackerPart, TrackerRead,
+};
 use kmeans_data::PointMatrix;
 use kmeans_obs::{arg_u64, Recorder};
 use std::time::{Duration, Instant};
@@ -73,39 +80,73 @@ fn roundtrip(w: &mut WorkerConn, msg: &Message) -> Result<Message, ClusterError>
     w.transport.recv()
 }
 
-/// The catch-up frame that brings a fresh worker session to the state a
-/// committed conversation left: the tracker `segments` as
-/// `InitTracker`/`UpdateTracker`, then `Assign { last_assign, Skip }` —
-/// a cold pass on the fresh session, which rebuilds the labels the next
-/// warm pass reads (its `Partials` were folded long ago and are
-/// discarded). Returns the frame and its arity, or `None` when there is
-/// nothing to catch up. The frame holds the whole candidate set plus one
-/// center set.
-fn catch_up_frame(
-    segments: &[PointMatrix],
-    last_assign: Option<&PointMatrix>,
-) -> Option<(Message, usize)> {
-    let mut items = Vec::with_capacity(segments.len() + 1);
-    let mut from = 0u64;
-    for (i, seg) in segments.iter().enumerate() {
-        items.push(if i == 0 {
-            Message::InitTracker {
-                centers: seg.clone(),
-            }
-        } else {
-            Message::UpdateTracker {
-                from,
-                centers: seg.clone(),
-            }
-        });
-        from += seg.len() as u64;
+/// The session state every worker holds — its tracker and its labels —
+/// mirrored as the broadcasts that built it, for one catch-up frame.
+/// [`Cluster`] keeps one for worker recovery; a resumed checkpoint
+/// rebuilds one from its journal and hands it to [`Cluster::catch_up`].
+#[derive(Clone, Debug, Default)]
+pub struct SessionMirror {
+    /// The exact candidate segment sequence: replayed verbatim, it
+    /// rebuilds the tracker bit for bit, nearest-candidate tie-breaks
+    /// (which depend on the segment boundaries) included.
+    segments: Vec<PointMatrix>,
+    /// Centers of the last assignment pass: replayed cold, they rebuild
+    /// the labels the next warm pass reads and counts moves against.
+    last_assign: Option<PointMatrix>,
+}
+
+impl SessionMirror {
+    /// Records a committed tracker broadcast: `Init` starts the segments
+    /// over, a non-empty `Update` appends one.
+    pub fn record_tracker(&mut self, broadcast: Broadcast<'_>) {
+        match broadcast {
+            Broadcast::Init(centers) => self.segments = vec![centers.clone()],
+            Broadcast::Update { rows, .. } if !rows.is_empty() => self.segments.push(rows.clone()),
+            Broadcast::Update { .. } => {}
+        }
     }
-    items.extend(last_assign.map(|centers| Message::Assign {
-        centers: centers.clone(),
-        labels: LabelFetch::Skip,
-    }));
-    let arity = items.len();
-    (arity > 0).then_some((Message::Compound(items), arity))
+
+    /// Records a committed assignment pass's centers.
+    pub fn record_assign(&mut self, centers: &PointMatrix) {
+        self.last_assign = Some(centers.clone());
+    }
+
+    /// The catch-up frame and its arity (`None`: nothing to catch up):
+    /// the segments as `InitTracker`/`UpdateTracker`, then
+    /// `Assign { last_assign, Skip }`, whose `Partials` were folded long
+    /// ago and are discarded. It holds the whole candidate set plus one
+    /// center set.
+    fn frame(&self) -> Option<(Message, usize)> {
+        let mut items = Vec::with_capacity(self.segments.len() + 1);
+        let mut from = 0u64;
+        for (i, seg) in self.segments.iter().enumerate() {
+            items.push(if i == 0 {
+                Message::InitTracker {
+                    centers: seg.clone(),
+                }
+            } else {
+                Message::UpdateTracker {
+                    from,
+                    centers: seg.clone(),
+                }
+            });
+            from += seg.len() as u64;
+        }
+        items.extend(self.last_assign.as_ref().map(|centers| Message::Assign {
+            centers: centers.clone(),
+            labels: LabelFetch::Skip,
+        }));
+        let arity = items.len();
+        (arity > 0).then_some((Message::Compound(items), arity))
+    }
+}
+
+/// A worker answered with the wrong kind of reply (`None`: no reply).
+fn unexpected(worker: usize, got: Option<&Message>, want: &str) -> ClusterError {
+    let got = got.map_or("nothing", Message::name);
+    ClusterError::Protocol(format!(
+        "worker {worker} answered with {got} instead of {want}"
+    ))
 }
 
 pub use crate::retry::RetryPolicy;
@@ -152,17 +193,9 @@ pub struct Cluster {
     round_trips: u64,
     blocked_wall: Duration,
     recovery: Option<Recovery>,
-    /// Replay mirror: the exact `InitTracker`/`UpdateTracker` candidate
-    /// segment sequence broadcast so far (updated only after a round
-    /// fully succeeds). A replacement worker replays it verbatim, so its
-    /// tracker — including nearest-candidate tie-breaks, which depend on
-    /// the segment boundaries — is bit-identical to the lost worker's.
-    tracker_segments: Vec<PointMatrix>,
-    /// Replay mirror: centers of the last completed assignment pass, so
-    /// a replacement can rebuild its labels (the catch-up `Assign`, a
-    /// cold pass on its fresh session) and the next `Assign` counts
-    /// reassignments exactly as the lost worker would have.
-    last_assign: Option<PointMatrix>,
+    /// The session state the workers hold, for a replacement worker's
+    /// catch-up.
+    mirror: SessionMirror,
     /// Flight recorder for the conversation tier: one span per worker
     /// broadcast, instant events for recovery (re-dial, replay, adopt).
     /// Disabled by default — observes only, never affects results.
@@ -219,8 +252,7 @@ impl Cluster {
             round_trips: 0,
             blocked_wall: Duration::ZERO,
             recovery: None,
-            tracker_segments: Vec::new(),
-            last_assign: None,
+            mirror: SessionMirror::default(),
             recorder: Recorder::disabled(),
         })
     }
@@ -337,21 +369,9 @@ impl Cluster {
         self.data_passes = 0;
         self.round_trips = 0;
         self.blocked_wall = Duration::ZERO;
-        self.tracker_segments.clear();
-        self.last_assign = None;
-        let dim = self.dim as u32;
-        let global_n = self.global_n as u64;
-        let plans: Vec<Message> = self
-            .workers
-            .iter()
-            .map(|w| Message::Plan {
-                global_n,
-                start_row: w.start_row as u64,
-                shard_size: shard_size as u64,
-                dim,
-            })
-            .collect();
+        self.mirror = SessionMirror::default();
         let n = self.workers.len();
+        let plans: Vec<Message> = (0..n).map(|slot| self.plan_for(slot)).collect();
         let mut early: Vec<Option<Message>> = std::iter::repeat_with(|| None).take(n).collect();
         for i in 0..n {
             if let Err(e) = self.workers[i].transport.send(&plans[i]) {
@@ -388,6 +408,16 @@ impl Cluster {
             }
         }
         Ok(())
+    }
+
+    /// Worker `slot`'s `Plan` under the planned shard size.
+    fn plan_for(&self, slot: usize) -> Message {
+        Message::Plan {
+            global_n: self.global_n as u64,
+            start_row: self.workers[slot].start_row as u64,
+            shard_size: self.shard_size as u64,
+            dim: self.dim as u32,
+        }
     }
 
     /// Whether a failure class is worth a recovery attempt: transport
@@ -469,12 +499,7 @@ impl Cluster {
         self.workers[slot].retired_received += old.bytes_received();
         drop(old);
         if self.shard_size > 0 {
-            let plan = Message::Plan {
-                global_n: self.global_n as u64,
-                start_row: self.workers[slot].start_row as u64,
-                shard_size: self.shard_size as u64,
-                dim: self.dim as u32,
-            };
+            let plan = self.plan_for(slot);
             match roundtrip(&mut self.workers[slot], &plan)? {
                 Message::PlanOk => {}
                 other => {
@@ -486,9 +511,7 @@ impl Cluster {
             // Replay the exact broadcast sequence the lost worker saw,
             // then its labels, as one frame; the replies were already
             // folded before the failure and are discarded here.
-            if let Some((frame, arity)) =
-                catch_up_frame(&self.tracker_segments, self.last_assign.as_ref())
-            {
+            if let Some((frame, arity)) = self.mirror.frame() {
                 let reply = roundtrip(&mut self.workers[slot], &frame)?;
                 Self::unpack_compound(slot, reply, arity)?;
             }
@@ -498,8 +521,8 @@ impl Cluster {
         // re-asked request, so a recovered round's extra
         // wall time is visible in the trace next to the recover:redial
         // instants.
-        let segments = self.tracker_segments.len() as u64;
-        let restored = self.last_assign.is_some() as u64;
+        let segments = self.mirror.segments.len() as u64;
+        let restored = self.mirror.last_assign.is_some() as u64;
         self.recorder
             .span(adopt_span, "recover:adopt", CLUSTER_CAT, || {
                 vec![
@@ -600,51 +623,20 @@ impl Cluster {
         });
     }
 
-    /// Collects `ShardSums` replies into one global per-shard list (worker
-    /// order = shard order) — the input to the potential fold.
-    fn request_shard_sums(&mut self, msg: &Message) -> Result<Vec<f64>, ClusterError> {
-        let replies = self.request_all(msg)?;
-        let mut all = Vec::new();
-        for (i, r) in replies.into_iter().enumerate() {
-            match r {
-                Message::ShardSums { sums } => all.extend(sums),
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered with {other:?} instead of ShardSums"
-                    )))
-                }
-            }
-        }
-        self.data_passes += 1;
-        Ok(all)
-    }
-
-    /// The shard-ordered left fold — bit-identical to the single-node
-    /// fold of the same per-shard values (the tracker's `map_reduce`
-    /// resum, the folded potential pass).
-    fn fold(sums: Vec<f64>) -> f64 {
-        sums.into_iter().reduce(|a, b| a + b).unwrap_or(0.0)
-    }
-
     /// Brings every worker to the session state a resumed fit's journal
-    /// replayed — the tracker `segments` and the `last_assign` centers —
-    /// with the same catch-up `Compound` recovery sends a replacement
-    /// worker: one fleet round trip, none when there is nothing to catch
-    /// up. The mirrors are installed once every worker has committed it.
-    pub fn catch_up(
-        &mut self,
-        segments: Vec<PointMatrix>,
-        last_assign: Option<PointMatrix>,
-    ) -> Result<(), ClusterError> {
-        if let Some((frame, arity)) = catch_up_frame(&segments, last_assign.as_ref()) {
+    /// replayed, mirrored in `mirror`, with the same catch-up `Compound`
+    /// recovery sends a replacement worker: one fleet round trip, none
+    /// when there is nothing to catch up. The mirror is installed once
+    /// every worker has committed it.
+    pub fn catch_up(&mut self, mirror: SessionMirror) -> Result<(), ClusterError> {
+        if let Some((frame, arity)) = mirror.frame() {
             let replies = self.request_all(&frame)?;
             for (i, r) in replies.into_iter().enumerate() {
                 Self::unpack_compound(i, r, arity)?;
             }
             self.data_passes += arity as u64;
         }
-        self.tracker_segments = segments;
-        self.last_assign = last_assign;
+        self.mirror = mirror;
         Ok(())
     }
 
@@ -676,202 +668,63 @@ impl Cluster {
                     items.len()
                 )))
             }
-            other => Err(ClusterError::Protocol(format!(
-                "worker {worker} answered with {other:?} instead of Compound"
-            ))),
+            other => Err(unexpected(worker, Some(&other), "Compound")),
         }
     }
 
     /// One k-means|| tracker round as one `Compound` frame per worker:
     /// the broadcast (`InitTracker` or `UpdateTracker`, possibly with no
     /// rows) fused with its read (`SampleBernoulliLocal`, `SampleExact`,
-    /// `CandidateWeights`, `GatherD2`, or none). Folds the global
-    /// potential from the `ShardSums` parts (worker order = shard order)
-    /// and resolves the read against that *folded* potential.
-    ///
-    /// Bernoulli parity argument: workers prescreen with their local
-    /// left-folded `φ_lo` — a guaranteed lower bound on the global folded
-    /// φ (non-negative summands; folding the same segment from a larger
-    /// initial accumulator never decreases the result), and acceptance
-    /// `u < ℓ·d²/φ` is monotone non-increasing in φ — so the true accept
-    /// set is a subset of the prescreen set. The coordinator re-applies
-    /// the exact test with the exact per-point draw `u` the worker
-    /// consumed, so the sample is bit-identical to drawing against the
-    /// folded φ directly — after an empty update too, where φ is the
-    /// same fold of unchanged d².
+    /// `CandidateWeights`, `GatherD2`, or none). Decodes each worker's
+    /// replies into its [`TrackerPart`] and folds the parts, in worker
+    /// order, with [`fold_tracker_round`] — the fold a local fit runs on
+    /// its one part. A Bernoulli read rides the frame of the update that
+    /// changes φ because each part prescreens against its own φ, a lower
+    /// bound on the folded one, and the fold replays the exact test
+    /// ([`sample_bernoulli_prescreen`](kmeans_core::init::sample_bernoulli_prescreen)).
     pub fn tracker_round(
         &mut self,
         broadcast: Broadcast<'_>,
         read: TrackerRead,
     ) -> Result<(f64, TrackerOut), ClusterError> {
-        let (tracker_msg, segment) = match broadcast {
+        let tracker_msg = match broadcast {
             Broadcast::Init(centers) => {
                 // A new tracker: the old segments describe nothing the
                 // workers will hold once this round commits.
-                self.tracker_segments.clear();
-                let msg = Message::InitTracker {
+                self.mirror.segments.clear();
+                Message::InitTracker {
                     centers: centers.clone(),
-                };
-                (msg, centers)
+                }
             }
-            Broadcast::Update { from, rows } => {
-                let msg = Message::UpdateTracker {
-                    from: from as u64,
-                    centers: rows.clone(),
-                };
-                (msg, rows)
-            }
+            Broadcast::Update { from, rows } => Message::UpdateTracker {
+                from: from as u64,
+                centers: rows.clone(),
+            },
         };
-        let mut items = vec![tracker_msg];
-        items.extend(match read {
-            TrackerRead::Nothing => None,
-            TrackerRead::Sample {
-                round,
-                seed,
-                spec: SampleSpec::Bernoulli { l },
-            } => Some(Message::SampleBernoulliLocal {
-                round: round as u64,
-                seed,
-                l,
-            }),
-            TrackerRead::Sample {
-                round,
-                seed,
-                spec: SampleSpec::ExactKeys { m },
-            } => Some(Message::SampleExact {
-                round: round as u64,
-                seed,
-                m: m as u64,
-            }),
-            TrackerRead::Weights { m } => Some(Message::CandidateWeights { m: m as u64 }),
-            TrackerRead::D2 => Some(Message::GatherD2),
-        });
+        let items: Vec<Message> = std::iter::once(tracker_msg)
+            .chain(Message::read_request(read))
+            .collect();
         let arity = items.len();
         let replies = self.request_all(&Message::Compound(items))?;
-        let mut sums = Vec::new();
         let mut parts = Vec::with_capacity(replies.len());
         for (i, r) in replies.into_iter().enumerate() {
             let mut items = Self::unpack_compound(i, r, arity)?.into_iter();
-            match items.next() {
-                Some(Message::ShardSums { sums: s }) => sums.extend(s),
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered tracker step with {other:?} instead of ShardSums"
-                    )))
-                }
-            }
-            parts.extend(items.next().map(|part| (i, part)));
+            let sums = match items.next() {
+                Some(Message::ShardSums { sums }) => sums,
+                other => return Err(unexpected(i, other.as_ref(), "ShardSums")),
+            };
+            let read = match items.next().map(Message::into_read_part) {
+                None => ReadPart::Nothing,
+                Some(Ok(part)) => part,
+                Some(Err(other)) => return Err(unexpected(i, Some(&other), "a read")),
+            };
+            let rows = self.workers[i].rows;
+            parts.push(TrackerPart { rows, sums, read });
         }
         self.data_passes += 1;
-        // The round committed on every worker: its segment joins the
-        // replay mirror (an empty update leaves nothing to replay).
-        if !segment.is_empty() {
-            self.tracker_segments.push(segment.clone());
-        }
-        let phi = Self::fold(sums);
-        let out = self.resolve_read(read, phi, parts)?;
-        Ok((phi, out))
-    }
-
-    /// Merges the per-worker read parts of a tracker round (worker order
-    /// = global row order) into what the driver asked for.
-    fn resolve_read(
-        &self,
-        read: TrackerRead,
-        phi: f64,
-        parts: Vec<(usize, Message)>,
-    ) -> Result<TrackerOut, ClusterError> {
-        let unexpected = |i: usize, other: Message, want: &str| {
-            ClusterError::Protocol(format!(
-                "worker {i} answered read step with {other:?} instead of {want}"
-            ))
-        };
-        Ok(match read {
-            TrackerRead::Nothing => TrackerOut::Nothing,
-            TrackerRead::Sample {
-                spec: SampleSpec::Bernoulli { l },
-                ..
-            } => {
-                let mut indices = Vec::new();
-                let mut rows = PointMatrix::new(self.dim);
-                for (i, part) in parts {
-                    let Message::Prescreened {
-                        entries,
-                        rows: picked,
-                    } = part
-                    else {
-                        return Err(unexpected(i, part, "Prescreened"));
-                    };
-                    if entries.len() != picked.len() {
-                        return Err(ClusterError::Protocol(format!(
-                            "worker {i} prescreened {} entries but shipped {} rows",
-                            entries.len(),
-                            picked.len()
-                        )));
-                    }
-                    for (j, (g, u, d2)) in entries.into_iter().enumerate() {
-                        if bernoulli_accept(u, l, d2, phi) {
-                            indices.push(g as usize);
-                            rows.push(picked.row(j)).map_err(|e| {
-                                ClusterError::Protocol(format!(
-                                    "worker {i} prescreened ragged rows: {e}"
-                                ))
-                            })?;
-                        }
-                    }
-                }
-                TrackerOut::Picked { indices, rows }
-            }
-            TrackerRead::Sample {
-                spec: SampleSpec::ExactKeys { .. },
-                ..
-            } => {
-                let mut keys = Vec::new();
-                for (i, part) in parts {
-                    let Message::ExactKeys { entries } = part else {
-                        return Err(unexpected(i, part, "ExactKeys"));
-                    };
-                    keys.extend(entries.into_iter().map(|(key, g)| (key, g as usize)));
-                }
-                TrackerOut::Keys(keys)
-            }
-            TrackerRead::Weights { m } => {
-                let mut total = vec![0.0f64; m];
-                for (i, part) in parts {
-                    let Message::Weights { weights } = part else {
-                        return Err(unexpected(i, part, "Weights"));
-                    };
-                    if weights.len() != m {
-                        return Err(ClusterError::Protocol(format!(
-                            "worker {i} sent {} weights for {m} candidates",
-                            weights.len()
-                        )));
-                    }
-                    for (acc, w) in total.iter_mut().zip(weights) {
-                        // Integer-valued counts: float addition is exact.
-                        *acc += w;
-                    }
-                }
-                TrackerOut::Weights(total)
-            }
-            TrackerRead::D2 => {
-                let mut d2 = Vec::with_capacity(self.global_n);
-                for (i, part) in parts {
-                    let Message::D2 { values } = part else {
-                        return Err(unexpected(i, part, "D2"));
-                    };
-                    d2.extend(values);
-                }
-                if d2.len() != self.global_n {
-                    return Err(ClusterError::Protocol(format!(
-                        "workers returned {} d² values for {} rows",
-                        d2.len(),
-                        self.global_n
-                    )));
-                }
-                TrackerOut::D2(d2)
-            }
-        })
+        // The round committed on every worker.
+        self.mirror.record_tracker(broadcast);
+        Ok(fold_tracker_round(read, self.dim, parts)?)
     }
 
     /// Fetches rows by global index from their owning workers, preserving
@@ -934,9 +787,7 @@ impl Cluster {
                     });
                 }
                 Ok(other) => {
-                    first_err.get_or_insert(ClusterError::Protocol(format!(
-                        "worker {w} answered with {other:?} instead of Rows"
-                    )));
+                    first_err.get_or_insert(unexpected(w, Some(&other), "Rows"));
                 }
                 Err(e) => {
                     first_err.get_or_insert(e);
@@ -964,12 +815,12 @@ impl Cluster {
         Ok(out)
     }
 
-    /// One distributed assignment pass: returns the global reassignment
-    /// count and the folded [`ClusterSums`] — bit-identical to the
-    /// single-node assignment pass on the same centers, the kernel work
-    /// counters included (workers ship them in the partials frames; the
-    /// counters are deterministic per point, so their sum over workers
-    /// equals the single-node pass's).
+    /// One distributed assignment pass: decodes each worker's `Partials`
+    /// into its [`AssignPart`] and folds
+    /// the parts with [`fold_assign`] — bit-identical to the single-node
+    /// assignment pass on the same centers, the kernel work counters
+    /// included (they are deterministic per point, so their sum over
+    /// workers equals the single-node pass's).
     ///
     /// `want` piggybacks label shipping on the same round trip:
     /// `Always` makes every worker append its labels to the partials
@@ -982,80 +833,53 @@ impl Cluster {
         centers: &PointMatrix,
         want: LabelFetch,
     ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), ClusterError> {
-        let k = centers.len();
-        let d = self.dim;
         let replies = self.request_all(&Message::Assign {
             centers: centers.clone(),
             labels: want,
         })?;
-        let mut reassigned = 0u64;
-        let mut all_shards = Vec::new();
-        let mut stats = KernelStats::default();
-        let mut per_worker_labels = Vec::with_capacity(self.workers.len());
+        let mut parts = Vec::with_capacity(replies.len());
         for (i, r) in replies.into_iter().enumerate() {
-            match r {
-                Message::Partials {
-                    reassigned: re,
-                    shards,
-                    stats: worker_stats,
-                    labels,
-                } => {
-                    reassigned += re;
-                    all_shards.extend(shards);
-                    stats.absorb(worker_stats);
-                    per_worker_labels.push(labels);
-                }
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} answered with {other:?} instead of Partials"
-                    )))
-                }
-            }
+            let Message::Partials {
+                reassigned,
+                shards,
+                stats,
+                labels,
+            } = r
+            else {
+                return Err(unexpected(i, Some(&r), "Partials"));
+            };
+            let rows = self.workers[i].rows;
+            parts.push(AssignPart {
+                rows,
+                reassigned,
+                shards,
+                stats,
+                labels,
+            });
         }
-        for s in &all_shards {
-            if s.sums.len() != k * d || s.counts.len() != k {
-                return Err(ClusterError::Protocol(
-                    "assignment partial has the wrong shape".into(),
-                ));
-            }
-        }
-        let labels = if want.owed(reassigned) {
-            let mut all = Vec::with_capacity(self.global_n);
-            for (i, l) in per_worker_labels.into_iter().enumerate() {
-                match l {
-                    Some(l) => all.extend(l),
-                    None => {
-                        return Err(ClusterError::Protocol(format!(
-                            "worker {i} omitted labels from an assignment that requires them"
-                        )))
-                    }
-                }
-            }
-            if all.len() != self.global_n {
-                return Err(ClusterError::Protocol(format!(
-                    "workers returned {} labels for {} rows",
-                    all.len(),
-                    self.global_n
-                )));
-            }
-            Some(all)
-        } else {
-            None
-        };
         self.data_passes += 1;
-        let mut sums = fold_accum_shards(k, d, &all_shards);
-        sums.stats = stats;
-        self.last_assign = Some(centers.clone());
-        Ok((reassigned, sums, labels))
+        let folded = fold_assign(centers.len(), self.dim, want, parts)?;
+        self.mirror.record_assign(centers);
+        Ok(folded)
     }
 
     /// Global potential of `centers` over all workers' rows (with the
-    /// finiteness check) — bit-identical to the single-node potential.
+    /// finiteness check): the [`fold_shard_sums`] of every worker's
+    /// `ShardSums`, in worker order = shard order — bit-identical to the
+    /// single-node potential.
     pub fn potential(&mut self, centers: &PointMatrix) -> Result<f64, ClusterError> {
-        let sums = self.request_shard_sums(&Message::Cost {
+        let replies = self.request_all(&Message::Cost {
             centers: centers.clone(),
         })?;
-        Ok(Self::fold(sums))
+        let mut sums = Vec::new();
+        for (i, r) in replies.into_iter().enumerate() {
+            let Message::ShardSums { sums: part } = r else {
+                return Err(unexpected(i, Some(&r), "ShardSums"));
+            };
+            sums.extend(part);
+        }
+        self.data_passes += 1;
+        Ok(fold_shard_sums(sums))
     }
 
     /// Fetches every worker's residency accounting.
@@ -1066,9 +890,7 @@ impl Cluster {
             .enumerate()
             .map(|(i, r)| match r {
                 Message::Stats(s) => Ok(s),
-                other => Err(ClusterError::Protocol(format!(
-                    "worker {i} answered with {other:?} instead of Stats"
-                ))),
+                other => Err(unexpected(i, Some(&other), "Stats")),
             })
             .collect()
     }

@@ -32,7 +32,7 @@ pub use crate::wire::{fnv1a, FrameError, ReadFrameError, MAX_FRAME_PAYLOAD};
 
 use crate::wire::{Dec, Enc, WireMessage};
 use kmeans_core::chunked::AccumShard;
-use kmeans_core::driver::LabelFetch;
+use kmeans_core::driver::{LabelFetch, ReadPart, SampleSpec, TrackerRead};
 use kmeans_core::kernel::KernelStats;
 use kmeans_core::KMeansError;
 use kmeans_data::PointMatrix;
@@ -806,6 +806,115 @@ impl Message {
         max_payload: usize,
     ) -> Result<(Message, usize), ReadFrameError> {
         <Message as WireMessage>::read_frame(r, max_payload)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Round parts
+// ---------------------------------------------------------------------------
+
+/// A row index or count from the wire as `usize`: one that does not fit
+/// saturates, so it fails the range or count check it meets next instead
+/// of aliasing a smaller value.
+pub(crate) fn wire_usize(v: u64) -> usize {
+    usize::try_from(v).unwrap_or(usize::MAX)
+}
+
+/// The SKW form of a [`LocalBackend`](kmeans_core::driver::LocalBackend)
+/// part's round halves: a worker maps requests to part calls and parts to
+/// replies, the coordinator maps reads to requests and replies back to
+/// parts for the fold. Indices cross the wire as `u64`.
+impl Message {
+    /// The request a tracker round's read travels as, beside its
+    /// broadcast (none for [`TrackerRead::Nothing`]).
+    pub(crate) fn read_request(read: TrackerRead) -> Option<Message> {
+        Some(match read {
+            TrackerRead::Nothing => return None,
+            TrackerRead::Sample {
+                round,
+                seed,
+                spec: SampleSpec::Bernoulli { l },
+            } => Message::SampleBernoulliLocal {
+                round: round as u64,
+                seed,
+                l,
+            },
+            TrackerRead::Sample {
+                round,
+                seed,
+                spec: SampleSpec::ExactKeys { m },
+            } => Message::SampleExact {
+                round: round as u64,
+                seed,
+                m: m as u64,
+            },
+            TrackerRead::Weights { m } => Message::CandidateWeights { m: m as u64 },
+            TrackerRead::D2 => Message::GatherD2,
+        })
+    }
+
+    /// The read a request asks for — the inverse of
+    /// [`Message::read_request`]; `None` for every other message.
+    pub(crate) fn tracker_read(&self) -> Option<TrackerRead> {
+        let sample = |round: u64, seed: u64, spec| TrackerRead::Sample {
+            round: wire_usize(round),
+            seed,
+            spec,
+        };
+        Some(match *self {
+            Message::SampleBernoulliLocal { round, seed, l } => {
+                sample(round, seed, SampleSpec::Bernoulli { l })
+            }
+            Message::SampleExact { round, seed, m } => {
+                sample(round, seed, SampleSpec::ExactKeys { m: wire_usize(m) })
+            }
+            Message::CandidateWeights { m } => TrackerRead::Weights { m: wire_usize(m) },
+            Message::GatherD2 => TrackerRead::D2,
+            _ => return None,
+        })
+    }
+
+    /// The reply that carries a part's read (none for
+    /// [`ReadPart::Nothing`], which no request asks for).
+    pub(crate) fn read_reply(part: ReadPart) -> Option<Message> {
+        Some(match part {
+            ReadPart::Nothing => return None,
+            ReadPart::Prescreened { entries, rows } => Message::Prescreened {
+                entries: entries
+                    .into_iter()
+                    .map(|(g, u, d2)| (g as u64, u, d2))
+                    .collect(),
+                rows,
+            },
+            ReadPart::Keys(keys) => Message::ExactKeys {
+                entries: keys.into_iter().map(|(key, g)| (key, g as u64)).collect(),
+            },
+            ReadPart::Weights(weights) => Message::Weights { weights },
+            ReadPart::D2(values) => Message::D2 { values },
+        })
+    }
+
+    /// The part a read reply carries — the inverse of
+    /// [`Message::read_reply`]; any other message comes back as the error.
+    pub(crate) fn into_read_part(self) -> Result<ReadPart, Message> {
+        Ok(match self {
+            Message::Prescreened { entries, rows } => ReadPart::Prescreened {
+                entries: entries
+                    .into_iter()
+                    .map(|(g, u, d2)| (wire_usize(g), u, d2))
+                    .collect(),
+                rows,
+            },
+            Message::ExactKeys { entries } => ReadPart::Keys(
+                entries
+                    .into_iter()
+                    .map(|(key, g)| (key, wire_usize(g)))
+                    .collect(),
+            ),
+            Message::Weights { weights } => ReadPart::Weights(weights),
+            Message::D2 { values } => ReadPart::D2(values),
+            other => return Err(other),
+        })
     }
 }
 

@@ -19,9 +19,10 @@
 //! budget holds — the payload is the part that outgrows RAM at the
 //! paper's scales (KDDCup1999: 4.8 M × 42 doubles).
 //!
-//! The local backend ([`crate::driver::LocalBackend`]) and the
-//! distributed workers in `kmeans-cluster` both call these passes, so a
-//! local fit and a worker's share of a distributed one run the same code.
+//! These passes run inside a [`crate::driver::LocalBackend`] part: the
+//! local backend is one part over every row, and a distributed worker in
+//! `kmeans-cluster` serves one part over its range, so a local fit and a
+//! worker's share of a distributed one run the same code.
 //!
 //! **Bit-parity contract.** Every pass produces the same bits for any
 //! block size, resident data included (`tests/chunked_parity.rs`). Two
@@ -158,37 +159,17 @@ impl<'a> LocalData<'a> {
     }
 
     /// Shape checks of the seeding contract for `k` clusters: non-empty
-    /// data and `1 ≤ k ≤ n`. Finiteness is checked by the first full pass
-    /// instead, so it costs no pass of its own (see [`crate::cost`]).
+    /// data and `1 ≤ k ≤ n` ([`validate_shape`]). Finiteness is checked by
+    /// the first full pass instead, so it costs no pass of its own (see
+    /// [`crate::cost`]).
     pub fn validate(&self, k: usize) -> Result<(), KMeansError> {
-        if self.is_empty() {
-            return Err(KMeansError::EmptyInput);
-        }
-        if k == 0 || k > self.len() {
-            return Err(KMeansError::InvalidK { k, n: self.len() });
-        }
-        Ok(())
+        validate_shape(self.len(), self.dim(), k, self.dim())
     }
 
     /// The refinement contract: non-empty data, `1 ≤ |centers| ≤ n`,
-    /// matching dimensionality.
+    /// matching dimensionality ([`validate_shape`]).
     pub fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError> {
-        if self.is_empty() {
-            return Err(KMeansError::EmptyInput);
-        }
-        if centers.is_empty() || centers.len() > self.len() {
-            return Err(KMeansError::InvalidK {
-                k: centers.len(),
-                n: self.len(),
-            });
-        }
-        if self.dim() != centers.dim() {
-            return Err(KMeansError::DimensionMismatch {
-                expected: self.dim(),
-                got: centers.dim(),
-            });
-        }
-        Ok(())
+        validate_shape(self.len(), self.dim(), centers.len(), centers.dim())
     }
 
     /// One sequential pass rejecting the first non-finite coordinate in
@@ -265,6 +246,31 @@ impl<'a> LocalData<'a> {
         self.gather_rows_into(indices, buf, &mut out)?;
         Ok(out)
     }
+}
+
+/// The input contract on data of `n` rows × `dim` columns, for `k`
+/// centers of `center_dim` columns: non-empty data, `1 ≤ k ≤ n`, matching
+/// dimensionality. One function behind every backend's seeding check
+/// (`center_dim = dim`) and refinement check, local or distributed.
+pub fn validate_shape(
+    n: usize,
+    dim: usize,
+    k: usize,
+    center_dim: usize,
+) -> Result<(), KMeansError> {
+    if n == 0 {
+        return Err(KMeansError::EmptyInput);
+    }
+    if k == 0 || k > n {
+        return Err(KMeansError::InvalidK { k, n });
+    }
+    if dim != center_dim {
+        return Err(KMeansError::DimensionMismatch {
+            expected: dim,
+            got: center_dim,
+        });
+    }
+    Ok(())
 }
 
 /// Rejects NaN/∞ coordinates in one block, reporting the first in row
@@ -387,11 +393,12 @@ impl AccumShard {
 /// accumulation shards themselves. Scratch is sized per piece, so the
 /// pass allocates nothing row-sized beyond the labels it returns.
 ///
-/// The local backend calls this with `row_offset = 0` and
-/// `global_n = n`. Distributed workers call it on their local shard of
-/// the data (their `row_offset` is validated to sit on an
-/// accumulation-shard boundary) and ship the partials; the coordinator
-/// concatenates them in worker order and folds with
+/// A [`LocalBackend`](crate::driver::LocalBackend) part calls this on
+/// its rows: the local backend's one part with `row_offset = 0` and
+/// `global_n = n`, a distributed worker's part with its own range (its
+/// `row_offset` is validated to sit on an accumulation-shard boundary).
+/// The driver's fold ([`crate::driver::fold_assign`]) concatenates the
+/// parts' partials in row order and folds them with
 /// [`fold_accum_shards`] — the single-node fold bit for bit.
 ///
 /// The returned [`KernelStats`] account for this pass's kernel work
@@ -476,9 +483,13 @@ pub fn assign_partials(
 /// [`ClusterSums`](crate::assign::ClusterSums) — the assignment pass's
 /// reducer. [`AccumShard`]s carry no kernel counters (those travel
 /// separately, summed order-free), so the folded `stats` start at zero;
-/// callers that have them (the local backend, the distributed
-/// coordinator) stamp them afterwards.
-pub fn fold_accum_shards(k: usize, d: usize, shards: &[AccumShard]) -> crate::assign::ClusterSums {
+/// the driver's fold ([`crate::driver::fold_assign`]) adds them
+/// afterwards.
+pub fn fold_accum_shards<'s>(
+    k: usize,
+    d: usize,
+    shards: impl IntoIterator<Item = &'s AccumShard>,
+) -> crate::assign::ClusterSums {
     let mut out = crate::assign::ClusterSums {
         sums: vec![0.0; k * d],
         counts: vec![0; k],

@@ -16,10 +16,13 @@
 //!   design decision in DESIGN.md §4.
 //!
 //! The tracker owns only the `O(n)` scalar state and takes the data on
-//! each call, so the local backend and a distributed worker's session
-//! hold the same type. All passes run on the deterministic shard
-//! executor; the potential pass folds on the global shard grid with the
-//! piece loop of [`crate::chunked`].
+//! each call; it lives in a [`LocalBackend`](crate::driver::LocalBackend)
+//! part, which is what a local fit and a distributed worker both run. All
+//! passes run on the deterministic shard executor and keep per-shard
+//! `Σ d²` partials of the global grid — the tracker caches its own, the
+//! potential pass folds on the grid with the piece loop of
+//! [`crate::chunked`] — and [`fold_shard_sums`] is the one fold that
+//! turns partials into a potential, on every backend.
 //!
 //! **Finiteness for free.** A row with a NaN or infinite coordinate has no
 //! finite distance to any center, so its `d²` is `∞` (the kernel's
@@ -47,11 +50,18 @@ use kmeans_par::Executor;
 pub fn potential(points: &PointMatrix, centers: &PointMatrix, exec: &Executor) -> f64 {
     assert!(!centers.is_empty(), "potential: no centers");
     assert_eq!(points.dim(), centers.dim(), "potential: dim mismatch");
-    potential_pass(points.into(), centers, exec)
-        .expect("resident rows read without error")
-        .into_iter()
-        .reduce(|a, b| a + b)
-        .unwrap_or(0.0)
+    fold_shard_sums(
+        potential_pass(points.into(), centers, exec).expect("resident rows read without error"),
+    )
+}
+
+/// The shard-ordered left fold of per-shard `Σ d²` partials — the one
+/// fold behind every potential: the tracker's φ, the potential pass, a
+/// part's own prescreen threshold and the fold of parts across workers.
+/// Partials are non-negative, so the fold of a prefix of the grid never
+/// exceeds the fold of the whole grid.
+pub fn fold_shard_sums(sums: impl IntoIterator<Item = f64>) -> f64 {
+    sums.into_iter().reduce(|a, b| a + b).unwrap_or(0.0)
 }
 
 /// The potential pass: one sequential `Σ d²` per shard of the executor
@@ -60,11 +70,11 @@ pub fn potential(points: &PointMatrix, centers: &PointMatrix, exec: &Executor) -
 /// pass). The shard-ordered left fold of the returned values is the
 /// potential, bit for bit, for any block size.
 ///
-/// Distributed workers call this on their local row range and ship the
-/// partials; the coordinator concatenates them in worker order (= global
-/// shard order, given shard-aligned worker boundaries) and performs the
-/// fold, which is what keeps the distributed potential bit-identical to
-/// the single-node one.
+/// Every backend folds these partials with [`fold_shard_sums`]: a
+/// distributed worker's part ships them, and the coordinator folds the
+/// concatenation in worker order (= global shard order, given
+/// shard-aligned worker boundaries), which keeps the distributed
+/// potential bit-identical to the single-node one.
 pub fn potential_shard_sums(
     data: LocalData<'_>,
     centers: &PointMatrix,
@@ -125,11 +135,12 @@ pub fn weighted_potential(points: &PointMatrix, weights: &[f64], centers: &Point
 
 /// Maintains `d²(x, C)` and `argmin_c ‖x−c‖` for a growing center set `C`
 /// over the rows of a [`LocalData`], which every call takes: the tracker
-/// owns only the per-point scalar state.
+/// owns only the per-point scalar state and the per-shard `Σ d²` partials
+/// of its last pass.
 pub struct CostTracker {
     d2: Vec<f64>,
     nearest_id: Vec<u32>,
-    total: f64,
+    shard_sums: Vec<f64>,
 }
 
 impl CostTracker {
@@ -152,13 +163,13 @@ impl CostTracker {
         let mut tracker = CostTracker {
             d2: vec![0.0f64; n],
             nearest_id: vec![0u32; n],
-            total: 0.0,
+            shard_sums: Vec::new(),
         };
         let kernel = AssignKernel::new(centers);
         tracker.sweep(data, exec, |p, cn, cd| {
             kernel.assign(p.block, p.rows, cn, cd);
         })?;
-        if !tracker.total.is_finite() {
+        if !tracker.potential().is_finite() {
             data.check_finite()?;
         }
         Ok(tracker)
@@ -205,7 +216,7 @@ impl CostTracker {
 
     /// One pass over `data`: `f` runs on every executor shard of every
     /// block with that shard's `(nearest, d²)` chunks; then the cached
-    /// potential is re-summed.
+    /// shard sums are re-summed.
     fn sweep<F>(&mut self, data: LocalData<'_>, exec: &Executor, f: F) -> Result<(), KMeansError>
     where
         F: Fn(Piece<'_>, &mut [u32], &mut [f64]) + Sync,
@@ -227,21 +238,23 @@ impl CostTracker {
         Ok(())
     }
 
-    /// Recomputes the cached potential (shard-ordered sum).
+    /// Recomputes the cached per-shard sums (one sequential sum per
+    /// executor shard).
     fn resum(&mut self, exec: &Executor) {
         let d2 = &self.d2;
-        self.total = exec
-            .map_reduce(
-                d2.len(),
-                |_, range| range.map(|i| d2[i]).sum::<f64>(),
-                |a, b| a + b,
-            )
-            .unwrap_or(0.0);
+        self.shard_sums = exec.map_shards(d2.len(), |_, range| range.map(|i| d2[i]).sum::<f64>());
     }
 
-    /// The current potential `φ_X(C)`.
+    /// The current potential `φ_X(C)`: the [`fold_shard_sums`] of
+    /// [`CostTracker::shard_sums`].
     pub fn potential(&self) -> f64 {
-        self.total
+        fold_shard_sums(self.shard_sums.iter().copied())
+    }
+
+    /// The per-executor-shard `Σ d²` partials, in shard order — what a
+    /// part of a distributed fit ships for the global fold.
+    pub fn shard_sums(&self) -> &[f64] {
+        &self.shard_sums
     }
 
     /// Per-point squared distances to the nearest center.

@@ -30,8 +30,17 @@
 //!   kinds run the same local passes ([`crate::chunked`]): resident rows
 //!   are one block, lent, so every local pass exists once.
 //! * `ClusterBackend` (in `kmeans-cluster`) — a coordinator's worker
-//!   cluster speaking the SKW wire protocol; each worker runs the same
-//!   local passes on its shard.
+//!   cluster speaking the SKW wire protocol; each worker serves one
+//!   [`LocalBackend::part`] over its rows.
+//!
+//! **One part, one fold.** Each round-level call has a *part half* — a
+//! [`LocalBackend`] method over one range of rows (`broadcast_part`,
+//! `read_part`, `assign_part`, `potential_part`, `gather_part`) that
+//! returns exactly the partials a worker ships — and a *fold half* that
+//! merges parts in row order ([`fold_tracker_round`], [`fold_assign`],
+//! [`fold_shard_sums`]). `LocalBackend`'s rounds are its one part, then
+//! the fold; a worker serves its part's halves over the wire, and the
+//! coordinator folds the decoded parts with the same functions.
 //!
 //! **Bit-parity contract.** A driver's outcome is a pure function of
 //! `(data, k, config, seed, executor shard size)` — never of the
@@ -45,21 +54,21 @@
 //!    the Step 8 recluster, mini-batch index draws) run **here**, on the
 //!    driver side, on the same RNG streams for every backend (tags
 //!    20/21/30/40; per-shard sampling tags 31/32 are derived from
-//!    *global* shard indices inside the backends).
-//! 3. Order-sensitive *folds* stay shard-ordered left folds: backends
-//!    only ever produce per-shard partials of the global shard grid, and
-//!    every fold happens on the driver side of the primitive (the
-//!    tracker potentials, [`RoundBackend::assign`]'s
-//!    accumulation-shard fold).
+//!    *global* shard indices inside the parts).
+//! 3. Order-sensitive *folds* are the fold functions above, one for every
+//!    backend: parts only ever produce per-shard partials of the global
+//!    shard grid, and the fold is a shard-ordered left fold over them —
+//!    one part's partials locally, the concatenation of every worker's
+//!    on a cluster.
 
 use crate::assign::ClusterSums;
-use crate::chunked::{assign_partials, fold_accum_shards};
-use crate::cost::{potential_shard_sums, weighted_potential, CostTracker};
+use crate::chunked::{assign_partials, fold_accum_shards, validate_shape, AccumShard};
+use crate::cost::{fold_shard_sums, potential_shard_sums, weighted_potential, CostTracker};
 use crate::error::KMeansError;
 use crate::init::weighted_kmeanspp;
 use crate::init::{
-    exact_sample_keys, exact_sample_merge, sample_bernoulli, InitResult, InitStats,
-    KMeansParallelConfig, Recluster, Rounds, SamplingMode, TopUp,
+    bernoulli_accept, exact_sample_keys, exact_sample_merge, sample_bernoulli_prescreen,
+    InitResult, InitStats, KMeansParallelConfig, Recluster, Rounds, SamplingMode, TopUp,
 };
 use crate::kernel::{AssignKernel, KernelStats};
 use crate::lloyd::{IterationStats, LloydConfig, LloydResult};
@@ -210,10 +219,9 @@ impl LabelFetch {
 
 /// The round-level calls shared by the in-memory, chunked, and
 /// distributed execution modes: one call is one data-parallel round (one
-/// request/reply cycle per worker on a cluster). Everything a backend
-/// returns is either order-insensitive per-point data or per-shard
-/// partials of the *global* shard grid; every order-sensitive fold and
-/// every scalar RNG decision lives in the drivers.
+/// request/reply cycle per worker on a cluster). Every backend computes a
+/// call as parts of the global rows folded by the one fold of this module
+/// (module docs); every scalar RNG decision lives in the drivers.
 ///
 /// State carried between calls: the D²/nearest tracker built by a
 /// [`Broadcast::Init`] round lives until the next
@@ -246,16 +254,21 @@ pub trait RoundBackend {
     }
 
     /// Validates the shape of the seeding input for `k` clusters
-    /// (non-empty data, `1 ≤ k ≤ n`). Finiteness is not checked here:
-    /// every backend checks it in its first full pass over the data —
-    /// resident rows and blocks alike, from the pass's own sums (see
-    /// [`crate::cost`]) — and reports the first non-finite coordinate in
-    /// row order as the same global `NonFiniteData` index.
-    fn validate(&self, k: usize) -> Result<(), KMeansError>;
+    /// (non-empty data, `1 ≤ k ≤ n`; [`validate_shape`] over
+    /// [`RoundBackend::len`] and [`RoundBackend::dim`]). Finiteness is
+    /// not checked here: every backend checks it in its first full pass
+    /// over the data — resident rows and blocks alike, from the pass's own
+    /// sums (see [`crate::cost`]) — and reports the first non-finite
+    /// coordinate in row order as the same global `NonFiniteData` index.
+    fn validate(&self, k: usize) -> Result<(), KMeansError> {
+        validate_shape(self.len(), self.dim(), k, self.dim())
+    }
 
     /// Validates the refinement input contract (non-empty data,
-    /// `1 ≤ |centers| ≤ n`, matching dimensionality).
-    fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError>;
+    /// `1 ≤ |centers| ≤ n`, matching dimensionality; [`validate_shape`]).
+    fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError> {
+        validate_shape(self.len(), self.dim(), centers.len(), centers.dim())
+    }
 
     /// Cumulative wire traffic (sent + received bytes) this backend has
     /// moved, when it moves any — `None` for local backends. The
@@ -322,62 +335,10 @@ fn gather(backend: &mut dyn RoundBackend, indices: &[usize]) -> Result<PointMatr
 }
 
 /// A backend broke its round contract: a tracker round returned
-/// something other than what it was asked to read, or an assignment
-/// pass withheld labels it owed.
+/// something other than what it was asked to read, an assignment pass
+/// withheld labels it owed, or a part broke its fold's contract.
 fn broken_round(what: &str) -> KMeansError {
     KMeansError::Data(format!("backend round contract broken: {what}"))
-}
-
-/// Serves a tracker round's read from a local tracker's `d²` array and
-/// nearest-id histogram (`weights`); `rows` gathers a Bernoulli pick's
-/// rows.
-fn read_local_tracker(
-    read: TrackerRead,
-    phi: f64,
-    d2: &[f64],
-    weights: impl FnOnce(usize) -> Vec<f64>,
-    exec: &Executor,
-    rows: impl FnOnce(&[usize]) -> Result<PointMatrix, KMeansError>,
-) -> Result<TrackerOut, KMeansError> {
-    Ok(match read {
-        TrackerRead::Nothing => TrackerOut::Nothing,
-        TrackerRead::Sample {
-            round,
-            seed,
-            spec: SampleSpec::Bernoulli { l },
-        } => {
-            let indices = sample_bernoulli(d2, l, phi, seed, round, exec, 0);
-            let rows = rows(&indices)?;
-            TrackerOut::Picked { indices, rows }
-        }
-        TrackerRead::Sample {
-            round,
-            seed,
-            spec: SampleSpec::ExactKeys { m },
-        } => TrackerOut::Keys(exact_sample_keys(d2, m, seed, round, exec, 0)),
-        TrackerRead::Weights { m } => TrackerOut::Weights(weights(m)),
-        TrackerRead::D2 => TrackerOut::D2(d2.to_vec()),
-    })
-}
-
-/// The labels of a local assignment pass: counts the rows that moved
-/// since `prev`, stores `labels` there, and returns the owed copy.
-fn store_labels(
-    prev: &mut Option<Vec<u32>>,
-    labels: Vec<u32>,
-    fetch: LabelFetch,
-) -> (u64, Option<Vec<u32>>) {
-    let reassigned = match prev {
-        None => labels.len() as u64,
-        Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
-    };
-    let owed = fetch.owed(reassigned).then(|| labels.clone());
-    *prev = Some(labels);
-    (reassigned, owed)
-}
-
-fn no_tracker() -> KMeansError {
-    KMeansError::InvalidConfig("no tracker initialized".into())
 }
 
 /// Seeding epilogue shared by every initializer: stamps the duration and
@@ -822,19 +783,195 @@ pub fn drive_label_pass(
 }
 
 // ---------------------------------------------------------------------------
+// Parts and folds
+// ---------------------------------------------------------------------------
+
+/// One part's answer to a tracker round's read, with global row indices —
+/// what a worker ships for it.
+#[derive(Clone, Debug)]
+pub enum ReadPart {
+    /// [`TrackerRead::Nothing`].
+    Nothing,
+    /// A Bernoulli read: the draws accepted against the part's own φ, as
+    /// `(global index, u, d²)` ascending, and their rows in that order.
+    Prescreened {
+        /// `(global index, u, d²)` triples.
+        entries: Vec<(usize, f64, f64)>,
+        /// The corresponding rows.
+        rows: PointMatrix,
+    },
+    /// An exact-ℓ read: the part's per-shard top-`m` keys.
+    Keys(Vec<(f64, usize)>),
+    /// Step 7: per-candidate counts over the part's rows.
+    Weights(Vec<f64>),
+    /// The part's `d²` slice.
+    D2(Vec<f64>),
+}
+
+/// One part's answer to a tracker round.
+#[derive(Clone, Debug)]
+pub struct TrackerPart {
+    /// Rows the part covers.
+    pub rows: usize,
+    /// The per-executor-shard `Σ d²` partials after the broadcast.
+    pub sums: Vec<f64>,
+    /// The read.
+    pub read: ReadPart,
+}
+
+/// One part's answer to an assignment pass — a worker's partials.
+#[derive(Clone, Debug)]
+pub struct AssignPart {
+    /// Rows the part covers.
+    pub rows: usize,
+    /// Rows whose label changed since the part's previous pass (first
+    /// pass: all of them).
+    pub reassigned: u64,
+    /// One partial per accumulation shard of the part's rows.
+    pub shards: Vec<AccumShard>,
+    /// The pass's kernel counters.
+    pub stats: KernelStats,
+    /// The part's labels, when [`LabelFetch::owed`] for its own count.
+    pub labels: Option<Vec<u32>>,
+}
+
+/// The fold half of [`RoundBackend::tracker_round`]: merges the parts of
+/// one round, in row order. φ is the [`fold_shard_sums`] of every part's
+/// partials; a Bernoulli read keeps the prescreened entries
+/// [`bernoulli_accept`] passes under that φ (all of them for one part
+/// over every row, whose prescreen threshold *is* φ); keys and `d²`
+/// slices concatenate, and Step 7's integer-valued counts add exactly.
+/// `dim` is the row dimensionality. A part that answers another read, or
+/// ships lengths that do not match, is an error naming it by its index
+/// (the worker, on a cluster).
+pub fn fold_tracker_round(
+    read: TrackerRead,
+    dim: usize,
+    parts: Vec<TrackerPart>,
+) -> Result<(f64, TrackerOut), KMeansError> {
+    let phi = fold_shard_sums(parts.iter().flat_map(|p| p.sums.iter().copied()));
+    let (mut out, l) = match read {
+        TrackerRead::Nothing => (TrackerOut::Nothing, 0.0),
+        TrackerRead::Sample {
+            spec: SampleSpec::Bernoulli { l },
+            ..
+        } => {
+            let (indices, rows) = (Vec::new(), PointMatrix::new(dim));
+            (TrackerOut::Picked { indices, rows }, l)
+        }
+        TrackerRead::Sample { .. } => (TrackerOut::Keys(Vec::new()), 0.0),
+        TrackerRead::Weights { m } => (TrackerOut::Weights(vec![0.0; m]), 0.0),
+        TrackerRead::D2 => (TrackerOut::D2(Vec::new()), 0.0),
+    };
+    for (i, part) in parts.into_iter().enumerate() {
+        match (&mut out, part.read) {
+            (TrackerOut::Nothing, ReadPart::Nothing) => {}
+            (
+                TrackerOut::Picked { indices, rows },
+                ReadPart::Prescreened {
+                    entries,
+                    rows: picked,
+                },
+            ) => {
+                check_len(i, picked.len(), entries.len(), "prescreened rows")?;
+                for (j, (g, u, d2)) in entries.into_iter().enumerate() {
+                    if bernoulli_accept(u, l, d2, phi) {
+                        indices.push(g);
+                        rows.push(picked.row(j)).map_err(|e| part_err(i, e))?;
+                    }
+                }
+            }
+            (TrackerOut::Keys(keys), ReadPart::Keys(part_keys)) => append(keys, part_keys),
+            (TrackerOut::Weights(total), ReadPart::Weights(weights)) => {
+                check_len(i, weights.len(), total.len(), "weights")?;
+                total.iter_mut().zip(weights).for_each(|(t, w)| *t += w);
+            }
+            (TrackerOut::D2(all), ReadPart::D2(d2)) => {
+                check_len(i, d2.len(), part.rows, "d² values")?;
+                append(all, d2);
+            }
+            _ => return Err(part_err(i, format!("answered {read:?} with another read"))),
+        }
+    }
+    Ok((phi, out))
+}
+
+/// The fold half of [`RoundBackend::assign`]: sums the parts' reassigned
+/// counts and kernel counters, folds their accumulation-shard partials in
+/// row order with [`fold_accum_shards`] (each must have the shape of `k`
+/// centers in `d` dimensions), and — when the summed count owes labels
+/// under `fetch` — concatenates every part's labels, moving a single
+/// part's.
+pub fn fold_assign(
+    k: usize,
+    d: usize,
+    fetch: LabelFetch,
+    parts: Vec<AssignPart>,
+) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
+    let reassigned = parts.iter().map(|p| p.reassigned).sum();
+    let mut sums = fold_accum_shards(k, d, parts.iter().flat_map(|p| &p.shards));
+    let mut labels = fetch.owed(reassigned).then(Vec::new);
+    for (i, part) in parts.into_iter().enumerate() {
+        if part
+            .shards
+            .iter()
+            .any(|s| s.sums.len() != k * d || s.counts.len() != k)
+        {
+            return Err(part_err(i, "sent assignment partials of the wrong shape"));
+        }
+        sums.stats.absorb(part.stats);
+        if let Some(all) = &mut labels {
+            let owed = part
+                .labels
+                .ok_or_else(|| part_err(i, "withheld labels it owed"))?;
+            check_len(i, owed.len(), part.rows, "labels")?;
+            append(all, owed);
+        }
+    }
+    Ok((reassigned, sums, labels))
+}
+
+/// A part broke its fold's contract.
+fn part_err(part: usize, what: impl std::fmt::Display) -> KMeansError {
+    broken_round(&format!("part {part} {what}"))
+}
+
+/// A part must ship `want` of `what`.
+fn check_len(part: usize, got: usize, want: usize, what: &str) -> Result<(), KMeansError> {
+    if got == want {
+        return Ok(());
+    }
+    Err(part_err(part, format!("sent {got} {what} for {want}")))
+}
+
+/// Appends a part's vector in row order, moving it when it is the first.
+fn append<T>(all: &mut Vec<T>, part: Vec<T>) {
+    if all.is_empty() {
+        *all = part;
+    } else {
+        all.extend(part);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // LocalBackend
 // ---------------------------------------------------------------------------
 
 /// [`RoundBackend`] over local data — resident rows or a block-resident
-/// [`ChunkedSource`]. Every round runs the one local pass of
-/// [`crate::chunked`] and [`crate::cost`] ([`CostTracker`],
-/// [`assign_partials`] + the shard-ordered fold, the potential pass,
-/// [`LocalData::gather_rows_into`]), which visits resident rows as one
-/// lent block, so the drivers return the same bits for either data kind
-/// and **any** block size.
+/// [`ChunkedSource`] — and, as a [`LocalBackend::part`], one worker's
+/// range of a distributed fit's rows. The `*_part` methods (module docs)
+/// run the one local pass of [`crate::chunked`] and [`crate::cost`] over
+/// the part's rows, resident rows as one lent block, with global row
+/// indices in every index and error; the [`RoundBackend`] impl folds its
+/// one part with the fold every backend uses, so the drivers return the
+/// same bits for either data kind, **any** block size and any worker split.
 pub struct LocalBackend<'a> {
     data: LocalData<'a>,
-    exec: &'a Executor,
+    exec: Executor,
+    /// Global index of the part's first row.
+    row_offset: usize,
+    /// Rows of the whole fit, across every part.
+    global_n: usize,
     tracker: Option<CostTracker>,
     candidates: PointMatrix,
     buf: PointMatrix,
@@ -853,23 +990,195 @@ impl<'a> LocalBackend<'a> {
         weights: Option<&'a [f64]>,
         exec: &'a Executor,
     ) -> Self {
-        Self::new(LocalData::Resident { points, weights }, exec)
+        let data = LocalData::Resident { points, weights };
+        Self::new(data, exec.clone(), 0, points.len())
     }
 
     /// Wraps a block-resident source and the executor every pass runs on.
     pub fn chunked(source: &'a dyn ChunkedSource, exec: &'a Executor) -> Self {
-        Self::new(LocalData::Blocks(source), exec)
+        Self::new(LocalData::Blocks(source), exec.clone(), 0, source.len())
     }
 
-    fn new(data: LocalData<'a>, exec: &'a Executor) -> Self {
+    /// One part of a fit over `global_n` rows: `source` holds global rows
+    /// `row_offset..row_offset + source.len()`, and `exec` carries the
+    /// fit's shard grid, on which `row_offset` must sit (a cluster's plan
+    /// validates it). A distributed worker serves one of these.
+    pub fn part(
+        source: &'a dyn ChunkedSource,
+        exec: Executor,
+        row_offset: usize,
+        global_n: usize,
+    ) -> Self {
+        Self::new(LocalData::Blocks(source), exec, row_offset, global_n)
+    }
+
+    fn new(data: LocalData<'a>, exec: Executor, row_offset: usize, global_n: usize) -> Self {
         LocalBackend {
             data,
             exec,
+            row_offset,
+            global_n,
             tracker: None,
             candidates: PointMatrix::new(data.dim().max(1)),
             buf: data.block_buffer(),
             labels: None,
         }
+    }
+
+    /// Builds (`Init`) or extends (`Update`, whose `from` must equal the
+    /// candidates held) the `d²`/nearest tracker; returns its
+    /// per-executor-shard `Σ d²`.
+    pub fn broadcast_part(&mut self, broadcast: Broadcast<'_>) -> Result<Vec<f64>, KMeansError> {
+        let (data, exec) = (self.data, &self.exec);
+        let global = globalize(self.row_offset);
+        let tracker = match broadcast {
+            Broadcast::Init(centers) => {
+                validate_shape(self.global_n, data.dim(), centers.len(), centers.dim())?;
+                let tracker = CostTracker::new(data, centers, exec).map_err(global)?;
+                self.candidates = centers.clone();
+                self.tracker.insert(tracker)
+            }
+            Broadcast::Update { from, rows } => {
+                let tracker = self.tracker.as_mut().ok_or_else(no_tracker)?;
+                if from != self.candidates.len() {
+                    return Err(KMeansError::InvalidConfig(format!(
+                        "tracker update from {from} but the tracker holds {} candidates",
+                        self.candidates.len()
+                    )));
+                }
+                self.candidates
+                    .extend_from(rows)
+                    .map_err(|e| KMeansError::Data(e.to_string()))?;
+                tracker
+                    .update(data, &self.candidates, from, exec)
+                    .map_err(global)?;
+                tracker
+            }
+        };
+        Ok(tracker.shard_sums().to_vec())
+    }
+
+    /// Serves a read against the tracker. A Bernoulli read prescreens
+    /// against the part's own φ — a lower bound on the folded global φ,
+    /// and φ itself for a part over every row; the fold replays the exact
+    /// test. A `Weights` read must name the candidate count held.
+    pub fn read_part(&mut self, read: TrackerRead) -> Result<ReadPart, KMeansError> {
+        let tracker = self.tracker.as_ref().ok_or_else(no_tracker)?;
+        let (d2, offset) = (tracker.d2(), self.row_offset);
+        let first_shard = offset / self.exec.shard_spec().shard_size();
+        Ok(match read {
+            TrackerRead::Nothing => ReadPart::Nothing,
+            TrackerRead::Sample {
+                round,
+                seed,
+                spec: SampleSpec::Bernoulli { l },
+            } => {
+                let phi_lo = tracker.potential();
+                let picked =
+                    sample_bernoulli_prescreen(d2, l, phi_lo, seed, round, &self.exec, first_shard);
+                let local: Vec<usize> = picked.iter().map(|&(i, _)| i).collect();
+                let rows = self.data.gather_rows(&local, &mut self.buf)?;
+                let entries = picked
+                    .into_iter()
+                    .map(|(i, u)| (i + offset, u, d2[i]))
+                    .collect();
+                ReadPart::Prescreened { entries, rows }
+            }
+            TrackerRead::Sample {
+                round,
+                seed,
+                spec: SampleSpec::ExactKeys { m },
+            } => {
+                let keys = exact_sample_keys(d2, m, seed, round, &self.exec, first_shard);
+                ReadPart::Keys(keys.into_iter().map(|(key, i)| (key, i + offset)).collect())
+            }
+            TrackerRead::Weights { m } => {
+                if m != self.candidates.len() {
+                    return Err(KMeansError::InvalidConfig(format!(
+                        "weights for {m} candidates requested, the tracker holds {}",
+                        self.candidates.len()
+                    )));
+                }
+                ReadPart::Weights(tracker.weights(m))
+            }
+            TrackerRead::D2 => ReadPart::D2(d2.to_vec()),
+        })
+    }
+
+    /// Frees the seeding tracker, runs [`assign_partials`] warm-started
+    /// from the previous pass's labels, and keeps the new labels.
+    pub fn assign_part(
+        &mut self,
+        centers: &PointMatrix,
+        fetch: LabelFetch,
+    ) -> Result<AssignPart, KMeansError> {
+        // Refinement never reads the seeding tracker: free its d² and
+        // nearest-id arrays (12 B per row) before the pass allocates.
+        self.tracker = None;
+        let (labels, shards, stats) = assign_partials(
+            self.data,
+            centers,
+            &self.exec,
+            self.row_offset,
+            self.global_n,
+            self.labels.as_deref(),
+        )
+        .map_err(globalize(self.row_offset))?;
+        let reassigned = match &self.labels {
+            None => labels.len() as u64,
+            Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
+        };
+        let owed = fetch.owed(reassigned).then(|| labels.clone());
+        self.labels = Some(labels);
+        Ok(AssignPart {
+            rows: self.data.len(),
+            reassigned,
+            shards,
+            stats,
+            labels: owed,
+        })
+    }
+
+    /// The potential pass's per-executor-shard sums
+    /// ([`potential_shard_sums`]).
+    pub fn potential_part(&self, centers: &PointMatrix) -> Result<Vec<f64>, KMeansError> {
+        potential_shard_sums(self.data, centers, &self.exec).map_err(globalize(self.row_offset))
+    }
+
+    /// Gathers the rows at global `indices`, each of which must be the
+    /// part's, through the part's reused block buffer.
+    pub fn gather_part(
+        &mut self,
+        indices: &[usize],
+        out: &mut PointMatrix,
+    ) -> Result<(), KMeansError> {
+        let range = self.row_offset..self.row_offset + self.data.len();
+        if let Some(g) = indices.iter().find(|g| !range.contains(g)) {
+            return Err(KMeansError::InvalidConfig(format!(
+                "row {g} outside this part's rows [{}, {})",
+                range.start, range.end
+            )));
+        }
+        if self.row_offset == 0 {
+            return self.data.gather_rows_into(indices, &mut self.buf, out);
+        }
+        let local: Vec<usize> = indices.iter().map(|g| g - self.row_offset).collect();
+        self.data.gather_rows_into(&local, &mut self.buf, out)
+    }
+}
+
+fn no_tracker() -> KMeansError {
+    KMeansError::InvalidConfig("no tracker initialized".into())
+}
+
+/// Maps a pass error's row index to the fit's.
+fn globalize(row_offset: usize) -> impl Fn(KMeansError) -> KMeansError {
+    move |e| match e {
+        KMeansError::NonFiniteData { point, dim } => KMeansError::NonFiniteData {
+            point: point + row_offset,
+            dim,
+        },
+        other => other,
     }
 }
 
@@ -890,19 +1199,11 @@ impl RoundBackend for LocalBackend<'_> {
     }
 
     fn local(&self) -> Option<(LocalData<'_>, &Executor)> {
-        Some((self.data, self.exec))
-    }
-
-    fn validate(&self, k: usize) -> Result<(), KMeansError> {
-        self.data.validate(k)
-    }
-
-    fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError> {
-        self.data.validate_refine(centers)
+        Some((self.data, &self.exec))
     }
 
     fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError> {
-        self.data.gather_rows_into(indices, &mut self.buf, out)
+        self.gather_part(indices, out)
     }
 
     fn tracker_round(
@@ -910,33 +1211,13 @@ impl RoundBackend for LocalBackend<'_> {
         broadcast: Broadcast<'_>,
         read: TrackerRead,
     ) -> Result<(f64, TrackerOut), KMeansError> {
-        let tracker = match broadcast {
-            Broadcast::Init(centers) => {
-                self.candidates = centers.clone();
-                let tracker = CostTracker::new(self.data, &self.candidates, self.exec)?;
-                self.tracker.insert(tracker)
-            }
-            Broadcast::Update { from, rows } => {
-                debug_assert_eq!(from, self.candidates.len(), "tracker update out of order");
-                let tracker = self.tracker.as_mut().ok_or_else(no_tracker)?;
-                self.candidates
-                    .extend_from(rows)
-                    .map_err(|e| KMeansError::Data(e.to_string()))?;
-                tracker.update(self.data, &self.candidates, from, self.exec)?;
-                tracker
-            }
+        let sums = self.broadcast_part(broadcast)?;
+        let part = TrackerPart {
+            rows: self.data.len(),
+            sums,
+            read: self.read_part(read)?,
         };
-        let phi = tracker.potential();
-        let (data, buf) = (self.data, &mut self.buf);
-        let out = read_local_tracker(
-            read,
-            phi,
-            tracker.d2(),
-            |m| tracker.weights(m),
-            self.exec,
-            |picked| data.gather_rows(picked, buf),
-        )?;
-        Ok((phi, out))
+        fold_tracker_round(read, self.data.dim(), vec![part])
     }
 
     fn assign(
@@ -944,17 +1225,8 @@ impl RoundBackend for LocalBackend<'_> {
         centers: &PointMatrix,
         fetch: LabelFetch,
     ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
-        // Refinement never reads the seeding tracker: free its d² and
-        // nearest-id arrays (12 B per row) before the pass allocates.
-        self.tracker = None;
-        // The previous pass's labels seed the kernel's warm sweep.
-        let n = self.data.len();
-        let (labels, partials, stats) =
-            assign_partials(self.data, centers, self.exec, 0, n, self.labels.as_deref())?;
-        let (reassigned, owed) = store_labels(&mut self.labels, labels, fetch);
-        let mut sums = fold_accum_shards(centers.len(), self.data.dim(), &partials);
-        sums.stats = stats;
-        Ok((reassigned, sums, owed))
+        let part = self.assign_part(centers, fetch)?;
+        fold_assign(centers.len(), self.data.dim(), fetch, vec![part])
     }
 
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
@@ -965,8 +1237,7 @@ impl RoundBackend for LocalBackend<'_> {
         {
             return Ok(weighted_potential(points, w, centers));
         }
-        let sums = potential_shard_sums(self.data, centers, self.exec)?;
-        Ok(sums.into_iter().reduce(|a, b| a + b).unwrap_or(0.0))
+        Ok(fold_shard_sums(self.potential_part(centers)?))
     }
 }
 

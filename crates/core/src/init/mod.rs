@@ -16,7 +16,7 @@ mod random;
 pub use afkmc2::afk_mc2;
 pub use kmeanspp::{kmeanspp, weighted_kmeanspp};
 pub use parallel::{
-    bernoulli_accept, exact_sample_keys, exact_sample_merge, kmeans_parallel, sample_bernoulli,
+    bernoulli_accept, exact_sample_keys, exact_sample_merge, kmeans_parallel,
     sample_bernoulli_prescreen, KMeansParallelConfig, Oversampling, Recluster, Rounds,
     SamplingMode, TopUp,
 };

@@ -227,49 +227,32 @@ pub fn kmeans_parallel(
 
 /// The Step 4 acceptance predicate: accept the uniform draw `u` iff
 /// `u < ℓ·d²/φ` (with `ℓ·d² > 0` gating whether a draw happens at all).
-/// One expression shared by the single-node sampler, the worker-side
-/// prescreen, and the coordinator's exact filter, so all three make
-/// bit-identical decisions on the same `(u, d², φ)`.
+/// One expression shared by a part's prescreen and the fold's exact
+/// replay, so both make bit-identical decisions on the same `(u, d², φ)`.
 #[inline]
 pub fn bernoulli_accept(u: f64, l: f64, d2: f64, phi: f64) -> bool {
     let num = l * d2;
     num > 0.0 && u < num / phi
 }
 
-/// Line 4: independent Bernoulli draws with `p = min(1, ℓ·d²/φ)`, shard
-/// parallel, deterministic per `(seed, round, shard)`.
+/// Line 4, the part half: independent Bernoulli draws with
+/// `p = min(1, ℓ·d²/φ)`, shard parallel, deterministic per `(seed, round,
+/// shard)`, returning `(index, u)` for every accepted point — indices
+/// local to `d2`, ascending.
 ///
-/// `first_shard` offsets the shard index used for RNG derivation: a
-/// distributed worker whose row range starts at global shard `s` passes
-/// `s` and draws the exact same per-shard streams the single-node pass
-/// would, making the union of all workers' picks bit-identical to the
-/// in-memory sample. Single-node callers pass 0. Returned indices are
-/// local to `d2` and ascending.
-pub fn sample_bernoulli(
-    d2: &[f64],
-    l: f64,
-    phi: f64,
-    seed: u64,
-    round: usize,
-    exec: &Executor,
-    first_shard: usize,
-) -> Vec<usize> {
-    sample_bernoulli_prescreen(d2, l, phi, seed, round, exec, first_shard)
-        .into_iter()
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// [`sample_bernoulli`] with the uniform draws exposed: returns
-/// `(index, u)` for every accepted point. RNG consumption is
-/// φ-independent — each point with `ℓ·d² > 0` consumes exactly one draw
-/// regardless of φ — which is what lets a distributed worker run this
-/// against a *lower bound* `φ_lo ≤ φ` (its own local potential) as a
-/// prescreen: the true accept set under the global φ is always a subset
-/// of the prescreen set (division by a positive denominator is monotone
-/// non-increasing), and the coordinator replays [`bernoulli_accept`] on
-/// the shipped `(u, d²)` pairs with the exact folded φ to recover it
-/// bit for bit.
+/// `first_shard` offsets the shard index used for RNG derivation: a part
+/// whose row range starts at global shard `s` passes `s` and draws the
+/// exact same per-shard streams a pass over every row would.
+///
+/// RNG consumption is φ-independent — each point with `ℓ·d² > 0` consumes
+/// exactly one draw regardless of φ — which is what lets a part run this
+/// against a *lower bound* `φ_lo ≤ φ` (its own potential) as a prescreen:
+/// the true accept set under the global φ is always a subset of the
+/// prescreen set (division by a positive denominator is monotone
+/// non-increasing), and the fold replays [`bernoulli_accept`] on the
+/// shipped `(u, d²)` pairs with the folded φ to recover it bit for bit.
+/// A part that covers every row has `φ_lo = φ`, so its prescreen set is
+/// the sample.
 pub fn sample_bernoulli_prescreen(
     d2: &[f64],
     l: f64,
@@ -299,8 +282,8 @@ pub fn sample_bernoulli_prescreen(
 /// (`ln(u)/d²`), truncated to the shard-local top-`m`, concatenated in
 /// shard order. Keys are comparable across shards (and across workers), so
 /// [`exact_sample_merge`] over any union of these lists equals the global
-/// top-`m`. `first_shard` plays the same role as in [`sample_bernoulli`];
-/// returned indices are local to `d2`.
+/// top-`m`. `first_shard` plays the same role as in
+/// [`sample_bernoulli_prescreen`]; returned indices are local to `d2`.
 pub fn exact_sample_keys(
     d2: &[f64],
     m: usize,
@@ -332,9 +315,9 @@ pub fn exact_sample_keys(
 
 /// The merge half of §5.3 exact-ℓ sampling: global top-`m` of keyed
 /// candidates (ties broken by ascending index), returned as ascending
-/// indices. The coordinator of a distributed run feeds it the
-/// concatenation of every worker's [`exact_sample_keys`] (with indices
-/// already translated to global row ids).
+/// indices. The driver feeds it the concatenation of every part's
+/// [`exact_sample_keys`] (with indices already translated to global row
+/// ids).
 pub fn exact_sample_merge(mut entries: Vec<(f64, usize)>, m: usize) -> Vec<usize> {
     entries.sort_by(|a, b| {
         b.0.partial_cmp(&a.0)

@@ -94,14 +94,6 @@ impl RoundBackend for RecordingBackend<'_> {
         self.inner.local()
     }
 
-    fn validate(&self, k: usize) -> Result<(), KMeansError> {
-        self.inner.validate(k)
-    }
-
-    fn validate_refine(&self, centers: &PointMatrix) -> Result<(), KMeansError> {
-        self.inner.validate_refine(centers)
-    }
-
     fn wire_bytes(&self) -> Option<u64> {
         self.inner.wire_bytes()
     }

@@ -13,8 +13,8 @@ use scalable_kmeans::cluster::{
     spawn_loopback_worker, Cluster, ClusterBackend, FitDistributed, Transport,
 };
 use scalable_kmeans::core::driver::{
-    drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, LocalBackend,
-    RoundBackend,
+    drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, Broadcast,
+    LocalBackend, RoundBackend, TrackerOut, TrackerRead,
 };
 use scalable_kmeans::core::init::{kmeans_parallel, KMeansParallelConfig, SamplingMode};
 use scalable_kmeans::core::lloyd::{lloyd, LloydConfig, LloydResult};
@@ -367,6 +367,59 @@ fn non_finite_data_errors_identically_on_every_backend() {
         }
         shutdown(cluster, handles);
     }
+}
+
+/// A tracker round that breaks the round contract — an update whose
+/// `from` is not the candidate count held, a Step-7 read naming the wrong
+/// count — is the same typed `InvalidConfig` on every backend, never a
+/// panic or a silently untracked row, and leaves the tracker as it was.
+#[test]
+fn round_contract_violations_error_identically_on_every_backend() {
+    let points = gauss(96, 3, 4);
+    // Two rows of the data: each is its own nearest candidate.
+    let candidates = points.select(&[0, 50]);
+    let one_row = points.select(&[7]);
+    let none = PointMatrix::new(points.dim());
+    let exec = Executor::sequential().with_shard_size(SHARD);
+    let check = |backend: &mut dyn RoundBackend, what: &str| {
+        let init = Broadcast::Init(&candidates);
+        backend.tracker_round(init, TrackerRead::Nothing).unwrap();
+        let ahead = Broadcast::Update {
+            from: 3,
+            rows: &one_row,
+        };
+        let got = backend.tracker_round(ahead, TrackerRead::Nothing);
+        assert!(
+            matches!(got, Err(KMeansError::InvalidConfig(_))),
+            "{what}: update from 3 gave {got:?}"
+        );
+        let empty = Broadcast::Update {
+            from: 2,
+            rows: &none,
+        };
+        let got = backend.tracker_round(empty, TrackerRead::Weights { m: 1 });
+        assert!(
+            matches!(got, Err(KMeansError::InvalidConfig(_))),
+            "{what}: weights for 1 candidate gave {got:?}"
+        );
+        match backend.tracker_round(empty, TrackerRead::Weights { m: 2 }) {
+            Ok((_, TrackerOut::Weights(w))) => w,
+            other => panic!("{what}: weights for 2 candidates gave {other:?}"),
+        }
+    };
+    let resident = check(
+        &mut LocalBackend::in_memory(&points, None, &exec),
+        "in-memory",
+    );
+    assert_eq!(resident.iter().sum::<f64>(), 96.0);
+    let source = InMemorySource::new(points.clone(), 11).unwrap();
+    let blocks = check(&mut LocalBackend::chunked(&source, &exec), "chunked");
+    assert_eq!(blocks, resident);
+    let (mut cluster, handles) = loopback_cluster(&points, 2, 6, Parallelism::Sequential);
+    cluster.plan(SHARD).unwrap();
+    let distributed = check(&mut ClusterBackend::new(&mut cluster), "2 workers");
+    assert_eq!(distributed, resident);
+    shutdown(cluster, handles);
 }
 
 /// A remote backend has no local source, so k-means++ (and every other
