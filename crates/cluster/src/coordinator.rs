@@ -80,8 +80,12 @@ fn roundtrip(w: &mut WorkerConn, msg: &Message) -> Result<Message, ClusterError>
     w.transport.recv()
 }
 
-/// The session state every worker holds — its tracker and its labels —
-/// mirrored as the broadcasts that built it, for one catch-up frame.
+/// The broadcasts that rebuild a worker's session state, replayed as one
+/// catch-up frame: the tracker's candidate segments and the last
+/// assignment's centers. Before the first assignment that state is the
+/// tracker; from it on, only the labels, since the first `Assign` frees
+/// the tracker. The segments are still kept after an assignment, so such
+/// a catch-up rebuilds a tracker its own `Assign` frees at once.
 /// [`Cluster`] keeps one for worker recovery; a resumed checkpoint
 /// rebuilds one from its journal and hands it to [`Cluster::catch_up`].
 #[derive(Clone, Debug, Default)]

@@ -1159,9 +1159,6 @@ impl<'a> LocalBackend<'a> {
                 range.start, range.end
             )));
         }
-        if self.row_offset == 0 {
-            return self.data.gather_rows_into(indices, &mut self.buf, out);
-        }
         let local: Vec<usize> = indices.iter().map(|g| g - self.row_offset).collect();
         self.data.gather_rows_into(&local, &mut self.buf, out)
     }

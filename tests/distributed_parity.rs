@@ -6,6 +6,7 @@
 //! `shard_block_file`) passes the same assertion; and a worker vanishing
 //! mid-round surfaces as a typed error, never a hang.
 
+use scalable_kmeans::cluster::protocol::WireError;
 use scalable_kmeans::cluster::{
     spawn_loopback_worker, spawn_tcp_worker, Cluster, ClusterBackend, FitDistributed, Message,
     Transport,
@@ -340,6 +341,49 @@ fn worker_disconnect_mid_round_is_a_typed_error() {
         "expected a transport error, got {err:?}"
     );
     assert!(err.to_string().contains("disconnected"), "{err}");
+}
+
+/// A worker refuses a `Plan` whose range does not fit its rows — one
+/// that ends past `global_n`, or whose end overflows — with a typed
+/// error, stays unplanned, and then accepts a plan that fits.
+#[test]
+fn worker_refuses_a_plan_its_rows_do_not_fit() {
+    let points = gauss();
+    let dim = points.dim() as u32;
+    let source = InMemorySource::new(slice_rows(&points, 0, 96), 32).unwrap();
+    let (mut coordinator_side, handle) = spawn_loopback_worker(source, Parallelism::Sequential);
+    let hello = coordinator_side.recv().unwrap();
+    assert!(
+        matches!(hello, Message::Hello { rows: 96, .. }),
+        "{hello:?}"
+    );
+    let plan = |start_row: u64, global_n: u64| Message::Plan {
+        global_n,
+        start_row,
+        shard_size: SHARD as u64,
+        dim,
+    };
+    for (start_row, global_n) in [(16, 100), (u64::MAX - 8, u64::MAX)] {
+        coordinator_side.send(&plan(start_row, global_n)).unwrap();
+        let reply = coordinator_side.recv().unwrap();
+        assert!(
+            matches!(&reply, Message::Error(WireError::InvalidConfig(m)) if m.contains("96 rows")),
+            "plan at row {start_row} of {global_n} gave {reply:?}"
+        );
+    }
+    coordinator_side.send(&Message::GatherD2).unwrap();
+    let reply = coordinator_side.recv().unwrap();
+    assert!(
+        matches!(&reply, Message::Error(WireError::InvalidConfig(m)) if m.contains("before Plan")),
+        "a request after refused plans gave {reply:?}"
+    );
+    coordinator_side.send(&plan(96, 192)).unwrap();
+    let reply = coordinator_side.recv().unwrap();
+    assert!(matches!(reply, Message::PlanOk), "{reply:?}");
+    coordinator_side.send(&Message::Shutdown).unwrap();
+    let reply = coordinator_side.recv().unwrap();
+    assert!(matches!(reply, Message::ShutdownOk), "{reply:?}");
+    handle.join().unwrap().unwrap();
 }
 
 /// A refiner with no distributed formulation: `supports_backend` keeps

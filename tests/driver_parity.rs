@@ -372,7 +372,9 @@ fn non_finite_data_errors_identically_on_every_backend() {
 /// A tracker round that breaks the round contract — an update whose
 /// `from` is not the candidate count held, a Step-7 read naming the wrong
 /// count — is the same typed `InvalidConfig` on every backend, never a
-/// panic or a silently untracked row, and leaves the tracker as it was.
+/// panic or a silently untracked row; an `Init` with no centers or centers
+/// of the wrong dimension is the same shape error on every backend. Each
+/// leaves the tracker as it was.
 #[test]
 fn round_contract_violations_error_identically_on_every_backend() {
     let points = gauss(96, 3, 4);
@@ -380,10 +382,26 @@ fn round_contract_violations_error_identically_on_every_backend() {
     let candidates = points.select(&[0, 50]);
     let one_row = points.select(&[7]);
     let none = PointMatrix::new(points.dim());
+    let narrow = PointMatrix::from_flat(vec![0.0; 4], 2).unwrap();
     let exec = Executor::sequential().with_shard_size(SHARD);
     let check = |backend: &mut dyn RoundBackend, what: &str| {
         let init = Broadcast::Init(&candidates);
         backend.tracker_round(init, TrackerRead::Nothing).unwrap();
+        let got = backend.tracker_round(Broadcast::Init(&none), TrackerRead::Nothing);
+        assert_eq!(
+            got.err(),
+            Some(KMeansError::InvalidK { k: 0, n: 96 }),
+            "{what}: init with no centers"
+        );
+        let got = backend.tracker_round(Broadcast::Init(&narrow), TrackerRead::Nothing);
+        assert_eq!(
+            got.err(),
+            Some(KMeansError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            }),
+            "{what}: init with 2-d centers"
+        );
         let ahead = Broadcast::Update {
             from: 3,
             rows: &one_row,
