@@ -32,7 +32,7 @@ use kmeans_core::init::KMeansParallelConfig;
 use kmeans_core::lloyd::LloydConfig;
 use kmeans_core::metrics::{adjusted_rand_index, nmi, purity, silhouette_sampled};
 use kmeans_core::minibatch::MiniBatchConfig;
-use kmeans_core::model::KMeans;
+use kmeans_core::model::{KMeans, PreparedPredictor};
 use kmeans_core::pipeline;
 use kmeans_data::blockfile::{csv_to_block_file, is_block_file, BlockFileSource};
 use kmeans_data::chunked::{ChunkedSource, CsvSource};
@@ -1063,14 +1063,13 @@ fn convert(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Nearest-center labels for a whole matrix via the batch kernel
-/// (bit-identical to a per-point `nearest` scan, several times faster).
-fn batch_labels(points: &kmeans_data::PointMatrix, centers: &kmeans_data::PointMatrix) -> Vec<u32> {
-    let kernel = kmeans_core::kernel::AssignKernel::new(centers);
-    let mut labels = vec![0u32; points.len()];
-    let mut d2 = vec![0.0f64; points.len()];
-    kernel.assign(points, 0..points.len(), &mut labels, &mut d2);
-    labels
+/// The model behind `--centers` (a centers CSV or a model file),
+/// prepared once: local predict and evaluate answer from its sweeps, as
+/// a server on the same model does.
+fn local_predictor(args: &Args) -> Result<PreparedPredictor, CliError> {
+    let centers = load_centers(&require(args, "centers")?)?;
+    let exec = kmeans_par::Executor::new(parallelism(args));
+    Ok(PreparedPredictor::new(centers, exec))
 }
 
 fn predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -1104,23 +1103,14 @@ fn predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         )?;
         return Ok(());
     }
-    let centers_path = require(args, "centers")?;
-    let centers = load_centers(&centers_path)?;
-    if centers.dim() != data.dim() {
-        return Err(CliError::KMeans(
-            kmeans_core::KMeansError::DimensionMismatch {
-                expected: centers.dim(),
-                got: data.dim(),
-            },
-        ));
-    }
-    let labels = batch_labels(data.points(), &centers);
+    let predictor = local_predictor(args)?;
+    let labels = predictor.predict(data.points())?;
     write_labels(&out_path, &labels)?;
     writeln!(
         out,
         "predicted {} points against {} centers -> {out_path}",
         data.len(),
-        centers.len()
+        predictor.k()
     )?;
     Ok(())
 }
@@ -1130,20 +1120,10 @@ fn evaluate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let data = read_csv(&input, label_mode(args))?;
     let server = args.str_or("server", "");
     let (labels, cost, k) = if server.is_empty() {
-        let centers_path = require(args, "centers")?;
-        let centers = load_centers(&centers_path)?;
-        if centers.dim() != data.dim() {
-            return Err(CliError::KMeans(
-                kmeans_core::KMeansError::DimensionMismatch {
-                    expected: centers.dim(),
-                    got: data.dim(),
-                },
-            ));
-        }
-        let exec = kmeans_par::Executor::new(parallelism(args));
-        let cost = kmeans_core::cost::potential(data.points(), &centers, &exec);
-        let labels = batch_labels(data.points(), &centers);
-        (labels, cost, centers.len())
+        // One sweep gives the labels and the cost, as a served evaluate.
+        let predictor = local_predictor(args)?;
+        let (labels, d2, _) = predictor.assign(data.points())?;
+        (labels, predictor.cost_from_d2(&d2), predictor.k())
     } else {
         let mut client = connect_server(args, &server)?;
         let prediction = client.predict(data.points())?;
@@ -1961,12 +1941,12 @@ mod tests {
         );
         let local_labels = std::fs::read_to_string(&from_csv).unwrap();
         assert_eq!(std::fs::read_to_string(&from_model).unwrap(), local_labels);
-        let out = run(
+        let local_eval = run(
             "evaluate",
             &args(&format!("--input {data} --centers {model}")),
         )
         .unwrap();
-        assert!(out.contains("3 centers"), "{out}");
+        assert!(local_eval.contains("3 centers"), "{local_eval}");
 
         // Served predict/evaluate through a real TCP server: the labels
         // file is identical to the local predict's.
@@ -1990,6 +1970,15 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("3 centers"), "{out}");
+        // Local and served evaluate answer from the same sweep: the same
+        // cost line.
+        let cost_line = |out: &str| {
+            out.lines()
+                .find(|l| l.starts_with("cost "))
+                .map(String::from)
+        };
+        assert!(cost_line(&out).is_some(), "{out}");
+        assert_eq!(cost_line(&local_eval), cost_line(&out));
         ServeClient::connect(&addr.to_string(), Some(std::time::Duration::from_secs(30)))
             .unwrap()
             .shutdown()

@@ -34,8 +34,7 @@
 //! data layout — is a typed error, never silent corruption. The file
 //! header additionally pins seed/k/n/dim/shard-size, checked at load.
 
-use crate::backend::ClusterBackend;
-use crate::coordinator::SessionMirror;
+use crate::coordinator::{Cluster, SessionMirror};
 use crate::wire::{fnv1a, Dec, Enc, FrameError};
 use kmeans_core::assign::ClusterSums;
 use kmeans_core::driver::{
@@ -418,7 +417,7 @@ fn decode_tracker_result(payload: &[u8]) -> Result<(f64, TrackerOut), KMeansErro
 /// *replays* them instead of touching the cluster. See the module docs
 /// for the resume model.
 pub struct CheckpointingBackend<'a, 'c> {
-    inner: ClusterBackend<'a>,
+    inner: &'a mut Cluster,
     ckpt: &'c mut RoundCheckpoint,
     /// Whether the cluster has been materialized to the journal's
     /// frontier (true once live).
@@ -429,10 +428,9 @@ pub struct CheckpointingBackend<'a, 'c> {
 }
 
 impl<'a, 'c> CheckpointingBackend<'a, 'c> {
-    /// Wraps a (typically deferred-plan) [`ClusterBackend`]. The journal
-    /// must be rewound ([`RoundCheckpoint::rewind`]) if it was used by a
-    /// previous fit.
-    pub fn new(inner: ClusterBackend<'a>, ckpt: &'c mut RoundCheckpoint) -> Self {
+    /// Wraps a planned [`Cluster`]. The journal must be rewound
+    /// ([`RoundCheckpoint::rewind`]) if it was used by a previous fit.
+    pub fn new(inner: &'a mut Cluster, ckpt: &'c mut RoundCheckpoint) -> Self {
         CheckpointingBackend {
             inner,
             ckpt,

@@ -1,6 +1,9 @@
 //! The coordinator's view of a worker cluster: connection bookkeeping,
-//! the broadcast/collect conversation, and the mapping of worker replies
-//! onto the parts the round folds merge.
+//! the one scatter/gather exchange every fleet conversation runs, and
+//! [`Cluster`] as the distributed [`RoundBackend`], so the
+//! backend-generic drivers in `kmeans_core::driver` (k-means||, Lloyd,
+//! mini-batch, random seeding) run on the workers exactly as they run in
+//! memory or out of core.
 //!
 //! **Bit-parity discipline.** Each worker serves one
 //! [`LocalBackend`](kmeans_core::driver::LocalBackend) part over its rows
@@ -12,10 +15,23 @@
 //! ([`fold_tracker_round`], [`fold_assign`], [`fold_shard_sums`]). Worker
 //! order equals global shard order because worker row ranges are
 //! contiguous, in order, and validated to start on the shard grid
-//! ([`Cluster::plan`]). That is the whole argument for `fit_distributed`
-//! being bit-identical to `fit`/`fit_chunked` for any worker count: the
-//! same parts' partials are folded by the same code in the same order,
-//! just computed on more machines.
+//! ([`Cluster::plan`]). Every scalar RNG decision stays in the driver.
+//! That is the whole argument for `fit_distributed` being bit-identical
+//! to `fit`/`fit_chunked` for any worker count: the same parts' partials
+//! are folded by the same code in the same order, just computed on more
+//! machines.
+//!
+//! **One exchange.** Every fleet conversation — the plan, each round,
+//! row gathers, the resume catch-up and the stats fetch — is one
+//! exchange: one optional request per worker out, one reply per asked
+//! worker back. It tries every send, drains the reply of every worker it
+//! sent to (re-asking a failed send or the first failed receive while no
+//! error is recorded), and only then surfaces the first error, so a
+//! failed exchange never leaves a reply behind to answer the next one. A
+//! worker's `Error` reply surfaces as [`ClusterError::Remote`]. Every
+//! data round is counted ([`Cluster::round_trips`],
+//! [`Cluster::blocked_wall`]) and spanned (`broadcast:<message>`) in one
+//! place; the plan is session control and is neither.
 //!
 //! **Fault tolerance.** With a recovery path configured
 //! ([`Cluster::set_recovery`]; [`Cluster::connect`] installs one that
@@ -24,15 +40,21 @@
 //! re-ask: the coordinator obtains a replacement transport for the dead
 //! worker's slot, re-handshakes, re-sends the plan, replays the session
 //! state the lost worker held as one catch-up `Compound` (its
-//! [`SessionMirror`]: the exact tracker segment sequence, then an
-//! `Assign` against the last assignment's centers), and re-sends the
-//! in-flight round request. A resumed checkpoint catches the whole fleet
-//! up with the same frame ([`Cluster::catch_up`]). Because workers hold
-//! no order-sensitive fold state — only deterministic functions of
-//! (shard data, replayed broadcasts) — the recovered fit is
-//! bit-identical to the zero-failure run. Attempts are bounded by
-//! [`RetryPolicy`]; exhaustion is the typed
+//! [`SessionMirror`]: the exact tracker segment sequence before the
+//! first assignment, the last assignment's centers from it on), and
+//! re-sends the in-flight round request. A resumed checkpoint catches
+//! the whole fleet up with the same frame ([`Cluster::catch_up`]).
+//! Because workers hold no order-sensitive fold state — only
+//! deterministic functions of (shard data, replayed broadcasts) — the
+//! recovered fit is bit-identical to the zero-failure run. Attempts are
+//! bounded by [`RetryPolicy`]; exhaustion is the typed
 //! [`ClusterError::RecoveryFailed`], never a hang.
+//!
+//! Errors: the round methods return [`KMeansError`] through the
+//! [`ClusterError`] conversion — typed clustering failures relayed from
+//! workers pass through unchanged (a distributed fit reports the *same*
+//! `NonFiniteData { point, dim }` a single-node fit would), and transport
+//! failures surface as `KMeansError::Data`: a value, never a hang.
 
 use crate::error::ClusterError;
 use crate::protocol::{Message, WorkerStats};
@@ -40,11 +62,13 @@ use crate::transport::Transport;
 use kmeans_core::assign::{sum_shard_size_for, ClusterSums};
 use kmeans_core::cost::fold_shard_sums;
 use kmeans_core::driver::{
-    fold_assign, fold_tracker_round, AssignPart, Broadcast, LabelFetch, ReadPart, TrackerOut,
-    TrackerPart, TrackerRead,
+    fold_assign, fold_tracker_round, AssignPart, BackendKind, Broadcast, LabelFetch, ReadPart,
+    RoundBackend, TrackerOut, TrackerPart, TrackerRead,
 };
+use kmeans_core::KMeansError;
 use kmeans_data::PointMatrix;
 use kmeans_obs::{arg_u64, Recorder};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Span category for coordinator-side worker conversations and
@@ -80,12 +104,37 @@ fn roundtrip(w: &mut WorkerConn, msg: &Message) -> Result<Message, ClusterError>
     w.transport.recv()
 }
 
+/// Receives worker `slot`'s opening `Hello` and checks the shard it
+/// announces: rows of `dim` dimensions (`None`: any; the first worker
+/// sets it), and either exactly `rows` of them — a replacement must serve
+/// the lost worker's range — or, for `None`, at least one. Returns the
+/// announced `(rows, dim)`.
+fn hello(
+    transport: &mut dyn Transport,
+    slot: usize,
+    rows: Option<usize>,
+    dim: Option<usize>,
+) -> Result<(usize, usize), ClusterError> {
+    let (got_rows, got_dim) = match transport.recv()? {
+        Message::Hello { rows, dim } => (rows as usize, dim as usize),
+        other => return Err(unexpected(slot, Some(&other), "Hello")),
+    };
+    let rows_ok = rows.map_or(got_rows > 0, |r| r == got_rows);
+    if !rows_ok || dim.is_some_and(|d| d != got_dim) {
+        let want_rows = rows.map_or("at least 1".to_string(), |r| r.to_string());
+        return Err(ClusterError::Protocol(format!(
+            "worker {slot} serves {got_rows} rows × {got_dim} dims, expected {want_rows} × {}",
+            dim.unwrap_or(got_dim)
+        )));
+    }
+    Ok((got_rows, got_dim))
+}
+
 /// The broadcasts that rebuild a worker's session state, replayed as one
-/// catch-up frame: the tracker's candidate segments and the last
-/// assignment's centers. Before the first assignment that state is the
-/// tracker; from it on, only the labels, since the first `Assign` frees
-/// the tracker. The segments are still kept after an assignment, so such
-/// a catch-up rebuilds a tracker its own `Assign` frees at once.
+/// catch-up frame. Before the first assignment that state is the
+/// tracker, rebuilt from its candidate segments; from the first
+/// assignment on it is the labels alone, rebuilt from the last
+/// assignment's centers, since the first `Assign` frees the tracker.
 /// [`Cluster`] keeps one for worker recovery; a resumed checkpoint
 /// rebuilds one from its journal and hands it to [`Cluster::catch_up`].
 #[derive(Clone, Debug, Default)]
@@ -110,16 +159,18 @@ impl SessionMirror {
         }
     }
 
-    /// Records a committed assignment pass's centers.
+    /// Records a committed assignment pass's centers. The pass freed
+    /// every worker's tracker, so the segments go too.
     pub fn record_assign(&mut self, centers: &PointMatrix) {
+        self.segments.clear();
         self.last_assign = Some(centers.clone());
     }
 
     /// The catch-up frame and its arity (`None`: nothing to catch up):
     /// the segments as `InitTracker`/`UpdateTracker`, then
     /// `Assign { last_assign, Skip }`, whose `Partials` were folded long
-    /// ago and are discarded. It holds the whole candidate set plus one
-    /// center set.
+    /// ago and are discarded. It holds the candidate set during seeding
+    /// and one center set from the first assignment on.
     fn frame(&self) -> Option<(Message, usize)> {
         let mut items = Vec::with_capacity(self.segments.len() + 1);
         let mut from = 0u64;
@@ -181,9 +232,10 @@ pub struct WorkerSummary {
 }
 
 /// A connected set of workers, jointly serving rows `[0, global_n)` in
-/// worker order. Construct with [`Cluster::new`] (any transports, e.g.
-/// loopback) or [`Cluster::connect`] (TCP), then call [`Cluster::plan`]
-/// before any pass.
+/// worker order, and the distributed [`RoundBackend`] over them.
+/// Construct with [`Cluster::new`] (any transports, e.g. loopback) or
+/// [`Cluster::connect`] (TCP), then call [`Cluster::plan`] before any
+/// round; `fit_distributed` plans for you.
 pub struct Cluster {
     workers: Vec<WorkerConn>,
     global_n: usize,
@@ -191,7 +243,7 @@ pub struct Cluster {
     shard_size: usize,
     data_passes: u64,
     /// Data-round request/reply cycles driven over the fleet — one per
-    /// scatter/gather broadcast ([`Cluster::request_all`]) or row gather.
+    /// counted exchange ([`Cluster::round`]), row gathers included.
     /// Session control (`Hello`/`Plan`/`Shutdown`) is excluded: it is
     /// per-connection setup, not part of the algorithm's round budget.
     round_trips: u64,
@@ -200,8 +252,13 @@ pub struct Cluster {
     /// The session state the workers hold, for a replacement worker's
     /// catch-up.
     mirror: SessionMirror,
-    /// Flight recorder for the conversation tier: one span per worker
-    /// broadcast, instant events for recovery (re-dial, replay, adopt).
+    /// Preloaded rows ([`RoundBackend::preload_rows`]): global row index
+    /// → position in the cached matrix. Mini-batch's per-step gathers are
+    /// served from here, collapsing its ~`steps` wire cycles into one.
+    /// Per fit: [`Cluster::plan`] clears it.
+    preload: Option<(HashMap<usize, usize>, PointMatrix)>,
+    /// Flight recorder for the conversation tier: one span per counted
+    /// exchange, instant events for recovery (re-dial, replay, adopt).
     /// Disabled by default — observes only, never affects results.
     recorder: Recorder,
 }
@@ -218,26 +275,8 @@ impl Cluster {
         let mut start_row = 0usize;
         let mut dim = None;
         for (i, mut transport) in transports.into_iter().enumerate() {
-            let (rows, wdim) = match transport.recv()? {
-                Message::Hello { rows, dim } => (rows as usize, dim as usize),
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} opened with {other:?} instead of Hello"
-                    )))
-                }
-            };
-            if rows == 0 {
-                return Err(ClusterError::Protocol(format!("worker {i} serves no rows")));
-            }
-            match dim {
-                None => dim = Some(wdim),
-                Some(d) if d != wdim => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {i} serves {wdim}-dimensional rows, worker 0 serves {d}"
-                    )))
-                }
-                Some(_) => {}
-            }
+            let (rows, wdim) = hello(transport.as_mut(), i, None, dim)?;
+            dim = Some(wdim);
             workers.push(WorkerConn {
                 transport,
                 rows,
@@ -257,15 +296,17 @@ impl Cluster {
             blocked_wall: Duration::ZERO,
             recovery: None,
             mirror: SessionMirror::default(),
+            preload: None,
             recorder: Recorder::disabled(),
         })
     }
 
     /// Arms the flight recorder for this cluster's conversation tier:
-    /// every worker broadcast records a `broadcast:<message>` span (cat
-    /// `cluster`, with the worker count), and mid-round recovery records
-    /// instant events (`recover:redial`) plus an adoption span
-    /// (`recover:adopt`) covering the replacement's handshake and replay.
+    /// every counted exchange records a `broadcast:<message>` span (cat
+    /// `cluster`, with the number of workers asked), and mid-round
+    /// recovery records instant events (`recover:redial`) plus an
+    /// adoption span (`recover:adopt`) covering the replacement's
+    /// handshake and replay.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -356,6 +397,10 @@ impl Cluster {
     /// both the executor-shard grid (per-shard RNG streams, potential
     /// folds) and the accumulation-shard grid (assignment folds) decompose
     /// over workers without crossing a boundary.
+    ///
+    /// A plan opens a fit: the counters, the session mirror and the
+    /// preload cache start over, so no fit's round trips or wire traffic
+    /// depend on an earlier fit on the same cluster.
     pub fn plan(&mut self, shard_size: usize) -> Result<(), ClusterError> {
         let shard_size = shard_size.max(1);
         let required = sum_shard_size_for(shard_size, self.global_n);
@@ -374,41 +419,14 @@ impl Cluster {
         self.round_trips = 0;
         self.blocked_wall = Duration::ZERO;
         self.mirror = SessionMirror::default();
-        let n = self.workers.len();
-        let plans: Vec<Message> = (0..n).map(|slot| self.plan_for(slot)).collect();
-        let mut early: Vec<Option<Message>> = std::iter::repeat_with(|| None).take(n).collect();
-        for i in 0..n {
-            if let Err(e) = self.workers[i].transport.send(&plans[i]) {
-                early[i] = Some(self.reask(i, &plans[i], e)?);
-            }
-        }
-        let mut replies = Vec::with_capacity(n);
-        let mut first_err: Option<ClusterError> = None;
-        for (i, slot_early) in early.into_iter().enumerate() {
-            let r = match slot_early {
-                Some(m) => Ok(m),
-                None => self.workers[i].transport.recv(),
-            };
-            let r = match r {
-                Err(e) if first_err.is_none() => self.reask(i, &plans[i], e),
-                other => other,
-            };
-            match r {
-                Ok(m) => replies.push(m),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                    replies.push(Message::ShutdownOk); // placeholder, never read
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        for (i, r) in replies.into_iter().enumerate() {
-            if r != Message::PlanOk {
-                return Err(ClusterError::Protocol(format!(
-                    "worker {i} answered Plan with {r:?}"
-                )));
+        self.preload = None;
+        let plans: Vec<Message> = (0..self.workers.len())
+            .map(|slot| self.plan_for(slot))
+            .collect();
+        let requests: Vec<Option<&Message>> = plans.iter().map(Some).collect();
+        for (i, reply) in self.exchange(&requests)?.into_iter().enumerate() {
+            if reply != Some(Message::PlanOk) {
+                return Err(unexpected(i, reply.as_ref(), "PlanOk"));
             }
         }
         Ok(())
@@ -478,26 +496,18 @@ impl Cluster {
     }
 
     /// One recovery attempt: replacement transport → `Hello` validation
-    /// → adopt into the slot → `Plan` → one catch-up `Compound` (tracker
-    /// segments + last assignment) → re-send the in-flight request.
+    /// → adopt into the slot → `Plan` → one catch-up `Compound` (see
+    /// [`SessionMirror`]) → re-send the in-flight request.
     fn try_adopt(&mut self, slot: usize, request: &Message) -> Result<Message, ClusterError> {
         let adopt_span = self.recorder.start();
         let recovery = self.recovery.as_mut().expect("recovery configured");
         let mut transport = (recovery.supplier)(slot)?;
-        let (rows, wdim) = match transport.recv()? {
-            Message::Hello { rows, dim } => (rows as usize, dim as usize),
-            other => {
-                return Err(ClusterError::Protocol(format!(
-                    "replacement worker {slot} opened with {other:?} instead of Hello"
-                )))
-            }
-        };
-        if rows != self.workers[slot].rows || wdim != self.dim {
-            return Err(ClusterError::Protocol(format!(
-                "replacement worker {slot} serves {rows} rows × {wdim} dims, expected {} × {}",
-                self.workers[slot].rows, self.dim
-            )));
-        }
+        hello(
+            transport.as_mut(),
+            slot,
+            Some(self.workers[slot].rows),
+            Some(self.dim),
+        )?;
         let old = std::mem::replace(&mut self.workers[slot].transport, transport);
         self.workers[slot].retired_sent += old.bytes_sent();
         self.workers[slot].retired_received += old.bytes_received();
@@ -506,15 +516,11 @@ impl Cluster {
             let plan = self.plan_for(slot);
             match roundtrip(&mut self.workers[slot], &plan)? {
                 Message::PlanOk => {}
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "replacement worker {slot} answered Plan with {other:?}"
-                    )))
-                }
+                other => return Err(unexpected(slot, Some(&other), "PlanOk")),
             }
-            // Replay the exact broadcast sequence the lost worker saw,
-            // then its labels, as one frame; the replies were already
-            // folded before the failure and are discarded here.
+            // Replay the session state the lost worker held as one
+            // frame; the replies were already folded before the failure
+            // and are discarded here.
             if let Some((frame, arity)) = self.mirror.frame() {
                 let reply = roundtrip(&mut self.workers[slot], &frame)?;
                 Self::unpack_compound(slot, reply, arity)?;
@@ -538,45 +544,55 @@ impl Cluster {
         Ok(reply)
     }
 
-    /// Receives exactly one reply from every worker (in worker order) —
-    /// `early` carries replies already obtained on the send path —
-    /// recovering failed workers along the way when a recovery path is
-    /// armed (`request` is re-asked), then surfaces the first error, if
-    /// any. Draining all replies before failing keeps every conversation
-    /// in sync.
-    fn collect_all_with_early(
+    /// The one fleet exchange: sends `requests[i]` to every worker `i`
+    /// that has one, then drains the reply of every worker it sent to, in
+    /// worker order. A failed send, and the first failed receive, is
+    /// re-asked ([`Cluster::reask`]) while no error is recorded. The
+    /// first error surfaces only once every sent worker's reply is read,
+    /// so a failed exchange leaves no reply behind to answer the next
+    /// one; without one, the first `Error` reply surfaces as
+    /// [`ClusterError::Remote`]. Returns one reply per request, `None`
+    /// where there was no request.
+    fn exchange(
         &mut self,
-        request: &Message,
-        mut early: Vec<Option<Message>>,
-    ) -> Result<Vec<Message>, ClusterError> {
-        let n = self.workers.len();
-        early.resize_with(n, || None);
-        let mut replies = Vec::with_capacity(n);
-        let mut first_err: Option<ClusterError> = None;
-        for (i, slot_early) in early.into_iter().enumerate() {
-            let r = match slot_early {
-                Some(m) => Ok(m),
-                None => self.workers[i].transport.recv(),
+        requests: &[Option<&Message>],
+    ) -> Result<Vec<Option<Message>>, ClusterError> {
+        let mut replies: Vec<Option<Message>> = requests.iter().map(|_| None).collect();
+        let mut sent = vec![false; requests.len()];
+        let mut first_err = None;
+        for (i, request) in requests.iter().enumerate() {
+            let Some(request) = request else { continue };
+            match self.workers[i].transport.send(request) {
+                Ok(()) => sent[i] = true,
+                Err(e) if first_err.is_none() => match self.reask(i, request, e) {
+                    Ok(reply) => replies[i] = Some(reply),
+                    Err(e) => first_err = Some(e),
+                },
+                Err(_) => {}
+            }
+        }
+        for (i, request) in requests.iter().enumerate() {
+            let (true, Some(request)) = (sent[i], request) else {
+                continue;
             };
-            let r = match r {
+            let reply = match self.workers[i].transport.recv() {
                 Err(e) if first_err.is_none() => self.reask(i, request, e),
-                other => other,
+                reply => reply,
             };
-            match r {
-                Ok(m) => replies.push(m),
+            match reply {
+                Ok(m) => replies[i] = Some(m),
                 Err(e) => {
                     first_err.get_or_insert(e);
-                    replies.push(Message::ShutdownOk); // placeholder, never read
                 }
             }
         }
         if let Some(e) = first_err {
             return Err(e);
         }
-        for (i, r) in replies.iter().enumerate() {
-            if let Message::Error(e) = r {
+        for (worker, reply) in replies.iter().enumerate() {
+            if let Some(Message::Error(e)) = reply {
                 return Err(ClusterError::Remote {
-                    worker: i,
+                    worker,
                     error: e.clone().into(),
                 });
             }
@@ -584,47 +600,45 @@ impl Cluster {
         Ok(replies)
     }
 
-    /// Broadcasts one message to every worker and collects the replies
-    /// (recovering mid-round failures when a recovery path is armed).
-    fn request_all(&mut self, msg: &Message) -> Result<Vec<Message>, ClusterError> {
+    /// One counted data round: an [`exchange`](Cluster::exchange) whose
+    /// round trip, blocked wall and `broadcast:<message>` span (cat
+    /// `cluster`: the workers asked, whether it succeeded) are taken
+    /// here, for broadcasts and row gathers alike.
+    fn round(
+        &mut self,
+        requests: &[Option<&Message>],
+    ) -> Result<Vec<Option<Message>>, ClusterError> {
         let t0 = Instant::now();
         let span = self.recorder.start();
         self.round_trips += 1;
-        let n = self.workers.len();
-        let mut early: Vec<Option<Message>> = std::iter::repeat_with(|| None).take(n).collect();
-        for (i, slot) in early.iter_mut().enumerate() {
-            if let Err(e) = self.workers[i].transport.send(msg) {
-                match self.reask(i, msg, e) {
-                    Ok(reply) => *slot = Some(reply),
-                    Err(e) => {
-                        self.blocked_wall += t0.elapsed();
-                        self.finish_broadcast_span(span, msg, n, false);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let replies = self.collect_all_with_early(msg, early);
+        let replies = self.exchange(requests);
         self.blocked_wall += t0.elapsed();
-        self.finish_broadcast_span(span, msg, n, replies.is_ok());
+        if self.recorder.is_enabled() {
+            let asked: Vec<&Message> = requests.iter().flatten().copied().collect();
+            let name = format!(
+                "broadcast:{}",
+                asked.first().map_or("nothing", |m| m.name())
+            );
+            let ok = replies.is_ok();
+            self.recorder.span(span, &name, CLUSTER_CAT, || {
+                vec![
+                    arg_u64("workers", asked.len() as u64),
+                    arg_u64("ok", ok as u64),
+                ]
+            });
+        }
         replies
     }
 
-    /// Closes the conversation span opened at the top of a broadcast.
-    fn finish_broadcast_span(
-        &self,
-        span: kmeans_obs::SpanStart,
-        msg: &Message,
-        workers: usize,
-        ok: bool,
-    ) {
-        if !self.recorder.is_enabled() {
-            return;
-        }
-        let name = format!("broadcast:{}", msg.name());
-        self.recorder.span(span, &name, CLUSTER_CAT, || {
-            vec![arg_u64("workers", workers as u64), arg_u64("ok", ok as u64)]
-        });
+    /// A counted round sending `msg` to every worker: one reply each, in
+    /// worker order.
+    fn broadcast(&mut self, msg: &Message) -> Result<Vec<Message>, ClusterError> {
+        let requests = vec![Some(msg); self.workers.len()];
+        Ok(self
+            .round(&requests)?
+            .into_iter()
+            .map(|reply| reply.expect("every worker was asked"))
+            .collect())
     }
 
     /// Brings every worker to the session state a resumed fit's journal
@@ -634,7 +648,7 @@ impl Cluster {
     /// every worker has committed it.
     pub fn catch_up(&mut self, mirror: SessionMirror) -> Result<(), ClusterError> {
         if let Some((frame, arity)) = mirror.frame() {
-            let replies = self.request_all(&frame)?;
+            let replies = self.broadcast(&frame)?;
             for (i, r) in replies.into_iter().enumerate() {
                 Self::unpack_compound(i, r, arity)?;
             }
@@ -676,64 +690,10 @@ impl Cluster {
         }
     }
 
-    /// One k-means|| tracker round as one `Compound` frame per worker:
-    /// the broadcast (`InitTracker` or `UpdateTracker`, possibly with no
-    /// rows) fused with its read (`SampleBernoulliLocal`, `SampleExact`,
-    /// `CandidateWeights`, `GatherD2`, or none). Decodes each worker's
-    /// replies into its [`TrackerPart`] and folds the parts, in worker
-    /// order, with [`fold_tracker_round`] — the fold a local fit runs on
-    /// its one part. A Bernoulli read rides the frame of the update that
-    /// changes φ because each part prescreens against its own φ, a lower
-    /// bound on the folded one, and the fold replays the exact test
-    /// ([`sample_bernoulli_prescreen`](kmeans_core::init::sample_bernoulli_prescreen)).
-    pub fn tracker_round(
-        &mut self,
-        broadcast: Broadcast<'_>,
-        read: TrackerRead,
-    ) -> Result<(f64, TrackerOut), ClusterError> {
-        let tracker_msg = match broadcast {
-            Broadcast::Init(centers) => {
-                // A new tracker: the old segments describe nothing the
-                // workers will hold once this round commits.
-                self.mirror.segments.clear();
-                Message::InitTracker {
-                    centers: centers.clone(),
-                }
-            }
-            Broadcast::Update { from, rows } => Message::UpdateTracker {
-                from: from as u64,
-                centers: rows.clone(),
-            },
-        };
-        let items: Vec<Message> = std::iter::once(tracker_msg)
-            .chain(Message::read_request(read))
-            .collect();
-        let arity = items.len();
-        let replies = self.request_all(&Message::Compound(items))?;
-        let mut parts = Vec::with_capacity(replies.len());
-        for (i, r) in replies.into_iter().enumerate() {
-            let mut items = Self::unpack_compound(i, r, arity)?.into_iter();
-            let sums = match items.next() {
-                Some(Message::ShardSums { sums }) => sums,
-                other => return Err(unexpected(i, other.as_ref(), "ShardSums")),
-            };
-            let read = match items.next().map(Message::into_read_part) {
-                None => ReadPart::Nothing,
-                Some(Ok(part)) => part,
-                Some(Err(other)) => return Err(unexpected(i, Some(&other), "a read")),
-            };
-            let rows = self.workers[i].rows;
-            parts.push(TrackerPart { rows, sums, read });
-        }
-        self.data_passes += 1;
-        // The round committed on every worker.
-        self.mirror.record_tracker(broadcast);
-        Ok(fold_tracker_round(read, self.dim, parts)?)
-    }
-
     /// Fetches rows by global index from their owning workers, preserving
-    /// the request order (duplicates allowed).
-    pub fn gather_rows(&mut self, indices: &[usize]) -> Result<PointMatrix, ClusterError> {
+    /// the request order (duplicates allowed): one counted round that
+    /// asks only the owners.
+    fn gather(&mut self, indices: &[usize]) -> Result<PointMatrix, ClusterError> {
         let mut out = PointMatrix::new(self.dim);
         if indices.is_empty() {
             return Ok(out);
@@ -747,71 +707,28 @@ impl Cluster {
             owners.push(w);
             per_worker[w].push(g as u64);
         }
-        let t0 = Instant::now();
-        self.round_trips += 1;
-        let involved: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| !per_worker[w].is_empty())
+        let requests: Vec<Option<Message>> = per_worker
+            .into_iter()
+            .map(|indices| (!indices.is_empty()).then_some(Message::GatherRows { indices }))
             .collect();
-        let requests: Vec<Message> = (0..self.workers.len())
-            .map(|w| Message::GatherRows {
-                indices: per_worker[w].clone(),
-            })
-            .collect();
-        let mut early: Vec<Option<Message>> = std::iter::repeat_with(|| None)
-            .take(self.workers.len())
-            .collect();
-        for &w in &involved {
-            if let Err(e) = self.workers[w].transport.send(&requests[w]) {
-                match self.reask(w, &requests[w], e) {
-                    Ok(reply) => early[w] = Some(reply),
-                    Err(e) => {
-                        self.blocked_wall += t0.elapsed();
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let mut gathered: Vec<Option<PointMatrix>> = vec![None; self.workers.len()];
-        let mut first_err: Option<ClusterError> = None;
-        for &w in &involved {
-            let r = match early[w].take() {
-                Some(m) => Ok(m),
-                None => self.workers[w].transport.recv(),
-            };
-            let r = match r {
-                Err(e) if first_err.is_none() => self.reask(w, &requests[w], e),
-                other => other,
-            };
-            match r {
-                Ok(Message::Rows { rows }) => gathered[w] = Some(rows),
-                Ok(Message::Error(e)) => {
-                    first_err.get_or_insert(ClusterError::Remote {
-                        worker: w,
-                        error: e.into(),
-                    });
-                }
-                Ok(other) => {
-                    first_err.get_or_insert(unexpected(w, Some(&other), "Rows"));
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        self.blocked_wall += t0.elapsed();
-        if let Some(e) = first_err {
-            return Err(e);
+        let asked: Vec<Option<&Message>> = requests.iter().map(Option::as_ref).collect();
+        let mut gathered = Vec::with_capacity(requests.len());
+        for (w, reply) in self.round(&asked)?.into_iter().enumerate() {
+            gathered.push(match reply {
+                None => PointMatrix::new(self.dim),
+                Some(Message::Rows { rows }) => rows,
+                Some(other) => return Err(unexpected(w, Some(&other), "Rows")),
+            });
         }
         // Reassemble in request order: take each owner's next row.
-        let mut cursors = vec![0usize; self.workers.len()];
+        let mut cursors = vec![0usize; gathered.len()];
         for &w in &owners {
-            let rows = gathered[w].as_ref().expect("gathered above");
-            if cursors[w] >= rows.len() {
+            if cursors[w] >= gathered[w].len() {
                 return Err(ClusterError::Protocol(format!(
                     "worker {w} returned too few rows"
                 )));
             }
-            out.push(rows.row(cursors[w])).map_err(|_| {
+            out.push(gathered[w].row(cursors[w])).map_err(|_| {
                 ClusterError::Protocol(format!("worker {w} returned rows of the wrong dim"))
             })?;
             cursors[w] += 1;
@@ -819,76 +736,25 @@ impl Cluster {
         Ok(out)
     }
 
-    /// One distributed assignment pass: decodes each worker's `Partials`
-    /// into its [`AssignPart`] and folds
-    /// the parts with [`fold_assign`] — bit-identical to the single-node
-    /// assignment pass on the same centers, the kernel work counters
-    /// included (they are deterministic per point, so their sum over
-    /// workers equals the single-node pass's).
-    ///
-    /// `want` piggybacks label shipping on the same round trip:
-    /// `Always` makes every worker append its labels to the partials
-    /// frame; `IfStable` makes each *locally* stable worker ship
-    /// speculatively — when the global count is 0 every worker was
-    /// locally stable, so the full label vector arrived for free and is
-    /// returned.
-    pub fn assign(
-        &mut self,
-        centers: &PointMatrix,
-        want: LabelFetch,
-    ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), ClusterError> {
-        let replies = self.request_all(&Message::Assign {
-            centers: centers.clone(),
-            labels: want,
-        })?;
-        let mut parts = Vec::with_capacity(replies.len());
-        for (i, r) in replies.into_iter().enumerate() {
-            let Message::Partials {
-                reassigned,
-                shards,
-                stats,
-                labels,
-            } = r
-            else {
-                return Err(unexpected(i, Some(&r), "Partials"));
-            };
-            let rows = self.workers[i].rows;
-            parts.push(AssignPart {
-                rows,
-                reassigned,
-                shards,
-                stats,
-                labels,
-            });
+    /// Serves a gather from the preload cache when every requested row
+    /// is cached; `None` falls through to the wire.
+    fn cached_rows(&self, indices: &[usize]) -> Option<Result<PointMatrix, KMeansError>> {
+        let (map, rows) = self.preload.as_ref()?;
+        let mut out = PointMatrix::new(rows.dim());
+        for g in indices {
+            let &pos = map.get(g)?;
+            if let Err(e) = out.push(rows.row(pos)) {
+                return Some(Err(KMeansError::Data(format!(
+                    "preloaded row {g} has the wrong dim: {e}"
+                ))));
+            }
         }
-        self.data_passes += 1;
-        let folded = fold_assign(centers.len(), self.dim, want, parts)?;
-        self.mirror.record_assign(centers);
-        Ok(folded)
-    }
-
-    /// Global potential of `centers` over all workers' rows (with the
-    /// finiteness check): the [`fold_shard_sums`] of every worker's
-    /// `ShardSums`, in worker order = shard order — bit-identical to the
-    /// single-node potential.
-    pub fn potential(&mut self, centers: &PointMatrix) -> Result<f64, ClusterError> {
-        let replies = self.request_all(&Message::Cost {
-            centers: centers.clone(),
-        })?;
-        let mut sums = Vec::new();
-        for (i, r) in replies.into_iter().enumerate() {
-            let Message::ShardSums { sums: part } = r else {
-                return Err(unexpected(i, Some(&r), "ShardSums"));
-            };
-            sums.extend(part);
-        }
-        self.data_passes += 1;
-        Ok(fold_shard_sums(sums))
+        Some(Ok(out))
     }
 
     /// Fetches every worker's residency accounting.
     pub fn fetch_stats(&mut self) -> Result<Vec<WorkerStats>, ClusterError> {
-        let replies = self.request_all(&Message::FetchStats)?;
+        let replies = self.broadcast(&Message::FetchStats)?;
         replies
             .into_iter()
             .enumerate()
@@ -941,10 +807,11 @@ impl Cluster {
         self.data_passes
     }
 
-    /// Data-round request/reply cycles driven so far: one per fleet
-    /// broadcast or row gather. Session control (`Hello`/`Plan`/
-    /// `Shutdown`) is excluded. A fused `Compound` round counts once —
-    /// this is the latency currency the round-fused driver minimizes.
+    /// Data-round request/reply cycles driven so far: one per counted
+    /// exchange — a fleet broadcast or a row gather. Session control
+    /// (`Hello`/`Plan`/`Shutdown`) is excluded. A fused `Compound` round
+    /// counts once — this is the latency currency the round-fused driver
+    /// minimizes.
     pub fn round_trips(&self) -> u64 {
         self.round_trips
     }
@@ -973,6 +840,168 @@ impl Cluster {
             }
         }
         Ok(lo)
+    }
+}
+
+/// Every round-level call is one counted exchange, one frame per worker
+/// asked; the input contract is the trait's shape check over the global
+/// `(n, dim)`.
+impl RoundBackend for Cluster {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Distributed
+    }
+
+    fn len(&self) -> usize {
+        self.global_n
+    }
+
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn wire_bytes(&self) -> Option<u64> {
+        // Monotonic across worker re-dials: retired transports fold
+        // their totals into the per-worker counters on replacement.
+        Some(self.bytes_sent() + self.bytes_received())
+    }
+
+    fn gather_rows(&mut self, indices: &[usize], out: &mut PointMatrix) -> Result<(), KMeansError> {
+        *out = match self.cached_rows(indices) {
+            Some(cached) => cached?,
+            None => self.gather(indices)?,
+        };
+        Ok(())
+    }
+
+    fn preload_rows(&mut self, indices: &[usize]) -> Result<(), KMeansError> {
+        let mut unique: Vec<usize> = indices.to_vec();
+        unique.sort_unstable();
+        unique.dedup();
+        let rows = self.gather(&unique)?;
+        self.preload = Some((unique.into_iter().zip(0..).collect(), rows));
+        Ok(())
+    }
+
+    /// One k-means|| tracker round as one `Compound` frame per worker:
+    /// the broadcast (`InitTracker` or `UpdateTracker`, possibly with no
+    /// rows) fused with its read (`SampleBernoulliLocal`, `SampleExact`,
+    /// `CandidateWeights`, `GatherD2`, or none). Decodes each worker's
+    /// replies into its [`TrackerPart`] and folds the parts, in worker
+    /// order, with [`fold_tracker_round`] — the fold a local fit runs on
+    /// its one part. A Bernoulli read rides the frame of the update that
+    /// changes φ because each part prescreens against its own φ, a lower
+    /// bound on the folded one, and the fold replays the exact test
+    /// ([`sample_bernoulli_prescreen`](kmeans_core::init::sample_bernoulli_prescreen)).
+    fn tracker_round(
+        &mut self,
+        broadcast: Broadcast<'_>,
+        read: TrackerRead,
+    ) -> Result<(f64, TrackerOut), KMeansError> {
+        let tracker_msg = match broadcast {
+            Broadcast::Init(centers) => {
+                // A new tracker: the old segments describe nothing the
+                // workers will hold once this round commits.
+                self.mirror.segments.clear();
+                Message::InitTracker {
+                    centers: centers.clone(),
+                }
+            }
+            Broadcast::Update { from, rows } => Message::UpdateTracker {
+                from: from as u64,
+                centers: rows.clone(),
+            },
+        };
+        let items: Vec<Message> = std::iter::once(tracker_msg)
+            .chain(Message::read_request(read))
+            .collect();
+        let arity = items.len();
+        let replies = self.broadcast(&Message::Compound(items))?;
+        let mut parts = Vec::with_capacity(replies.len());
+        for (i, r) in replies.into_iter().enumerate() {
+            let mut items = Self::unpack_compound(i, r, arity)?.into_iter();
+            let sums = match items.next() {
+                Some(Message::ShardSums { sums }) => sums,
+                other => return Err(unexpected(i, other.as_ref(), "ShardSums").into()),
+            };
+            let read = match items.next().map(Message::into_read_part) {
+                None => ReadPart::Nothing,
+                Some(Ok(part)) => part,
+                Some(Err(other)) => return Err(unexpected(i, Some(&other), "a read").into()),
+            };
+            let rows = self.workers[i].rows;
+            parts.push(TrackerPart { rows, sums, read });
+        }
+        self.data_passes += 1;
+        // The round committed on every worker.
+        self.mirror.record_tracker(broadcast);
+        fold_tracker_round(read, self.dim, parts)
+    }
+
+    /// One distributed assignment pass: decodes each worker's `Partials`
+    /// into its [`AssignPart`] and folds the parts with [`fold_assign`] —
+    /// bit-identical to the single-node assignment pass on the same
+    /// centers, the kernel work counters included (they are
+    /// deterministic per point, so their sum over workers equals the
+    /// single-node pass's).
+    ///
+    /// `fetch` piggybacks label shipping on the same round trip:
+    /// `Always` makes every worker append its labels to the partials
+    /// frame; `IfStable` makes each *locally* stable worker ship
+    /// speculatively — when the global count is 0 every worker was
+    /// locally stable, so the full label vector arrived for free and is
+    /// returned.
+    fn assign(
+        &mut self,
+        centers: &PointMatrix,
+        fetch: LabelFetch,
+    ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
+        let replies = self.broadcast(&Message::Assign {
+            centers: centers.clone(),
+            labels: fetch,
+        })?;
+        let mut parts = Vec::with_capacity(replies.len());
+        for (i, r) in replies.into_iter().enumerate() {
+            let Message::Partials {
+                reassigned,
+                shards,
+                stats,
+                labels,
+            } = r
+            else {
+                return Err(unexpected(i, Some(&r), "Partials").into());
+            };
+            let rows = self.workers[i].rows;
+            parts.push(AssignPart {
+                rows,
+                reassigned,
+                shards,
+                stats,
+                labels,
+            });
+        }
+        self.data_passes += 1;
+        let folded = fold_assign(centers.len(), self.dim, fetch, parts)?;
+        self.mirror.record_assign(centers);
+        Ok(folded)
+    }
+
+    /// Global potential of `centers` over all workers' rows (with the
+    /// finiteness check): the [`fold_shard_sums`] of every worker's
+    /// `ShardSums`, in worker order = shard order — bit-identical to the
+    /// single-node potential.
+    fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
+        let replies = self.broadcast(&Message::Cost {
+            centers: centers.clone(),
+        })?;
+        let mut sums = Vec::new();
+        for (i, r) in replies.into_iter().enumerate() {
+            let Message::ShardSums { sums: part } = r else {
+                return Err(unexpected(i, Some(&r), "ShardSums").into());
+            };
+            sums.extend(part);
+        }
+        self.data_passes += 1;
+        Ok(fold_shard_sums(sums))
     }
 }
 

@@ -4,21 +4,19 @@
 //!
 //! A distributed fit is the same pipeline as a local one: the builder's
 //! configured stages run their `init_backend` / `refine_backend` entry
-//! points on a [`ClusterBackend`] through the one fit engine,
-//! [`KMeans::fit_round_backend`], and stages without a distributed
-//! formulation (AFK-MC², k-means++, the streaming seeders) reject with
-//! the shared typed error — the same fail-loudly contract as the chunked
-//! path. `random`/`kmeans-par` seeds and `lloyd`/`minibatch`/`none`
-//! refiners work because their round drivers are backend-generic.
+//! points on the [`Cluster`] itself — the distributed `RoundBackend` —
+//! through the one fit engine, [`KMeans::fit_round_backend`], and stages
+//! without a distributed formulation (AFK-MC², k-means++, the streaming
+//! seeders) reject with the shared typed error — the same fail-loudly
+//! contract as the chunked path. `random`/`kmeans-par` seeds and
+//! `lloyd`/`minibatch`/`none` refiners work because their round drivers
+//! are backend-generic.
 //!
-//! The engine performs the capability checks before any wire traffic
-//! (the plan, with its worker-alignment validation, is deferred to the
-//! first wire round — so an unsupported stage always rejects with
-//! its own typed error before any stage touches the cluster), and wraps
-//! the backend in the flight recorder's span decorator when a recorder
-//! is configured.
+//! Every entry point runs the engine's up-front checks
+//! ([`KMeans::check_backend`]) before [`Cluster::plan`], so an
+//! unsupported stage rejects with its own typed error before any frame
+//! reaches a worker — even on a misaligned cluster.
 
-use crate::backend::ClusterBackend;
 use crate::checkpoint::{CheckpointingBackend, RoundCheckpoint};
 use crate::coordinator::Cluster;
 use kmeans_core::model::{KMeans, KMeansModel};
@@ -88,11 +86,16 @@ fn checkpoint_meta(kmeans: &KMeans, cluster: &Cluster) -> CheckpointMeta {
     }
 }
 
+/// The engine's up-front checks, then the plan that opens the fit.
+fn check_and_plan(kmeans: &KMeans, cluster: &mut Cluster) -> Result<(), KMeansError> {
+    kmeans.check_backend(cluster)?;
+    Ok(cluster.plan(kmeans.executor().shard_spec().shard_size())?)
+}
+
 impl FitDistributed for KMeans {
     fn fit_distributed(&self, cluster: &mut Cluster) -> Result<KMeansModel, KMeansError> {
-        let shard_size = self.executor().shard_spec().shard_size();
-        let mut backend = ClusterBackend::deferred(cluster, shard_size);
-        self.fit_round_backend(&mut backend)
+        check_and_plan(self, cluster)?;
+        self.fit_round_backend(cluster)
     }
 
     fn fit_distributed_resumable(
@@ -117,11 +120,9 @@ impl FitDistributed for KMeans {
                 expected.dim,
             )));
         }
+        check_and_plan(self, cluster)?;
         ckpt.rewind();
-        let shard_size = self.executor().shard_spec().shard_size();
-        let inner = ClusterBackend::deferred(cluster, shard_size);
-        let mut backend = CheckpointingBackend::new(inner, ckpt);
-        self.fit_round_backend(&mut backend)
+        self.fit_round_backend(&mut CheckpointingBackend::new(cluster, ckpt))
     }
 
     fn fit_distributed_checkpointed(

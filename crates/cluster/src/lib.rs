@@ -18,13 +18,14 @@
 //! * [`worker`] — the per-partition "mapper": owns one contiguous shard
 //!   of the data as a `ChunkedSource` (typically an `SKMBLK01` block file
 //!   with a residency budget) and computes per-shard partials only.
-//! * [`coordinator`] — [`Cluster`]: the conversation driver and the home
-//!   of every order-sensitive fold.
-//! * [`backend`] — [`ClusterBackend`]: the cluster as a
+//! * [`coordinator`] — [`Cluster`]: the fleet conversation, one
+//!   scatter/gather exchange for every round, and the distributed
 //!   `kmeans_core::driver::RoundBackend`, so the backend-generic round
 //!   drivers (the *single* implementation of k-means||, Lloyd,
 //!   mini-batch, and random seeding shared with the in-memory and
-//!   chunked modes) execute distributed.
+//!   chunked modes) execute distributed. It folds the decoded worker
+//!   parts with kmeans-core's fold functions, the ones a local fit
+//!   folds its one part with.
 //! * [`fit`] — [`FitDistributed`] puts `fit_distributed` on the standard
 //!   [`KMeans`](kmeans_core::model::KMeans) builder, next to `fit` and
 //!   `fit_chunked`.
@@ -50,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod backend;
 pub mod checkpoint;
 pub mod coordinator;
 pub mod error;
@@ -62,7 +62,6 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use backend::ClusterBackend;
 pub use checkpoint::{CheckpointingBackend, RoundCheckpoint};
 pub use coordinator::{Cluster, WorkerSummary};
 pub use error::ClusterError;

@@ -154,6 +154,81 @@ impl From<WireError> for KMeansError {
     }
 }
 
+impl WireError {
+    /// Encodes the error as its kind byte and fields: the payload of the
+    /// `Error` message in both frame vocabularies, the worker's
+    /// [`Message`] and the serving tier's.
+    pub fn encode(&self, e: &mut Enc) {
+        match self {
+            WireError::EmptyInput => e.u8(1),
+            WireError::InvalidK { k, n } => {
+                e.u8(2);
+                e.u64(*k);
+                e.u64(*n);
+            }
+            WireError::DimensionMismatch { expected, got } => {
+                e.u8(3);
+                e.u64(*expected);
+                e.u64(*got);
+            }
+            WireError::InvalidConfig(m) => {
+                e.u8(4);
+                e.text(m);
+            }
+            WireError::NonFiniteData { point, dim } => {
+                e.u8(5);
+                e.u64(*point);
+                e.u64(*dim);
+            }
+            WireError::Data(m) => {
+                e.u8(6);
+                e.text(m);
+            }
+            WireError::Overloaded { queued_points, cap } => {
+                e.u8(7);
+                e.u64(*queued_points);
+                e.u64(*cap);
+            }
+            WireError::DeadlineExceeded { budget_ms } => {
+                e.u8(8);
+                e.u64(*budget_ms);
+            }
+            WireError::Draining => e.u8(9),
+        }
+    }
+
+    /// Decodes what [`WireError::encode`] wrote; an unknown kind byte is
+    /// a malformed frame.
+    pub fn decode(d: &mut Dec<'_>) -> Result<Self, FrameError> {
+        Ok(match d.u8()? {
+            1 => WireError::EmptyInput,
+            2 => WireError::InvalidK {
+                k: d.u64()?,
+                n: d.u64()?,
+            },
+            3 => WireError::DimensionMismatch {
+                expected: d.u64()?,
+                got: d.u64()?,
+            },
+            4 => WireError::InvalidConfig(d.text()?),
+            5 => WireError::NonFiniteData {
+                point: d.u64()?,
+                dim: d.u64()?,
+            },
+            6 => WireError::Data(d.text()?),
+            7 => WireError::Overloaded {
+                queued_points: d.u64()?,
+                cap: d.u64()?,
+            },
+            8 => WireError::DeadlineExceeded {
+                budget_ms: d.u64()?,
+            },
+            9 => WireError::Draining,
+            _ => return Err(FrameError::Malformed("unknown error kind")),
+        })
+    }
+}
+
 /// A worker's residency/accounting snapshot (reply to
 /// [`Message::FetchStats`]), surfaced in the CLI's per-worker report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -511,42 +586,7 @@ impl WireMessage for Message {
                 e.u64(s.hits);
                 e.u64(s.budget_bytes);
             }
-            Message::Error(err) => match err {
-                WireError::EmptyInput => e.u8(1),
-                WireError::InvalidK { k, n } => {
-                    e.u8(2);
-                    e.u64(*k);
-                    e.u64(*n);
-                }
-                WireError::DimensionMismatch { expected, got } => {
-                    e.u8(3);
-                    e.u64(*expected);
-                    e.u64(*got);
-                }
-                WireError::InvalidConfig(m) => {
-                    e.u8(4);
-                    e.text(m);
-                }
-                WireError::NonFiniteData { point, dim } => {
-                    e.u8(5);
-                    e.u64(*point);
-                    e.u64(*dim);
-                }
-                WireError::Data(m) => {
-                    e.u8(6);
-                    e.text(m);
-                }
-                WireError::Overloaded { queued_points, cap } => {
-                    e.u8(7);
-                    e.u64(*queued_points);
-                    e.u64(*cap);
-                }
-                WireError::DeadlineExceeded { budget_ms } => {
-                    e.u8(8);
-                    e.u64(*budget_ms);
-                }
-                WireError::Draining => e.u8(9),
-            },
+            Message::Error(err) => err.encode(e),
             Message::Compound(items) => {
                 e.u64(items.len() as u64);
                 for item in items {
@@ -671,36 +711,7 @@ impl WireMessage for Message {
                 hits: d.u64()?,
                 budget_bytes: d.u64()?,
             }),
-            24 => {
-                let kind = d.u8()?;
-                let err = match kind {
-                    1 => WireError::EmptyInput,
-                    2 => WireError::InvalidK {
-                        k: d.u64()?,
-                        n: d.u64()?,
-                    },
-                    3 => WireError::DimensionMismatch {
-                        expected: d.u64()?,
-                        got: d.u64()?,
-                    },
-                    4 => WireError::InvalidConfig(d.text()?),
-                    5 => WireError::NonFiniteData {
-                        point: d.u64()?,
-                        dim: d.u64()?,
-                    },
-                    6 => WireError::Data(d.text()?),
-                    7 => WireError::Overloaded {
-                        queued_points: d.u64()?,
-                        cap: d.u64()?,
-                    },
-                    8 => WireError::DeadlineExceeded {
-                        budget_ms: d.u64()?,
-                    },
-                    9 => WireError::Draining,
-                    _ => return Err(FrameError::Malformed("unknown error kind")),
-                };
-                Message::Error(err)
-            }
+            24 => Message::Error(WireError::decode(&mut d)?),
             25 => Message::Shutdown,
             26 => Message::ShutdownOk,
             29 => {

@@ -29,8 +29,8 @@
 //!   [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked)). Both
 //!   kinds run the same local passes ([`crate::chunked`]): resident rows
 //!   are one block, lent, so every local pass exists once.
-//! * `ClusterBackend` (in `kmeans-cluster`) — a coordinator's worker
-//!   cluster speaking the SKW wire protocol; each worker serves one
+//! * `Cluster` (in `kmeans-cluster`) — a coordinator's worker cluster
+//!   speaking the SKW wire protocol; each worker serves one
 //!   [`LocalBackend::part`] over its rows.
 //!
 //! **One part, one fold.** Each round-level call has a *part half* — a

@@ -232,26 +232,6 @@ impl KMeans {
         &self.init
     }
 
-    /// Resolves the refinement stage, rejecting Lloyd knobs combined with
-    /// a custom refiner (silently ignoring them would leave e.g. an
-    /// "iteration-capped" study uncapped; fail loudly instead). Public for
-    /// alternative fit frontends, which must apply the same conflict rule.
-    pub fn resolve_refiner(&self) -> Result<Arc<dyn Refiner>, KMeansError> {
-        match &self.refiner {
-            Some(r) => {
-                if self.lloyd_tuned {
-                    return Err(KMeansError::InvalidConfig(
-                        "max_iterations/tol configure the default Lloyd refiner; \
-                         pass a configured refiner to .refine(...) instead"
-                            .into(),
-                    ));
-                }
-                Ok(Arc::clone(r))
-            }
-            None => Ok(Arc::new(Lloyd(self.lloyd))),
-        }
-    }
-
     /// Runs initialization + refinement on `points` (weighted when
     /// [`KMeans::weights`] is set): [`KMeans::fit_round_backend`] on a
     /// [`LocalBackend::in_memory`] that carries the weights.
@@ -281,23 +261,20 @@ impl KMeans {
         self.fit_round_backend(&mut LocalBackend::chunked(source.as_ref(), &exec))
     }
 
-    /// Runs the standard init → refine pipeline over an explicit
-    /// [`RoundBackend`] — the one fit engine behind [`KMeans::fit`],
-    /// [`KMeans::fit_chunked`], and `kmeans-cluster`'s distributed fit
-    /// entry points.
-    ///
-    /// Both stages are capability-checked against the backend's
-    /// [`BackendKind`](crate::driver::BackendKind) up front and rejected
-    /// with the mode's typed error when they have no formulation there;
-    /// configured weights are rejected unless the backend carries them
-    /// (only [`KMeans::fit`]'s in-memory backend does). When the
-    /// configured [`Recorder`] is enabled the backend is wrapped in a
-    /// [`RecordingBackend`] so every round primitive records a span; the
-    /// wrapper only observes, so results are bit-identical either way.
-    pub fn fit_round_backend(
+    /// The engine's up-front checks on `backend`, run before any round:
+    /// configured weights only on a backend that carries them (only
+    /// [`KMeans::fit`]'s in-memory backend does), no Lloyd knobs next to
+    /// a custom refiner (silently ignoring them would leave e.g. an
+    /// "iteration-capped" study uncapped), and both stages formulated for
+    /// the backend's [`BackendKind`](crate::driver::BackendKind) — each
+    /// failure the mode's typed error. Returns the resolved refiner.
+    /// Public for fit frontends that open a session before the engine
+    /// runs: the distributed fit checks before its plan, so an
+    /// unsupported stage rejects before any frame reaches a worker.
+    pub fn check_backend(
         &self,
-        backend: &mut dyn RoundBackend,
-    ) -> Result<KMeansModel, KMeansError> {
+        backend: &dyn RoundBackend,
+    ) -> Result<Arc<dyn Refiner>, KMeansError> {
         let kind = backend.kind();
         if self.weights.is_some() && backend_weights(backend).is_none() {
             return Err(KMeansError::InvalidConfig(format!(
@@ -305,13 +282,42 @@ impl KMeans {
                 kind.name()
             )));
         }
-        let refiner = self.resolve_refiner()?;
+        let refiner = match &self.refiner {
+            Some(_) if self.lloyd_tuned => {
+                return Err(KMeansError::InvalidConfig(
+                    "max_iterations/tol configure the default Lloyd refiner; \
+                     pass a configured refiner to .refine(...) instead"
+                        .into(),
+                ))
+            }
+            Some(r) => Arc::clone(r),
+            None => Arc::new(Lloyd(self.lloyd)),
+        };
         if !self.init.supports_backend(kind) {
             return Err(reject_backend(self.init.name(), kind));
         }
         if !refiner.supports_backend(kind) {
             return Err(reject_backend(refiner.name(), kind));
         }
+        Ok(refiner)
+    }
+
+    /// Runs the standard init → refine pipeline over an explicit
+    /// [`RoundBackend`] — the one fit engine behind [`KMeans::fit`],
+    /// [`KMeans::fit_chunked`], and `kmeans-cluster`'s distributed fit
+    /// entry points.
+    ///
+    /// [`KMeans::check_backend`] runs first, so an unsupported stage or a
+    /// weighted fit on a backend without weights rejects before any
+    /// round. When the configured [`Recorder`] is enabled the backend is
+    /// wrapped in a [`RecordingBackend`] so every round primitive records
+    /// a span; the wrapper only observes, so results are bit-identical
+    /// either way.
+    pub fn fit_round_backend(
+        &self,
+        backend: &mut dyn RoundBackend,
+    ) -> Result<KMeansModel, KMeansError> {
+        let refiner = self.check_backend(backend)?;
         let exec = self.executor();
         let mut recorded;
         let backend: &mut dyn RoundBackend = if self.recorder.is_enabled() {

@@ -99,45 +99,14 @@ impl Executor {
     }
 
     /// Maps every shard of `[0, n)` through `f`, returning results in shard
-    /// order. `f` receives `(shard_index, index_range)`.
+    /// order. `f` receives `(shard_index, index_range)`:
+    /// [`Executor::map_pieces`] over the shard ranges.
     pub fn map_shards<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, std::ops::Range<usize>) -> T + Sync,
     {
-        let count = self.spec.count(n);
-        let workers = self.workers().min(count.max(1));
-        if workers <= 1 || count <= 1 {
-            return (0..count).map(|s| f(s, self.spec.range(n, s))).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            if s >= count {
-                                break;
-                            }
-                            local.push((s, f(s, self.spec.range(n, s))));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (s, value) in handle.join().expect("shard worker panicked") {
-                    results[s] = Some(value);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("shard result missing"))
-            .collect()
+        self.map_pieces(self.spec.ranges(n).collect(), f)
     }
 
     /// Maps every shard and folds the results **in shard order** with

@@ -230,75 +230,6 @@ fn decode_hist_summary(d: &mut Dec<'_>) -> Result<HistogramSummary, FrameError> 
     })
 }
 
-fn encode_wire_error(e: &mut Enc, err: &WireError) {
-    match err {
-        WireError::EmptyInput => e.u8(1),
-        WireError::InvalidK { k, n } => {
-            e.u8(2);
-            e.u64(*k);
-            e.u64(*n);
-        }
-        WireError::DimensionMismatch { expected, got } => {
-            e.u8(3);
-            e.u64(*expected);
-            e.u64(*got);
-        }
-        WireError::InvalidConfig(m) => {
-            e.u8(4);
-            e.text(m);
-        }
-        WireError::NonFiniteData { point, dim } => {
-            e.u8(5);
-            e.u64(*point);
-            e.u64(*dim);
-        }
-        WireError::Data(m) => {
-            e.u8(6);
-            e.text(m);
-        }
-        WireError::Overloaded { queued_points, cap } => {
-            e.u8(7);
-            e.u64(*queued_points);
-            e.u64(*cap);
-        }
-        WireError::DeadlineExceeded { budget_ms } => {
-            e.u8(8);
-            e.u64(*budget_ms);
-        }
-        WireError::Draining => e.u8(9),
-    }
-}
-
-fn decode_wire_error(d: &mut Dec<'_>) -> Result<WireError, FrameError> {
-    let kind = d.u8()?;
-    Ok(match kind {
-        1 => WireError::EmptyInput,
-        2 => WireError::InvalidK {
-            k: d.u64()?,
-            n: d.u64()?,
-        },
-        3 => WireError::DimensionMismatch {
-            expected: d.u64()?,
-            got: d.u64()?,
-        },
-        4 => WireError::InvalidConfig(d.text()?),
-        5 => WireError::NonFiniteData {
-            point: d.u64()?,
-            dim: d.u64()?,
-        },
-        6 => WireError::Data(d.text()?),
-        7 => WireError::Overloaded {
-            queued_points: d.u64()?,
-            cap: d.u64()?,
-        },
-        8 => WireError::DeadlineExceeded {
-            budget_ms: d.u64()?,
-        },
-        9 => WireError::Draining,
-        _ => return Err(FrameError::Malformed("unknown error kind")),
-    })
-}
-
 impl WireMessage for ServeMessage {
     const MAGIC: [u8; 4] = SERVE_MAGIC;
 
@@ -407,7 +338,7 @@ impl WireMessage for ServeMessage {
                 e.u64(*k);
                 e.u32(*dim);
             }
-            ServeMessage::Error(err) => encode_wire_error(e, err),
+            ServeMessage::Error(err) => err.encode(e),
             ServeMessage::DrainOk { queued_points } => e.u64(*queued_points),
         }
     }
@@ -494,7 +425,7 @@ impl WireMessage for ServeMessage {
                 k: d.u64()?,
                 dim: d.u32()?,
             },
-            11 => ServeMessage::Error(decode_wire_error(&mut d)?),
+            11 => ServeMessage::Error(WireError::decode(&mut d)?),
             12 => ServeMessage::Shutdown,
             13 => ServeMessage::ShutdownOk,
             14 => ServeMessage::Drain,

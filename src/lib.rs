@@ -85,7 +85,7 @@ pub use kmeans_core::{
 
 /// Convenient glob-import surface for applications.
 pub mod prelude {
-    pub use kmeans_cluster::{Cluster, ClusterBackend, FitDistributed, Worker as ClusterWorker};
+    pub use kmeans_cluster::{Cluster, FitDistributed, Worker as ClusterWorker};
     pub use kmeans_core::driver::{BackendKind, LocalBackend, RoundBackend};
     pub use kmeans_core::init::{
         InitMethod, KMeansParallelConfig, Oversampling, Recluster, Rounds, SamplingMode, TopUp,

@@ -242,10 +242,11 @@ fn resume_from_every_truncation_point_is_bit_identical() {
             .fit_distributed_resumable(&mut cluster, &mut partial)
             .unwrap_or_else(|e| panic!("resume at round {r}: {e}"));
         // Every live record is one round trip, and going live costs one
-        // more: the catch-up compound (tracker segments + last assign),
-        // whenever the replayed prefix holds a tracker round (record 0
-        // is the first-center gather) — also when the resume goes live
-        // during Lloyd, with six tracker segments to replay.
+        // more: the catch-up compound (the tracker segments during
+        // seeding, the last assign's centers from the first assignment
+        // on), whenever the replayed prefix holds a tracker round
+        // (record 0 is the first-center gather) — also when the resume
+        // goes live during Lloyd, with one assignment to replay.
         let live = (full.len() - r) as u64;
         let catch_up = u64::from(r >= 2 && live > 0);
         assert_eq!(

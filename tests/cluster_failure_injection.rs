@@ -14,6 +14,7 @@ use scalable_kmeans::cluster::{
     spawn_tcp_worker_with_faults, Cluster, ClusterError, FaultAction, FitDistributed, RetryPolicy,
     TcpTransport, TcpWorkerServer, Transport, Worker,
 };
+use scalable_kmeans::core::driver::RoundBackend;
 use scalable_kmeans::core::init::KMeansParallelConfig;
 use scalable_kmeans::core::model::{KMeans, KMeansModel};
 use scalable_kmeans::core::pipeline::{KMeansParallel, NoRefine};
@@ -447,9 +448,10 @@ fn topup_gather_death_and_delayed_replies() {
 }
 
 /// Adoption during Lloyd is three frames on the replacement: `Plan`, one
-/// catch-up `Compound` carrying the six tracker segments plus an `Assign`
-/// against the last completed pass's centers, and the re-asked `Assign`.
-/// Counted with the replacement worker's own frame recorder.
+/// catch-up `Compound` carrying a single `Assign` against the last
+/// completed pass's centers (the first assignment freed the tracker, so
+/// no tracker segment is replayed), and the re-asked `Assign`. Counted
+/// with the replacement worker's own frame recorder.
 #[test]
 fn worker_adopted_during_lloyd_receives_plan_catch_up_and_reask() {
     let points = gauss();
@@ -528,13 +530,13 @@ fn worker_adopted_during_lloyd_receives_plan_catch_up_and_reask() {
             .all(|n| *n == "frame:assign" || *n == "frame:shutdown"),
         "{names:?}"
     );
-    // Frame rows count one local pass per item: six tracker segments
-    // plus the label-rebuilding assignment.
+    // Frame rows count one local pass per item: the label-rebuilding
+    // assignment alone.
     assert!(
         frames[1]
             .args
             .iter()
-            .any(|(n, v)| n == "rows" && *v == ArgValue::U64(7 * local_rows)),
+            .any(|(n, v)| n == "rows" && *v == ArgValue::U64(local_rows)),
         "catch-up compound: {:?}",
         frames[1].args
     );
@@ -606,6 +608,70 @@ fn death_during_recovery_is_a_typed_error_not_a_hang() {
     for h in doomed.lock().unwrap().drain(..) {
         let _ = h.join().unwrap();
     }
+}
+
+/// A re-ask that fails still drains every worker the exchange sent to.
+/// Worker 1 dies on its first `Cost` and the supplier's first two
+/// replacements fail to start: the first potential fails on worker 1's
+/// reply, the second on worker 1's send — after worker 0 already holds
+/// the request. The next conversation adopts a healthy replacement, and
+/// worker 0's reply must answer it, not the failed potential.
+#[test]
+fn a_failed_reask_leaves_the_other_workers_in_sync() {
+    let points = gauss();
+    let slices = even_slices(points.len(), 2);
+    let mut transports: Vec<Box<dyn Transport>> = Vec::new();
+    let mut originals = Vec::new();
+    for (w, &(start, rows)) in slices.iter().enumerate() {
+        let source = InMemorySource::new(slice_rows(&points, start, rows), 3).unwrap();
+        let script = if w == 1 {
+            vec![FaultAction::KillOnRecv {
+                tag: tag::COST,
+                occurrence: 1,
+            }]
+        } else {
+            vec![]
+        };
+        let (t, h) = spawn_loopback_worker_with_faults(source, Parallelism::Sequential, script);
+        transports.push(Box::new(t));
+        originals.push(h);
+    }
+    let mut cluster = Cluster::new(transports).unwrap();
+    let replacements: SharedHandles = Arc::new(Mutex::new(Vec::new()));
+    let supplier_handles = Arc::clone(&replacements);
+    let supplier_points = points.clone();
+    let mut offers = 0;
+    cluster.set_recovery(
+        Box::new(move |slot| {
+            offers += 1;
+            if offers <= 2 {
+                return Err(ClusterError::Disconnected);
+            }
+            let (start, rows) = slices[slot];
+            let source = InMemorySource::new(slice_rows(&supplier_points, start, rows), 3).unwrap();
+            let (t, h) = spawn_loopback_worker(source, Parallelism::Sequential);
+            supplier_handles.lock().unwrap().push(h);
+            Ok(Box::new(t))
+        }),
+        RetryPolicy::fixed(1, Duration::from_millis(1)),
+    );
+    cluster.plan(SHARD).unwrap();
+    let centers = slice_rows(&points, 0, 2);
+    for attempt in 1..=2 {
+        let err = cluster.potential(&centers).unwrap_err().to_string();
+        assert!(
+            err.contains("worker 1 not recovered after 1 attempt(s)"),
+            "potential {attempt}: {err}"
+        );
+    }
+    let stats = cluster.fetch_stats().unwrap();
+    assert_eq!(stats.len(), 2);
+    cluster.shutdown();
+    for h in originals {
+        let _ = h.join().unwrap();
+    }
+    assert_eq!(replacements.lock().unwrap().len(), 1, "one adoption");
+    drain(&replacements);
 }
 
 /// TCP elasticity: a worker ships half a reply frame over a real socket

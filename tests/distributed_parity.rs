@@ -8,8 +8,7 @@
 
 use scalable_kmeans::cluster::protocol::WireError;
 use scalable_kmeans::cluster::{
-    spawn_loopback_worker, spawn_tcp_worker, Cluster, ClusterBackend, FitDistributed, Message,
-    Transport,
+    spawn_loopback_worker, spawn_tcp_worker, Cluster, FitDistributed, Message, Transport,
 };
 use scalable_kmeans::core::driver::{drive_lloyd, RoundBackend};
 use scalable_kmeans::core::init::{KMeansParallelConfig, SamplingMode};
@@ -290,12 +289,7 @@ fn dist_lloyd_reseeds_empty_clusters_like_single_node() {
 
     let (mut cluster, handles) = loopback_cluster(&points, 4, 7, Parallelism::Threads(3));
     cluster.plan(SHARD).unwrap();
-    let got = drive_lloyd(
-        &mut ClusterBackend::new(&mut cluster),
-        &init,
-        &LloydConfig::default(),
-    )
-    .unwrap();
+    let got = drive_lloyd(&mut cluster, &init, &LloydConfig::default()).unwrap();
     cluster.shutdown();
     for h in handles {
         h.join().unwrap().unwrap();

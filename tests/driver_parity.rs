@@ -1,7 +1,7 @@
 //! Backend-equivalence acceptance tests for the round-driver layer: the
 //! **same** driver function (`kmeans_core::driver`) executed on a
 //! `LocalBackend` over resident rows, one over blocks, and a loopback
-//! `ClusterBackend`
+//! `Cluster`
 //! must produce bit-identical results — over random n/d/k, block sizes,
 //! {1, 2, 4} workers, and sequential vs multi-threaded executors —
 //! including the newly unlocked distributed mini-batch path and
@@ -9,9 +9,7 @@
 //! every backend).
 
 use proptest::prelude::*;
-use scalable_kmeans::cluster::{
-    spawn_loopback_worker, Cluster, ClusterBackend, FitDistributed, Transport,
-};
+use scalable_kmeans::cluster::{spawn_loopback_worker, Cluster, FitDistributed, Transport};
 use scalable_kmeans::core::driver::{
     drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, Broadcast,
     LocalBackend, RoundBackend, TrackerOut, TrackerRead,
@@ -138,12 +136,11 @@ fn run_grid_point(
         let (mut cluster, handles) = loopback_cluster(points, workers, block_rows, parallelism);
         cluster.plan(SHARD).unwrap();
         {
-            let mut backend = ClusterBackend::new(&mut cluster);
             let (d_centers, d_stats) =
-                drive_kmeans_parallel(&mut backend, k, config, seed).unwrap();
+                drive_kmeans_parallel(&mut cluster, k, config, seed).unwrap();
             assert_eq!(d_centers, ref_centers, "dist seeds, {workers} workers");
             assert_eq!(d_stats.candidates, ref_stats.candidates);
-            let d_lloyd = drive_lloyd(&mut backend, &d_centers, &LloydConfig::default()).unwrap();
+            let d_lloyd = drive_lloyd(&mut cluster, &d_centers, &LloydConfig::default()).unwrap();
             assert_lloyd_bits(&d_lloyd, &ref_lloyd, &format!("dist, {workers} workers"));
         }
         shutdown(cluster, handles);
@@ -204,13 +201,11 @@ proptest! {
         let (mut cluster, handles) = loopback_cluster(&points, 2, 5, Parallelism::Sequential);
         cluster.plan(SHARD).unwrap();
         {
-            let mut backend = ClusterBackend::new(&mut cluster);
-            let (d_random, _) = drive_random_init(&mut backend, k, seed).unwrap();
+            let (d_random, _) = drive_random_init(&mut cluster, k, seed).unwrap();
             prop_assert_eq!(&d_random, &mem_random);
         }
         {
-            let mut backend = ClusterBackend::new(&mut cluster);
-            let (d_exact, _) = drive_kmeans_parallel(&mut backend, k, &exact, seed).unwrap();
+            let (d_exact, _) = drive_kmeans_parallel(&mut cluster, k, &exact, seed).unwrap();
             prop_assert_eq!(&d_exact, &mem_exact);
         }
         shutdown(cluster, handles);
@@ -251,9 +246,8 @@ proptest! {
                 loopback_cluster(&points, workers, block_rows, Parallelism::Sequential);
             cluster.plan(SHARD).unwrap();
             {
-                let mut backend = ClusterBackend::new(&mut cluster);
                 let (d_centers, d_stats) =
-                    drive_minibatch(&mut backend, &init, &config, seed).unwrap();
+                    drive_minibatch(&mut cluster, &init, &config, seed).unwrap();
                 prop_assert_eq!(&d_centers, &reference);
                 prop_assert_eq!(d_stats, ref_stats);
             }
@@ -358,9 +352,8 @@ fn non_finite_data_errors_identically_on_every_backend() {
         let (mut cluster, handles) = loopback_cluster(&points, workers, 6, Parallelism::Sequential);
         cluster.plan(SHARD).unwrap();
         {
-            let mut backend = ClusterBackend::new(&mut cluster);
             assert_eq!(
-                drive_kmeans_parallel(&mut backend, 4, &config, 1).unwrap_err(),
+                drive_kmeans_parallel(&mut cluster, 4, &config, 1).unwrap_err(),
                 expected,
                 "{workers} workers"
             );
@@ -435,7 +428,7 @@ fn round_contract_violations_error_identically_on_every_backend() {
     assert_eq!(blocks, resident);
     let (mut cluster, handles) = loopback_cluster(&points, 2, 6, Parallelism::Sequential);
     cluster.plan(SHARD).unwrap();
-    let distributed = check(&mut ClusterBackend::new(&mut cluster), "2 workers");
+    let distributed = check(&mut cluster, "2 workers");
     assert_eq!(distributed, resident);
     shutdown(cluster, handles);
 }
@@ -450,13 +443,12 @@ fn local_only_stages_reject_the_cluster_backend() {
     let (mut cluster, handles) = loopback_cluster(&points, 2, 8, Parallelism::Sequential);
     cluster.plan(SHARD).unwrap();
     {
-        let mut backend = ClusterBackend::new(&mut cluster);
-        let err = KMeansPlusPlus.init_backend(&mut backend, 3, 0).unwrap_err();
+        let err = KMeansPlusPlus.init_backend(&mut cluster, 3, 0).unwrap_err();
         assert!(
             err.to_string().contains("does not support distributed"),
             "{err}"
         );
-        assert!(!backend.is_empty());
+        assert!(!cluster.is_empty());
     }
     shutdown(cluster, handles);
 }

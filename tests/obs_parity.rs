@@ -250,6 +250,7 @@ fn traced_distributed_fit_is_bit_identical_and_counts_wire_bytes() {
         .fit_distributed(&mut cluster)
         .unwrap();
     let wire_total = cluster.bytes_sent() + cluster.bytes_received();
+    let round_trips = cluster.round_trips();
     cluster.shutdown();
     for h in handles {
         h.join().unwrap().unwrap();
@@ -302,6 +303,12 @@ fn traced_distributed_fit_is_bit_identical_and_counts_wire_bytes() {
     assert!(events
         .iter()
         .any(|e| e.cat == "cluster" && e.name.starts_with("broadcast:")));
+    // One coordinator span per counted round trip, row gathers included.
+    let exchanges = events
+        .iter()
+        .filter(|e| e.cat == "cluster" && e.name.starts_with("broadcast:"))
+        .count() as u64;
+    assert_eq!(exchanges, round_trips, "coordinator spans vs round trips");
 }
 
 #[test]
