@@ -344,9 +344,10 @@ pub enum Message {
     },
     /// One distributed assignment pass against these centers. Replies
     /// `Partials`; the worker stores the labels, which seed the next
-    /// pass's warm sweep. On a fresh session (no stored labels) the pass
-    /// runs cold — which is how recovery catch-up rebuilds a lost
-    /// worker's labels.
+    /// pass's warm sweep. A session without labels seeds the pass from
+    /// its seeding tracker while it has one, and runs it cold otherwise —
+    /// either way the labels are the same bits, which is how recovery
+    /// catch-up rebuilds a lost worker's labels.
     Assign {
         /// The centers.
         centers: PointMatrix,

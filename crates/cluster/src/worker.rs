@@ -250,10 +250,11 @@ fn try_handle(
             part.gather_part(&indices, &mut rows)?;
             Message::Rows { rows }
         }
-        // The previous pass's labels seed the warm sweep here exactly as
-        // in a local fit. A fresh session has none and runs cold — the
-        // labels a recovery catch-up rebuilds are the ones the lost worker
-        // held, so the next warm pass sees the same hints.
+        // The part's hint rule seeds the sweep here exactly as in a local
+        // fit: the previous pass's labels, else the seeding tracker. A
+        // catch-up rebuilds the tracker (before the first assignment) or
+        // the labels (after it) the lost worker held, so the next pass
+        // sees the same hints.
         Message::Assign { centers, labels } => {
             let part = part.assign_part(&centers, labels)?;
             Message::Partials {

@@ -351,6 +351,43 @@ where
     Ok(folds)
 }
 
+/// Where a pass at a new center set starts each row's nearest-center
+/// search: the warm seeds of [`AssignKernel::assign_warm`], which move
+/// only the kernel counters and the time, never a label or a `d²` bit.
+/// A [`LocalBackend`](crate::driver::LocalBackend) part picks them by its
+/// one hint rule.
+pub(crate) enum Hints<'h> {
+    /// The kernel's cold seed search.
+    Cold,
+    /// A previous pass's labels, one center per row.
+    Labels(&'h [u32]),
+    /// The seeding tracker's nearest candidate per row, mapped to a seed
+    /// by this table: the center nearest each candidate.
+    Tracker(Vec<u32>),
+}
+
+impl Hints<'_> {
+    /// The hints of data rows `rows`, whose tracked candidates are `ids`
+    /// (read only by [`Hints::Tracker`]): a slice of the labels, or `ids`
+    /// mapped through the table into `scratch`.
+    pub(crate) fn rows<'s>(
+        &'s self,
+        rows: Range<usize>,
+        ids: &[u32],
+        scratch: &'s mut Vec<u32>,
+    ) -> Option<&'s [u32]> {
+        match self {
+            Hints::Cold => None,
+            Hints::Labels(labels) => Some(&labels[rows]),
+            Hints::Tracker(table) => {
+                scratch.clear();
+                scratch.extend(ids.iter().map(|&id| table[id as usize]));
+                Some(scratch)
+            }
+        }
+    }
+}
+
 /// One accumulation shard's partial from an assignment pass: per-cluster
 /// coordinate sums and counts, the shard's cost contribution, and its
 /// farthest point (`(usize::MAX, -∞)` when the shard saw no rows — never
@@ -417,6 +454,27 @@ pub fn assign_partials(
     global_n: usize,
     hints: Option<&[u32]>,
 ) -> Result<(Vec<u32>, Vec<AccumShard>, KernelStats), KMeansError> {
+    let hints = hints.filter(|h| h.len() == data.len());
+    assign_pass(data, centers, exec, row_offset, global_n, None, |_| {
+        hints.map_or(Hints::Cold, Hints::Labels)
+    })
+}
+
+/// [`assign_partials`] seeded by `hints`, which picks the pass's
+/// [`Hints`] given the pass's one kernel once the shape checks passed.
+/// `tracked` are the nearest ids of a seeding tracker handed over to the
+/// pass: they become its label buffer, each piece reading its rows' ids
+/// before it writes their labels over them, so a pass seeded from the
+/// tracker allocates nothing row-sized of its own.
+pub(crate) fn assign_pass<'h>(
+    data: LocalData<'_>,
+    centers: &PointMatrix,
+    exec: &Executor,
+    row_offset: usize,
+    global_n: usize,
+    tracked: Option<Vec<u32>>,
+    hints: impl FnOnce(&AssignKernel) -> Hints<'h>,
+) -> Result<(Vec<u32>, Vec<AccumShard>, KernelStats), KMeansError> {
     if data.is_empty() {
         return Err(KMeansError::EmptyInput);
     }
@@ -432,12 +490,10 @@ pub fn assign_partials(
             got: centers.dim(),
         });
     }
-    let n = data.len();
-    let k = centers.len();
-    let d = data.dim();
-    let hints = hints.filter(|h| h.len() == n);
+    let (n, k, d) = (data.len(), centers.len(), data.dim());
     let kernel = AssignKernel::new(centers);
-    let mut labels = vec![0u32; n];
+    let hints = hints(&kernel);
+    let mut labels = tracked.unwrap_or_else(|| vec![0u32; n]);
     let grid = sum_shard_size(exec, global_n);
     let folds = fold_pieces(
         data,
@@ -448,7 +504,8 @@ pub fn assign_partials(
         |p, labels, carry| {
             let first = p.start + p.rows.start;
             let mut d2 = vec![0.0f64; p.rows.len()];
-            let piece_hints = hints.map(|h| &h[first..first + p.rows.len()]);
+            let mut scratch = Vec::new();
+            let piece_hints = hints.rows(first..first + p.rows.len(), labels, &mut scratch);
             let stats = kernel.assign_warm(p.block, p.rows.clone(), piece_hints, labels, &mut d2);
             let (mut shard, mut shard_stats) =
                 carry.unwrap_or_else(|| (AccumShard::new(k, d), KernelStats::default()));

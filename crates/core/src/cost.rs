@@ -33,7 +33,7 @@
 //! non-finite coordinate in row order (or find none, when finite values
 //! overflowed).
 
-use crate::chunked::{fold_pieces, LocalData, Piece};
+use crate::chunked::{fold_pieces, Hints, LocalData, Piece};
 use crate::distance::nearest;
 use crate::error::KMeansError;
 use crate::kernel::AssignKernel;
@@ -51,8 +51,29 @@ pub fn potential(points: &PointMatrix, centers: &PointMatrix, exec: &Executor) -
     assert!(!centers.is_empty(), "potential: no centers");
     assert_eq!(points.dim(), centers.dim(), "potential: dim mismatch");
     fold_shard_sums(
-        potential_pass(points.into(), centers, exec).expect("resident rows read without error"),
+        potential_pass(points.into(), centers, exec, &[], |_| Hints::Cold)
+            .expect("resident rows read without error"),
     )
+}
+
+/// The potential pass's shape contract for `centers` on rows of `dim`
+/// columns, `n` of them in the whole fit: at least one center, of the
+/// rows' dimensionality. More centers than rows is no error here.
+pub(crate) fn check_potential_centers(
+    n: usize,
+    dim: usize,
+    centers: &PointMatrix,
+) -> Result<(), KMeansError> {
+    if centers.is_empty() {
+        return Err(KMeansError::InvalidK { k: 0, n });
+    }
+    if dim != centers.dim() {
+        return Err(KMeansError::DimensionMismatch {
+            expected: dim,
+            got: centers.dim(),
+        });
+    }
+    Ok(())
 }
 
 /// The shard-ordered left fold of per-shard `Σ d²` partials — the one
@@ -80,39 +101,51 @@ pub fn potential_shard_sums(
     centers: &PointMatrix,
     exec: &Executor,
 ) -> Result<Vec<f64>, KMeansError> {
-    let sums = potential_pass(data, centers, exec)?;
+    check_potential_centers(data.len(), data.dim(), centers)?;
+    seeded_shard_sums(data, centers, exec, &[], |_| Hints::Cold)
+}
+
+/// [`potential_shard_sums`] without the shape checks, seeded by `hints`,
+/// which picks the pass's [`Hints`] given the pass's one kernel; `tracked`
+/// are the live seeding tracker's nearest ids that [`Hints::Tracker`]
+/// maps. The hints move only the time: the sums are the same bits for
+/// any hints.
+pub(crate) fn seeded_shard_sums<'h>(
+    data: LocalData<'_>,
+    centers: &PointMatrix,
+    exec: &Executor,
+    tracked: &[u32],
+    hints: impl FnOnce(&AssignKernel) -> Hints<'h>,
+) -> Result<Vec<f64>, KMeansError> {
+    let sums = potential_pass(data, centers, exec, tracked, hints)?;
     if sums.iter().any(|s| !s.is_finite()) {
         data.check_finite()?;
     }
     Ok(sums)
 }
 
-/// [`potential_shard_sums`] without the finiteness check.
-fn potential_pass(
+/// [`seeded_shard_sums`] without the finiteness check.
+fn potential_pass<'h>(
     data: LocalData<'_>,
     centers: &PointMatrix,
     exec: &Executor,
+    tracked: &[u32],
+    hints: impl FnOnce(&AssignKernel) -> Hints<'h>,
 ) -> Result<Vec<f64>, KMeansError> {
-    if centers.is_empty() {
-        return Err(KMeansError::InvalidK {
-            k: 0,
-            n: data.len(),
-        });
-    }
-    if data.dim() != centers.dim() {
-        return Err(KMeansError::DimensionMismatch {
-            expected: data.dim(),
-            got: centers.dim(),
-        });
-    }
     let kernel = AssignKernel::new(centers);
-    // No per-row output: the pass keeps only its per-shard sums.
+    let hints = hints(&kernel);
+    // No per-row output: the pass keeps only its per-shard sums, and its
+    // scratch is piece-sized.
     let mut none = vec![(); data.len()];
     let grid = exec.shard_spec().shard_size();
     fold_pieces(data, exec, grid, 0, &mut none, |p, _, carry| {
+        let rows = p.start + p.rows.start..p.start + p.rows.end;
         let mut labels = vec![0u32; p.rows.len()];
         let mut d2 = vec![0.0f64; p.rows.len()];
-        kernel.assign(p.block, p.rows, &mut labels, &mut d2);
+        let mut scratch = Vec::new();
+        let ids = tracked.get(rows.clone()).unwrap_or_default();
+        let piece_hints = hints.rows(rows, ids, &mut scratch);
+        kernel.assign_warm(p.block, p.rows, piece_hints, &mut labels, &mut d2);
         Ok(d2.iter().fold(carry.unwrap_or(0.0), |acc, &v| acc + v))
     })
 }
@@ -265,6 +298,11 @@ impl CostTracker {
     /// Per-point nearest-center indices.
     pub fn nearest_ids(&self) -> &[u32] {
         &self.nearest_id
+    }
+
+    /// The nearest-center indices alone, freeing the `d²` array.
+    pub fn into_nearest_ids(self) -> Vec<u32> {
+        self.nearest_id
     }
 
     /// Number of points covered (distance exactly zero).

@@ -62,8 +62,10 @@
 //!    on a cluster.
 
 use crate::assign::ClusterSums;
-use crate::chunked::{assign_partials, fold_accum_shards, validate_shape, AccumShard};
-use crate::cost::{fold_shard_sums, potential_shard_sums, weighted_potential, CostTracker};
+use crate::chunked::{assign_pass, fold_accum_shards, validate_shape, AccumShard, Hints};
+use crate::cost::{
+    check_potential_centers, fold_shard_sums, seeded_shard_sums, weighted_potential, CostTracker,
+};
 use crate::error::KMeansError;
 use crate::init::weighted_kmeanspp;
 use crate::init::{
@@ -226,8 +228,11 @@ impl LabelFetch {
 /// State carried between calls: the D²/nearest tracker built by a
 /// [`Broadcast::Init`] round lives until the next
 /// [`RoundBackend::assign`] pass frees it (a fit's seeding and refinement
-/// share one backend, and refinement never reads the tracker), and the
-/// labels of the last `assign` pass seed the next one.
+/// share one backend), and the labels of the last `assign` pass seed the
+/// next one. Until a backend has labels, its tracker seeds the passes at
+/// new centers — the seed-cost [`RoundBackend::potential`] and the first
+/// `assign` — at the center nearest each row's tracked candidate. Seeds
+/// move only the kernel counters and the time, never a result bit.
 pub trait RoundBackend {
     /// Which execution mode this backend is (for typed rejections).
     fn kind(&self) -> BackendKind;
@@ -310,10 +315,12 @@ pub trait RoundBackend {
     /// One assignment pass against `centers`: stores the labels, and
     /// returns the number of rows whose label changed relative to the
     /// previous pass (first pass: all rows), the accumulation-shard fold
-    /// of the pass — bit-identical to [`assign_partials`] over the same
-    /// data and executor, folded, [`KernelStats`] included — and the
-    /// labels in global row order when `fetch` asks for them. Every
-    /// backend returns labels for [`LabelFetch::Always`] and for a stable
+    /// of the pass — bit-identical to
+    /// [`assign_partials`](crate::chunked::assign_partials) over the same
+    /// data and executor, folded, and its [`KernelStats`] equal on every
+    /// backend, since each seeds a row the same way — and the labels in
+    /// global row order when `fetch` asks for them. Every backend returns
+    /// labels for [`LabelFetch::Always`] and for a stable
     /// [`LabelFetch::IfStable`] pass.
     fn assign(
         &mut self,
@@ -965,6 +972,17 @@ fn append<T>(all: &mut Vec<T>, part: Vec<T>) {
 /// indices in every index and error; the [`RoundBackend`] impl folds its
 /// one part with the fold every backend uses, so the drivers return the
 /// same bits for either data kind, **any** block size and any worker split.
+///
+/// **One hint rule.** The two passes at a new center set —
+/// [`LocalBackend::potential_part`] and [`LocalBackend::assign_part`] —
+/// seed each row's search alike: at the row's previous label, if the part
+/// has labels; otherwise, while the seeding tracker lives, at the center
+/// nearest the row's tracked candidate (after k-means\|\|, usually the
+/// row's own nearest center); otherwise cold. A table mapping each held
+/// candidate to its nearest center, built by one sweep of the candidates
+/// through the pass's own kernel, gives the second. The seeds move only
+/// the kernel counters and the time, and every part over the same rows
+/// picks the same ones, so the counters match across backends too.
 pub struct LocalBackend<'a> {
     data: LocalData<'a>,
     exec: Executor,
@@ -1105,23 +1123,30 @@ impl<'a> LocalBackend<'a> {
         })
     }
 
-    /// Frees the seeding tracker, runs [`assign_partials`] warm-started
-    /// from the previous pass's labels, and keeps the new labels.
+    /// Frees the seeding tracker, runs the assignment pass
+    /// ([`assign_partials`](crate::chunked::assign_partials)) seeded by
+    /// the part's hint rule ([`LocalBackend`]), and keeps the new labels.
+    /// The hints are seeds only, never labels: the first pass counts every
+    /// row as reassigned.
     pub fn assign_part(
         &mut self,
         centers: &PointMatrix,
         fetch: LabelFetch,
     ) -> Result<AssignPart, KMeansError> {
-        // Refinement never reads the seeding tracker: free its d² and
-        // nearest-id arrays (12 B per row) before the pass allocates.
-        self.tracker = None;
-        let (labels, shards, stats) = assign_partials(
+        // Refinement never reads the seeding tracker again: its d² (8 B per
+        // row) goes now, and the pass writes its labels over the nearest
+        // ids (4 B per row) that may seed it, so the first pass holds no
+        // more than any later one.
+        let tracked = self.tracker.take().map(CostTracker::into_nearest_ids);
+        let seeded = tracked.is_some();
+        let (labels, shards, stats) = assign_pass(
             self.data,
             centers,
             &self.exec,
             self.row_offset,
             self.global_n,
-            self.labels.as_deref(),
+            tracked,
+            |kernel| self.hints(kernel, seeded),
         )
         .map_err(globalize(self.row_offset))?;
         let reassigned = match &self.labels {
@@ -1140,9 +1165,43 @@ impl<'a> LocalBackend<'a> {
     }
 
     /// The potential pass's per-executor-shard sums
-    /// ([`potential_shard_sums`]).
+    /// ([`potential_shard_sums`](crate::cost::potential_shard_sums)),
+    /// seeded by the part's hint rule ([`LocalBackend`]). Its shape checks
+    /// name the fit's row count, whatever rows the part holds.
     pub fn potential_part(&self, centers: &PointMatrix) -> Result<Vec<f64>, KMeansError> {
-        potential_shard_sums(self.data, centers, &self.exec).map_err(globalize(self.row_offset))
+        self.check_potential(centers)?;
+        let tracked = self.tracker.as_ref().map(CostTracker::nearest_ids);
+        let ids = tracked.unwrap_or_default();
+        seeded_shard_sums(self.data, centers, &self.exec, ids, |kernel| {
+            self.hints(kernel, tracked.is_some())
+        })
+        .map_err(globalize(self.row_offset))
+    }
+
+    /// The potential's shape contract — at least one center, of the rows'
+    /// dimensionality — against the fit's row count, so every backend
+    /// rejects the same centers with the same error.
+    fn check_potential(&self, centers: &PointMatrix) -> Result<(), KMeansError> {
+        check_potential_centers(self.global_n, self.data.dim(), centers)
+    }
+
+    /// The one hint rule of the passes at a new center set (`kernel`'s):
+    /// each row starts from its previous label, if the part has labels;
+    /// otherwise, while the seeding tracker lives (`tracked`: the pass
+    /// holds its nearest ids), from the center nearest its tracked
+    /// candidate, by a table that one sweep of the candidates through
+    /// `kernel` builds; otherwise cold.
+    fn hints(&self, kernel: &AssignKernel, tracked: bool) -> Hints<'_> {
+        match (&self.labels, tracked) {
+            (Some(labels), _) => Hints::Labels(labels),
+            (None, true) => {
+                let m = self.candidates.len();
+                let (mut table, mut d2) = (vec![0u32; m], vec![0.0f64; m]);
+                kernel.assign(&self.candidates, 0..m, &mut table, &mut d2);
+                Hints::Tracker(table)
+            }
+            (None, false) => Hints::Cold,
+        }
     }
 
     /// Gathers the rows at global `indices`, each of which must be the
@@ -1232,6 +1291,7 @@ impl RoundBackend for LocalBackend<'_> {
             weights: Some(w),
         } = self.data
         {
+            self.check_potential(centers)?;
             return Ok(weighted_potential(points, w, centers));
         }
         Ok(fold_shard_sums(self.potential_part(centers)?))

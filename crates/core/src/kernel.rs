@@ -52,10 +52,13 @@
 //!   is tight before anything else runs. A *cold* sweep
 //!   ([`AssignKernel::assign`]) binary-searches the point's key into the
 //!   sorted order and picks a nearby candidate by a cheap proxy. A *warm*
-//!   sweep ([`AssignKernel::assign_warm`], every Lloyd pass after the
-//!   first) seeds at the point's *hint* — the center it held in the
-//!   previous pass, located through the inverse sort order with no search
-//!   at all. Hints are untrusted: one `≥ k` takes the cold seed search.
+//!   sweep ([`AssignKernel::assign_warm`]) seeds at the point's *hint*,
+//!   located through the inverse sort order with no search at all: in
+//!   every Lloyd pass after the first, the center the point held in the
+//!   previous pass; in the two passes at the seed centers that follow
+//!   k-means|| (the seed-cost potential and the first Lloyd pass), the
+//!   center nearest the point's tracked candidate. Hints are untrusted:
+//!   one `≥ k` takes the cold seed search.
 //!   An *update* ([`AssignKernel::update`], every k-means|| and k-means++
 //!   round) seeds at the earlier center the tracker already holds for the
 //!   point, whose distance is the carried `d²` — no evaluation at all.

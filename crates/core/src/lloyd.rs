@@ -92,9 +92,9 @@ pub struct LloydResult {
     pub assign_passes: usize,
     /// Point–center pairs the assignment kernel skipped via its `O(1)`
     /// lower bounds — the norm bound `(‖x‖−‖c‖)²` and the coordinate
-    /// gaps, wholesale sorted-sweep stops included, plus the pairs the
-    /// warm sweep's half-separation certificate settles wholesale —
-    /// summed over every pass (the closing relabel included).
+    /// gaps, wholesale sorted-sweep stops included, plus the pairs a
+    /// seed's separation list certifies farther — summed over every pass
+    /// (the closing relabel included).
     /// Deterministic across thread counts, block sizes, *and* worker
     /// counts: distributed workers ship their kernel counters in the
     /// partials frames, so the fold equals the single-node value.

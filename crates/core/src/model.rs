@@ -475,13 +475,15 @@ impl KMeansModel {
     /// `O(1)` lower bounds during refinement — the norm bound
     /// `(‖x‖−‖c‖)²` plus the coordinate-gap bounds of the sorted sweep —
     /// the second pruning observable next to
-    /// [`KMeansModel::distance_computations`]; from the second Lloyd pass
-    /// on it also counts the `k−1` candidates each point settled by the
-    /// warm sweep's half-separation certificate skips. Exactly
-    /// reproducible: thread counts, block sizes, worker counts, worker
-    /// recovery and resuming from a checkpoint journal never change it —
-    /// every backend seeds its warm passes with the labels of its previous
-    /// pass, and recovery and resume rebuild those labels exactly.
+    /// [`KMeansModel::distance_computations`]; it also counts the
+    /// candidates a seed's separation list certifies farther, which a
+    /// warm pass (every Lloyd pass after the first, and the first one
+    /// after k-means||, seeded from the tracker) settles most points by.
+    /// Exactly reproducible: thread counts, block sizes, worker counts,
+    /// worker recovery and resuming from a checkpoint journal never change
+    /// it — every backend seeds a pass alike (from its previous labels, or
+    /// its seeding tracker before it has any), and recovery and resume
+    /// rebuild both exactly.
     pub fn pruned_by_norm_bound(&self) -> u64 {
         self.pruned_by_norm_bound
     }

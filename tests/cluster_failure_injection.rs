@@ -213,6 +213,16 @@ fn killing_workers_at_each_round_type_recovers_bit_identically() {
                 occurrence: 6,
             },
         ),
+        // The replacement rebuilds the tracker from the catch-up's
+        // segments, so its first assignment seeds every row as the lost
+        // worker's would have: the prune counters match too.
+        (
+            "cost request",
+            FaultAction::KillOnRecv {
+                tag: tag::COST,
+                occurrence: 1,
+            },
+        ),
         (
             "assign request",
             FaultAction::KillOnRecv {

@@ -10,8 +10,9 @@
 
 use proptest::prelude::*;
 use scalable_kmeans::cluster::{spawn_loopback_worker, Cluster, FitDistributed, Transport};
+use scalable_kmeans::core::cost::potential;
 use scalable_kmeans::core::driver::{
-    drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, Broadcast,
+    drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, Broadcast, LabelFetch,
     LocalBackend, RoundBackend, TrackerOut, TrackerRead,
 };
 use scalable_kmeans::core::init::{kmeans_parallel, KMeansParallelConfig, SamplingMode};
@@ -20,6 +21,7 @@ use scalable_kmeans::core::minibatch::{minibatch_kmeans_traced, MiniBatchConfig}
 use scalable_kmeans::core::model::KMeans;
 use scalable_kmeans::core::pipeline::MiniBatch;
 use scalable_kmeans::core::KMeansError;
+use scalable_kmeans::data::synth::GaussMixture;
 use scalable_kmeans::data::{InMemorySource, PointMatrix};
 use scalable_kmeans::par::{Executor, Parallelism};
 
@@ -395,6 +397,21 @@ fn round_contract_violations_error_identically_on_every_backend() {
             }),
             "{what}: init with 2-d centers"
         );
+        // The seed-cost pass has the same shape contract, against the
+        // fit's row count on every backend, weighted or not.
+        assert_eq!(
+            backend.potential(&none).err(),
+            Some(KMeansError::InvalidK { k: 0, n: 96 }),
+            "{what}: potential with no centers"
+        );
+        assert_eq!(
+            backend.potential(&narrow).err(),
+            Some(KMeansError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            }),
+            "{what}: potential with 2-d centers"
+        );
         let ahead = Broadcast::Update {
             from: 3,
             rows: &one_row,
@@ -423,6 +440,12 @@ fn round_contract_violations_error_identically_on_every_backend() {
         "in-memory",
     );
     assert_eq!(resident.iter().sum::<f64>(), 96.0);
+    let weights = vec![1.0; points.len()];
+    let weighted = check(
+        &mut LocalBackend::in_memory(&points, Some(&weights), &exec),
+        "weighted in-memory",
+    );
+    assert_eq!(weighted, resident);
     let source = InMemorySource::new(points.clone(), 11).unwrap();
     let blocks = check(&mut LocalBackend::chunked(&source, &exec), "chunked");
     assert_eq!(blocks, resident);
@@ -431,6 +454,73 @@ fn round_contract_violations_error_identically_on_every_backend() {
     let distributed = check(&mut cluster, "2 workers");
     assert_eq!(distributed, resident);
     shutdown(cluster, handles);
+}
+
+/// After k-means||, the two passes at the seed centers — the seed-cost
+/// potential and the first assignment — start each row from the center
+/// nearest its tracked candidate instead of the kernel's cold seed search.
+/// The seeds move only the kernel counters: on every backend the seed
+/// cost equals the cold potential, and the first assignment equals a
+/// fresh backend's cold pass bit for bit, counting every row as
+/// reassigned, with fewer distance evaluations — the same number on every
+/// backend. k ≥ 8: below 8 centers the kernel scans without seeds.
+#[test]
+fn passes_after_seeding_start_from_the_tracker_bit_identically() {
+    const K: usize = 12;
+    let points = GaussMixture::new(K)
+        .points(480)
+        .center_variance(50.0)
+        .generate(11)
+        .unwrap()
+        .dataset
+        .into_parts()
+        .1;
+    let n = points.len();
+    let config = KMeansParallelConfig::default();
+    let exec = Executor::sequential().with_shard_size(SHARD);
+    let (seeds, _) = kmeans_parallel(&points, K, &config, 3, &exec).unwrap();
+    let seed_cost = potential(&points, &seeds, &exec);
+    let mut fresh = LocalBackend::in_memory(&points, None, &exec);
+    let (_, cold, cold_labels) = fresh.assign(&seeds, LabelFetch::Always).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let check = |backend: &mut dyn RoundBackend, what: &str| {
+        let (centers, _) = drive_kmeans_parallel(backend, K, &config, 3).unwrap();
+        assert_eq!(centers, seeds, "{what}: seeds");
+        let phi = backend.potential(&centers).unwrap();
+        assert_eq!(phi.to_bits(), seed_cost.to_bits(), "{what}: seed cost");
+        let (reassigned, sums, labels) = backend.assign(&centers, LabelFetch::Always).unwrap();
+        assert_eq!(reassigned, n as u64, "{what}: reassigned");
+        assert_eq!(labels, cold_labels, "{what}: labels");
+        assert_eq!(bits(&sums.sums), bits(&cold.sums), "{what}: sums");
+        assert_eq!(sums.counts, cold.counts, "{what}: counts");
+        assert_eq!(sums.cost.to_bits(), cold.cost.to_bits(), "{what}: cost");
+        assert_eq!(sums.farthest, cold.farthest, "{what}: farthest");
+        let evals = sums.stats.distance_computations;
+        assert!(
+            evals < cold.stats.distance_computations,
+            "{what}: {evals} evaluations, the cold pass {}",
+            cold.stats.distance_computations
+        );
+        sums.stats
+    };
+    let resident = check(
+        &mut LocalBackend::in_memory(&points, None, &exec),
+        "in-memory",
+    );
+    for block_rows in [1, 37, n] {
+        let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+        let blocks = check(&mut LocalBackend::chunked(&source, &exec), "chunked");
+        assert_eq!(blocks, resident, "chunked, blocks {block_rows}: counters");
+    }
+    for workers in [1usize, 2, 4] {
+        let (mut cluster, handles) =
+            loopback_cluster(&points, workers, 29, Parallelism::Sequential);
+        cluster.plan(SHARD).unwrap();
+        let what = format!("{workers} workers");
+        let distributed = check(&mut cluster, &what);
+        assert_eq!(distributed, resident, "{what}: counters");
+        shutdown(cluster, handles);
+    }
 }
 
 /// A remote backend has no local source, so k-means++ (and every other
