@@ -24,7 +24,8 @@
 //! suffix.
 //!
 //! `KMEANS_BENCH_QUICK=1` shrinks the grid and measurement windows for
-//! the CI smoke, which relies on the always-on, deterministic
+//! the CI smoke, which prints its rows instead of merging them into
+//! `BENCH_kernels.json` and relies on the always-on, deterministic
 //! assertions: the norm bound actually prunes on the Gaussian-mixture
 //! workload; the warm sweep's and the update's outputs equal the scalar
 //! paths' bit for bit; the warm sweep evaluates no more distances than
@@ -33,7 +34,7 @@
 //! which must return the same `d²` bits.
 
 use criterion::Criterion;
-use kmeans_bench::bench_json::{write_merged, KernelRecord};
+use kmeans_bench::bench_json::{print_records, write_merged, KernelRecord};
 use kmeans_core::distance::{nearest, sq_dist_bounded};
 use kmeans_core::kernel::AssignKernel;
 use kmeans_data::synth::GaussMixture;
@@ -302,5 +303,9 @@ fn main() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_kernels.json"
     ));
-    write_merged(path, &records);
+    if quick {
+        print_records(&records);
+    } else {
+        write_merged(path, &records);
+    }
 }

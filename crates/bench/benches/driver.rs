@@ -16,7 +16,8 @@
 //! resolves its thread count once, from the machine, when it is built.
 //!
 //! `KMEANS_BENCH_QUICK=1` shrinks the grid and measurement windows for
-//! the CI smoke, and additionally asserts two gates: the distributed
+//! the CI smoke, prints its rows instead of merging them into
+//! `BENCH_driver.json`, and additionally asserts two gates: the distributed
 //! rows' exact wire counters (bytes, data passes and round trips are
 //! deterministic on any machine — see `QUICK_COUNTERS`) and that the
 //! in-memory kmeans-par+lloyd fit takes at most 8x the committed
@@ -27,7 +28,7 @@
 //! gate).
 
 use criterion::Criterion;
-use kmeans_bench::bench_json::{read_wall_ns, write_merged_driver, DriverRecord};
+use kmeans_bench::bench_json::{print_records, read_wall_ns, write_merged, DriverRecord};
 use kmeans_cluster::{spawn_loopback_worker, Cluster, FitDistributed, Transport};
 use kmeans_core::lloyd::LloydConfig;
 use kmeans_core::minibatch::MiniBatchConfig;
@@ -287,7 +288,11 @@ fn main() {
             round_trips: trips,
         });
     }
-    write_merged_driver(path, &records);
+    if quick {
+        print_records(&records);
+    } else {
+        write_merged(path, &records);
+    }
 
     if quick {
         // CI smoke, part 1: the wire counters, exactly. Unlike wall clock,

@@ -7,14 +7,15 @@
 //! Served answers are asserted bit-identical to the local
 //! `KMeansModel::predict` up front — throughput numbers for a diverging
 //! server would be meaningless. `KMEANS_BENCH_QUICK=1` shrinks the grid
-//! and the request budget for CI smoke runs.
+//! and the request budget for CI smoke runs, and prints the rows instead
+//! of merging them into `BENCH_serve.json`.
 //!
 //! The grid's engine sweeps on `Parallelism::Threads(2)`; one more row,
 //! `auto_b256_c4`, serves the same load from an engine on
 //! `Parallelism::Auto`, which resolves its thread count from the machine
 //! once, when the executor is built.
 
-use kmeans_bench::bench_json::{write_merged_serve, ServeRecord};
+use kmeans_bench::bench_json::{print_records, write_merged, ServeRecord};
 use kmeans_cluster::ClusterError;
 use kmeans_core::model::{KMeans, KMeansModel};
 use kmeans_core::KMeansError;
@@ -181,8 +182,8 @@ fn main() {
         EngineConfig::default(),
     );
 
-    // batch size × client count grid (at least two configs even in quick
-    // mode — the committed artifact must cover the plane).
+    // batch size × client count grid (two configs in quick mode, whose
+    // rows are printed, not committed).
     let grid: &[(usize, usize)] = if quick {
         &[(16, 2), (256, 4)]
     } else {
@@ -264,5 +265,9 @@ fn main() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_serve.json"
     ));
-    write_merged_serve(path, &records);
+    if quick {
+        print_records(&records);
+    } else {
+        write_merged(path, &records);
+    }
 }

@@ -9,9 +9,21 @@
 //!
 //! The format is deliberately rigid (one record per line, fixed fields)
 //! so it can be parsed back without a JSON dependency.
+//!
+//! A quick run (`KMEANS_BENCH_QUICK=1`, the CI smoke) measures a smaller
+//! grid than the committed artifact holds, so it [`print_records`]
+//! instead: its rows never land next to the full-size ones.
 
 use std::io::Write;
 use std::path::Path;
+
+/// One row of a bench artifact: its merge key and its line.
+pub trait Record {
+    /// The record id, unique within its artifact.
+    fn id(&self) -> &str;
+    /// The record as one JSON object on one line (no trailing comma).
+    fn to_line(&self) -> String;
+}
 
 /// One kernel-bench record: a benchmark identity, its configuration axes,
 /// the median wall time, and the kernel work counters.
@@ -38,7 +50,11 @@ pub struct KernelRecord {
     pub pruned: u64,
 }
 
-impl KernelRecord {
+impl Record for KernelRecord {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
     fn to_line(&self) -> String {
         format!(
             "  {{\"id\": \"{}\", \"kernel\": \"{}\", \"n\": {}, \"d\": {}, \"k\": {}, \
@@ -95,7 +111,11 @@ pub struct DriverRecord {
     pub round_trips: u64,
 }
 
-impl DriverRecord {
+impl Record for DriverRecord {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
     fn to_line(&self) -> String {
         format!(
             "  {{\"id\": \"{}\", \"method\": \"{}\", \"backend\": \"{}\", \"n\": {}, \"d\": {}, \
@@ -151,7 +171,11 @@ pub struct ServeRecord {
     pub shed_rate: f64,
 }
 
-impl ServeRecord {
+impl Record for ServeRecord {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
     fn to_line(&self) -> String {
         format!(
             "  {{\"id\": \"{}\", \"transport\": \"{}\", \"batch\": {}, \"clients\": {}, \
@@ -180,19 +204,24 @@ fn line_id(line: &str) -> Option<&str> {
     rest.split('"').next()
 }
 
-/// The shared merge-by-id writer: keeps existing record lines whose id is
-/// not being re-reported, replaces the rest with `new` (id, line) pairs.
-fn merge_lines(path: &Path, new: &[(String, String)]) {
+/// Writes `records` into the JSON array at `path`, replacing any existing
+/// records with matching ids and keeping the rest (see module docs).
+///
+/// # Panics
+///
+/// Panics on I/O errors — bench harnesses have no error channel and a
+/// silently missing artifact is worse than an aborted bench run.
+pub fn write_merged<R: Record>(path: &Path, records: &[R]) {
     let mut lines: Vec<String> = Vec::new();
     if let Ok(existing) = std::fs::read_to_string(path) {
         for line in existing.lines() {
             let Some(id) = line_id(line) else { continue };
-            if new.iter().all(|(new_id, _)| new_id != id) {
+            if records.iter().all(|r| r.id() != id) {
                 lines.push(line.trim_end_matches(',').to_string());
             }
         }
     }
-    lines.extend(new.iter().map(|(_, line)| line.clone()));
+    lines.extend(records.iter().map(Record::to_line));
     let mut out = String::from("[\n");
     out.push_str(&lines.join(",\n"));
     out.push_str("\n]\n");
@@ -202,45 +231,21 @@ fn merge_lines(path: &Path, new: &[(String, String)]) {
     println!(
         "wrote {} records ({} new/updated) -> {}",
         lines.len(),
-        new.len(),
+        records.len(),
         path.display()
     );
 }
 
-/// Writes `records` into the JSON array at `path`, replacing any existing
-/// records with matching ids and keeping the rest (see module docs).
-///
-/// # Panics
-///
-/// Panics on I/O errors — bench harnesses have no error channel and a
-/// silently missing artifact is worse than an aborted bench run.
-pub fn write_merged(path: &Path, records: &[KernelRecord]) {
-    let new: Vec<(String, String)> = records
-        .iter()
-        .map(|r| (r.id.clone(), r.to_line()))
-        .collect();
-    merge_lines(path, &new);
-}
-
-/// [`write_merged`] for [`DriverRecord`]s (same merge-by-id semantics,
-/// different record shape — the driver trajectory lives in its own
-/// artifact, `BENCH_driver.json`).
-pub fn write_merged_driver(path: &Path, records: &[DriverRecord]) {
-    let new: Vec<(String, String)> = records
-        .iter()
-        .map(|r| (r.id.clone(), r.to_line()))
-        .collect();
-    merge_lines(path, &new);
-}
-
-/// [`write_merged`] for [`ServeRecord`]s (same merge-by-id semantics;
-/// the serving trajectory lives in `BENCH_serve.json`).
-pub fn write_merged_serve(path: &Path, records: &[ServeRecord]) {
-    let new: Vec<(String, String)> = records
-        .iter()
-        .map(|r| (r.id.clone(), r.to_line()))
-        .collect();
-    merge_lines(path, &new);
+/// Prints `records` in the artifact's line format and writes no file —
+/// what a quick run does instead of [`write_merged`] (see module docs).
+pub fn print_records<R: Record>(records: &[R]) {
+    for record in records {
+        println!("{}", record.to_line().trim_start());
+    }
+    println!(
+        "quick run: {} records printed, no artifact written",
+        records.len()
+    );
 }
 
 /// Reads back the `"wall_ns"` value of the record with `id` from a bench

@@ -629,7 +629,8 @@ fn report_fit(
         out,
         "fit k={k} on {n} points x {dim} dims: init={}, refine={}, \
          cost {:.6e}, seed cost {:.6e}, {} refine iterations ({}), \
-         {} seeding passes, {} distance evals, {} norm-bound prunes",
+         {} seeding passes, {} distance evals (analytic: k per point per pass), \
+         {} norm-bound prunes",
         model.init_name(),
         model.refiner_name(),
         model.cost(),

@@ -1,46 +1,64 @@
 //! The batch assignment engine behind every serve session: one prepared
-//! kernel per model revision, a micro-batching queue that funnels
+//! kernel per model revision, a flat-combining queue that funnels
 //! concurrent requests through it, and the atomic hot-swap path.
 //!
-//! ## Batching and amortization
+//! ## Flat combining and amortization
 //!
-//! Each connection handler submits its request to a shared queue and
-//! blocks on a private reply channel. A single batcher thread drains the
-//! queue, concatenates the pending requests into one matrix, and runs
-//! one [`PreparedPredictor::assign`] sweep over the whole batch — the
-//! kernel's preparation (the sorted centers and their separation lists,
-//! `O(k²·d)` at worst) was paid once at model install, and the
-//! per-batch sweep parallelizes across the executor's threads. Per-point labels and `d²` are pure functions of (point,
-//! centers), so slicing the batch outputs at request boundaries yields
-//! exactly what each request would have gotten alone; per-request cost
-//! is re-folded on the request's own shard grid
-//! ([`PreparedPredictor::cost_from_d2`]), keeping served costs
-//! bit-identical to a local `cost_of`.
+//! The engine owns no thread. A session publishes its request on a
+//! shared queue and, if no other submitter holds the role, becomes the
+//! *combiner* on its own thread (flat combining: Hendler, Incze, Shavit
+//! and Tzafrir, SPAA 2010). The combiner takes the queued requests in
+//! FIFO order while the batch holds fewer than
+//! [`EngineConfig::batch_cap`] points, concatenates them into one matrix
+//! (a lone request is swept in place), and runs one
+//! [`PreparedPredictor::assign`] sweep over the whole batch. It answers
+//! each request through that request's reply slot, waking only the
+//! submitters it answered, and repeats until its own request is
+//! answered. Then it lets go; if requests are still queued, it wakes the
+//! submitter of the oldest to take over. A request that finds the engine
+//! idle thus never leaves its session thread (apart from the executor's
+//! fan-out on a multi-shard batch), while requests that arrive during a
+//! sweep share the next one.
+//!
+//! The kernel's preparation (the sorted centers and their separation
+//! lists, `O(k²·d)` at worst) was paid once at model install, and the
+//! per-batch sweep parallelizes across the executor's threads. Per-point
+//! labels and `d²` are pure functions of (point, centers), so slicing
+//! the batch outputs at request boundaries yields exactly what each
+//! request would have gotten alone; per-request cost is re-folded on the
+//! request's own shard grid ([`PreparedPredictor::cost_from_d2`]),
+//! keeping served costs bit-identical to a local `cost_of`.
+//!
+//! A combiner that unwinds (a panicking sweep) answers every request it
+//! had taken with a typed [`WireError::Data`], releases their
+//! reservations and frees the role, so the next submitter combines and
+//! no waiter is stranded.
 //!
 //! ## Hot-swap semantics
 //!
 //! The installed model lives behind `RwLock<Arc<ModelVersion>>`. A swap
 //! prepares the replacement kernel *outside* the lock, then replaces the
-//! `Arc` under a brief write lock and bumps the revision. The batcher
+//! `Arc` under a brief write lock and bumps the revision. The combiner
 //! clones the `Arc` once per batch, so an in-flight batch finishes on
 //! the version it started with and every reply is tagged with the
 //! revision that computed it — no request ever mixes versions.
 //!
 //! ## Admission control and overload shedding
 //!
-//! The queue in front of the batcher is bounded in *points* (the unit
-//! the kernel's work is linear in): [`EngineConfig::queue_cap`]. A
-//! request that would push the admitted-but-unanswered total past the
-//! cap is shed *synchronously* at submission with
-//! [`WireError::Overloaded`] — it never reaches the queue, never
-//! touches the kernel, and never perturbs the batching of admitted
-//! requests, so accepted replies stay bit-identical to an unloaded
-//! server. One exception keeps the engine live for any request size: a
-//! request is always admitted when the queue is empty, even if it alone
-//! exceeds the cap. The reservation is released when the reply is
-//! handed back, so `queued_points` counts work the server still owes.
+//! The queue is bounded in *points* (the unit the kernel's work is
+//! linear in): [`EngineConfig::queue_cap`]. A request that would push
+//! the admitted-but-unanswered total past the cap is shed
+//! *synchronously* at submission with [`WireError::Overloaded`] — it
+//! never reaches the queue, never touches the kernel, and never perturbs
+//! the batching of admitted requests, so accepted replies stay
+//! bit-identical to an unloaded server. One exception keeps the engine
+//! live for any request size: a request is always admitted when the
+//! queue is empty, even if it alone exceeds the cap. The cap check and
+//! the publication on the queue are one critical section, and a
+//! request's reservation is released when it is answered, so
+//! `queued_points` counts exactly the published, unanswered points.
 //!
-//! A request may carry a deadline budget; the batcher checks it at
+//! A request may carry a deadline budget; the combiner checks it at
 //! dequeue time and answers [`WireError::DeadlineExceeded`] instead of
 //! spending a sweep on an answer the client has already abandoned.
 //!
@@ -48,12 +66,11 @@
 //!
 //! [`ServeEngine::drain`] flips the engine into drain mode: every
 //! *new* submission is rejected with [`WireError::Draining`], while
-//! already-admitted work completes and replies normally. Drain-mode
-//! rejection double-checks after reserving queue space, so a submission
-//! racing the flag flip either lands wholly before the drain (and is
-//! honored) or is rejected with its reservation rolled back — admitted
-//! work is never lost. [`ServeEngine::is_drained`] reports when the
-//! last admitted point has been answered.
+//! already-admitted work completes and replies normally. The flag flips
+//! under the lock that admission holds, so a submission racing the drain
+//! either lands wholly before it (and is honored) or is rejected —
+//! admitted work is never lost. [`ServeEngine::is_drained`] reports when
+//! the last admitted point has been answered.
 
 use crate::protocol::ServeStats;
 use kmeans_cluster::protocol::WireError;
@@ -61,13 +78,14 @@ use kmeans_core::{KMeansError, PreparedPredictor};
 use kmeans_data::{decode_model, ModelRecord, PointMatrix};
 use kmeans_obs::{arg_u64, Clock, LatencyHistogram, MonotonicClock, Recorder};
 use kmeans_par::Executor;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::thread::Thread;
 
-/// Default cap on the points gathered into one kernel batch. Draining
-/// stops at the cap, so a burst of large requests cannot starve later
-/// arrivals behind one enormous sweep.
+/// Default cap on the points gathered into one kernel batch. A combiner
+/// stops taking requests at the cap, so a burst of large requests cannot
+/// starve later arrivals behind one enormous sweep.
 pub const DEFAULT_MAX_BATCH_POINTS: usize = 1 << 16;
 
 /// Default admission cap, in points: four full batches of queued work
@@ -152,13 +170,40 @@ pub struct AssignReply {
     pub cost: f64,
 }
 
+type Answer = Result<AssignReply, WireError>;
+
 struct AssignJob {
     points: PointMatrix,
     want_labels: bool,
     /// `(absolute engine-clock ns, original budget in ms)` — checked by
-    /// the batcher at dequeue.
+    /// the combiner at dequeue.
     deadline: Option<(u64, u64)>,
-    reply: Sender<Result<AssignReply, WireError>>,
+    slot: Arc<Slot>,
+}
+
+/// Where a job's answer waits for its submitter: filled once by the
+/// thread that answers the job, which then unparks the submitter.
+struct Slot {
+    answer: Mutex<Option<Answer>>,
+    submitter: Thread,
+}
+
+impl Slot {
+    /// The answer lock. Storing or taking the answer cannot leave it
+    /// half-written, so a poisoned lock still holds a valid slot; a
+    /// combiner unwinding through [`Batch`]'s drop relies on that.
+    fn answer(&self) -> MutexGuard<'_, Option<Answer>> {
+        self.answer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The published jobs and the combiner role, under one lock: admission
+/// and publication are one step, and so are letting go of the role and
+/// choosing whom to wake.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<AssignJob>,
+    combining: bool,
 }
 
 /// Counter snapshot taken at each swap: the base the current revision's
@@ -186,7 +231,11 @@ struct Shared {
     request_hist: Mutex<LatencyHistogram>,
     batch_hist: Mutex<LatencyHistogram>,
     rev_base: Mutex<RevisionBase>,
-    // Admission control / drain state.
+    // Admission control / drain state. `queued_points` grows and
+    // `draining` flips only under the `queue` lock; both are atomics so
+    // readers, and the answers that shrink `queued_points`, need not
+    // take it.
+    queue: Mutex<Queue>,
     batch_cap: u64,
     queue_cap: u64,
     queued_points: AtomicU64,
@@ -200,23 +249,21 @@ struct Shared {
     // flushed to the peer; drain-exit waits for these to clear so the
     // last admitted reply reaches the socket before the process dies.
     busy_replies: AtomicU64,
-    // Chaos-test hook: while true the batcher holds its current batch,
-    // letting tests build a full queue deterministically.
+    // Chaos-test hook: while true a combiner holds the role without
+    // taking jobs, letting tests build a full queue deterministically.
     paused: Mutex<bool>,
     unpaused: Condvar,
 }
 
 /// Handle to one serving engine. Cheap to clone; every session holds a
-/// clone and submits through the shared micro-batch queue.
+/// clone and submits through the shared queue.
 #[derive(Clone)]
 pub struct ServeEngine {
     shared: Arc<Shared>,
-    jobs: Sender<AssignJob>,
 }
 
 impl ServeEngine {
-    /// Installs `record` as revision 1 and starts the batcher thread,
-    /// with the default configuration.
+    /// Installs `record` as revision 1, with the default configuration.
     pub fn new(record: ModelRecord, executor: Executor) -> Result<Self, KMeansError> {
         Self::with_config(record, executor, EngineConfig::default())
     }
@@ -239,14 +286,15 @@ impl ServeEngine {
     }
 
     /// Like [`ServeEngine::new`] with full control over batching,
-    /// admission, tracing, and the clock.
+    /// admission, tracing, and the clock. The engine starts no thread:
+    /// batches run on the threads that submit requests (module docs), so
+    /// dropping the last handle frees it.
     pub fn with_config(
         record: ModelRecord,
         executor: Executor,
         config: EngineConfig,
     ) -> Result<Self, KMeansError> {
         let version = ModelVersion::build(record, 1, &executor).map_err(KMeansError::from)?;
-        let batch_cap = config.batch_cap.max(1);
         let shared = Arc::new(Shared {
             current: RwLock::new(Arc::new(version)),
             executor,
@@ -262,7 +310,8 @@ impl ServeEngine {
             request_hist: Mutex::new(LatencyHistogram::new()),
             batch_hist: Mutex::new(LatencyHistogram::new()),
             rev_base: Mutex::new(RevisionBase::default()),
-            batch_cap: batch_cap as u64,
+            queue: Mutex::new(Queue::default()),
+            batch_cap: config.batch_cap.max(1) as u64,
             queue_cap: config.queue_cap.max(1) as u64,
             queued_points: AtomicU64::new(0),
             draining: AtomicBool::new(false),
@@ -275,13 +324,10 @@ impl ServeEngine {
             paused: Mutex::new(false),
             unpaused: Condvar::new(),
         });
-        let (tx, rx) = channel::<AssignJob>();
-        let batcher_shared = Arc::clone(&shared);
-        std::thread::spawn(move || batcher(batcher_shared, rx, batch_cap));
-        Ok(ServeEngine { shared, jobs: tx })
+        Ok(ServeEngine { shared })
     }
 
-    /// The currently installed model version (the batcher may still be
+    /// The currently installed model version (a combiner may still be
     /// finishing a batch on an older one).
     pub fn current(&self) -> Arc<ModelVersion> {
         Arc::clone(&self.shared.current.read().expect("model lock poisoned"))
@@ -296,11 +342,13 @@ impl ServeEngine {
 
     /// [`ServeEngine::assign`] with an optional deadline budget in
     /// milliseconds, measured from admission: if the request is still
-    /// queued when the budget expires, the batcher answers
+    /// queued when the budget expires, the combiner answers
     /// [`WireError::DeadlineExceeded`] without running the sweep.
     /// Requests that would overflow the admission queue are shed here
     /// with [`WireError::Overloaded`]; during a drain new requests get
-    /// [`WireError::Draining`].
+    /// [`WireError::Draining`]. The calling thread combines batches —
+    /// its own request's and any others queued ahead of or beside it —
+    /// whenever no other submitter is combining (module docs).
     pub fn assign_deadline(
         &self,
         points: PointMatrix,
@@ -308,78 +356,36 @@ impl ServeEngine {
         deadline_ms: Option<u64>,
     ) -> Result<AssignReply, WireError> {
         let s = &self.shared;
-        let n = points.len() as u64;
-        if s.draining.load(Ordering::SeqCst) {
-            return Err(self.reject_draining());
-        }
-        // Admission time is read before the reservation: once the points
-        // show in `queued_points` the request is admitted, and its
+        // Admission time is read before the job is published: once its
+        // points show in `queued_points` the request is admitted, and its
         // deadline must already be running.
         let t0 = s.clock.now_ns();
-        // Reserve queue space, or shed. The reservation is released when
-        // the reply is handed back (admitted-but-unanswered accounting).
-        // `queued == 0` always admits, so one request larger than the cap
-        // cannot wedge an idle server.
-        let mut queued = s.queued_points.load(Ordering::SeqCst);
-        loop {
-            if queued != 0 && queued.saturating_add(n) > s.queue_cap {
-                s.shed_requests.fetch_add(1, Ordering::Relaxed);
-                s.shed_points.fetch_add(n, Ordering::Relaxed);
-                let cap = s.queue_cap;
-                s.recorder.instant("serve:shed", SERVE_CAT, || {
-                    vec![
-                        arg_u64("queued_points", queued),
-                        arg_u64("request_points", n),
-                        arg_u64("cap", cap),
-                    ]
-                });
-                return Err(WireError::Overloaded {
-                    queued_points: queued,
-                    cap,
-                });
+        let slot = Arc::new(Slot {
+            answer: Mutex::new(None),
+            submitter: std::thread::current(),
+        });
+        let mut combiner = s.admit(AssignJob {
+            points,
+            want_labels,
+            deadline: deadline_ms.map(|ms| (t0.saturating_add(ms.saturating_mul(1_000_000)), ms)),
+            slot: Arc::clone(&slot),
+        })?;
+        let reply = loop {
+            if combiner {
+                let _role = Role(s);
+                while slot.answer().is_none() {
+                    s.run_batch();
+                }
             }
-            match s.queued_points.compare_exchange(
-                queued,
-                queued + n,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(actual) => queued = actual,
+            if let Some(reply) = slot.answer().take() {
+                break reply;
             }
-        }
-        // Double-check after reserving: a drain that raced the
-        // reservation must not strand points in the queue counter (the
-        // drain watcher waits for it to reach zero).
-        if s.draining.load(Ordering::SeqCst) {
-            s.queued_points.fetch_sub(n, Ordering::SeqCst);
-            return Err(self.reject_draining());
-        }
-        let deadline = deadline_ms.map(|ms| (t0.saturating_add(ms.saturating_mul(1_000_000)), ms));
-        let (tx, rx) = channel();
-        if self
-            .jobs
-            .send(AssignJob {
-                points,
-                want_labels,
-                deadline,
-                reply: tx,
-            })
-            .is_err()
-        {
-            s.queued_points.fetch_sub(n, Ordering::SeqCst);
-            return Err(WireError::Data("assignment engine is gone".into()));
-        }
-        let reply = match rx.recv() {
-            Ok(reply) => reply,
-            Err(_) => {
-                // The batcher releases the reservation before every
-                // reply; a dropped reply sender means it never got there.
-                s.queued_points.fetch_sub(n, Ordering::SeqCst);
-                return Err(WireError::Data(
-                    "assignment engine dropped the request".into(),
-                ));
-            }
+            // Unparked when a combiner answers the job, or when one lets
+            // go with the job still queued and this submitter should take
+            // over.
+            std::thread::park();
+            let answered = slot.answer().is_some();
+            combiner = !answered && s.take_role();
         };
         // Submit → reply covers queue wait plus the batch sweep — the
         // latency a session actually observes.
@@ -391,21 +397,18 @@ impl ServeEngine {
         reply
     }
 
-    fn reject_draining(&self) -> WireError {
-        self.shared.drain_rejected.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .recorder
-            .instant("serve:drain-reject", SERVE_CAT, Vec::new);
-        WireError::Draining
-    }
-
     /// Flips the engine into drain mode (idempotent): new submissions are
     /// rejected with [`WireError::Draining`], admitted work completes.
     /// Returns the points admitted-but-unanswered at the flip.
     pub fn drain(&self) -> u64 {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        let queued = self.shared.queued_points.load(Ordering::SeqCst);
-        self.shared.recorder.instant("serve:drain", SERVE_CAT, || {
+        let s = &self.shared;
+        let queued = {
+            // Under the admission lock, so no submission straddles the flip.
+            let _queue = s.queue();
+            s.draining.store(true, Ordering::SeqCst);
+            s.queued_points.load(Ordering::SeqCst)
+        };
+        s.recorder.instant("serve:drain", SERVE_CAT, || {
             vec![arg_u64("queued_points", queued)]
         });
         queued
@@ -454,9 +457,11 @@ impl ServeEngine {
     }
 
     /// Chaos-test hook (in the spirit of `kmeans_cluster::fault`): holds
-    /// the batcher before its next batch until the guard drops, so tests
-    /// can fill the admission queue deterministically and observe
-    /// overload/deadline behavior without timing races.
+    /// the combiner before its next batch until the guard drops. The
+    /// first submitter still takes the role and every later one still
+    /// queues behind it, so tests can fill the admission queue
+    /// deterministically and observe overload/deadline behavior without
+    /// timing races.
     pub fn pause(&self) -> PauseGuard {
         *self.shared.paused.lock().expect("pause lock poisoned") = true;
         PauseGuard {
@@ -476,7 +481,7 @@ impl ServeEngine {
     /// the swap semantics), returning `(revision, k, dim)`.
     pub fn swap_record(&self, record: ModelRecord) -> Result<(u64, u64, u32), WireError> {
         // Prepare outside the lock: a slow kernel build must not block
-        // readers (the batcher's Arc clone) any longer than the pointer
+        // readers (a combiner's Arc clone) any longer than the pointer
         // swap itself.
         let mut version = ModelVersion::build(record, 0, &self.shared.executor)?;
         let k = version.predictor.k() as u64;
@@ -566,7 +571,7 @@ impl Drop for ReplyGuard {
     }
 }
 
-/// Holds the batcher paused (see [`ServeEngine::pause`]); dropping it
+/// Holds the combiner paused (see [`ServeEngine::pause`]); dropping it
 /// resumes batching.
 pub struct PauseGuard {
     shared: Arc<Shared>,
@@ -579,119 +584,217 @@ impl Drop for PauseGuard {
     }
 }
 
-/// Releases a job's admission reservation and hands back its reply.
-/// Every admitted job leaves the engine through here exactly once.
-fn finish(shared: &Shared, job: AssignJob, reply: Result<AssignReply, WireError>) {
-    shared
-        .queued_points
-        .fetch_sub(job.points.len() as u64, Ordering::SeqCst);
-    // A client that disconnected mid-request just drops its receiver;
-    // the batch carries on for everyone else.
-    let _ = job.reply.send(reply);
+/// The combiner role, held by one submitter at a time. Dropping it — on
+/// return or on unwind — lets go and wakes the submitter of the oldest
+/// queued job, if any, to take over.
+struct Role<'a>(&'a Shared);
+
+impl Drop for Role<'_> {
+    fn drop(&mut self) {
+        let mut queue = self.0.queue();
+        queue.combining = false;
+        let next = queue.jobs.front().map(|job| job.slot.submitter.clone());
+        drop(queue);
+        if let Some(next) = next {
+            next.unpark();
+        }
+    }
 }
 
-fn batcher(shared: Arc<Shared>, rx: Receiver<AssignJob>, cap: usize) {
-    // recv() fails only when every engine handle (and with them all job
-    // senders) is gone — the engine's natural end of life.
-    while let Ok(first) = rx.recv() {
-        // Chaos-test hook: hold the batch here while paused, letting
-        // tests fill the queue behind a stalled batcher.
+/// The jobs a combiner has taken and not yet answered. Answered jobs are
+/// taken out of their entry; whatever is left when the batch drops —
+/// only after a panic — is answered with a typed error, so no submitter
+/// waits forever on a combiner that unwound.
+struct Batch<'a> {
+    shared: &'a Shared,
+    jobs: Vec<Option<AssignJob>>,
+}
+
+impl Drop for Batch<'_> {
+    fn drop(&mut self) {
+        for job in self.jobs.iter_mut().filter_map(Option::take) {
+            let err = WireError::Data("the assignment sweep panicked before answering".into());
+            self.shared.finish(job, Err(err));
+        }
+    }
+}
+
+impl Shared {
+    /// The queue lock. No code that can panic runs under it, so a
+    /// poisoned lock (a panic elsewhere on the holding thread) still
+    /// guards a consistent queue.
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admits `job` and publishes it in one critical section, or rejects
+    /// it: [`WireError::Draining`] during a drain, [`WireError::Overloaded`]
+    /// when it would push the queue past its cap (an empty queue always
+    /// admits). Returns whether the submitter took the combiner role.
+    fn admit(&self, job: AssignJob) -> Result<bool, WireError> {
+        let n = job.points.len() as u64;
+        let mut queue = self.queue();
+        if self.draining.load(Ordering::SeqCst) {
+            drop(queue);
+            self.drain_rejected.fetch_add(1, Ordering::Relaxed);
+            self.recorder
+                .instant("serve:drain-reject", SERVE_CAT, Vec::new);
+            return Err(WireError::Draining);
+        }
+        let queued = self.queued_points.load(Ordering::SeqCst);
+        if queued != 0 && queued.saturating_add(n) > self.queue_cap {
+            drop(queue);
+            self.shed_requests.fetch_add(1, Ordering::Relaxed);
+            self.shed_points.fetch_add(n, Ordering::Relaxed);
+            let cap = self.queue_cap;
+            self.recorder.instant("serve:shed", SERVE_CAT, || {
+                vec![
+                    arg_u64("queued_points", queued),
+                    arg_u64("request_points", n),
+                    arg_u64("cap", cap),
+                ]
+            });
+            return Err(WireError::Overloaded {
+                queued_points: queued,
+                cap,
+            });
+        }
+        self.queued_points.fetch_add(n, Ordering::SeqCst);
+        queue.jobs.push_back(job);
+        Ok(!std::mem::replace(&mut queue.combining, true))
+    }
+
+    /// Takes the combiner role if no one holds it.
+    fn take_role(&self) -> bool {
+        !std::mem::replace(&mut self.queue().combining, true)
+    }
+
+    /// Releases a job's admission reservation, hands its answer to the
+    /// submitter and wakes it. Every admitted job leaves the engine
+    /// through here exactly once.
+    fn finish(&self, job: AssignJob, answer: Answer) {
+        self.queued_points
+            .fetch_sub(job.points.len() as u64, Ordering::SeqCst);
+        *job.slot.answer() = Some(answer);
+        job.slot.submitter.unpark();
+    }
+
+    /// One combiner step: takes queued jobs FIFO while the batch holds
+    /// fewer than `batch_cap` points, answers the expired and misshapen
+    /// ones without a sweep, and the rest from one sweep of the model
+    /// version read here.
+    fn run_batch(&self) {
+        // Chaos-test hook: hold the role here while paused, before any
+        // job is taken, letting tests fill the queue behind a stalled
+        // combiner.
         {
-            let mut paused = shared.paused.lock().expect("pause lock poisoned");
+            let mut paused = self.paused.lock().expect("pause lock poisoned");
             while *paused {
-                paused = shared.unpaused.wait(paused).expect("pause lock poisoned");
+                paused = self.unpaused.wait(paused).expect("pause lock poisoned");
             }
         }
-        let mut jobs = vec![first];
-        let mut total = jobs[0].points.len();
-        while total < cap {
-            match rx.try_recv() {
-                Ok(job) => {
-                    total += job.points.len();
-                    jobs.push(job);
-                }
-                Err(_) => break,
+        let mut batch = Batch {
+            shared: self,
+            jobs: Vec::new(),
+        };
+        {
+            let mut queue = self.queue();
+            let mut total = 0;
+            while total < self.batch_cap {
+                let Some(job) = queue.jobs.pop_front() else {
+                    break;
+                };
+                total += job.points.len() as u64;
+                batch.jobs.push(Some(job));
             }
         }
-        let version = Arc::clone(&shared.current.read().expect("model lock poisoned"));
+        let version = Arc::clone(&self.current.read().expect("model lock poisoned"));
         let dim = version.predictor.dim();
-        let now = shared.clock.now_ns();
-        let mut valid = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            if let Some((abs_ns, budget_ms)) = job.deadline {
-                if now > abs_ns {
-                    // The budget expired while the request sat in the
-                    // queue: answer typed, spend no kernel work on it.
-                    shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .recorder
+        let now = self.clock.now_ns();
+        for entry in &mut batch.jobs {
+            let job = entry.as_ref().expect("every taken job is pending");
+            let err = match job.deadline {
+                // The budget expired while the request sat in the queue:
+                // answer typed, spend no kernel work on it.
+                Some((abs_ns, budget_ms)) if now > abs_ns => {
+                    self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                    self.recorder
                         .instant("serve:deadline-exceeded", SERVE_CAT, || {
                             vec![arg_u64("budget_ms", budget_ms)]
                         });
-                    finish(&shared, job, Err(WireError::DeadlineExceeded { budget_ms }));
-                    continue;
+                    WireError::DeadlineExceeded { budget_ms }
                 }
-            }
-            if job.points.dim() != dim {
-                let err = KMeansError::DimensionMismatch {
+                _ if job.points.dim() != dim => KMeansError::DimensionMismatch {
                     expected: dim,
                     got: job.points.dim(),
-                };
-                finish(&shared, job, Err(err.into()));
-            } else {
-                valid.push(job);
-            }
+                }
+                .into(),
+                _ => continue,
+            };
+            self.finish(entry.take().expect("checked above"), Err(err));
         }
+        let valid: Vec<&AssignJob> = batch.jobs.iter().flatten().collect();
         if valid.is_empty() {
-            continue;
+            return;
         }
-        let mut flat = Vec::with_capacity(valid.iter().map(|j| j.points.as_slice().len()).sum());
-        for job in &valid {
-            flat.extend_from_slice(job.points.as_slice());
-        }
-        let batch = PointMatrix::from_flat(flat, dim).expect("concatenation of same-dim matrices");
-        let batch_points = batch.len();
-        let t0 = shared.clock.now_ns();
-        let (labels, d2, kstats) = version
+        // A lone job is swept in place; several are concatenated.
+        let joined;
+        let points = match valid[..] {
+            [job] => &job.points,
+            _ => {
+                let mut flat =
+                    Vec::with_capacity(valid.iter().map(|j| j.points.as_slice().len()).sum());
+                for job in &valid {
+                    flat.extend_from_slice(job.points.as_slice());
+                }
+                joined =
+                    PointMatrix::from_flat(flat, dim).expect("concatenation of same-dim matrices");
+                &joined
+            }
+        };
+        let (requests, batch_points) = (valid.len(), points.len());
+        let t0 = self.clock.now_ns();
+        let (mut labels, d2, kstats) = version
             .predictor
-            .assign(&batch)
+            .assign(points)
             .expect("dimensionality checked per job");
-        let sweep_ns = shared.clock.now_ns().saturating_sub(t0);
-        shared
-            .batch_hist
+        let sweep_ns = self.clock.now_ns().saturating_sub(t0);
+        self.batch_hist
             .lock()
             .expect("batch histogram lock poisoned")
             .record(sweep_ns);
         // Account the batch before any reply goes out: a client that
         // reads its reply and immediately fetches stats must see its own
         // request counted.
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .max_batch_points
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.requests.fetch_add(requests as u64, Ordering::Relaxed);
+        self.points
+            .fetch_add(batch_points as u64, Ordering::Relaxed);
+        self.max_batch_points
             .fetch_max(batch_points as u64, Ordering::Relaxed);
-        shared
-            .distance_computations
+        self.distance_computations
             .fetch_add(kstats.distance_computations, Ordering::Relaxed);
-        shared
-            .pruned_by_norm_bound
+        self.pruned_by_norm_bound
             .fetch_add(kstats.pruned_by_norm_bound, Ordering::Relaxed);
         let mut offset = 0;
-        for job in valid {
+        for entry in &mut batch.jobs {
+            let Some(job) = entry.as_ref() else {
+                continue;
+            };
             let n = job.points.len();
-            let cost = version.predictor.cost_from_d2(&d2[offset..offset + n]);
+            let labels = match (job.want_labels, requests) {
+                (false, _) => Vec::new(),
+                // A lone job's labels are the kernel's whole vector.
+                (true, 1) => std::mem::take(&mut labels),
+                (true, _) => labels[offset..offset + n].to_vec(),
+            };
             let reply = AssignReply {
                 revision: version.revision,
-                labels: if job.want_labels {
-                    labels[offset..offset + n].to_vec()
-                } else {
-                    Vec::new()
-                },
-                cost,
+                labels,
+                cost: version.predictor.cost_from_d2(&d2[offset..offset + n]),
             };
             offset += n;
-            shared.requests.fetch_add(1, Ordering::Relaxed);
-            shared.points.fetch_add(n as u64, Ordering::Relaxed);
-            finish(&shared, job, Ok(reply));
+            self.finish(entry.take().expect("matched above"), Ok(reply));
         }
     }
 }
@@ -806,7 +909,7 @@ mod tests {
         )
         .unwrap();
         let guard = engine.pause();
-        // Fill the queue exactly to the cap behind the stalled batcher.
+        // Fill the queue exactly to the cap behind the stalled combiner.
         let admitted = {
             let engine = engine.clone();
             let points = points.clone();
@@ -908,8 +1011,8 @@ mod tests {
             .assign_deadline(points.clone(), true, Some(1_000))
             .unwrap();
         assert!(!ok.labels.is_empty());
-        // Stall the batcher, admit a deadlined request, and expire its
-        // budget before the batcher dequeues it.
+        // Stall the combiner, admit a deadlined request, and expire its
+        // budget before the combiner dequeues it.
         let guard = engine.pause();
         let late = {
             let engine = engine.clone();
@@ -930,5 +1033,171 @@ mod tests {
         // The expired request never ran a sweep or counted as answered.
         assert_eq!(stats.requests, 1);
         assert_eq!(engine.queued_points(), 0);
+    }
+
+    /// A clock that logs which thread takes each reading, and panics on
+    /// reading `panic_on` (1-based), if set.
+    #[derive(Debug, Default)]
+    struct ScriptedClock {
+        readers: Mutex<Vec<std::thread::ThreadId>>,
+        panic_on: Option<usize>,
+    }
+
+    impl Clock for ScriptedClock {
+        fn now_ns(&self) -> u64 {
+            let mut readers = self.readers.lock().unwrap();
+            readers.push(std::thread::current().id());
+            let reading = readers.len();
+            drop(readers);
+            if Some(reading) == self.panic_on {
+                panic!("scripted clock failure on reading {reading}");
+            }
+            0
+        }
+    }
+
+    impl ScriptedClock {
+        fn readings_by(&self, thread: std::thread::ThreadId) -> usize {
+            let readers = self.readers.lock().unwrap();
+            readers.iter().filter(|&&id| id == thread).count()
+        }
+    }
+
+    #[test]
+    fn a_lone_request_is_swept_on_its_submitters_thread() {
+        let (points, record) = fitted_record(9);
+        let clock = Arc::new(ScriptedClock::default());
+        let engine = ServeEngine::with_config(
+            record,
+            Executor::new(Parallelism::Sequential),
+            EngineConfig {
+                clock: Arc::clone(&clock) as Arc<dyn Clock>,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            engine.assign(points.clone(), true).unwrap().labels.len(),
+            points.len()
+        );
+        // Admission, dequeue, the sweep's start and end, and the reply:
+        // every reading is the submitter's own.
+        let readers = clock.readers.lock().unwrap();
+        assert_eq!(readers.len(), 5);
+        assert!(readers.iter().all(|&id| id == std::thread::current().id()));
+    }
+
+    #[test]
+    fn published_jobs_coalesce_deterministically() {
+        let (points, record) = fitted_record(10);
+        let local = kmeans_core::KMeansModel::from_record(
+            record.clone(),
+            Executor::new(Parallelism::Sequential),
+        );
+        let jobs: Vec<PointMatrix> = (0..3)
+            .map(|j| {
+                PointMatrix::from_flat(points.as_slice()[j * 80..(j + 1) * 80].to_vec(), 2).unwrap()
+            })
+            .collect();
+        // Whole batch at the default cap; [j1, j2] then [j3] at 64 points,
+        // which j3's submitter combines: five clock readings (admission,
+        // dequeue, sweep start and end, reply) against two for a waiter.
+        for (batch_cap, batches, max_batch_points, readings) in [
+            (DEFAULT_MAX_BATCH_POINTS, 1, 120, [5, 2, 2]),
+            (64, 2, 80, [5, 2, 5]),
+        ] {
+            let clock = Arc::new(ScriptedClock::default());
+            let engine = ServeEngine::with_config(
+                record.clone(),
+                Executor::new(Parallelism::Sequential),
+                EngineConfig {
+                    batch_cap,
+                    clock: Arc::clone(&clock) as Arc<dyn Clock>,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            let guard = engine.pause();
+            let mut submitters = Vec::new();
+            for (j, job) in jobs.iter().enumerate() {
+                let (submitter, job) = (engine.clone(), job.clone());
+                submitters.push(std::thread::spawn(move || submitter.assign(job, true)));
+                // Published in order: j1 takes the role and holds it while
+                // paused, j2 and j3 queue behind it.
+                spin_until(std::time::Duration::from_secs(10), || {
+                    engine.queued_points() == 40 * (j as u64 + 1)
+                });
+            }
+            drop(guard);
+            for ((job, submitter), readings) in jobs.iter().zip(submitters).zip(readings) {
+                let thread = submitter.thread().id();
+                let reply = submitter.join().unwrap().unwrap();
+                assert_eq!(reply.labels, local.predict(job).unwrap());
+                assert_eq!(reply.cost.to_bits(), local.cost_of(job).unwrap().to_bits());
+                assert_eq!(clock.readings_by(thread), readings, "batch cap {batch_cap}");
+            }
+            let stats = engine.stats();
+            assert_eq!(stats.requests, 3);
+            assert_eq!(stats.points, 120);
+            assert_eq!(stats.batches, batches, "batch cap {batch_cap}");
+            assert_eq!(stats.max_batch_points, max_batch_points);
+            assert_eq!(engine.queued_points(), 0);
+        }
+    }
+
+    #[test]
+    fn a_combiner_that_unwinds_strands_no_one() {
+        let (points, record) = fitted_record(11);
+        let n = points.len() as u64;
+        let local = kmeans_core::KMeansModel::from_record(
+            record.clone(),
+            Executor::new(Parallelism::Sequential),
+        );
+        // Readings 1 and 2 admit A and B; reading 3 is the combiner's
+        // dequeue.
+        let clock = Arc::new(ScriptedClock {
+            panic_on: Some(3),
+            ..ScriptedClock::default()
+        });
+        let engine = ServeEngine::with_config(
+            record,
+            Executor::new(Parallelism::Sequential),
+            EngineConfig {
+                clock: Arc::clone(&clock) as Arc<dyn Clock>,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let guard = engine.pause();
+        let a = {
+            let (engine, points) = (engine.clone(), points.clone());
+            std::thread::spawn(move || engine.assign(points, true))
+        };
+        spin_until(std::time::Duration::from_secs(10), || {
+            engine.queued_points() == n
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let b = {
+            let (engine, points) = (engine.clone(), points.clone());
+            std::thread::spawn(move || tx.send(engine.assign(points, true)).unwrap())
+        };
+        spin_until(std::time::Duration::from_secs(10), || {
+            engine.queued_points() == 2 * n
+        });
+        drop(guard);
+        assert!(a.join().is_err(), "the combiner's thread unwinds");
+        let answer = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the waiter behind an unwound combiner is answered");
+        assert!(matches!(answer, Err(WireError::Data(_))), "{answer:?}");
+        b.join().unwrap();
+        assert_eq!(engine.queued_points(), 0);
+        // The role is free again: the next submitter combines.
+        let reply = engine.assign(points.clone(), true).unwrap();
+        assert_eq!(reply.labels, local.predict(&points).unwrap());
+        assert_eq!(
+            reply.cost.to_bits(),
+            local.cost_of(&points).unwrap().to_bits()
+        );
     }
 }

@@ -12,7 +12,7 @@
 //! mid-reply, over a channel or a real socket.
 //!
 //! `tests/serve_failure_injection.rs` drives these harnesses: overload
-//! shedding under a stalled batcher, drains that lose nothing, and a
+//! shedding under a stalled combiner, drains that lose nothing, and a
 //! replica-set client surviving scripted kills with byte-identical
 //! answers.
 

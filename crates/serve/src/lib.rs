@@ -1,7 +1,8 @@
 //! **kmeans-serve** — the online assignment service: a long-lived,
 //! std-only TCP server that loads a persisted `SKMMDL01` model,
-//! micro-batches concurrent predict/cost queries through one prepared
-//! assignment kernel, and hot-swaps models with zero downtime.
+//! batches concurrent predict/cost queries through one prepared
+//! assignment kernel by flat combining on the session threads, and
+//! hot-swaps models with zero downtime.
 //!
 //! Scalable K-Means++ (Bahmani et al., VLDB 2012) motivates clustering
 //! at web scale — millions of users whose points must be *assigned*
@@ -21,7 +22,9 @@
 //!   SwapModel→SwapOk, Shutdown→ShutdownOk, plus typed `Error` replies.
 //!   Frames share the cluster runtime's checksummed layout
 //!   (`kmeans_cluster::wire`) under a distinct magic.
-//! * [`engine`] — [`ServeEngine`]: the micro-batching queue, the
+//! * [`engine`] — [`ServeEngine`]: the flat-combining queue (a
+//!   submitter that finds no batch running sweeps the queued requests on
+//!   its own thread; the engine owns no thread), the
 //!   per-revision [`PreparedPredictor`](kmeans_core::PreparedPredictor),
 //!   and the atomic hot-swap (`RwLock<Arc<ModelVersion>>`; in-flight
 //!   batches finish on the version they started with, every reply is

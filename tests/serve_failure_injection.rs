@@ -5,7 +5,7 @@
 //! outcome must be a typed error or a bit-identical answer, never a hang,
 //! a panic, or a lost admitted request.
 //!
-//! The levers: [`ServeEngine::pause`] freezes the batcher so queue depth
+//! The levers: [`ServeEngine::pause`] freezes the combiner so queue depth
 //! is exact, `FakeClock` drives deadline expiry, and the cluster
 //! runtime's `FaultTransport` (instantiated over `SKS1` frames by
 //! `kmeans_serve::fault`) kills replicas at exact `(tag, occurrence)`
@@ -102,7 +102,7 @@ fn overload_is_shed_typed_on_the_wire_and_admitted_work_completes() {
             ..EngineConfig::default()
         },
     );
-    // Freeze the batcher so "the server is busy" is a scripted state,
+    // Freeze the combiner so "the server is busy" is a scripted state,
     // not a race: the first request is admitted (fills the queue
     // exactly), the second must be shed before it ever reaches a kernel.
     let paused = engine.pause();
@@ -174,7 +174,7 @@ fn expired_deadline_is_typed_on_the_wire_and_never_reaches_the_kernel() {
     });
 
     // The budget expires while the request is still queued; on dequeue
-    // the batcher must answer typed, without running the sweep.
+    // the combiner must answer typed, without running the sweep.
     let sweeps_before = engine.stats().distance_computations;
     clock.advance(6_000_000); // 6 ms > the 5 ms budget
     drop(paused);
