@@ -1083,16 +1083,12 @@ fn predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         // Stream large inputs as bounded chunks so no single request
         // exceeds the server's batch cap; the concatenated labels are
         // byte-identical to one unchunked predict. Default chunk size is
-        // the cap the server advertised (0 = an older server; send whole).
+        // the cap the server advertised.
         let chunk = match args.usize_or("chunk-points", 0) {
             0 => client.info().batch_cap as usize,
             c => c,
         };
-        let prediction = if chunk > 0 {
-            client.predict_chunked(data.points(), chunk)?
-        } else {
-            client.predict(data.points())?
-        };
+        let prediction = client.predict_chunked(data.points(), chunk)?;
         write_labels(&out_path, &prediction.labels)?;
         writeln!(
             out,

@@ -31,8 +31,9 @@
 //! FNV-1a, `kmeans_util::checksum::fnv1a`, through [`fnv1a`]). On
 //! replay the fingerprint of the round the driver is about to run must
 //! match the record; a mismatch — wrong seed, changed config, different
-//! data layout — is a typed error, never silent corruption. The file
-//! header additionally pins seed/k/n/dim/shard-size, checked at load.
+//! data layout — is a typed error, never silent corruption. The journal
+//! additionally pins seed/k/n/dim/shard-size (the file header), which
+//! the fit checks before any round runs.
 
 use crate::coordinator::{Cluster, SessionMirror};
 use crate::wire::{fnv1a, Dec, Enc, FrameError};
@@ -88,51 +89,35 @@ impl RoundCheckpoint {
         }
     }
 
-    /// Loads the journal at `path` if the file exists — verifying its
-    /// header matches `meta` exactly — or starts an empty journal that
-    /// will be persisted there. The CLI entry point.
+    /// Loads the journal at `path` if the file exists — bound to the job
+    /// identity its header records, which
+    /// [`fit_distributed_resumable`](crate::FitDistributed::fit_distributed_resumable)
+    /// checks against the fit — or starts an empty journal for `meta`
+    /// that will be persisted there. The CLI entry point.
     pub fn load_or_new(path: impl AsRef<Path>, meta: CheckpointMeta) -> Result<Self, KMeansError> {
         let path = path.as_ref().to_path_buf();
-        if path.exists() {
-            let (file_meta, records) = load_checkpoint_file(&path)
-                .map_err(|e| corrupt(&format!("failed to load {}: {e}", path.display())))?;
-            if file_meta != meta {
-                return Err(KMeansError::InvalidConfig(format!(
-                    "checkpoint {} was written by a different job \
-                     (file: seed {} k {} n {} shard {} dim {}; this fit: seed {} k {} n {} \
-                     shard {} dim {}) — delete it or restart with the original parameters",
-                    path.display(),
-                    file_meta.seed,
-                    file_meta.k,
-                    file_meta.global_n,
-                    file_meta.shard_size,
-                    file_meta.dim,
-                    meta.seed,
-                    meta.k,
-                    meta.global_n,
-                    meta.shard_size,
-                    meta.dim,
-                )));
-            }
-            Ok(RoundCheckpoint {
-                meta,
-                records,
-                cursor: 0,
-                path: Some(path),
-            })
+        let (meta, records) = if path.exists() {
+            load_checkpoint_file(&path)
+                .map_err(|e| corrupt(&format!("failed to load {}: {e}", path.display())))?
         } else {
-            Ok(RoundCheckpoint {
-                meta,
-                records: Vec::new(),
-                cursor: 0,
-                path: Some(path),
-            })
-        }
+            (meta, Vec::new())
+        };
+        Ok(RoundCheckpoint {
+            meta,
+            records,
+            cursor: 0,
+            path: Some(path),
+        })
     }
 
     /// The job identity this journal is bound to.
     pub fn meta(&self) -> &CheckpointMeta {
         &self.meta
+    }
+
+    /// The file the journal persists to, if it is file-backed.
+    pub(crate) fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
     }
 
     /// Journaled rounds.

@@ -66,8 +66,10 @@ pub trait FitDistributed {
     /// [`fit_distributed_resumable`](FitDistributed::fit_distributed_resumable):
     /// loads (or creates) the `SKMCKPT1` checkpoint at `path`, fits with
     /// journaling, and removes the file once the fit completes — the
-    /// checkpoint is a crash artifact, not an output. This is the engine
-    /// behind `skm fit --distributed --checkpoint FILE`.
+    /// checkpoint is a crash artifact, not an output. A file written by
+    /// another job is refused with the typed error naming it and left in
+    /// place. This is the engine behind `skm fit --distributed
+    /// --checkpoint FILE`.
     fn fit_distributed_checkpointed(
         &self,
         cluster: &mut Cluster,
@@ -104,15 +106,21 @@ impl FitDistributed for KMeans {
         ckpt: &mut RoundCheckpoint,
     ) -> Result<KMeansModel, KMeansError> {
         let expected = checkpoint_meta(self, cluster);
-        if *ckpt.meta() != expected {
+        let found = *ckpt.meta();
+        if found != expected {
+            let journal = match ckpt.path() {
+                Some(path) => format!("checkpoint {}", path.display()),
+                None => "checkpoint journal".to_string(),
+            };
             return Err(KMeansError::InvalidConfig(format!(
-                "checkpoint journal belongs to a different job (journal: seed {} k {} n {} \
-                 shard {} dim {}; this fit: seed {} k {} n {} shard {} dim {})",
-                ckpt.meta().seed,
-                ckpt.meta().k,
-                ckpt.meta().global_n,
-                ckpt.meta().shard_size,
-                ckpt.meta().dim,
+                "{journal} belongs to a different job (journal: seed {} k {} n {} shard {} \
+                 dim {}; this fit: seed {} k {} n {} shard {} dim {}) — delete it or restart \
+                 with the original parameters",
+                found.seed,
+                found.k,
+                found.global_n,
+                found.shard_size,
+                found.dim,
                 expected.seed,
                 expected.k,
                 expected.global_n,

@@ -355,8 +355,8 @@ pub enum Message {
         /// driver's own [`LabelFetch`], decided by the worker with
         /// [`LabelFetch::owed`] against its *local* reassignment count,
         /// so a globally stable `IfStable` pass always arrives fully
-        /// labeled. Encoded as a trailing byte (0 `Skip`, 1 `IfStable`,
-        /// 2 `Always`); frames without it decode as `Skip`.
+        /// labeled. Encoded as a byte after the centers (0 `Skip`, 1
+        /// `IfStable`, 2 `Always`).
         labels: LabelFetch,
     },
     /// Accumulation-shard partials of one assignment pass, in shard
@@ -369,10 +369,7 @@ pub enum Message {
         shards: Vec<AccumShard>,
         /// The worker's kernel counters for this pass (distance
         /// evaluations performed, candidates pruned by the norm /
-        /// coordinate bounds). Encoded as a trailing field; decoders
-        /// accept frames without it (older workers) as zeroed counters,
-        /// so the coordinator degrades to under-counting instead of
-        /// failing the round.
+        /// coordinate bounds), encoded after the shards.
         stats: KernelStats,
         /// The stored labels (local row order), present when the request
         /// asked per its [`LabelFetch`]. Trailing field after `stats`;
@@ -529,8 +526,6 @@ impl WireMessage for Message {
             }
             Message::Assign { centers, labels } => {
                 e.matrix(centers);
-                // Trailing mode byte (absent in revision-1 frames, which
-                // decode as Skip).
                 e.u8(match labels {
                     LabelFetch::Skip => 0,
                     LabelFetch::IfStable => 1,
@@ -570,12 +565,9 @@ impl WireMessage for Message {
                 for s in shards {
                     encode_accum_shard(e, s);
                 }
-                // Trailing stats field (added in frame revision 2; absent
-                // in frames from older peers — see the decoder).
                 e.u64(stats.distance_computations);
                 e.u64(stats.pruned_by_norm_bound);
-                // Trailing labels (revision 3): encoded only when present,
-                // so revision-2 frames decode as `None`.
+                // Trailing labels: encoded only when present.
                 if let Some(l) = labels {
                     e.u8(1);
                     e.u32s(l);
@@ -654,16 +646,11 @@ impl WireMessage for Message {
             16 => Message::D2 { values: d.f64s()? },
             17 => {
                 let centers = d.matrix()?;
-                // Trailing mode byte: a revision-1 frame ends here (Skip).
-                let labels = if d.remaining() == 0 {
-                    LabelFetch::Skip
-                } else {
-                    match d.u8()? {
-                        0 => LabelFetch::Skip,
-                        1 => LabelFetch::IfStable,
-                        2 => LabelFetch::Always,
-                        _ => return Err(FrameError::Malformed("unknown labels mode")),
-                    }
+                let labels = match d.u8()? {
+                    0 => LabelFetch::Skip,
+                    1 => LabelFetch::IfStable,
+                    2 => LabelFetch::Always,
+                    _ => return Err(FrameError::Malformed("unknown labels mode")),
                 };
                 Message::Assign { centers, labels }
             }
@@ -674,20 +661,11 @@ impl WireMessage for Message {
                 let shards = (0..n)
                     .map(|_| decode_accum_shard(&mut d))
                     .collect::<Result<Vec<_>, _>>()?;
-                // Defensive versioning: the kernel-counter field trails
-                // the shards. A frame ending right here is a revision-1
-                // frame (counters default to zero); anything else must be
-                // the full pair of u64s — `d.finish()` below rejects
-                // stragglers.
-                let stats = if d.remaining() == 0 {
-                    KernelStats::default()
-                } else {
-                    KernelStats {
-                        distance_computations: d.u64()?,
-                        pruned_by_norm_bound: d.u64()?,
-                    }
+                let stats = KernelStats {
+                    distance_computations: d.u64()?,
+                    pruned_by_norm_bound: d.u64()?,
                 };
-                // Trailing labels (revision 3): absent in older frames.
+                // Trailing labels: absent when the request owed none.
                 let labels = if d.remaining() == 0 {
                     None
                 } else if d.u8()? == 1 {
@@ -1153,11 +1131,22 @@ mod tests {
         }
     }
 
+    /// `payload` framed under `tag` in form 1, checksum fixed.
+    fn v1_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&FRAME_MAGIC);
+        frame.push(tag);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame.extend_from_slice(&fnv1a(tag, payload).to_le_bytes());
+        frame
+    }
+
     #[test]
-    fn partials_without_trailing_stats_decode_as_zeroed_counters() {
-        // A revision-1 Partials frame (no kernel-counter field): rebuild
-        // the payload without the trailing 16 bytes and re-checksum. The
-        // decoder must accept it with zeroed stats, not reject the frame.
+    fn partials_without_stats_and_assign_without_mode_are_malformed() {
+        // A Partials frame without its kernel-counter pair, or with half
+        // of it, and an Assign without its mode byte come from no peer
+        // that can open a session: each is a malformed frame.
         let msg = Message::Partials {
             reassigned: 3,
             shards: vec![AccumShard {
@@ -1172,35 +1161,25 @@ mod tests {
             },
             labels: None,
         };
-        let full = msg.encode_frame();
-        let payload_len = full.len() - 9 - 8; // minus header and checksum
-        let old_payload = &full[9..9 + payload_len - 16]; // drop the stats
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&FRAME_MAGIC);
-        frame.push(18);
-        frame.extend_from_slice(&(old_payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(old_payload);
-        frame.extend_from_slice(&fnv1a(18, old_payload).to_le_bytes());
-        let (decoded, _) = Message::decode_frame(&frame, MAX_FRAME_PAYLOAD).unwrap();
-        match decoded {
-            Message::Partials {
-                reassigned, stats, ..
-            } => {
-                assert_eq!(reassigned, 3);
-                assert_eq!(stats, KernelStats::default());
-            }
-            other => panic!("decoded {other:?}"),
+        let payload = msg.encode_payload();
+        for cut in [16, 8] {
+            let short = v1_frame(18, &payload[..payload.len() - cut]);
+            assert!(
+                matches!(
+                    Message::decode_frame(&short, MAX_FRAME_PAYLOAD).unwrap_err(),
+                    FrameError::Malformed(_)
+                ),
+                "Partials short by {cut} bytes"
+            );
         }
-        // A frame with a *partial* stats field is malformed, not zeroed.
-        let cut_payload = &full[9..9 + payload_len - 8];
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&FRAME_MAGIC);
-        bad.push(18);
-        bad.extend_from_slice(&(cut_payload.len() as u32).to_le_bytes());
-        bad.extend_from_slice(cut_payload);
-        bad.extend_from_slice(&fnv1a(18, cut_payload).to_le_bytes());
+        let assign = Message::Assign {
+            centers: PointMatrix::from_flat(vec![1.0, 2.0], 2).unwrap(),
+            labels: LabelFetch::Always,
+        };
+        let payload = assign.encode_payload();
+        let short = v1_frame(17, &payload[..payload.len() - 1]);
         assert!(matches!(
-            Message::decode_frame(&bad, MAX_FRAME_PAYLOAD).unwrap_err(),
+            Message::decode_frame(&short, MAX_FRAME_PAYLOAD).unwrap_err(),
             FrameError::Malformed(_)
         ));
     }

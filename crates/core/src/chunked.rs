@@ -1,9 +1,11 @@
 //! Local passes: the one implementation of every per-pass building block
 //! a local fit runs — the data view ([`LocalData`]) and its block
-//! visitor, row gathers, the input contract, and the assignment pass
-//! ([`assign_partials`]) with its accumulation-shard partials. The cost
-//! tracker and the potential pass in [`crate::cost`] visit the data
-//! through the same view.
+//! visitor, row gathers, the input contract, the piece loop
+//! (`fold_pieces`) behind every kernel pass over rows, and the
+//! assignment pass ([`assign_partials`]) with its accumulation-shard
+//! partials. The other pass on the piece loop is the executor-grid `d²`
+//! pass of [`crate::cost`], behind the potential, the cost tracker and
+//! the serving predictor.
 //!
 //! This is the "data does not fit in main memory" premise of the paper's
 //! §1 made executable: each k-means|| round (Algorithm 2), each Lloyd
@@ -38,7 +40,9 @@
 //!    run in parallel, and each folds its own rows left to right from
 //!    zero — except a block's first piece, which continues the partial
 //!    carried over the block edge. A grid cell therefore folds exactly
-//!    the rows it would fold in one sequential scan.
+//!    the rows it would fold in one sequential scan. The per-row outputs
+//!    a pass keeps (labels, `d²`) are cut at the same rows, so each piece
+//!    writes only its own.
 
 use crate::assign::sum_shard_size;
 use crate::error::KMeansError;
@@ -296,37 +300,74 @@ pub(crate) struct Piece<'p> {
     pub start: usize,
 }
 
-/// The piece loop behind every shard-ordered fold: visits `data`'s
-/// blocks in order, cuts each at the cells of the global grid of `grid`
-/// rows (data row `r` sits at global row `row_offset + r`), and runs
-/// `piece` on every piece in parallel on `exec` with the piece's chunk of
-/// the per-row output `out`. A piece folds from `None` (zero), except a
-/// block's first piece, which receives the partial carried over the block
-/// edge. Returns one fold per grid cell the data touches, in order.
+/// The per-row outputs a pass keeps, which [`fold_pieces`] cuts at the
+/// same rows as the data: a slice, an output the pass drops (`None`), or
+/// a pair of them.
+pub(crate) trait RowOutputs: Default + Send {
+    /// The outputs of the first `rows` rows, and of the rest.
+    fn split_rows(self, rows: usize) -> (Self, Self);
+}
+
+impl<T: Send> RowOutputs for &mut [T] {
+    fn split_rows(self, rows: usize) -> (Self, Self) {
+        self.split_at_mut(rows)
+    }
+}
+
+impl<O: RowOutputs> RowOutputs for Option<O> {
+    fn split_rows(self, rows: usize) -> (Self, Self) {
+        match self {
+            Some(out) => {
+                let (head, tail) = out.split_rows(rows);
+                (Some(head), Some(tail))
+            }
+            None => (None, None),
+        }
+    }
+}
+
+impl<A: RowOutputs, B: RowOutputs> RowOutputs for (A, B) {
+    fn split_rows(self, rows: usize) -> (Self, Self) {
+        let (a, a_tail) = self.0.split_rows(rows);
+        let (b, b_tail) = self.1.split_rows(rows);
+        ((a, b), (a_tail, b_tail))
+    }
+}
+
+/// The piece loop behind every pass over rows: visits `data`'s blocks in
+/// order, cuts each at the cells of the global grid of `grid` rows (data
+/// row `r` sits at global row `row_offset + r`), and runs `piece` on
+/// every piece in parallel on `exec` with the piece's cut of the per-row
+/// outputs `out` (one entry per data row). A piece folds from `None`
+/// (zero), except a block's first piece, which receives the partial
+/// carried over the block edge. Returns one fold per grid cell the data
+/// touches, in order.
 pub(crate) fn fold_pieces<O, S, F>(
     data: LocalData<'_>,
     exec: &Executor,
     grid: usize,
     row_offset: usize,
-    out: &mut [O],
+    out: O,
     piece: F,
 ) -> Result<Vec<S>, KMeansError>
 where
-    O: Send,
+    O: RowOutputs,
     S: Send,
-    F: Fn(Piece<'_>, &mut [O], Option<S>) -> Result<S, KMeansError> + Sync,
+    F: Fn(Piece<'_>, O, Option<S>) -> Result<S, KMeansError> + Sync,
 {
     let mut folds = Vec::new();
     let mut carried: Option<S> = None;
+    let mut unvisited = out;
     data.for_each_block(|start, block| {
         let end = start + block.len();
-        let mut rest = &mut out[start..end];
+        let (mut rest, tail) = std::mem::take(&mut unvisited).split_rows(block.len());
+        unvisited = tail;
         let mut carry = carried.take();
         let mut cut = start;
         let mut items = Vec::new();
         while cut < end {
             let next = (cut + grid - (row_offset + cut) % grid).min(end);
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(next - cut);
+            let (chunk, tail) = std::mem::take(&mut rest).split_rows(next - cut);
             rest = tail;
             items.push((cut - start..next - start, chunk, carry.take()));
             cut = next;
@@ -500,7 +541,7 @@ pub(crate) fn assign_pass<'h>(
         exec,
         grid,
         row_offset,
-        &mut labels,
+        &mut labels[..],
         |p, labels, carry| {
             let first = p.start + p.rows.start;
             let mut d2 = vec![0.0f64; p.rows.len()];
@@ -614,13 +655,21 @@ mod tests {
                 for block_rows in [1usize, 3, 100, 1000] {
                     let src = source(&m, block_rows);
                     let data = LocalData::Blocks(&src);
-                    let mut none = vec![(); m.len()];
-                    let got = fold_pieces(data, &exec, grid, 0, &mut none, |p, _, carry| {
+                    // Each piece writes its data row indices into the kept
+                    // output and nothing into the dropped one.
+                    let mut rows_seen = vec![usize::MAX; m.len()];
+                    let out = (&mut rows_seen[..], None::<&mut [f64]>);
+                    let got = fold_pieces(data, &exec, grid, 0, out, |p, (seen, none), carry| {
+                        assert!(none.is_none());
+                        for (slot, r) in seen.iter_mut().zip(p.rows.clone()) {
+                            *slot = p.start + r;
+                        }
                         let rows = p.block.as_slice()[p.rows].iter();
                         Ok(rows.fold(carry.unwrap_or(0.0), |a, &b| a + b))
                     })
                     .unwrap();
                     assert_eq!(got, expected, "grid {grid}, block_rows {block_rows}");
+                    assert!(rows_seen.iter().copied().eq(0..m.len()));
                 }
             }
         }

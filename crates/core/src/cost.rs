@@ -9,7 +9,8 @@
 //!
 //! * adding `m` new centers costs `O(n · m · d)` — only the new centers are
 //!   scanned, with partial-distance pruning against the current `d²`;
-//! * the potential `φ_X(C) = Σ d²(x, C)` is re-summed in `O(n)`;
+//! * the potential `φ_X(C) = Σ d²(x, C)` is summed by the same pass that
+//!   writes `d²`, so a round reads the array once;
 //! * Step 7 of Algorithm 2 (candidate weights = how many points are closest
 //!   to each candidate) becomes a free `O(n)` histogram, because the
 //!   nearest-center ids were tracked all along — this is the "free Step 7"
@@ -17,12 +18,19 @@
 //!
 //! The tracker owns only the `O(n)` scalar state and takes the data on
 //! each call; it lives in a [`LocalBackend`](crate::driver::LocalBackend)
-//! part, which is what a local fit and a distributed worker both run. All
-//! passes run on the deterministic shard executor and keep per-shard
-//! `Σ d²` partials of the global grid — the tracker caches its own, the
-//! potential pass folds on the grid with the piece loop of
-//! [`crate::chunked`] — and [`fold_shard_sums`] is the one fold that
-//! turns partials into a potential, on every backend.
+//! part, which is what a local fit and a distributed worker both run.
+//!
+//! **One `d²` pass.** The tracker's build and update, the potential pass
+//! and the serving predictor ([`PreparedPredictor`](crate::model::PreparedPredictor))
+//! all run one pass, `d2_pass`: the piece loop of [`crate::chunked`]
+//! cuts the rows at the executor's shard grid, the kernel writes each
+//! row's label and `d²` (kept, or dropped into piece-sized scratch), and
+//! each grid cell sums its rows' `d²` left to right — carrying the
+//! partial across block edges — into one `Σ d²` per executor shard.
+//! [`fold_shard_sums`] is the one fold that turns those partials into a
+//! potential, on every backend. (The assignment pass of Lloyd's
+//! iteration is the other pass shape: the same piece loop on the
+//! accumulation grid, [`crate::chunked::assign_partials`].)
 //!
 //! **Finiteness for free.** A row with a NaN or infinite coordinate has no
 //! finite distance to any center, so its `d²` is `∞` (the kernel's
@@ -36,7 +44,7 @@
 use crate::chunked::{fold_pieces, Hints, LocalData, Piece};
 use crate::distance::nearest;
 use crate::error::KMeansError;
-use crate::kernel::AssignKernel;
+use crate::kernel::{AssignKernel, KernelStats};
 use kmeans_data::PointMatrix;
 use kmeans_par::Executor;
 
@@ -50,10 +58,12 @@ use kmeans_par::Executor;
 pub fn potential(points: &PointMatrix, centers: &PointMatrix, exec: &Executor) -> f64 {
     assert!(!centers.is_empty(), "potential: no centers");
     assert_eq!(points.dim(), centers.dim(), "potential: dim mismatch");
-    fold_shard_sums(
-        potential_pass(points.into(), centers, exec, &[], |_| Hints::Cold)
-            .expect("resident rows read without error"),
-    )
+    let kernel = AssignKernel::new(centers);
+    let (sums, _) = d2_pass(points.into(), exec, None, None, |p, l, d| {
+        kernel.assign(p.block, p.rows, l, d)
+    })
+    .expect("resident rows read without error");
+    fold_shard_sums(sums)
 }
 
 /// The potential pass's shape contract for `centers` on rows of `dim`
@@ -117,37 +127,73 @@ pub(crate) fn seeded_shard_sums<'h>(
     tracked: &[u32],
     hints: impl FnOnce(&AssignKernel) -> Hints<'h>,
 ) -> Result<Vec<f64>, KMeansError> {
-    let sums = potential_pass(data, centers, exec, tracked, hints)?;
+    let kernel = AssignKernel::new(centers);
+    let hints = hints(&kernel);
+    let (sums, _) = d2_pass(data, exec, None, None, |p, labels, d2| {
+        let rows = p.start + p.rows.start..p.start + p.rows.end;
+        let mut scratch = Vec::new();
+        let ids = tracked.get(rows.clone()).unwrap_or_default();
+        let piece_hints = hints.rows(rows, ids, &mut scratch);
+        kernel.assign_warm(p.block, p.rows, piece_hints, labels, d2)
+    })?;
     if sums.iter().any(|s| !s.is_finite()) {
         data.check_finite()?;
     }
     Ok(sums)
 }
 
-/// [`seeded_shard_sums`] without the finiteness check.
-fn potential_pass<'h>(
+/// The executor-grid `d²` pass — the one pass behind the potential, the
+/// [`CostTracker`] and the serving predictor. [`fold_pieces`] cuts
+/// `data` at the executor's shard grid; `sweep` runs the kernel on each
+/// piece's rows with their labels and `d²`, and each grid cell folds its
+/// rows' `d²` left to right. The per-row outputs a caller keeps (`labels`,
+/// `d2`: one entry per row of `data`) are written in place, and dropped
+/// ones live in piece-sized scratch. Returns the per-cell `Σ d²` in cell
+/// order and the pass's kernel counters.
+pub(crate) fn d2_pass<F>(
     data: LocalData<'_>,
-    centers: &PointMatrix,
     exec: &Executor,
-    tracked: &[u32],
-    hints: impl FnOnce(&AssignKernel) -> Hints<'h>,
-) -> Result<Vec<f64>, KMeansError> {
-    let kernel = AssignKernel::new(centers);
-    let hints = hints(&kernel);
-    // No per-row output: the pass keeps only its per-shard sums, and its
-    // scratch is piece-sized.
-    let mut none = vec![(); data.len()];
+    labels: Option<&mut [u32]>,
+    d2: Option<&mut [f64]>,
+    sweep: F,
+) -> Result<(Vec<f64>, KernelStats), KMeansError>
+where
+    F: Fn(Piece<'_>, &mut [u32], &mut [f64]) -> KernelStats + Sync,
+{
     let grid = exec.shard_spec().shard_size();
-    fold_pieces(data, exec, grid, 0, &mut none, |p, _, carry| {
-        let rows = p.start + p.rows.start..p.start + p.rows.end;
-        let mut labels = vec![0u32; p.rows.len()];
-        let mut d2 = vec![0.0f64; p.rows.len()];
-        let mut scratch = Vec::new();
-        let ids = tracked.get(rows.clone()).unwrap_or_default();
-        let piece_hints = hints.rows(rows, ids, &mut scratch);
-        kernel.assign_warm(p.block, p.rows, piece_hints, &mut labels, &mut d2);
-        Ok(d2.iter().fold(carry.unwrap_or(0.0), |acc, &v| acc + v))
-    })
+    let cells = fold_pieces(data, exec, grid, 0, (labels, d2), |p, kept, carry| {
+        let rows = p.rows.len();
+        let (mut own_labels, mut own_d2) = (Vec::new(), Vec::new());
+        let labels = kept.0.unwrap_or_else(|| scratch(&mut own_labels, rows));
+        let d2 = kept.1.unwrap_or_else(|| scratch(&mut own_d2, rows));
+        let (sum, mut stats): (f64, KernelStats) = carry.unwrap_or_default();
+        stats.absorb(sweep(p, labels, d2));
+        Ok((fold_cell(sum, d2), stats))
+    })?;
+    let mut stats = KernelStats::default();
+    let sums = cells
+        .into_iter()
+        .map(|(sum, cell_stats)| {
+            stats.absorb(cell_stats);
+            sum
+        })
+        .collect();
+    Ok((sums, stats))
+}
+
+/// One grid cell's `Σ d²`: its rows' `d²` added left to right onto `acc`
+/// (zero, or the partial carried over a block edge) — the cell fold of
+/// [`d2_pass`] and of
+/// [`PreparedPredictor::cost_from_d2`](crate::model::PreparedPredictor::cost_from_d2).
+pub(crate) fn fold_cell(acc: f64, d2: &[f64]) -> f64 {
+    d2.iter().fold(acc, |acc, &v| acc + v)
+}
+
+/// `len` zeroed entries of `buf`: a piece's scratch for an output its
+/// pass drops.
+fn scratch<T: Clone + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    buf.resize(len, T::default());
+    buf
 }
 
 /// Weighted potential `Σ_x w_x · d²(x, C)` (sequential; used on candidate
@@ -193,15 +239,17 @@ impl CostTracker {
         assert!(!centers.is_empty(), "CostTracker: no centers");
         assert_eq!(data.dim(), centers.dim(), "CostTracker: dim mismatch");
         let n = data.len();
-        let mut tracker = CostTracker {
-            d2: vec![0.0f64; n],
-            nearest_id: vec![0u32; n],
-            shard_sums: Vec::new(),
-        };
+        let (mut d2, mut nearest_id) = (vec![0.0f64; n], vec![0u32; n]);
         let kernel = AssignKernel::new(centers);
-        tracker.sweep(data, exec, |p, cn, cd| {
-            kernel.assign(p.block, p.rows, cn, cd);
+        let ids = Some(&mut nearest_id[..]);
+        let (shard_sums, _) = d2_pass(data, exec, ids, Some(&mut d2), |p, l, d| {
+            kernel.assign(p.block, p.rows, l, d)
         })?;
+        let tracker = CostTracker {
+            d2,
+            nearest_id,
+            shard_sums,
+        };
         if !tracker.potential().is_finite() {
             data.check_finite()?;
         }
@@ -242,40 +290,11 @@ impl CostTracker {
         // contract), so most points finish from that center's separation
         // list into the suffix.
         let kernel = AssignKernel::suffix(centers, from);
-        self.sweep(data, exec, |p, cn, cd| {
-            kernel.update(p.block, p.rows, cn, cd);
-        })
-    }
-
-    /// One pass over `data`: `f` runs on every executor shard of every
-    /// block with that shard's `(nearest, d²)` chunks; then the cached
-    /// shard sums are re-summed.
-    fn sweep<F>(&mut self, data: LocalData<'_>, exec: &Executor, f: F) -> Result<(), KMeansError>
-    where
-        F: Fn(Piece<'_>, &mut [u32], &mut [f64]) + Sync,
-    {
-        let (d2, nearest_id) = (&mut self.d2, &mut self.nearest_id);
-        data.for_each_block(|start, block| {
-            let end = start + block.len();
-            exec.update_map_shards2(
-                &mut d2[start..end],
-                &mut nearest_id[start..end],
-                |_, local, cd, cn| {
-                    let rows = local..local + cd.len();
-                    f(Piece { block, rows, start }, cn, cd)
-                },
-            );
-            Ok(())
+        let (ids, d2) = (Some(&mut self.nearest_id[..]), Some(&mut self.d2[..]));
+        (self.shard_sums, _) = d2_pass(data, exec, ids, d2, |p, l, d| {
+            kernel.update(p.block, p.rows, l, d)
         })?;
-        self.resum(exec);
         Ok(())
-    }
-
-    /// Recomputes the cached per-shard sums (one sequential sum per
-    /// executor shard).
-    fn resum(&mut self, exec: &Executor) {
-        let d2 = &self.d2;
-        self.shard_sums = exec.map_shards(d2.len(), |_, range| range.map(|i| d2[i]).sum::<f64>());
     }
 
     /// The current potential `φ_X(C)`: the [`fold_shard_sums`] of

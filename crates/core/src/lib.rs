@@ -102,6 +102,6 @@ pub mod record;
 pub use error::KMeansError;
 pub use init::{InitMethod, InitResult, InitStats, KMeansParallelConfig};
 pub use lloyd::{LloydConfig, LloydResult};
-pub use model::{KMeans, KMeansModel, ModelParts, PreparedPredictor};
+pub use model::{KMeans, KMeansModel, PreparedPredictor};
 pub use pipeline::{Initializer, RefineResult, Refiner};
 pub use record::RecordingBackend;

@@ -1,5 +1,10 @@
 //! The end-to-end pipeline: a pluggable [`Initializer`] followed by a
-//! pluggable [`Refiner`], behind a builder API.
+//! pluggable [`Refiner`], behind a builder API, and the fitted
+//! [`KMeansModel`]. A model answers `predict` and `cost_of` through a
+//! [`PreparedPredictor`], whose queries run the executor-grid `d²` pass
+//! of [`crate::cost`] — the pass behind the potential and the seeding
+//! tracker — so a served or local `cost_of` is the bits of
+//! [`cost::potential`](crate::cost::potential) on the same rows.
 //!
 //! ```
 //! use kmeans_core::model::KMeans;
@@ -32,6 +37,7 @@
 //! assert!(model.distance_computations() > 0);
 //! ```
 
+use crate::cost::{d2_pass, fold_cell, fold_shard_sums};
 use crate::driver::{LocalBackend, RoundBackend};
 use crate::error::KMeansError;
 use crate::init::{InitMethod, InitStats};
@@ -336,7 +342,7 @@ impl KMeans {
         self.recorder.span(start, "stage:refine", "fit", || {
             vec![arg_str("stage", refiner.name())]
         });
-        Ok(KMeansModel::from_parts(ModelParts {
+        Ok(KMeansModel {
             centers: result.centers,
             labels: result.labels,
             cost: result.cost,
@@ -349,7 +355,7 @@ impl KMeans {
             init_name: self.init.name(),
             refiner_name: refiner.name(),
             executor: exec,
-        }))
+        })
     }
 }
 
@@ -370,61 +376,7 @@ pub struct KMeansModel {
     executor: Executor,
 }
 
-/// The raw fields of a [`KMeansModel`], for alternative fit frontends
-/// (the distributed coordinator in `kmeans-cluster`) that run the same
-/// init→refine pipeline outside [`KMeans::fit`] but must hand back the
-/// standard model type.
-#[derive(Clone, Debug)]
-pub struct ModelParts {
-    /// Final centers (`k × d`).
-    pub centers: PointMatrix,
-    /// Final assignment, consistent with `centers`.
-    pub labels: Vec<u32>,
-    /// Final potential.
-    pub cost: f64,
-    /// Seeding accounting.
-    pub init_stats: InitStats,
-    /// Refinement iterations executed.
-    pub iterations: usize,
-    /// Whether the refiner converged.
-    pub converged: bool,
-    /// Per-iteration refinement history (may be empty).
-    pub history: Vec<IterationStats>,
-    /// Point-to-center distance evaluations spent by the refiner.
-    pub distance_computations: u64,
-    /// Candidates the assignment kernel skipped via its norm/coordinate
-    /// lower bounds — measured on every execution mode (distributed
-    /// workers ship their counters in the partials frames).
-    pub pruned_by_norm_bound: u64,
-    /// Stable name of the initializer.
-    pub init_name: &'static str,
-    /// Stable name of the refiner.
-    pub refiner_name: &'static str,
-    /// Executor `predict`/`cost_of` will reuse.
-    pub executor: Executor,
-}
-
 impl KMeansModel {
-    /// Assembles a model from explicitly computed parts (see
-    /// [`ModelParts`]). The caller is responsible for the fields being
-    /// mutually consistent — `labels`/`cost` must describe `centers`.
-    pub fn from_parts(parts: ModelParts) -> Self {
-        KMeansModel {
-            centers: parts.centers,
-            labels: parts.labels,
-            cost: parts.cost,
-            init_stats: parts.init_stats,
-            iterations: parts.iterations,
-            converged: parts.converged,
-            history: parts.history,
-            distance_computations: parts.distance_computations,
-            pruned_by_norm_bound: parts.pruned_by_norm_bound,
-            init_name: parts.init_name,
-            refiner_name: parts.refiner_name,
-            executor: parts.executor,
-        }
-    }
-
     /// The fitted centers (`k × d`).
     pub fn centers(&self) -> &PointMatrix {
         &self.centers
@@ -709,54 +661,46 @@ impl PreparedPredictor {
         &self.executor
     }
 
-    fn check_dim(&self, points: &PointMatrix) -> Result<(), KMeansError> {
+    /// The executor-grid `d²` pass ([`crate::cost`]) over `points`,
+    /// keeping the labels and `d²` it is given room for.
+    fn pass(
+        &self,
+        points: &PointMatrix,
+        labels: Option<&mut [u32]>,
+        d2: Option<&mut [f64]>,
+    ) -> Result<(Vec<f64>, KernelStats), KMeansError> {
         if points.dim() != self.centers.dim() {
             return Err(KMeansError::DimensionMismatch {
                 expected: self.centers.dim(),
                 got: points.dim(),
             });
         }
-        Ok(())
+        d2_pass(points.into(), &self.executor, labels, d2, |p, l, d| {
+            self.kernel.assign(p.block, p.rows, l, d)
+        })
     }
 
-    /// Nearest-center label for each point, shard results concatenated
-    /// in shard order (deterministic for any worker count).
+    /// Nearest-center label for each point (deterministic for any worker
+    /// count).
     ///
     /// # Errors
     ///
     /// Fails if `points` has a different dimensionality than the centers.
     pub fn predict(&self, points: &PointMatrix) -> Result<Vec<u32>, KMeansError> {
-        self.check_dim(points)?;
-        let shards: Vec<Vec<u32>> = self.executor.map_shards(points.len(), |_, range| {
-            let mut labels = vec![0u32; range.len()];
-            let mut d2 = vec![0.0f64; range.len()];
-            self.kernel.assign(points, range, &mut labels, &mut d2);
-            labels
-        });
-        Ok(shards.into_iter().flatten().collect())
+        let mut labels = vec![0u32; points.len()];
+        self.pass(points, Some(&mut labels), None)?;
+        Ok(labels)
     }
 
     /// Potential of `points` under the centers (shard partials folded in
-    /// shard order — bit-identical for any worker count).
+    /// shard order — bit-identical for any worker count, and to
+    /// [`cost::potential`](crate::cost::potential)).
     ///
     /// # Errors
     ///
     /// Fails if `points` has a different dimensionality than the centers.
     pub fn cost_of(&self, points: &PointMatrix) -> Result<f64, KMeansError> {
-        self.check_dim(points)?;
-        Ok(self
-            .executor
-            .map_reduce(
-                points.len(),
-                |_, range| {
-                    let mut labels = vec![0u32; range.len()];
-                    let mut d2 = vec![0.0f64; range.len()];
-                    self.kernel.assign(points, range, &mut labels, &mut d2);
-                    d2.iter().sum::<f64>()
-                },
-                |a, b| a + b,
-            )
-            .unwrap_or(0.0))
+        Ok(fold_shard_sums(self.pass(points, None, None)?.0))
     }
 
     /// Labels **and** squared distances in one pass, plus the kernel's
@@ -774,38 +718,21 @@ impl PreparedPredictor {
         &self,
         points: &PointMatrix,
     ) -> Result<(Vec<u32>, Vec<f64>, KernelStats), KMeansError> {
-        self.check_dim(points)?;
-        let shards: Vec<(Vec<u32>, Vec<f64>, KernelStats)> =
-            self.executor.map_shards(points.len(), |_, range| {
-                let mut labels = vec![0u32; range.len()];
-                let mut d2 = vec![0.0f64; range.len()];
-                let stats = self.kernel.assign(points, range, &mut labels, &mut d2);
-                (labels, d2, stats)
-            });
-        let mut all_labels = Vec::with_capacity(points.len());
-        let mut all_d2 = Vec::with_capacity(points.len());
-        let mut stats = KernelStats::default();
-        for (labels, d2, s) in shards {
-            all_labels.extend(labels);
-            all_d2.extend(d2);
-            stats.absorb(s);
-        }
-        Ok((all_labels, all_d2, stats))
+        let (mut labels, mut d2) = (vec![0u32; points.len()], vec![0.0f64; points.len()]);
+        let (_, stats) = self.pass(points, Some(&mut labels), Some(&mut d2))?;
+        Ok((labels, d2, stats))
     }
 
     /// Folds a `d²` slice on the engine's shard grid — bit-identical to
     /// [`PreparedPredictor::cost_of`] on the points that produced it
-    /// (same per-shard left-to-right sums, same in-order combine). Lets
+    /// (same per-shard left-to-right sums, same [`fold_shard_sums`]). Lets
     /// a server answer cost queries from stored [`PreparedPredictor::assign`]
     /// outputs without re-sweeping the points.
     pub fn cost_from_d2(&self, d2: &[f64]) -> f64 {
-        self.executor
-            .map_reduce(
-                d2.len(),
-                |_, range| d2[range].iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-            .unwrap_or(0.0)
+        fold_shard_sums(
+            self.executor
+                .map_shards(d2.len(), |_, rows| fold_cell(0.0, &d2[rows])),
+        )
     }
 }
 

@@ -62,7 +62,8 @@ pub struct CheckpointMeta {
     pub k: u64,
     /// Total rows across all workers.
     pub global_n: u64,
-    /// Accumulation shard size (the alignment grid).
+    /// The executor shard size the fit ran with, which sets both fold
+    /// grids (the accumulation grid derives from it).
     pub shard_size: u64,
     /// Point dimensionality.
     pub dim: u32,

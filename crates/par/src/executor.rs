@@ -1,6 +1,8 @@
-//! The shard executor: parallel map / map-reduce over logical shards and
-//! in-place updates over owned pieces, deterministic for any worker
-//! count.
+//! The shard executor: one claim-once loop ([`Executor::map_pieces`])
+//! that maps owned work items in parallel and returns their results in
+//! item order, so results are deterministic for any worker count.
+//! [`Executor::map_shards`] runs it over the shards of an index range;
+//! callers that fold results fold them in that order.
 
 use crate::shards::ShardSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,13 +42,10 @@ impl Parallelism {
 /// ```
 /// use kmeans_par::{Executor, Parallelism};
 /// let exec = Executor::new(Parallelism::Threads(4));
-/// // Sum of squares of 0..10_000, computed shard by shard.
-/// let total = exec.map_reduce(
-///     10_000,
-///     |_, range| range.map(|i| (i * i) as u64).sum::<u64>(),
-///     |a, b| a + b,
-/// ).unwrap_or(0);
-/// assert_eq!(total, (0..10_000u64).map(|i| i * i).sum());
+/// // Sum of squares of 0..10_000, computed shard by shard and folded
+/// // in shard order.
+/// let shards = exec.map_shards(10_000, |_, range| range.map(|i| (i * i) as u64).sum::<u64>());
+/// assert_eq!(shards.into_iter().sum::<u64>(), (0..10_000u64).map(|i| i * i).sum());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Executor {
@@ -109,21 +108,6 @@ impl Executor {
         self.map_pieces(self.spec.ranges(n).collect(), f)
     }
 
-    /// Maps every shard and folds the results **in shard order** with
-    /// `combine`. Returns `None` when `n == 0`.
-    ///
-    /// In-order folding matters: floating-point reduction order changes
-    /// low-order bits, and determinism across worker counts is a guarantee
-    /// of this crate.
-    pub fn map_reduce<T, F, C>(&self, n: usize, f: F, combine: C) -> Option<T>
-    where
-        T: Send,
-        F: Fn(usize, std::ops::Range<usize>) -> T + Sync,
-        C: Fn(T, T) -> T,
-    {
-        self.map_shards(n, f).into_iter().reduce(combine)
-    }
-
     /// Runs `f` over owned work items — typically disjoint mutable chunks
     /// of per-row state, cut wherever the caller needs — collecting one
     /// result per item, returned **in item order**. `f` receives
@@ -184,36 +168,6 @@ impl Executor {
             .map(|r| r.expect("piece result missing"))
             .collect()
     }
-
-    /// Runs `f` over shard-aligned mutable chunks of two equal-length
-    /// slices while collecting one result per shard, returned **in shard
-    /// order** (the shape of a batched assignment pass: labels and `d²`
-    /// mutated in place, per-shard results coming back for a
-    /// deterministic fold) — [`Executor::map_pieces`] over the shard
-    /// grid.
-    ///
-    /// `f` receives `(shard_index, start_offset, chunk_a, chunk_b)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn update_map_shards2<A, B, T, F>(&self, a: &mut [A], b: &mut [B], f: F) -> Vec<T>
-    where
-        A: Send,
-        B: Send,
-        T: Send,
-        F: Fn(usize, usize, &mut [A], &mut [B]) -> T + Sync,
-    {
-        assert_eq!(a.len(), b.len(), "update_map_shards2: length mismatch");
-        let size = self.spec.shard_size();
-        let pieces: Vec<(usize, &mut [A], &mut [B])> = self
-            .spec
-            .ranges(a.len())
-            .zip(a.chunks_mut(size).zip(b.chunks_mut(size)))
-            .map(|(range, (ca, cb))| (range.start, ca, cb))
-            .collect();
-        self.map_pieces(pieces, |s, (start, ca, cb)| f(s, start, ca, cb))
-    }
 }
 
 #[cfg(test)]
@@ -263,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_identical_across_worker_counts() {
+    fn map_shards_identical_across_worker_counts() {
         let reference: Vec<f64> =
             Executor::sequential()
                 .with_shard_size(64)
@@ -278,46 +232,6 @@ mod tests {
                     .sum::<f64>()
             });
             assert_eq!(got, reference, "divergence for {:?}", exec.parallelism());
-        }
-    }
-
-    #[test]
-    fn map_reduce_empty_input() {
-        for exec in executors() {
-            assert_eq!(exec.map_reduce(0, |_, _| 1u32, |a, b| a + b), None);
-        }
-    }
-
-    #[test]
-    fn map_reduce_single_shard() {
-        let exec = Executor::new(Parallelism::Threads(4)).with_shard_size(1024);
-        let total = exec
-            .map_reduce(10, |_, r| r.sum::<usize>(), |a, b| a + b)
-            .unwrap();
-        assert_eq!(total, 45);
-    }
-
-    #[test]
-    fn update_map_shards2_mutates_both_and_collects_in_order() {
-        for exec in executors() {
-            let mut a = vec![0u32; 500];
-            let mut b = vec![0.0f64; 500];
-            let out = exec.update_map_shards2(&mut a, &mut b, |s, start, ca, cb| {
-                for (i, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
-                    *x = (start + i) as u32;
-                    *y = (start + i) as f64 * 0.5;
-                }
-                (s, ca.len())
-            });
-            assert_eq!(out.len(), 8); // ceil(500/64)
-            for (i, (s, _)) in out.iter().enumerate() {
-                assert_eq!(*s, i, "out of order");
-            }
-            assert_eq!(out.iter().map(|(_, l)| l).sum::<usize>(), 500);
-            for (i, (&x, &y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(x, i as u32);
-                assert_eq!(y, i as f64 * 0.5);
-            }
         }
     }
 
@@ -339,14 +253,6 @@ mod tests {
         let none: Vec<u32> =
             Executor::new(Parallelism::Threads(3)).map_pieces(Vec::<u8>::new(), |_, _| 1);
         assert!(none.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn update_map_shards2_length_mismatch_panics() {
-        let mut a = vec![0u8; 3];
-        let mut b = vec![0u8; 4];
-        Executor::sequential().update_map_shards2(&mut a, &mut b, |_, _, _, _| {});
     }
 
     #[test]

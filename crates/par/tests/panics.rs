@@ -32,21 +32,6 @@ fn sequential_panic_also_propagates() {
 }
 
 #[test]
-fn update_map_shards2_propagates_worker_panic() {
-    let exec = Executor::new(Parallelism::Threads(2)).with_shard_size(4);
-    let mut a = vec![0u8; 64];
-    let mut b = vec![0u8; 64];
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        exec.update_map_shards2(&mut a, &mut b, |s, _, _, _| {
-            if s == 5 {
-                panic!("injected shard failure");
-            }
-        })
-    }));
-    assert!(result.is_err());
-}
-
-#[test]
 fn executor_is_reusable_after_catching_a_panic() {
     // A panicked scope must not poison subsequent jobs on a fresh call.
     let exec = Executor::new(Parallelism::Threads(2)).with_shard_size(8);

@@ -42,8 +42,7 @@ pub struct ServedModelInfo {
     /// Refiner name recorded in the model file.
     pub refiner_name: String,
     /// The server's per-batch point cap — the natural chunk size for
-    /// [`ServeClient::predict_chunked`]. 0 when the server predates the
-    /// field.
+    /// [`ServeClient::predict_chunked`].
     pub batch_cap: u64,
 }
 
@@ -280,8 +279,7 @@ impl<T: Transport<ServeMessage>> ServeClient<T> {
 
     /// Served predict of a large input, streamed as bounded chunks of at
     /// most `chunk_points` points so no single request exceeds the
-    /// server's batch cap (pass [`ServedModelInfo::batch_cap`] when the
-    /// server advertises one). The concatenated labels are byte-identical
+    /// server's batch cap (pass [`ServedModelInfo::batch_cap`]). The concatenated labels are byte-identical
     /// to one unchunked predict — per-point labels are pure functions of
     /// (point, centers) — and every chunk is checked to have run on the
     /// same model revision (a hot-swap mid-stream is a typed error, never

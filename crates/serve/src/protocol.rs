@@ -28,15 +28,15 @@
 //! Any request may instead draw an [`ServeMessage::Error`] reply; the
 //! session stays open.
 //!
-//! ## Frame-revision tolerance
+//! ## Optional and required fields
 //!
-//! Fields added after the vocabulary first shipped are encoded as
-//! *trailing groups*, following the cluster protocol's `Partials`
-//! precedent: a decoder that finds the payload exhausted where a newer
-//! group would start treats the group as absent (deadline → "no
-//! deadline", `ModelInfo` batch cap → 0, overload counters → zeroed) —
-//! so revision-1 frames from an older peer still decode, while a
-//! *partial* group remains a malformed frame.
+//! A `Predict` or `Cost` carries its deadline budget as an optional
+//! trailing `u64`: a deadline-free request is just the matrix, which is
+//! how clients that speak only `SKS1` still send it. Every other field is
+//! required — a `ModelInfo` without its batch cap or a `Stats` without
+//! either of its later counter groups is a malformed frame. Only servers
+//! that refuse a form-2 session ever sent those short frames, and a
+//! current client opens in form 2.
 
 use kmeans_cluster::protocol::WireError;
 use kmeans_cluster::wire::{Dec, Enc, FrameError, WireMessage};
@@ -49,10 +49,6 @@ pub const SERVE_MAGIC: [u8; 4] = *b"SKS1";
 
 /// A server's cumulative accounting, shipped as the reply to
 /// [`ServeMessage::FetchStats`].
-///
-/// The fields after `pruned_by_norm_bound` are encoded as a trailing
-/// group: decoders accept frames without them (older servers) as zeroed
-/// values, so a new client degrades gracefully against an old server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Revision of the model currently installed.
@@ -86,9 +82,7 @@ pub struct ServeStats {
     pub request_latency: HistogramSummary,
     /// Kernel batch sweep latency summary, in nanoseconds.
     pub batch_latency: HistogramSummary,
-    /// Requests rejected by admission control (queue full). Second
-    /// trailing group, with everything below — older servers decode as
-    /// zeroes.
+    /// Requests rejected by admission control (queue full).
     pub shed_requests: u64,
     /// Points carried by shed requests (they never touched the kernel).
     pub shed_points: u64,
@@ -126,8 +120,7 @@ pub enum ServeMessage {
         /// Refiner name recorded in the model file.
         refiner_name: String,
         /// The engine's per-batch point cap — the natural chunk size for
-        /// a client streaming a large input. Trailing field: 0 when the
-        /// server predates it.
+        /// a client streaming a large input.
         batch_cap: u64,
     },
     /// Client → server: assign these points. Replies [`ServeMessage::Labels`].
@@ -138,7 +131,7 @@ pub enum ServeMessage {
         /// admission: if the request is still queued when the budget
         /// expires, the server answers
         /// [`WireError::DeadlineExceeded`] instead of running the sweep.
-        /// Trailing field — revision-1 frames decode as `None`.
+        /// Optional trailing field: a frame without it decodes as `None`.
         deadline_ms: Option<u64>,
     },
     /// Server → client: labels plus the request's potential, all computed
@@ -275,7 +268,6 @@ impl WireMessage for ServeMessage {
                 e.f64(*cost);
                 e.text(init_name);
                 e.text(refiner_name);
-                // Trailing field (decoders accept its absence as 0).
                 e.u64(*batch_cap);
             }
             ServeMessage::Predict {
@@ -288,7 +280,7 @@ impl WireMessage for ServeMessage {
             } => {
                 e.matrix(points);
                 // Trailing field: present only when a deadline is set, so
-                // a deadline-free frame is byte-identical to revision 1.
+                // a deadline-free frame is the matrix alone.
                 if let Some(ms) = deadline_ms {
                     e.u64(*ms);
                 }
@@ -316,14 +308,12 @@ impl WireMessage for ServeMessage {
                 e.u64(s.swaps);
                 e.u64(s.distance_computations);
                 e.u64(s.pruned_by_norm_bound);
-                // Trailing group (decoders accept its absence).
                 e.u64(s.revision_requests);
                 e.u64(s.revision_points);
                 e.u64(s.revision_batches);
                 e.u64(s.revision_installed_ns);
                 encode_hist_summary(e, &s.request_latency);
                 encode_hist_summary(e, &s.batch_latency);
-                // Second trailing group: overload/drain accounting.
                 e.u64(s.shed_requests);
                 e.u64(s.shed_points);
                 e.u64(s.deadline_exceeded);
@@ -354,7 +344,7 @@ impl WireMessage for ServeMessage {
                 cost: d.f64()?,
                 init_name: d.text()?,
                 refiner_name: d.text()?,
-                batch_cap: if d.remaining() > 0 { d.u64()? } else { 0 },
+                batch_cap: d.u64()?,
             },
             3 => ServeMessage::Predict {
                 points: d.matrix()?,
@@ -383,42 +373,29 @@ impl WireMessage for ServeMessage {
                 cost: d.f64()?,
             },
             7 => ServeMessage::FetchStats,
-            8 => {
-                let mut s = ServeStats {
-                    revision: d.u64()?,
-                    requests: d.u64()?,
-                    points: d.u64()?,
-                    batches: d.u64()?,
-                    max_batch_points: d.u64()?,
-                    swaps: d.u64()?,
-                    distance_computations: d.u64()?,
-                    pruned_by_norm_bound: d.u64()?,
-                    ..ServeStats::default()
-                };
-                // Backward-compatible trailing group: absent (an older
-                // server) decodes as zeroed; a *partial* group is still
-                // a malformed frame (the field reads below fail).
-                if d.remaining() > 0 {
-                    s.revision_requests = d.u64()?;
-                    s.revision_points = d.u64()?;
-                    s.revision_batches = d.u64()?;
-                    s.revision_installed_ns = d.u64()?;
-                    s.request_latency = decode_hist_summary(&mut d)?;
-                    s.batch_latency = decode_hist_summary(&mut d)?;
-                    // Second trailing group (overload/drain accounting),
-                    // same absent-vs-partial rule as the first.
-                    if d.remaining() > 0 {
-                        s.shed_requests = d.u64()?;
-                        s.shed_points = d.u64()?;
-                        s.deadline_exceeded = d.u64()?;
-                        s.drain_rejected = d.u64()?;
-                        s.queued_points = d.u64()?;
-                        s.queue_cap = d.u64()?;
-                        s.draining = d.u8()? != 0;
-                    }
-                }
-                ServeMessage::Stats(s)
-            }
+            8 => ServeMessage::Stats(ServeStats {
+                revision: d.u64()?,
+                requests: d.u64()?,
+                points: d.u64()?,
+                batches: d.u64()?,
+                max_batch_points: d.u64()?,
+                swaps: d.u64()?,
+                distance_computations: d.u64()?,
+                pruned_by_norm_bound: d.u64()?,
+                revision_requests: d.u64()?,
+                revision_points: d.u64()?,
+                revision_batches: d.u64()?,
+                revision_installed_ns: d.u64()?,
+                request_latency: decode_hist_summary(&mut d)?,
+                batch_latency: decode_hist_summary(&mut d)?,
+                shed_requests: d.u64()?,
+                shed_points: d.u64()?,
+                deadline_exceeded: d.u64()?,
+                drain_rejected: d.u64()?,
+                queued_points: d.u64()?,
+                queue_cap: d.u64()?,
+                draining: d.u8()? != 0,
+            }),
             9 => ServeMessage::SwapModel { model: d.bytes()? },
             10 => ServeMessage::SwapOk {
                 revision: d.u64()?,
@@ -554,46 +531,39 @@ mod tests {
         }
     }
 
+    /// `payload` framed under `tag` in form 1, checksum fixed.
+    fn v1_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&SERVE_MAGIC);
+        frame.push(tag);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame.extend_from_slice(&kmeans_cluster::wire::fnv1a(tag, payload).to_le_bytes());
+        frame
+    }
+
+    fn assert_malformed(frame: &[u8]) {
+        assert!(matches!(
+            ServeMessage::decode_frame(frame, MAX_FRAME_PAYLOAD).unwrap_err(),
+            FrameError::Malformed(_)
+        ));
+    }
+
     #[test]
-    fn legacy_stats_frames_decode_with_zeroed_trailing_group() {
-        // A tag-8 frame carrying only the original eight counters (an
-        // older server) must decode, with the per-revision and latency
-        // fields zeroed.
+    fn stats_frames_with_only_the_first_counters_are_malformed() {
+        // A tag-8 frame carrying only the first eight counters, as
+        // servers that refuse a form-2 session sent it.
         let mut e = Enc::new();
         for v in [2u64, 100, 5000, 40, 512, 1, 123, 456] {
             e.u64(v);
         }
-        let payload = e.into_bytes();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&SERVE_MAGIC);
-        frame.push(8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&kmeans_cluster::wire::fnv1a(8, &payload).to_le_bytes());
-        let (decoded, used) = ServeMessage::decode_frame(&frame, MAX_FRAME_PAYLOAD).unwrap();
-        assert_eq!(used, frame.len());
-        match decoded {
-            ServeMessage::Stats(s) => {
-                assert_eq!(s.revision, 2);
-                assert_eq!(s.requests, 100);
-                assert_eq!(s.pruned_by_norm_bound, 456);
-                assert_eq!(s.revision_requests, 0);
-                assert_eq!(s.revision_installed_ns, 0);
-                assert_eq!(s.request_latency, HistogramSummary::default());
-                assert_eq!(s.batch_latency, HistogramSummary::default());
-                assert_eq!(s.shed_requests, 0);
-                assert_eq!(s.queue_cap, 0);
-                assert!(!s.draining);
-            }
-            other => panic!("decoded {other:?}"),
-        }
+        assert_malformed(&v1_frame(8, &e.into_bytes()));
     }
 
     #[test]
-    fn stats_frames_without_the_overload_group_decode_zeroed() {
-        // A tag-8 frame carrying groups 0 and 1 but not the overload
-        // group (a server from before admission control) must decode
-        // with the overload counters zeroed and `draining == false`.
+    fn stats_frames_without_the_overload_group_are_malformed() {
+        // A tag-8 frame carrying the first two groups but not the
+        // overload group.
         let mut e = Enc::new();
         for v in [2u64, 100, 5000, 40, 512, 1, 123, 456] {
             e.u64(v);
@@ -603,47 +573,18 @@ mod tests {
         }
         encode_hist_summary(&mut e, &HistogramSummary::default());
         encode_hist_summary(&mut e, &HistogramSummary::default());
-        let payload = e.into_bytes();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&SERVE_MAGIC);
-        frame.push(8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&kmeans_cluster::wire::fnv1a(8, &payload).to_le_bytes());
-        match ServeMessage::decode_frame(&frame, MAX_FRAME_PAYLOAD)
-            .unwrap()
-            .0
-        {
-            ServeMessage::Stats(s) => {
-                assert_eq!(s.revision_requests, 60);
-                assert_eq!(s.shed_requests, 0);
-                assert_eq!(s.shed_points, 0);
-                assert_eq!(s.deadline_exceeded, 0);
-                assert_eq!(s.drain_rejected, 0);
-                assert_eq!(s.queued_points, 0);
-                assert_eq!(s.queue_cap, 0);
-                assert!(!s.draining);
-            }
-            other => panic!("decoded {other:?}"),
-        }
+        assert_malformed(&v1_frame(8, &e.into_bytes()));
     }
 
     #[test]
-    fn legacy_predict_and_model_info_frames_decode_without_new_fields() {
-        // Revision-1 Predict/Cost frames carry only the matrix; they must
-        // decode as "no deadline". Likewise a ModelInfo without the
-        // trailing batch cap decodes as cap 0.
+    fn deadline_free_requests_decode_and_model_info_needs_its_batch_cap() {
+        // Predict/Cost frames that carry only the matrix — what form-1
+        // clients send — decode as "no deadline".
         let m = PointMatrix::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2).unwrap();
         for tag in [3u8, 5] {
             let mut e = Enc::new();
             e.matrix(&m);
-            let payload = e.into_bytes();
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&SERVE_MAGIC);
-            frame.push(tag);
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            frame.extend_from_slice(&kmeans_cluster::wire::fnv1a(tag, &payload).to_le_bytes());
+            let frame = v1_frame(tag, &e.into_bytes());
             match ServeMessage::decode_frame(&frame, MAX_FRAME_PAYLOAD)
                 .unwrap()
                 .0
@@ -665,6 +606,7 @@ mod tests {
                 other => panic!("decoded {other:?}"),
             }
         }
+        // A ModelInfo without its batch cap is malformed.
         let mut e = Enc::new();
         e.u64(3);
         e.u64(10);
@@ -672,29 +614,8 @@ mod tests {
         e.f64(12.5);
         e.text("kmeans-par");
         e.text("lloyd");
-        let payload = e.into_bytes();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&SERVE_MAGIC);
-        frame.push(2);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&kmeans_cluster::wire::fnv1a(2, &payload).to_le_bytes());
-        match ServeMessage::decode_frame(&frame, MAX_FRAME_PAYLOAD)
-            .unwrap()
-            .0
-        {
-            ServeMessage::ModelInfo {
-                batch_cap,
-                revision,
-                ..
-            } => {
-                assert_eq!(revision, 3);
-                assert_eq!(batch_cap, 0);
-            }
-            other => panic!("decoded {other:?}"),
-        }
-        // A deadline-free Predict encodes byte-identically to revision 1
-        // (the field is simply omitted), so old servers accept it.
+        assert_malformed(&v1_frame(2, &e.into_bytes()));
+        // A deadline-free Predict encodes as the matrix alone.
         let modern = ServeMessage::Predict {
             points: m,
             deadline_ms: None,

@@ -277,20 +277,16 @@ proptest! {
     }
 
     #[test]
-    fn stats_overload_group_tolerates_absence_but_not_partiality(
+    fn stats_frames_missing_any_tail_are_malformed(
         ints in vec(0u64..1000, 31..40),
         cut in 1usize..50,
     ) {
-        // Dropping the whole trailing overload group (49 payload bytes:
-        // six u64 counters + one bool) must decode as zeroed; dropping
-        // only *part* of it must be a typed malformed/truncated frame,
-        // never a misparse.
+        // Every counter group is required: a Stats frame missing the
+        // whole overload group (49 payload bytes: six u64 counters + one
+        // bool) or any part of it is a typed malformed frame, never a
+        // misparse.
         let msg = build_message(6, vec![], ints);
         let full = msg.encode_frame();
-        let stats = match &msg {
-            ServeMessage::Stats(s) => *s,
-            _ => unreachable!(),
-        };
         // Rebuild the frame with the trailing `cut` payload bytes gone.
         let payload_len = full.len() - 4 - 1 - 4 - 8; // magic+tag+len+checksum
         let payload = &full[9..9 + payload_len];
@@ -302,21 +298,10 @@ proptest! {
         frame.extend_from_slice(shortened);
         frame.extend_from_slice(&kmeans_cluster::wire::fnv1a(8, shortened).to_le_bytes());
         let result = ServeMessage::decode_frame(&frame, MAX_FRAME_PAYLOAD);
-        if cut == 49 {
-            let (decoded, _) = result.unwrap();
-            let expected = ServeStats {
-                shed_requests: 0,
-                shed_points: 0,
-                deadline_exceeded: 0,
-                drain_rejected: 0,
-                queued_points: 0,
-                queue_cap: 0,
-                draining: false,
-                ..stats
-            };
-            prop_assert_eq!(decoded, ServeMessage::Stats(expected));
-        } else {
-            prop_assert!(result.is_err(), "partial trailing group decoded: cut={}", cut);
-        }
+        prop_assert!(
+            matches!(result, Err(FrameError::Malformed(_))),
+            "short stats frame decoded: cut={}",
+            cut
+        );
     }
 }

@@ -16,6 +16,7 @@ use scalable_kmeans::cluster::{
     FitDistributed, RoundCheckpoint, Transport,
 };
 use scalable_kmeans::core::model::{KMeans, KMeansModel};
+use scalable_kmeans::core::KMeansError;
 use scalable_kmeans::data::synth::GaussMixture;
 use scalable_kmeans::data::{
     decode_checkpoint, encode_checkpoint, is_checkpoint_file, load_checkpoint_file,
@@ -284,6 +285,42 @@ fn foreign_journal_is_rejected() {
     for h in handles {
         h.join().unwrap().unwrap();
     }
+}
+
+/// A checkpoint *file* written under another seed is refused by the
+/// file-backed fit with the typed mismatch error, which names the file,
+/// and the file is left as it was.
+#[test]
+fn foreign_checkpoint_file_is_refused_and_kept() {
+    let points = gauss();
+    let dir = std::env::temp_dir().join("kmeans_ckpt_foreign");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("seed43.skmc");
+    let records = vec![CheckpointRecord {
+        kind: 15,
+        fingerprint: 7,
+        payload: vec![1, 2, 3],
+    }];
+    save_checkpoint_file(&path, &meta_for(&points, 43), &records).unwrap();
+    let (mut cluster, handles) = loopback_cluster(&points, 2);
+    let err = KMeans::params(K)
+        .seed(42)
+        .shard_size(SHARD)
+        .fit_distributed_checkpointed(&mut cluster, &path)
+        .unwrap_err();
+    assert!(matches!(err, KMeansError::InvalidConfig(_)), "{err:?}");
+    let message = err.to_string();
+    assert!(message.contains("different job"), "{message}");
+    assert!(message.contains(&path.display().to_string()), "{message}");
+    cluster.shutdown();
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
+    assert_eq!(
+        load_checkpoint_file(&path).unwrap(),
+        (meta_for(&points, 43), records)
+    );
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// The crash-resume story end to end, through the *file*: a checkpointed

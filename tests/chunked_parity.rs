@@ -3,9 +3,11 @@
 //! dataset larger than the configured memory budget streams within budget,
 //! asserted via the block reader's peak-resident accounting.
 
+use kmeans_core::chunked::LocalData;
+use kmeans_core::cost::{potential, potential_shard_sums, CostTracker};
 use kmeans_core::init::KMeansParallelConfig;
 use kmeans_core::minibatch::MiniBatchConfig;
-use kmeans_core::model::{KMeans, KMeansModel};
+use kmeans_core::model::{KMeans, KMeansModel, PreparedPredictor};
 use kmeans_core::pipeline::{
     Initializer, KMeansPlusPlus, Lloyd, MiniBatch, NoRefine, Random, Refiner,
 };
@@ -307,4 +309,49 @@ fn chunked_input_contract_matches_in_memory() {
         KMeansPlusPlus.init_chunked(&source, 0, 0, &exec),
         Err(KMeansError::InvalidK { .. })
     ));
+}
+
+/// The one executor-grid `d²` pass: a tracker's per-shard sums after
+/// `new` and after an `update` are the bits of the potential pass at the
+/// same centers, for every block size and thread count, and the serving
+/// predictor's costs — `cost_of`, and `cost_from_d2` of its `assign` —
+/// are the bits of `cost::potential`.
+#[test]
+fn tracker_and_predictor_sums_are_the_potential_pass_bits() {
+    let points = gauss(700, 6, 5);
+    let n = points.len();
+    let pick = |rows: &[usize]| {
+        let mut m = PointMatrix::new(points.dim());
+        for &r in rows {
+            m.push(points.row(r)).unwrap();
+        }
+        m
+    };
+    let first = pick(&[3, 250, 611]);
+    let all = pick(&[3, 250, 611, 17, 99, 140, 333, 402, 480, 555, 640, 699]);
+    let bits = |sums: &[f64]| sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    for threads in [Parallelism::Sequential, Parallelism::Threads(3)] {
+        let exec = kmeans_par::Executor::new(threads).with_shard_size(64);
+        let phi = potential(&points, &all, &exec);
+        for block_rows in [1, 7, 64, n] {
+            let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+            let data = LocalData::Blocks(&source);
+            let mut tracker = CostTracker::new(data, &first, &exec).unwrap();
+            let want = potential_shard_sums(data, &first, &exec).unwrap();
+            assert_eq!(bits(tracker.shard_sums()), bits(&want), "new, {block_rows}");
+            tracker.update(data, &all, first.len(), &exec).unwrap();
+            let want = potential_shard_sums(data, &all, &exec).unwrap();
+            assert_eq!(
+                bits(tracker.shard_sums()),
+                bits(&want),
+                "update, {block_rows}"
+            );
+            assert_eq!(tracker.potential().to_bits(), phi.to_bits());
+        }
+        let predictor = PreparedPredictor::new(all.clone(), exec.clone());
+        assert_eq!(predictor.cost_of(&points).unwrap().to_bits(), phi.to_bits());
+        let (labels, d2, _) = predictor.assign(&points).unwrap();
+        assert_eq!(predictor.cost_from_d2(&d2).to_bits(), phi.to_bits());
+        assert_eq!(labels, predictor.predict(&points).unwrap());
+    }
 }
