@@ -26,17 +26,20 @@
 //! and 11–13 belonged to retired round primitives; a journal holding one
 //! is refused with the typed mismatch error, never misread.
 //!
-//! Every journal record carries a fingerprint of the round's *arguments*
-//! (FNV-1a over the round kind and encoded inputs — the workspace's one
-//! FNV-1a, `kmeans_util::checksum::fnv1a`, through [`fnv1a`]). On
-//! replay the fingerprint of the round the driver is about to run must
-//! match the record; a mismatch — wrong seed, changed config, different
-//! data layout — is a typed error, never silent corruption. The journal
-//! additionally pins seed/k/n/dim/shard-size (the file header), which
-//! the fit checks before any round runs.
+//! Every journal record carries a fingerprint of the round's *arguments*:
+//! FNV-1a (`kmeans_util::checksum::fnv1a`) over the round kind byte and
+//! the encoded arguments, which for a gather, a potential and an
+//! assignment pass are the payload of the `GatherRows`, `Cost` and
+//! `Assign` request that carries them. On replay the fingerprint of the
+//! round the driver is about to run must match the record; a mismatch —
+//! wrong seed, changed config, different data layout — is a typed error,
+//! never silent corruption. The journal additionally pins
+//! seed/k/n/dim/shard-size (the file header), which the fit checks before
+//! any round runs.
 
 use crate::coordinator::{Cluster, SessionMirror};
-use crate::wire::{fnv1a, Dec, Enc, FrameError};
+use crate::protocol::{encode_assign, Message};
+use crate::wire::{Dec, Enc, FrameError, WireMessage};
 use kmeans_core::assign::ClusterSums;
 use kmeans_core::driver::{
     BackendKind, Broadcast, LabelFetch, RoundBackend, SampleSpec, TrackerOut, TrackerRead,
@@ -45,6 +48,7 @@ use kmeans_core::kernel::KernelStats;
 use kmeans_core::KMeansError;
 use kmeans_data::checkpoint::{load_checkpoint_file, save_checkpoint_file, CheckpointMeta};
 use kmeans_data::{CheckpointRecord, PointMatrix};
+use kmeans_util::checksum::{fnv1a, FNV1A_BASIS};
 use std::path::{Path, PathBuf};
 
 // Round-kind discriminants for journal records (the `kind` byte of
@@ -168,7 +172,7 @@ impl Clone for RoundCheckpoint {
 // --- per-kind argument fingerprints and result codecs ---------------------
 
 fn fp(kind: u8, args: Enc) -> u64 {
-    fnv1a(kind, &args.into_bytes())
+    fnv1a(fnv1a(FNV1A_BASIS, &[kind]), &args.into_bytes())
 }
 
 /// Maps a payload decode failure to the journal's corruption error.
@@ -189,11 +193,12 @@ fn decode_with<T>(
 
 fn gather_rows_fingerprint(indices: &[usize]) -> u64 {
     let mut args = Enc::new();
-    let idx: Vec<u64> = indices.iter().map(|&i| i as u64).collect();
-    args.u64s(&idx);
+    let indices = indices.iter().map(|&i| i as u64).collect();
+    Message::GatherRows { indices }.encode_payload_into(&mut args);
     fp(K_GATHER_ROWS, args)
 }
 
+/// A `Cost` request's payload is its centers alone.
 fn potential_fingerprint(centers: &PointMatrix) -> u64 {
     let mut args = Enc::new();
     args.matrix(centers);
@@ -202,12 +207,7 @@ fn potential_fingerprint(centers: &PointMatrix) -> u64 {
 
 fn assign_fingerprint(centers: &PointMatrix, fetch: LabelFetch) -> u64 {
     let mut args = Enc::new();
-    args.matrix(centers);
-    args.u8(match fetch {
-        LabelFetch::Skip => 0,
-        LabelFetch::IfStable => 1,
-        LabelFetch::Always => 2,
-    });
+    encode_assign(&mut args, centers, fetch);
     fp(K_ASSIGN, args)
 }
 
@@ -638,6 +638,42 @@ mod tests {
         assert!(
             err.to_string().contains("journal has round kind 11"),
             "{err}"
+        );
+    }
+
+    /// A journal written by an earlier build must still resume, so every
+    /// fingerprint kind keeps its bits on one fixed input.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let centers = PointMatrix::from_flat(vec![1.5, -2.0, 0.25, 3.0, 7.0, -0.5], 3).unwrap();
+        assert_eq!(
+            gather_rows_fingerprint(&[0, 5, 17, 4096]),
+            0x5fde_fd11_3f88_712c
+        );
+        assert_eq!(potential_fingerprint(&centers), 0x741e_3f99_fc83_6fed);
+        for (fetch, pinned) in [
+            (LabelFetch::Skip, 0x303b_def0_8116_e4f3),
+            (LabelFetch::IfStable, 0x303b_ddf0_8116_e340),
+            (LabelFetch::Always, 0x303b_e0f0_8116_e859),
+        ] {
+            assert_eq!(assign_fingerprint(&centers, fetch), pinned, "{fetch:?}");
+        }
+        let update = Broadcast::Update {
+            from: 3,
+            rows: &centers,
+        };
+        let sample = TrackerRead::Sample {
+            round: 2,
+            seed: 9,
+            spec: SampleSpec::Bernoulli { l: 4.5 },
+        };
+        assert_eq!(
+            tracker_round_fingerprint(update, sample),
+            0x4d6b_a443_9735_b913
+        );
+        assert_eq!(
+            tracker_round_fingerprint(Broadcast::Init(&centers), TrackerRead::D2),
+            0xc480_cbf1_c031_67bf
         );
     }
 

@@ -25,7 +25,7 @@
 use crate::error::ClusterError;
 use crate::protocol::Message;
 use crate::transport::{loopback_pair, LoopbackTransport, TcpTransport, Transport};
-use crate::wire::{FrameForm, WireMessage};
+use crate::wire::WireMessage;
 use crate::worker::Worker;
 use kmeans_data::ChunkedSource;
 use kmeans_par::Parallelism;
@@ -78,9 +78,8 @@ pub enum FaultAction {
         /// 1-based occurrence of that tag on the send path.
         occurrence: u32,
     },
-    /// Ship only the first `keep` bytes of the matching frame, encoded in
-    /// the form the wrapped transport currently answers in, then die — a
-    /// mid-frame crash. Exercises the peer's defensive decode path
+    /// Ship only the first `keep` bytes of the matching frame, then die —
+    /// a mid-frame crash. Exercises the peer's defensive decode path
     /// (truncation is a typed frame error, never a panic or a hang).
     TruncateOnSend {
         /// Message tag to match.
@@ -102,36 +101,23 @@ pub enum FaultAction {
     },
 }
 
-/// A [`Transport`] that additionally exposes its raw frame sink and its
-/// session's frame form — what [`FaultAction::TruncateOnSend`] needs to
-/// put half a frame on the wire in the form the peer expects.
-/// Implemented by both built-in transports.
+/// A [`Transport`] that additionally exposes its raw frame sink — what
+/// [`FaultAction::TruncateOnSend`] needs to put half a frame on the
+/// wire. Implemented by both built-in transports.
 pub trait Faultable<M: WireMessage = Message>: Transport<M> {
     /// Sends pre-encoded frame bytes verbatim (possibly truncated).
     fn send_raw_frame(&mut self, bytes: &[u8]) -> Result<(), ClusterError>;
-
-    /// The form `send` currently writes (that of the last frame
-    /// received).
-    fn frame_form(&self) -> FrameForm;
 }
 
 impl<M: WireMessage> Faultable<M> for TcpTransport<M> {
     fn send_raw_frame(&mut self, bytes: &[u8]) -> Result<(), ClusterError> {
         TcpTransport::send_raw_frame(self, bytes)
     }
-
-    fn frame_form(&self) -> FrameForm {
-        TcpTransport::frame_form(self)
-    }
 }
 
 impl<M: WireMessage> Faultable<M> for LoopbackTransport<M> {
     fn send_raw_frame(&mut self, bytes: &[u8]) -> Result<(), ClusterError> {
         LoopbackTransport::send_raw_frame(self, bytes)
-    }
-
-    fn frame_form(&self) -> FrameForm {
-        LoopbackTransport::frame_form(self)
     }
 }
 
@@ -191,7 +177,7 @@ impl<M: WireMessage> Transport<M> for FaultTransport<M> {
                 Err(ClusterError::Disconnected)
             }
             Some(FaultAction::TruncateOnSend { keep, .. }) => {
-                let frame = msg.encode_frame_as(self.inner.frame_form());
+                let frame = msg.encode_frame();
                 let keep = keep.min(frame.len().saturating_sub(1)).max(1);
                 self.inner.send_raw_frame(&frame[..keep])?;
                 self.dead = true;
@@ -380,25 +366,6 @@ mod tests {
         // The peer receives the partial frame and rejects it as a typed
         // frame error — never a panic.
         assert!(matches!(peer.recv(), Err(ClusterError::Frame(_))));
-    }
-
-    #[test]
-    fn truncation_cuts_a_frame_in_the_sessions_form() {
-        let (mut peer, mut faulty) = pair_with_script(vec![FaultAction::TruncateOnSend {
-            tag: tag::SHARD_SUMS,
-            occurrence: 1,
-            keep: 9,
-        }]);
-        // A form-1 peer opens the conversation; the session answers in
-        // form 1, the truncated frame included.
-        peer.send_raw_frame(&Message::GatherD2.encode_frame_as(FrameForm::V1))
-            .unwrap();
-        assert_eq!(faulty.recv().unwrap(), Message::GatherD2);
-        assert!(matches!(
-            faulty.send(&Message::ShardSums { sums: vec![1.0] }),
-            Err(ClusterError::Disconnected)
-        ));
-        assert_eq!(&peer.recv_raw_frame().unwrap()[..4], b"SKW1");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   (`std`-only binary frames) carrying centers broadcasts, per-round
 //!   sampled candidates, cost partials, and assignment
 //!   accumulation-shard partials. The frame machinery it shares with the
-//!   serving tier, in both [`FrameForm`]s, lives in [`wire`].
+//!   serving tier — one frame form, `…2` — lives in [`wire`].
 //! * [`transport`] — the [`Transport`] trait with two implementations:
 //!   [`TcpTransport`] (real sockets; `skm worker --listen ADDR`) and
 //!   [`LoopbackTransport`] (in-process channels moving the *same encoded
@@ -73,5 +73,5 @@ pub use fit::FitDistributed;
 pub use protocol::{FrameError, Message, WorkerStats};
 pub use retry::RetryPolicy;
 pub use transport::{loopback_pair, LoopbackTransport, TcpTransport, Transport};
-pub use wire::{FrameForm, ReadFrameError, WireMessage};
+pub use wire::{ReadFrameError, WireMessage};
 pub use worker::{spawn_loopback_worker, spawn_tcp_worker, TcpWorkerServer, Worker};

@@ -5,12 +5,11 @@
 //!
 //! ```text
 //! offset        size  field
-//! 0             4     magic  b"SKW2" (form 2) or b"SKW1" (form 1)
+//! 0             4     magic  b"SKW2"
 //! 4             1     message tag
 //! 5             4     payload length `len` (u32)
 //! 9             len   payload (tag-specific encoding)
-//! 9 + len       8     checksum: form 2, lanes64 over bytes [0, 9 + len);
-//!                     form 1, FNV-1a 64 over tag byte + payload
+//! 9 + len       8     checksum: lanes64 over bytes [0, 9 + len)
 //! ```
 //!
 //! Everything is hand-rolled `std` binary encoding — no external
@@ -21,14 +20,14 @@
 //! malformed input maps to a typed [`FrameError`] — never a panic
 //! (`tests/protocol_proptests.rs` fuzzes this contract).
 //!
-//! The frame assembly, both frame forms, the checksums, and the decoder
-//! primitives are the shared machinery of [`crate::wire`]; this module
-//! supplies the `SKW` vocabulary — the distributed-runtime [`Message`]
-//! enum and its per-tag payload codecs — via the [`WireMessage`] impl.
-//! The serving tier's `SKS` vocabulary (`kmeans-serve`) is a second
-//! instance of the same machinery.
+//! The frame assembly, the checksum, and the decoder primitives are the
+//! shared machinery of [`crate::wire`]; this module supplies the `SKW`
+//! vocabulary — the distributed-runtime [`Message`] enum and its per-tag
+//! payload codecs — via the [`WireMessage`] impl. The serving tier's
+//! `SKS` vocabulary (`kmeans-serve`) is a second instance of the same
+//! machinery.
 
-pub use crate::wire::{fnv1a, FrameError, ReadFrameError, MAX_FRAME_PAYLOAD};
+pub use crate::wire::{FrameError, ReadFrameError, MAX_FRAME_PAYLOAD};
 
 use crate::wire::{Dec, Enc, WireMessage};
 use kmeans_core::chunked::AccumShard;
@@ -36,11 +35,9 @@ use kmeans_core::driver::{LabelFetch, ReadPart, SampleSpec, TrackerRead};
 use kmeans_core::kernel::KernelStats;
 use kmeans_core::KMeansError;
 use kmeans_data::PointMatrix;
-use std::io::{Read, Write};
 
-/// Frame magic in form 1 (see module docs); form 2's is `b"SKW2"`
-/// ([`FrameForm::magic`](crate::wire::FrameForm::magic)).
-pub const FRAME_MAGIC: [u8; 4] = *b"SKW1";
+/// Frame magic of the `SKW` vocabulary (see module docs).
+pub const FRAME_MAGIC: [u8; 4] = *b"SKW2";
 
 /// A typed clustering error crossing the wire (worker → coordinator).
 /// Mirrors [`KMeansError`] so the coordinator surfaces the *same* typed
@@ -448,6 +445,18 @@ fn encode_accum_shard(e: &mut Enc, s: &AccumShard) {
     e.f64(s.farthest.1);
 }
 
+/// Appends the payload of `Assign { centers, labels }` — the centers, then
+/// the label mode byte — from borrowed arguments, so a round checkpoint
+/// fingerprints a pass by these bytes without copying its centers.
+pub(crate) fn encode_assign(e: &mut Enc, centers: &PointMatrix, labels: LabelFetch) {
+    e.matrix(centers);
+    e.u8(match labels {
+        LabelFetch::Skip => 0,
+        LabelFetch::IfStable => 1,
+        LabelFetch::Always => 2,
+    });
+}
+
 fn decode_accum_shard(d: &mut Dec<'_>) -> Result<AccumShard, FrameError> {
     let sums = d.f64s()?;
     let counts = d.u64s()?;
@@ -524,14 +533,7 @@ impl WireMessage for Message {
             Message::InitTracker { centers } | Message::Cost { centers } => {
                 e.matrix(centers);
             }
-            Message::Assign { centers, labels } => {
-                e.matrix(centers);
-                e.u8(match labels {
-                    LabelFetch::Skip => 0,
-                    LabelFetch::IfStable => 1,
-                    LabelFetch::Always => 2,
-                });
-            }
+            Message::Assign { centers, labels } => encode_assign(e, centers, *labels),
             Message::UpdateTracker { from, centers } => {
                 e.u64(*from);
                 e.matrix(centers);
@@ -767,36 +769,6 @@ impl Message {
             Message::Prescreened { .. } => "prescreened",
         }
     }
-
-    /// Encodes the message as one complete form-2 frame (magic, tag,
-    /// length, payload, checksum). Returns the frame bytes. Inherent
-    /// forwarder to [`WireMessage::encode_frame`] so call sites need no
-    /// trait import.
-    pub fn encode_frame(&self) -> Vec<u8> {
-        WireMessage::encode_frame(self)
-    }
-
-    /// Decodes one frame of either form from a byte buffer, returning the
-    /// message and the number of bytes consumed. `max_payload` caps the
-    /// declared payload length *before* any allocation.
-    pub fn decode_frame(bytes: &[u8], max_payload: usize) -> Result<(Message, usize), FrameError> {
-        <Message as WireMessage>::decode_frame(bytes, max_payload)
-    }
-
-    /// Writes the message as one form-2 frame. Returns the bytes written.
-    pub fn write_frame(&self, w: &mut impl Write) -> std::io::Result<usize> {
-        WireMessage::write_frame(self, w)
-    }
-
-    /// Reads one frame of either form from a byte stream, returning the
-    /// message and the bytes consumed. I/O failures (peer gone, timeout)
-    /// and invalid frames are distinguished by [`ReadFrameError`].
-    pub fn read_frame(
-        r: &mut impl Read,
-        max_payload: usize,
-    ) -> Result<(Message, usize), ReadFrameError> {
-        <Message as WireMessage>::read_frame(r, max_payload)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -911,7 +883,6 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::FrameForm;
 
     fn sample_messages() -> Vec<Message> {
         let m = PointMatrix::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2).unwrap();
@@ -1045,19 +1016,6 @@ mod tests {
             let (decoded, used) = Message::read_frame(&mut cursor, MAX_FRAME_PAYLOAD).unwrap();
             assert_eq!(decoded, msg);
             assert_eq!(used, frame.len());
-            // Both frame forms round-trip, report their form, and differ
-            // only in the version byte and the checksum.
-            for form in [FrameForm::V1, FrameForm::V2] {
-                let framed = msg.encode_frame_as(form);
-                assert_eq!(framed.len(), frame.len());
-                assert_eq!(framed[..3], frame[..3]);
-                assert_eq!(framed[4..framed.len() - 8], frame[4..frame.len() - 8]);
-                let got = Message::decode_frame_form(&framed, MAX_FRAME_PAYLOAD).unwrap();
-                assert_eq!(got, (msg.clone(), framed.len(), form));
-                let mut cursor = std::io::Cursor::new(&framed);
-                let got = Message::read_frame_form(&mut cursor, MAX_FRAME_PAYLOAD).unwrap();
-                assert_eq!(got, (msg.clone(), framed.len(), form));
-            }
         }
     }
 
@@ -1068,13 +1026,21 @@ mod tests {
         };
         let frame = msg.encode_frame();
 
-        // Bad magic.
-        let mut bad = frame.clone();
-        bad[0] = b'X';
-        assert_eq!(
-            Message::decode_frame(&bad, MAX_FRAME_PAYLOAD).unwrap_err(),
-            FrameError::BadMagic
-        );
+        // Bad magic, a retired form-1 magic included, on decode and on a
+        // stream read.
+        for (at, byte) in [(0, b'X'), (3, b'1')] {
+            let mut bad = frame.clone();
+            bad[at] = byte;
+            assert_eq!(
+                Message::decode_frame(&bad, MAX_FRAME_PAYLOAD).unwrap_err(),
+                FrameError::BadMagic
+            );
+            let mut cursor = std::io::Cursor::new(&bad);
+            assert!(matches!(
+                Message::read_frame(&mut cursor, MAX_FRAME_PAYLOAD),
+                Err(ReadFrameError::Frame(FrameError::BadMagic))
+            ));
+        }
         // Truncation at every prefix length.
         for cut in 0..frame.len() {
             let e = Message::decode_frame(&frame[..cut], MAX_FRAME_PAYLOAD).unwrap_err();
@@ -1094,22 +1060,11 @@ mod tests {
             Message::decode_frame(&huge, 1024).unwrap_err(),
             FrameError::Oversized { .. }
         ));
-        // Unknown tag, in both forms. The checksum covers the tag, so
-        // retag + fix the checksum to isolate the case.
-        for form in [FrameForm::V1, FrameForm::V2] {
-            let mut f = Message::ShutdownOk.encode_frame_as(form);
-            f[4] = 200;
-            let n = f.len();
-            let csum = match form {
-                FrameForm::V1 => fnv1a(200, &[]),
-                FrameForm::V2 => kmeans_util::checksum::lanes64(&f[..n - 8]),
-            };
-            f[n - 8..].copy_from_slice(&csum.to_le_bytes());
-            assert_eq!(
-                Message::decode_frame(&f, MAX_FRAME_PAYLOAD).unwrap_err(),
-                FrameError::UnknownTag(200)
-            );
-        }
+        // Unknown tag, in a frame whose checksum is right.
+        assert_eq!(
+            Message::decode_frame(&checksummed_frame(200, &[]), MAX_FRAME_PAYLOAD).unwrap_err(),
+            FrameError::UnknownTag(200)
+        );
     }
 
     #[test]
@@ -1118,27 +1073,23 @@ mod tests {
         // RestoreLabels/RestoreOk left the vocabulary; their numbers are
         // never reused, so an old peer's frame is a typed error.
         for tag in [7u8, 8, 20, 21, 27, 28] {
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&FRAME_MAGIC);
-            frame.push(tag);
-            frame.extend_from_slice(&0u32.to_le_bytes());
-            frame.extend_from_slice(&fnv1a(tag, &[]).to_le_bytes());
             assert_eq!(
-                Message::decode_frame(&frame, MAX_FRAME_PAYLOAD).unwrap_err(),
+                Message::decode_frame(&checksummed_frame(tag, &[]), MAX_FRAME_PAYLOAD).unwrap_err(),
                 FrameError::UnknownTag(tag),
                 "tag {tag}"
             );
         }
     }
 
-    /// `payload` framed under `tag` in form 1, checksum fixed.
-    fn v1_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+    /// `payload` framed under `tag`, checksum fixed.
+    fn checksummed_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
         frame.extend_from_slice(&FRAME_MAGIC);
         frame.push(tag);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(payload);
-        frame.extend_from_slice(&fnv1a(tag, payload).to_le_bytes());
+        let checksum = kmeans_util::checksum::lanes64(&frame);
+        frame.extend_from_slice(&checksum.to_le_bytes());
         frame
     }
 
@@ -1163,7 +1114,7 @@ mod tests {
         };
         let payload = msg.encode_payload();
         for cut in [16, 8] {
-            let short = v1_frame(18, &payload[..payload.len() - cut]);
+            let short = checksummed_frame(18, &payload[..payload.len() - cut]);
             assert!(
                 matches!(
                     Message::decode_frame(&short, MAX_FRAME_PAYLOAD).unwrap_err(),
@@ -1177,7 +1128,7 @@ mod tests {
             labels: LabelFetch::Always,
         };
         let payload = assign.encode_payload();
-        let short = v1_frame(17, &payload[..payload.len() - 1]);
+        let short = checksummed_frame(17, &payload[..payload.len() - 1]);
         assert!(matches!(
             Message::decode_frame(&short, MAX_FRAME_PAYLOAD).unwrap_err(),
             FrameError::Malformed(_)
@@ -1190,13 +1141,7 @@ mod tests {
         let mut e = Enc::new();
         e.u64(1u64 << 60);
         e.f64(0.0);
-        let payload = e.into_bytes();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&FRAME_MAGIC);
-        frame.push(6);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a(6, &payload).to_le_bytes());
+        let frame = checksummed_frame(6, &e.into_bytes());
         assert!(matches!(
             Message::decode_frame(&frame, MAX_FRAME_PAYLOAD).unwrap_err(),
             FrameError::Malformed(_)

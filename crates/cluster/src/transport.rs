@@ -9,16 +9,13 @@
 //! type parameter defaults to the distributed runtime's
 //! [`Message`] (`SKW` frames), and the serving tier
 //! instantiates the same types with its `SKS` vocabulary — one socket
-//! layer, two protocols.
-//!
-//! Both read either frame form and send in the form of the last frame
-//! they received — form 2 until they have received one — so a peer that
-//! only speaks form 1 and opens the conversation keeps a working session
-//! (see [`crate::wire`]).
+//! layer, two protocols. A received frame whose magic is not the
+//! vocabulary's — a retired `…1` frame included — fails `recv` with
+//! [`FrameError::BadMagic`].
 
 use crate::error::ClusterError;
 use crate::protocol::{FrameError, Message, MAX_FRAME_PAYLOAD};
-use crate::wire::{FrameForm, WireMessage, FRAME_OVERHEAD};
+use crate::wire::{WireMessage, FRAME_OVERHEAD};
 use std::io::{BufReader, BufWriter, Write};
 use std::marker::PhantomData;
 use std::net::TcpStream;
@@ -47,8 +44,6 @@ pub struct TcpTransport<M: WireMessage = Message> {
     writer: BufWriter<TcpStream>,
     sent: u64,
     received: u64,
-    /// The form `send` writes: that of the last frame received.
-    form: FrameForm,
     _vocabulary: PhantomData<fn() -> M>,
 }
 
@@ -67,7 +62,6 @@ impl<M: WireMessage> TcpTransport<M> {
             writer,
             sent: 0,
             received: 0,
-            form: FrameForm::default(),
             _vocabulary: PhantomData,
         })
     }
@@ -81,11 +75,6 @@ impl<M: WireMessage> TcpTransport<M> {
         self.writer.flush()?;
         self.sent += bytes.len() as u64;
         Ok(())
-    }
-
-    /// The form `send` writes.
-    pub(crate) fn frame_form(&self) -> FrameForm {
-        self.form
     }
 }
 
@@ -105,7 +94,7 @@ fn check_outgoing(frame: &[u8]) -> Result<(), ClusterError> {
 
 impl<M: WireMessage> Transport<M> for TcpTransport<M> {
     fn send(&mut self, msg: &M) -> Result<(), ClusterError> {
-        let frame = msg.encode_frame_as(self.form);
+        let frame = msg.encode_frame();
         check_outgoing(&frame)?;
         self.writer.write_all(&frame)?;
         self.writer.flush()?;
@@ -114,9 +103,8 @@ impl<M: WireMessage> Transport<M> for TcpTransport<M> {
     }
 
     fn recv(&mut self) -> Result<M, ClusterError> {
-        let (msg, used, form) = M::read_frame_form(&mut self.reader, MAX_FRAME_PAYLOAD)?;
+        let (msg, used) = M::read_frame(&mut self.reader, MAX_FRAME_PAYLOAD)?;
         self.received += used as u64;
-        self.form = form;
         Ok(msg)
     }
 
@@ -136,8 +124,6 @@ pub struct LoopbackTransport<M: WireMessage = Message> {
     rx: Receiver<Vec<u8>>,
     sent: u64,
     received: u64,
-    /// The form `send` writes: that of the last frame received.
-    form: FrameForm,
     _vocabulary: PhantomData<fn() -> M>,
 }
 
@@ -148,7 +134,6 @@ impl<M: WireMessage> LoopbackTransport<M> {
             rx,
             sent: 0,
             received: 0,
-            form: FrameForm::default(),
             _vocabulary: PhantomData,
         }
     }
@@ -175,23 +160,11 @@ impl<M: WireMessage> LoopbackTransport<M> {
         self.sent += bytes.len() as u64;
         Ok(())
     }
-
-    /// The form `send` writes.
-    pub(crate) fn frame_form(&self) -> FrameForm {
-        self.form
-    }
-
-    /// The next raw frame, undecoded — lets tests inspect exactly the
-    /// bytes a peer put on the channel.
-    #[cfg(test)]
-    pub(crate) fn recv_raw_frame(&mut self) -> Result<Vec<u8>, ClusterError> {
-        self.rx.recv().map_err(|_| ClusterError::Disconnected)
-    }
 }
 
 impl<M: WireMessage> Transport<M> for LoopbackTransport<M> {
     fn send(&mut self, msg: &M) -> Result<(), ClusterError> {
-        let frame = msg.encode_frame_as(self.form);
+        let frame = msg.encode_frame();
         check_outgoing(&frame)?;
         let len = frame.len() as u64;
         self.tx
@@ -203,14 +176,13 @@ impl<M: WireMessage> Transport<M> for LoopbackTransport<M> {
 
     fn recv(&mut self) -> Result<M, ClusterError> {
         let frame = self.rx.recv().map_err(|_| ClusterError::Disconnected)?;
-        let (msg, used, form) = M::decode_frame_form(&frame, MAX_FRAME_PAYLOAD)?;
+        let (msg, used) = M::decode_frame(&frame, MAX_FRAME_PAYLOAD)?;
         if used != frame.len() {
             return Err(ClusterError::Protocol(
                 "loopback frame carried trailing bytes".into(),
             ));
         }
         self.received += used as u64;
-        self.form = form;
         Ok(msg)
     }
 
@@ -236,22 +208,6 @@ mod tests {
         assert_eq!(got, msg);
         assert_eq!(a.bytes_sent(), b.bytes_received());
         assert!(a.bytes_sent() > 0);
-    }
-
-    #[test]
-    fn loopback_answers_in_the_form_it_last_received() {
-        let (mut a, mut b) = loopback_pair::<Message>();
-        let msg = Message::CandidateWeights { m: 3 };
-        for form in [FrameForm::V1, FrameForm::V2, FrameForm::V1] {
-            a.send_raw_frame(&msg.encode_frame_as(form)).unwrap();
-            assert_eq!(b.recv().unwrap(), msg);
-            b.send(&msg).unwrap();
-            let answer = a.rx.recv().unwrap();
-            assert_eq!(answer, msg.encode_frame_as(form));
-        }
-        // A fresh transport speaks form 2.
-        a.send(&msg).unwrap();
-        assert_eq!(b.rx.recv().unwrap(), msg.encode_frame());
     }
 
     #[test]

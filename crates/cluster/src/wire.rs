@@ -1,7 +1,7 @@
 //! Frame machinery shared by every wire vocabulary in the workspace:
-//! the length-prefixed, checksummed frame layout in its two forms, the
-//! defensive binary encoder/decoder primitives, and the [`WireMessage`]
-//! trait that turns a message enum into a complete frame codec.
+//! the length-prefixed, checksummed frame layout, the defensive binary
+//! encoder/decoder primitives, and the [`WireMessage`] trait that turns a
+//! message enum into a complete frame codec.
 //!
 //! The distributed runtime's [`Message`](crate::protocol::Message)
 //! (`SKW` frames) and the serving tier's request/response vocabulary
@@ -13,50 +13,27 @@
 //!
 //! ```text
 //! offset        size  field
-//! 0             4     magic: the vocabulary's three letters + form version
-//!                     (b"SKW1"/b"SKW2", b"SKS1"/b"SKS2")
+//! 0             4     magic: the vocabulary's three letters + `2`
+//!                     (b"SKW2", b"SKS2")
 //! 4             1     message tag
 //! 5             4     payload length `len` (u32)
 //! 9             len   payload (tag-specific encoding)
-//! 9 + len       8     checksum (u64), by form:
-//!                       1: FNV-1a 64 over tag byte + payload
-//!                       2: lanes64 over bytes [0, 9 + len) — magic, tag,
-//!                          length and payload
+//! 9 + len       8     checksum (u64): lanes64 over bytes [0, 9 + len) —
+//!                     magic, tag, length and payload
 //! ```
 //!
-//! ## The two frame forms
+//! The checksum, [`lanes64`], runs four lanes over 8-byte words. Every
+//! step of it is a bijection of its state for a fixed word and of the
+//! word for a fixed state, so any change confined to one 8-byte word of
+//! the frame — every single-bit and single-byte flip among them — is
+//! always detected (the argument is spelled out on `lanes64`). Because
+//! the magic, tag and length are hashed too, a flipped vocabulary letter
+//! (`S` ↔ `W` is one bit) or length byte is a checksum error, not a frame
+//! handed to the wrong decoder.
 //!
-//! Both forms have the same layout and size ([`FRAME_OVERHEAD`] bytes
-//! around the payload) and carry the same payloads; only the last magic
-//! byte and the checksum differ ([`FrameForm`]).
-//!
-//! * **Form 1** (`…1`) checksums with byte-at-a-time FNV-1a
-//!   ([`fnv1a`]) — one multiply per byte, which made the checksum most of
-//!   the codec's cost. It does not cover the magic or the length.
-//! * **Form 2** (`…2`) checksums with
-//!   [`lanes64`], four lanes over 8-byte
-//!   words, about 16× faster. Every step of it is a bijection of its
-//!   state for a fixed word and of the word for a fixed state, so any
-//!   change confined to one 8-byte word of the frame — every single-bit
-//!   and single-byte flip among them — is always detected (the argument
-//!   is spelled out on `lanes64`). Because the magic, tag and length are
-//!   hashed too, a flipped vocabulary letter (`S` ↔ `W` is one bit) or
-//!   length byte is a checksum error, not a frame handed to the wrong
-//!   decoder.
-//!
-//! The version bytes `1` (0x31) and `2` (0x32) differ in two bits, so no
-//! single-bit flip turns one form into the other; a multi-bit flip that
-//! does leaves the other form's checksum in the trailer, which fails.
-//!
-//! Every reader accepts both forms and reports which one it read.
-//! [`WireMessage::encode_frame`] writes form 2. The transports
-//! ([`crate::transport`]) answer in the form of the last frame they
-//! received and speak form 2 until they have received one. So the side
-//! that opens a conversation — the serve client with `Hello`, the worker
-//! with its `Hello` — picks the form: a current responder mirrors a
-//! form-1 opener and keeps a working session, while a form-1-only
-//! responder refuses a form-2 opener with `BadMagic` and closes, which
-//! the opener sees as a typed error within its I/O timeout.
+//! A frame with any other magic — a peer built before the `…2` form
+//! sends `…1` frames — is [`FrameError::BadMagic`] as soon as its 9-byte
+//! header is read, and the session that read it ends.
 //!
 //! Decoding is defensive: a frame is parsed only after its declared
 //! length passes the caller's cap (no attacker-controlled allocation),
@@ -65,8 +42,8 @@
 //! [`FrameError`] — never a panic.
 
 use kmeans_data::PointMatrix;
-use kmeans_util::checksum::{self, lanes64, FNV1A_BASIS};
-use std::io::{Read, Write};
+use kmeans_util::checksum::lanes64;
+use std::io::Read;
 
 /// Default cap on a frame's payload (1 GiB — comfortably above the
 /// largest legitimate reply in any vocabulary). Decoders reject an
@@ -141,79 +118,12 @@ pub enum ReadFrameError {
     Frame(FrameError),
 }
 
-/// The form-1 frame checksum: 64-bit FNV-1a over the tag byte and
-/// payload.
-pub fn fnv1a(tag: u8, payload: &[u8]) -> u64 {
-    checksum::fnv1a(checksum::fnv1a(FNV1A_BASIS, &[tag]), payload)
-}
-
-/// Which of the two frame forms a frame takes (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrameForm {
-    /// Magic ending in `1`; FNV-1a over tag and payload.
-    V1,
-    /// Magic ending in `2`; `lanes64` over header and payload.
-    #[default]
-    V2,
-}
-
-impl FrameForm {
-    /// The magic of a vocabulary whose form-1 magic is `magic`, in this
-    /// form: the last byte is the form's version.
-    pub fn magic(self, mut magic: [u8; 4]) -> [u8; 4] {
-        magic[3] = match self {
-            FrameForm::V1 => b'1',
-            FrameForm::V2 => b'2',
-        };
-        magic
+/// Checks a 9-byte frame header — the magic, then the declared payload
+/// length against the cap — and returns the payload length.
+fn open_header(header: &[u8], magic: [u8; 4], max_payload: usize) -> Result<usize, FrameError> {
+    if header[..4] != magic {
+        return Err(FrameError::BadMagic);
     }
-
-    /// The form a received frame's first four bytes name, if they are
-    /// the magic of the vocabulary whose form-1 magic is `magic`.
-    fn of(received: &[u8], magic: [u8; 4]) -> Result<FrameForm, FrameError> {
-        [FrameForm::V1, FrameForm::V2]
-            .into_iter()
-            .find(|form| received == form.magic(magic))
-            .ok_or(FrameError::BadMagic)
-    }
-
-    /// The checksum this form's trailer carries for a frame whose header
-    /// and payload are `body` (the trailer excluded).
-    fn checksum(self, body: &[u8]) -> u64 {
-        match self {
-            FrameForm::V1 => fnv1a(body[4], &body[9..]),
-            FrameForm::V2 => lanes64(body),
-        }
-    }
-}
-
-/// Checks the frame at the front of `bytes` — magic, cap, length,
-/// checksum — and returns its form, tag, payload and total length.
-fn open_frame(
-    bytes: &[u8],
-    magic: [u8; 4],
-    max_payload: usize,
-) -> Result<(FrameForm, u8, &[u8], usize), FrameError> {
-    if bytes.len() < 9 {
-        return Err(FrameError::Truncated);
-    }
-    let form = FrameForm::of(&bytes[..4], magic)?;
-    let len = payload_len(&bytes[..9], max_payload)?;
-    let total = 9 + len + 8;
-    if bytes.len() < total {
-        return Err(FrameError::Truncated);
-    }
-    let expected = u64::from_le_bytes(bytes[9 + len..total].try_into().expect("8"));
-    let got = form.checksum(&bytes[..9 + len]);
-    if expected != got {
-        return Err(FrameError::Checksum { expected, got });
-    }
-    Ok((form, bytes[4], &bytes[9..9 + len], total))
-}
-
-/// The payload length a 9-byte frame header declares, checked against
-/// the cap.
-fn payload_len(header: &[u8], max_payload: usize) -> Result<usize, FrameError> {
     let len = u32::from_le_bytes(header[5..9].try_into().expect("4")) as u64;
     if len > max_payload as u64 {
         return Err(FrameError::Oversized {
@@ -439,11 +349,9 @@ impl<'a> Dec<'a> {
 /// A message enum that travels as checksummed frames. Implementors
 /// supply the vocabulary (magic, tag map, per-tag payload codecs); the
 /// provided methods assemble, parse, and stream complete frames with the
-/// shared layout, cap enforcement, and checksum, in either
-/// [`FrameForm`].
+/// shared layout, cap enforcement, and checksum.
 pub trait WireMessage: Sized + Send {
-    /// The vocabulary's frame magic in form 1 (e.g. `b"SKW1"`); form 2's
-    /// differs in the last byte ([`FrameForm::magic`]).
+    /// The vocabulary's frame magic (e.g. `b"SKW2"`).
     const MAGIC: [u8; 4];
 
     /// The message's tag byte.
@@ -462,28 +370,19 @@ pub trait WireMessage: Sized + Send {
     /// Decodes a payload for `tag`, consuming it exactly.
     fn decode_payload(tag: u8, payload: &[u8]) -> Result<Self, FrameError>;
 
-    /// Encodes the message as one complete form-2 frame (magic, tag,
-    /// length, payload, checksum). Returns the frame bytes.
-    ///
-    /// # Panics
-    ///
-    /// As [`WireMessage::encode_frame_as`].
-    fn encode_frame(&self) -> Vec<u8> {
-        self.encode_frame_as(FrameForm::V2)
-    }
-
-    /// Encodes the message as one complete frame in `form`.
+    /// Encodes the message as one complete frame (magic, tag, length,
+    /// payload, checksum). Returns the frame bytes.
     ///
     /// # Panics
     ///
     /// Panics if the payload exceeds the u32 length field (4 GiB) — a
     /// silent wrap would corrupt the stream; transports reject anything
     /// over [`MAX_FRAME_PAYLOAD`] with a typed error long before this.
-    fn encode_frame_as(&self, form: FrameForm) -> Vec<u8> {
+    fn encode_frame(&self) -> Vec<u8> {
         // The payload is encoded in place behind the header, whose length
         // field is filled in once the payload's size is known.
         let mut e = Enc::new();
-        e.0.extend_from_slice(&form.magic(Self::MAGIC));
+        e.0.extend_from_slice(&Self::MAGIC);
         e.u8(self.tag());
         e.u32(0);
         self.encode_payload_into(&mut e);
@@ -494,55 +393,44 @@ pub trait WireMessage: Sized + Send {
             "frame payload of {len} bytes exceeds the u32 length field"
         );
         frame[5..9].copy_from_slice(&(len as u32).to_le_bytes());
-        let checksum = form.checksum(&frame);
+        let checksum = lanes64(&frame);
         frame.extend_from_slice(&checksum.to_le_bytes());
         frame
     }
 
-    /// Decodes one frame of either form from a byte buffer, returning the
-    /// message and the number of bytes consumed. `max_payload` caps the
-    /// declared payload length *before* any allocation.
+    /// Decodes one frame from a byte buffer, returning the message and
+    /// the number of bytes consumed. `max_payload` caps the declared
+    /// payload length *before* any allocation.
     fn decode_frame(bytes: &[u8], max_payload: usize) -> Result<(Self, usize), FrameError> {
-        Self::decode_frame_form(bytes, max_payload).map(|(msg, used, _)| (msg, used))
+        if bytes.len() < 9 {
+            return Err(FrameError::Truncated);
+        }
+        let len = open_header(&bytes[..9], Self::MAGIC, max_payload)?;
+        let total = 9 + len + 8;
+        if bytes.len() < total {
+            return Err(FrameError::Truncated);
+        }
+        let expected = u64::from_le_bytes(bytes[9 + len..total].try_into().expect("8"));
+        let got = lanes64(&bytes[..9 + len]);
+        if expected != got {
+            return Err(FrameError::Checksum { expected, got });
+        }
+        Ok((Self::decode_payload(bytes[4], &bytes[9..9 + len])?, total))
     }
 
-    /// [`WireMessage::decode_frame`], also reporting the frame's form.
-    fn decode_frame_form(
-        bytes: &[u8],
-        max_payload: usize,
-    ) -> Result<(Self, usize, FrameForm), FrameError> {
-        let (form, tag, payload, used) = open_frame(bytes, Self::MAGIC, max_payload)?;
-        Ok((Self::decode_payload(tag, payload)?, used, form))
-    }
-
-    /// Writes the message as one form-2 frame. Returns the bytes written.
-    fn write_frame(&self, w: &mut impl Write) -> std::io::Result<usize> {
-        let frame = self.encode_frame();
-        w.write_all(&frame)?;
-        Ok(frame.len())
-    }
-
-    /// Reads one frame of either form from a byte stream, returning the
-    /// message and the bytes consumed. I/O failures (peer gone, timeout,
-    /// a stream that ends mid-frame) and invalid frames are
-    /// distinguished by [`ReadFrameError`].
-    fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<(Self, usize), ReadFrameError> {
-        Self::read_frame_form(r, max_payload).map(|(msg, used, _)| (msg, used))
-    }
-
-    /// [`WireMessage::read_frame`], also reporting the frame's form.
+    /// Reads one frame from a byte stream, returning the message and the
+    /// bytes consumed. I/O failures (peer gone, timeout, a stream that
+    /// ends mid-frame) and invalid frames are distinguished by
+    /// [`ReadFrameError`].
     ///
-    /// The frame buffer starts at no more than 64 KiB and grows as bytes
+    /// The header is checked before any payload byte is read, and the
+    /// frame buffer starts at no more than 64 KiB and grows as bytes
     /// arrive, so a header that declares a large payload and then stops
     /// costs about the bytes that came, not the bytes it declared.
-    fn read_frame_form(
-        r: &mut impl Read,
-        max_payload: usize,
-    ) -> Result<(Self, usize, FrameForm), ReadFrameError> {
+    fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<(Self, usize), ReadFrameError> {
         let mut header = [0u8; 9];
         r.read_exact(&mut header).map_err(ReadFrameError::Io)?;
-        FrameForm::of(&header[..4], Self::MAGIC).map_err(ReadFrameError::Frame)?;
-        let len = payload_len(&header, max_payload).map_err(ReadFrameError::Frame)?;
+        let len = open_header(&header, Self::MAGIC, max_payload).map_err(ReadFrameError::Frame)?;
         let total = 9 + len + 8;
         let mut frame = header.to_vec();
         while frame.len() < total {
@@ -561,6 +449,6 @@ pub trait WireMessage: Sized + Send {
                 )));
             }
         }
-        Self::decode_frame_form(&frame, max_payload).map_err(ReadFrameError::Frame)
+        Self::decode_frame(&frame, max_payload).map_err(ReadFrameError::Frame)
     }
 }

@@ -4,7 +4,7 @@
 //! length. Valid frames must round-trip exactly.
 
 use kmeans_cluster::protocol::MAX_FRAME_PAYLOAD;
-use kmeans_cluster::{FrameError, Message, WorkerStats};
+use kmeans_cluster::{FrameError, Message, WireMessage, WorkerStats};
 use kmeans_core::chunked::AccumShard;
 use kmeans_core::driver::LabelFetch;
 use kmeans_data::PointMatrix;
@@ -181,18 +181,8 @@ proptest! {
         let mut payload = Vec::new();
         payload.extend_from_slice(&count.to_le_bytes());
         payload.extend_from_slice(&1.0f64.to_le_bytes());
-        let mut frame = Vec::new();
-        frame.extend_from_slice(b"SKW1");
-        frame.push(6); // ShardSums
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
         // Correct checksum so only the count is adversarial.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in std::iter::once(&6u8).chain(payload.iter()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        frame.extend_from_slice(&h.to_le_bytes());
+        let frame = checksummed_frame(6, &payload); // ShardSums
         let err = Message::decode_frame(&frame, MAX_FRAME_PAYLOAD).unwrap_err();
         prop_assert!(matches!(err, FrameError::Malformed(_)));
     }
@@ -214,20 +204,16 @@ proptest! {
     }
 }
 
-/// Assembles a well-checksummed `SKW1` frame for `tag` around an
+/// Assembles a well-checksummed `SKW2` frame for `tag` around an
 /// arbitrary payload, so decode tests exercise only the payload logic.
 fn checksummed_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::new();
-    frame.extend_from_slice(b"SKW1");
+    frame.extend_from_slice(b"SKW2");
     frame.push(tag);
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(payload);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in std::iter::once(&tag).chain(payload.iter()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    frame.extend_from_slice(&h.to_le_bytes());
+    let checksum = kmeans_util::checksum::lanes64(&frame);
+    frame.extend_from_slice(&checksum.to_le_bytes());
     frame
 }
 

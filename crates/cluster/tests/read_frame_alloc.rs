@@ -1,10 +1,11 @@
 //! `read_frame` must not allocate from a length it has not received: a
 //! header that declares a 1 GiB payload and then stops costs the bytes
-//! that came. A counting global allocator measures the heap, so this
-//! binary holds this one test and nothing else allocates while it runs.
+//! that came, and a header with a retired magic costs nothing past the
+//! header. A counting global allocator measures the heap, so this binary
+//! holds this one test and nothing else allocates while it runs.
 
 use kmeans_cluster::protocol::MAX_FRAME_PAYLOAD;
-use kmeans_cluster::{Message, ReadFrameError};
+use kmeans_cluster::{FrameError, Message, ReadFrameError, WireMessage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,9 +79,10 @@ impl Read for Trickle {
 
 #[test]
 fn a_forged_length_costs_the_bytes_that_came_not_the_bytes_declared() {
-    // A ShardSums header, in either form, declaring a 1 GiB payload
-    // (exactly the cap, so the length check passes), then 1 KiB, then
-    // end of stream.
+    // A ShardSums header declaring a 1 GiB payload (exactly the cap, so
+    // the length check passes), then 1 KiB, then end of stream. Under the
+    // retired `SKW1` magic the header alone is refused, before any
+    // payload buffer exists.
     for magic in [b"SKW1", b"SKW2"] {
         let mut bytes = magic.to_vec();
         bytes.push(6);
@@ -98,10 +100,13 @@ fn a_forged_length_costs_the_bytes_that_came_not_the_bytes_declared() {
         let growth = PEAK.load(Ordering::SeqCst) - before;
 
         match result {
-            Err(ReadFrameError::Io(e)) => {
+            Err(ReadFrameError::Frame(FrameError::BadMagic)) if magic == b"SKW1" => {
+                assert_eq!(growth, 0, "heap grew past the refused header")
+            }
+            Err(ReadFrameError::Io(e)) if magic == b"SKW2" => {
                 assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}")
             }
-            other => panic!("expected a typed end-of-stream error, got {other:?}"),
+            other => panic!("unexpected result for {magic:?}: {other:?}"),
         }
         assert!(
             growth < 1 << 20,

@@ -35,7 +35,7 @@
 //! choice, not a property of the model).
 //!
 //! Decoding follows the same defensive discipline as `SKMBLK01` and the
-//! `SKW1` wire protocol: every header field is untrusted, size arithmetic
+//! `SKW` wire protocol: every header field is untrusted, size arithmetic
 //! is checked, the trailing checksum covers everything after the magic,
 //! and every malformed input maps to a typed [`DataError::Format`] —
 //! never a panic and never an allocation from a forged count.

@@ -1,17 +1,16 @@
 //! The serving wire vocabulary: `SKS` frames carrying predict/cost
 //! queries and their model-revision-tagged answers.
 //!
-//! The frame layout and its two forms (`SKS2`, checksummed word-wide
-//! over the whole frame, and `SKS1`, checksummed with FNV-1a), cap
+//! The frame layout (checksummed word-wide over the whole frame), cap
 //! enforcement, and codec primitives are the shared machinery of
 //! `kmeans_cluster::wire`; this module only supplies the vocabulary — a
-//! distinct magic (`SKS` vs. the cluster runtime's `SKW`, so a serve
+//! distinct magic (`SKS2` vs. the cluster runtime's `SKW2`, so a serve
 //! client that dials a worker port fails with `BadMagic` instead of
-//! mis-parsing), the tag map, and per-tag payload codecs. A server
-//! answers each client in the form of the client's last frame, so a
-//! client that only speaks `SKS1` keeps working. Typed failures reuse
-//! the cluster protocol's [`WireError`], so a served error surfaces as
-//! the *same* `KMeansError` a local call would produce.
+//! mis-parsing), the tag map, and per-tag payload codecs. A client that
+//! opens with any other magic — the retired `SKS1` form included — gets
+//! no reply: the server ends the session with `BadMagic`. Typed failures
+//! reuse the cluster protocol's [`WireError`], so a served error surfaces
+//! as the *same* `KMeansError` a local call would produce.
 //!
 //! Conversation shape (client drives; one reply per request):
 //!
@@ -31,21 +30,18 @@
 //! ## Optional and required fields
 //!
 //! A `Predict` or `Cost` carries its deadline budget as an optional
-//! trailing `u64`: a deadline-free request is just the matrix, which is
-//! how clients that speak only `SKS1` still send it. Every other field is
-//! required — a `ModelInfo` without its batch cap or a `Stats` without
-//! either of its later counter groups is a malformed frame. Only servers
-//! that refuse a form-2 session ever sent those short frames, and a
-//! current client opens in form 2.
+//! trailing `u64`: a deadline-free request is just the matrix. Every
+//! other field is required — a `ModelInfo` without its batch cap or a
+//! `Stats` without either of its later counter groups is a malformed
+//! frame.
 
 use kmeans_cluster::protocol::WireError;
 use kmeans_cluster::wire::{Dec, Enc, FrameError, WireMessage};
 use kmeans_data::PointMatrix;
 use kmeans_obs::HistogramSummary;
 
-/// Frame magic of the serving vocabulary in form 1; form 2's is
-/// `b"SKS2"` (`kmeans_cluster::wire::FrameForm::magic`).
-pub const SERVE_MAGIC: [u8; 4] = *b"SKS1";
+/// Frame magic of the serving vocabulary.
+pub const SERVE_MAGIC: [u8; 4] = *b"SKS2";
 
 /// A server's cumulative accounting, shipped as the reply to
 /// [`ServeMessage::FetchStats`].
@@ -531,14 +527,15 @@ mod tests {
         }
     }
 
-    /// `payload` framed under `tag` in form 1, checksum fixed.
-    fn v1_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+    /// `payload` framed under `tag`, checksum fixed.
+    fn checksummed_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
         frame.extend_from_slice(&SERVE_MAGIC);
         frame.push(tag);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(payload);
-        frame.extend_from_slice(&kmeans_cluster::wire::fnv1a(tag, payload).to_le_bytes());
+        let checksum = kmeans_util::checksum::lanes64(&frame);
+        frame.extend_from_slice(&checksum.to_le_bytes());
         frame
     }
 
@@ -551,13 +548,12 @@ mod tests {
 
     #[test]
     fn stats_frames_with_only_the_first_counters_are_malformed() {
-        // A tag-8 frame carrying only the first eight counters, as
-        // servers that refuse a form-2 session sent it.
+        // A tag-8 frame carrying only the first eight counters.
         let mut e = Enc::new();
         for v in [2u64, 100, 5000, 40, 512, 1, 123, 456] {
             e.u64(v);
         }
-        assert_malformed(&v1_frame(8, &e.into_bytes()));
+        assert_malformed(&checksummed_frame(8, &e.into_bytes()));
     }
 
     #[test]
@@ -573,18 +569,18 @@ mod tests {
         }
         encode_hist_summary(&mut e, &HistogramSummary::default());
         encode_hist_summary(&mut e, &HistogramSummary::default());
-        assert_malformed(&v1_frame(8, &e.into_bytes()));
+        assert_malformed(&checksummed_frame(8, &e.into_bytes()));
     }
 
     #[test]
     fn deadline_free_requests_decode_and_model_info_needs_its_batch_cap() {
-        // Predict/Cost frames that carry only the matrix — what form-1
-        // clients send — decode as "no deadline".
+        // Predict/Cost frames that carry only the matrix decode as "no
+        // deadline".
         let m = PointMatrix::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2).unwrap();
         for tag in [3u8, 5] {
             let mut e = Enc::new();
             e.matrix(&m);
-            let frame = v1_frame(tag, &e.into_bytes());
+            let frame = checksummed_frame(tag, &e.into_bytes());
             match ServeMessage::decode_frame(&frame, MAX_FRAME_PAYLOAD)
                 .unwrap()
                 .0
@@ -614,7 +610,7 @@ mod tests {
         e.f64(12.5);
         e.text("kmeans-par");
         e.text("lloyd");
-        assert_malformed(&v1_frame(2, &e.into_bytes()));
+        assert_malformed(&checksummed_frame(2, &e.into_bytes()));
         // A deadline-free Predict encodes as the matrix alone.
         let modern = ServeMessage::Predict {
             points: m,

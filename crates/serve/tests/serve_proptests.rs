@@ -1,4 +1,4 @@
-//! Property tests for the `SKS1` serving protocol, in the style of the
+//! Property tests for the `SKS2` serving protocol, in the style of the
 //! cluster runtime's `protocol_proptests`: adversarial bytes —
 //! truncations, forged length prefixes, flipped bits, garbage, frames
 //! from the *other* protocol — must decode to typed [`FrameError`]s,
@@ -198,7 +198,7 @@ proptest! {
         floats in vec(-1e3f64..1e3, 1..20),
         ints in vec(0u64..1000, 1..20),
     ) {
-        // An SKS1 frame fed to the SKW1 decoder (and vice versa) is a
+        // An SKS2 frame fed to the SKW2 decoder (and vice versa) is a
         // typed BadMagic, whatever the payload — the magic, not the tag
         // space, separates the protocols.
         let serve = build_message(shape, floats, ints).encode_frame();
@@ -296,7 +296,8 @@ proptest! {
         frame.push(8);
         frame.extend_from_slice(&(shortened.len() as u32).to_le_bytes());
         frame.extend_from_slice(shortened);
-        frame.extend_from_slice(&kmeans_cluster::wire::fnv1a(8, shortened).to_le_bytes());
+        let checksum = kmeans_util::checksum::lanes64(&frame);
+        frame.extend_from_slice(&checksum.to_le_bytes());
         let result = ServeMessage::decode_frame(&frame, MAX_FRAME_PAYLOAD);
         prop_assert!(
             matches!(result, Err(FrameError::Malformed(_))),

@@ -1,14 +1,13 @@
 //! The workspace's two 64-bit checksums, in one place.
 //!
 //! * [`fnv1a`] — byte-at-a-time FNV-1a. It seals the `SKMMDL01` model
-//!   and `SKMCKPT1` checkpoint files, fingerprints journaled round
-//!   arguments, and checks the first (`…1`) form of the `SKW`/`SKS`
-//!   wire frames. Its output is part of those formats, so it never
-//!   changes.
-//! * [`lanes64`] — four independent lanes over 8-byte words, for the
-//!   second (`…2`) frame form. One multiply per word per lane instead of
-//!   one per byte, so it runs near memory speed; see its docs for the
-//!   detection guarantee.
+//!   and `SKMCKPT1` checkpoint files and fingerprints journaled round
+//!   arguments. Its output is part of those formats, so it never
+//!   changes. It checks no wire frame.
+//! * [`lanes64`] — four independent lanes over 8-byte words: the one
+//!   checksum of the `SKW2`/`SKS2` wire frames. One multiply per word per
+//!   lane instead of one per byte, so it runs near memory speed; see its
+//!   docs for the detection guarantee.
 
 /// FNV-1a 64's offset basis: the state before any byte is hashed.
 pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -126,7 +125,7 @@ mod tests {
 
     #[test]
     fn lanes64_is_pinned() {
-        // The v2 frame form carries this function's output between
+        // Every wire frame carries this function's output between
         // processes: a change here is a wire-format change.
         let bytes: Vec<u8> = (0..100u8).collect();
         let pinned = [

@@ -1,23 +1,29 @@
-//! Weighted and uniform sampling primitives.
+//! Weighted and uniform sampling primitives, and what draws through
+//! each.
 //!
-//! These are the draws at the heart of both seeding algorithms in the paper:
+//! * [`weighted_pick`] draws *one* index with probability proportional to
+//!   its weight, by linear scan. Every k-means++ draw goes through it
+//!   (Algorithm 1 picks each center with probability `d²(x, C) / φ_X(C)`,
+//!   over weights that change every round): `kmeanspp`, the weighted
+//!   k-means++ of Step 8, and the streaming k-means#.
+//! * [`AliasSampler`] (Vose's alias method, O(1) draws) serves static
+//!   distributions drawn many times: the AFK-MC² proposal and the class
+//!   mix of the `KddLike` generator. [`CumulativeSampler`] (O(log n)
+//!   draws) is the prefix-sum baseline `benches/sampling.rs` measures it
+//!   against.
+//! * [`weighted_distinct`] draws `m` *distinct* indices with probability
+//!   proportional to weight (Efraimidis–Spirakis): k-means||'s top-up when
+//!   `r·ℓ` under-samples, and the `Random` seeding of weighted points.
+//!   The exact-ℓ variant of §5.3 computes the same keys per shard in
+//!   `kmeans_core::init::parallel`, not through this function.
+//! * [`uniform_distinct`] draws `m` distinct uniform indices (Floyd's
+//!   algorithm): the `Random` baseline, Step 8's uniform-recluster
+//!   ablation, dataset subsampling and the sampled silhouette.
 //!
-//! * **k-means++** (Algorithm 1) repeatedly draws *one* point with
-//!   probability `d²(x, C) / φ_X(C)` — a categorical draw over `n` weights
-//!   that change every round. [`CumulativeSampler`] (O(n) build, O(log n)
-//!   draw) serves this; [`AliasSampler`] is the O(1)-draw alternative for
-//!   static distributions, benchmarked against it in `benches/sampling.rs`.
-//! * **k-means||** (Algorithm 2, Step 4) draws each point *independently*
-//!   with probability `min(1, ℓ·d²(x,C)/φ_X(C))` — Bernoulli sampling,
-//!   provided here as [`bernoulli_indices`].
-//! * The **exact-ℓ** variant of §5.3 ("we begin by sampling exactly ℓ points
-//!   from the joint distribution in every round") needs ℓ *distinct* indices
-//!   drawn without replacement with probability proportional to weight —
-//!   the Efraimidis–Spirakis one-pass algorithm, [`weighted_distinct`].
-//! * The `Random` baseline needs `k` distinct uniform indices —
-//!   [`uniform_distinct`] (Floyd's algorithm).
-//! * The streaming comparators consume points one at a time —
-//!   [`Reservoir`] (Algorithm R).
+//! k-means|| Step 4's Bernoulli draws use no primitive here: each shard
+//! draws from its own tag-31 stream
+//! (`kmeans_core::init::parallel::sample_bernoulli_prescreen`), so the
+//! sample is the same on every backend.
 
 use crate::rng::Rng;
 use std::cmp::Ordering;
@@ -216,24 +222,6 @@ impl AliasSampler {
     }
 }
 
-/// Returns the indices selected by independent Bernoulli trials with
-/// per-index probability `prob(i)` (clamped to `[0, 1]`).
-///
-/// This is Step 4 of Algorithm 2 (k-means||): each point is kept with
-/// probability `ℓ·d²(x,C)/φ_X(C)`, independently.
-pub fn bernoulli_indices<F>(n: usize, mut prob: F, rng: &mut Rng) -> Vec<usize>
-where
-    F: FnMut(usize) -> f64,
-{
-    let mut picked = Vec::new();
-    for i in 0..n {
-        if rng.bernoulli(prob(i)) {
-            picked.push(i);
-        }
-    }
-    picked
-}
-
 /// Key/index pair for the Efraimidis–Spirakis heap; ordered by key so the
 /// binary heap pops the *smallest* key (we keep the m largest).
 #[derive(PartialEq)]
@@ -320,61 +308,6 @@ pub fn uniform_distinct(n: usize, m: usize, rng: &mut Rng) -> Vec<usize> {
     out
 }
 
-/// Uniform reservoir sampler over a stream (Algorithm R, Vitter 1985).
-///
-/// Holds at most `capacity` items; after observing `t ≥ capacity` items each
-/// one is retained with probability `capacity / t`.
-#[derive(Clone, Debug)]
-pub struct Reservoir<T> {
-    capacity: usize,
-    seen: u64,
-    items: Vec<T>,
-}
-
-impl<T> Reservoir<T> {
-    /// Creates a reservoir holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "Reservoir capacity must be positive");
-        Reservoir {
-            capacity,
-            seen: 0,
-            items: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Offers one item from the stream.
-    pub fn offer(&mut self, item: T, rng: &mut Rng) {
-        self.seen += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-        } else {
-            let j = rng.range_u64(self.seen);
-            if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
-            }
-        }
-    }
-
-    /// Number of items observed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The current sample.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Consumes the reservoir, returning the sample.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,24 +387,6 @@ mod tests {
         assert!(AliasSampler::new(&[]).is_none());
         assert!(AliasSampler::new(&[0.0]).is_none());
         assert!(AliasSampler::new(&[-2.0, 1.0]).is_none());
-    }
-
-    #[test]
-    fn bernoulli_indices_expected_count() {
-        let mut rng = Rng::new(6);
-        let picked = bernoulli_indices(100_000, |_| 0.1, &mut rng);
-        let frac = picked.len() as f64 / 100_000.0;
-        assert!((frac - 0.1).abs() < 0.01, "{frac}");
-        // Sorted, distinct, in range.
-        assert!(picked.windows(2).all(|w| w[0] < w[1]));
-        assert!(picked.iter().all(|&i| i < 100_000));
-    }
-
-    #[test]
-    fn bernoulli_indices_clamps() {
-        let mut rng = Rng::new(7);
-        assert!(bernoulli_indices(100, |_| 0.0, &mut rng).is_empty());
-        assert_eq!(bernoulli_indices(100, |_| 1.5, &mut rng).len(), 100);
     }
 
     #[test]
@@ -555,37 +470,5 @@ mod tests {
     #[should_panic(expected = "m=6 > n=5")]
     fn uniform_distinct_m_too_big_panics() {
         uniform_distinct(5, 6, &mut Rng::new(0));
-    }
-
-    #[test]
-    fn reservoir_keeps_capacity_and_is_uniform() {
-        let mut rng = Rng::new(14);
-        let mut counts = [0usize; 20];
-        let trials = 20_000;
-        for _ in 0..trials {
-            let mut res = Reservoir::new(4);
-            for x in 0..20 {
-                res.offer(x, &mut rng);
-            }
-            assert_eq!(res.items().len(), 4);
-            assert_eq!(res.seen(), 20);
-            for &x in res.items() {
-                counts[x as usize] += 1;
-            }
-        }
-        for &c in &counts {
-            let frac = c as f64 / trials as f64;
-            assert!((frac - 0.2).abs() < 0.02, "{counts:?}");
-        }
-    }
-
-    #[test]
-    fn reservoir_short_stream() {
-        let mut rng = Rng::new(15);
-        let mut res = Reservoir::new(10);
-        for x in 0..3 {
-            res.offer(x, &mut rng);
-        }
-        assert_eq!(res.into_items(), vec![0, 1, 2]);
     }
 }

@@ -2,7 +2,7 @@
 //! of the serving tier): random records round-trip bitwise; adversarial
 //! bytes — flips, truncations, forged header sizes, garbage — draw typed
 //! `DataError`s, never panics, and never an allocation from a forged
-//! count (the same defensive discipline as the `SKW1`/`SKS1` frames).
+//! count (the same defensive discipline as the `SKW`/`SKS` frames).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
