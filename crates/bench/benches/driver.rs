@@ -54,7 +54,7 @@ const RUNAWAY_FACTOR: u128 = 8;
 /// them, identically. They are deterministic on any machine, so a drift
 /// by one byte or one round fails CI.
 const QUICK_COUNTERS: [(&str, u64, u64, u64); 2] = [
-    ("kmeans-par+lloyd/distributed-w2", 77_158, 9, 10),
+    ("kmeans-par+lloyd/distributed-w2", 87_748, 10, 11),
     ("kmeans-par+minibatch/distributed-w2", 327_540, 8, 10),
 ];
 

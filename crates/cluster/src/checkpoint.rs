@@ -16,9 +16,9 @@
 //! un-journaled round the backend *catches the cluster up* — one
 //! [`Cluster::catch_up`](crate::Cluster::catch_up) round trip replaying
 //! the [`SessionMirror`] its replayed rounds recorded (the tracker
-//! broadcast sequence and the last assignment's centers, by the same
-//! rules the cluster's own mirror follows), in the same catch-up frame
-//! worker recovery sends — and goes live.
+//! broadcast sequence and every assignment pass, by the same rules the
+//! cluster's own mirror follows), in the same catch-up frame worker
+//! recovery sends — and goes live.
 //!
 //! One record per round-level call, so a job killed mid-round resumes at
 //! the whole round's boundary. Four record kinds: `gather_rows` (1),
@@ -527,7 +527,7 @@ impl RoundBackend for CheckpointingBackend<'_, '_> {
         let fingerprint = assign_fingerprint(centers, fetch);
         if let Some(payload) = self.replay(K_ASSIGN, fingerprint)? {
             let result = decode_assign_result(payload)?;
-            self.mirror.record_assign(centers);
+            self.mirror.record_assign(centers, fetch);
             return Ok(result);
         }
         let (reassigned, sums, labels) = self.inner.assign(centers, fetch)?;
@@ -653,8 +653,8 @@ mod tests {
         assert_eq!(potential_fingerprint(&centers), 0x741e_3f99_fc83_6fed);
         for (fetch, pinned) in [
             (LabelFetch::Skip, 0x303b_def0_8116_e4f3),
-            (LabelFetch::IfStable, 0x303b_ddf0_8116_e340),
             (LabelFetch::Always, 0x303b_e0f0_8116_e859),
+            (LabelFetch::Bounded, 0x303b_dff0_8116_e6a6),
         ] {
             assert_eq!(assign_fingerprint(&centers, fetch), pinned, "{fetch:?}");
         }

@@ -41,7 +41,8 @@
 //! worker's slot, re-handshakes, re-sends the plan, replays the session
 //! state the lost worker held as one catch-up `Compound` (its
 //! [`SessionMirror`]: the exact tracker segment sequence before the
-//! first assignment, the last assignment's centers from it on), and
+//! first assignment, the last full assignment pass and every bounded
+//! pass since from it on), and
 //! re-sends the in-flight round request. A resumed checkpoint catches
 //! the whole fleet up with the same frame ([`Cluster::catch_up`]).
 //! Because workers hold no order-sensitive fold state — only
@@ -133,19 +134,26 @@ fn hello(
 /// The broadcasts that rebuild a worker's session state, replayed as one
 /// catch-up frame. Before the first assignment that state is the
 /// tracker, rebuilt from its candidate segments; from the first
-/// assignment on it is the labels alone, rebuilt from the last
-/// assignment's centers, since the first `Assign` frees the tracker.
-/// [`Cluster`] keeps one for worker recovery; a resumed checkpoint
-/// rebuilds one from its journal and hands it to [`Cluster::catch_up`].
+/// assignment on it is what the assignment passes left — labels, and
+/// after a `Skip` or `Bounded` pass the bounds and shard sums a bounded
+/// pass starts from — rebuilt by replaying the last full pass and every
+/// bounded pass since, in order: the first `Assign` frees the tracker,
+/// and each bounded pass starts from the one before. [`Cluster`] keeps
+/// one for worker recovery; a resumed checkpoint rebuilds one from its
+/// journal and hands it to [`Cluster::catch_up`].
 #[derive(Clone, Debug, Default)]
 pub struct SessionMirror {
     /// The exact candidate segment sequence: replayed verbatim, it
     /// rebuilds the tracker bit for bit, nearest-candidate tie-breaks
     /// (which depend on the segment boundaries) included.
     segments: Vec<PointMatrix>,
-    /// Centers of the last assignment pass: replayed cold, they rebuild
-    /// the labels the next warm pass reads and counts moves against.
-    last_assign: Option<PointMatrix>,
+    /// The last committed full assignment pass and every bounded pass
+    /// since, in order, with their modes. The replayed full pass may run
+    /// cold where the original was seeded by the tracker or by older
+    /// labels; its labels, shard sums and bounds are the same bits, since
+    /// they depend on a row and the centers alone, so every later pass
+    /// settles and sweeps the same rows.
+    assigns: Vec<(PointMatrix, LabelFetch)>,
 }
 
 impl SessionMirror {
@@ -159,20 +167,24 @@ impl SessionMirror {
         }
     }
 
-    /// Records a committed assignment pass's centers. The pass freed
-    /// every worker's tracker, so the segments go too.
-    pub fn record_assign(&mut self, centers: &PointMatrix) {
+    /// Records a committed assignment pass. The pass freed every
+    /// worker's tracker, so the segments go; a full pass rebuilds the
+    /// state the passes before it left, so they go too.
+    pub fn record_assign(&mut self, centers: &PointMatrix, fetch: LabelFetch) {
         self.segments.clear();
-        self.last_assign = Some(centers.clone());
+        if fetch != LabelFetch::Bounded {
+            self.assigns.clear();
+        }
+        self.assigns.push((centers.clone(), fetch));
     }
 
     /// The catch-up frame and its arity (`None`: nothing to catch up):
-    /// the segments as `InitTracker`/`UpdateTracker`, then
-    /// `Assign { last_assign, Skip }`, whose `Partials` were folded long
-    /// ago and are discarded. It holds the candidate set during seeding
-    /// and one center set from the first assignment on.
+    /// the segments as `InitTracker`/`UpdateTracker`, then every recorded
+    /// `Assign`, whose replies carry no partials ([`Message::Compound`]).
+    /// It holds the candidate set during seeding, and from the first
+    /// assignment on one center set per pass since the last full one.
     fn frame(&self) -> Option<(Message, usize)> {
-        let mut items = Vec::with_capacity(self.segments.len() + 1);
+        let mut items = Vec::with_capacity(self.segments.len() + self.assigns.len());
         let mut from = 0u64;
         for (i, seg) in self.segments.iter().enumerate() {
             items.push(if i == 0 {
@@ -187,10 +199,14 @@ impl SessionMirror {
             });
             from += seg.len() as u64;
         }
-        items.extend(self.last_assign.as_ref().map(|centers| Message::Assign {
-            centers: centers.clone(),
-            labels: LabelFetch::Skip,
-        }));
+        items.extend(
+            self.assigns
+                .iter()
+                .map(|(centers, labels)| Message::Assign {
+                    centers: centers.clone(),
+                    labels: *labels,
+                }),
+        );
         let arity = items.len();
         (arity > 0).then_some((Message::Compound(items), arity))
     }
@@ -532,7 +548,7 @@ impl Cluster {
         // wall time is visible in the trace next to the recover:redial
         // instants.
         let segments = self.mirror.segments.len() as u64;
-        let restored = self.mirror.last_assign.is_some() as u64;
+        let restored = !self.mirror.assigns.is_empty() as u64;
         self.recorder
             .span(adopt_span, "recover:adopt", CLUSTER_CAT, || {
                 vec![
@@ -944,12 +960,10 @@ impl RoundBackend for Cluster {
     /// deterministic per point, so their sum over workers equals the
     /// single-node pass's).
     ///
-    /// `fetch` piggybacks label shipping on the same round trip:
-    /// `Always` makes every worker append its labels to the partials
-    /// frame; `IfStable` makes each *locally* stable worker ship
-    /// speculatively — when the global count is 0 every worker was
-    /// locally stable, so the full label vector arrived for free and is
-    /// returned.
+    /// `fetch` names the kind of pass every worker runs, and piggybacks
+    /// label shipping on the same round trip: `Always` makes every worker
+    /// append its labels to the partials frame. A worker without the
+    /// bounds a `Bounded` pass starts from answers with an error.
     fn assign(
         &mut self,
         centers: &PointMatrix,
@@ -981,7 +995,7 @@ impl RoundBackend for Cluster {
         }
         self.data_passes += 1;
         let folded = fold_assign(centers.len(), self.dim, fetch, parts)?;
-        self.mirror.record_assign(centers);
+        self.mirror.record_assign(centers, fetch);
         Ok(folded)
     }
 
@@ -1028,5 +1042,47 @@ mod tests {
                 "no 2-worker split possible for ({shard}, {n})"
             );
         }
+    }
+
+    /// The catch-up replays the last full pass and the bounded passes
+    /// since: a `Skip` or `Always` pass rebuilds everything before it.
+    #[test]
+    fn mirror_replays_the_passes_since_the_last_full_one() {
+        let centers = |v: f64| PointMatrix::from_flat(vec![v, -v], 2).unwrap();
+        let replayed = |mirror: &SessionMirror| match mirror.frame() {
+            Some((Message::Compound(items), arity)) => {
+                assert_eq!(items.len(), arity);
+                items
+                    .into_iter()
+                    .map(|item| match item {
+                        Message::Assign { centers, labels } => (centers.row(0)[0], labels),
+                        other => panic!("replayed {}", other.name()),
+                    })
+                    .collect::<Vec<_>>()
+            }
+            other => panic!("no catch-up: {other:?}"),
+        };
+        let mut mirror = SessionMirror::default();
+        mirror.record_tracker(Broadcast::Init(&centers(9.0)));
+        mirror.record_assign(&centers(1.0), LabelFetch::Skip);
+        mirror.record_assign(&centers(2.0), LabelFetch::Bounded);
+        mirror.record_assign(&centers(3.0), LabelFetch::Bounded);
+        assert_eq!(
+            replayed(&mirror),
+            [
+                (1.0, LabelFetch::Skip),
+                (2.0, LabelFetch::Bounded),
+                (3.0, LabelFetch::Bounded)
+            ]
+        );
+        // A repeat at the same centers, then more bounded passes.
+        mirror.record_assign(&centers(3.0), LabelFetch::Skip);
+        mirror.record_assign(&centers(4.0), LabelFetch::Bounded);
+        assert_eq!(
+            replayed(&mirror),
+            [(3.0, LabelFetch::Skip), (4.0, LabelFetch::Bounded)]
+        );
+        mirror.record_assign(&centers(4.0), LabelFetch::Always);
+        assert_eq!(replayed(&mirror), [(4.0, LabelFetch::Always)]);
     }
 }

@@ -341,19 +341,20 @@ pub enum Message {
     },
     /// One distributed assignment pass against these centers. Replies
     /// `Partials`; the worker stores the labels, which seed the next
-    /// pass's warm sweep. A session without labels seeds the pass from
-    /// its seeding tracker while it has one, and runs it cold otherwise —
-    /// either way the labels are the same bits, which is how recovery
-    /// catch-up rebuilds a lost worker's labels.
+    /// pass's warm sweep, and after a `Skip` or `Bounded` pass the bounds
+    /// and shard sums a `Bounded` pass starts from. A session without
+    /// labels seeds the pass from its seeding tracker while it has one,
+    /// and runs it cold otherwise — either way the labels and bounds are
+    /// the same bits, which is how recovery catch-up rebuilds a lost
+    /// worker's state.
     Assign {
         /// The centers.
         centers: PointMatrix,
-        /// Whether the reply should carry the stored labels — the
-        /// driver's own [`LabelFetch`], decided by the worker with
-        /// [`LabelFetch::owed`] against its *local* reassignment count,
-        /// so a globally stable `IfStable` pass always arrives fully
-        /// labeled. Encoded as a byte after the centers (0 `Skip`, 1
-        /// `IfStable`, 2 `Always`).
+        /// The kind of pass, and whether the reply should carry the
+        /// stored labels — the driver's own [`LabelFetch`], decided by the
+        /// worker with [`LabelFetch::owed`]. Encoded as a byte after the
+        /// centers (0 `Skip`, 2 `Always`, 3 `Bounded`; 1, the retired
+        /// `IfStable`, and any other byte decode as malformed).
         labels: LabelFetch,
     },
     /// Accumulation-shard partials of one assignment pass, in shard
@@ -392,14 +393,16 @@ pub enum Message {
     /// Several messages traveling as **one** frame — the round-fusion
     /// mechanism. A coordinator sends one `Compound` of requests per
     /// worker per tracker round (e.g. `[UpdateTracker, SampleBernoulliLocal]`)
-    /// and one per recovery catch-up (`[InitTracker, UpdateTracker…,
-    /// Assign]`);
+    /// and one per recovery catch-up (`[InitTracker, UpdateTracker…]`
+    /// during seeding, `[Assign…]` after it);
     /// the worker executes the sub-messages in order against its session
     /// state and replies with one `Compound` of the per-item replies,
     /// stopping after the first item that produces an `Error` (which
-    /// stays in place as the last reply). Defensively decoded: per-item
-    /// length bounds before any allocation, nested compounds rejected,
-    /// and an empty compound is a typed error.
+    /// stays in place as the last reply). An `Assign` item replays a pass
+    /// the coordinator folded when it first ran, so its `Partials` reply
+    /// carries the count and kernel counters but no shards and no labels.
+    /// Defensively decoded: per-item length bounds before any allocation,
+    /// nested compounds rejected, and an empty compound is a typed error.
     Compound(Vec<Message>),
     /// Step 4, Bernoulli form, *prescreened locally*: the worker draws
     /// the per-shard tag-31 streams and keeps every point accepted
@@ -452,8 +455,8 @@ pub(crate) fn encode_assign(e: &mut Enc, centers: &PointMatrix, labels: LabelFet
     e.matrix(centers);
     e.u8(match labels {
         LabelFetch::Skip => 0,
-        LabelFetch::IfStable => 1,
         LabelFetch::Always => 2,
+        LabelFetch::Bounded => 3,
     });
 }
 
@@ -650,8 +653,8 @@ impl WireMessage for Message {
                 let centers = d.matrix()?;
                 let labels = match d.u8()? {
                     0 => LabelFetch::Skip,
-                    1 => LabelFetch::IfStable,
                     2 => LabelFetch::Always,
+                    3 => LabelFetch::Bounded,
                     _ => return Err(FrameError::Malformed("unknown labels mode")),
                 };
                 Message::Assign { centers, labels }
@@ -929,7 +932,11 @@ mod tests {
             },
             Message::Assign {
                 centers: m.clone(),
-                labels: LabelFetch::IfStable,
+                labels: LabelFetch::Always,
+            },
+            Message::Assign {
+                centers: m.clone(),
+                labels: LabelFetch::Bounded,
             },
             Message::Partials {
                 reassigned: 11,
@@ -1133,6 +1140,25 @@ mod tests {
             Message::decode_frame(&short, MAX_FRAME_PAYLOAD).unwrap_err(),
             FrameError::Malformed(_)
         ));
+    }
+
+    #[test]
+    fn retired_and_unknown_label_modes_are_malformed() {
+        // Mode 1 was the retired `IfStable`; 4 was never a mode.
+        let assign = Message::Assign {
+            centers: PointMatrix::from_flat(vec![1.0, 2.0], 2).unwrap(),
+            labels: LabelFetch::Always,
+        };
+        let mut payload = assign.encode_payload();
+        for mode in [1u8, 4] {
+            *payload.last_mut().unwrap() = mode;
+            let frame = checksummed_frame(17, &payload);
+            assert_eq!(
+                Message::decode_frame(&frame, MAX_FRAME_PAYLOAD).unwrap_err(),
+                FrameError::Malformed("unknown labels mode"),
+                "mode {mode}"
+            );
+        }
     }
 
     #[test]

@@ -203,16 +203,30 @@ impl FrameLogger {
 /// request executes its sub-messages in order against the part and
 /// returns one `Compound` of the per-item replies; the first failing item
 /// stops execution with its `Error` in place, so the coordinator sees
-/// exactly how far the round got.
+/// exactly how far the round got. An `Assign` in a `Compound` replays a
+/// pass the coordinator has folded (a catch-up), so its reply drops the
+/// shard partials and labels, and the catch-up reply stays a few bytes
+/// per replayed pass.
 fn handle(source: &dyn ChunkedSource, part: &mut LocalBackend<'_>, msg: Message) -> Message {
     match msg {
         Message::Compound(items) => {
             let mut replies = Vec::with_capacity(items.len());
             for item in items {
+                let replay = matches!(item, Message::Assign { .. });
                 let reply =
                     try_handle(source, part, item).unwrap_or_else(|e| Message::Error(e.into()));
                 let failed = matches!(reply, Message::Error(_));
-                replies.push(reply);
+                replies.push(match reply {
+                    Message::Partials {
+                        reassigned, stats, ..
+                    } if replay => Message::Partials {
+                        reassigned,
+                        shards: Vec::new(),
+                        stats,
+                        labels: None,
+                    },
+                    reply => reply,
+                });
                 if failed {
                     break;
                 }

@@ -53,7 +53,7 @@ fn build_message(shape: usize, floats: Vec<f64>, ints: Vec<u64>) -> Message {
             centers: matrix(&floats, 2),
             labels: match ints.first().copied().unwrap_or(0) % 3 {
                 0 => LabelFetch::Skip,
-                1 => LabelFetch::IfStable,
+                1 => LabelFetch::Bounded,
                 _ => LabelFetch::Always,
             },
         },

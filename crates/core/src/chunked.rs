@@ -3,9 +3,24 @@
 //! visitor, row gathers, the input contract, the piece loop
 //! (`fold_pieces`) behind every kernel pass over rows, and the
 //! assignment pass ([`assign_partials`]) with its accumulation-shard
-//! partials. The other pass on the piece loop is the executor-grid `d²`
-//! pass of [`crate::cost`], behind the potential, the cost tracker and
-//! the serving predictor.
+//! partials, in its full form and its bounded one (`refine_pass`). The
+//! other pass on the piece loop is the executor-grid `d²` pass of
+//! [`crate::cost`], behind the potential, the cost tracker and the
+//! serving predictor.
+//!
+//! **Bounded passes.** Lloyd's passes after the first sweep only the
+//! rows that can have changed. A part keeps, beside its labels, two `f32`
+//! bounds per row (`Bounds`: 8 bytes, so labels and bounds take the 12
+//! bytes per row the seeding tracker held), the centers of its last pass
+//! and each accumulation shard's per-cluster sums. At new centers the
+//! bounds move by the centers' drift, and a row they — or its center's
+//! separation certificate — prove still nearest its center keeps its
+//! label unread; the warm kernel sweeps the rest. Each shard then
+//! re-folds, in row order, only the clusters whose membership changed in
+//! it, so labels, sums and counts are the full pass's bits. A bounded
+//! pass still reads every block: it saves kernel work and re-summing,
+//! not I/O. Its cost comes back as the moved rows' `d²` deltas, from
+//! which the driver tracks the potential.
 //!
 //! This is the "data does not fit in main memory" premise of the paper's
 //! §1 made executable: each k-means|| round (Algorithm 2), each Lloyd
@@ -16,9 +31,9 @@
 //! and otherwise read into a reused buffer; resident rows are **one block
 //! at row 0, lent by reference** — never copied — so a resident fit runs
 //! the very same passes. Besides `O(n)` *scalar* working state (the `d²`
-//! array, the nearest-center ids, the labels), a chunked fit keeps no
-//! more of the `O(n·d)` feature payload resident than its source's
-//! budget holds — the payload is the part that outgrows RAM at the
+//! array and the nearest-center ids while seeding, the labels and bounds
+//! after), a chunked fit keeps no more of the `O(n·d)` feature payload
+//! resident than its source's budget holds — the payload is the part that outgrows RAM at the
 //! paper's scales (KDDCup1999: 4.8 M × 42 doubles).
 //!
 //! These passes run inside a [`crate::driver::LocalBackend`] part: the
@@ -41,12 +56,13 @@
 //!    zero — except a block's first piece, which continues the partial
 //!    carried over the block edge. A grid cell therefore folds exactly
 //!    the rows it would fold in one sequential scan. The per-row outputs
-//!    a pass keeps (labels, `d²`) are cut at the same rows, so each piece
-//!    writes only its own.
+//!    a pass keeps (labels, `d²`, bounds) are cut at the same rows, so
+//!    each piece writes only its own.
 
 use crate::assign::sum_shard_size;
+use crate::distance::sq_dist_bounded;
 use crate::error::KMeansError;
-use crate::kernel::{AssignKernel, KernelStats};
+use crate::kernel::{AssignKernel, KernelStats, BOUND_FLOOR};
 use kmeans_data::{ChunkedSource, DataError, PointMatrix};
 use kmeans_par::Executor;
 use std::ops::Range;
@@ -454,6 +470,15 @@ impl AccumShard {
             farthest: (usize::MAX, f64::NEG_INFINITY),
         }
     }
+
+    /// Adds `row` to cluster `c`'s sum and count.
+    fn add(&mut self, c: usize, row: &[f64]) {
+        self.counts[c] += 1;
+        let d = row.len();
+        for (acc, &v) in self.sums[c * d..(c + 1) * d].iter_mut().zip(row) {
+            *acc += v;
+        }
+    }
 }
 
 /// The assignment pass — the inner step of Lloyd's iteration and of
@@ -496,9 +521,16 @@ pub fn assign_partials(
     hints: Option<&[u32]>,
 ) -> Result<(Vec<u32>, Vec<AccumShard>, KernelStats), KMeansError> {
     let hints = hints.filter(|h| h.len() == data.len());
-    assign_pass(data, centers, exec, row_offset, global_n, None, |_| {
-        hints.map_or(Hints::Cold, Hints::Labels)
-    })
+    assign_pass(
+        data,
+        centers,
+        exec,
+        row_offset,
+        global_n,
+        None,
+        None,
+        |_| hints.map_or(Hints::Cold, Hints::Labels),
+    )
 }
 
 /// [`assign_partials`] seeded by `hints`, which picks the pass's
@@ -506,7 +538,10 @@ pub fn assign_partials(
 /// `tracked` are the nearest ids of a seeding tracker handed over to the
 /// pass: they become its label buffer, each piece reading its rows' ids
 /// before it writes their labels over them, so a pass seeded from the
-/// tracker allocates nothing row-sized of its own.
+/// tracker allocates nothing row-sized of its own. `bounds`, when given
+/// (one entry per row), receives each row's [`Bounds`] at these centers,
+/// for the bounded passes that follow ([`refine_pass`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn assign_pass<'h>(
     data: LocalData<'_>,
     centers: &PointMatrix,
@@ -514,6 +549,7 @@ pub(crate) fn assign_pass<'h>(
     row_offset: usize,
     global_n: usize,
     tracked: Option<Vec<u32>>,
+    bounds: Option<&mut [Bounds]>,
     hints: impl FnOnce(&AssignKernel) -> Hints<'h>,
 ) -> Result<(Vec<u32>, Vec<AccumShard>, KernelStats), KMeansError> {
     if data.is_empty() {
@@ -541,8 +577,8 @@ pub(crate) fn assign_pass<'h>(
         exec,
         grid,
         row_offset,
-        &mut labels[..],
-        |p, labels, carry| {
+        (&mut labels[..], bounds),
+        |p, (labels, bounds), carry| {
             let first = p.start + p.rows.start;
             let mut d2 = vec![0.0f64; p.rows.len()];
             let mut scratch = Vec::new();
@@ -551,17 +587,16 @@ pub(crate) fn assign_pass<'h>(
             let (mut shard, mut shard_stats) =
                 carry.unwrap_or_else(|| (AccumShard::new(k, d), KernelStats::default()));
             shard_stats.absorb(stats);
+            for (off, b) in bounds.into_iter().flatten().enumerate() {
+                let row = p.block.row(p.rows.start + off);
+                *b = Bounds::swept(&kernel, row, labels[off], d2[off], &mut shard_stats);
+            }
             for (off, &dist) in d2.iter().enumerate() {
-                let c = labels[off] as usize;
-                shard.counts[c] += 1;
                 shard.cost += dist;
                 if dist > shard.farthest.1 {
                     shard.farthest = (row_offset + first + off, dist);
                 }
-                let dst = &mut shard.sums[c * d..(c + 1) * d];
-                for (acc, &v) in dst.iter_mut().zip(p.block.row(p.rows.start + off)) {
-                    *acc += v;
-                }
+                shard.add(labels[off] as usize, p.block.row(p.rows.start + off));
             }
             Ok((shard, shard_stats))
         },
@@ -575,6 +610,286 @@ pub(crate) fn assign_pass<'h>(
         })
         .collect();
     Ok((labels, partials, stats))
+}
+
+/// One row's carried bounds between Lloyd passes, on *true* (not
+/// squared) distances, each kept as an `f32` rounded outward: `upper` is
+/// at least the distance to the row's own center, `lower` at most the
+/// distance to every other center. 8 bytes per row.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct Bounds {
+    upper: f32,
+    lower: f32,
+}
+
+impl Bounds {
+    /// The bounds of a row the kernel just swept to `label` at canonical
+    /// squared distance `dist`: the distance itself, inflated by the
+    /// kernel's slack, above, and the winner's own-list bound
+    /// ([`AssignKernel::other_bound`]) below — so a row's bounds depend on
+    /// the row and the centers alone, never on the seed of its search.
+    fn swept(
+        kernel: &AssignKernel,
+        row: &[f64],
+        label: u32,
+        dist: f64,
+        stats: &mut KernelStats,
+    ) -> Self {
+        Bounds {
+            upper: up32(dist.sqrt() * (1.0 + kernel.guard()) + BOUND_FLOOR),
+            lower: down32(kernel.other_bound(row, label, dist, stats)),
+        }
+    }
+}
+
+/// A non-negative `x` as an `f32` no smaller than `x` (`NaN` stays
+/// `NaN`, values above `f32::MAX` become `∞`), without a branch.
+fn up32(x: f64) -> f32 {
+    debug_assert!(x.is_nan() || x >= 0.0, "up32({x})");
+    let y = x as f32;
+    f32::from_bits(y.to_bits() + u32::from(f64::from(y) < x))
+}
+
+/// A non-negative `x` as an `f32` no larger than `x` (`NaN` stays
+/// `NaN`, finite values above `f32::MAX` become `f32::MAX`), without a
+/// branch.
+fn down32(x: f64) -> f32 {
+    debug_assert!(x.is_nan() || x >= 0.0, "down32({x})");
+    let y = x as f32;
+    f32::from_bits(y.to_bits() - u32::from(f64::from(y) > x))
+}
+
+/// What a part carries from one Lloyd pass to the next, beside its
+/// labels: every row's [`Bounds`], the pass's centers, and its partial of
+/// every accumulation shard it covers (the sums and counts the next pass
+/// re-folds only where membership changed).
+pub(crate) struct Refinement {
+    bounds: Vec<Bounds>,
+    centers: PointMatrix,
+    shards: Vec<AccumShard>,
+}
+
+impl Refinement {
+    /// The state a full pass at `centers` left: its bounds and partials.
+    pub(crate) fn new(bounds: Vec<Bounds>, centers: &PointMatrix, shards: &[AccumShard]) -> Self {
+        Refinement {
+            bounds,
+            centers: centers.clone(),
+            shards: shards.to_vec(),
+        }
+    }
+
+    /// Whether a pass at `centers` can start from this state: the same
+    /// number of centers, of the same dimensionality.
+    pub(crate) fn carries(&self, centers: &PointMatrix) -> bool {
+        self.centers.len() == centers.len() && self.centers.dim() == centers.dim()
+    }
+}
+
+/// One piece's fold in a bounded pass: its shard partial, counters and
+/// moved and settled rows.
+struct RefineFold {
+    shard: AccumShard,
+    stats: KernelStats,
+    moved: u64,
+    settled: u64,
+}
+
+/// The bounded assignment pass: [`assign_partials`] at `centers` for rows
+/// whose previous pass left `labels` and `state`, sweeping only the rows
+/// that can have changed. Returns the rows that changed label, one
+/// partial per accumulation shard, and the counters; `labels` and
+/// `state` move to these centers.
+///
+/// 1. Every row's bounds move by the drift of the centers since
+///    `state`'s pass ([`Settler`]). A row whose upper bound stays below
+///    its lower bound, or inside its center's separation certificate,
+///    keeps its label, proven: its center is its unique nearest. A
+///    settled row counts `k` pruned pairs.
+/// 2. The warm kernel sweeps the other rows, seeded at their labels, and
+///    gives each fresh [`Bounds`].
+/// 3. A piece that holds a whole accumulation shard starts from the
+///    shard's previous sums and counts and re-folds, in row order, only
+///    the clusters whose membership changed in it — the same bits as a
+///    full fold, since each cluster's sum is its own left fold. A piece
+///    of a shard split across blocks folds every row, as the full pass
+///    does.
+///
+/// Labels, sums and counts are [`assign_partials`]' bits. Each partial's
+/// `cost` is instead the row-ordered sum, over the rows that moved, of
+/// `d²(new label) − d²(old label)` at `centers`, and it has no farthest
+/// point: the driver tracks the potential from these deltas and repeats a
+/// pass in full when it needs farthest points.
+pub(crate) fn refine_pass(
+    data: LocalData<'_>,
+    centers: &PointMatrix,
+    exec: &Executor,
+    row_offset: usize,
+    global_n: usize,
+    labels: &mut [u32],
+    state: &mut Refinement,
+) -> Result<(u64, Vec<AccumShard>, KernelStats), KMeansError> {
+    let (n, k, d) = (data.len(), centers.len(), data.dim());
+    let Refinement {
+        bounds,
+        centers: prev_centers,
+        shards: prev_shards,
+    } = state;
+    let kernel = AssignKernel::new(centers);
+    let settler = Settler::new(&kernel, centers, prev_centers);
+    let grid = sum_shard_size(exec, global_n);
+    let opens = |r: usize| (row_offset + r).is_multiple_of(grid);
+    let closes = |r: usize| r == n || opens(r);
+    let first_cell = row_offset / grid;
+    let folds = fold_pieces(
+        data,
+        exec,
+        grid,
+        row_offset,
+        (&mut labels[..], &mut bounds[..]),
+        |p, (labels, bounds), carry: Option<RefineFold>| {
+            let first = p.start + p.rows.start;
+            let len = p.rows.len();
+            let whole = carry.is_none() && opens(first) && closes(first + len);
+            let mut fold = carry.unwrap_or_else(|| {
+                let shard = if whole {
+                    let prev = &prev_shards[(row_offset + first) / grid - first_cell];
+                    AccumShard {
+                        sums: prev.sums.clone(),
+                        counts: prev.counts.clone(),
+                        ..AccumShard::new(0, 0)
+                    }
+                } else {
+                    AccumShard::new(k, d)
+                };
+                RefineFold {
+                    shard,
+                    stats: KernelStats::default(),
+                    moved: 0,
+                    settled: 0,
+                }
+            });
+            let row = |off: usize| p.block.row(p.rows.start + off);
+            let mut dirty = vec![false; k];
+            for off in 0..len {
+                let old = labels[off];
+                if let Some(moved) = settler.settle(old, bounds[off]) {
+                    bounds[off] = moved;
+                    fold.settled += 1;
+                    continue;
+                }
+                let (label, dist) = kernel.nearest_warm(row(off), old, &mut fold.stats);
+                bounds[off] = Bounds::swept(&kernel, row(off), label, dist, &mut fold.stats);
+                if label != old {
+                    let was = sq_dist_bounded(row(off), centers.row(old as usize), f64::INFINITY);
+                    fold.stats.distance_computations += 1;
+                    fold.shard.cost += dist - was;
+                    fold.moved += 1;
+                    labels[off] = label;
+                    dirty[old as usize] = true;
+                    dirty[label as usize] = true;
+                }
+            }
+            if !whole {
+                for (off, &c) in labels.iter().enumerate() {
+                    fold.shard.add(c as usize, row(off));
+                }
+            } else if dirty.contains(&true) {
+                for c in (0..k).filter(|&c| dirty[c]) {
+                    fold.shard.sums[c * d..(c + 1) * d].fill(0.0);
+                    fold.shard.counts[c] = 0;
+                }
+                for (off, &c) in labels.iter().enumerate() {
+                    if dirty[c as usize] {
+                        fold.shard.add(c as usize, row(off));
+                    }
+                }
+            }
+            Ok(fold)
+        },
+    )?;
+    let mut stats = KernelStats::default();
+    let mut moved = 0;
+    let shards: Vec<AccumShard> = folds
+        .into_iter()
+        .map(|fold| {
+            stats.absorb(fold.stats);
+            stats.pruned_by_norm_bound += fold.settled * k as u64;
+            moved += fold.moved;
+            fold.shard
+        })
+        .collect();
+    prev_shards.clone_from(&shards);
+    prev_centers.clone_from(centers);
+    Ok((moved, shards, stats))
+}
+
+/// What the drift of the centers since the pass that left a row's bounds
+/// lets those bounds prove at the new centers (true distances, with the
+/// kernel's slack `g`): per center, its drift, the largest drift of any
+/// other center, and its settle limit with that limit's `√(4·limit)`.
+struct Settler {
+    drift: Vec<f64>,
+    others: Vec<f64>,
+    limits: Vec<(f64, f64)>,
+    g: f64,
+}
+
+impl Settler {
+    fn new(kernel: &AssignKernel, centers: &PointMatrix, prev: &PointMatrix) -> Self {
+        let g = kernel.guard();
+        let k = centers.len();
+        let drift: Vec<f64> = (0..k)
+            .map(|c| {
+                let s = sq_dist_bounded(centers.row(c), prev.row(c), f64::INFINITY);
+                s.sqrt() * (1.0 + g) + BOUND_FLOOR
+            })
+            .collect();
+        let top = (0..k).fold(0, |t, c| if drift[c] > drift[t] { c } else { t });
+        let second = (0..k)
+            .filter(|&c| c != top)
+            .fold(0.0f64, |m, c| m.max(drift[c]));
+        let others = (0..k)
+            .map(|c| if c == top { second } else { drift[top] })
+            .collect();
+        let limits = (0..k)
+            .map(|c| {
+                let limit = kernel.settle_limit(c);
+                (limit, (4.0 * limit).sqrt())
+            })
+            .collect();
+        Settler {
+            drift,
+            others,
+            limits,
+            g,
+        }
+    }
+
+    /// The bounds `b` of a row labelled `label`, moved to the new
+    /// centers, if they settle it: the upper bound grows by its center's
+    /// drift and the lower one shrinks by the largest other drift, or
+    /// rises to what the center's certificate gives (every other center
+    /// is at least `√S − upper` away, `S` its separation); the row
+    /// settles when its upper bound stays below its lower bound or inside
+    /// the certificate.
+    #[inline]
+    fn settle(&self, label: u32, b: Bounds) -> Option<Bounds> {
+        // The sum and difference below round by at most half an ulp each.
+        const UP: f64 = 1.0 + 4.0 * f64::EPSILON;
+        const DOWN: f64 = 1.0 - 4.0 * f64::EPSILON;
+        let a = label as usize;
+        let (limit, root) = self.limits[a];
+        let upper = (f64::from(b.upper) + self.drift[a]) * UP;
+        // An upper bound on the root of the canonical `d²` to `a`.
+        let reach = upper * (1.0 + self.g) + BOUND_FLOOR;
+        let certified = (root - reach) * (1.0 - self.g);
+        let lower = ((f64::from(b.lower) - self.others[a]) * DOWN).max(certified);
+        (reach < lower * (1.0 - self.g) || reach * reach < limit).then(|| Bounds {
+            upper: up32(upper),
+            lower: down32(lower),
+        })
+    }
 }
 
 /// Folds accumulation-shard partials (in shard order) into one

@@ -62,10 +62,14 @@
 //!    on a cluster.
 
 use crate::assign::ClusterSums;
-use crate::chunked::{assign_pass, fold_accum_shards, validate_shape, AccumShard, Hints};
+use crate::chunked::{
+    assign_pass, fold_accum_shards, refine_pass, validate_shape, AccumShard, Bounds, Hints,
+    Refinement,
+};
 use crate::cost::{
     check_potential_centers, fold_shard_sums, seeded_shard_sums, weighted_potential, CostTracker,
 };
+use crate::distance::sq_dist;
 use crate::error::KMeansError;
 use crate::init::weighted_kmeanspp;
 use crate::init::{
@@ -192,30 +196,32 @@ pub enum TrackerOut {
 }
 
 /// Whether an assignment pass ([`RoundBackend::assign`]) also returns
-/// the labels it stored. Distributed `Assign` requests carry it on the
-/// wire too, so a worker decides with the same [`LabelFetch::owed`].
+/// the labels it stored, and what kind of pass it is: *full* (`Skip`,
+/// `Always`) or *bounded* (`Bounded`). Distributed `Assign` requests
+/// carry it on the wire too, so a worker runs the same kind of pass and
+/// decides with the same [`LabelFetch::owed`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LabelFetch {
-    /// Labels stay backend-resident (mid-loop Lloyd iterations).
+    /// Labels stay backend-resident. A full pass that leaves the bounds
+    /// a `Bounded` pass starts from (Lloyd's first pass, one after a pass
+    /// that left a cluster empty, and the repeat of a bounded pass that
+    /// emptied one).
     #[default]
     Skip,
-    /// Return labels only if the pass was stable (`reassigned == 0`) —
-    /// a distributed backend has each worker ship its labels exactly
-    /// when *locally* stable, so a globally stable pass always comes
-    /// back with labels and an unstable one pays nothing.
-    IfStable,
-    /// Always return the labels (closing relabel, label-only passes).
+    /// Labels stay backend-resident, and the pass is bounded: it starts
+    /// from the bounds the backend's last pass left, which must be a
+    /// `Skip` or `Bounded` pass at as many centers — a backend without
+    /// them refuses the pass (Lloyd's passes after the first).
+    Bounded,
+    /// Always return the labels: a full pass that frees the bounds
+    /// (Lloyd's closing pass, label-only passes).
     Always,
 }
 
 impl LabelFetch {
-    /// Whether a pass that moved `reassigned` rows owes its labels.
-    pub fn owed(self, reassigned: u64) -> bool {
-        match self {
-            LabelFetch::Skip => false,
-            LabelFetch::IfStable => reassigned == 0,
-            LabelFetch::Always => true,
-        }
+    /// Whether the pass owes its labels.
+    pub fn owed(self) -> bool {
+        self == LabelFetch::Always
     }
 }
 
@@ -228,11 +234,14 @@ impl LabelFetch {
 /// State carried between calls: the D²/nearest tracker built by a
 /// [`Broadcast::Init`] round lives until the next
 /// [`RoundBackend::assign`] pass frees it (a fit's seeding and refinement
-/// share one backend), and the labels of the last `assign` pass seed the
-/// next one. Until a backend has labels, its tracker seeds the passes at
-/// new centers — the seed-cost [`RoundBackend::potential`] and the first
-/// `assign` — at the center nearest each row's tracked candidate. Seeds
-/// move only the kernel counters and the time, never a result bit.
+/// share one backend), the labels of the last `assign` pass seed the
+/// next one, and a [`LabelFetch::Skip`] or [`LabelFetch::Bounded`] pass
+/// leaves the bounds and shard sums a `Bounded` pass starts from (an
+/// [`LabelFetch::Always`] pass frees them). Until a backend has labels,
+/// its tracker seeds the passes at new centers — the seed-cost
+/// [`RoundBackend::potential`] and the first `assign` — at the center
+/// nearest each row's tracked candidate. Seeds move only the kernel
+/// counters and the time, never a result bit.
 pub trait RoundBackend {
     /// Which execution mode this backend is (for typed rejections).
     fn kind(&self) -> BackendKind;
@@ -315,13 +324,24 @@ pub trait RoundBackend {
     /// One assignment pass against `centers`: stores the labels, and
     /// returns the number of rows whose label changed relative to the
     /// previous pass (first pass: all rows), the accumulation-shard fold
-    /// of the pass — bit-identical to
+    /// of the pass, its [`KernelStats`] — equal on every backend, since
+    /// each seeds and settles a row the same way — and the labels in
+    /// global row order for [`LabelFetch::Always`].
+    ///
+    /// The fold's labels, sums and counts are bit-identical to
     /// [`assign_partials`](crate::chunked::assign_partials) over the same
-    /// data and executor, folded, and its [`KernelStats`] equal on every
-    /// backend, since each seeds a row the same way — and the labels in
-    /// global row order when `fetch` asks for them. Every backend returns
-    /// labels for [`LabelFetch::Always`] and for a stable
-    /// [`LabelFetch::IfStable`] pass.
+    /// data and executor, folded, for either kind of pass. What
+    /// [`ClusterSums::cost`] and `farthest` hold depends on the kind:
+    ///
+    /// * a *full* pass ([`LabelFetch::Skip`], [`LabelFetch::Always`])
+    ///   reports the potential of the new labels at `centers` and each
+    ///   shard's farthest point;
+    /// * a *bounded* pass ([`LabelFetch::Bounded`]) reports the
+    ///   shard-ordered sum, over the rows whose label changed, of
+    ///   `d²(new label) − d²(old label)` at `centers`, and no farthest
+    ///   points. The potential follows from the previous one by the Lloyd
+    ///   identity ([`drive_lloyd`]). A backend whose last pass left no
+    ///   bounds at as many centers refuses it.
     fn assign(
         &mut self,
         centers: &PointMatrix,
@@ -580,7 +600,33 @@ pub fn drive_kmeans_parallel(
 /// Lloyd's iteration (§3.1) over any backend — the one implementation of
 /// the assignment/update round loop, including the per-iteration
 /// history, deterministic empty-cluster reseeding (the farthest point is
-/// fetched back from its owner), and the closing-relabel convention.
+/// fetched back from its owner), and the closing pass.
+///
+/// The first in-loop pass is a full [`LabelFetch::Skip`] pass, and every
+/// later one a [`LabelFetch::Bounded`] pass ([`RoundBackend::assign`])
+/// unless the pass before it left a cluster empty. A bounded pass's cost
+/// comes back as the moved rows' `d²` deltas, and the potential is
+/// *tracked* by the Lloyd identity — with `n_c` the counts the previous
+/// pass left and `μ` the centers,
+///
+/// ```text
+/// cost_t = cost_{t−1} − Σ_c n_c^{t−1}·‖μ_c^t − μ_c^{t−1}‖² + Σ_shards cost
+/// ```
+///
+/// (each centroid is the mean of its members, so moving it drops their
+/// cost by `n_c·‖Δμ_c‖²`; the moved rows then add their deltas, none of
+/// them positive). A bounded pass whose fold leaves a cluster empty is
+/// repeated as a full `Skip` pass at the same centers, so the reseed
+/// lands on the same farthest point as a full pass's. The pass after a
+/// pass that left a cluster empty is full: data that keeps a cluster
+/// empty (more empty clusters than farthest points, or duplicates that
+/// tie a reseeded center away) then runs one full pass per iteration,
+/// not a bounded pass and its repeat. The tol stop compares these tracked costs, so a
+/// fit whose relative improvement lies within their error (about
+/// `1e-15` relative) of `tol` may stop a pass apart from a loop of
+/// measured costs. Every fit closes with one full [`LabelFetch::Always`]
+/// pass at the final centers, which gives the labels and the measured
+/// final cost and frees the bounds.
 pub fn drive_lloyd(
     backend: &mut dyn RoundBackend,
     initial_centers: &PointMatrix,
@@ -595,37 +641,52 @@ pub fn drive_lloyd(
     let mut history = Vec::new();
     let mut converged = false;
     let mut pruned = 0u64;
-    // Whether the loop ended on a stable assignment (no centroid update
-    // after the stored labels) — only then do they match the final
-    // centers without a closing relabel pass. A tol-based stop applies
-    // the centroid update *before* breaking, so it does not qualify.
-    let mut stable_exit = false;
-    // Labels ride the assignment reply that produced them: a stable pass
-    // ships them opportunistically (IfStable), the closing relabel always
-    // does.
-    let mut final_labels: Option<Vec<u32>> = None;
+    let mut passes = 0usize;
+    // The previous pass's centers and counts.
+    let mut prev: Option<(PointMatrix, Vec<u64>)> = None;
 
     for _ in 0..config.max_iterations {
-        let (reassigned, sums, labels) = backend.assign(&centers, LabelFetch::IfStable)?;
+        // A pass is bounded, tracking its cost from the previous pass,
+        // unless that pass left a cluster empty: a bounded pass would
+        // then likely leave it empty again, and need repeating.
+        let carried = prev.as_ref().filter(|(_, counts)| !counts.contains(&0));
+        let fetch = match carried {
+            Some(_) => LabelFetch::Bounded,
+            None => LabelFetch::Skip,
+        };
+        let (reassigned, mut sums, _) = backend.assign(&centers, fetch)?;
+        passes += 1;
         pruned += sums.stats.pruned_by_norm_bound;
+        let mut cost = match carried {
+            Some((before, counts)) => tracked_cost(prev_cost, before, &centers, counts, sums.cost),
+            None => sums.cost,
+        };
 
         // Stability: nothing moved → the centroid update is a no-op.
         if reassigned == 0 {
             converged = true;
-            stable_exit = true;
-            final_labels = labels;
             history.push(IterationStats {
-                cost: sums.cost,
+                cost,
                 reassigned: 0,
                 reseeded: 0,
             });
-            prev_cost = sums.cost;
             break;
         }
 
+        // A bounded pass knows no farthest points: an empty cluster's
+        // reseed needs the full pass at the same centers.
+        if carried.is_some() && sums.counts.contains(&0) {
+            let (_, full, _) = backend.assign(&centers, LabelFetch::Skip)?;
+            passes += 1;
+            pruned += full.stats.pruned_by_norm_bound;
+            cost = full.cost;
+            sums.farthest = full.farthest;
+        }
+
         // Centroid update, with deterministic empty-cluster repair.
+        let before = centers.clone();
         let mut reseeded = 0usize;
-        let mut farthest: Vec<(usize, f64)> = sums.farthest.clone();
+        let mut farthest: Vec<(usize, f64)> = std::mem::take(&mut sums.farthest);
         farthest.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -645,9 +706,10 @@ pub fn drive_lloyd(
             // More empty clusters than shard maxima (pathological
             // duplicate-heavy data): leave the center in place.
         }
+        prev = Some((before, std::mem::take(&mut sums.counts)));
 
         history.push(IterationStats {
-            cost: sums.cost,
+            cost,
             reassigned,
             reseeded,
         });
@@ -656,40 +718,49 @@ pub fn drive_lloyd(
         if config.tol > 0.0
             && prev_cost.is_finite()
             && reseeded == 0
-            && prev_cost - sums.cost <= config.tol * prev_cost
+            && prev_cost - cost <= config.tol * prev_cost
         {
             converged = true;
-            prev_cost = sums.cost;
             break;
         }
-        prev_cost = sums.cost;
+        prev_cost = cost;
     }
 
-    // Produce a final self-consistent (labels, cost) for the final
-    // centers. On a stable exit the stored labels already describe them;
-    // otherwise (iteration cap or tol stop) one closing relabel pass.
-    let (cost, closing_pass) = if stable_exit {
-        (prev_cost, 0)
-    } else {
-        let (_, sums, labels) = backend.assign(&centers, LabelFetch::Always)?;
-        pruned += sums.stats.pruned_by_norm_bound;
-        final_labels = labels;
-        (sums.cost, 1)
-    };
-    // `config.validate` rejects `max_iterations = 0`, so a pass that owed
-    // labels always ran.
-    let labels = final_labels.ok_or_else(|| broken_round("an assignment withheld its labels"))?;
+    // The closing full pass: labels and cost for the final centers.
+    let (_, sums, labels) = backend.assign(&centers, LabelFetch::Always)?;
+    pruned += sums.stats.pruned_by_norm_bound;
+    let labels = labels.ok_or_else(|| broken_round("an assignment withheld its labels"))?;
 
     Ok(LloydResult {
         labels,
-        cost,
+        cost: sums.cost,
         iterations: history.len(),
         converged,
-        assign_passes: history.len() + closing_pass,
+        assign_passes: passes + 1,
         pruned_by_norm_bound: pruned,
         history,
         centers,
     })
+}
+
+/// The potential after a bounded pass at `centers`, tracked by the Lloyd
+/// identity from `prev_cost`, the potential at the previous pass's
+/// centers `prev` with its counts `counts`, and the pass's folded
+/// `d²` deltas `moved` ([`drive_lloyd`]).
+fn tracked_cost(
+    prev_cost: f64,
+    prev: &PointMatrix,
+    centers: &PointMatrix,
+    counts: &[u64],
+    moved: f64,
+) -> f64 {
+    let drop: f64 = counts
+        .iter()
+        .enumerate()
+        .filter(|(_, &n)| n > 0)
+        .map(|(c, &n)| n as f64 * sq_dist(centers.row(c), prev.row(c)))
+        .sum();
+    prev_cost - drop + moved
 }
 
 /// Sculley's mini-batch k-means over any backend — the one
@@ -838,7 +909,7 @@ pub struct AssignPart {
     pub shards: Vec<AccumShard>,
     /// The pass's kernel counters.
     pub stats: KernelStats,
-    /// The part's labels, when [`LabelFetch::owed`] for its own count.
+    /// The part's labels, when [`LabelFetch::owed`].
     pub labels: Option<Vec<u32>>,
 }
 
@@ -906,9 +977,8 @@ pub fn fold_tracker_round(
 /// The fold half of [`RoundBackend::assign`]: sums the parts' reassigned
 /// counts and kernel counters, folds their accumulation-shard partials in
 /// row order with [`fold_accum_shards`] (each must have the shape of `k`
-/// centers in `d` dimensions), and — when the summed count owes labels
-/// under `fetch` — concatenates every part's labels, moving a single
-/// part's.
+/// centers in `d` dimensions), and — when `fetch` owes labels —
+/// concatenates every part's labels, moving a single part's.
 pub fn fold_assign(
     k: usize,
     d: usize,
@@ -917,7 +987,7 @@ pub fn fold_assign(
 ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
     let reassigned = parts.iter().map(|p| p.reassigned).sum();
     let mut sums = fold_accum_shards(k, d, parts.iter().flat_map(|p| &p.shards));
-    let mut labels = fetch.owed(reassigned).then(Vec::new);
+    let mut labels = fetch.owed().then(Vec::new);
     for (i, part) in parts.into_iter().enumerate() {
         if part
             .shards
@@ -994,6 +1064,8 @@ pub struct LocalBackend<'a> {
     candidates: PointMatrix,
     buf: PointMatrix,
     labels: Option<Vec<u32>>,
+    /// What a `Skip` pass carries to the next, beside the labels.
+    refinement: Option<Refinement>,
 }
 
 impl<'a> LocalBackend<'a> {
@@ -1040,6 +1112,7 @@ impl<'a> LocalBackend<'a> {
             candidates: PointMatrix::new(data.dim().max(1)),
             buf: data.block_buffer(),
             labels: None,
+            refinement: None,
         }
     }
 
@@ -1123,11 +1196,19 @@ impl<'a> LocalBackend<'a> {
         })
     }
 
-    /// Frees the seeding tracker, runs the assignment pass
-    /// ([`assign_partials`](crate::chunked::assign_partials)) seeded by
-    /// the part's hint rule ([`LocalBackend`]), and keeps the new labels.
-    /// The hints are seeds only, never labels: the first pass counts every
-    /// row as reassigned.
+    /// Frees the seeding tracker and runs one assignment pass at
+    /// `centers`, keeping the new labels. A [`LabelFetch::Bounded`] pass
+    /// sweeps only the rows the bounds of the part's last pass cannot
+    /// settle and re-folds only the clusters whose membership changed in
+    /// each accumulation shard; without those bounds, at as many centers,
+    /// the part refuses it. The other passes are *full*
+    /// ([`assign_partials`](crate::chunked::assign_partials), seeded by
+    /// the part's hint rule, [`LocalBackend`]): a [`LabelFetch::Skip`]
+    /// pass leaves bounds for a bounded pass, and a
+    /// [`LabelFetch::Always`] pass frees them. Both kinds give the same
+    /// labels, sums and counts; a bounded pass's shard costs are its moved
+    /// rows' `d²` deltas ([`RoundBackend::assign`]). The hints are seeds
+    /// only, never labels: the first pass counts every row as reassigned.
     pub fn assign_part(
         &mut self,
         centers: &PointMatrix,
@@ -1135,10 +1216,41 @@ impl<'a> LocalBackend<'a> {
     ) -> Result<AssignPart, KMeansError> {
         // Refinement never reads the seeding tracker again: its d² (8 B per
         // row) goes now, and the pass writes its labels over the nearest
-        // ids (4 B per row) that may seed it, so the first pass holds no
-        // more than any later one.
+        // ids (4 B per row) that may seed it; the bounds a `Skip` pass
+        // keeps (8 B per row) take the d²'s place.
         let tracked = self.tracker.take().map(CostTracker::into_nearest_ids);
         let seeded = tracked.is_some();
+        let carried = self.refinement.take().filter(|r| r.carries(centers));
+        if fetch == LabelFetch::Bounded {
+            let (Some(mut state), Some(labels)) = (carried, self.labels.as_mut()) else {
+                return Err(broken_round(
+                    "a bounded pass needs the bounds of a pass at as many centers",
+                ));
+            };
+            let (reassigned, shards, stats) = refine_pass(
+                self.data,
+                centers,
+                &self.exec,
+                self.row_offset,
+                self.global_n,
+                labels,
+                &mut state,
+            )
+            .map_err(globalize(self.row_offset))?;
+            self.refinement = Some(state);
+            return Ok(AssignPart {
+                rows: self.data.len(),
+                reassigned,
+                shards,
+                stats,
+                labels: None,
+            });
+        }
+        // A full pass replaces the bounds: the old ones go before it
+        // allocates its own.
+        drop(carried);
+        let mut bounds =
+            (fetch == LabelFetch::Skip).then(|| vec![Bounds::default(); self.data.len()]);
         let (labels, shards, stats) = assign_pass(
             self.data,
             centers,
@@ -1146,14 +1258,16 @@ impl<'a> LocalBackend<'a> {
             self.row_offset,
             self.global_n,
             tracked,
+            bounds.as_deref_mut(),
             |kernel| self.hints(kernel, seeded),
         )
         .map_err(globalize(self.row_offset))?;
+        self.refinement = bounds.map(|bounds| Refinement::new(bounds, centers, &shards));
         let reassigned = match &self.labels {
             None => labels.len() as u64,
             Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
         };
-        let owed = fetch.owed(reassigned).then(|| labels.clone());
+        let owed = fetch.owed().then(|| labels.clone());
         self.labels = Some(labels);
         Ok(AssignPart {
             rows: self.data.len(),
@@ -1162,6 +1276,12 @@ impl<'a> LocalBackend<'a> {
             stats,
             labels: owed,
         })
+    }
+
+    /// The labels the part's last assignment pass stored, in its row
+    /// order (`None` before the first).
+    pub fn labels(&self) -> Option<&[u32]> {
+        self.labels.as_deref()
     }
 
     /// The potential pass's per-executor-shard sums

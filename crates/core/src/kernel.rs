@@ -121,6 +121,30 @@
 //!    minimizer, nor a lower-index holder of an exact tie — which is also
 //!    why the list's own evaluation order needs no care.
 //!
+//! # Carried bounds
+//!
+//! A bounded Lloyd pass ([`crate::chunked`]) settles most rows without
+//! calling the kernel at all, on two bounds per row that the kernel
+//! provides: the upper bound `√D·(1+g)` to the row's nearest center `w`
+//! at canonical `d²` `D`, and a lower bound to every other center read
+//! from `w`'s own separation list (`other_bound`): the listed centers
+//! whose limit `D` reaches are evaluated canonically, and every other
+//! center `c` is at least `√S_wc − √D` away by the triangle inequality,
+//! with `√(4·limit)` standing for `√S` (the limit's `(1−g)/(1+g)` factor
+//! makes it smaller). The bounds bound *true* distances: each term
+//! carries the `g = (2d+16)·ε` slack below against the canonical value's
+//! relative error, plus an absolute `1e-150` for squares that underflow.
+//! A pass that settles a row on them (its upper bound, moved by its
+//! center's drift, below its lower bound, moved by the largest other
+//! drift — both again with the slack) has proven the row's canonical
+//! distance to its center strictly below every other center's, so the
+//! sweep would have returned the same label. The same holds for the
+//! settle limit, the zero-length prefix of the center's own list, which
+//! `settle_tracked` applies to update rows. The lower bound depends on
+//! the row and the centers alone, never on the seed the sweep started
+//! from, so a row's bounds — like its label — are the same on every
+//! backend and after a recovered worker's cold replay.
+//!
 //! The per-point decision sequence is a pure function of the point, the
 //! sorted candidate set, the carried state and the point's hint — how
 //! points are grouped into shards, chunked-source blocks, or batches
@@ -242,6 +266,14 @@ const CERT_FLOOR: f64 = f64::MIN_POSITIVE / f64::EPSILON;
 /// over candidate sets whose every coordinate is within it, which also
 /// keeps NaN and ±∞ out of them.
 const LIST_MAX_COORD: f64 = 1e120;
+
+/// Absolute slack, in distance units (not squared), that every carried
+/// bound of a bounded Lloyd pass adds to an upper bound and takes from a
+/// lower one: `1e-150`, far above the `√(d·2⁻¹⁰⁷⁵)` by which squares that
+/// underflow can move a canonical distance from the true one, so the
+/// relative `(2d+16)·ε` slack only has to cover normal rounding. A lower
+/// bound that cannot clear it is `0.0`, which settles nothing.
+pub(crate) const BOUND_FLOOR: f64 = 1e-150;
 
 /// Work accounting for one kernel call. Both counters are exact and —
 /// because every skip decision is a pure function of per-point state —
@@ -745,8 +777,6 @@ impl AssignKernel {
         if m == 0 {
             return stats;
         }
-        let prune = m >= PRUNE_MIN_CANDIDATES;
-        let hints = hints.filter(|_| prune);
         #[cfg(debug_assertions)]
         if tracked {
             for (slot, i) in rows.clone().enumerate() {
@@ -760,19 +790,9 @@ impl AssignKernel {
                 best: d2[slot],
                 new_label: u32::MAX,
             };
-            if tracked && self.tracked_step(row, labels[slot], &mut state, &mut stats) {
-                // Finished from the carried label's separation list.
-            } else if prune && row[self.key_dim].is_finite() {
+            if !(tracked && self.tracked_step(row, labels[slot], &mut state, &mut stats)) {
                 let hint = hints.and_then(|h| Some(*self.pos.get(h[slot] as usize)? as usize));
-                self.scan_pruned(row, hint, &mut state, &mut stats);
-            } else {
-                // Tiny candidate sets and non-finite points: plain sorted
-                // scan, every candidate canonically checked (the exact
-                // arithmetic of the scalar loop, in sorted order).
-                for pos in 0..m {
-                    stats.distance_computations += 1;
-                    self.evaluate(row, pos, &mut state);
-                }
+                self.search(row, hint, &mut state, &mut stats);
             }
             d2[slot] = state.best;
             if state.new_label != u32::MAX {
@@ -784,6 +804,129 @@ impl AssignKernel {
             None => (0..rows.len()).for_each(visit),
         }
         stats
+    }
+
+    /// One row's search from `state`: the pruned sweep from the seed at
+    /// sorted position `hint` (or the cold seed search), or — for tiny
+    /// candidate sets and non-finite points — a plain sorted scan, every
+    /// candidate canonically checked (the exact arithmetic of the scalar
+    /// loop, in sorted order).
+    #[inline]
+    fn search(&self, row: &[f64], hint: Option<usize>, state: &mut State, stats: &mut KernelStats) {
+        let m = self.order.len();
+        if m >= PRUNE_MIN_CANDIDATES && row[self.key_dim].is_finite() {
+            self.scan_pruned(row, hint, state, stats);
+        } else {
+            for pos in 0..m {
+                stats.distance_computations += 1;
+                self.evaluate(row, pos, state);
+            }
+        }
+    }
+
+    /// [`AssignKernel::assign_warm`] for one row seeded at center `hint`:
+    /// its label and canonical `d²`, the same bits the batch sweep writes.
+    pub(crate) fn nearest_warm(
+        &self,
+        row: &[f64],
+        hint: u32,
+        stats: &mut KernelStats,
+    ) -> (u32, f64) {
+        debug_assert_eq!(self.from, 0, "nearest_warm on a suffix kernel");
+        let mut state = State {
+            best: f64::INFINITY,
+            new_label: u32::MAX,
+        };
+        let hint = self.pos.get(hint as usize).map(|&p| p as usize);
+        self.search(row, hint, &mut state, stats);
+        let label = if state.new_label == u32::MAX {
+            0
+        } else {
+            state.new_label
+        };
+        (label, state.best)
+    }
+
+    /// The kernel's slack coefficient `g = (2d+16)·ε` (module docs).
+    pub(crate) fn guard(&self) -> f64 {
+        self.guard
+    }
+
+    /// The settle limit of center `c`: the zero-length prefix of its own
+    /// separation list, `min(first limit, overflow limit)` — a row whose
+    /// canonical `d²` to `c` stays below it has `c` as its unique nearest
+    /// center (module docs, "The separation certificate"). `0.0`, which no
+    /// distance undercuts, when the kernel keeps no usable list for `c`.
+    pub(crate) fn settle_limit(&self, c: usize) -> f64 {
+        let Some(&p) = self.pos.get(c) else {
+            return 0.0;
+        };
+        match self.own.get(p as usize) {
+            Some((near, over)) => near.first().map_or(0.0, |e| e.limit.min(over)),
+            None => 0.0,
+        }
+    }
+
+    /// A lower bound on the *true* distance (not squared) from `row` to
+    /// every center but `label`, its nearest, at canonical squared
+    /// distance `dist` — read from `label`'s own separation list alone, so
+    /// it depends on the row and the centers, never on how the search
+    /// that found `label` was seeded. The listed candidates the
+    /// certificate cannot rule out (limit `≤ dist`) are evaluated
+    /// canonically; every other candidate `c` is at least
+    /// `√S_{label,c} − √T_label` away (triangle inequality), and the first
+    /// limit above `dist` (or the overflow limit) bounds `S` for all of
+    /// them. Every term carries the kernel's `(2d+16)·ε` slack and the
+    /// absolute [`BOUND_FLOOR`], so the bound stays below the true distance
+    /// however the canonical values round. `∞` for a single center; `0.0`
+    /// when the kernel keeps no usable list for `label` or `dist` is not
+    /// finite.
+    pub(crate) fn other_bound(
+        &self,
+        row: &[f64],
+        label: u32,
+        dist: f64,
+        stats: &mut KernelStats,
+    ) -> f64 {
+        if self.order.len() == 1 {
+            return f64::INFINITY;
+        }
+        let Some(&p) = self.pos.get(label as usize) else {
+            return 0.0;
+        };
+        let Some((near, over)) = self.own.get(p as usize) else {
+            return 0.0;
+        };
+        if !dist.is_finite() || over <= 0.0 {
+            return 0.0;
+        }
+        let g = self.guard;
+        let root = dist.sqrt() * (1.0 + g) + BOUND_FLOOR;
+        // The listed candidates the certificate cannot rule out: a prefix,
+        // since limits ascend. The first limit past it bounds the rest —
+        // `√(4·limit) ≤ √S` by the limit's `(1−g)/(1+g)` factor — unless
+        // the list holds every other candidate and the prefix is all of it.
+        let cut = near.partition_point(|e| e.limit <= dist);
+        let rest = match near.get(cut) {
+            Some(e) => Some(e.limit.min(over)),
+            None => (near.len() + 1 < self.order.len()).then_some(over),
+        };
+        let mut bound = rest.map_or(f64::INFINITY, |limit| {
+            ((4.0 * limit).sqrt() - root) * (1.0 - g)
+        });
+        for e in &near[..cut] {
+            if bound <= 0.0 {
+                break; // nothing can raise it back above 0
+            }
+            // A candidate whose `d²` reaches `stop` cannot lower the bound,
+            // so its evaluation may stop there: a partial sum is at most
+            // the canonical value, and still bounds it from below.
+            let stop = (bound + BOUND_FLOOR) / (1.0 - g);
+            stats.distance_computations += 1;
+            let dc = sq_dist_bounded(row, self.rows.row(e.pos as usize), stop * stop);
+            bound = bound.min(dc.sqrt() * (1.0 - g) - BOUND_FLOOR);
+        }
+        bound.max(0.0)
     }
 
     /// Settles, in one scan, the update rows that the zero-length prefix

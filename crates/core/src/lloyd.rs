@@ -2,8 +2,10 @@
 //! initialization (§3.1), with the iteration accounting Table 6 reports.
 //!
 //! Each iteration is one parallel assignment pass
-//! ([`crate::chunked::assign_partials`]) followed by a
-//! centroid update. Convergence is declared when no point changes cluster
+//! ([`crate::chunked::assign_partials`]; bounded after the first,
+//! sweeping only the rows that can have changed) followed by a centroid
+//! update, and every run closes with one full pass at the final centers.
+//! Convergence is declared when no point changes cluster
 //! (the paper's "stable set of centers") or when the relative cost
 //! improvement drops below `tol` (useful to emulate the paper's capped
 //! parallel `Random` baseline, which it bounded at 20 iterations).
@@ -26,7 +28,10 @@ pub struct LloydConfig {
     /// paper's datasets).
     pub max_iterations: usize,
     /// Stop when `(cost_prev − cost) ≤ tol · cost_prev`. `0.0` means run to
-    /// assignment stability.
+    /// assignment stability. The costs compared are the history costs,
+    /// tracked on bounded passes ([`IterationStats::cost`]), so a run whose
+    /// relative improvement lies within about `1e-15` of `tol` may stop
+    /// a pass apart from one that compared measured potentials.
     pub tol: f64,
 }
 
@@ -58,11 +63,16 @@ impl LloydConfig {
     }
 }
 
-/// Per-iteration record (cost is measured *under the centers entering the
+/// Per-iteration record (cost is taken *under the centers entering the
 /// iteration*, i.e. before the centroid update).
 #[derive(Clone, Copy, Debug)]
 pub struct IterationStats {
-    /// Potential at assignment time.
+    /// Potential at assignment time: measured on a full pass (the first,
+    /// one after a pass that left a cluster empty, and one that repeats a
+    /// pass to reseed an emptied cluster), tracked by the Lloyd identity
+    /// on a bounded one
+    /// ([`drive_lloyd`](crate::driver::drive_lloyd)) — within about
+    /// `1e-15` relative of the measured value, and never rising.
     pub cost: f64,
     /// Points that changed cluster relative to the previous iteration.
     pub reassigned: u64,
@@ -85,16 +95,19 @@ pub struct LloydResult {
     pub converged: bool,
     /// Per-iteration history.
     pub history: Vec<IterationStats>,
-    /// Full assignment passes executed, including the closing relabel
-    /// pass when the loop did not end on a stable assignment. Distance
+    /// Assignment passes executed: one per iteration (bounded after the
+    /// first), a full repeat of any bounded pass that emptied a cluster,
+    /// and the closing full pass every fit ends with — `iterations + 1`
+    /// when no cluster empties after the first pass. Distance
     /// evaluations *offered* = `n · k · assign_passes`; of those,
     /// `pruned_by_norm_bound` were skipped without touching coordinates.
     pub assign_passes: usize,
     /// Point–center pairs the assignment kernel skipped via its `O(1)`
     /// lower bounds — the norm bound `(‖x‖−‖c‖)²` and the coordinate
     /// gaps, wholesale sorted-sweep stops included, plus the pairs a
-    /// seed's separation list certifies farther — summed over every pass
-    /// (the closing relabel included).
+    /// seed's separation list certifies farther, plus `k` for every row a
+    /// bounded pass settled on its carried bounds — summed over every
+    /// pass (the closing one included).
     /// Deterministic across thread counts, block sizes, *and* worker
     /// counts: distributed workers ship their kernel counters in the
     /// partials frames, so the fold equals the single-node value.
@@ -335,7 +348,9 @@ mod tests {
     }
 
     #[test]
-    fn stable_exit_needs_no_closing_pass() {
+    fn every_fit_closes_with_one_full_pass() {
+        // A stable exit closes with one full pass too: the stable pass is
+        // bounded, so it has no measured cost for the final centers.
         let points = blobs_2d();
         let init = PointMatrix::from_flat(vec![1.0, 1.0, 9.0, 9.0], 2).unwrap();
         let result = lloyd(
@@ -346,7 +361,37 @@ mod tests {
         )
         .unwrap();
         assert!(result.converged);
-        assert_eq!(result.assign_passes, result.iterations);
+        assert_eq!(result.assign_passes, result.iterations + 1);
+    }
+
+    #[test]
+    fn a_pass_after_an_empty_cluster_is_full() {
+        // One accumulation shard gives one farthest point per pass, so of
+        // seven far centers one is reseeded per pass and the rest stay
+        // empty. A bounded pass there would empty them again and need a
+        // full repeat; a full pass needs none, so the fit makes one pass
+        // per iteration and its closing pass.
+        let mut points = PointMatrix::new(2);
+        for i in 0..60 {
+            points
+                .push(&[(i % 10) as f64, (i / 10) as f64 * 0.5])
+                .unwrap();
+        }
+        let mut init = PointMatrix::new(2);
+        init.push(&[4.0, 1.0]).unwrap();
+        for c in 0..7 {
+            init.push(&[1000.0 + c as f64, 1000.0]).unwrap();
+        }
+        let result = lloyd(
+            &points,
+            &init,
+            &LloydConfig::default(),
+            &Executor::sequential(),
+        )
+        .unwrap();
+        let reseeds: Vec<usize> = result.history.iter().map(|h| h.reseeded).collect();
+        assert!(reseeds[..4].iter().all(|&r| r == 1), "{reseeds:?}");
+        assert_eq!(result.assign_passes, result.iterations + 1);
     }
 
     #[test]

@@ -161,8 +161,9 @@ impl KMeans {
     }
 
     /// Sets the relative-improvement stopping tolerance of the default
-    /// Lloyd refiner (0 = run to assignment stability). Same conflict
-    /// rule as [`KMeans::max_iterations`].
+    /// Lloyd refiner (0 = run to assignment stability), compared on the
+    /// tracked history costs ([`LloydConfig::tol`]). Same conflict rule as
+    /// [`KMeans::max_iterations`].
     pub fn tol(mut self, tol: f64) -> Self {
         self.lloyd.tol = tol;
         self.lloyd_tuned = true;
@@ -430,12 +431,17 @@ impl KMeansModel {
     /// [`KMeansModel::distance_computations`]; it also counts the
     /// candidates a seed's separation list certifies farther, which a
     /// warm pass (every Lloyd pass after the first, and the first one
-    /// after k-means||, seeded from the tracker) settles most points by.
+    /// after k-means||, seeded from the tracker) settles most points by,
+    /// and `k` for every row a bounded Lloyd pass settles on its carried
+    /// bounds without calling the kernel.
     /// Exactly reproducible: thread counts, block sizes, worker counts,
     /// worker recovery and resuming from a checkpoint journal never change
-    /// it — every backend seeds a pass alike (from its previous labels, or
-    /// its seeding tracker before it has any), and recovery and resume
-    /// rebuild both exactly.
+    /// it — every backend seeds and settles a pass alike (from its
+    /// previous labels and bounds, or its seeding tracker before it has
+    /// any), and recovery and resume rebuild them exactly: the catch-up
+    /// replays the last full pass and every bounded pass since, and a
+    /// row's bounds depend on the row and the centers, not on how its
+    /// full pass was seeded.
     pub fn pruned_by_norm_bound(&self) -> u64 {
         self.pruned_by_norm_bound
     }

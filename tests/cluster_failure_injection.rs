@@ -180,10 +180,12 @@ fn killing_workers_at_each_round_type_recovers_bit_identically() {
     // The fused conversation sends six Compound frames per fit (one
     // init+sample, four update+sample, one update+weights), so the old
     // per-primitive tags never appear on the wire as top-level frames;
-    // the grid keys on Compound occurrences instead. Labels ride the
-    // final (stable) assignment reply, so the old fetch-labels round is
-    // now the last ASSIGN occurrence.
-    let final_assign = reference.iterations() as u32;
+    // the grid keys on Compound occurrences instead. The stable pass is
+    // ASSIGN occurrence `iterations`, a bounded pass whose replacement
+    // must replay every earlier pass to rebuild the bounds; labels ride
+    // the closing full pass's reply, the last ASSIGN occurrence.
+    let stable_assign = reference.iterations() as u32;
+    let closing_assign = stable_assign + 1;
     let grid: Vec<(&str, FaultAction)> = vec![
         (
             "gather-rows request",
@@ -231,10 +233,17 @@ fn killing_workers_at_each_round_type_recovers_bit_identically() {
             },
         ),
         (
-            "final label-shipping assign",
+            "stable bounded assign",
             FaultAction::KillOnRecv {
                 tag: tag::ASSIGN,
-                occurrence: final_assign,
+                occurrence: stable_assign,
+            },
+        ),
+        (
+            "closing label-shipping assign",
+            FaultAction::KillOnRecv {
+                tag: tag::ASSIGN,
+                occurrence: closing_assign,
             },
         ),
         (
@@ -300,8 +309,7 @@ fn four_workers_survive_three_deaths_at_distinct_rounds() {
         .fit(&points)
         .unwrap();
     // Deaths at: the seeding round (first fused init+sample compound),
-    // the first Lloyd assignment, and the final stable assignment (the
-    // one whose reply carries the labels home).
+    // the first Lloyd assignment, and the stable (bounded) assignment.
     let scripts = vec![
         (
             1usize,
@@ -549,6 +557,110 @@ fn worker_adopted_during_lloyd_receives_plan_catch_up_and_reask() {
             .any(|(n, v)| n == "rows" && *v == ArgValue::U64(local_rows)),
         "catch-up compound: {:?}",
         frames[1].args
+    );
+}
+
+/// A worker lost late in a long Lloyd run is caught up by replaying every
+/// pass since the last full one — the bounded passes' bounds depend on
+/// that history — yet the catch-up frame carries one center set per pass
+/// and a few bytes of reply for each, never the replayed passes' shard
+/// partials: at the paper's KDD shape (k = 1000, d = 42, 2 workers) those
+/// were ~11 MB a pass, over the 1 GiB frame limit within about 97 passes,
+/// where the replayed center sets stay at 336 kB a pass.
+#[test]
+fn a_late_catch_up_replays_center_sets_without_partials() {
+    const K2: usize = 32;
+    const D2: usize = 8;
+    let points = GaussMixture::new(K2)
+        .dim(D2)
+        .points(1600)
+        .center_variance(2.0)
+        .generate(5)
+        .unwrap()
+        .dataset
+        .into_parts()
+        .1;
+    let fit = || KMeans::params(K2).seed(42).shard_size(SHARD);
+    let reference = fit().fit(&points).unwrap();
+    let iterations = reference.iterations();
+    assert!(iterations >= 8, "a long run: {iterations} passes");
+    let slices = even_slices(points.len(), 2);
+    let mut transports: Vec<Box<dyn Transport>> = Vec::new();
+    let mut originals = Vec::new();
+    for (w, &(start, rows)) in slices.iter().enumerate() {
+        let source = InMemorySource::new(slice_rows(&points, start, rows), 3).unwrap();
+        // Death at the stable pass: every earlier pass is replayed.
+        let script = if w == 1 {
+            vec![FaultAction::KillOnRecv {
+                tag: tag::ASSIGN,
+                occurrence: iterations as u32,
+            }]
+        } else {
+            vec![]
+        };
+        let (t, h) = spawn_loopback_worker_with_faults(source, Parallelism::Sequential, script);
+        transports.push(Box::new(t));
+        originals.push(h);
+    }
+    let mut cluster = Cluster::new(transports).unwrap();
+    let recorder = Recorder::monotonic();
+    let replacements: SharedHandles = Arc::new(Mutex::new(Vec::new()));
+    let supplier_handles = Arc::clone(&replacements);
+    let supplier_recorder = recorder.clone();
+    let supplier_points = points.clone();
+    cluster.set_recovery(
+        Box::new(move |slot| {
+            let (start, rows) = slices[slot];
+            let source = InMemorySource::new(slice_rows(&supplier_points, start, rows), 3).unwrap();
+            let mut worker = Worker::new(source, Parallelism::Sequential);
+            worker.set_recorder(supplier_recorder.clone());
+            let (coordinator_side, mut worker_side) = loopback_pair();
+            let h = std::thread::spawn(move || worker.serve(&mut worker_side));
+            supplier_handles.lock().unwrap().push(h);
+            Ok(Box::new(coordinator_side))
+        }),
+        RetryPolicy::fixed(3, Duration::from_millis(1)),
+    );
+    let got = fit().fit_distributed(&mut cluster).unwrap();
+    cluster.shutdown();
+    for h in originals {
+        let _ = h.join().unwrap();
+    }
+    assert_eq!(replacements.lock().unwrap().len(), 1, "one adoption");
+    drain(&replacements);
+    assert_bit_identical(&reference, &got, "late catch-up");
+
+    let frames: Vec<_> = recorder
+        .events()
+        .into_iter()
+        .filter(|e| e.cat == "worker")
+        .collect();
+    assert_eq!(frames[1].name, "frame:compound", "the catch-up");
+    let arg = |name: &str| {
+        frames[1]
+            .args
+            .iter()
+            .find_map(|(n, v)| match v {
+                ArgValue::U64(v) if n == name => Some(*v),
+                _ => None,
+            })
+            .unwrap()
+    };
+    let replayed = (iterations - 1) as u64;
+    let local_rows = (points.len() - points.len() / 2) as u64;
+    assert_eq!(
+        arg("rows"),
+        replayed * local_rows,
+        "one pass per replayed item"
+    );
+    // Each replayed pass: its centers and mode out, a shard-less Partials
+    // back, with framing — against 25 shard partials of 2,344 bytes each
+    // had the partials come back.
+    let per_pass = (K2 * D2 * 8) as u64 + 128;
+    assert!(
+        arg("bytes") <= replayed * per_pass + 256,
+        "catch-up of {replayed} passes took {} bytes",
+        arg("bytes")
     );
 }
 
