@@ -23,6 +23,12 @@
 //! a nearby earlier center finish from its separation list into the
 //! suffix.
 //!
+//! The `between` rows replace the mixture's last center with the mean of
+//! its first three, so the rows of those three clusters sit between
+//! centers: many reach past the 16-entry prefix of their center's
+//! separation list and finish on its 64-entry extension, and the rows no
+//! list certifies take the lane-blocked scan.
+//!
 //! `KMEANS_BENCH_QUICK=1` shrinks the grid and measurement windows for
 //! the CI smoke, which prints its rows instead of merging them into
 //! `BENCH_kernels.json` and relies on the always-on, deterministic
@@ -31,7 +37,9 @@
 //! paths' bit for bit; the warm sweep evaluates no more distances than
 //! the cold one; and the update with its carried labels evaluates no
 //! more than the same update with every label untracked (`u32::MAX`),
-//! which must return the same `d²` bits.
+//! which must return the same `d²` bits. The quick between-clusters row
+//! also pins its cold, warm and update counters exactly
+//! (`QUICK_BETWEEN`): they are a pure function of the rows and centers.
 
 use criterion::Criterion;
 use kmeans_bench::bench_json::{print_records, write_merged, KernelRecord};
@@ -70,41 +78,71 @@ fn scalar_update(
     }
 }
 
+/// The quick between-clusters row's exact kernel counters — (sweep,
+/// distance computations, pruned pairs) — deterministic on any machine.
+const QUICK_BETWEEN: [(&str, u64, u64); 3] = [
+    ("cold", 5_048, 76_872),
+    ("warm", 2_837, 79_083),
+    ("update", 1_538, 39_422),
+];
+
 struct Config {
     n: usize,
     d: usize,
     k: usize,
+    /// The between-clusters variant: the last center moves to the mean of
+    /// the first three.
+    between: bool,
 }
 
 fn main() {
     let quick = std::env::var("KMEANS_BENCH_QUICK").is_ok_and(|v| v == "1");
     let configs: &[Config] = if quick {
-        &[Config {
-            n: 2_048,
-            d: 16,
-            k: 64,
-        }]
+        &[
+            Config {
+                n: 2_048,
+                d: 16,
+                k: 64,
+                between: false,
+            },
+            Config {
+                n: 2_048,
+                d: 15,
+                k: 40,
+                between: true,
+            },
+        ]
     } else {
         &[
             Config {
                 n: 8_192,
                 d: 16,
                 k: 64,
+                between: false,
             },
             Config {
                 n: 8_192,
                 d: 16,
                 k: 256,
+                between: false,
             },
             Config {
                 n: 8_192,
                 d: 42,
                 k: 64,
+                between: false,
             },
             Config {
                 n: 8_192,
                 d: 42,
                 k: 256,
+                between: false,
+            },
+            Config {
+                n: 8_192,
+                d: 15,
+                k: 100,
+                between: true,
             },
         ]
     };
@@ -123,7 +161,13 @@ fn main() {
         // Centers as a refinement pass sees them: the true mixture
         // centers (any converging Lloyd run spends most of its passes
         // near them).
-        let centers = synth.true_centers.clone();
+        let mut centers = synth.true_centers.clone();
+        if cfg.between {
+            let mean: Vec<f64> = (0..cfg.d)
+                .map(|j| (0..3).map(|c| centers.row(c)[j]).sum::<f64>() / 3.0)
+                .collect();
+            centers.row_mut(cfg.k - 1).copy_from_slice(&mean);
+        }
         // The kernel's resident per-candidate feature block (norm + two
         // coordinates + index), reported as the `tile` axis.
         let feature_bytes = cfg.k * (3 * 8 + 4);
@@ -194,10 +238,42 @@ fn main() {
             cfg.k
         );
 
+        if cfg.between {
+            assert!(
+                kernel.extended_lists() > 0,
+                "no between-clusters row reached a list extension"
+            );
+        }
+        if quick && cfg.between {
+            let got = [
+                ("cold", stats),
+                ("warm", warm_stats),
+                ("update", update_stats),
+            ];
+            for (sweep, s) in got {
+                println!(
+                    "quick smoke: between-clusters {sweep} {} computed, {} pruned",
+                    s.distance_computations, s.pruned_by_norm_bound
+                );
+            }
+            let got =
+                got.map(|(sweep, s)| (sweep, s.distance_computations, s.pruned_by_norm_bound));
+            assert_eq!(
+                got, QUICK_BETWEEN,
+                "between-clusters counters drifted from the pinned values"
+            );
+        }
+
         // Time scalar vs kernel, annotating each record with its work
         // counters through the shim's BenchRecord plumbing.
         let pairs = (cfg.n * cfg.k) as u64;
-        let group_name = format!("assign_n{}_d{}_k{}", cfg.n, cfg.d, cfg.k);
+        let group_name = format!(
+            "assign_n{}_d{}_k{}{}",
+            cfg.n,
+            cfg.d,
+            cfg.k,
+            if cfg.between { "_between" } else { "" }
+        );
         {
             let mut group = c.benchmark_group(&group_name);
             let (samples, measure) = if quick { (5, 400) } else { (15, 3_000) };

@@ -1036,3 +1036,235 @@ fn close_candidate_behind_a_run_of_far_ones_wins() {
     );
     assert_assign_matches(&points, &centers);
 }
+
+/// Rows between clusters: `k` centers drawn around the origin, one of
+/// them the mean of the first three (so its nearest other centers are
+/// close and its rows sit between clusters), and rows around the first
+/// three and around the mean at growing spreads, so that many rows reach
+/// past the 16-entry prefix of their center's list, plus a few rows far
+/// from every center, whose key window keeps every candidate.
+fn between_clusters(k: usize, d: usize, salt: u64) -> (PointMatrix, PointMatrix) {
+    let mut rng = kmeans_util::Rng::new(salt);
+    let mut centers = PointMatrix::new(d);
+    for _ in 0..k - 1 {
+        let row: Vec<f64> = (0..d).map(|_| rng.normal() * 20.0).collect();
+        centers.push(&row).unwrap();
+    }
+    let mean: Vec<f64> = (0..d)
+        .map(|j| (centers.row(0)[j] + centers.row(1)[j] + centers.row(2)[j]) / 3.0)
+        .collect();
+    centers.push(&mean).unwrap();
+    let mut points = PointMatrix::new(d);
+    for i in 0..900 {
+        let base = match i % 5 {
+            0..=2 => centers.row(i % 5).to_vec(),
+            _ => mean.clone(),
+        };
+        let spread = [1.0, 4.0, 9.0, 16.0][i % 4];
+        let row: Vec<f64> = base.iter().map(|v| v + rng.normal() * spread).collect();
+        points.push(&row).unwrap();
+    }
+    for i in 0..12 {
+        let row: Vec<f64> = (0..d).map(|_| rng.normal() * 400.0 + i as f64).collect();
+        points.push(&row).unwrap();
+    }
+    (points, centers)
+}
+
+/// Rows between clusters finish on 64-entry extensions of their center's
+/// list, or take the lane-blocked scan: cold, warm and update sweeps keep
+/// the scalar bits, every pair is computed or pruned once, and the
+/// counters are the same across groupings, thread counts, block sizes
+/// and backends.
+#[test]
+fn rows_between_clusters_keep_parity_past_the_eager_lists() {
+    for (k, d) in [(40usize, 7usize), (100, 15)] {
+        let (points, centers) = between_clusters(k, d, (k * 7 + d) as u64);
+        let n = points.len();
+        let what = format!("k {k} d {d}");
+        let cold = assert_assign_matches(&points, &centers);
+        let kernel = AssignKernel::new(&centers);
+        let (mut labels, mut d2) = (vec![0u32; n], vec![0.0f64; n]);
+        assert_eq!(kernel.assign(&points, 0..n, &mut labels, &mut d2), cold);
+        assert!(
+            kernel.extended_lists() > 0,
+            "{what}: no row reached an extension"
+        );
+        let (truth, _) = scalar_assign(&points, &centers);
+        for kind in 0..5 {
+            let hints = draw_hints(&points, &centers, kind, (k + kind) as u64);
+            assert_warm_matches(&points, &centers, &hints);
+        }
+        for from in [1usize, 3, k / 2, k - 1] {
+            let (mut labels, mut d2) = scalar_assign(&points, &prefix(&centers, from));
+            assert_update_matches(&points, &centers, from, &mut labels, &mut d2);
+        }
+        check_tracker_rounds(&points, &centers, &[1, 4, k / 3, k - 1, k]);
+
+        // The warm counters of one kernel per row grouping, and of the
+        // assignment pass on every backend shape.
+        let once = AssignKernel::new(&centers);
+        let whole = once.assign_warm(&points, 0..n, Some(&truth), &mut labels, &mut d2);
+        let fresh = AssignKernel::new(&centers);
+        let mut pieced = KernelStats::default();
+        for (start, end) in [(0usize, 1usize), (1, 300), (300, 301), (301, n)] {
+            pieced.absorb(fresh.assign_warm(
+                &points,
+                start..end,
+                Some(&truth[start..end]),
+                &mut labels[start..end],
+                &mut d2[start..end],
+            ));
+        }
+        assert_eq!(whole, pieced, "{what}: row grouping changed the counters");
+        assert_eq!(fresh.extended_lists(), once.extended_lists(), "{what}");
+        let exec = Executor::sequential().with_shard_size(64);
+        let (ref_labels, ref_sums) =
+            assign_and_fold(LocalData::from(&points), &centers, &exec, Some(&truth));
+        assert_eq!(ref_labels, truth, "{what}");
+        assert_eq!(ref_sums.stats, whole, "{what}");
+        for block_rows in [1usize, 7, 64, n] {
+            for threads in [1usize, 3] {
+                let exec = if threads == 1 {
+                    Executor::sequential().with_shard_size(64)
+                } else {
+                    Executor::new(kmeans_par::Parallelism::Threads(threads)).with_shard_size(64)
+                };
+                let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+                for data in [LocalData::from(&points), LocalData::Blocks(&source)] {
+                    let (labels, sums) = assign_and_fold(data, &centers, &exec, Some(&truth));
+                    let at = format!("{what} block_rows {block_rows} threads {threads}");
+                    assert_eq!(labels, ref_labels, "{at}");
+                    assert_eq!(sums.stats, ref_sums.stats, "{at}");
+                    assert_eq!(sums.cost.to_bits(), ref_sums.cost.to_bits(), "{at}");
+                }
+            }
+        }
+    }
+}
+
+/// The lane-blocked scan is the canonical distance, bit for bit: every
+/// candidate's lane value equals `sq_dist_bounded(.., ∞)`, on both sides
+/// of every 8-coordinate chunk edge, for candidate counts that leave the
+/// last block part-filled, with exact ties and duplicate centers, and
+/// with squares large enough that a lane's sum reaches `∞` before its
+/// last chunk (where the scalar sum stops) and turns `NaN` after it.
+#[test]
+fn lane_scan_is_the_canonical_distance() {
+    let mut rng = kmeans_util::Rng::new(29);
+    for d in [1usize, 7, 8, 9, 15, 16, 42] {
+        for k in [1usize, 3, 8, 9, 13, 17, 30] {
+            let mut centers = PointMatrix::new(d);
+            for i in 0..k {
+                let row: Vec<f64> = match i % 4 {
+                    // A duplicate of an earlier center.
+                    1 if i > 1 => centers.row(i / 2).to_vec(),
+                    // Coordinates on a coarse grid, so distances tie.
+                    2 => (0..d).map(|_| (rng.normal() * 4.0).round()).collect(),
+                    _ => (0..d).map(|_| rng.normal() * 3.0).collect(),
+                };
+                centers.push(&row).unwrap();
+            }
+            let kernel = AssignKernel::new(&centers);
+            let mut rows: Vec<Vec<f64>> = vec![
+                centers.row(0).to_vec(),
+                (0..d).map(|_| (rng.normal() * 4.0).round()).collect(),
+                (0..d).map(|_| rng.normal() * 3.0).collect(),
+            ];
+            // Overflowing squares: the sum hits ∞ in the first chunk, and
+            // a later ∞ − ∞ is NaN.
+            let mut huge: Vec<f64> = (0..d).map(|_| rng.normal()).collect();
+            huge[0] = 1e300;
+            if d > 8 {
+                huge[d - 1] = f64::INFINITY;
+            }
+            rows.push(huge);
+            let mut out = vec![0.0f64; k];
+            for row in &rows {
+                kernel.lane_scan(row, &mut out);
+                for (c, &v) in out.iter().enumerate() {
+                    let want = sq_dist_bounded(row, centers.row(c), f64::INFINITY);
+                    assert_eq!(
+                        v.to_bits(),
+                        want.to_bits(),
+                        "d {d} k {k} center {c}: lane {v} vs canonical {want}"
+                    );
+                }
+            }
+            // An ∞ center coordinate makes ∞ − ∞ = NaN in the first chunk.
+            if k >= 2 {
+                let mut poisoned = centers.clone();
+                poisoned.row_mut(1)[0] = f64::INFINITY;
+                let kernel = AssignKernel::new(&poisoned);
+                let row: Vec<f64> = (0..d)
+                    .map(|j| if j == 0 { f64::INFINITY } else { 1.0 })
+                    .collect();
+                kernel.lane_scan(&row, &mut out);
+                for (c, &v) in out.iter().enumerate() {
+                    let want = sq_dist_bounded(&row, poisoned.row(c), f64::INFINITY);
+                    assert_eq!(
+                        v.to_bits(),
+                        want.to_bits(),
+                        "poisoned d {d} k {k} center {c}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// One kernel shared by three threads, each sweeping an interleaved third
+/// of the rows, builds the same extensions and counts exactly what a
+/// sequential sweep of a fresh kernel counts, with the same bits.
+#[test]
+fn a_shared_kernel_extends_each_list_once() {
+    let (points, centers) = between_clusters(100, 15, 5);
+    let n = points.len();
+    let (truth, _) = scalar_assign(&points, &centers);
+    let sequential = AssignKernel::new(&centers);
+    let (mut labels, mut d2) = (vec![0u32; n], vec![0.0f64; n]);
+    let mut seq_stats = KernelStats::default();
+    for hints in [None, Some(&truth[..])] {
+        seq_stats.absorb(sequential.assign_warm(&points, 0..n, hints, &mut labels, &mut d2));
+    }
+    assert!(
+        sequential.extended_lists() > 0,
+        "no row reached an extension"
+    );
+
+    let shared = AssignKernel::new(&centers);
+    let start = std::sync::Barrier::new(3);
+    let stats = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..3)
+            .map(|t| {
+                let (shared, points, truth, start) = (&shared, &points, &truth, &start);
+                scope.spawn(move || {
+                    // All three race for the first extensions.
+                    start.wait();
+                    let mut stats = KernelStats::default();
+                    for i in (t..n).step_by(3) {
+                        let (mut l, mut d) = ([0u32], [0.0f64]);
+                        for hints in [None, Some(&truth[i..i + 1])] {
+                            stats.absorb(shared.assign_warm(
+                                points,
+                                i..i + 1,
+                                hints,
+                                &mut l,
+                                &mut d,
+                            ));
+                            assert_eq!(l[0], truth[i], "row {i}");
+                        }
+                    }
+                    stats
+                })
+            })
+            .collect();
+        let mut total = KernelStats::default();
+        for h in handles {
+            total.absorb(h.join().unwrap());
+        }
+        total
+    });
+    assert_eq!(stats, seq_stats, "threads changed the counters");
+    assert_eq!(shared.extended_lists(), sequential.extended_lists());
+}
