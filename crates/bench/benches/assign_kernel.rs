@@ -26,8 +26,7 @@
 //! The `between` rows replace the mixture's last center with the mean of
 //! its first three, so the rows of those three clusters sit between
 //! centers: many reach past the 16-entry prefix of their center's
-//! separation list and finish on its 64-entry extension, and the rows no
-//! list certifies take the lane-blocked scan.
+//! separation list and finish on its 64-entry extension.
 //!
 //! `KMEANS_BENCH_QUICK=1` shrinks the grid and measurement windows for
 //! the CI smoke, which prints its rows instead of merging them into
@@ -81,9 +80,9 @@ fn scalar_update(
 /// The quick between-clusters row's exact kernel counters — (sweep,
 /// distance computations, pruned pairs) — deterministic on any machine.
 const QUICK_BETWEEN: [(&str, u64, u64); 3] = [
-    ("cold", 5_048, 76_872),
+    ("cold", 3_592, 78_328),
     ("warm", 2_837, 79_083),
-    ("update", 1_538, 39_422),
+    ("update", 1_428, 39_532),
 ];
 
 struct Config {

@@ -62,7 +62,7 @@
 use crate::assign::sum_shard_size;
 use crate::distance::sq_dist_bounded;
 use crate::error::KMeansError;
-use crate::kernel::{AssignKernel, KernelStats, Memo, BOUND_FLOOR};
+use crate::kernel::{AssignKernel, KernelStats, BOUND_FLOOR};
 use kmeans_data::{ChunkedSource, DataError, PointMatrix};
 use kmeans_par::Executor;
 use std::ops::Range;
@@ -583,29 +583,13 @@ pub(crate) fn assign_pass<'h>(
             let mut d2 = vec![0.0f64; p.rows.len()];
             let mut scratch = Vec::new();
             let piece_hints = hints.rows(first..first + p.rows.len(), labels, &mut scratch);
+            let stats = kernel.assign_warm(p.block, p.rows.clone(), piece_hints, labels, &mut d2);
             let (mut shard, mut shard_stats) =
                 carry.unwrap_or_else(|| (AccumShard::new(k, d), KernelStats::default()));
-            match bounds {
-                // One row at a time, so each row's bound can read what its
-                // sweep just evaluated.
-                Some(bounds) => {
-                    let hint = |off: usize| piece_hints.map_or(u32::MAX, |h| h[off]);
-                    let mut memo = Memo::new();
-                    for (off, b) in bounds.iter_mut().enumerate() {
-                        let row = p.block.row(p.rows.start + off);
-                        let (label, dist, lower) =
-                            kernel.nearest_bounded(row, hint(off), &mut memo, &mut shard_stats);
-                        (labels[off], d2[off]) = (label, dist);
-                        *b = Bounds::swept(&kernel, dist, lower);
-                    }
-                }
-                None => shard_stats.absorb(kernel.assign_warm(
-                    p.block,
-                    p.rows.clone(),
-                    piece_hints,
-                    labels,
-                    &mut d2,
-                )),
+            shard_stats.absorb(stats);
+            for (off, b) in bounds.into_iter().flatten().enumerate() {
+                let row = p.block.row(p.rows.start + off);
+                *b = Bounds::swept(&kernel, row, labels[off], d2[off], &mut shard_stats);
             }
             for (off, &dist) in d2.iter().enumerate() {
                 shard.cost += dist;
@@ -639,16 +623,21 @@ pub(crate) struct Bounds {
 }
 
 impl Bounds {
-    /// The bounds of a row the kernel just swept
-    /// ([`AssignKernel::nearest_bounded`]) to its nearest center at
-    /// canonical squared distance `dist`: the distance itself, inflated by
-    /// the kernel's slack, above, and the winner's own-list bound `lower`
+    /// The bounds of a row the kernel just swept to `label` at canonical
+    /// squared distance `dist`: the distance itself, inflated by the
+    /// kernel's slack, above, and the winner's own-list bound
     /// ([`AssignKernel::other_bound`]) below — so a row's bounds depend on
     /// the row and the centers alone, never on the seed of its search.
-    fn swept(kernel: &AssignKernel, dist: f64, lower: f64) -> Self {
+    fn swept(
+        kernel: &AssignKernel,
+        row: &[f64],
+        label: u32,
+        dist: f64,
+        stats: &mut KernelStats,
+    ) -> Self {
         Bounds {
             upper: up32(dist.sqrt() * (1.0 + kernel.guard()) + BOUND_FLOOR),
-            lower: down32(lower),
+            lower: down32(kernel.other_bound(row, label, dist, stats)),
         }
     }
 }
@@ -782,7 +771,6 @@ pub(crate) fn refine_pass(
             });
             let row = |off: usize| p.block.row(p.rows.start + off);
             let mut dirty = vec![false; k];
-            let mut memo = Memo::new();
             for off in 0..len {
                 let old = labels[off];
                 if let Some(moved) = settler.settle(old, bounds[off]) {
@@ -790,9 +778,8 @@ pub(crate) fn refine_pass(
                     fold.settled += 1;
                     continue;
                 }
-                let (label, dist, lower) =
-                    kernel.nearest_bounded(row(off), old, &mut memo, &mut fold.stats);
-                bounds[off] = Bounds::swept(&kernel, dist, lower);
+                let (label, dist) = kernel.nearest_warm(row(off), old, &mut fold.stats);
+                bounds[off] = Bounds::swept(&kernel, row(off), label, dist, &mut fold.stats);
                 if label != old {
                     let was = sq_dist_bounded(row(off), centers.row(old as usize), f64::INFINITY);
                     fold.stats.distance_computations += 1;

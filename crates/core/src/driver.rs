@@ -978,8 +978,7 @@ pub fn fold_tracker_round(
 /// counts and kernel counters, folds their accumulation-shard partials in
 /// row order with [`fold_accum_shards`] (each must have the shape of `k`
 /// centers in `d` dimensions), and — when `fetch` owes labels —
-/// concatenates every part's labels into one buffer allocated once,
-/// moving a single part's.
+/// concatenates every part's labels, moving a single part's.
 pub fn fold_assign(
     k: usize,
     d: usize,
@@ -988,13 +987,7 @@ pub fn fold_assign(
 ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
     let reassigned = parts.iter().map(|p| p.reassigned).sum();
     let mut sums = fold_accum_shards(k, d, parts.iter().flat_map(|p| &p.shards));
-    // One buffer for every part's labels, sized by the labels the parts
-    // sent: growing the first part's would reallocate while both live.
-    let single = parts.len() == 1;
-    let mut labels = fetch.owed().then(|| {
-        let sent = parts.iter().map(|p| p.labels.as_ref().map_or(0, Vec::len));
-        Vec::with_capacity(if single { 0 } else { sent.sum() })
-    });
+    let mut labels = fetch.owed().then(Vec::new);
     for (i, part) in parts.into_iter().enumerate() {
         if part
             .shards
@@ -1009,11 +1002,7 @@ pub fn fold_assign(
                 .labels
                 .ok_or_else(|| part_err(i, "withheld labels it owed"))?;
             check_len(i, owed.len(), part.rows, "labels")?;
-            if single {
-                *all = owed;
-            } else {
-                all.extend(owed);
-            }
+            append(all, owed);
         }
     }
     Ok((reassigned, sums, labels))

@@ -25,10 +25,9 @@
 //!                       | (cold) binary-search x[j*], proxy-pick nearby
 //!                (warm/cold: one canonical evaluation gives D_s) →
 //!                D_s below the overflow limit of s's 16-entry list, or
-//!                of its 64-entry extension: evaluate the listed
+//!                of its 64-entry extension while D_s reaches the limits
+//!                of fewer than ¾ of the candidates: evaluate the listed
 //!                candidates whose limit D_s reaches, done →
-//!                the key gap at the best keeps ≥ ¾ of the candidates:
-//!                the lane-blocked canonical scan over them, done →
 //!                otherwise walk outward
 //!                (alternating sides in chunks of 8):
 //!
@@ -77,11 +76,12 @@
 //!   below the seed's overflow limit evaluates only the listed candidates
 //!   whose limit is `≤ D_s` and is done: every other candidate `c` has
 //!   `D_s < limit(S_sc)`, which proves it strictly farther than `D_s`
-//!   (below). Otherwise the outward walk runs from the seed, exactly as
-//!   without lists. The seeds that qualify are the update's tracked
-//!   center (its row is never even read when nothing on the list needs
-//!   evaluating), the warm hint, and the cold proxy seed once its
-//!   evaluation has strictly improved on the carried best (an abandoned
+//!   (below). Otherwise (past an own list's extension, below) the
+//!   outward walk runs from the seed, exactly as without lists. The
+//!   seeds that qualify are the update's tracked center (its row is
+//!   never even read when nothing on the list needs evaluating), the
+//!   warm hint, and the cold proxy seed once its evaluation has strictly
+//!   improved on the carried best (an abandoned
 //!   evaluation is not a complete distance). The old *half-separation
 //!   certificate* — `4·D_a < S_a` with `S_a` the smallest separation of
 //!   `a`, finishing the point after one evaluation — is the zero-length
@@ -93,9 +93,7 @@
 //!   SIMD), the `O(1)` filters stream the compact feature arrays, and
 //!   only candidates no filter could reject (≈ the actual winners) are
 //!   computed in the canonical accumulation order — *only these values
-//!   ever update the result state*. A row whose walk would keep most
-//!   candidates anyway takes the lane-blocked scan instead: 8 candidates
-//!   at a time, one per SIMD lane, each lane in the canonical order.
+//!   ever update the result state*.
 //!
 //! # The bit-parity argument
 //!
@@ -132,44 +130,32 @@
 //!
 //! A row near the boundary of its center's cluster can have a distance
 //! `D_s` at or above its seed's overflow limit: no 16-entry list
-//! certifies it. Two pure functions of the row and the candidates take
-//! the work the walk used to do.
+//! certifies it. Every own list (a candidate's list over the other
+//! candidates) therefore has an extension to `64` entries, the same kind
+//! of list with its own overflow limit, built by the kernel's list walk
+//! for that one owner under a `OnceLock` the first time a row's `D_s`
+//! reaches the 16-entry overflow limit. The carried lower bound then
+//! reads the extension instead of the eager list, so a row between
+//! clusters gets a lower bound that reaches past the 16 nearest centers,
+//! tight enough to settle it in later bounded Lloyd passes.
 //!
-//! * **List extensions.** Every own list (a candidate's list over the
-//!   other candidates) has an extension to `64` entries, the same kind of
-//!   list with its own overflow limit, built by the kernel's list walk
-//!   for that one owner under a `OnceLock` the first time a row's `D_s`
-//!   reaches the 16-entry overflow limit. The list step and the carried
-//!   lower bound then run the extension instead of the eager list, so a
-//!   row between clusters finishes on a list and its lower bound reaches
-//!   past the 16 nearest centers, tight enough to settle it in later
-//!   bounded Lloyd passes. Which list a row runs depends on `D_s` and the
-//!   eager overflow limit alone, never on whether another row built the
-//!   extension first, so the counters stay a function of each row. The
-//!   extensions are lazy because eager 64-entry lists make a kernel build
-//!   2–3× as long (at k = 100, d = 42: 330–346 µs against 116–153 µs),
-//!   and most kernels (every Lloyd kernel of a `KddLike` fit, for one)
-//!   never need them. Cross lists (from earlier
-//!   centers into an update's suffix) have no extension: a tracked row
-//!   their 16 entries cannot finish is usually far from the tracked
-//!   center, where the cold seed's own list is far cheaper than
-//!   evaluating the many extension entries its distance reaches.
-//! * **The lane-blocked scan.** A row no list certifies, whose walk would
-//!   keep at least ¾ of the candidates by the walk's own key-gap test at
-//!   the seed's best, evaluates every candidate that test keeps (the seed
-//!   aside) from a dim-major copy of the sorted candidates, built on
-//!   first need: 8 candidates per block, one per lane. Each lane runs the
-//!   canonical operations of `sq_dist_bounded(.., ∞)` in their order
-//!   (`sq_chunk8`'s local sum per 8 coordinates added onto the total,
-//!   which stops at `∞`, then `sq_tail`'s remainder), so every lane value
-//!   has the scalar bits: the lanes are candidates, and vectorizing across
-//!   them reorders no addition. The sweep's selection and
-//!   tie rule then take the values one by one. A complete value selects
-//!   what the walk's abandoned one would have (both exceed the best when
-//!   either does), the candidates the key gap drops are strictly farther
-//!   as in the walk, NaN-key candidates are evaluated after the scan as
-//!   after the walk, and every pair still counts once as computed or
-//!   pruned.
+//! The list step runs the extension too, so such a row finishes on a
+//! list, unless the entries whose limit `D_s` reaches make up ¾ of the
+//! other candidates or more: the step evaluates them one pair at a time
+//! behind the key and second-coordinate gaps alone, and the walk, whose
+//! norm filter drops more of them, finishes such a *crowded* row for
+//! less. Which list a row runs depends on `D_s` and the list's limits
+//! alone, never on whether another row built the extension first, so the
+//! counters stay a function of each row.
+//!
+//! The extensions are lazy because eager 64-entry lists make a kernel
+//! build 2–3× as long (at k = 100, d = 42: 330–346 µs against
+//! 116–153 µs), and most kernels never need them (on `KddLike` data at
+//! k = 100, 2 over 79 full-center kernels). Cross lists (from earlier
+//! centers into an update's suffix) have no extension: a tracked row
+//! their 16 entries cannot finish is usually far from the tracked center,
+//! where the cold seed's own list is far cheaper than evaluating the many
+//! extension entries its distance reaches.
 //!
 //! # Carried bounds
 //!
@@ -177,17 +163,15 @@
 //! calling the kernel at all, on two bounds per row that the kernel
 //! provides: the upper bound `√D·(1+g)` to the row's nearest center `w`
 //! at canonical `d²` `D`, and a lower bound to every other center read
-//! from `w`'s own separation list (`other_bound`) — the list the list
-//! step runs at `D`, its extension included: the listed centers whose
-//! limit `D` reaches are evaluated canonically, and every other center
-//! `c` is at least `√S_wc − √D` away by the triangle inequality, with
-//! `√(4·limit)` standing for `√S` (the limit's `(1−g)/(1+g)` factor
-//! makes it smaller). When the sweep's own list step has just evaluated
-//! them (the seed is the row's nearest), the bound skips each evaluation
-//! whose value the step already proved cannot lower it, with the same
-//! bits (`other_bound`). The bounds bound *true* distances: each term
-//! carries the `g = (2d+16)·ε` slack below against the canonical value's
-//! relative error, plus an absolute `1e-150` for squares that underflow.
+//! from `w`'s own separation list (`other_bound`) — the eager list, or
+//! its extension once `D` reaches the eager overflow limit: the listed
+//! centers whose limit `D` reaches are evaluated canonically, and every
+//! other center `c` is at least `√S_wc − √D` away by the triangle
+//! inequality, with `√(4·limit)` standing for `√S` (the limit's
+//! `(1−g)/(1+g)` factor makes it smaller). The bounds bound *true*
+//! distances: each term carries the `g = (2d+16)·ε` slack below against
+//! the canonical value's relative error, plus an absolute `1e-150` for
+//! squares that underflow.
 //! A pass that settles a row on them (its upper bound, moved by its
 //! center's drift, below its lower bound, moved by the largest other
 //! drift — both again with the slack) has proven the row's canonical
@@ -312,9 +296,6 @@ const LIST_LEN: usize = 16;
 /// first row whose distance reaches the owner's `LIST_LEN`-entry
 /// overflow limit (module docs, "Rows between clusters").
 const LONG_LEN: usize = 64;
-
-/// Candidates per block of the lane-blocked scan: one lane each.
-const LANES: usize = 8;
 
 /// Smallest center separation `S` a certificate limit accepts: `2⁻⁹⁷⁰`,
 /// far above the subnormal range, so the absolute error of squares that
@@ -447,11 +428,6 @@ pub struct AssignKernel {
     /// carried-state contract of [`AssignKernel::update`].
     #[cfg(debug_assertions)]
     earlier: PointMatrix,
-    /// The sorted candidate rows dim-major, `LANES` candidates per block
-    /// (block `b`, coordinate `j`, lane `l` at `(b·dim + j)·LANES + l`,
-    /// the last block padded with zeros) — the lane-blocked scan's copy,
-    /// built by the first row that takes the scan.
-    lanes: OnceLock<Vec<f64>>,
 }
 
 /// One separation-list entry: a candidate (by sorted position) and its
@@ -489,27 +465,6 @@ impl SepLists {
     fn get(&self, s: usize) -> Option<(&[Near], f64)> {
         let over = *self.over.get(s)?;
         Some((&self.near[s * self.stride..(s + 1) * self.stride], over))
-    }
-}
-
-/// What the separation-list step leaves for [`AssignKernel::other_bound`]
-/// when it runs the list of a seed that stays the row's nearest center:
-/// the value of every listed candidate it evaluated (`NaN` for one the gap
-/// filters dropped), so that the bound can skip the evaluations those
-/// values already settle. One per piece of rows, reused row after row
-/// ([`AssignKernel::nearest_bounded`]).
-pub(crate) struct Memo {
-    /// The entries the last list step covered: `values[..len]`.
-    len: usize,
-    values: [f64; LONG_LEN],
-}
-
-impl Memo {
-    pub(crate) fn new() -> Self {
-        Memo {
-            len: 0,
-            values: [f64::NAN; LONG_LEN],
-        }
     }
 }
 
@@ -624,7 +579,6 @@ impl AssignKernel {
             #[cfg(debug_assertions)]
             earlier: PointMatrix::from_flat(centers.as_slice()[..from * dim].to_vec(), dim)
                 .expect("a prefix of a center matrix is a center matrix"),
-            lanes: OnceLock::new(),
         };
         // Lists exist only over tame candidates (every separation finite,
         // and the sorted-key walk sees every candidate), and depend on
@@ -937,7 +891,7 @@ impl AssignKernel {
             };
             if !(tracked && self.tracked_step(row, labels[slot], &mut state, &mut stats)) {
                 let hint = hints.and_then(|h| Some(*self.pos.get(h[slot] as usize)? as usize));
-                self.search(row, hint, &mut state, &mut stats, None);
+                self.search(row, hint, &mut state, &mut stats);
             }
             d2[slot] = state.best;
             if state.new_label != u32::MAX {
@@ -955,64 +909,41 @@ impl AssignKernel {
     /// sorted position `hint` (or the cold seed search), or — for tiny
     /// candidate sets and non-finite points — a plain sorted scan, every
     /// candidate canonically checked (the exact arithmetic of the scalar
-    /// loop, in sorted order). Returns the sorted position of the seed
-    /// whose separation-list step finished the row, if one did; `memo`,
-    /// when given, receives that step's evaluations.
+    /// loop, in sorted order).
     #[inline]
-    fn search(
-        &self,
-        row: &[f64],
-        hint: Option<usize>,
-        state: &mut State,
-        stats: &mut KernelStats,
-        memo: Option<&mut Memo>,
-    ) -> Option<usize> {
+    fn search(&self, row: &[f64], hint: Option<usize>, state: &mut State, stats: &mut KernelStats) {
         let m = self.order.len();
         if m >= PRUNE_MIN_CANDIDATES && row[self.key_dim].is_finite() {
-            return self.scan_pruned(row, hint, state, stats, memo);
+            self.scan_pruned(row, hint, state, stats);
+        } else {
+            for pos in 0..m {
+                stats.distance_computations += 1;
+                self.evaluate(row, pos, state);
+            }
         }
-        for pos in 0..m {
-            stats.distance_computations += 1;
-            self.evaluate(row, pos, state);
-        }
-        None
     }
 
     /// [`AssignKernel::assign_warm`] for one row seeded at center `hint`:
-    /// its label and canonical `d²`, the same bits the batch sweep writes,
-    /// and [`AssignKernel::other_bound`] for them. When the seed's own list
-    /// finished the row and the seed is its nearest center, the bound
-    /// reads the list step's evaluations and skips those they settle,
-    /// which leaves every bit of the bound as it is and saves only
-    /// evaluations.
-    pub(crate) fn nearest_bounded(
+    /// its label and canonical `d²`, the same bits the batch sweep writes.
+    pub(crate) fn nearest_warm(
         &self,
         row: &[f64],
         hint: u32,
-        memo: &mut Memo,
         stats: &mut KernelStats,
-    ) -> (u32, f64, f64) {
-        debug_assert_eq!(self.from, 0, "nearest_bounded on a suffix kernel");
+    ) -> (u32, f64) {
+        debug_assert_eq!(self.from, 0, "nearest_warm on a suffix kernel");
         let mut state = State {
             best: f64::INFINITY,
             new_label: u32::MAX,
         };
-        memo.len = 0;
         let hint = self.pos.get(hint as usize).map(|&p| p as usize);
-        let listed = self.search(row, hint, &mut state, stats, Some(memo));
+        self.search(row, hint, &mut state, stats);
         let label = if state.new_label == u32::MAX {
             0
         } else {
             state.new_label
         };
-        let seed_won =
-            listed.is_some() && listed == self.pos.get(label as usize).map(|&p| p as usize);
-        let memo = seed_won.then_some(&*memo);
-        (
-            label,
-            state.best,
-            self.other_bound(row, label, state.best, memo, stats),
-        )
+        (label, state.best)
     }
 
     /// The kernel's slack coefficient `g = (2d+16)·ε` (module docs).
@@ -1048,23 +979,14 @@ impl AssignKernel {
     /// absolute [`BOUND_FLOOR`], so the bound stays below the true distance
     /// however the canonical values round. `∞` for a single center; `0.0`
     /// when the kernel keeps no usable list for `label` or `dist` is not
-    /// finite. The list is the one the list step runs at `dist`: the
-    /// eager list, or its extension once `dist` reaches the eager
-    /// overflow limit.
-    ///
-    /// `memo` holds the list step's evaluations of this list at `dist`,
-    /// when the step ran it. Each is the canonical value or a partial sum
-    /// of it, so one at or above the threshold `stop²` at which the
-    /// bound's own evaluation would stop means that evaluation would
-    /// return at least `stop²` too, which leaves the bound as it is
-    /// whenever `stop²` itself does: the bound skips it and keeps its
-    /// bits. Every other entry is evaluated.
-    fn other_bound(
+    /// finite. The list is the eager list, or its extension once `dist`
+    /// reaches the eager overflow limit, whether or not the list step
+    /// runs it.
+    pub(crate) fn other_bound(
         &self,
         row: &[f64],
         label: u32,
         dist: f64,
-        memo: Option<&Memo>,
         stats: &mut KernelStats,
     ) -> f64 {
         if self.order.len() == 1 {
@@ -1093,8 +1015,7 @@ impl AssignKernel {
         let mut bound = rest.map_or(f64::INFINITY, |limit| {
             ((4.0 * limit).sqrt() - root) * (1.0 - g)
         });
-        let lower = |dc: f64| dc.sqrt() * (1.0 - g) - BOUND_FLOOR;
-        for (i, e) in near[..cut].iter().enumerate() {
+        for e in &near[..cut] {
             if bound <= 0.0 {
                 break; // nothing can raise it back above 0
             }
@@ -1102,14 +1023,9 @@ impl AssignKernel {
             // so its evaluation may stop there: a partial sum is at most
             // the canonical value, and still bounds it from below.
             let stop = (bound + BOUND_FLOOR) / (1.0 - g);
-            let thr = stop * stop;
-            let known = memo.and_then(|m| m.values[..m.len].get(i));
-            if known.is_some_and(|&v| v >= thr) && lower(thr) >= bound {
-                continue;
-            }
             stats.distance_computations += 1;
-            let dc = sq_dist_bounded(row, self.rows.row(e.pos as usize), thr);
-            bound = bound.min(lower(dc));
+            let dc = sq_dist_bounded(row, self.rows.row(e.pos as usize), stop * stop);
+            bound = bound.min(dc.sqrt() * (1.0 - g) - BOUND_FLOOR);
         }
         bound.max(0.0)
     }
@@ -1185,7 +1101,7 @@ impl AssignKernel {
         }
         match self.cross.get(a) {
             Some((near, over)) if dist < over => {
-                self.list_step(row, near, dist, self.order.len(), state, stats, None);
+                self.list_step(row, near, dist, self.order.len(), state, stats);
                 true
             }
             _ => false,
@@ -1198,9 +1114,7 @@ impl AssignKernel {
     /// below strictly farther than `dist`; each listed candidate it cannot
     /// rule out still meets the margin-free key and second-coordinate gap
     /// filters before it is evaluated. Everything not evaluated out of the
-    /// `rest` candidates counts as pruned. A `memo` receives the value of
-    /// each listed entry the step covered.
-    #[allow(clippy::too_many_arguments)]
+    /// `rest` candidates counts as pruned.
     #[inline(always)]
     fn list_step(
         &self,
@@ -1210,17 +1124,13 @@ impl AssignKernel {
         rest: usize,
         state: &mut State,
         stats: &mut KernelStats,
-        mut memo: Option<&mut Memo>,
     ) {
         let mut evaluated = 0;
-        let mut seen = 0;
         let mut binv = self.threshold(state.best);
         for e in near {
             if e.limit > dist {
                 break;
             }
-            let i = seen;
-            seen += 1;
             let pos = e.pos as usize;
             let gk = row[self.key_dim] - self.keys[pos];
             let gs = if self.dim > 1 {
@@ -1229,23 +1139,14 @@ impl AssignKernel {
                 0.0
             };
             if gk * gk > binv || gs * gs > binv {
-                if let Some(memo) = memo.as_deref_mut() {
-                    memo.values[i] = f64::NAN;
-                }
                 continue;
             }
             evaluated += 1;
             let before = state.best;
-            let dj = self.evaluate(row, pos, state);
-            if let Some(memo) = memo.as_deref_mut() {
-                memo.values[i] = dj;
-            }
+            self.evaluate(row, pos, state);
             if state.best < before {
                 binv = self.threshold(state.best);
             }
-        }
-        if let Some(memo) = memo {
-            memo.len = seen;
         }
         stats.distance_computations += evaluated as u64;
         stats.pruned_by_norm_bound += (rest - evaluated) as u64;
@@ -1256,7 +1157,10 @@ impl AssignKernel {
     /// best (so `state.best` is its complete canonical distance) and the
     /// distance is below the overflow limit of the seed's list or of its
     /// extension, runs the list step over the other `m − 1` candidates
-    /// and returns `true`, the step's evaluations left in `memo`.
+    /// and returns `true`. An extension runs only while the entries its
+    /// limits leave to evaluate stay below ¾ of those candidates: past
+    /// that share the walk's norm filter drops more of them (module docs,
+    /// "Rows between clusters").
     #[inline]
     fn own_step(
         &self,
@@ -1264,15 +1168,19 @@ impl AssignKernel {
         seed: usize,
         state: &mut State,
         stats: &mut KernelStats,
-        memo: Option<&mut Memo>,
     ) -> bool {
         if state.new_label == u32::MAX {
             return false;
         }
         let dist = state.best;
+        let others = self.order.len() - 1;
         match self.reach(seed, dist) {
-            Some((near, over)) if dist < over => {
-                self.list_step(row, near, dist, self.order.len() - 1, state, stats, memo);
+            Some((near, over))
+                if dist < over
+                    && (near.len() <= LIST_LEN
+                        || 4 * near.partition_point(|e| e.limit <= dist) < 3 * others) =>
+            {
+                self.list_step(row, near, dist, others, state, stats);
                 true
             }
             _ => false,
@@ -1282,50 +1190,43 @@ impl AssignKernel {
     /// The annulus sweep for one point (finite sort key, pruning
     /// enabled): seed at the warm hint's sorted position when given, or
     /// else near the key-nearest candidate; run the seed's
-    /// separation-list step, which finishes most points; otherwise, when
-    /// the key gap at the seed's best keeps at least ¾ of the candidates,
-    /// run the lane-blocked scan over them, or else walk each side outward
-    /// until the monotone key-gap bound certifies the rest of that side
-    /// out wholesale. Returns the seed's sorted position when its list
-    /// step finished the row.
+    /// separation-list step, which finishes most points; otherwise walk
+    /// each side outward until the monotone key-gap bound certifies the
+    /// rest of that side out wholesale.
     fn scan_pruned(
         &self,
         row: &[f64],
         hint: Option<usize>,
         state: &mut State,
         stats: &mut KernelStats,
-        memo: Option<&mut Memo>,
-    ) -> Option<usize> {
+    ) {
         let m = self.order.len();
         let fin = self.finite_keys;
         let xk = row[self.key_dim];
         let xs = if self.dim > 1 { row[self.sec_dim] } else { 0.0 };
         let (seed, xn) = match hint {
-            Some(pos) => (pos, None),
+            Some(pos) => {
+                stats.distance_computations += 1;
+                self.evaluate(row, pos, state);
+                if self.own_step(row, pos, state, stats) {
+                    return;
+                }
+                (pos, norm(row))
+            }
             None => {
                 let xn = norm(row);
-                (self.proxy_seed(xk, xs, xn), Some(xn))
+                let seed = self.proxy_seed(xk, xs, xn);
+                stats.distance_computations += 1;
+                self.evaluate(row, seed, state);
+                if self.own_step(row, seed, state, stats) {
+                    return;
+                }
+                (seed, xn)
             }
         };
-        stats.distance_computations += 1;
-        self.evaluate(row, seed, state);
-        if self.own_step(row, seed, state, stats, memo) {
-            return Some(seed);
-        }
-        let mut binv = self.threshold(state.best);
-        let window = self.key_window(xk, binv);
-        if 4 * window.len() >= 3 * m {
-            let seen = window.len() - usize::from(window.contains(&seed));
-            let dropped = fin - window.len() - usize::from(seed < fin && !window.contains(&seed));
-            self.scan_lanes(row, window, seed, state);
-            stats.distance_computations += seen as u64;
-            stats.pruned_by_norm_bound += dropped as u64;
-            self.scan_nan_keys(row, seed, state, stats);
-            return None;
-        }
-        let xn = xn.unwrap_or_else(|| norm(row));
         let guard = self.guard;
         let gx = guard * xn; // NaN-safe: a NaN margin just never prunes
+        let mut binv = self.threshold(state.best);
 
         // Outward walks over the finite-key region, alternating sides in
         // chunks of 8 (predictable inner loops; the alternation bounds
@@ -1387,102 +1288,16 @@ impl AssignKernel {
                 break;
             }
         }
-        self.scan_nan_keys(row, seed, state, stats);
-        None
-    }
-
-    /// NaN-key candidates (non-finite center coordinates in the sort
-    /// dimension) are never covered by the side stops: scan them
-    /// unconditionally. The seed can land here when every key is NaN —
-    /// skip its re-evaluation.
-    fn scan_nan_keys(&self, row: &[f64], seed: usize, state: &mut State, stats: &mut KernelStats) {
-        for pos in self.finite_keys..self.order.len() {
+        // NaN-key candidates (non-finite center coordinates in the sort
+        // dimension) are never covered by the side stops: scan them
+        // unconditionally. The seed can land here when every key is NaN
+        // — skip its re-evaluation.
+        for pos in fin..m {
             if pos == seed {
                 continue;
             }
             stats.distance_computations += 1;
             self.evaluate(row, pos, state);
-        }
-    }
-
-    /// The sorted positions, among the finite keys, that the walk's key
-    /// gap test keeps at threshold `binv` (`(x[j*]−c[j*])² > binv` drops
-    /// a candidate): one run, since the gap grows monotonically on both
-    /// sides of the row's key.
-    fn key_window(&self, xk: f64, binv: f64) -> Range<usize> {
-        let keys = &self.keys[..self.finite_keys];
-        let split = keys.partition_point(|&v| v < xk);
-        let lo = keys[..split].partition_point(|&v| {
-            let gk = xk - v;
-            gk * gk > binv
-        });
-        let hi = split
-            + keys[split..].partition_point(|&v| {
-                let gk = v - xk;
-                (gk * gk).partial_cmp(&binv) != Some(std::cmp::Ordering::Greater)
-            });
-        lo..hi
-    }
-
-    /// The lane-blocked canonical scan: evaluates every candidate in
-    /// `window` but the seed with [`AssignKernel::evaluate`]'s selection
-    /// rule, `LANES` candidates at a time, each lane in the canonical
-    /// order ([`lane_distances`]). The values are complete rather than
-    /// abandoned at the best, which selects the same candidates: an
-    /// abandoned value and the complete one above it both exceed the best.
-    fn scan_lanes(&self, row: &[f64], window: Range<usize>, seed: usize, state: &mut State) {
-        let cols = self.lanes.get_or_init(|| self.dim_major());
-        let width = self.dim * LANES;
-        let mut dist = [0.0f64; LANES];
-        for b in window.start / LANES..window.end.div_ceil(LANES) {
-            lane_distances(row, &cols[b * width..(b + 1) * width], &mut dist);
-            let base = b * LANES;
-            for pos in window.start.max(base)..window.end.min(base + LANES) {
-                if pos != seed {
-                    self.select(pos, dist[pos - base], state);
-                }
-            }
-        }
-    }
-
-    /// The sorted candidate rows dim-major in blocks of `LANES` (the
-    /// layout of [`AssignKernel::lanes`]).
-    fn dim_major(&self) -> Vec<f64> {
-        let d = self.dim;
-        let mut cols = vec![0.0; self.order.len().div_ceil(LANES) * d * LANES];
-        for pos in 0..self.order.len() {
-            let (b, l) = (pos / LANES, pos % LANES);
-            for (j, &v) in self.rows.row(pos).iter().enumerate() {
-                cols[(b * d + j) * LANES + l] = v;
-            }
-        }
-        cols
-    }
-
-    /// Every candidate's canonical squared distance from `row`, in center
-    /// order, by the lane-blocked scan: `sq_dist_bounded(row, c, ∞)` bit
-    /// for bit, `LANES` candidates at a time (module docs, "Rows between
-    /// clusters").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` does not have the centers' dimensionality or `out`
-    /// does not have one slot per candidate (`k − from`).
-    pub fn lane_scan(&self, row: &[f64], out: &mut [f64]) {
-        assert_eq!(row.len(), self.dim, "AssignKernel::lane_scan: dim mismatch");
-        assert_eq!(
-            out.len(),
-            self.order.len(),
-            "AssignKernel::lane_scan: out length"
-        );
-        let cols = self.lanes.get_or_init(|| self.dim_major());
-        let width = self.dim * LANES;
-        let mut dist = [0.0f64; LANES];
-        for (b, block) in self.order.chunks(LANES).enumerate() {
-            lane_distances(row, &cols[b * width..(b + 1) * width], &mut dist);
-            for (&c, &v) in block.iter().zip(&dist) {
-                out[c as usize - self.from] = v;
-            }
         }
     }
 
@@ -1604,18 +1419,9 @@ impl AssignKernel {
     /// value then proves `canonical > best`, so neither an improvement
     /// nor an exact tie can be missed.
     #[inline]
-    fn evaluate(&self, row: &[f64], pos: usize, state: &mut State) -> f64 {
-        let dj = sq_dist_bounded(row, self.rows.row(pos), state.best.next_up());
-        self.select(pos, dj, state);
-        dj
-    }
-
-    /// [`AssignKernel::evaluate`]'s selection rule for sorted candidate
-    /// `pos` at value `dj`: its canonical distance, or a partial sum of it
-    /// that exceeds the best.
-    #[inline(always)]
-    fn select(&self, pos: usize, dj: f64, state: &mut State) {
+    fn evaluate(&self, row: &[f64], pos: usize, state: &mut State) {
         let c = self.order[pos];
+        let dj = sq_dist_bounded(row, self.rows.row(pos), state.best.next_up());
         if dj < state.best {
             state.best = dj;
             state.new_label = c;
@@ -1632,50 +1438,6 @@ impl AssignKernel {
 struct State {
     best: f64,
     new_label: u32,
-}
-
-/// The canonical squared distances from `x` to the `LANES` candidates of
-/// one dim-major block (`block[j·LANES + l]` is coordinate `j` of lane
-/// `l`): each lane runs [`sq_dist_bounded`]'s operations with an infinite
-/// bound in their exact order — per 8 coordinates a local sum
-/// `(((d₀²+d₁²)+d₂²)+…)+d₇²` added onto the lane's total, which stops
-/// once it reaches `∞`, then the remainder added onto the total one
-/// coordinate at a time — so every lane's value has the scalar bits. The
-/// lanes are independent, which lets the compiler run them in SIMD
-/// registers without changing any lane's order.
-#[inline]
-fn lane_distances(x: &[f64], block: &[f64], out: &mut [f64; LANES]) {
-    // One `[f64; LANES]` per coordinate.
-    let (cols, _) = block.as_chunks::<LANES>();
-    let (chunks, tail) = x.as_chunks::<8>();
-    let (head, rest) = cols.split_at(chunks.len() * 8);
-    let mut acc = [0.0f64; LANES];
-    for (xs, cs) in chunks.iter().zip(head.chunks_exact(8)) {
-        let mut local = [0.0f64; LANES];
-        for (&xv, c) in xs.iter().zip(cs) {
-            for l in 0..LANES {
-                let diff = xv - c[l];
-                local[l] += diff * diff;
-            }
-        }
-        for l in 0..LANES {
-            acc[l] = if acc[l] == f64::INFINITY {
-                acc[l]
-            } else {
-                acc[l] + local[l]
-            };
-        }
-    }
-    let stopped = acc.map(|a| a == f64::INFINITY);
-    for (&xv, c) in tail.iter().zip(rest) {
-        for l in 0..LANES {
-            let diff = xv - c[l];
-            acc[l] += diff * diff;
-        }
-    }
-    for l in 0..LANES {
-        out[l] = if stopped[l] { f64::INFINITY } else { acc[l] };
-    }
 }
 
 /// Whether a row may take part in the separation lists: every coordinate
@@ -1932,54 +1694,6 @@ mod tests {
             ));
         }
         assert_eq!(whole, pieced);
-    }
-
-    /// The lower bound a sweep reads from its list step's evaluations is
-    /// the bound evaluated afresh, bit for bit, for any seed, on lists and
-    /// their extensions, and it saves evaluations overall; the sweep's own
-    /// counters are those of the batch sweep.
-    #[test]
-    fn bounds_read_from_the_list_step_keep_their_bits() {
-        let mut rng = Rng::new(19);
-        for (k, d, spread) in [(12usize, 3usize, 0.5), (40, 7, 2.0), (100, 15, 3.0)] {
-            let centers = random_matrix(k, d, &mut rng, 10.0);
-            let mut points = PointMatrix::new(d);
-            for i in 0..800 {
-                let scale = spread * (1 + i % 4) as f64;
-                let row: Vec<f64> = centers
-                    .row(i % k)
-                    .iter()
-                    .map(|v| v + rng.normal() * scale)
-                    .collect();
-                points.push(&row).unwrap();
-            }
-            let kernel = AssignKernel::new(&centers);
-            let (labels, d2) = scalar_assign(&points, &centers);
-            let mut memo = Memo::new();
-            let (mut bounded, mut apart) = (KernelStats::default(), KernelStats::default());
-            for (i, row) in points.rows().enumerate() {
-                for hint in [labels[i], u32::MAX, (i % k) as u32] {
-                    let (label, dist, lower) =
-                        kernel.nearest_bounded(row, hint, &mut memo, &mut bounded);
-                    assert_eq!((label, dist.to_bits()), (labels[i], d2[i].to_bits()));
-                    let fresh = kernel.other_bound(row, label, dist, None, &mut apart);
-                    assert_eq!(
-                        lower.to_bits(),
-                        fresh.to_bits(),
-                        "k {k} row {i} hint {hint}"
-                    );
-                    let (mut l, mut dd) = ([0u32], [0.0f64]);
-                    let one = PointMatrix::from_flat(row.to_vec(), d).unwrap();
-                    apart.absorb(kernel.assign_warm(&one, 0..1, Some(&[hint]), &mut l, &mut dd));
-                }
-            }
-            assert!(kernel.extended_lists() > 0 || k <= LIST_LEN + 1, "k {k}");
-            assert_eq!(bounded.pruned_by_norm_bound, apart.pruned_by_norm_bound);
-            assert!(
-                bounded.distance_computations < apart.distance_computations,
-                "k {k}: {bounded:?} vs {apart:?}"
-            );
-        }
     }
 
     #[test]

@@ -1041,8 +1041,9 @@ fn close_candidate_behind_a_run_of_far_ones_wins() {
 /// them the mean of the first three (so its nearest other centers are
 /// close and its rows sit between clusters), and rows around the first
 /// three and around the mean at growing spreads, so that many rows reach
-/// past the 16-entry prefix of their center's list, plus a few rows far
-/// from every center, whose key window keeps every candidate.
+/// past the 16-entry prefix of their center's list (and, at k = 40, the
+/// widest reach the limits of most other centers, so they walk), plus a
+/// few rows far from every center.
 fn between_clusters(k: usize, d: usize, salt: u64) -> (PointMatrix, PointMatrix) {
     let mut rng = kmeans_util::Rng::new(salt);
     let mut centers = PointMatrix::new(d);
@@ -1072,10 +1073,10 @@ fn between_clusters(k: usize, d: usize, salt: u64) -> (PointMatrix, PointMatrix)
 }
 
 /// Rows between clusters finish on 64-entry extensions of their center's
-/// list, or take the lane-blocked scan: cold, warm and update sweeps keep
-/// the scalar bits, every pair is computed or pruned once, and the
-/// counters are the same across groupings, thread counts, block sizes
-/// and backends.
+/// list, or walk when the extension leaves most candidates to evaluate:
+/// cold, warm and update sweeps keep the scalar bits, every pair is
+/// computed or pruned once, and the counters are the same across
+/// groupings, thread counts, block sizes and backends.
 #[test]
 fn rows_between_clusters_keep_parity_past_the_eager_lists() {
     for (k, d) in [(40usize, 7usize), (100, 15)] {
@@ -1137,76 +1138,6 @@ fn rows_between_clusters_keep_parity_past_the_eager_lists() {
                     assert_eq!(labels, ref_labels, "{at}");
                     assert_eq!(sums.stats, ref_sums.stats, "{at}");
                     assert_eq!(sums.cost.to_bits(), ref_sums.cost.to_bits(), "{at}");
-                }
-            }
-        }
-    }
-}
-
-/// The lane-blocked scan is the canonical distance, bit for bit: every
-/// candidate's lane value equals `sq_dist_bounded(.., ∞)`, on both sides
-/// of every 8-coordinate chunk edge, for candidate counts that leave the
-/// last block part-filled, with exact ties and duplicate centers, and
-/// with squares large enough that a lane's sum reaches `∞` before its
-/// last chunk (where the scalar sum stops) and turns `NaN` after it.
-#[test]
-fn lane_scan_is_the_canonical_distance() {
-    let mut rng = kmeans_util::Rng::new(29);
-    for d in [1usize, 7, 8, 9, 15, 16, 42] {
-        for k in [1usize, 3, 8, 9, 13, 17, 30] {
-            let mut centers = PointMatrix::new(d);
-            for i in 0..k {
-                let row: Vec<f64> = match i % 4 {
-                    // A duplicate of an earlier center.
-                    1 if i > 1 => centers.row(i / 2).to_vec(),
-                    // Coordinates on a coarse grid, so distances tie.
-                    2 => (0..d).map(|_| (rng.normal() * 4.0).round()).collect(),
-                    _ => (0..d).map(|_| rng.normal() * 3.0).collect(),
-                };
-                centers.push(&row).unwrap();
-            }
-            let kernel = AssignKernel::new(&centers);
-            let mut rows: Vec<Vec<f64>> = vec![
-                centers.row(0).to_vec(),
-                (0..d).map(|_| (rng.normal() * 4.0).round()).collect(),
-                (0..d).map(|_| rng.normal() * 3.0).collect(),
-            ];
-            // Overflowing squares: the sum hits ∞ in the first chunk, and
-            // a later ∞ − ∞ is NaN.
-            let mut huge: Vec<f64> = (0..d).map(|_| rng.normal()).collect();
-            huge[0] = 1e300;
-            if d > 8 {
-                huge[d - 1] = f64::INFINITY;
-            }
-            rows.push(huge);
-            let mut out = vec![0.0f64; k];
-            for row in &rows {
-                kernel.lane_scan(row, &mut out);
-                for (c, &v) in out.iter().enumerate() {
-                    let want = sq_dist_bounded(row, centers.row(c), f64::INFINITY);
-                    assert_eq!(
-                        v.to_bits(),
-                        want.to_bits(),
-                        "d {d} k {k} center {c}: lane {v} vs canonical {want}"
-                    );
-                }
-            }
-            // An ∞ center coordinate makes ∞ − ∞ = NaN in the first chunk.
-            if k >= 2 {
-                let mut poisoned = centers.clone();
-                poisoned.row_mut(1)[0] = f64::INFINITY;
-                let kernel = AssignKernel::new(&poisoned);
-                let row: Vec<f64> = (0..d)
-                    .map(|j| if j == 0 { f64::INFINITY } else { 1.0 })
-                    .collect();
-                kernel.lane_scan(&row, &mut out);
-                for (c, &v) in out.iter().enumerate() {
-                    let want = sq_dist_bounded(&row, poisoned.row(c), f64::INFINITY);
-                    assert_eq!(
-                        v.to_bits(),
-                        want.to_bits(),
-                        "poisoned d {d} k {k} center {c}"
-                    );
                 }
             }
         }
