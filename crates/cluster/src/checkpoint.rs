@@ -16,8 +16,8 @@
 //! un-journaled round the backend *catches the cluster up* — one
 //! [`Cluster::catch_up`](crate::Cluster::catch_up) round trip replaying
 //! the [`SessionMirror`] its replayed rounds recorded (the tracker
-//! broadcast sequence and every assignment pass, by the same rules the
-//! cluster's own mirror follows), in the same catch-up frame worker
+//! broadcast sequence, the seed-cost potential and every assignment
+//! pass, by the same rules the cluster's own mirror follows), in the same catch-up frame worker
 //! recovery sends — and goes live.
 //!
 //! One record per round-level call, so a job killed mid-round resumes at
@@ -542,7 +542,9 @@ impl RoundBackend for CheckpointingBackend<'_, '_> {
     fn potential(&mut self, centers: &PointMatrix) -> Result<f64, KMeansError> {
         let fingerprint = potential_fingerprint(centers);
         if let Some(payload) = self.replay(K_POTENTIAL, fingerprint)? {
-            return decode_f64_result(payload);
+            let result = decode_f64_result(payload)?;
+            self.mirror.record_potential(centers);
+            return Ok(result);
         }
         let cost = self.inner.potential(centers)?;
         self.append(K_POTENTIAL, fingerprint, encode_f64_result(cost))?;

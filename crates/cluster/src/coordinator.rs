@@ -40,9 +40,9 @@
 //! re-ask: the coordinator obtains a replacement transport for the dead
 //! worker's slot, re-handshakes, re-sends the plan, replays the session
 //! state the lost worker held as one catch-up `Compound` (its
-//! [`SessionMirror`]: the exact tracker segment sequence before the
-//! first assignment, the last full assignment pass and every bounded
-//! pass since from it on), and
+//! [`SessionMirror`]: the exact tracker segment sequence and the
+//! seed-cost potential before the first assignment, the last full
+//! assignment pass and every bounded pass since from it on), and
 //! re-sends the in-flight round request. A resumed checkpoint catches
 //! the whole fleet up with the same frame ([`Cluster::catch_up`]).
 //! Because workers hold no order-sensitive fold state — only
@@ -133,20 +133,27 @@ fn hello(
 
 /// The broadcasts that rebuild a worker's session state, replayed as one
 /// catch-up frame. Before the first assignment that state is the
-/// tracker, rebuilt from its candidate segments; from the first
-/// assignment on it is what the assignment passes left — labels, and
-/// after a `Skip` or `Bounded` pass the bounds and shard sums a bounded
-/// pass starts from — rebuilt by replaying the last full pass and every
-/// bounded pass since, in order: the first `Assign` frees the tracker,
-/// and each bounded pass starts from the one before. [`Cluster`] keeps
-/// one for worker recovery; a resumed checkpoint rebuilds one from its
-/// journal and hands it to [`Cluster::catch_up`].
+/// tracker, rebuilt from its candidate segments — and, once the seed-cost
+/// potential has run on it, the labels that pass wrote over its nearest
+/// ids, rebuilt by replaying that pass. From the first assignment on it
+/// is what the assignment passes left — labels, and after a `Skip` or
+/// `Bounded` pass the bounds and shard sums a bounded pass starts from —
+/// rebuilt by replaying the last full pass and every bounded pass since,
+/// in order: the first `Assign` frees the tracker and the seed-cost
+/// labels, and each bounded pass starts from the one before. [`Cluster`]
+/// keeps one for worker recovery; a resumed checkpoint rebuilds one from
+/// its journal and hands it to [`Cluster::catch_up`].
 #[derive(Clone, Debug, Default)]
 pub struct SessionMirror {
     /// The exact candidate segment sequence: replayed verbatim, it
     /// rebuilds the tracker bit for bit, nearest-candidate tie-breaks
     /// (which depend on the segment boundaries) included.
     segments: Vec<PointMatrix>,
+    /// The centers of the seed-cost potential that turned the tracker
+    /// into labels, while no assignment has followed it: replayed after
+    /// the segments, it rebuilds those labels, so the first assignment
+    /// reads them and reports the same kernel counters.
+    potential: Option<PointMatrix>,
     /// The last committed full assignment pass and every bounded pass
     /// since, in order, with their modes. The replayed full pass may run
     /// cold where the original was seeded by the tracker or by older
@@ -161,17 +168,31 @@ impl SessionMirror {
     /// over, a non-empty `Update` appends one.
     pub fn record_tracker(&mut self, broadcast: Broadcast<'_>) {
         match broadcast {
-            Broadcast::Init(centers) => self.segments = vec![centers.clone()],
+            Broadcast::Init(centers) => {
+                self.segments = vec![centers.clone()];
+                self.potential = None;
+            }
             Broadcast::Update { rows, .. } if !rows.is_empty() => self.segments.push(rows.clone()),
             Broadcast::Update { .. } => {}
         }
     }
 
+    /// Records a committed potential pass. The first one over a live
+    /// tracker turns it into labels at `centers`; any other leaves the
+    /// session as it was.
+    pub fn record_potential(&mut self, centers: &PointMatrix) {
+        if !self.segments.is_empty() && self.potential.is_none() {
+            self.potential = Some(centers.clone());
+        }
+    }
+
     /// Records a committed assignment pass. The pass freed every
-    /// worker's tracker, so the segments go; a full pass rebuilds the
-    /// state the passes before it left, so they go too.
+    /// worker's tracker and seed-cost labels, so the segments and the
+    /// potential go; a full pass rebuilds the state the passes before it
+    /// left, so they go too.
     pub fn record_assign(&mut self, centers: &PointMatrix, fetch: LabelFetch) {
         self.segments.clear();
+        self.potential = None;
         if fetch != LabelFetch::Bounded {
             self.assigns.clear();
         }
@@ -179,12 +200,13 @@ impl SessionMirror {
     }
 
     /// The catch-up frame and its arity (`None`: nothing to catch up):
-    /// the segments as `InitTracker`/`UpdateTracker`, then every recorded
-    /// `Assign`, whose replies carry no partials ([`Message::Compound`]).
-    /// It holds the candidate set during seeding, and from the first
-    /// assignment on one center set per pass since the last full one.
+    /// the segments as `InitTracker`/`UpdateTracker`, the seed-cost
+    /// potential as a `Cost`, then every recorded `Assign`, whose replies
+    /// carry no partials ([`Message::Compound`]). It holds the candidate
+    /// set during seeding, and from the first assignment on one center
+    /// set per pass since the last full one.
     fn frame(&self) -> Option<(Message, usize)> {
-        let mut items = Vec::with_capacity(self.segments.len() + self.assigns.len());
+        let mut items = Vec::with_capacity(self.segments.len() + 1 + self.assigns.len());
         let mut from = 0u64;
         for (i, seg) in self.segments.iter().enumerate() {
             items.push(if i == 0 {
@@ -199,6 +221,9 @@ impl SessionMirror {
             });
             from += seg.len() as u64;
         }
+        items.extend(self.potential.iter().map(|centers| Message::Cost {
+            centers: centers.clone(),
+        }));
         items.extend(
             self.assigns
                 .iter()
@@ -915,9 +940,10 @@ impl RoundBackend for Cluster {
     ) -> Result<(f64, TrackerOut), KMeansError> {
         let tracker_msg = match broadcast {
             Broadcast::Init(centers) => {
-                // A new tracker: the old segments describe nothing the
-                // workers will hold once this round commits.
+                // A new tracker: the old segments and potential describe
+                // nothing the workers will hold once this round commits.
                 self.mirror.segments.clear();
+                self.mirror.potential = None;
                 Message::InitTracker {
                     centers: centers.clone(),
                 }
@@ -1015,6 +1041,7 @@ impl RoundBackend for Cluster {
             sums.extend(part);
         }
         self.data_passes += 1;
+        self.mirror.record_potential(centers);
         Ok(fold_shard_sums(sums))
     }
 }

@@ -11,16 +11,28 @@
 //! **Bounded passes.** Lloyd's passes after the first sweep only the
 //! rows that can have changed. A part keeps, beside its labels, two `f32`
 //! bounds per row (`Bounds`: 8 bytes, so labels and bounds take the 12
-//! bytes per row the seeding tracker held), the centers of its last pass
-//! and each accumulation shard's per-cluster sums. At new centers the
+//! bytes per row the seeding tracker held), the centers of its last pass,
+//! each accumulation shard's per-cluster sums, and the fold state at
+//! every block edge inside a shard (`inner_edges`). At new centers the
 //! bounds move by the centers' drift, and a row they — or its center's
 //! separation certificate — prove still nearest its center keeps its
 //! label unread; the warm kernel sweeps the rest. Each shard then
 //! re-folds, in row order, only the clusters whose membership changed in
-//! it, so labels, sums and counts are the full pass's bits. A bounded
-//! pass still reads every block: it saves kernel work and re-summing,
-//! not I/O. Its cost comes back as the moved rows' `d²` deltas, from
-//! which the driver tracks the potential.
+//! it — piece by piece when block edges split it, each piece starting
+//! from the state carried over its edge and taking the clean clusters'
+//! state at its end from the one kept there — so labels, sums and counts
+//! are the full pass's bits. A bounded pass still reads every block: it
+//! saves kernel work and re-summing, not I/O. Its cost comes back as the
+//! moved rows' `d²` deltas, from which the driver tracks the potential.
+//!
+//! **Passes that keep only what the fit needs.** Every full pass takes
+//! a label buffer its hints read (`Hints`) — the labels a pass found at
+//! bit-equal centers, evaluated once per row instead of searched; labels
+//! at other centers or the tracker's nearest ids, as seeds — and writes
+//! its labels over it. What it folds beside them is its `Keep`: a
+//! labels-and-cost pass (Lloyd's closing pass, a relabel) folds only each
+//! shard's cost, settling rows on the last pass's bounds where it can,
+//! and builds neither sums nor bounds.
 //!
 //! This is the "data does not fit in main memory" premise of the paper's
 //! §1 made executable: each k-means|| round (Algorithm 2), each Lloyd
@@ -201,13 +213,11 @@ impl<'a> LocalData<'a> {
 
     /// Fetches the rows at `indices` (any order, duplicates allowed) into
     /// `out` (cleared first; its dimensionality must match), preserving
-    /// the request order. Needed blocks are visited once each, in
-    /// ascending order — lent when the source holds them resident (a
-    /// budgeted block file's pinned prefix), otherwise read into `buf`
-    /// (from [`LocalData::block_buffer`]); resident rows are copied
-    /// straight out. Allocation-free in steady state when `buf` and `out`
-    /// are reused across calls, which keeps repeated mini-batch gathers
-    /// off the allocator.
+    /// the request order. Resident rows are copied straight out; a
+    /// source's are read by [`ChunkedSource::read_rows`], with `buf` (from
+    /// [`LocalData::block_buffer`]) as the buffer of any block it reads
+    /// whole, so repeated mini-batch gathers that reuse `buf` and `out`
+    /// read no block into a fresh allocation.
     pub fn gather_rows_into(
         &self,
         indices: &[usize],
@@ -221,39 +231,16 @@ impl<'a> LocalData<'a> {
                 got: out.dim(),
             });
         }
-        out.clear();
-        let block_rows = self.block_rows();
-        if indices.is_empty() {
-            return Ok(());
-        }
-        if self.len() <= block_rows {
-            // One block: read it once and copy in request order.
-            let block = self.block(0, buf)?;
-            for &i in indices {
-                out.push(block.row(i)).map_err(source_err)?;
+        match *self {
+            LocalData::Resident { points, .. } => {
+                out.clear();
+                for &i in indices {
+                    out.push(points.row(i)).map_err(source_err)?;
+                }
+                Ok(())
             }
-            return Ok(());
+            LocalData::Blocks(source) => source.read_rows(indices, buf, out).map_err(source_err),
         }
-        // Pre-size with zero rows (reusing the buffer's capacity) so the
-        // block-ordered reads below can fill the request-ordered slots.
-        let zero = vec![0.0f64; dim];
-        for _ in 0..indices.len() {
-            out.push(&zero).expect("dim checked above");
-        }
-        let mut order: Vec<(usize, usize)> = indices.iter().copied().zip(0..).collect();
-        order.sort_unstable();
-        let mut i = 0;
-        while i < order.len() {
-            let b = order[i].0 / block_rows;
-            let block = self.block(b, buf)?;
-            let start = b * block_rows;
-            while i < order.len() && order[i].0 / block_rows == b {
-                let (idx, slot) = order[i];
-                out.row_mut(slot).copy_from_slice(block.row(idx - start));
-                i += 1;
-            }
-        }
-        Ok(())
     }
 
     /// [`LocalData::gather_rows_into`] into a fresh matrix.
@@ -408,40 +395,95 @@ where
     Ok(folds)
 }
 
-/// Where a pass at a new center set starts each row's nearest-center
-/// search: the warm seeds of [`AssignKernel::assign_warm`], which move
-/// only the kernel counters and the time, never a label or a `d²` bit.
-/// A [`LocalBackend`](crate::driver::LocalBackend) part picks them by its
-/// one hint rule.
+/// What a pass at a new center set knows of each row's nearest center,
+/// and so how it finds it. Every kind gives the same labels and `d²`
+/// bits; they move only the kernel counters and the time. Most kinds
+/// read the pass's label buffer, which the pass then writes each row's
+/// label over. A [`LocalBackend`](crate::driver::LocalBackend) part picks
+/// them by its one hint rule.
 pub(crate) enum Hints<'h> {
-    /// The kernel's cold seed search.
+    /// Nothing: the kernel's cold seed search.
     Cold,
-    /// A previous pass's labels, one center per row.
-    Labels(&'h [u32]),
-    /// The seeding tracker's nearest candidate per row, mapped to a seed
-    /// by this table: the center nearest each candidate.
+    /// The buffer holds a center per row — labels at other centers — to
+    /// seed the warm sweep ([`AssignKernel::assign_warm`]) from.
+    Seeds,
+    /// The buffer holds the seeding tracker's nearest candidate per row,
+    /// mapped to a seed by this table: the center nearest each candidate.
     Tracker(Vec<u32>),
+    /// The buffer holds each row's nearest center already: labels a pass
+    /// found at bit-equal centers. Each row is evaluated once, at its
+    /// label, and counts `k − 1` pruned pairs.
+    Exact,
+    /// The buffer holds the labels of the pass that left these bounds. A
+    /// row the bounds, moved by the settler's drift, prove still nearest
+    /// its center keeps its label and is evaluated once, as
+    /// [`Hints::Exact`]; the warm kernel sweeps the rest from their
+    /// labels.
+    Settle(Settler, &'h [Bounds]),
 }
 
 impl Hints<'_> {
-    /// The hints of data rows `rows`, whose tracked candidates are `ids`
-    /// (read only by [`Hints::Tracker`]): a slice of the labels, or `ids`
-    /// mapped through the table into `scratch`.
-    pub(crate) fn rows<'s>(
-        &'s self,
-        rows: Range<usize>,
-        ids: &[u32],
-        scratch: &'s mut Vec<u32>,
-    ) -> Option<&'s [u32]> {
+    /// The search seeds of the rows whose buffer entries are `buffer`:
+    /// the entries, mapped through the tracker's table, copied into
+    /// `scratch` before the pass writes over them.
+    fn seeds<'s>(&self, buffer: &[u32], scratch: &'s mut Vec<u32>) -> Option<&'s [u32]> {
+        scratch.clear();
         match self {
-            Hints::Cold => None,
-            Hints::Labels(labels) => Some(&labels[rows]),
-            Hints::Tracker(table) => {
-                scratch.clear();
-                scratch.extend(ids.iter().map(|&id| table[id as usize]));
-                Some(scratch)
+            Hints::Seeds => scratch.extend_from_slice(buffer),
+            Hints::Tracker(table) => scratch.extend(buffer.iter().map(|&id| table[id as usize])),
+            Hints::Cold | Hints::Exact | Hints::Settle(..) => return None,
+        }
+        Some(scratch)
+    }
+
+    /// Labels and `d²` of piece `p`'s rows at `kernel`'s centers
+    /// (`centers`), written over the piece's buffer entries `labels`, with
+    /// the kernel work in `stats`. Returns the rows whose label differs
+    /// from their buffer entry.
+    pub(crate) fn sweep(
+        &self,
+        kernel: &AssignKernel,
+        centers: &PointMatrix,
+        p: &Piece<'_>,
+        labels: &mut [u32],
+        d2: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> u64 {
+        let first = p.start + p.rows.start;
+        let row = |off: usize| p.block.row(p.rows.start + off);
+        let at_label = |off: usize, label: u32, stats: &mut KernelStats| {
+            stats.distance_computations += 1;
+            stats.pruned_by_norm_bound += centers.len() as u64 - 1;
+            sq_dist_bounded(row(off), centers.row(label as usize), f64::INFINITY)
+        };
+        let mut moved = 0;
+        match self {
+            Hints::Exact => {
+                for (off, (&label, d)) in labels.iter().zip(d2).enumerate() {
+                    *d = at_label(off, label, stats);
+                }
+            }
+            Hints::Settle(settler, bounds) => {
+                for (off, (label, d)) in labels.iter_mut().zip(d2).enumerate() {
+                    let old = *label;
+                    if settler.settle(old, bounds[first + off]).is_some() {
+                        *d = at_label(off, old, stats);
+                        continue;
+                    }
+                    (*label, *d) = kernel.nearest_warm(row(off), old, stats);
+                    moved += u64::from(*label != old);
+                }
+            }
+            _ => {
+                let mut scratch = Vec::new();
+                let hints = self.seeds(labels, &mut scratch);
+                stats.absorb(kernel.assign_warm(p.block, p.rows.clone(), hints, labels, d2));
+                if let Hints::Seeds = self {
+                    moved = labels.iter().zip(&scratch).filter(|(a, b)| a != b).count() as u64;
+                }
             }
         }
+        moved
     }
 }
 
@@ -521,26 +563,56 @@ pub fn assign_partials(
     hints: Option<&[u32]>,
 ) -> Result<(Vec<u32>, Vec<AccumShard>, KernelStats), KMeansError> {
     let hints = hints.filter(|h| h.len() == data.len());
-    assign_pass(
+    let buffer = hints.map_or_else(|| vec![0; data.len()], <[u32]>::to_vec);
+    let pass = assign_pass(
         data,
         centers,
         exec,
         row_offset,
         global_n,
-        None,
-        None,
-        |_| hints.map_or(Hints::Cold, Hints::Labels),
-    )
+        buffer,
+        |_| hints.map_or(Hints::Cold, |_| Hints::Seeds),
+        Keep::Sums,
+    )?;
+    Ok((pass.labels, pass.shards, pass.stats))
+}
+
+/// What a full assignment pass keeps beside its labels.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Keep {
+    /// Each accumulation shard's cost alone: a labels-and-cost pass. Its
+    /// partials carry no sums, counts or farthest point.
+    Cost,
+    /// Each shard's sums, counts, cost and farthest point
+    /// ([`assign_partials`]).
+    Sums,
+    /// Those, and the [`Refinement`] the bounded passes that follow start
+    /// from ([`refine_pass`]).
+    Refinement,
+}
+
+/// What a full assignment pass returns.
+pub(crate) struct FullPass {
+    /// Every row's label.
+    pub labels: Vec<u32>,
+    /// One partial per accumulation shard, in shard order, as [`Keep`]
+    /// asks.
+    pub shards: Vec<AccumShard>,
+    /// The pass's kernel counters.
+    pub stats: KernelStats,
+    /// Rows whose label differs from their entry in the label buffer.
+    pub moved: u64,
+    /// With [`Keep::Refinement`], what the next bounded pass starts from.
+    pub refinement: Option<Refinement>,
 }
 
 /// [`assign_partials`] seeded by `hints`, which picks the pass's
 /// [`Hints`] given the pass's one kernel once the shape checks passed.
-/// `tracked` are the nearest ids of a seeding tracker handed over to the
-/// pass: they become its label buffer, each piece reading its rows' ids
-/// before it writes their labels over them, so a pass seeded from the
-/// tracker allocates nothing row-sized of its own. `bounds`, when given
-/// (one entry per row), receives each row's [`Bounds`] at these centers,
-/// for the bounded passes that follow ([`refine_pass`]).
+/// `labels` is the pass's label buffer, one entry per row: the hints read
+/// it (a previous pass's labels, the seeding tracker's nearest ids), and
+/// each piece writes its rows' labels over their entries, so the pass
+/// allocates nothing row-sized for its labels. What it keeps beside them
+/// is `keep`'s.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assign_pass<'h>(
     data: LocalData<'_>,
@@ -548,10 +620,10 @@ pub(crate) fn assign_pass<'h>(
     exec: &Executor,
     row_offset: usize,
     global_n: usize,
-    tracked: Option<Vec<u32>>,
-    bounds: Option<&mut [Bounds]>,
+    mut labels: Vec<u32>,
     hints: impl FnOnce(&AssignKernel) -> Hints<'h>,
-) -> Result<(Vec<u32>, Vec<AccumShard>, KernelStats), KMeansError> {
+    keep: Keep,
+) -> Result<FullPass, KMeansError> {
     if data.is_empty() {
         return Err(KMeansError::EmptyInput);
     }
@@ -570,46 +642,150 @@ pub(crate) fn assign_pass<'h>(
     let (n, k, d) = (data.len(), centers.len(), data.dim());
     let kernel = AssignKernel::new(centers);
     let hints = hints(&kernel);
-    let mut labels = tracked.unwrap_or_else(|| vec![0u32; n]);
     let grid = sum_shard_size(exec, global_n);
+    let refine = keep == Keep::Refinement;
+    let mut bounds = refine.then(|| vec![Bounds::default(); n]);
+    let mut edges = match refine {
+        true => inner_edges(data, grid, row_offset, k, d),
+        false => Vec::new(),
+    };
+    let (kept_k, kept_d) = match keep {
+        Keep::Cost => (0, 0),
+        Keep::Sums | Keep::Refinement => (k, d),
+    };
+    let out = (
+        &mut labels[..],
+        (bounds.as_deref_mut(), EdgeStates::new(&mut edges)),
+    );
     let folds = fold_pieces(
         data,
         exec,
         grid,
         row_offset,
-        (&mut labels[..], bounds),
-        |p, (labels, bounds), carry| {
+        out,
+        |p, (labels, (bounds, edge)), carry| {
             let first = p.start + p.rows.start;
             let mut d2 = vec![0.0f64; p.rows.len()];
-            let mut scratch = Vec::new();
-            let piece_hints = hints.rows(first..first + p.rows.len(), labels, &mut scratch);
-            let stats = kernel.assign_warm(p.block, p.rows.clone(), piece_hints, labels, &mut d2);
-            let (mut shard, mut shard_stats) =
-                carry.unwrap_or_else(|| (AccumShard::new(k, d), KernelStats::default()));
-            shard_stats.absorb(stats);
+            let (mut shard, mut stats, mut moved) = carry
+                .unwrap_or_else(|| (AccumShard::new(kept_k, kept_d), KernelStats::default(), 0));
+            moved += hints.sweep(&kernel, centers, &p, labels, &mut d2, &mut stats);
             for (off, b) in bounds.into_iter().flatten().enumerate() {
                 let row = p.block.row(p.rows.start + off);
-                *b = Bounds::swept(&kernel, row, labels[off], d2[off], &mut shard_stats);
+                *b = Bounds::swept(&kernel, row, labels[off], d2[off], &mut stats);
             }
             for (off, &dist) in d2.iter().enumerate() {
                 shard.cost += dist;
-                if dist > shard.farthest.1 {
-                    shard.farthest = (row_offset + first + off, dist);
+                if keep != Keep::Cost {
+                    if dist > shard.farthest.1 {
+                        shard.farthest = (row_offset + first + off, dist);
+                    }
+                    shard.add(labels[off] as usize, p.block.row(p.rows.start + off));
                 }
-                shard.add(labels[off] as usize, p.block.row(p.rows.start + off));
             }
-            Ok((shard, shard_stats))
+            edge.record(&shard);
+            Ok((shard, stats, moved))
         },
     )?;
-    let mut stats = KernelStats::default();
-    let partials = folds
+    let (mut stats, mut moved) = (KernelStats::default(), 0);
+    let shards: Vec<AccumShard> = folds
         .into_iter()
-        .map(|(shard, shard_stats)| {
+        .map(|(shard, shard_stats, shard_moved)| {
             stats.absorb(shard_stats);
+            moved += shard_moved;
             shard
         })
         .collect();
-    Ok((labels, partials, stats))
+    let refinement = bounds.map(|bounds| Refinement {
+        bounds,
+        centers: centers.clone(),
+        shards: shards.clone(),
+        edges,
+    });
+    Ok(FullPass {
+        labels,
+        shards,
+        stats,
+        moved,
+        refinement,
+    })
+}
+
+/// A zeroed fold state — `k` clusters' sums and counts in `d`
+/// dimensions, `k·(d+1)` values — at every block edge inside an
+/// accumulation shard of `grid` rows (a data row where a block of `data`
+/// ends and its shard goes on): where a pass that leaves a [`Refinement`]
+/// keeps its fold state. They are kept only while a state fits in its
+/// block's bounds (`k·(d+1)` at most the block's rows, 8 B each), so they
+/// never take more than the bounds do; otherwise there are none, and a
+/// bounded pass folds a split shard in full. Resident rows are one block,
+/// and have none.
+fn inner_edges(
+    data: LocalData<'_>,
+    grid: usize,
+    row_offset: usize,
+    k: usize,
+    d: usize,
+) -> Vec<(usize, AccumShard)> {
+    let rows = data.block_rows();
+    if k * (d + 1) > rows {
+        return Vec::new();
+    }
+    (rows..data.len())
+        .step_by(rows)
+        .filter(|&at| !(row_offset + at).is_multiple_of(grid))
+        .map(|at| (at, AccumShard::new(k, d)))
+        .collect()
+}
+
+/// The fold states a part keeps at the block edges inside its
+/// accumulation shards ([`inner_edges`]), as a per-row output of the
+/// piece loop: the state at an edge belongs to the rows that end there,
+/// so the one piece that ends at the edge holds it.
+#[derive(Default)]
+struct EdgeStates<'e> {
+    /// The data row of the first row this view covers.
+    start: usize,
+    /// `(edge row, fold state)` pairs, by ascending edge row.
+    slots: &'e mut [(usize, AccumShard)],
+}
+
+impl<'e> EdgeStates<'e> {
+    fn new(slots: &'e mut [(usize, AccumShard)]) -> Self {
+        EdgeStates { start: 0, slots }
+    }
+
+    /// The fold state kept at the edge this piece ends at, if any.
+    fn state(&self) -> Option<&AccumShard> {
+        self.slots.first().map(|(_, state)| state)
+    }
+
+    /// Keeps `fold`'s sums and counts as the state at the edge this piece
+    /// ends at, if any.
+    fn record(self, fold: &AccumShard) {
+        for (_, state) in self.slots {
+            state.sums.copy_from_slice(&fold.sums);
+            state.counts.copy_from_slice(&fold.counts);
+        }
+    }
+}
+
+impl RowOutputs for EdgeStates<'_> {
+    fn split_rows(self, rows: usize) -> (Self, Self) {
+        let end = self.start + rows;
+        let cut = self.slots.partition_point(|&(at, _)| at <= end);
+        let (head, tail) = self.slots.split_at_mut(cut);
+        let head = EdgeStates {
+            start: self.start,
+            slots: head,
+        };
+        (
+            head,
+            EdgeStates {
+                start: end,
+                slots: tail,
+            },
+        )
+    }
 }
 
 /// One row's carried bounds between Lloyd passes, on *true* (not
@@ -660,36 +836,38 @@ fn down32(x: f64) -> f32 {
 }
 
 /// What a part carries from one Lloyd pass to the next, beside its
-/// labels: every row's [`Bounds`], the pass's centers, and its partial of
+/// labels: every row's [`Bounds`], the pass's centers, its partial of
 /// every accumulation shard it covers (the sums and counts the next pass
-/// re-folds only where membership changed).
+/// re-folds only where membership changed), and the fold state at every
+/// block edge inside such a shard ([`inner_edges`]).
 pub(crate) struct Refinement {
     bounds: Vec<Bounds>,
     centers: PointMatrix,
     shards: Vec<AccumShard>,
+    edges: Vec<(usize, AccumShard)>,
 }
 
 impl Refinement {
-    /// The state a full pass at `centers` left: its bounds and partials.
-    pub(crate) fn new(bounds: Vec<Bounds>, centers: &PointMatrix, shards: &[AccumShard]) -> Self {
-        Refinement {
-            bounds,
-            centers: centers.clone(),
-            shards: shards.to_vec(),
-        }
-    }
-
     /// Whether a pass at `centers` can start from this state: the same
     /// number of centers, of the same dimensionality.
     pub(crate) fn carries(&self, centers: &PointMatrix) -> bool {
         self.centers.len() == centers.len() && self.centers.dim() == centers.dim()
     }
+
+    /// The hints of a labels-and-cost pass at `centers` (`kernel`'s) over
+    /// the labels this state's pass left: each row settles on its bounds,
+    /// moved by the drift of the centers since that pass.
+    pub(crate) fn settle(&self, kernel: &AssignKernel, centers: &PointMatrix) -> Hints<'_> {
+        Hints::Settle(Settler::new(kernel, centers, &self.centers), &self.bounds)
+    }
 }
 
-/// One piece's fold in a bounded pass: its shard partial, counters and
-/// moved and settled rows.
+/// One piece's fold in a bounded pass: its shard partial, the clusters
+/// whose membership changed in its shard so far, counters, and moved and
+/// settled rows.
 struct RefineFold {
     shard: AccumShard,
+    dirty: Vec<bool>,
     stats: KernelStats,
     moved: u64,
     settled: u64,
@@ -708,12 +886,17 @@ struct RefineFold {
 ///    settled row counts `k` pruned pairs.
 /// 2. The warm kernel sweeps the other rows, seeded at their labels, and
 ///    gives each fresh [`Bounds`].
-/// 3. A piece that holds a whole accumulation shard starts from the
-///    shard's previous sums and counts and re-folds, in row order, only
-///    the clusters whose membership changed in it — the same bits as a
-///    full fold, since each cluster's sum is its own left fold. A piece
-///    of a shard split across blocks folds every row, as the full pass
-///    does.
+/// 3. Each piece re-folds, in row order, only the clusters whose
+///    membership changed in its accumulation shard so far, starting from
+///    the fold state at the piece's start: zero at the shard's start,
+///    otherwise the state carried over the block edge. Every other
+///    cluster's state at the piece's end is the previous pass's: the
+///    shard's previous partial at the shard's end, the state kept at a
+///    block edge inside the shard ([`inner_edges`]) otherwise — which the
+///    piece then replaces with its own. The same bits as a full fold,
+///    since each cluster's sum is its own left fold. Where no state is
+///    kept at an edge, the shard folds every row from there on, as the
+///    full pass does.
 ///
 /// Labels, sums and counts are [`assign_partials`]' bits. Each partial's
 /// `cost` is instead the row-ordered sum, over the rows that moved, of
@@ -734,43 +917,31 @@ pub(crate) fn refine_pass(
         bounds,
         centers: prev_centers,
         shards: prev_shards,
+        edges,
     } = state;
     let kernel = AssignKernel::new(centers);
     let settler = Settler::new(&kernel, centers, prev_centers);
     let grid = sum_shard_size(exec, global_n);
-    let opens = |r: usize| (row_offset + r).is_multiple_of(grid);
-    let closes = |r: usize| r == n || opens(r);
+    let closes = |r: usize| r == n || (row_offset + r).is_multiple_of(grid);
     let first_cell = row_offset / grid;
+    let out = (&mut labels[..], (&mut bounds[..], EdgeStates::new(edges)));
     let folds = fold_pieces(
         data,
         exec,
         grid,
         row_offset,
-        (&mut labels[..], &mut bounds[..]),
-        |p, (labels, bounds), carry: Option<RefineFold>| {
+        out,
+        |p, (labels, (bounds, edge)), carry: Option<RefineFold>| {
             let first = p.start + p.rows.start;
             let len = p.rows.len();
-            let whole = carry.is_none() && opens(first) && closes(first + len);
-            let mut fold = carry.unwrap_or_else(|| {
-                let shard = if whole {
-                    let prev = &prev_shards[(row_offset + first) / grid - first_cell];
-                    AccumShard {
-                        sums: prev.sums.clone(),
-                        counts: prev.counts.clone(),
-                        ..AccumShard::new(0, 0)
-                    }
-                } else {
-                    AccumShard::new(k, d)
-                };
-                RefineFold {
-                    shard,
-                    stats: KernelStats::default(),
-                    moved: 0,
-                    settled: 0,
-                }
+            let mut fold = carry.unwrap_or_else(|| RefineFold {
+                shard: AccumShard::new(k, d),
+                dirty: vec![false; k],
+                stats: KernelStats::default(),
+                moved: 0,
+                settled: 0,
             });
             let row = |off: usize| p.block.row(p.rows.start + off);
-            let mut dirty = vec![false; k];
             for off in 0..len {
                 let old = labels[off];
                 if let Some(moved) = settler.settle(old, bounds[off]) {
@@ -786,25 +957,34 @@ pub(crate) fn refine_pass(
                     fold.shard.cost += dist - was;
                     fold.moved += 1;
                     labels[off] = label;
-                    dirty[old as usize] = true;
-                    dirty[label as usize] = true;
+                    fold.dirty[old as usize] = true;
+                    fold.dirty[label as usize] = true;
                 }
             }
-            if !whole {
-                for (off, &c) in labels.iter().enumerate() {
-                    fold.shard.add(c as usize, row(off));
+            // The clean clusters' state at the piece's end, as the
+            // previous pass left it.
+            let kept = match closes(first + len) {
+                true => Some(&prev_shards[(row_offset + first) / grid - first_cell]),
+                false => edge.state(),
+            };
+            match kept {
+                Some(prev) => {
+                    for c in (0..k).filter(|&c| !fold.dirty[c]) {
+                        let span = c * d..(c + 1) * d;
+                        fold.shard.sums[span.clone()].copy_from_slice(&prev.sums[span]);
+                        fold.shard.counts[c] = prev.counts[c];
+                    }
                 }
-            } else if dirty.contains(&true) {
-                for c in (0..k).filter(|&c| dirty[c]) {
-                    fold.shard.sums[c * d..(c + 1) * d].fill(0.0);
-                    fold.shard.counts[c] = 0;
-                }
+                None => fold.dirty.fill(true),
+            }
+            if fold.dirty.contains(&true) {
                 for (off, &c) in labels.iter().enumerate() {
-                    if dirty[c as usize] {
+                    if fold.dirty[c as usize] {
                         fold.shard.add(c as usize, row(off));
                     }
                 }
             }
+            edge.record(&fold.shard);
             Ok(fold)
         },
     )?;
@@ -828,7 +1008,7 @@ pub(crate) fn refine_pass(
 /// lets those bounds prove at the new centers (true distances, with the
 /// kernel's slack `g`): per center, its drift, the largest drift of any
 /// other center, and its settle limit with that limit's `√(4·limit)`.
-struct Settler {
+pub(crate) struct Settler {
     drift: Vec<f64>,
     others: Vec<f64>,
     limits: Vec<(f64, f64)>,

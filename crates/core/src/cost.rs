@@ -112,29 +112,28 @@ pub fn potential_shard_sums(
     exec: &Executor,
 ) -> Result<Vec<f64>, KMeansError> {
     check_potential_centers(data.len(), data.dim(), centers)?;
-    seeded_shard_sums(data, centers, exec, &[], |_| Hints::Cold)
+    seeded_shard_sums(data, centers, exec, None, |_| Hints::Cold)
 }
 
 /// [`potential_shard_sums`] without the shape checks, seeded by `hints`,
-/// which picks the pass's [`Hints`] given the pass's one kernel; `tracked`
-/// are the live seeding tracker's nearest ids that [`Hints::Tracker`]
-/// maps. The hints move only the time: the sums are the same bits for
-/// any hints.
+/// which picks the pass's [`Hints`] given the pass's one kernel. `labels`,
+/// when given (one entry per row), is a label buffer the hints read —
+/// the live seeding tracker's nearest ids, which [`Hints::Tracker`] maps
+/// — and the pass writes each row's label over its entry. The hints move
+/// only the time: the sums and labels are the same bits for any hints.
 pub(crate) fn seeded_shard_sums<'h>(
     data: LocalData<'_>,
     centers: &PointMatrix,
     exec: &Executor,
-    tracked: &[u32],
+    labels: Option<&mut [u32]>,
     hints: impl FnOnce(&AssignKernel) -> Hints<'h>,
 ) -> Result<Vec<f64>, KMeansError> {
     let kernel = AssignKernel::new(centers);
     let hints = hints(&kernel);
-    let (sums, _) = d2_pass(data, exec, None, None, |p, labels, d2| {
-        let rows = p.start + p.rows.start..p.start + p.rows.end;
-        let mut scratch = Vec::new();
-        let ids = tracked.get(rows.clone()).unwrap_or_default();
-        let piece_hints = hints.rows(rows, ids, &mut scratch);
-        kernel.assign_warm(p.block, p.rows, piece_hints, labels, d2)
+    let (sums, _) = d2_pass(data, exec, labels, None, |p, labels, d2| {
+        let mut stats = KernelStats::default();
+        hints.sweep(&kernel, centers, &p, labels, d2, &mut stats);
+        stats
     })?;
     if sums.iter().any(|s| !s.is_finite()) {
         data.check_finite()?;

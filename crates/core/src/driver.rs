@@ -63,7 +63,7 @@
 
 use crate::assign::ClusterSums;
 use crate::chunked::{
-    assign_pass, fold_accum_shards, refine_pass, validate_shape, AccumShard, Bounds, Hints,
+    assign_pass, fold_accum_shards, refine_pass, validate_shape, AccumShard, Hints, Keep,
     Refinement,
 };
 use crate::cost::{
@@ -196,7 +196,7 @@ pub enum TrackerOut {
 }
 
 /// Whether an assignment pass ([`RoundBackend::assign`]) also returns
-/// the labels it stored, and what kind of pass it is: *full* (`Skip`,
+/// the labels it found, and what kind of pass it is: *full* (`Skip`,
 /// `Always`) or *bounded* (`Bounded`). Distributed `Assign` requests
 /// carry it on the wire too, so a worker runs the same kind of pass and
 /// decides with the same [`LabelFetch::owed`].
@@ -213,8 +213,13 @@ pub enum LabelFetch {
     /// `Skip` or `Bounded` pass at as many centers — a backend without
     /// them refuses the pass (Lloyd's passes after the first).
     Bounded,
-    /// Always return the labels: a full pass that frees the bounds
-    /// (Lloyd's closing pass, label-only passes).
+    /// A labels-and-cost pass (Lloyd's closing pass, mini-batch's
+    /// relabel, seed-only labelling): it returns the labels and the
+    /// potential of `centers` alone — no sums, counts or farthest points —
+    /// and leaves the backend neither labels nor bounds. It settles rows
+    /// on the bounds of the backend's last pass where that pass left them
+    /// at as many centers, as a bounded pass does, and evaluates each row
+    /// once where the backend's labels were found at bit-equal centers.
     Always,
 }
 
@@ -232,16 +237,18 @@ impl LabelFetch {
 /// (module docs); every scalar RNG decision lives in the drivers.
 ///
 /// State carried between calls: the D²/nearest tracker built by a
-/// [`Broadcast::Init`] round lives until the next
-/// [`RoundBackend::assign`] pass frees it (a fit's seeding and refinement
-/// share one backend), the labels of the last `assign` pass seed the
-/// next one, and a [`LabelFetch::Skip`] or [`LabelFetch::Bounded`] pass
-/// leaves the bounds and shard sums a `Bounded` pass starts from (an
-/// [`LabelFetch::Always`] pass frees them). Until a backend has labels,
-/// its tracker seeds the passes at new centers — the seed-cost
-/// [`RoundBackend::potential`] and the first `assign` — at the center
-/// nearest each row's tracked candidate. Seeds move only the kernel
-/// counters and the time, never a result bit.
+/// [`Broadcast::Init`] round lives until the seed-cost
+/// [`RoundBackend::potential`] or the next [`RoundBackend::assign`] pass
+/// frees it (a fit's seeding and refinement share one backend). The
+/// potential that frees it keeps each row's label at its centers, and
+/// so does every `Skip` or `Bounded` pass, with the bounds and shard sums
+/// a `Bounded` pass starts from; an [`LabelFetch::Always`] pass hands
+/// the labels out and frees them and the bounds. Labels seed the next
+/// pass at new centers, and a pass at the centers they were found at
+/// needs no search. While the tracker lives, it seeds the passes at new
+/// centers — the potential and a first `assign` — at the center nearest
+/// each row's tracked candidate. Seeds move only the kernel counters and
+/// the time, never a result bit.
 pub trait RoundBackend {
     /// Which execution mode this backend is (for typed rejections).
     fn kind(&self) -> BackendKind;
@@ -321,27 +328,31 @@ pub trait RoundBackend {
         read: TrackerRead,
     ) -> Result<(f64, TrackerOut), KMeansError>;
 
-    /// One assignment pass against `centers`: stores the labels, and
-    /// returns the number of rows whose label changed relative to the
+    /// One assignment pass against `centers`: finds every row's label,
+    /// and returns the number of rows whose label changed relative to the
     /// previous pass (first pass: all rows), the accumulation-shard fold
     /// of the pass, its [`KernelStats`] — equal on every backend, since
     /// each seeds and settles a row the same way — and the labels in
     /// global row order for [`LabelFetch::Always`].
     ///
-    /// The fold's labels, sums and counts are bit-identical to
+    /// The labels, and the fold's sums and counts where it has them, are
+    /// bit-identical to
     /// [`assign_partials`](crate::chunked::assign_partials) over the same
-    /// data and executor, folded, for either kind of pass. What
-    /// [`ClusterSums::cost`] and `farthest` hold depends on the kind:
+    /// data and executor, folded, for every kind of pass. What
+    /// [`ClusterSums`] holds depends on the kind:
     ///
-    /// * a *full* pass ([`LabelFetch::Skip`], [`LabelFetch::Always`])
-    ///   reports the potential of the new labels at `centers` and each
-    ///   shard's farthest point;
-    /// * a *bounded* pass ([`LabelFetch::Bounded`]) reports the
-    ///   shard-ordered sum, over the rows whose label changed, of
-    ///   `d²(new label) − d²(old label)` at `centers`, and no farthest
-    ///   points. The potential follows from the previous one by the Lloyd
-    ///   identity ([`drive_lloyd`]). A backend whose last pass left no
-    ///   bounds at as many centers refuses it.
+    /// * a `Skip` pass stores the labels and reports the sums and counts,
+    ///   the potential of the new labels at `centers` and each shard's
+    ///   farthest point;
+    /// * a bounded pass ([`LabelFetch::Bounded`]) stores the labels and
+    ///   reports the sums and counts and the shard-ordered sum, over the
+    ///   rows whose label changed, of `d²(new label) − d²(old label)` at
+    ///   `centers`, and no farthest points. The potential follows from the
+    ///   previous one by the Lloyd identity ([`drive_lloyd`]). A backend
+    ///   whose last pass left no bounds at as many centers refuses it;
+    /// * an `Always` pass reports the potential alone, with empty sums,
+    ///   counts and farthest points, and returns the labels instead of
+    ///   storing them.
     fn assign(
         &mut self,
         centers: &PointMatrix,
@@ -624,9 +635,9 @@ pub fn drive_kmeans_parallel(
 /// not a bounded pass and its repeat. The tol stop compares these tracked costs, so a
 /// fit whose relative improvement lies within their error (about
 /// `1e-15` relative) of `tol` may stop a pass apart from a loop of
-/// measured costs. Every fit closes with one full [`LabelFetch::Always`]
-/// pass at the final centers, which gives the labels and the measured
-/// final cost and frees the bounds.
+/// measured costs. Every fit closes with one [`LabelFetch::Always`] pass
+/// at the final centers, which gives the labels and the measured final
+/// cost — the full pass's bits — and frees the bounds.
 pub fn drive_lloyd(
     backend: &mut dyn RoundBackend,
     initial_centers: &PointMatrix,
@@ -726,7 +737,7 @@ pub fn drive_lloyd(
         prev_cost = cost;
     }
 
-    // The closing full pass: labels and cost for the final centers.
+    // The closing labels-and-cost pass at the final centers.
     let (_, sums, labels) = backend.assign(&centers, LabelFetch::Always)?;
     pruned += sums.stats.pruned_by_norm_bound;
     let labels = labels.ok_or_else(|| broken_round("an assignment withheld its labels"))?;
@@ -846,18 +857,19 @@ pub fn drive_minibatch(
     Ok((centers, stats))
 }
 
-/// One labeling pass over any backend: labels and the assignment fold of
-/// `centers` without moving them — the driver behind seed-only
-/// refinement ([`NoRefine`](crate::pipeline::NoRefine)) and mini-batch's
-/// closing relabel.
+/// One labeling pass over any backend: the labels of `centers` and their
+/// cost, with the pass's kernel counters, without moving the centers —
+/// the driver behind seed-only refinement
+/// ([`NoRefine`](crate::pipeline::NoRefine)) and mini-batch's closing
+/// relabel. It is one [`LabelFetch::Always`] pass.
 pub fn drive_label_pass(
     backend: &mut dyn RoundBackend,
     centers: &PointMatrix,
-) -> Result<(Vec<u32>, ClusterSums), KMeansError> {
+) -> Result<(Vec<u32>, f64, KernelStats), KMeansError> {
     backend.validate_refine(centers)?;
     let (_, sums, labels) = backend.assign(centers, LabelFetch::Always)?;
     let labels = labels.ok_or_else(|| broken_round("an assignment withheld its labels"))?;
-    Ok((labels, sums))
+    Ok((labels, sums.cost, sums.stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -977,14 +989,17 @@ pub fn fold_tracker_round(
 /// The fold half of [`RoundBackend::assign`]: sums the parts' reassigned
 /// counts and kernel counters, folds their accumulation-shard partials in
 /// row order with [`fold_accum_shards`] (each must have the shape of `k`
-/// centers in `d` dimensions), and — when `fetch` owes labels —
-/// concatenates every part's labels, moving a single part's.
+/// centers in `d` dimensions, or for a labels-and-cost pass, which
+/// [`LabelFetch::owed`] names, no sums and no counts at all), and — when
+/// `fetch` owes labels — concatenates every part's labels, moving a
+/// single part's.
 pub fn fold_assign(
     k: usize,
     d: usize,
     fetch: LabelFetch,
     parts: Vec<AssignPart>,
 ) -> Result<(u64, ClusterSums, Option<Vec<u32>>), KMeansError> {
+    let (k, d) = if fetch.owed() { (0, 0) } else { (k, d) };
     let reassigned = parts.iter().map(|p| p.reassigned).sum();
     let mut sums = fold_accum_shards(k, d, parts.iter().flat_map(|p| &p.shards));
     let mut labels = fetch.owed().then(Vec::new);
@@ -1043,16 +1058,26 @@ fn append<T>(all: &mut Vec<T>, part: Vec<T>) {
 /// one part with the fold every backend uses, so the drivers return the
 /// same bits for either data kind, **any** block size and any worker split.
 ///
-/// **One hint rule.** The two passes at a new center set —
-/// [`LocalBackend::potential_part`] and [`LocalBackend::assign_part`] —
-/// seed each row's search alike: at the row's previous label, if the part
-/// has labels; otherwise, while the seeding tracker lives, at the center
-/// nearest the row's tracked candidate (after k-means\|\|, usually the
-/// row's own nearest center); otherwise cold. A table mapping each held
-/// candidate to its nearest center, built by one sweep of the candidates
-/// through the pass's own kernel, gives the second. The seeds move only
-/// the kernel counters and the time, and every part over the same rows
-/// picks the same ones, so the counters match across backends too.
+/// **One hint rule.** An assignment pass ([`LocalBackend::assign_part`])
+/// at a new center set seeds each row's search at the row's label, if the
+/// part has labels. While the seeding tracker lives, the seed-cost
+/// potential ([`LocalBackend::potential_part`]) and a first assignment
+/// seed it at the center nearest the row's tracked candidate (after
+/// k-means\|\|, usually the row's own nearest center). Otherwise a pass
+/// runs cold. A table mapping each held candidate to its nearest center,
+/// built by one sweep of the candidates through the pass's own kernel,
+/// gives the tracker's seeds. The seeds move only the kernel counters and
+/// the time, and every part over the same rows picks the same ones, so
+/// the counters match across backends too.
+///
+/// **Passes that reuse labels.** Labels are each row's nearest center
+/// among the centers of the pass that found them, so a pass at bit-equal
+/// centers needs no search: an assignment pass there evaluates each row
+/// once, at its label. While the tracker lives, the seed-cost potential
+/// writes its labels over the tracker's nearest ids and frees its `d²`,
+/// so the first Lloyd pass, or a seed-only label pass, at the seed
+/// centers reads them. They are not a pass's labels: the first
+/// assignment still counts every row as reassigned.
 pub struct LocalBackend<'a> {
     data: LocalData<'a>,
     exec: Executor,
@@ -1063,9 +1088,32 @@ pub struct LocalBackend<'a> {
     tracker: Option<CostTracker>,
     candidates: PointMatrix,
     buf: PointMatrix,
-    labels: Option<Vec<u32>>,
-    /// What a `Skip` pass carries to the next, beside the labels.
+    labels: Option<Labels>,
+    /// What a `Skip` or `Bounded` pass carries to the next, beside the
+    /// labels.
     refinement: Option<Refinement>,
+}
+
+/// A part's labels: each row's nearest center among `at`.
+struct Labels {
+    rows: Vec<u32>,
+    /// The centers of the pass that found them.
+    at: PointMatrix,
+    /// Whether an assignment pass stored them, so that the next pass
+    /// counts the rows that change against them; the seed-cost pass's
+    /// labels are not an assignment's.
+    assigned: bool,
+}
+
+impl Labels {
+    /// Whether the labels are each row's nearest center among `centers`:
+    /// the centers they were found at, bit for bit.
+    fn exact_at(&self, centers: &PointMatrix) -> bool {
+        let (at, to) = (self.at.as_slice(), centers.as_slice());
+        self.at.dim() == centers.dim()
+            && at.len() == to.len()
+            && at.iter().zip(to).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 impl<'a> LocalBackend<'a> {
@@ -1197,32 +1245,32 @@ impl<'a> LocalBackend<'a> {
     }
 
     /// Frees the seeding tracker and runs one assignment pass at
-    /// `centers`, keeping the new labels. A [`LabelFetch::Bounded`] pass
-    /// sweeps only the rows the bounds of the part's last pass cannot
-    /// settle and re-folds only the clusters whose membership changed in
-    /// each accumulation shard; without those bounds, at as many centers,
-    /// the part refuses it. The other passes are *full*
-    /// ([`assign_partials`](crate::chunked::assign_partials), seeded by
-    /// the part's hint rule, [`LocalBackend`]): a [`LabelFetch::Skip`]
-    /// pass leaves bounds for a bounded pass, and a
-    /// [`LabelFetch::Always`] pass frees them. Both kinds give the same
-    /// labels, sums and counts; a bounded pass's shard costs are its moved
-    /// rows' `d²` deltas ([`RoundBackend::assign`]). The hints are seeds
-    /// only, never labels: the first pass counts every row as reassigned.
+    /// `centers`. A [`LabelFetch::Bounded`] pass sweeps only the rows the
+    /// bounds of the part's last pass cannot settle and re-folds only the
+    /// clusters whose membership changed in each accumulation shard;
+    /// without those bounds, at as many centers, the part refuses it. The
+    /// other passes are *full*, seeded by the part's hint rule
+    /// ([`LocalBackend`]), and evaluate each row once where the part's
+    /// labels are exact at `centers`. A [`LabelFetch::Skip`] pass folds
+    /// [`assign_partials`](crate::chunked::assign_partials)' partials and
+    /// leaves bounds for a bounded pass. A [`LabelFetch::Always`] pass
+    /// folds each shard's cost alone, settles rows on the bounds of the
+    /// part's last pass where it has them at as many centers, and moves
+    /// the labels into the reply, freeing them and the bounds. Every kind
+    /// gives the same labels, and the same sums and counts where it folds
+    /// them; a bounded pass's shard costs are its moved rows' `d²` deltas
+    /// ([`RoundBackend::assign`]). The first assignment counts every row
+    /// as reassigned, whatever seeded it.
     pub fn assign_part(
         &mut self,
         centers: &PointMatrix,
         fetch: LabelFetch,
     ) -> Result<AssignPart, KMeansError> {
-        // Refinement never reads the seeding tracker again: its d² (8 B per
-        // row) goes now, and the pass writes its labels over the nearest
-        // ids (4 B per row) that may seed it; the bounds a `Skip` pass
-        // keeps (8 B per row) take the d²'s place.
-        let tracked = self.tracker.take().map(CostTracker::into_nearest_ids);
-        let seeded = tracked.is_some();
+        let n = self.data.len();
         let carried = self.refinement.take().filter(|r| r.carries(centers));
         if fetch == LabelFetch::Bounded {
-            let (Some(mut state), Some(labels)) = (carried, self.labels.as_mut()) else {
+            let labels = self.labels.as_mut().filter(|l| l.assigned);
+            let (Some(mut state), Some(labels)) = (carried, labels) else {
                 return Err(broken_round(
                     "a bounded pass needs the bounds of a pass at as many centers",
                 ));
@@ -1233,69 +1281,115 @@ impl<'a> LocalBackend<'a> {
                 &self.exec,
                 self.row_offset,
                 self.global_n,
-                labels,
+                &mut labels.rows,
                 &mut state,
             )
             .map_err(globalize(self.row_offset))?;
+            labels.at.clone_from(centers);
             self.refinement = Some(state);
             return Ok(AssignPart {
-                rows: self.data.len(),
+                rows: n,
                 reassigned,
                 shards,
                 stats,
                 labels: None,
             });
         }
-        // A full pass replaces the bounds: the old ones go before it
-        // allocates its own.
-        drop(carried);
-        let mut bounds =
-            (fetch == LabelFetch::Skip).then(|| vec![Bounds::default(); self.data.len()]);
-        let (labels, shards, stats) = assign_pass(
+        // Refinement never reads the seeding tracker again: its d² (8 B per
+        // row) goes now, and its nearest ids (4 B per row) may seed the
+        // pass, which writes its labels over them; the bounds a `Skip`
+        // pass keeps (8 B per row) take the d²'s place.
+        let tracked = self.tracker.take().map(CostTracker::into_nearest_ids);
+        let known = self.labels.take();
+        let previous = known.as_ref().is_some_and(|l| l.assigned);
+        let exact = known.as_ref().is_some_and(|l| l.exact_at(centers));
+        // An `Always` pass settles its rows on the old bounds unless its
+        // labels are exact already; every other full pass replaces them,
+        // and the old ones go before it allocates its own.
+        let settle = carried.filter(|_| fetch.owed() && previous && !exact);
+        let seeds = known.is_some();
+        let tracking = !seeds && tracked.is_some();
+        let buffer = match (known, tracked) {
+            (Some(labels), _) => labels.rows,
+            (None, Some(ids)) => ids,
+            (None, None) => vec![0; n],
+        };
+        let keep = match fetch {
+            LabelFetch::Always => Keep::Cost,
+            _ => Keep::Refinement,
+        };
+        let pass = assign_pass(
             self.data,
             centers,
             &self.exec,
             self.row_offset,
             self.global_n,
-            tracked,
-            bounds.as_deref_mut(),
-            |kernel| self.hints(kernel, seeded),
+            buffer,
+            |kernel| match &settle {
+                _ if exact => Hints::Exact,
+                Some(state) => state.settle(kernel, centers),
+                None if seeds => Hints::Seeds,
+                None if tracking => Hints::Tracker(self.tracker_table(kernel)),
+                None => Hints::Cold,
+            },
+            keep,
         )
         .map_err(globalize(self.row_offset))?;
-        self.refinement = bounds.map(|bounds| Refinement::new(bounds, centers, &shards));
-        let reassigned = match &self.labels {
-            None => labels.len() as u64,
-            Some(prev) => prev.iter().zip(&labels).filter(|(a, b)| a != b).count() as u64,
+        self.refinement = pass.refinement;
+        let reassigned = if previous { pass.moved } else { n as u64 };
+        let owed = match fetch.owed() {
+            true => Some(pass.labels),
+            false => {
+                self.labels = Some(Labels {
+                    rows: pass.labels,
+                    at: centers.clone(),
+                    assigned: true,
+                });
+                None
+            }
         };
-        let owed = fetch.owed().then(|| labels.clone());
-        self.labels = Some(labels);
         Ok(AssignPart {
-            rows: self.data.len(),
+            rows: n,
             reassigned,
-            shards,
-            stats,
+            shards: pass.shards,
+            stats: pass.stats,
             labels: owed,
         })
     }
 
     /// The labels the part's last assignment pass stored, in its row
-    /// order (`None` before the first).
+    /// order (`None` before the first, and after a pass that shipped
+    /// them).
     pub fn labels(&self) -> Option<&[u32]> {
-        self.labels.as_deref()
+        let labels = self.labels.as_ref().filter(|l| l.assigned);
+        labels.map(|l| &l.rows[..])
     }
 
     /// The potential pass's per-executor-shard sums
-    /// ([`potential_shard_sums`](crate::cost::potential_shard_sums)),
-    /// seeded by the part's hint rule ([`LocalBackend`]). Its shape checks
-    /// name the fit's row count, whatever rows the part holds.
-    pub fn potential_part(&self, centers: &PointMatrix) -> Result<Vec<f64>, KMeansError> {
+    /// ([`potential_shard_sums`](crate::cost::potential_shard_sums)). While
+    /// the seeding tracker lives, the tracker seeds the pass by the part's
+    /// hint rule ([`LocalBackend`]), and the pass writes each row's label
+    /// over the tracker's nearest ids and frees its `d²`: the part keeps
+    /// them as labels at `centers`, which the assignment pass that follows
+    /// reads. Otherwise the pass runs cold and keeps nothing. Its shape
+    /// checks name the fit's row count, whatever rows the part holds.
+    pub fn potential_part(&mut self, centers: &PointMatrix) -> Result<Vec<f64>, KMeansError> {
         self.check_potential(centers)?;
-        let tracked = self.tracker.as_ref().map(CostTracker::nearest_ids);
-        let ids = tracked.unwrap_or_default();
-        seeded_shard_sums(self.data, centers, &self.exec, ids, |kernel| {
-            self.hints(kernel, tracked.is_some())
+        let (data, exec, global) = (self.data, &self.exec, globalize(self.row_offset));
+        let Some(tracker) = self.tracker.take() else {
+            return seeded_shard_sums(data, centers, exec, None, |_| Hints::Cold).map_err(global);
+        };
+        let mut ids = tracker.into_nearest_ids();
+        let sums = seeded_shard_sums(data, centers, exec, Some(&mut ids), |kernel| {
+            Hints::Tracker(self.tracker_table(kernel))
         })
-        .map_err(globalize(self.row_offset))
+        .map_err(global)?;
+        self.labels = Some(Labels {
+            rows: ids,
+            at: centers.clone(),
+            assigned: false,
+        });
+        Ok(sums)
     }
 
     /// The potential's shape contract — at least one center, of the rows'
@@ -1305,23 +1399,14 @@ impl<'a> LocalBackend<'a> {
         check_potential_centers(self.global_n, self.data.dim(), centers)
     }
 
-    /// The one hint rule of the passes at a new center set (`kernel`'s):
-    /// each row starts from its previous label, if the part has labels;
-    /// otherwise, while the seeding tracker lives (`tracked`: the pass
-    /// holds its nearest ids), from the center nearest its tracked
-    /// candidate, by a table that one sweep of the candidates through
-    /// `kernel` builds; otherwise cold.
-    fn hints(&self, kernel: &AssignKernel, tracked: bool) -> Hints<'_> {
-        match (&self.labels, tracked) {
-            (Some(labels), _) => Hints::Labels(labels),
-            (None, true) => {
-                let m = self.candidates.len();
-                let (mut table, mut d2) = (vec![0u32; m], vec![0.0f64; m]);
-                kernel.assign(&self.candidates, 0..m, &mut table, &mut d2);
-                Hints::Tracker(table)
-            }
-            (None, false) => Hints::Cold,
-        }
+    /// The hint rule's table for a pass over the seeding tracker's nearest
+    /// ids at `kernel`'s centers: the center nearest each held candidate,
+    /// by one sweep of the candidates through `kernel`.
+    fn tracker_table(&self, kernel: &AssignKernel) -> Vec<u32> {
+        let m = self.candidates.len();
+        let (mut table, mut d2) = (vec![0u32; m], vec![0.0f64; m]);
+        kernel.assign(&self.candidates, 0..m, &mut table, &mut d2);
+        table
     }
 
     /// Gathers the rows at global `indices`, each of which must be the
@@ -1578,14 +1663,14 @@ mod tests {
         let centers = PointMatrix::from_flat(vec![0.0, 0.0, 40.0, 20.0, 80.0, 40.0], 2).unwrap();
         let exec = Executor::new(Parallelism::Threads(2)).with_shard_size(16);
         let mut resident = LocalBackend::in_memory(&m, None, &exec);
-        let (ref_labels, ref_sums) = drive_label_pass(&mut resident, &centers).unwrap();
+        let (ref_labels, ref_cost, ref_stats) = drive_label_pass(&mut resident, &centers).unwrap();
         for block_rows in [1, 29, 300] {
             let src = source(&m, block_rows);
             let mut backend = LocalBackend::chunked(&src, &exec);
-            let (labels, sums) = drive_label_pass(&mut backend, &centers).unwrap();
+            let (labels, cost, stats) = drive_label_pass(&mut backend, &centers).unwrap();
             assert_eq!(labels, ref_labels, "block_rows {block_rows}");
-            assert_eq!(sums.cost.to_bits(), ref_sums.cost.to_bits());
-            assert_eq!(sums.stats, ref_sums.stats);
+            assert_eq!(cost.to_bits(), ref_cost.to_bits());
+            assert_eq!(stats, ref_stats);
         }
     }
 }

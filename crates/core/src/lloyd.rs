@@ -97,8 +97,8 @@ pub struct LloydResult {
     pub history: Vec<IterationStats>,
     /// Assignment passes executed: one per iteration (bounded after the
     /// first), a full repeat of any bounded pass that emptied a cluster,
-    /// and the closing full pass every fit ends with — `iterations + 1`
-    /// when no cluster empties after the first pass. Distance
+    /// and the closing labels-and-cost pass every fit ends with —
+    /// `iterations + 1` when no cluster empties after the first pass. Distance
     /// evaluations *offered* = `n · k · assign_passes`; of those,
     /// `pruned_by_norm_bound` were skipped without touching coordinates.
     pub assign_passes: usize,
@@ -263,8 +263,9 @@ mod tests {
         let expected_cost: f64 = {
             let exec = Executor::sequential();
             let mut backend = crate::driver::LocalBackend::in_memory(&points, None, &exec);
-            let (_, sums) = crate::driver::drive_label_pass(&mut backend, &result.centers).unwrap();
-            sums.cost
+            let (_, cost, _) =
+                crate::driver::drive_label_pass(&mut backend, &result.centers).unwrap();
+            cost
         };
         assert!((result.cost - expected_cost).abs() < 1e-9);
         assert_eq!(result.labels.len(), 32);
@@ -334,14 +335,14 @@ mod tests {
         let result = lloyd(&points, &init, &config, &exec).unwrap();
         assert!(result.converged);
         let mut backend = crate::driver::LocalBackend::in_memory(&points, None, &exec);
-        let (expected_labels, sums) =
+        let (expected_labels, cost, _) =
             crate::driver::drive_label_pass(&mut backend, &result.centers).unwrap();
         assert_eq!(result.labels, expected_labels);
         assert!(
-            (result.cost - sums.cost).abs() <= 1e-12 * (1.0 + sums.cost),
+            (result.cost - cost).abs() <= 1e-12 * (1.0 + cost),
             "reported {} vs recomputed {}",
             result.cost,
-            sums.cost
+            cost
         );
         // Pass accounting includes the closing relabel.
         assert_eq!(result.assign_passes, result.iterations + 1);

@@ -585,17 +585,17 @@ impl Refiner for MiniBatch {
         let n = backend.len() as u64;
         let k = centers.len() as u64;
         let (refined, batch_stats) = drive_minibatch(backend, centers, &self.0, seed)?;
-        let (labels, sums) = drive_label_pass(backend, &refined)?;
+        let (labels, cost, label_stats) = drive_label_pass(backend, &refined)?;
         Ok(RefineResult {
             centers: refined,
             labels,
-            cost: sums.cost,
+            cost,
             iterations: self.0.iterations,
             converged: false, // fixed budget; no convergence test
             history: Vec::new(),
             distance_computations: (self.0.batch_size * self.0.iterations) as u64 * k + n * k,
             pruned_by_norm_bound: batch_stats.pruned_by_norm_bound
-                + sums.stats.pruned_by_norm_bound,
+                + label_stats.pruned_by_norm_bound,
         })
     }
 }
@@ -635,8 +635,8 @@ impl Refiner for NoRefine {
                 (labels, cost, 0)
             }
             _ => {
-                let (labels, sums) = drive_label_pass(backend, centers)?;
-                (labels, sums.cost, sums.stats.pruned_by_norm_bound)
+                let (labels, cost, stats) = drive_label_pass(backend, centers)?;
+                (labels, cost, stats.pruned_by_norm_bound)
             }
         };
         Ok(RefineResult {

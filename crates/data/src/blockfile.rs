@@ -24,12 +24,13 @@
 //! The reader's residency is scan-resistant: it pins the leading blocks
 //! its budget holds — decoded once, never evicted, lent to passes without
 //! a copy — and decodes every other block straight into the caller's
-//! buffer through one staging buffer. A pass over the file (every k-means||
+//! buffer through one staging buffer, through which a gather also reads
+//! its rows where they lie. A pass over the file (every k-means||
 //! round and Lloyd iteration is one) then pays only for the blocks past
 //! the pinned prefix, where an LRU cache smaller than the file would pay
 //! for every block (see [`BlockFileSource`]).
 
-use crate::chunked::{check_block_buffer, ChunkedSource, Residency};
+use crate::chunked::{check_block_buffer, gather_slots, ChunkedSource, Residency};
 use crate::error::DataError;
 use crate::matrix::PointMatrix;
 use std::fmt;
@@ -277,6 +278,20 @@ impl ReaderState {
         Ok(())
     }
 
+    /// Reads the `count` rows from data row `first` — at most the stage's
+    /// rows — into the staging buffer with one seek and one read, and
+    /// returns their raw bytes.
+    fn stage_rows(&mut self, first: usize, count: usize, dim: usize) -> Result<&[u8], DataError> {
+        let row_bytes = dim * 8;
+        self.file.seek(SeekFrom::Start(
+            HEADER_BYTES + first as u64 * row_bytes as u64,
+        ))?;
+        let staged = &mut self.stage[..count * row_bytes];
+        self.file.read_exact(staged)?;
+        self.stats.loads += 1;
+        Ok(staged)
+    }
+
     /// Records one read's residency: the pinned blocks plus the `filled`
     /// bytes it decoded or copied into the caller's buffer.
     fn settle(&mut self, filled: u64, budget_bytes: u64) {
@@ -494,6 +509,53 @@ impl ChunkedSource for BlockFileSource {
         Ok(buf)
     }
 
+    /// Copies the requested rows of the pinned prefix out of their blocks,
+    /// and reads every other one where it lies in the file, with
+    /// positioned reads through the staging buffer: one read per run of
+    /// requested rows that fits in the stage. A sparse gather — a
+    /// k-means|| sample, an empty cluster's reseed — so reads its rows
+    /// alone instead of decoding every block that holds one, and each
+    /// read counts as a load with its bytes inside the budget.
+    fn read_rows(
+        &self,
+        indices: &[usize],
+        _buf: &mut PointMatrix,
+        out: &mut PointMatrix,
+    ) -> Result<(), DataError> {
+        let order = gather_slots(self.rows, self.dim, indices, out)?;
+        let rows = self.block_rows;
+        let split = order.partition_point(|&(i, _)| i < self.pinned.len() * rows);
+        let (pinned, streamed) = order.split_at(split);
+        for run in pinned.chunk_by(|a, b| a.0 / rows == b.0 / rows) {
+            let start = run[0].0 - run[0].0 % rows;
+            let block = self
+                .pinned_block(start / rows, false)?
+                .expect("a pinned block");
+            for &(i, slot) in run {
+                out.row_mut(slot).copy_from_slice(block.row(i - start));
+            }
+        }
+        let mut state = self.lock();
+        let row_bytes = self.dim * 8;
+        let stage_rows = state.stage.len() / row_bytes;
+        let mut rest = streamed;
+        while let Some(&(first, _)) = rest.first() {
+            let run = rest.partition_point(|&(i, _)| i < first + stage_rows);
+            let count = rest[run - 1].0 + 1 - first;
+            let staged = state.stage_rows(first, count, self.dim)?;
+            for &(i, slot) in &rest[..run] {
+                let bytes = &staged[(i - first) * row_bytes..(i - first + 1) * row_bytes];
+                let (values, _) = bytes.as_chunks::<8>();
+                for (v, b) in out.row_mut(slot).iter_mut().zip(values) {
+                    *v = f64::from_le_bytes(*b);
+                }
+            }
+            state.settle((count * row_bytes) as u64, self.budget_bytes);
+            rest = &rest[run..];
+        }
+        Ok(())
+    }
+
     fn residency(&self) -> Residency {
         self.lock().stats
     }
@@ -657,6 +719,41 @@ mod tests {
         let r = whole.residency();
         assert_eq!((r.loads, r.hits), (10, 10));
         assert_eq!(r.peak_bytes, whole.payload_bytes());
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A gather reads the pinned prefix's rows out of their blocks and the
+    /// rest where they lie, one positioned read per run of rows the stage
+    /// holds: the rows the block path returns, in request order, inside
+    /// the budget, without decoding a streamed block.
+    #[test]
+    fn gathered_rows_are_read_where_they_lie() {
+        let path = tmp("gather.skmb");
+        let m = matrix(38, 3);
+        write_block_file(&path, &m, 4).unwrap(); // 10 blocks, 96 B full
+        let budget = 4 * 96; // one working block + 3 pinned
+        let source = BlockFileSource::open(&path, budget).unwrap();
+        let indices = [37, 0, 21, 5, 21, 36, 13, 37, 11];
+        let (mut buf, mut out) = (source.block_buffer(), PointMatrix::new(3));
+        source.read_rows(&indices, &mut buf, &mut out).unwrap();
+        assert_eq!(out.len(), indices.len());
+        for (slot, &i) in indices.iter().enumerate() {
+            assert_eq!(out.row(slot), m.row(i), "slot {slot} (row {i})");
+        }
+        let r = source.residency();
+        // Blocks 0, 1 and 2 are pinned (rows 0, 5, 11) and load once
+        // each; the stage holds a block's 4 rows, so rows 13, 21 and
+        // 36–37 take one read each.
+        assert_eq!(r.loads, 3 + 3, "{r:?}");
+        assert!(r.peak_bytes <= budget, "peak {}", r.peak_bytes);
+        // A pinned row is a hit, a streamed one a read.
+        let far = [2, 30];
+        let before = source.residency().loads;
+        source.read_rows(&far, &mut buf, &mut out).unwrap();
+        assert_eq!((out.row(0), out.row(1)), (m.row(2), m.row(30)));
+        assert_eq!(source.residency().loads, before + 1);
+        let err = source.read_rows(&[38], &mut buf, &mut out).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
         std::fs::remove_file(path).unwrap();
     }
 

@@ -119,6 +119,34 @@ pub trait ChunkedSource: fmt::Debug + Send + Sync {
         PointMatrix::with_capacity(self.dim(), self.block_rows())
     }
 
+    /// Reads the rows at `indices` (any order, duplicates allowed) into
+    /// `out`, replacing its contents, in request order. `out` must have the
+    /// source's dimensionality; an index past the last row is an error.
+    ///
+    /// The default visits every block that holds a requested row once, in
+    /// ascending order, through [`ChunkedSource::lend_block`] with `buf`
+    /// (from [`ChunkedSource::block_buffer`]) as the read buffer, and
+    /// copies the rows out. A source that can read single rows overrides
+    /// it, so that a sparse gather reads only the rows it asks for; the
+    /// rows are the same either way.
+    fn read_rows(
+        &self,
+        indices: &[usize],
+        buf: &mut PointMatrix,
+        out: &mut PointMatrix,
+    ) -> Result<(), DataError> {
+        let order = gather_slots(self.len(), self.dim(), indices, out)?;
+        let rows = self.block_rows();
+        for run in order.chunk_by(|a, b| a.0 / rows == b.0 / rows) {
+            let start = run[0].0 - run[0].0 % rows;
+            let block = self.lend_block(start / rows, buf)?;
+            for &(i, slot) in run {
+                out.row_mut(slot).copy_from_slice(block.row(i - start));
+            }
+        }
+        Ok(())
+    }
+
     /// Memory-residency accounting snapshot (see [`Residency`]).
     fn residency(&self) -> Residency {
         Residency::default()
@@ -136,13 +164,40 @@ pub struct Residency {
     /// blocks it holds resident, plus the block it is filling into the
     /// caller's buffer, if any.
     pub peak_bytes: u64,
-    /// Blocks decoded from the backing store.
+    /// Reads from the backing store: blocks decoded, and the runs of
+    /// rows a gather read ([`ChunkedSource::read_rows`]).
     pub loads: u64,
     /// Block reads served from blocks the source already held resident,
     /// whether lent or copied out.
     pub hits: u64,
     /// The configured memory budget, if the source enforces one.
     pub budget_bytes: Option<u64>,
+}
+
+/// Sets `out` — which must have `dim` columns — to one zero row per
+/// index, and returns the `(index, slot)` pairs by ascending index: the
+/// order in which [`ChunkedSource::read_rows`] fills the slots. An index
+/// of `len` rows or more is an error.
+pub(crate) fn gather_slots(
+    len: usize,
+    dim: usize,
+    indices: &[usize],
+    out: &mut PointMatrix,
+) -> Result<Vec<(usize, usize)>, DataError> {
+    check_block_buffer(dim, out)?;
+    if let Some(i) = indices.iter().find(|&&i| i >= len) {
+        return Err(DataError::InvalidParam(format!(
+            "row {i} is out of range for {len} rows"
+        )));
+    }
+    out.clear();
+    let zero = vec![0.0; dim];
+    for _ in indices {
+        out.push(&zero)?;
+    }
+    let mut order: Vec<(usize, usize)> = indices.iter().copied().zip(0..).collect();
+    order.sort_unstable();
+    Ok(order)
 }
 
 /// Checks the shared `read_block` buffer contract.

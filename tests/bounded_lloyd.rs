@@ -233,19 +233,7 @@ type WorkerHandles =
 
 /// Two loopback workers split at an accumulation-shard boundary.
 fn two_workers(points: &PointMatrix, exec: &Executor) -> (Cluster, WorkerHandles) {
-    let grid = scalable_kmeans::core::assign::sum_shard_size(exec, points.len());
-    let cut = (points.len() / 2 / grid).max(1) * grid;
-    let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-    let mut handles = Vec::new();
-    for (start, rows) in [(0, cut), (cut, points.len() - cut)] {
-        let source = InMemorySource::new(slice_rows(points, start, rows), 100).unwrap();
-        let (transport, handle) = spawn_loopback_worker(source, Parallelism::Sequential);
-        transports.push(Box::new(transport));
-        handles.push(handle);
-    }
-    let mut cluster = Cluster::new(transports).unwrap();
-    cluster.plan(SHARD).unwrap();
-    (cluster, handles)
+    two_workers_in_blocks(points, exec, [100, 100])
 }
 
 fn shutdown(mut cluster: Cluster, handles: WorkerHandles) {
@@ -477,5 +465,227 @@ fn a_bounded_pass_needs_the_bounds_of_a_pass_at_as_many_centers() {
         cluster.assign(&four, LabelFetch::Bounded).is_err(),
         "no pass yet, 2 workers"
     );
+    shutdown(cluster, handles);
+}
+
+/// Two loopback workers split at an accumulation-shard boundary, serving
+/// their rows in blocks of `blocks[0]` and `blocks[1]` rows.
+fn two_workers_in_blocks(
+    points: &PointMatrix,
+    exec: &Executor,
+    blocks: [usize; 2],
+) -> (Cluster, WorkerHandles) {
+    let grid = scalable_kmeans::core::assign::sum_shard_size(exec, points.len());
+    let cut = (points.len() / 2 / grid).max(1) * grid;
+    let mut transports: Vec<Box<dyn Transport>> = Vec::new();
+    let mut handles = Vec::new();
+    for ((start, rows), block_rows) in [(0, cut), (cut, points.len() - cut)]
+        .into_iter()
+        .zip(blocks)
+    {
+        let source = InMemorySource::new(slice_rows(points, start, rows), block_rows).unwrap();
+        let (transport, handle) = spawn_loopback_worker(source, Parallelism::Sequential);
+        transports.push(Box::new(transport));
+        handles.push(handle);
+    }
+    let mut cluster = Cluster::new(transports).unwrap();
+    cluster.plan(SHARD).unwrap();
+    (cluster, handles)
+}
+
+/// Blocks that split accumulation shards, at 1 and 3 threads: every pass
+/// in lockstep and `drive_lloyd` from `init`, against the full passes,
+/// on blocks of 1 and 7 rows, of half a shard, one row short of a shard
+/// and one row past it, on resident rows, and on two loopback workers
+/// whose blocks split their shards alike, or differently ("mixed").
+/// Where a block edge's fold state — `k·(d+1)` values — fits in the
+/// block's rows, a bounded pass re-folds a split shard's dirty clusters
+/// from it; otherwise the shard folds in full from that edge on. Both
+/// keep the full passes' bits.
+fn check_split_shards(points: &PointMatrix, init: &PointMatrix, what: &str) {
+    let n = points.len();
+    for parallelism in [Parallelism::Sequential, Parallelism::Threads(3)] {
+        let exec = Executor::new(parallelism).with_shard_size(SHARD);
+        let reference = reference(points, init, &exec, 0.0);
+        assert!(reference.passes.len() >= 2, "{what}: no bounded pass ran");
+        let grid = scalable_kmeans::core::assign::sum_shard_size(&exec, n);
+        let config = LloydConfig::default();
+        let label = format!("{what}, {parallelism:?}, resident");
+        lockstep_part(
+            &mut LocalBackend::in_memory(points, None, &exec),
+            &reference,
+            &label,
+        );
+        let sizes = [1, 7, grid / 2, grid - 1, grid + 1];
+        for block_rows in sizes {
+            let label = format!("{what}, {parallelism:?}, blocks of {block_rows}");
+            let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+            lockstep_part(
+                &mut LocalBackend::chunked(&source, &exec),
+                &reference,
+                &label,
+            );
+            let got = drive_lloyd(&mut LocalBackend::chunked(&source, &exec), init, &config);
+            check_fit(&got.unwrap(), &reference, &label);
+        }
+        let mixed = [grid - 1, grid + 1];
+        for blocks in sizes.map(|b| [b, b]).into_iter().chain([mixed]) {
+            let label = format!("{what}, {parallelism:?}, 2 workers in blocks of {blocks:?}");
+            let (mut cluster, handles) = two_workers_in_blocks(points, &exec, blocks);
+            lockstep(&mut cluster, &reference, &label);
+            shutdown(cluster, handles);
+            let (mut cluster, handles) = two_workers_in_blocks(points, &exec, blocks);
+            check_fit(
+                &drive_lloyd(&mut cluster, init, &config).unwrap(),
+                &reference,
+                &label,
+            );
+            shutdown(cluster, handles);
+        }
+    }
+}
+
+/// k = 5 keeps a fold state at every edge of a 32-row or larger block
+/// (15 values in 2 dimensions); k = 12 needs 36 rows, so blocks of half
+/// a shard fold their split shards in full.
+#[test]
+fn blocks_that_split_shards_keep_every_pass_bits() {
+    for (k, seed) in [(5usize, 4u64), (12, 5)] {
+        let points = GaussMixture::new(k)
+            .points(1500)
+            .center_variance(20.0)
+            .generate(seed)
+            .unwrap()
+            .dataset
+            .into_parts()
+            .1;
+        check_split_shards(&points, &gauss_start(&points, k), &format!("k = {k}"));
+    }
+}
+
+/// The trajectory of `a_cluster_emptied_by_a_bounded_pass_reseeds_like_a_full_pass`
+/// on blocks that split shards: the bounded pass that empties center 2 is
+/// repeated in full for the reseed, which records the block edges' fold
+/// states anew for the bounded passes after it.
+#[test]
+fn an_emptied_cluster_repeats_in_full_on_split_shards() {
+    let mut points = PointMatrix::new(2);
+    let mut init = PointMatrix::new(2);
+    let mut rng = scalable_kmeans::util::Rng::new(9);
+    for _ in 0..400 {
+        points
+            .push(&[0.05 * rng.normal(), 0.05 * rng.normal()])
+            .unwrap();
+        points
+            .push(&[10.0 + 0.05 * rng.normal(), 0.05 * rng.normal()])
+            .unwrap();
+    }
+    points.push(&[2.0, 0.0]).unwrap();
+    points.push(&[8.0, 0.0]).unwrap();
+    init.push(&[-3.0, 0.0]).unwrap();
+    init.push(&[13.0, 0.0]).unwrap();
+    init.push(&[5.0, 0.0]).unwrap();
+    for b in 0..9 {
+        let at = [100.0 * (b + 1) as f64, 50.0];
+        for _ in 0..120 {
+            points
+                .push(&[at[0] + rng.normal(), at[1] + rng.normal()])
+                .unwrap();
+        }
+        init.push(&[at[0] + 2.0, at[1] - 2.0]).unwrap();
+    }
+    let exec = Executor::sequential().with_shard_size(SHARD);
+    assert_eq!(
+        reference(&points, &init, &exec, 0.0).reseeded[1],
+        1,
+        "pass 1 must reseed"
+    );
+    check_split_shards(&points, &init, "emptied cluster");
+}
+
+/// Runs the first `count` of `reference`'s passes on `backend`, as Lloyd
+/// asks for them.
+fn run_passes(backend: &mut dyn RoundBackend, reference: &Reference, count: usize) {
+    for (t, centers) in reference.centers.iter().take(count).enumerate() {
+        backend.assign(centers, kind(t)).unwrap();
+    }
+}
+
+/// A closing pass at `centers` on `backend`: its labels and cost must be
+/// `full`'s, it ships no sums, counts or farthest points, and it leaves
+/// no bounds. Returns its reassigned count.
+fn check_closing(
+    backend: &mut dyn RoundBackend,
+    centers: &PointMatrix,
+    full: &(Vec<u32>, f64),
+    what: &str,
+) -> u64 {
+    let (reassigned, sums, labels) = backend.assign(centers, LabelFetch::Always).unwrap();
+    assert_eq!(labels.as_deref(), Some(&full.0[..]), "{what}: labels");
+    assert_eq!(sums.cost.to_bits(), full.1.to_bits(), "{what}: cost");
+    assert!(
+        sums.sums.is_empty() && sums.counts.is_empty(),
+        "{what}: sums"
+    );
+    assert!(sums.farthest.is_empty(), "{what}: farthest points");
+    assert!(
+        backend.assign(centers, LabelFetch::Bounded).is_err(),
+        "{what}: the closing pass left bounds"
+    );
+    reassigned
+}
+
+/// The closing pass (`LabelFetch::Always`) is a labels-and-cost pass. At
+/// new centers after bounded passes (settling rows on their bounds), at
+/// the centers of the last pass (whose labels are final already) and on
+/// a backend with no labels, its labels and cost are a full pass's bits —
+/// locally, on blocks that split shards, and on two workers.
+#[test]
+fn the_closing_pass_returns_a_full_pass_labels_and_cost() {
+    let k = 12;
+    let points = GaussMixture::new(k)
+        .points(1500)
+        .center_variance(20.0)
+        .generate(6)
+        .unwrap()
+        .dataset
+        .into_parts()
+        .1;
+    let n = points.len();
+    let exec = Executor::new(Parallelism::Threads(3)).with_shard_size(SHARD);
+    let reference = reference(&points, &gauss_start(&points, k), &exec, 0.0);
+    assert!(reference.passes.len() >= 4, "too short a trajectory");
+    let full = |centers: &PointMatrix| {
+        let data = LocalData::from(&points);
+        let (labels, shards, _) = assign_partials(data, centers, &exec, 0, n, None).unwrap();
+        (labels, fold_accum_shards(k, points.dim(), &shards).cost)
+    };
+    let (at3, at1) = (&reference.centers[3], &reference.centers[1]);
+    let (full3, full1) = (full(at3), full(at1));
+    let check = |backend: &mut dyn RoundBackend, what: &str| {
+        run_passes(backend, &reference, 3);
+        check_closing(backend, at3, &full3, &format!("{what}, new centers"));
+        run_passes(backend, &reference, 4);
+        check_closing(
+            backend,
+            at3,
+            &full3,
+            &format!("{what}, the last pass's centers"),
+        );
+        let reassigned = check_closing(backend, at1, &full1, &format!("{what}, no labels"));
+        assert_eq!(reassigned, n as u64, "{what}, no labels: reassigned");
+    };
+    check(
+        &mut LocalBackend::in_memory(&points, None, &exec),
+        "resident",
+    );
+    let grid = scalable_kmeans::core::assign::sum_shard_size(&exec, n);
+    for block_rows in [7, grid - 1, grid + 1] {
+        let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+        let what = format!("blocks of {block_rows}");
+        check(&mut LocalBackend::chunked(&source, &exec), &what);
+    }
+    let (mut cluster, handles) = two_workers_in_blocks(&points, &exec, [grid - 1, grid + 1]);
+    check(&mut cluster, "2 workers");
     shutdown(cluster, handles);
 }

@@ -3,8 +3,9 @@
 //! dataset larger than the configured memory budget streams within budget,
 //! asserted via the block reader's peak-resident accounting.
 
-use kmeans_core::chunked::LocalData;
+use kmeans_core::chunked::{assign_partials, fold_accum_shards, LocalData};
 use kmeans_core::cost::{potential, potential_shard_sums, CostTracker};
+use kmeans_core::driver::{drive_kmeans_parallel, LabelFetch, LocalBackend, RoundBackend};
 use kmeans_core::init::KMeansParallelConfig;
 use kmeans_core::minibatch::MiniBatchConfig;
 use kmeans_core::model::{KMeans, KMeansModel, PreparedPredictor};
@@ -353,5 +354,110 @@ fn tracker_and_predictor_sums_are_the_potential_pass_bits() {
         let (labels, d2, _) = predictor.assign(&points).unwrap();
         assert_eq!(predictor.cost_from_d2(&d2).to_bits(), phi.to_bits());
         assert_eq!(labels, predictor.predict(&points).unwrap());
+    }
+}
+
+/// Seed-only and mini-batch fits after k-means||, through the builder,
+/// in memory and on blocks that split accumulation shards, at 1 and 3
+/// threads: the same models, kernel counters included. The seed-only
+/// label pass runs at the seed-cost pass's centers, so it reads that
+/// pass's labels and evaluates each row once: `k − 1` pruned pairs per
+/// row. Mini-batch relabels at other centers, so its pass still
+/// searches, from the same labels.
+#[test]
+fn seed_only_and_minibatch_fits_after_kmeans_par_keep_their_bits() {
+    let (n, k) = (900, 10);
+    let points = gauss(n, k, 17);
+    let minibatch = MiniBatch(MiniBatchConfig {
+        batch_size: 64,
+        iterations: 20,
+    });
+    for name in ["none", "minibatch"] {
+        for threads in [Parallelism::Sequential, Parallelism::Threads(3)] {
+            let base = KMeans::params(k)
+                .seed(23)
+                .shard_size(64)
+                .parallelism(threads);
+            let base = match name {
+                "none" => base.refine(NoRefine),
+                _ => base.refine(minibatch),
+            };
+            let mem = base.clone().fit(&points).unwrap();
+            let pruned = mem.pruned_by_norm_bound();
+            if name == "none" {
+                assert_eq!(
+                    pruned,
+                    (n * (k - 1)) as u64,
+                    "{name}: one evaluation per row"
+                );
+            }
+            let grid = kmeans_core::assign::sum_shard_size_for(64, n);
+            for block_rows in [1, 7, grid / 2, grid - 1, grid + 1, n] {
+                let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+                let chunked = base.clone().data_source(source).fit_chunked().unwrap();
+                let what = format!("{name}, {threads:?}, block_rows {block_rows}");
+                assert_models_bit_identical(&mem, &chunked, &what);
+                assert_eq!(chunked.pruned_by_norm_bound(), pruned, "{what}: counters");
+            }
+        }
+    }
+}
+
+/// The first assignment after the seed-cost potential: at other centers
+/// than the potential's it searches, seeded by the potential's labels —
+/// a full pass's labels and sums, and more than one evaluation per row
+/// where those labels seed it badly — while at the potential's centers
+/// it evaluates each row once.
+#[test]
+fn a_first_pass_at_other_centers_than_the_seed_cost_pass_still_searches() {
+    let (n, k) = (700, 12);
+    let points = gauss(n, k, 19);
+    let exec = kmeans_par::Executor::new(Parallelism::Threads(3)).with_shard_size(64);
+    let config = KMeansParallelConfig::default();
+    let mut scratch = LocalBackend::in_memory(&points, None, &exec);
+    let (seeds, _) = drive_kmeans_parallel(&mut scratch, k, &config, 5).unwrap();
+    // The seeds, each at the next one's place: every seed-cost label now
+    // names a center at another cluster, so a pass that trusted them
+    // would be wrong, and one that searches from them evaluates more.
+    let mut moved = seeds.clone();
+    for c in 0..k {
+        moved.row_mut(c).copy_from_slice(seeds.row((c + 1) % k));
+    }
+    let data = LocalData::from(&points);
+    let (labels, shards, _) = assign_partials(data, &moved, &exec, 0, n, None).unwrap();
+    let full = fold_accum_shards(k, points.dim(), &shards);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // A pass at `centers` after k-means|| and the seed-cost potential,
+    // with the labels it left.
+    let after_seeding = |source: &InMemorySource, centers: &PointMatrix, fetch| {
+        let mut backend = LocalBackend::chunked(source, &exec);
+        drive_kmeans_parallel(&mut backend, k, &config, 5).unwrap();
+        backend.potential(&seeds).unwrap();
+        let pass = backend.assign(centers, fetch).unwrap();
+        (pass, backend.labels().map(<[u32]>::to_vec))
+    };
+    for block_rows in [7, 63, n] {
+        let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+        for fetch in [LabelFetch::Skip, LabelFetch::Always] {
+            let what = format!("block_rows {block_rows}, {fetch:?}");
+            let ((reassigned, sums, got), kept) = after_seeding(&source, &moved, fetch);
+            assert_eq!(reassigned, n as u64, "{what}: reassigned");
+            assert!(
+                sums.stats.distance_computations > n as u64,
+                "{what}: {} evaluations",
+                sums.stats.distance_computations
+            );
+            assert_eq!(sums.cost.to_bits(), full.cost.to_bits(), "{what}: cost");
+            match fetch {
+                LabelFetch::Always => assert_eq!(got.as_deref(), Some(&labels[..]), "{what}"),
+                _ => {
+                    assert_eq!(bits(&sums.sums), bits(&full.sums), "{what}: sums");
+                    assert_eq!(kept.as_deref(), Some(&labels[..]), "{what}: labels");
+                }
+            }
+        }
+        let ((_, sums, _), _) = after_seeding(&source, &seeds, LabelFetch::Always);
+        let evals = sums.stats.distance_computations;
+        assert_eq!(evals, n as u64, "block_rows {block_rows}: at the seeds");
     }
 }

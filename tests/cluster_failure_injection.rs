@@ -14,14 +14,17 @@ use scalable_kmeans::cluster::{
     spawn_tcp_worker_with_faults, Cluster, ClusterError, FaultAction, FitDistributed, RetryPolicy,
     TcpTransport, TcpWorkerServer, Transport, Worker,
 };
-use scalable_kmeans::core::driver::RoundBackend;
+use scalable_kmeans::core::driver::{
+    drive_kmeans_parallel, LabelFetch, LocalBackend, RoundBackend,
+};
 use scalable_kmeans::core::init::KMeansParallelConfig;
+use scalable_kmeans::core::minibatch::MiniBatchConfig;
 use scalable_kmeans::core::model::{KMeans, KMeansModel};
-use scalable_kmeans::core::pipeline::{KMeansParallel, NoRefine};
+use scalable_kmeans::core::pipeline::{KMeansParallel, MiniBatch, NoRefine};
 use scalable_kmeans::data::synth::GaussMixture;
 use scalable_kmeans::data::{InMemorySource, PointMatrix};
 use scalable_kmeans::obs::{ArgValue, Recorder};
-use scalable_kmeans::par::Parallelism;
+use scalable_kmeans::par::{Executor, Parallelism};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -1002,4 +1005,127 @@ fn late_starting_worker_is_waited_for() {
     h0.join().unwrap().unwrap();
     h1.join().unwrap().unwrap();
     assert_bit_identical(&reference, &got, "late-starting worker");
+}
+
+/// Kills at the rounds around the seed-cost pass — the seed-cost round
+/// itself, the first assignment round and the closing round — of Lloyd,
+/// seed-only and mini-batch fits after k-means||, on the request and on
+/// the reply, over 2 workers. The seed-cost pass writes its labels over
+/// the tracker, and the first assignment at its centers reads them, so
+/// the catch-up replays that pass when no assignment has followed it: the
+/// replacement holds the same labels, and every recovered model is
+/// bit-identical to the in-memory fit, kernel counters included.
+#[test]
+fn kills_around_the_seed_cost_pass_keep_every_counter() {
+    // Overlapping clusters, on which a first pass that searched from the
+    // tracker instead of reading the seed-cost labels would count other
+    // kernel work than one that reads them.
+    let points = GaussMixture::new(K)
+        .points(N)
+        .center_variance(0.5)
+        .generate(13)
+        .unwrap()
+        .dataset
+        .into_parts()
+        .1;
+    let exec = Executor::sequential().with_shard_size(SHARD);
+    let first_pass = |potential: bool| {
+        let mut backend = LocalBackend::in_memory(&points, None, &exec);
+        let config = KMeansParallelConfig::default();
+        let (seeds, _) = drive_kmeans_parallel(&mut backend, K, &config, 42).unwrap();
+        if potential {
+            backend.potential(&seeds).unwrap();
+        }
+        backend.assign(&seeds, LabelFetch::Skip).unwrap().1.stats
+    };
+    assert_ne!(
+        first_pass(true),
+        first_pass(false),
+        "the data must tell the passes apart"
+    );
+    let minibatch = MiniBatch(MiniBatchConfig {
+        batch_size: 32,
+        iterations: 10,
+    });
+    for name in ["lloyd", "none", "minibatch"] {
+        let builder = || {
+            let base = KMeans::params(K).seed(42).shard_size(SHARD);
+            match name {
+                "none" => base.refine(NoRefine),
+                "minibatch" => base.refine(minibatch),
+                _ => base,
+            }
+        };
+        let reference = builder().fit(&points).unwrap();
+        // Seed-only and mini-batch fits make one assignment pass, the
+        // closing one; Lloyd closes after its `iterations` passes.
+        let closing = match name {
+            "lloyd" => reference.iterations() as u32 + 1,
+            _ => 1,
+        };
+        let grid = [
+            (
+                "seed-cost request",
+                FaultAction::KillOnRecv {
+                    tag: tag::COST,
+                    occurrence: 1,
+                },
+            ),
+            (
+                "seed-cost reply",
+                FaultAction::KillOnSend {
+                    tag: tag::SHARD_SUMS,
+                    occurrence: 1,
+                },
+            ),
+            (
+                "first assignment request",
+                FaultAction::KillOnRecv {
+                    tag: tag::ASSIGN,
+                    occurrence: 1,
+                },
+            ),
+            (
+                "first assignment reply",
+                FaultAction::KillOnSend {
+                    tag: tag::PARTIALS,
+                    occurrence: 1,
+                },
+            ),
+            (
+                "closing request",
+                FaultAction::KillOnRecv {
+                    tag: tag::ASSIGN,
+                    occurrence: closing,
+                },
+            ),
+            (
+                "closing reply",
+                FaultAction::KillOnSend {
+                    tag: tag::PARTIALS,
+                    occurrence: closing,
+                },
+            ),
+        ];
+        for (what, action) in grid {
+            let what = format!("{name}, {what}");
+            let scripts: Vec<(usize, Vec<FaultAction>)> =
+                (0..2).map(|w| (w, vec![action])).collect();
+            let (mut cluster, originals, replacements) =
+                recovering_loopback_cluster(&points, 2, &scripts);
+            let got = builder()
+                .fit_distributed(&mut cluster)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            cluster.shutdown();
+            for h in originals {
+                let _ = h.join().unwrap();
+            }
+            assert!(
+                !replacements.lock().unwrap().is_empty(),
+                "{what}: the scripted fault never fired (no recovery ran)"
+            );
+            drain(&replacements);
+            assert_bit_identical(&reference, &got, &what);
+        }
+    }
 }
